@@ -3,25 +3,25 @@
 //! root so the perf trajectory is tracked PR over PR.
 //!
 //! The workload is a scaled Context-Aware campaign (the paper's headline
-//! strategy) over all six attack types — the exact hot path the msgbus
-//! ring, the allocation-free tick loop and the batched campaign runner
-//! optimize. Serial runs through the single-worker fast path of the
-//! campaign runner; parallel fans out over the persistent worker pool
-//! (`REPRO_WORKERS` or all cores); batched steps every lane in lockstep
-//! through one single-threaded [`BatchHarness`], the per-core ceiling.
+//! strategy) over all six attack types. Serial runs one scalar
+//! [`Harness`] per sim on the calling thread, the reference engine;
+//! parallel is the campaign runner as every campaign uses it — each cell
+//! a one-lane fused run (`platform::simulate`) fanned out over the
+//! persistent worker pool (`REPRO_WORKERS` or all cores); batched steps
+//! every lane in lockstep through one single-threaded [`BatchHarness`].
 //! All three passes must produce bit-identical results.
 //!
 //! Run with e.g. `REPRO_SCALE=20 cargo bench -p bench --bench throughput`.
-//! No wall-clock gating anywhere: the JSON records `cores` and `workers`
-//! so speedup expectations (≥ 2× on ≥ 4 cores) stay machine-checkable
-//! without failing on small CI boxes.
+//! No wall-clock gating anywhere: the JSON records `cores` and `workers`,
+//! since `speedup` (parallel over serial) combines the fused engine's gain
+//! with the core count.
 
 use attack_core::StrategyKind;
 use bench::{scale_divisor, scaled_reps, write_artifact};
 use platform::experiment::{
     detected_cores, plan_attack_campaign, run_parallel_with, CampaignConfig, RunnerConfig, RunSpec,
 };
-use platform::{BatchHarness, SimResult, TraceConfig};
+use platform::{BatchHarness, Harness, SimResult, TraceConfig};
 use units::STEPS_PER_SIM;
 
 /// One timed pass over the work list.
@@ -31,9 +31,13 @@ struct Pass {
     ticks_per_sec: f64,
 }
 
-fn timed(cfg: RunnerConfig, specs: &[RunSpec]) -> (Pass, Vec<SimResult>) {
+/// Times `run` over the work list.
+fn timed(
+    specs: &[RunSpec],
+    run: impl FnOnce(&[RunSpec]) -> Vec<SimResult>,
+) -> (Pass, Vec<SimResult>) {
     let t0 = std::time::Instant::now();
-    let results = run_parallel_with(cfg, specs);
+    let results = run(specs);
     let seconds = t0.elapsed().as_secs_f64().max(1e-9);
     let sims = specs.len() as f64;
     let ticks = sims * STEPS_PER_SIM as f64;
@@ -48,8 +52,8 @@ fn timed(cfg: RunnerConfig, specs: &[RunSpec]) -> (Pass, Vec<SimResult>) {
 }
 
 /// One timed pass over the work list as a single SoA batch, including the
-/// batch build — the apples-to-apples counterpart of `timed`, which also
-/// constructs its harnesses inside the window.
+/// batch build — the apples-to-apples counterpart of the serial pass,
+/// which also constructs its harnesses inside the window.
 fn timed_batched(specs: &[RunSpec]) -> (Pass, Vec<SimResult>, usize, usize) {
     let t0 = std::time::Instant::now();
     let mut batch = BatchHarness::new();
@@ -98,12 +102,19 @@ fn main() {
     let cores = detected_cores();
     let workers = RunnerConfig::default().worker_count(specs.len());
 
-    let (serial, serial_results) = timed(RunnerConfig::with_workers(1), &specs);
+    let (serial, serial_results) = timed(&specs, |specs| {
+        specs
+            .iter()
+            .map(|s| Harness::new(s.harness_config(TraceConfig::disabled())).run())
+            .collect()
+    });
     println!(
         "  serial:   {:.2}s  {:.1} sims/s  {:.0} ticks/s",
         serial.seconds, serial.sims_per_sec, serial.ticks_per_sec
     );
-    let (parallel, parallel_results) = timed(RunnerConfig::default(), &specs);
+    let (parallel, parallel_results) = timed(&specs, |specs| {
+        run_parallel_with(RunnerConfig::default(), specs)
+    });
     println!(
         "  parallel: {:.2}s  {:.1} sims/s  {:.0} ticks/s  ({workers} workers, {cores} cores)",
         parallel.seconds, parallel.sims_per_sec, parallel.ticks_per_sec

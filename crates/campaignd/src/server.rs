@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{fnv64, load_manifest, load_wal, wal_path, Manifest};
 use crate::http::{parse_request, response, stream_head, Parse, Request};
 use crate::spec::JobSpec;
-use crate::supervisor::{run_job, DaemonStats, JobOutcome, JobProgress, SupervisorConfig};
+use crate::supervisor::{run_job, DaemonStats, Event, JobOutcome, JobProgress, SupervisorConfig};
 use crate::wire::{escape, parse_object};
 
 /// Daemon-level configuration (the CLI flags, resolved).
@@ -134,8 +134,9 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr`, opens the state directory, and (with `cfg.resume`)
-    /// replays the manifest: finished jobs get their status and report
-    /// rebuilt from checkpoints, unfinished ones are re-enqueued.
+    /// replays the manifest: finished jobs get their status, counters,
+    /// report and terminal stream event rebuilt from checkpoints,
+    /// unfinished ones are re-enqueued.
     pub fn bind(addr: &str, cfg: DaemonConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let listener = TcpListener::bind(addr)?;
@@ -165,50 +166,62 @@ impl Server {
                 let Ok(spec) = JobSpec::from_object(&obj) else {
                     continue;
                 };
-                let total = spec.plan().len() as u64;
-                let progress = Arc::new(JobProgress::new(total));
-                let status = match entry.done.as_deref() {
-                    Some("completed") => {
-                        // Rebuild the report from the WAL so reports
-                        // survive restarts without re-simulating.
-                        let path = wal_path(&cfg.state_dir, &entry.id);
-                        match load_wal(&path, &entry.id) {
-                            Ok(cells) if cells.len() as u64 == total => {
-                                let results: Vec<_> = cells.into_values().collect();
-                                let report = spec.report(&results);
-                                let job = Arc::new(JobState {
-                                    id: entry.id.clone(),
-                                    spec,
-                                    status: Mutex::new(JobStatus::Completed),
-                                    progress,
-                                    report: Mutex::new(Some(report)),
-                                });
-                                insert_job(&state, job);
-                                continue;
-                            }
-                            _ => JobStatus::Failed(
-                                "completed in a previous run but checkpoint is incomplete"
-                                    .to_string(),
-                            ),
-                        }
-                    }
-                    Some(_) => JobStatus::Failed("failed in a previous run".to_string()),
-                    None => JobStatus::Queued,
-                };
-                let queued = status == JobStatus::Queued;
-                let job = Arc::new(JobState {
-                    id: entry.id.clone(),
-                    spec,
-                    status: Mutex::new(status),
-                    progress,
-                    report: Mutex::new(None),
-                });
-                insert_job(&state, job);
-                if queued {
+                let total = spec.plan().len();
+                let progress = Arc::new(JobProgress::new(total as u64));
+                let Some(done) = entry.done.as_deref() else {
+                    // Unfinished: the supervisor resumes it from its WAL.
+                    let job = Arc::new(JobState {
+                        id: entry.id.clone(),
+                        spec,
+                        status: Mutex::new(JobStatus::Queued),
+                        progress,
+                        report: Mutex::new(None),
+                    });
+                    insert_job(&state, job);
                     let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
                     queue.push_back(entry.id);
                     drop(queue);
-                }
+                    continue;
+                };
+                // Finished in an earlier run: rebuild the report from the
+                // WAL without re-simulating, and close the job's stream
+                // with its terminal event.
+                let cells =
+                    load_wal(&wal_path(&cfg.state_dir, &entry.id), &entry.id).unwrap_or_default();
+                progress
+                    .cells_done
+                    .store(cells.len() as u64, Ordering::SeqCst);
+                let (status, report, event) = if done == "completed" && cells.len() == total {
+                    let results: Vec<_> = cells.into_values().collect();
+                    (
+                        JobStatus::Completed,
+                        Some(spec.report(&results)),
+                        Event::Completed { cells_total: total },
+                    )
+                } else {
+                    let reason = if done == "completed" {
+                        "completed in a previous run but checkpoint is incomplete"
+                    } else {
+                        "failed in a previous run"
+                    };
+                    (
+                        JobStatus::Failed(reason.to_string()),
+                        None,
+                        Event::Failed {
+                            reason: reason.to_string(),
+                        },
+                    )
+                };
+                progress.push_event(event);
+                progress.mark_finished();
+                let job = Arc::new(JobState {
+                    id: entry.id,
+                    spec,
+                    status: Mutex::new(status),
+                    progress,
+                    report: Mutex::new(report),
+                });
+                insert_job(&state, job);
             }
         }
         Ok(Self { listener, state })
@@ -627,9 +640,9 @@ fn job_report_body(state: &Arc<ServerState>, id: &str) -> Vec<u8> {
     }
 }
 
-/// Streams a job's NDJSON event log, then live events until the job
-/// finishes. A dead or slow client hits the write timeout and only its
-/// own thread unwinds.
+/// Streams a job's event journal as NDJSON, then live events until the
+/// job finishes. A dead or slow client hits the write timeout and only
+/// its own thread unwinds.
 fn stream_job(stream: &TcpStream, state: &Arc<ServerState>, id: &str) {
     let Some(job) = lookup_job(state, id) else {
         let _ = write_all(stream, &not_found());
@@ -643,26 +656,29 @@ fn stream_job(stream: &TcpStream, state: &Arc<ServerState>, id: &str) {
         let (fresh, finished) = job
             .progress
             .wait_events(seen, Duration::from_millis(200));
-        for line in &fresh {
-            if write_all(stream, line.as_bytes()).is_err()
-                || write_all(stream, b"\n").is_err()
-            {
-                return; // client went away; the campaign does not care
-            }
+        if write_events(stream, &job.id, &fresh).is_err() {
+            return; // client went away; the campaign does not care
         }
         seen += fresh.len();
         if finished {
             let (rest, _) = job.progress.wait_events(seen, Duration::from_millis(0));
-            for line in &rest {
-                if write_all(stream, line.as_bytes()).is_err()
-                    || write_all(stream, b"\n").is_err()
-                {
-                    return;
-                }
-            }
+            let _ = write_events(stream, &job.id, &rest);
             return;
         }
     }
+}
+
+/// Renders `events` as NDJSON lines and writes them in one call.
+fn write_events(stream: &TcpStream, job_id: &str, events: &[Event]) -> std::io::Result<()> {
+    if events.is_empty() {
+        return Ok(());
+    }
+    let mut lines = String::new();
+    for event in events {
+        lines.push_str(&event.render(job_id));
+        lines.push('\n');
+    }
+    write_all(stream, lines.as_bytes())
 }
 
 /// Pops and runs queued jobs until drain. One job at a time: cell-level

@@ -99,8 +99,116 @@ impl DaemonStats {
     }
 }
 
-/// Live progress of one job: counters for `/jobs/<id>`, the NDJSON event
-/// log for `/jobs/<id>/stream`, and the wakeup for blocked streamers.
+/// One entry of a job's event journal.
+///
+/// The journal keeps events typed, a few machine words each, and
+/// [`render`](Self::render) turns one into its NDJSON line only when a
+/// stream reads it. A finished job's journal therefore holds no text, and
+/// the index-ordered observe hook, which runs under the frontier lock,
+/// formats nothing.
+#[derive(Debug, Clone)]
+pub enum Event {
+    /// The job started, adopting `checkpointed` cells from its WAL.
+    Running {
+        /// Cells in the plan.
+        cells_total: usize,
+        /// Cells already in the WAL.
+        checkpointed: usize,
+    },
+    /// A cell succeeded in its chunk's pooled pass.
+    CellOk {
+        /// Cell index in the plan.
+        idx: usize,
+        /// The successful attempt (1-based).
+        attempt: u32,
+    },
+    /// A cell succeeded on a serial retry.
+    CellRetryOk {
+        /// Cell index in the plan.
+        idx: usize,
+        /// The successful attempt (1-based).
+        attempt: u32,
+    },
+    /// A cell attempt panicked.
+    CellPanic {
+        /// Cell index in the plan.
+        idx: usize,
+        /// The failed attempt (1-based).
+        attempt: u32,
+        /// The panic message.
+        message: String,
+    },
+    /// A cell exhausted its attempt budget.
+    CellQuarantined {
+        /// Cell index in the plan.
+        idx: usize,
+        /// Attempts made.
+        attempts: u32,
+    },
+    /// Every cell completed; the report is rendered.
+    Completed {
+        /// Cells in the plan.
+        cells_total: usize,
+    },
+    /// The job failed terminally.
+    Failed {
+        /// Human-readable reason.
+        reason: String,
+    },
+    /// Drain stopped the job with its progress checkpointed.
+    Interrupted,
+}
+
+impl Event {
+    /// The event's NDJSON line, without its newline, for job `job_id`.
+    pub fn render(&self, job_id: &str) -> String {
+        match self {
+            Event::Running {
+                cells_total,
+                checkpointed,
+            } => format!(
+                "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"running\", \
+\"cells_total\": {cells_total}, \"checkpointed\": {checkpointed}}}"
+            ),
+            Event::CellOk { idx, attempt } => format!(
+                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"ok\", \
+\"attempt\": {attempt}}}"
+            ),
+            Event::CellRetryOk { idx, attempt } => format!(
+                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"retry_ok\", \
+\"attempt\": {attempt}}}"
+            ),
+            Event::CellPanic {
+                idx,
+                attempt,
+                message,
+            } => format!(
+                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"panic\", \
+\"attempt\": {attempt}, \"message\": \"{}\"}}",
+                escape(message)
+            ),
+            Event::CellQuarantined { idx, attempts } => format!(
+                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"quarantined\", \
+\"attempts\": {attempts}}}"
+            ),
+            Event::Completed { cells_total } => format!(
+                "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"completed\", \
+\"cells_total\": {cells_total}}}"
+            ),
+            Event::Failed { reason } => format!(
+                "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"failed\", \
+\"reason\": \"{}\"}}",
+                escape(reason)
+            ),
+            Event::Interrupted => {
+                format!("{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"interrupted\"}}")
+            }
+        }
+    }
+}
+
+/// Live progress of one job: counters for `/jobs/<id>`, the event journal
+/// for `/jobs/<id>/stream`, and the wakeup for blocked streamers.
 #[derive(Debug)]
 pub struct JobProgress {
     /// Cells in the plan.
@@ -111,7 +219,7 @@ pub struct JobProgress {
     pub retries: AtomicU64,
     /// Quarantined cell indices.
     pub quarantined: Mutex<Vec<usize>>,
-    events: Mutex<Vec<String>>,
+    events: Mutex<Vec<Event>>,
     events_cv: Condvar,
     /// Set once the job reaches a terminal state (or is interrupted).
     pub finished: AtomicBool,
@@ -131,11 +239,11 @@ impl JobProgress {
         }
     }
 
-    /// Appends one NDJSON event line and wakes streaming subscribers.
-    pub fn push_event(&self, line: String) {
+    /// Appends one event to the journal and wakes streaming subscribers.
+    pub fn push_event(&self, event: Event) {
         let mut guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         // adas-lint: allow(R14, reason = "the event log is an arrival-ordered journal by contract; campaign results merge by index in the WAL and result slots, never through this log")
-        guard.push(line);
+        guard.push(event);
         drop(guard);
         self.events_cv.notify_all();
     }
@@ -149,7 +257,7 @@ impl JobProgress {
 
     /// Returns events after index `seen` and the finished flag, blocking
     /// up to `timeout` when nothing new is available yet.
-    pub fn wait_events(&self, seen: usize, timeout: Duration) -> (Vec<String>, bool) {
+    pub fn wait_events(&self, seen: usize, timeout: Duration) -> (Vec<Event>, bool) {
         let deadline = Instant::now() + timeout;
         let mut guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         // Predicate loop: spurious wakeups re-check and re-wait for the
@@ -245,11 +353,10 @@ pub fn run_job(
     progress
         .cells_done
         .store(checkpointed.len() as u64, Ordering::SeqCst);
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"running\", \
-\"cells_total\": {n}, \"checkpointed\": {}}}",
-        checkpointed.len()
-    ));
+    progress.push_event(Event::Running {
+        cells_total: n,
+        checkpointed: checkpointed.len(),
+    });
 
     let mut results: Vec<Option<SimResult>> = vec![None; n];
     for (&idx, result) in &checkpointed {
@@ -275,11 +382,10 @@ pub fn run_job(
     let mut quarantine: Vec<usize> = Vec::new();
     for chunk in missing.chunks(chunk_cells) {
         if drain.load(Ordering::SeqCst) {
-            return interrupt(job_id, progress, &wal);
+            return interrupt(progress, &wal);
         }
         if deadline_hit(Instant::now()) {
             return fail(
-                job_id,
                 progress,
                 &wal,
                 format!(
@@ -328,17 +434,17 @@ pub fn run_job(
                         hook_progress.cells_done.fetch_add(1, Ordering::SeqCst);
                         hook_stats.cells_done.fetch_add(1, Ordering::SeqCst);
                         hook_stats.record_cell_seconds(*secs);
-                        hook_progress.push_event(format!(
-                            "{{\"event\": \"cell\", \"idx\": {gi}, \"status\": \"ok\", \
-\"attempt\": {attempt}}}"
-                        ));
+                        hook_progress.push_event(Event::CellOk {
+                            idx: gi,
+                            attempt: *attempt,
+                        });
                     }
                     Err(panic) => {
-                        hook_progress.push_event(format!(
-                            "{{\"event\": \"cell\", \"idx\": {gi}, \"status\": \"panic\", \
-\"attempt\": {attempt}, \"message\": \"{}\"}}",
-                            escape(&panic.message)
-                        ));
+                        hook_progress.push_event(Event::CellPanic {
+                            idx: gi,
+                            attempt: *attempt,
+                            message: panic.message.clone(),
+                        });
                     }
                 }
             },
@@ -373,10 +479,9 @@ pub fn run_job(
                             stats.cells_done.fetch_add(1, Ordering::SeqCst);
                         }
                         Retry::Quarantined => quarantine.push(gi),
-                        Retry::Drained => return interrupt(job_id, progress, &wal),
+                        Retry::Drained => return interrupt(progress, &wal),
                         Retry::DeadlineHit => {
                             return fail(
-                                job_id,
                                 progress,
                                 &wal,
                                 format!(
@@ -403,7 +508,6 @@ pub fn run_job(
         held.extend_from_slice(&quarantine);
         drop(held);
         return fail(
-            job_id,
             progress,
             &wal,
             format!(
@@ -418,10 +522,7 @@ pub fn run_job(
     let complete: Vec<SimResult> = results.into_iter().flatten().collect();
     debug_assert_eq!(complete.len(), n);
     let report = spec.report(&complete);
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"completed\", \
-\"cells_total\": {n}}}"
-    ));
+    progress.push_event(Event::Completed { cells_total: n });
     progress.mark_finished();
     Ok(JobOutcome::Completed { report })
 }
@@ -448,10 +549,10 @@ fn retry_cell(
     loop {
         let tried = attempts[gi].load(Ordering::Relaxed);
         if tried >= cfg.max_attempts {
-            progress.push_event(format!(
-                "{{\"event\": \"cell\", \"idx\": {gi}, \"status\": \"quarantined\", \
-\"attempts\": {tried}}}"
-            ));
+            progress.push_event(Event::CellQuarantined {
+                idx: gi,
+                attempts: tried,
+            });
             stats.quarantined.fetch_add(1, Ordering::SeqCst);
             return Retry::Quarantined;
         }
@@ -472,48 +573,39 @@ fn retry_cell(
         match outcome {
             Ok(result) => {
                 stats.record_cell_seconds(secs);
-                progress.push_event(format!(
-                    "{{\"event\": \"cell\", \"idx\": {gi}, \"status\": \"retry_ok\", \
-\"attempt\": {attempt}}}"
-                ));
+                progress.push_event(Event::CellRetryOk { idx: gi, attempt });
                 return Retry::Ok(Box::new(result));
             }
             Err(panic) => {
-                progress.push_event(format!(
-                    "{{\"event\": \"cell\", \"idx\": {gi}, \"status\": \"panic\", \
-\"attempt\": {attempt}, \"message\": \"{}\"}}",
-                    escape(&panic.message)
-                ));
+                progress.push_event(Event::CellPanic {
+                    idx: gi,
+                    attempt,
+                    message: panic.message,
+                });
             }
         }
     }
 }
 
 fn interrupt(
-    job_id: &str,
     progress: &Arc<JobProgress>,
     wal: &Arc<Mutex<WalWriter>>,
 ) -> std::io::Result<JobOutcome> {
     wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"interrupted\"}}"
-    ));
+    progress.push_event(Event::Interrupted);
     progress.mark_finished();
     Ok(JobOutcome::Interrupted)
 }
 
 fn fail(
-    job_id: &str,
     progress: &Arc<JobProgress>,
     wal: &Arc<Mutex<WalWriter>>,
     reason: String,
 ) -> std::io::Result<JobOutcome> {
     wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-    progress.push_event(format!(
-        "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"failed\", \
-\"reason\": \"{}\"}}",
-        escape(&reason)
-    ));
+    progress.push_event(Event::Failed {
+        reason: reason.clone(),
+    });
     progress.mark_finished();
     Ok(JobOutcome::Failed { reason })
 }
@@ -564,6 +656,62 @@ mod tests {
         )
         .unwrap();
         (outcome, progress)
+    }
+
+    #[test]
+    fn event_lines_are_byte_stable() {
+        // Each expected line is what the stream carried before the journal
+        // was typed; a quote, a backslash and a newline exercise escaping.
+        let nasty = "boom \"quoted\" back\\slash\nnext line";
+        let cases = [
+            (
+                Event::Running {
+                    cells_total: 24,
+                    checkpointed: 3,
+                },
+                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "running", "cells_total": 24, "checkpointed": 3}"#,
+            ),
+            (
+                Event::CellOk { idx: 5, attempt: 1 },
+                r#"{"event": "cell", "idx": 5, "status": "ok", "attempt": 1}"#,
+            ),
+            (
+                Event::CellRetryOk { idx: 9, attempt: 2 },
+                r#"{"event": "cell", "idx": 9, "status": "retry_ok", "attempt": 2}"#,
+            ),
+            (
+                Event::CellPanic {
+                    idx: 2,
+                    attempt: 1,
+                    message: nasty.to_string(),
+                },
+                r#"{"event": "cell", "idx": 2, "status": "panic", "attempt": 1, "message": "boom \"quoted\" back\\slash\nnext line"}"#,
+            ),
+            (
+                Event::CellQuarantined {
+                    idx: 17,
+                    attempts: 3,
+                },
+                r#"{"event": "cell", "idx": 17, "status": "quarantined", "attempts": 3}"#,
+            ),
+            (
+                Event::Completed { cells_total: 24 },
+                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "completed", "cells_total": 24}"#,
+            ),
+            (
+                Event::Failed {
+                    reason: nasty.to_string(),
+                },
+                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "failed", "reason": "boom \"quoted\" back\\slash\nnext line"}"#,
+            ),
+            (
+                Event::Interrupted,
+                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "interrupted"}"#,
+            ),
+        ];
+        for (event, line) in cases {
+            assert_eq!(event.render("job-0007-0badf00d"), line, "{event:?}");
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! mid-read, and a SIGKILL mid-campaign followed by a `--resume` restart.
 //! The final report must be byte-identical to an undisturbed in-process
 //! run of the same campaign, with every cell present exactly once in the
-//! write-ahead checkpoint.
+//! write-ahead checkpoint; after a second restart the archived job's
+//! report, counters and stream come back from that checkpoint.
 
 mod common;
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -110,6 +111,39 @@ fn kill_resume_and_misbehaving_clients_leave_the_report_byte_identical() {
     let (status, report2) = http(&archived.addr, "GET", &format!("/jobs/{id}/report"), None);
     assert_eq!(status, 200);
     assert_eq!(report2, expected, "reports are durable across restarts");
+
+    // The archived job's stream replays its terminal event and closes
+    // instead of waiting for a job that will never run again.
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(&archived.addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(format!("GET /jobs/{id}/stream HTTP/1.1\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("the archived stream closes on its own");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "archived stream took {:?}",
+        started.elapsed()
+    );
+    let last = raw.lines().rfind(|l| l.starts_with('{'));
+    assert!(
+        last.is_some_and(|l| l.contains("\"status\": \"completed\"")),
+        "archived stream must end in the completed event: {raw}"
+    );
+
+    // Its counters come back from the WAL too.
+    let (status, body) = http(&archived.addr, "GET", &format!("/jobs/{id}"), None);
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"cells_total\": 216, \"cells_done\": 216"),
+        "{body}"
+    );
     archived.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }

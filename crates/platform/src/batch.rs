@@ -3,11 +3,14 @@
 //!
 //! [`BatchHarness`] owns B scalar-equivalent lanes and steps them in
 //! lockstep: every pipeline stage (sample → attacker → ADAS → actuation →
-//! physics) runs as one tight loop across all lanes before the next stage
-//! starts, so each stage's code and state columns stay hot instead of
-//! being evicted once per simulated tick. Per-lane math is the scalar
-//! component code, bit for bit — the scalar [`Harness`] is the oracle and
-//! batched results must equal it exactly (`SimResult` for `SimResult`).
+//! physics) runs as one loop across all lanes before the next stage
+//! starts. Per-lane math is the scalar component code, bit for bit — the
+//! scalar [`Harness`] is the oracle and batched results must equal it
+//! exactly (`SimResult` for `SimResult`). Nearly all of the speed over the
+//! scalar harness comes from the work a fused lane skips (below), not from
+//! the lockstep: on one thread a one-lane batch already runs about 2.8×
+//! the scalar harness, and 72 lanes in lockstep add about 6% (DESIGN.md,
+//! "Where the speed comes from").
 //!
 //! # Lane lifecycle
 //!
@@ -34,6 +37,10 @@
 //! A lane that does not qualify wraps a scalar [`Harness`] stepped in
 //! lockstep with the batch — still batched from the caller's point of
 //! view, and trivially bit-exact.
+//!
+//! [`simulate`] is the single-run entry every campaign cell goes through:
+//! a qualifying config runs as a one-lane fused batch, any other through
+//! the scalar harness.
 
 use attack_core::{AttackEngine, Observations};
 use driver_model::{Driver, Observation};
@@ -405,6 +412,29 @@ impl FastBatch {
             gate_rejections: adas.gate_rejections(),
         })
     }
+}
+
+/// Runs one simulation on the fastest engine that reproduces it.
+///
+/// A config that qualifies for the fused path
+/// ([`BatchHarness::fast_eligible`]) steps as a one-lane fused batch; any
+/// other goes through `Harness::new(config).run()`, which stays the
+/// semantic definition and the oracle. The result is bit-identical to the
+/// scalar harness either way.
+pub fn simulate(config: HarnessConfig) -> SimResult {
+    if BatchHarness::fast_eligible(&config) {
+        let mut lane = FastBatch::default();
+        lane.admit(config);
+        let mut tick = 0;
+        while tick < STEPS_PER_SIM && lane.any_active() {
+            lane.step(Tick::new(tick));
+            tick += 1;
+        }
+        if let Some(result) = lane.result(0) {
+            return result;
+        }
+    }
+    Harness::new(config).run()
 }
 
 /// Which kind of lane sits at one caller-visible index.

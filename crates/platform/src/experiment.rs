@@ -102,7 +102,7 @@ impl RunSpec {
 
     /// Executes the run without tracing.
     pub fn run(&self) -> SimResult {
-        Harness::new(self.harness_config(TraceConfig::disabled())).run()
+        crate::simulate(self.harness_config(TraceConfig::disabled()))
     }
 
     /// Executes the run with a flight recorder attached.
@@ -384,10 +384,10 @@ where
     }
 
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let batches: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|scope| {
+    let batches: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut batch: Vec<(usize, T)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -404,8 +404,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("worker panicked");
+    });
 
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
