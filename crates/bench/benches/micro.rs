@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks of the reproduction's building blocks:
-//! simulation stepping, CAN encode/decode + checksum repair, bus pub/sub,
-//! context matching, and a full harness tick.
+//! simulation stepping, CAN encode/decode + checksum repair, the
+//! actuator-command codec, bus pub/sub, context matching, and a full
+//! harness tick — attacked, faulted and defended, and faulted with an
+//! outside subscriber observing the bus.
 
 use attack_core::{
     AttackAction, AttackConfig, AttackEngine, ContextState, ContextTable, SteerDirection,
@@ -8,10 +10,12 @@ use attack_core::{
 use canbus::{decode, rewrite_signal, Encoder, VirtualCarDbc};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use driving_sim::{ActuatorCommand, Scenario, ScenarioId, SensorSuite, World};
-use msgbus::schema::GpsLocation;
+use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
+use msgbus::schema::{CarControl, GpsLocation};
 use msgbus::{Bus, Payload, Topic};
-use platform::{Harness, HarnessConfig, TraceConfig};
-use units::{Distance, Seconds, Speed, Tick};
+use openadas::CommandEncoder;
+use platform::{DefensePolicy, Harness, HarnessConfig, TraceConfig};
+use units::{Accel, Angle, Distance, Seconds, Speed, Tick};
 
 fn bench_world_step(c: &mut Criterion) {
     c.bench_function("world_step", |b| {
@@ -56,6 +60,28 @@ fn bench_can_roundtrip(c: &mut Criterion) {
                 rewrite_signal(dbc.steering_control(), &frame, "STEER_ANGLE_CMD", 0.5).unwrap(),
             )
         });
+    });
+}
+
+/// One control cycle's actuator codec: the ADAS encodes a command into its
+/// three frames, the actuator side decodes them back.
+fn bench_command_codec(c: &mut Criterion) {
+    let control = CarControl {
+        accel: Accel::from_mps2(1.2),
+        steer: Angle::from_degrees(-0.3),
+    };
+    c.bench_function("command_encode_into", |b| {
+        let mut enc = CommandEncoder::new();
+        let mut frames = Vec::with_capacity(3);
+        b.iter(|| {
+            let ok = enc.encode_into(black_box(&control), &mut frames).is_ok();
+            black_box((ok, frames.len()))
+        });
+    });
+    c.bench_function("decode_actuators", |b| {
+        let mut enc = CommandEncoder::new();
+        let frames = enc.encode(&control).unwrap();
+        b.iter(|| black_box(enc.decode_actuators(black_box(&frames), CarControl::default())));
     });
 }
 
@@ -124,6 +150,40 @@ fn bench_harness_tick(c: &mut Criterion) {
         });
     });
 
+    // A `resilience_faults` cell: a sensor-noise window under the Degrade
+    // defense, no attacker. Unobserved, the tick never touches the bus;
+    // the observed variant drains every topic each tick, which puts the
+    // pub/sub hop back (six publishes and a drain per tick).
+    let scenario = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
+    let faulted = HarnessConfig::no_attack(scenario, 5)
+        .with_faults(FaultSchedule::single(
+            FaultSpec::window(FaultKind::SensorNoiseBurst, FaultTarget::All, 1_000, 2_000)
+                .with_intensity(0.5),
+        ))
+        .with_defense(DefensePolicy::Degrade);
+    c.bench_function("harness_faulted_tick", |b| {
+        let mut harness = Harness::new(faulted);
+        b.iter(|| {
+            if harness.finished() {
+                harness = Harness::new(faulted);
+            }
+            black_box(harness.step());
+        });
+    });
+    c.bench_function("harness_faulted_tick_observed", |b| {
+        let mut harness = Harness::new(faulted);
+        let mut tap = harness.bus().subscribe(&Topic::ALL);
+        let mut seen = Vec::new();
+        b.iter(|| {
+            if harness.finished() {
+                harness = Harness::new(faulted);
+                tap = harness.bus().subscribe(&Topic::ALL);
+            }
+            black_box(harness.step());
+            tap.drain_into(&mut seen)
+        });
+    });
+
     // Same tick with the flight recorder attached: the acceptance bar is
     // that the *disabled* path above pays <2% for the instrumentation, and
     // this shows what enabling it costs.
@@ -147,6 +207,7 @@ criterion_group!(
     bench_world_step,
     bench_sensor_sample,
     bench_can_roundtrip,
+    bench_command_codec,
     bench_bus,
     bench_context_matching,
     bench_attack_engine_observe,

@@ -49,17 +49,6 @@ impl Encoder {
         }
     }
 
-    /// Consumes one rolling-counter draw for `spec`, exactly as
-    /// [`encode`](Self::encode) does after validating a cycle's values; a
-    /// no-op for messages without a counter signal. For callers that have
-    /// pre-validated their signals and want counter parity with a real
-    /// encode without paying for name lookups.
-    pub fn advance_counter(&mut self, spec: &MessageSpec) {
-        if spec.counter_signal.is_some() {
-            self.next_counter(spec.id);
-        }
-    }
-
     /// Encodes the given `(signal, physical value)` pairs into a frame,
     /// filling in the rolling counter and checksum automatically.
     ///
@@ -88,43 +77,6 @@ impl Encoder {
             apply_honda_checksum(spec.id, payload_mut(&mut data, spec.dlc));
         }
         CanFrame::new(spec.id, payload(&data, spec.dlc))
-    }
-
-    /// Runs one frame's encode→decode round trip without materializing the
-    /// frame: validates and quantizes every `(signal, value)` pair in
-    /// [`encode`](Self::encode) order, consumes the same rolling-counter
-    /// draw, and returns the physical value a receiving ECU would decode
-    /// for `values[0]` (the command signal).
-    ///
-    /// This keeps the encoder's counter state bit-identical to a real
-    /// `encode` call, so a hot path may freely alternate between the two
-    /// per message without the transmit counters drifting.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`encode`](Self::encode)'s errors, raised at the same point
-    /// in the sequence: [`CanError::UnknownSignal`] for names not in the
-    /// spec and [`CanError::ValueOutOfRange`] for values that do not fit
-    /// (the counter is then left unconsumed, as `encode` leaves it).
-    // adas-lint: allow(R1, reason = "DBC physical values are unit-erased by definition; units attach at the schema layer")
-    pub fn quantize(
-        &mut self,
-        spec: &MessageSpec,
-        values: &[(&'static str, f64)],
-    ) -> Result<f64, CanError> {
-        let mut first = 0.0;
-        for (i, (name, value)) in values.iter().enumerate() {
-            let signal = spec.require_signal(name)?;
-            let raw = signal.phys_to_raw(*value)?;
-            if i == 0 {
-                first = signal.raw_to_phys(raw);
-            }
-        }
-        if let Some(counter_name) = spec.counter_signal {
-            spec.require_signal(counter_name)?;
-            self.next_counter(spec.id);
-        }
-        Ok(first)
     }
 }
 
@@ -342,43 +294,6 @@ mod tests {
             rewrite_signal(spec, &frame, "STEER_ANGLE_CMD", 400.0),
             Err(CanError::ValueOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn quantize_matches_encode_decode_round_trip() {
-        let dbc = VirtualCarDbc::new();
-        let mut enc = Encoder::new();
-        let mut quant = Encoder::new();
-        for i in 0..40 {
-            let v = -3.0 + 0.173 * i as f64;
-            let frame = enc
-                .encode(dbc.gas_command(), &[("ACCEL_CMD", v), ("GAS_REQ", 1.0)])
-                .unwrap();
-            let decoded = decode_signal(dbc.gas_command(), &frame, "ACCEL_CMD").unwrap();
-            let quantized = quant
-                .quantize(dbc.gas_command(), &[("ACCEL_CMD", v), ("GAS_REQ", 1.0)])
-                .unwrap();
-            assert_eq!(decoded, quantized, "round trip of {v}");
-        }
-        // Counter state stayed in lockstep: the next real frames agree.
-        let a = enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.5)]).unwrap();
-        let b = quant.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.5)]).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn quantize_error_leaves_counter_unconsumed_like_encode() {
-        let dbc = VirtualCarDbc::new();
-        let spec = dbc.steering_control();
-        let mut enc = Encoder::new();
-        let mut quant = Encoder::new();
-        // 400 deg overflows the 16-bit signal; both reject before the
-        // counter draw.
-        assert!(enc.encode(spec, &[("STEER_ANGLE_CMD", 400.0)]).is_err());
-        assert!(quant.quantize(spec, &[("STEER_ANGLE_CMD", 400.0)]).is_err());
-        let a = enc.encode(spec, &[("STEER_ANGLE_CMD", 0.1)]).unwrap();
-        let b = quant.encode(spec, &[("STEER_ANGLE_CMD", 0.1)]).unwrap();
-        assert_eq!(a, b, "counters agree after a rejected command");
     }
 
     #[test]

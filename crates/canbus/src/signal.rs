@@ -111,8 +111,64 @@ impl Signal {
         value as f64 * self.factor + self.offset
     }
 
-    /// Writes the raw value into the frame payload.
+    /// Where the signal sits in the payload read as one 64-bit word: the
+    /// shift of its least significant bit, or `None` when part of it lies
+    /// outside the 8-byte payload (or its width is outside `1..=64`).
+    ///
+    /// Intel bits are numbered in little-endian word order already. A
+    /// Motorola signal runs from its MSB down through the big-endian word,
+    /// where frame bit `8·byte + bit` is word bit `56 − 8·byte + bit`, so
+    /// its bits are contiguous there too.
+    fn word_shift(&self) -> Option<u32> {
+        let len = u32::from(self.length);
+        let start = u32::from(self.start_bit);
+        if len == 0 || len > 64 {
+            return None;
+        }
+        match self.order {
+            ByteOrder::LittleEndian => (start + len <= 64).then_some(start),
+            ByteOrder::BigEndian if start < 64 => {
+                (57 - 8 * (start / 8) + start % 8).checked_sub(len)
+            }
+            ByteOrder::BigEndian => None,
+        }
+    }
+
+    /// The payload as the word [`word_shift`](Self::word_shift) indexes.
+    fn load(&self, data: &[u8; 8]) -> u64 {
+        match self.order {
+            ByteOrder::LittleEndian => u64::from_le_bytes(*data),
+            ByteOrder::BigEndian => u64::from_be_bytes(*data),
+        }
+    }
+
+    /// Writes the raw value into the frame payload: one word load, one
+    /// masked merge and one store. Bits of `raw` above the signal's width
+    /// are ignored.
     pub fn insert_raw(&self, data: &mut [u8; 8], raw: u64) {
+        let Some(shift) = self.word_shift() else {
+            return self.insert_raw_bitwise(data, raw);
+        };
+        let mask = (u64::MAX >> (64 - u32::from(self.length))) << shift;
+        let word = (self.load(data) & !mask) | ((raw << shift) & mask);
+        *data = match self.order {
+            ByteOrder::LittleEndian => word.to_le_bytes(),
+            ByteOrder::BigEndian => word.to_be_bytes(),
+        };
+    }
+
+    /// Reads the raw value out of the frame payload: one word load and one
+    /// shift-and-mask.
+    pub fn extract_raw(&self, data: &[u8; 8]) -> u64 {
+        match self.word_shift() {
+            Some(shift) => (self.load(data) >> shift) & (u64::MAX >> (64 - u32::from(self.length))),
+            None => self.extract_raw_bitwise(data),
+        }
+    }
+
+    /// Bit-at-a-time [`insert_raw`](Self::insert_raw) for a signal that
+    /// runs past the payload: the bits that fall outside are dropped.
+    fn insert_raw_bitwise(&self, data: &mut [u8; 8], raw: u64) {
         match self.order {
             ByteOrder::LittleEndian => {
                 for k in 0..self.length as u16 {
@@ -132,8 +188,9 @@ impl Signal {
         }
     }
 
-    /// Reads the raw value out of the frame payload.
-    pub fn extract_raw(&self, data: &[u8; 8]) -> u64 {
+    /// Bit-at-a-time [`extract_raw`](Self::extract_raw) for a signal that
+    /// runs past the payload: the bits that fall outside read as zero.
+    fn extract_raw_bitwise(&self, data: &[u8; 8]) -> u64 {
         let mut raw = 0u64;
         match self.order {
             ByteOrder::LittleEndian => {

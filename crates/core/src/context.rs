@@ -32,7 +32,9 @@ pub struct ContextState {
 /// Maintains a [`ContextState`] from live bus traffic.
 #[derive(Debug)]
 pub struct ContextInference {
-    taps: Eavesdropper,
+    /// The bus taps [`update`](Self::update) drains; `None` for an
+    /// inference fed through [`absorb`](Self::absorb) only.
+    taps: Option<Eavesdropper>,
     state: ContextState,
     /// Ticks since the last radar message carrying a lead.
     lead_age: u32,
@@ -44,6 +46,16 @@ const LEAD_STALE_TICKS: u32 = 30;
 impl ContextInference {
     /// Creates an inference engine over an existing set of taps.
     pub fn new(taps: Eavesdropper) -> Self {
+        Self::with_taps(Some(taps))
+    }
+
+    /// Creates an inference engine with no bus taps, fed only through
+    /// [`absorb`](Self::absorb).
+    pub fn direct() -> Self {
+        Self::with_taps(None)
+    }
+
+    fn with_taps(taps: Option<Eavesdropper>) -> Self {
         Self {
             taps,
             state: ContextState {
@@ -62,7 +74,10 @@ impl ContextInference {
 
     /// Drains fresh messages and refreshes the context. Call once per tick.
     pub fn update(&mut self, _tick: Tick) -> ContextState {
-        let obs = self.taps.drain();
+        let obs = self
+            .taps
+            .as_mut()
+            .map_or_else(crate::Observations::default, Eavesdropper::drain);
         self.absorb(&obs)
     }
 

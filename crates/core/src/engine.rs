@@ -12,8 +12,9 @@ use crate::{
 /// The Context-Aware attack engine: eavesdrop → infer → schedule → corrupt.
 ///
 /// Drive it with two calls per control cycle: [`AttackEngine::observe`]
-/// right after the sensors publish, and [`AttackEngine::process_frames`] on
-/// the actuator frames in flight. Call [`AttackEngine::halt`] the moment the
+/// right after the sensors publish (or [`AttackEngine::observe_with`] with
+/// the same traffic handed over directly), and
+/// [`AttackEngine::process_frames`] on the actuator frames in flight. Call [`AttackEngine::halt`] the moment the
 /// driver engages — the paper's engine stops injecting immediately to avoid
 /// a tug-of-war the driver would certainly notice.
 #[derive(Debug)]
@@ -39,9 +40,20 @@ pub struct AttackEngine {
 impl AttackEngine {
     /// Creates an engine subscribed to the bus's sensor/state topics.
     pub fn new(bus: &Bus, config: AttackConfig) -> Self {
+        Self::with_inference(ContextInference::new(Eavesdropper::new(bus)), config)
+    }
+
+    /// Creates an engine with no bus subscription, fed through
+    /// [`observe_with`](Self::observe_with) — for a host that hands it the
+    /// traffic directly instead of publishing it.
+    pub fn direct(config: AttackConfig) -> Self {
+        Self::with_inference(ContextInference::direct(), config)
+    }
+
+    fn with_inference(inference: ContextInference, config: AttackConfig) -> Self {
         Self {
             config,
-            inference: ContextInference::new(Eavesdropper::new(bus)),
+            inference,
             table: ContextTable::standard(config.rule_params),
             scheduler: match config.window_override {
                 Some((start, duration)) => AttackScheduler::fixed_window(start, duration),
@@ -115,9 +127,9 @@ impl AttackEngine {
 
     /// Bus-free variant of [`observe`](Self::observe): the caller hands the
     /// tick's eavesdropped samples directly instead of draining a
-    /// subscriber. Batched lanes use this — the harness publishes at most
-    /// one message per stream per tick, so newest-wins draining and a
-    /// direct feed see identical traffic.
+    /// subscriber. The harness and batched lanes use this — at most one
+    /// message per stream per tick would be published, so newest-wins
+    /// draining and a direct feed see identical traffic.
     pub fn observe_with(&mut self, tick: Tick, obs: &crate::Observations) {
         let state = self.inference.absorb(obs);
         self.decide(tick, state);

@@ -15,7 +15,8 @@
 //! * [`LeadBehavior`]/[`Scenario`] — the paper's driving scenarios S1–S4 at
 //!   initial gaps of 50/70/100 m;
 //! * [`SensorSuite`] — GPS / radar / lane-perception models with seeded
-//!   noise, publishing Cereal-style messages onto a [`msgbus::Bus`];
+//!   noise, whose samples become Cereal-style messages
+//!   ([`msgbus::schema::SensorFeed`]);
 //! * [`World`] — the lock-step simulation (10 ms per tick), plus collision
 //!   and lane-invasion detection.
 //!

@@ -1,12 +1,11 @@
 //! Sensor models: GPS, radar and the camera/lane-perception proxy.
 //!
-//! Each sensor samples the ground-truth [`World`] state, perturbs it with
-//! seeded noise, and publishes a Cereal-style message — reproducing the
-//! streams the paper's attacker eavesdrops on (`gpsLocationExternal`,
-//! `modelV2`, `radarState`).
+//! Each sensor samples the ground-truth [`World`] state and perturbs it with
+//! seeded noise; [`SensorFrame::stamped`] turns a sample into the
+//! Cereal-style messages the paper's attacker eavesdrops on
+//! (`gpsLocationExternal`, `modelV2`, `radarState`).
 
-use msgbus::schema::{GpsLocation, LaneModel, LeadTrack, RadarState};
-use msgbus::{Bus, Payload};
+use msgbus::schema::{GpsLocation, LaneModel, LeadTrack, RadarState, SensorFeed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use units::{Accel, Distance, Speed, Tick, DT};
@@ -29,6 +28,18 @@ pub struct SensorFrame {
     pub lane: LaneModel,
     /// Radar sample.
     pub radar: RadarState,
+}
+
+impl SensorFrame {
+    /// The frame as one cycle's sensor traffic, every stream sampled at
+    /// `tick` and delivered.
+    pub fn stamped(&self, tick: Tick) -> SensorFeed {
+        SensorFeed {
+            gps: Some((tick, self.gps)),
+            lane: Some((tick, self.lane)),
+            radar: Some((tick, self.radar)),
+        }
+    }
 }
 
 /// The ego vehicle's sensor suite with per-run seeded noise.
@@ -133,15 +144,6 @@ impl SensorSuite {
 
         SensorFrame { gps, lane, radar }
     }
-
-    /// Samples every sensor and publishes the three Cereal-style messages.
-    pub fn publish(&mut self, bus: &Bus, tick: Tick, world: &World) -> SensorFrame {
-        let frame = self.sample(world);
-        bus.publish(tick, Payload::GpsLocationExternal(frame.gps));
-        bus.publish(tick, Payload::ModelV2(frame.lane));
-        bus.publish(tick, Payload::RadarState(frame.radar));
-        frame
-    }
 }
 
 /// Ground-truth lead acceleration is exposed through the radar message; keep
@@ -220,17 +222,19 @@ mod tests {
     }
 
     #[test]
-    fn publish_emits_three_topics() {
+    fn stamped_frame_publishes_three_topics() {
         let w = world(70.0);
-        let bus = Bus::new();
+        let bus = msgbus::Bus::new();
         let mut gps = bus.subscribe(&[Topic::GpsLocationExternal]);
         let mut model = bus.subscribe(&[Topic::ModelV2]);
         let mut radar = bus.subscribe(&[Topic::RadarState]);
         let mut sensors = SensorSuite::new(5);
-        sensors.publish(&bus, Tick::ZERO, &w);
-        assert_eq!(gps.drain().len(), 1);
-        assert_eq!(model.drain().len(), 1);
-        assert_eq!(radar.drain().len(), 1);
+        sensors.sample(&w).stamped(Tick::new(3)).publish(&bus);
+        for sub in [&mut gps, &mut model, &mut radar] {
+            let msgs = sub.drain();
+            assert_eq!(msgs.len(), 1);
+            assert_eq!(msgs[0].tick(), Tick::new(3));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use canbus::CanFrame;
 use driving_sim::SensorFrame;
-use msgbus::schema::{GpsLocation, LaneModel, RadarState};
+use msgbus::schema::SensorFeed;
 use units::mix::splitmix64;
 use units::{Distance, Speed, Tick};
 
@@ -13,39 +13,6 @@ use crate::spec::{FaultKind, FaultSchedule, FaultSpec, FaultTarget, MAX_FAULTS};
 /// would alias the slot just written for the *current* tick, so delays are
 /// clamped to `1..=HISTORY_LEN - 1`.
 const HISTORY_LEN: usize = 256;
-
-/// What the harness should publish this tick, per sensor stream.
-///
-/// `None` means "the message is lost": the module went silent
-/// ([`FaultKind::SensorDropout`]) or the IPC layer dropped the publish
-/// ([`FaultKind::BusPublishDrop`]). `Some` carries the *sample tick* and the
-/// (possibly corrupted or delayed) payload to put on the bus. The sample
-/// tick is the envelope timestamp the harness must publish with: a latency
-/// or delay fault replays an old reading *with its old timestamp*, the way
-/// a real delayed message still carries the time it was sampled — which is
-/// exactly what lets an age-aware consumer see through the replay. With no
-/// active fault the plan is the sampled frame stamped at the current tick,
-/// so a fault-free engine is behaviorally invisible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PublishPlan {
-    /// `gpsLocationExternal` sample tick and payload, if the message survives.
-    pub gps: Option<(Tick, GpsLocation)>,
-    /// `modelV2` sample tick and payload, if the message survives.
-    pub lane: Option<(Tick, LaneModel)>,
-    /// `radarState` sample tick and payload, if the message survives.
-    pub radar: Option<(Tick, RadarState)>,
-}
-
-impl PublishPlan {
-    /// A plan that publishes the frame untouched, stamped at `tick`.
-    pub fn nominal(tick: Tick, frame: &SensorFrame) -> Self {
-        Self {
-            gps: Some((tick, frame.gps)),
-            lane: Some((tick, frame.lane)),
-            radar: Some((tick, frame.radar)),
-        }
-    }
-}
 
 /// Deterministic fault applicator for one simulation run.
 ///
@@ -108,9 +75,17 @@ impl FaultEngine {
     /// Applies sensor- and bus-side faults for `tick`.
     ///
     /// `frame` is mutated in place to the *module-level* view (stuck,
-    /// noisy or stale readings); the returned [`PublishPlan`] additionally
-    /// reflects IPC-level loss and lag. The harness publishes from the plan.
-    pub fn apply_sensors(&mut self, tick: Tick, frame: &mut SensorFrame) -> PublishPlan {
+    /// noisy or stale readings); the returned publish plan additionally
+    /// reflects IPC-level loss and lag. `None` on a stream means the
+    /// message is lost ([`FaultKind::SensorDropout`],
+    /// [`FaultKind::BusPublishDrop`]); `Some` carries the *sample tick* and
+    /// the (possibly corrupted or delayed) payload — a latency or delay
+    /// fault replays an old reading *with its old timestamp*, the way a
+    /// real delayed message still carries the time it was sampled. With no
+    /// active fault the plan is the sampled frame stamped at the current
+    /// tick ([`SensorFrame::stamped`]), so a fault-free engine is
+    /// behaviorally invisible. The harness feeds the ADAS from the plan.
+    pub fn apply_sensors(&mut self, tick: Tick, frame: &mut SensorFrame) -> SensorFeed {
         let t = tick.index();
         self.active_mask = 0;
 
@@ -175,7 +150,7 @@ impl FaultEngine {
         }
 
         // Pass 2: IPC-level faults (affect the publish plan, not the frame).
-        let mut plan = PublishPlan {
+        let mut plan = SensorFeed {
             gps: Some((gps_stamp, frame.gps)),
             lane: Some((lane_stamp, frame.lane)),
             radar: Some((radar_stamp, frame.radar)),
@@ -407,7 +382,7 @@ fn draw01(seed: u64, tick: u64, slot: u64, salt: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::spec::FaultSpec;
-    use msgbus::schema::LeadTrack;
+    use msgbus::schema::{GpsLocation, LaneModel, LeadTrack, RadarState};
     use units::Accel;
 
     fn frame(speed: f64, d_rel: f64) -> SensorFrame {
@@ -439,7 +414,7 @@ mod tests {
         let pristine = f;
         let plan = eng.apply_sensors(Tick::new(10), &mut f);
         assert_eq!(f, pristine);
-        assert_eq!(plan, PublishPlan::nominal(Tick::new(10), &pristine));
+        assert_eq!(plan, pristine.stamped(Tick::new(10)));
         assert_eq!(eng.active_mask(), 0);
         assert_eq!(eng.faults_injected(), 0);
     }
@@ -461,9 +436,9 @@ mod tests {
         let mut eng = FaultEngine::new(1, FaultSchedule::single(spec));
         let mut f = frame(25.0, 60.0);
         let before = eng.apply_sensors(Tick::new(4), &mut f);
-        assert_eq!(before, PublishPlan::nominal(Tick::new(4), &f));
+        assert_eq!(before, f.stamped(Tick::new(4)));
         let after = eng.apply_sensors(Tick::new(15), &mut f);
-        assert_eq!(after, PublishPlan::nominal(Tick::new(15), &f));
+        assert_eq!(after, f.stamped(Tick::new(15)));
         assert_eq!(eng.active_mask(), 0);
     }
 

@@ -30,5 +30,5 @@
 mod engine;
 mod spec;
 
-pub use engine::{FaultEngine, PublishPlan};
+pub use engine::FaultEngine;
 pub use spec::{FaultKind, FaultSchedule, FaultSpec, FaultTarget, MAX_FAULTS};

@@ -11,11 +11,17 @@
 //! subscriber's cursor has moved past them, so in lock-step operation (all
 //! subscribers drained every tick) the ring stays a handful of messages
 //! long and steady-state publishing allocates nothing.
+//!
+//! Every lock acquisition recovers from poisoning with
+//! [`PoisonError::into_inner`]: no guard is held across code that can
+//! panic, so a poisoned ring is still structurally consistent, and one
+//! campaign worker dying mid-publish must not take the bus down for every
+//! later user of it.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use units::Tick;
 
 use crate::{Envelope, MessageLog, Payload, Topic};
@@ -110,6 +116,23 @@ fn drop_oldest(ring: &VecDeque<Envelope>, front_seq: u64, sub: &mut SubState) {
     sub.cursor = front_seq + ring.len() as u64;
 }
 
+/// The state every clone of a bus and every subscriber handle shares.
+#[derive(Debug, Default)]
+struct Shared {
+    bus_state: Mutex<BusInner>,
+    /// Live subscriber handles, kept beside the lock so a publisher can
+    /// ask whether anyone listens without taking it. Updated under the
+    /// lock; read `Relaxed`, since the count publishes no other data — a
+    /// subscriber's ring state is only ever read through the lock.
+    subscribers: AtomicUsize,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, BusInner> {
+        self.bus_state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The message bus. Cloning is cheap and all clones address the same bus.
 ///
 /// Anyone holding a bus handle may subscribe to any topic — there is no
@@ -130,7 +153,7 @@ fn drop_oldest(ring: &VecDeque<Envelope>, front_seq: u64, sub: &mut SubState) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Bus {
-    inner: Arc<Mutex<BusInner>>,
+    inner: Arc<Shared>,
 }
 
 impl Bus {
@@ -146,6 +169,7 @@ impl Bus {
     /// capture history).
     pub fn subscribe(&self, topics: &[Topic]) -> Subscriber {
         let mut inner = self.inner.lock();
+        self.inner.subscribers.fetch_add(1, Ordering::Relaxed);
         let mask = topics.iter().fold(0u64, |m, &t| m | topic_bit(t));
         let cursor = inner.seq;
         // adas-lint: allow(R14, reason = "subscriber registration at wiring time — the lock provides exclusivity, not a parallel result merge; subscription order is single-threaded program order")
@@ -253,6 +277,13 @@ impl Bus {
         self.inner.lock().subs.iter().filter(|s| !s.closed).count()
     }
 
+    /// Whether any live subscriber listens, read without taking the lock —
+    /// cheap enough for a publisher to ask every tick before paying for
+    /// traffic no one would read.
+    pub fn has_subscribers(&self) -> bool {
+        self.inner.subscribers.load(Ordering::Relaxed) > 0
+    }
+
     /// Number of messages currently retained in the shared ring — the
     /// high-water mark every undrained subscriber contributes to. Exposed
     /// for tests and capacity diagnostics.
@@ -267,7 +298,7 @@ impl Bus {
 /// slots it was holding.
 #[derive(Debug)]
 pub struct Subscriber {
-    inner: Arc<Mutex<BusInner>>,
+    inner: Arc<Shared>,
     id: usize,
 }
 
@@ -277,7 +308,6 @@ impl Subscriber {
     /// Allocates a fresh `Vec` per call; hot loops should hold a buffer and
     /// use [`Subscriber::drain_into`] instead.
     pub fn drain(&mut self) -> Vec<Envelope> {
-        // adas-lint: allow(R13, reason = "allocating convenience wrapper — hot loops hold a buffer and use drain_into")
         let mut out = Vec::new();
         self.drain_into(&mut out);
         out
@@ -374,6 +404,7 @@ impl Subscriber {
 impl Drop for Subscriber {
     fn drop(&mut self) {
         let mut guard = self.inner.lock();
+        self.inner.subscribers.fetch_sub(1, Ordering::Relaxed);
         let head = guard.seq;
         if let Some(sub) = guard.subs.get_mut(self.id) {
             sub.closed = true;
@@ -538,8 +569,10 @@ mod tests {
         }
         assert_eq!(bus.ring_len(), 50);
         assert_eq!(bus.subscriber_count(), 1);
+        assert!(bus.has_subscribers());
         drop(lazy);
         assert_eq!(bus.subscriber_count(), 0);
+        assert!(!bus.has_subscribers());
         assert_eq!(bus.ring_len(), 0, "dropped handle no longer pins slots");
     }
 
@@ -599,6 +632,20 @@ mod tests {
         let mut sub = bus.subscribe(&[Topic::GpsLocationExternal]);
         bus2.publish(Tick::ZERO, gps());
         assert_eq!(sub.drain().len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_holder_does_not_poison_the_bus() {
+        let bus = Bus::new();
+        let mut sub = bus.subscribe(&[Topic::GpsLocationExternal]);
+        let shared = Arc::clone(&bus.inner);
+        let _ = std::thread::spawn(move || {
+            let _guard = shared.lock();
+            panic!("worker dies holding the bus lock");
+        })
+        .join();
+        bus.publish(Tick::ZERO, gps());
+        assert_eq!(sub.drain().len(), 1, "the bus keeps working");
     }
 
     #[test]

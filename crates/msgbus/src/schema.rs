@@ -8,9 +8,9 @@
 //! * Road curvature is positive for a left-hand curve.
 
 use serde::{Deserialize, Serialize};
-use units::{Accel, Angle, Distance, Speed};
+use units::{Accel, Angle, Distance, Speed, Tick};
 
-use crate::Topic;
+use crate::{Bus, Topic};
 
 /// Ego position fix published by the GPS module.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -76,6 +76,37 @@ pub struct LeadTrack {
 pub struct RadarState {
     /// The primary lead track, if one is detected.
     pub lead: Option<LeadTrack>,
+}
+
+/// One control cycle's sensor traffic: per stream, the *sample tick* and
+/// payload of the message that arrived, or `None` when none did (the module
+/// went silent or the publish was lost). The sample tick is the envelope
+/// timestamp: a delayed or replayed reading keeps the tick it was sampled
+/// at, which is what lets a consumer's staleness watchdog see its age.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SensorFeed {
+    /// `gpsLocationExternal` sample tick and payload.
+    pub gps: Option<(Tick, GpsLocation)>,
+    /// `modelV2` sample tick and payload.
+    pub lane: Option<(Tick, LaneModel)>,
+    /// `radarState` sample tick and payload.
+    pub radar: Option<(Tick, RadarState)>,
+}
+
+impl SensorFeed {
+    /// Publishes each delivered message stamped with its sample tick, in
+    /// stream order: `gpsLocationExternal`, `modelV2`, `radarState`.
+    pub fn publish(&self, bus: &Bus) {
+        if let Some((stamp, gps)) = self.gps {
+            bus.publish(stamp, Payload::GpsLocationExternal(gps));
+        }
+        if let Some((stamp, lane)) = self.lane {
+            bus.publish(stamp, Payload::ModelV2(lane));
+        }
+        if let Some((stamp, radar)) = self.radar {
+            bus.publish(stamp, Payload::RadarState(radar));
+        }
+    }
 }
 
 /// Fused vehicle state (`carState`).

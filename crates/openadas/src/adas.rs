@@ -2,7 +2,7 @@
 //! actuator CAN frames each 10 ms control cycle.
 
 use canbus::CanFrame;
-use msgbus::schema::{AlertKind, CarControl, CarState, ControlsState, GpsLocation, LaneModel, RadarState};
+use msgbus::schema::{AlertKind, CarControl, CarState, ControlsState, SensorFeed};
 use msgbus::{Bus, Envelope, Payload, Subscriber, Topic};
 use units::{Accel, Speed, Tick};
 
@@ -20,6 +20,8 @@ use crate::{
 /// Everything the ADAS produced in one control cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdasOutput {
+    /// The fused vehicle state (published as `carState`).
+    pub car: CarState,
     /// The high-level command (also published as `carControl`).
     pub control: CarControl,
     /// The actuator CAN frames (empty when disengaged).
@@ -39,6 +41,7 @@ pub struct AdasOutput {
 impl Default for AdasOutput {
     fn default() -> Self {
         Self {
+            car: CarState::default(),
             control: CarControl::default(),
             // adas-lint: allow(R13, reason = "capacity-0 placeholder — Vec::new never touches the heap; live outputs recycle their buffers through step_into")
             frames: Vec::new(),
@@ -59,18 +62,93 @@ impl Default for AdasOutput {
     }
 }
 
+impl AdasOutput {
+    /// Publishes the cycle's internal state — `carState`, `carControl`,
+    /// `controlsState`, in that order — the surface the paper's attacker
+    /// eavesdrops on. Cloning an empty alert list is allocation-free, and
+    /// alert ticks are rare.
+    pub fn publish(&self, bus: &Bus, tick: Tick) {
+        bus.publish(tick, Payload::CarState(self.car));
+        bus.publish(tick, Payload::CarControl(self.control));
+        bus.publish(
+            tick,
+            Payload::ControlsState(ControlsState {
+                engaged: self.engaged,
+                alerts: self.new_alerts.clone(),
+            }),
+        );
+    }
+}
+
+/// A bus-fed ADAS's sensor subscriptions.
+#[derive(Debug)]
+struct BusTaps {
+    bus: Bus,
+    gps: Subscriber,
+    model: Subscriber,
+    radar: Subscriber,
+    /// Drain scratch, reused every cycle so steady-state ticks stay
+    /// allocation-free.
+    scratch: Vec<Envelope>,
+}
+
+impl BusTaps {
+    fn new(bus: &Bus) -> Self {
+        Self {
+            bus: bus.clone(),
+            gps: bus.subscribe(&[Topic::GpsLocationExternal]),
+            model: bus.subscribe(&[Topic::ModelV2]),
+            radar: bus.subscribe(&[Topic::RadarState]),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Drains every stream, keeping its newest message (latest sample
+    /// wins, like a real 100 Hz control loop) with its sample stamp.
+    fn drain(&mut self) -> SensorFeed {
+        let scratch = &mut self.scratch;
+        self.gps.drain_into(scratch);
+        let gps = scratch.iter().rev().find_map(|env| match env.payload() {
+            Payload::GpsLocationExternal(gps) => Some((env.tick(), *gps)),
+            _ => None,
+        });
+        self.model.drain_into(scratch);
+        let lane = scratch.iter().rev().find_map(|env| match env.payload() {
+            Payload::ModelV2(lane) => Some((env.tick(), *lane)),
+            _ => None,
+        });
+        self.radar.drain_into(scratch);
+        let radar = scratch.iter().rev().find_map(|env| match env.payload() {
+            Payload::RadarState(radar) => Some((env.tick(), *radar)),
+            _ => None,
+        });
+        SensorFeed { gps, lane, radar }
+    }
+}
+
+/// Which streams delivered a fresh, admitted sample this cycle — the
+/// degradation watchdog's input.
+#[derive(Debug, Clone, Copy)]
+struct Freshness {
+    gps: bool,
+    cam: bool,
+    radar: bool,
+}
+
 /// The OpenPilot-style ADAS process.
 ///
-/// Subscribes to the sensor topics on construction, consumes the latest
-/// sample of each per [`Adas::step`], and publishes `carState`, `carControl`
-/// and `controlsState` back onto the bus — the exact surface the paper's
-/// attacker eavesdrops on.
+/// A bus-fed ADAS ([`Adas::new`], [`Adas::with_gates`]) subscribes to the
+/// sensor topics on construction, consumes the latest sample of each per
+/// [`Adas::step`], and publishes `carState`, `carControl` and
+/// `controlsState` back onto the bus — the exact surface the paper's
+/// attacker eavesdrops on. A directly fed one ([`Adas::direct`]) takes each
+/// cycle's samples from its caller through [`Adas::step_with`] and
+/// publishes nothing. Both run the same ingestion and control code.
 #[derive(Debug)]
 pub struct Adas {
-    bus: Bus,
-    gps_sub: Subscriber,
-    model_sub: Subscriber,
-    radar_sub: Subscriber,
+    /// The bus a bus-fed ADAS drains and publishes on; `None` when fed
+    /// directly.
+    taps: Option<BusTaps>,
     state: CarStateEstimator,
     lanes: LaneProcessor,
     leads: LeadTracker,
@@ -85,20 +163,33 @@ pub struct Adas {
     gates: Option<PerceptionGates>,
     /// A rung an external detector asked to force before the next cycle.
     pending_force: Option<DegradationState>,
-    /// Drain scratch, reused every cycle so steady-state ticks stay
-    /// allocation-free.
-    scratch: Vec<Envelope>,
 }
 
 impl Adas {
     /// Creates an ADAS engaged at the given cruise set-speed, subscribed to
     /// the sensor topics of `bus`.
     pub fn new(bus: &Bus, v_cruise: Speed) -> Self {
+        Self::build(Some(BusTaps::new(bus)), v_cruise, None)
+    }
+
+    /// Like [`Adas::new`], but with plausibility gates vetting every sensor
+    /// reading before the estimators fuse it (the `Observe`/`Degrade`/
+    /// `FailSafe` defense policies).
+    pub fn with_gates(bus: &Bus, v_cruise: Speed, cfg: GateConfig) -> Self {
+        Self::build(Some(BusTaps::new(bus)), v_cruise, Some(cfg))
+    }
+
+    /// An ADAS engaged at the given cruise set-speed that holds no bus: its
+    /// caller hands it each cycle's sensor traffic through
+    /// [`step_with`](Self::step_with), and it publishes nothing. `gates`
+    /// attaches plausibility gates as [`with_gates`](Self::with_gates) does.
+    pub fn direct(v_cruise: Speed, gates: Option<GateConfig>) -> Self {
+        Self::build(None, v_cruise, gates)
+    }
+
+    fn build(taps: Option<BusTaps>, v_cruise: Speed, gates: Option<GateConfig>) -> Self {
         Self {
-            bus: bus.clone(),
-            gps_sub: bus.subscribe(&[Topic::GpsLocationExternal]),
-            model_sub: bus.subscribe(&[Topic::ModelV2]),
-            radar_sub: bus.subscribe(&[Topic::RadarState]),
+            taps,
             state: CarStateEstimator::new(v_cruise),
             lanes: LaneProcessor::new(),
             leads: LeadTracker::new(),
@@ -108,19 +199,9 @@ impl Adas {
             degradation: DegradationMonitor::new(),
             encoder: CommandEncoder::new(),
             last_control: CarControl::default(),
-            gates: None,
+            gates: gates.map(PerceptionGates::new),
             pending_force: None,
-            scratch: Vec::new(),
         }
-    }
-
-    /// Like [`Adas::new`], but with plausibility gates vetting every sensor
-    /// reading before the estimators fuse it (the `Observe`/`Degrade`/
-    /// `FailSafe` defense policies).
-    pub fn with_gates(bus: &Bus, v_cruise: Speed, cfg: GateConfig) -> Self {
-        let mut adas = Self::new(bus, v_cruise);
-        adas.gates = Some(PerceptionGates::new(cfg));
-        adas
     }
 
     /// Asks the degradation ladder to escalate to at least `target` at the
@@ -179,65 +260,91 @@ impl Adas {
     /// reusing its `frames` and `new_alerts` buffers. A caller that hands the
     /// same [`AdasOutput`] back every cycle pays for the buffers once and
     /// then runs the whole control loop without touching the heap.
+    ///
+    /// A directly fed ADAS has no bus to drain, so this cycle sees silence
+    /// on every stream.
     pub fn step_into(&mut self, tick: Tick, out: &mut AdasOutput) {
-        // Latest-sample-wins, like a real 100 Hz control loop. Each stream
-        // also feeds its staleness watchdog: a tick with no message at all
-        // is a module-level outage, distinct from a message reporting "no
-        // detection". A message whose *sample timestamp* lags the current
-        // tick by more than STALE_AFTER_TICKS is replayed history — it still
-        // updates the estimators (it is the freshest content available) but
-        // does not count as fresh, so the watchdog sees through a latency
-        // fault republishing old readings. With gates attached, a reading
-        // must also pass its plausibility checks to count.
-        let mut gps_fresh = false;
-        self.gps_sub.drain_into(&mut self.scratch);
-        for env in &self.scratch {
-            if let Payload::GpsLocationExternal(gps) = env.payload() {
-                let admitted = match self.gates.as_mut() {
-                    Some(g) => g.admit_gps(tick, gps, &self.state),
-                    None => true,
-                };
-                if admitted {
-                    self.state.update(gps, self.last_control.steer);
-                    gps_fresh = tick - env.tick() <= STALE_AFTER_TICKS;
-                }
-            }
+        let feed = self
+            .taps
+            .as_mut()
+            .map_or_else(SensorFeed::default, BusTaps::drain);
+        self.step_with(tick, &feed, true, out);
+        if let Some(taps) = &self.taps {
+            out.publish(&taps.bus, tick);
         }
-        let mut cam_fresh = false;
-        let mut cam_updated = false;
-        self.model_sub.drain_into(&mut self.scratch);
-        for env in &self.scratch {
-            if let Payload::ModelV2(model) = env.payload() {
-                let admitted = match self.gates.as_mut() {
-                    Some(g) => g.admit_lane(tick, model),
-                    None => true,
-                };
-                if admitted {
-                    self.lanes.update(model);
-                    cam_updated = true;
-                    cam_fresh = tick - env.tick() <= STALE_AFTER_TICKS;
-                }
-            }
-        }
-        let mut radar_fresh = false;
-        let mut radar_updated = false;
-        self.radar_sub.drain_into(&mut self.scratch);
-        for env in &self.scratch {
-            if let Payload::RadarState(radar) = env.payload() {
-                let admitted = match self.gates.as_mut() {
-                    Some(g) => g.admit_radar(tick, radar, &self.leads),
-                    None => true,
-                };
-                if admitted {
-                    self.leads.update(radar);
-                    radar_updated = true;
-                    radar_fresh = tick - env.tick() <= STALE_AFTER_TICKS;
-                }
-            }
-        }
+    }
 
-        // Coast the estimators through the outage: lane confidence decays,
-        // the lead track holds-then-invalidates instead of freezing stale.
+    /// Runs one control cycle on sensor traffic its caller hands over
+    /// directly, publishing nothing: the same ingestion (gates, staleness,
+    /// coasting) and control code as [`step_into`](Self::step_into)'s bus
+    /// drain. With `encode_frames` the actuator frames are produced as
+    /// usual (a man-in-the-middle or a receiver wants real bytes); without
+    /// it the encoder's rolling counters still advance and the return value
+    /// carries the command the actuator side would have decoded (`None`:
+    /// frames were encoded, the ADAS is disengaged, or the encode path
+    /// errored — hold the last command, exactly what an empty frame batch
+    /// decodes to).
+    pub fn step_with(
+        &mut self,
+        tick: Tick,
+        feed: &SensorFeed,
+        encode_frames: bool,
+        out: &mut AdasOutput,
+    ) -> Option<CarControl> {
+        let fresh = self.ingest(tick, feed);
+        self.control_cycle(fresh, encode_frames, out)
+    }
+
+    /// Folds one cycle's sensor traffic into the estimators. A sample must
+    /// pass its plausibility gate (when gates are attached) to update its
+    /// estimator. An admitted sample whose stamp lags `tick` by more than
+    /// [`STALE_AFTER_TICKS`] is replayed history: it still updates (it is
+    /// the freshest content available) but does not count as fresh, so the
+    /// watchdog sees through a latency fault. A missing stream is a
+    /// module-level outage, distinct from a message reporting "no
+    /// detection"; a missing or rejected camera or radar sample coasts its
+    /// estimator (lane confidence decays, the lead track holds, then
+    /// invalidates).
+    fn ingest(&mut self, tick: Tick, feed: &SensorFeed) -> Freshness {
+        let mut fresh = Freshness {
+            gps: false,
+            cam: false,
+            radar: false,
+        };
+        if let Some((stamp, gps)) = &feed.gps {
+            let admitted = match self.gates.as_mut() {
+                Some(g) => g.admit_gps(tick, gps, &self.state),
+                None => true,
+            };
+            if admitted {
+                self.state.update(gps, self.last_control.steer);
+                fresh.gps = tick - *stamp <= STALE_AFTER_TICKS;
+            }
+        }
+        let mut cam_updated = false;
+        if let Some((stamp, lane)) = &feed.lane {
+            let admitted = match self.gates.as_mut() {
+                Some(g) => g.admit_lane(tick, lane),
+                None => true,
+            };
+            if admitted {
+                self.lanes.update(lane);
+                cam_updated = true;
+                fresh.cam = tick - *stamp <= STALE_AFTER_TICKS;
+            }
+        }
+        let mut radar_updated = false;
+        if let Some((stamp, radar)) = &feed.radar {
+            let admitted = match self.gates.as_mut() {
+                Some(g) => g.admit_radar(tick, radar, &self.leads),
+                None => true,
+            };
+            if admitted {
+                self.leads.update(radar);
+                radar_updated = true;
+                fresh.radar = tick - *stamp <= STALE_AFTER_TICKS;
+            }
+        }
         // A gate-rejected reading coasts like silence; a stale-but-admitted
         // reading already updated the estimator and must not double-advance.
         if !cam_updated {
@@ -246,57 +353,17 @@ impl Adas {
         if !radar_updated {
             self.leads.coast();
         }
-        self.finish_cycle(tick, gps_fresh, cam_fresh, radar_fresh, Emit::Bus, out);
+        fresh
     }
 
-    /// Bus-free control cycle for batched lanes: the caller hands this
-    /// tick's sensor samples directly (the harness publishes exactly one
-    /// message per stream per tick, so latest-sample-wins draining and a
-    /// direct feed see identical readings, all fresh) and the cycle skips
-    /// the pub/sub hop entirely. With `encode_frames` the actuator frames
-    /// are produced as usual (a man-in-the-middle wants real bytes);
-    /// without it the encoder's rolling counters still advance and the
-    /// returned [`DirectCycle::quantized`] carries the command the actuator
-    /// side would have decoded.
-    ///
-    /// Plausibility gates are bypassed — batched lanes only take this path
-    /// when no detectors are attached; a defended run steps the scalar way.
-    pub fn step_direct(
+    /// Everything downstream of sensor ingestion: the degradation ladder,
+    /// ACC + ALC, the envelope clamp, alerts and the actuator encode.
+    fn control_cycle(
         &mut self,
-        tick: Tick,
-        gps: &GpsLocation,
-        lane: &LaneModel,
-        radar: &RadarState,
+        fresh: Freshness,
         encode_frames: bool,
         out: &mut AdasOutput,
-    ) -> DirectCycle {
-        self.state.update(gps, self.last_control.steer);
-        self.lanes.update(lane);
-        self.leads.update(radar);
-        self.finish_cycle(
-            tick,
-            true,
-            true,
-            true,
-            Emit::Direct {
-                encode: encode_frames,
-            },
-            out,
-        )
-    }
-
-    /// Everything downstream of sensor ingestion — the control cycle shared
-    /// by [`step_into`](Self::step_into) and [`step_direct`](Self::step_direct),
-    /// so the two entry points cannot drift apart.
-    fn finish_cycle(
-        &mut self,
-        tick: Tick,
-        gps_fresh: bool,
-        cam_fresh: bool,
-        radar_fresh: bool,
-        emit: Emit,
-        out: &mut AdasOutput,
-    ) -> DirectCycle {
+    ) -> Option<CarControl> {
         // An externally requested rung (CAN IDS alarm under an acting
         // policy) lands before the watchdogs step, so this cycle's control
         // authority already reflects it.
@@ -304,7 +371,7 @@ impl Adas {
             .pending_force
             .take()
             .and_then(|target| self.degradation.force(target));
-        let degradation_alert = self.degradation.step(gps_fresh, cam_fresh, radar_fresh);
+        let degradation_alert = self.degradation.step(fresh.gps, fresh.cam, fresh.radar);
         let degradation = self.degradation.state();
 
         let car = self.state.state();
@@ -351,75 +418,32 @@ impl Adas {
         }
 
         let mut quantized = None;
-        match emit {
-            Emit::Bus => {
-                // Publish the internal state the attacker can observe.
-                // Cloning an empty alert list is allocation-free, and alert
-                // ticks are rare.
-                self.bus.publish(tick, Payload::CarState(car));
-                self.bus.publish(tick, Payload::CarControl(control));
-                self.bus.publish(
-                    tick,
-                    Payload::ControlsState(ControlsState {
-                        engaged,
-                        alerts: out.new_alerts.clone(),
-                    }),
-                );
-                // Fail safe: if a command somehow escapes its clamp, send no
-                // frames at all (actuators hold/coast) rather than panicking
-                // mid-drive.
-                if !engaged || self.encoder.encode_into(&control, &mut out.frames).is_err() {
-                    out.frames.clear();
-                }
-            }
-            Emit::Direct { encode: true } => {
-                if !engaged || self.encoder.encode_into(&control, &mut out.frames).is_err() {
-                    out.frames.clear();
-                }
-            }
-            Emit::Direct { encode: false } => {
-                // No one on this lane inspects the wire this cycle: skip the
-                // frame bytes but keep counter parity and quantization, so
-                // the actuator sees bit-identical commands either way. An
-                // encode-path error maps to `None` — hold the last command,
-                // exactly what an empty frame batch decodes to.
+        if encode_frames {
+            // Fail safe: if a command somehow escapes its clamp, send no
+            // frames at all (actuators hold/coast) rather than panicking
+            // mid-drive.
+            if !engaged || self.encoder.encode_into(&control, &mut out.frames).is_err() {
                 out.frames.clear();
-                if engaged {
-                    quantized = self.encoder.quantize_cycle(&control).ok();
-                }
+            }
+        } else {
+            // No one inspects the wire this cycle: skip the frame bytes but
+            // keep counter parity and quantization, so the actuator sees
+            // bit-identical commands either way. An encode-path error maps
+            // to `None`, like an empty frame batch.
+            out.frames.clear();
+            if engaged {
+                quantized = self.encoder.quantize_cycle(&control).ok();
             }
         }
 
+        out.car = car;
         out.control = control;
         out.engaged = engaged;
         out.acc = acc_out;
         out.alc = alc_out;
         out.degradation = degradation;
-        DirectCycle { car, quantized }
+        quantized
     }
-}
-
-/// Where one control cycle's outputs go: onto the bus and the wire (the
-/// scalar harness), or straight back to the caller (a batched lane).
-enum Emit {
-    /// Publish `carState`/`carControl`/`controlsState` and encode frames.
-    Bus,
-    /// Skip the bus; encode frames only when someone will inspect them.
-    Direct {
-        /// Whether to materialize actuator frames this cycle.
-        encode: bool,
-    },
-}
-
-/// What a bus-free control cycle produced beyond the [`AdasOutput`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DirectCycle {
-    /// The `carState` the cycle would have published (the attacker's tap).
-    pub car: CarState,
-    /// The command the actuator side would decode this cycle when frames
-    /// were skipped (`None`: hold the last command — disengaged, a real
-    /// frame batch was encoded instead, or the encode path errored).
-    pub quantized: Option<CarControl>,
 }
 
 #[cfg(test)]

@@ -1,17 +1,16 @@
 //! A structure-of-arrays column of ADAS instances for lockstep batching.
 //!
-//! Each lane is a full scalar [`Adas`] stepped through its bus-free
-//! [`Adas::step_direct`] entry point, so the control math per lane is the
+//! Each lane is a full scalar [`Adas`] fed directly through
+//! [`Adas::step_with`], so the ingestion and control math per lane is the
 //! scalar code path, bit for bit. Batching is in the iteration order: one
 //! tight loop runs the whole control stage across every lane before the
 //! caller moves to the next stage, keeping the controller code and its
 //! state columns hot.
 
-use msgbus::schema::{GpsLocation, LaneModel, RadarState};
-use msgbus::Bus;
+use msgbus::schema::{CarControl, GpsLocation, LaneModel, RadarState, SensorFeed};
 use units::{Speed, Tick};
 
-use crate::{Adas, AdasOutput, DirectCycle};
+use crate::{Adas, AdasOutput};
 
 /// A column of per-lane ADAS instances with batched stepping.
 #[derive(Debug, Default)]
@@ -25,11 +24,9 @@ impl AdasColumn {
         Self::default()
     }
 
-    /// Appends a lane engaged at the given cruise set-speed. The lane gets
-    /// a private idle bus — nothing publishes on it and the direct cycle
-    /// never drains it, so it costs nothing per tick.
+    /// Appends an ungated lane engaged at the given cruise set-speed.
     pub fn admit(&mut self, v_cruise: Speed) {
-        self.lanes.push(Adas::new(&Bus::new(), v_cruise));
+        self.lanes.push(Adas::direct(v_cruise, None));
     }
 
     /// Number of lanes.
@@ -54,12 +51,13 @@ impl AdasColumn {
         }
     }
 
-    /// Runs the control stage across every live lane: each consumes its
-    /// sensor columns through [`Adas::step_direct`], writing its outputs
-    /// and [`DirectCycle`] back into the lane-indexed columns. Lanes with
-    /// `encode` set materialize real actuator frames (their traffic is
-    /// inspected in flight); the rest advance their rolling counters and
-    /// report the quantized command instead.
+    /// Runs the control stage across every live lane: each ingests this
+    /// tick's samples of its sensor columns, all fresh, through
+    /// [`Adas::step_with`], writing its output and its quantized command
+    /// back into the lane-indexed columns. Lanes with `encode` set
+    /// materialize real actuator frames (their traffic is inspected in
+    /// flight); the rest advance their rolling counters and report the
+    /// quantized command instead.
     #[allow(clippy::too_many_arguments)] // lane-indexed SoA columns, one per stream
     pub fn step_batch(
         &mut self,
@@ -70,7 +68,7 @@ impl AdasColumn {
         encode: &[bool],
         live: &[bool],
         outs: &mut [AdasOutput],
-        cycles: &mut [DirectCycle],
+        quantized: &mut [Option<CarControl>],
     ) {
         let it = self
             .lanes
@@ -81,10 +79,15 @@ impl AdasColumn {
             .zip(encode)
             .zip(live)
             .zip(outs)
-            .zip(cycles);
-        for (((((((adas, gps), lane), radar), encode), live), out), cycle) in it {
+            .zip(quantized);
+        for (((((((adas, gps), lane), radar), encode), live), out), quantized) in it {
             if *live {
-                *cycle = adas.step_direct(tick, gps, lane, radar, *encode, out);
+                let feed = SensorFeed {
+                    gps: Some((tick, *gps)),
+                    lane: Some((tick, *lane)),
+                    radar: Some((tick, *radar)),
+                };
+                *quantized = adas.step_with(tick, &feed, *encode, out);
             }
         }
     }

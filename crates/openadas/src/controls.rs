@@ -4,34 +4,108 @@
 //! the paper argues should host robust safety checks, because everything
 //! upstream can be bypassed by corrupting the frames here.
 
-use canbus::{decode_signal, CanError, CanFrame, Encoder, Signal, VirtualCarDbc};
+use canbus::checksum::{apply_honda_checksum, verify_honda_checksum, RollingCounter};
+use canbus::{CanError, CanFrame, MessageSpec, Signal, VirtualCarDbc};
 use msgbus::schema::CarControl;
 use units::{Accel, Angle};
 
-/// Pre-resolved copies of the three command-value signals, so the 100 Hz
-/// quantize shortcut pays no per-tick name lookups. Only built when every
-/// signal resolves and the constant `*_REQ` companions are in range, which
-/// makes the fast path's skipped validations infallible by construction.
-#[derive(Debug, Clone, Copy)]
+/// One command message resolved against its spec once, at construction:
+/// the command-value signal, its constant `*_REQ` companion, and the
+/// rolling-counter/checksum tail — plus the message's transmit counter.
+/// The 100 Hz codec then pays no per-tick name lookups, and the request
+/// flag's validation is done for good.
+#[derive(Debug)]
+struct CommandLayout {
+    id: u16,
+    dlc: u8,
+    value: Signal,
+    req: Signal,
+    /// `req` set to 1, validated at resolution.
+    req_raw: u64,
+    counter_signal: Option<Signal>,
+    checksum: bool,
+    counter: RollingCounter,
+}
+
+impl CommandLayout {
+    fn resolve(spec: &MessageSpec, value: &str, req: &str) -> Option<Self> {
+        let req = *spec.signal(req)?;
+        let counter_signal = match spec.counter_signal {
+            Some(name) => Some(*spec.signal(name)?),
+            None => None,
+        };
+        Some(Self {
+            id: spec.id,
+            dlc: spec.dlc.min(8),
+            value: *spec.signal(value)?,
+            req_raw: req.phys_to_raw(1.0).ok()?,
+            req,
+            counter_signal,
+            checksum: spec.checksum_signal.is_some(),
+            counter: RollingCounter::new(),
+        })
+    }
+
+    /// The frame `canbus::Encoder::encode(spec, &[(value, phys), (req, 1)])`
+    /// produces, bit for bit: value and request flag, then the counter
+    /// draw, then the checksum. An out-of-range value fails before the
+    /// counter draw, as there.
+    fn encode(&mut self, phys: f64) -> Result<CanFrame, CanError> {
+        let raw = self.value.phys_to_raw(phys)?;
+        let mut data = [0u8; 8];
+        self.value.insert_raw(&mut data, raw);
+        self.req.insert_raw(&mut data, self.req_raw);
+        if let Some(signal) = self.counter_signal {
+            signal.insert_raw(&mut data, u64::from(self.counter.next_value()));
+        }
+        let payload = data.get_mut(..usize::from(self.dlc)).unwrap_or(&mut []);
+        if self.checksum {
+            apply_honda_checksum(self.id, payload);
+        }
+        CanFrame::new(self.id, payload)
+    }
+
+    /// [`encode`](Self::encode)'s validation, quantization and counter draw
+    /// without the frame: the value a receiver would decode.
+    fn quantize(&mut self, phys: f64) -> Result<f64, CanError> {
+        let raw = self.value.phys_to_raw(phys)?;
+        if self.counter_signal.is_some() {
+            self.counter.next_value();
+        }
+        Ok(self.value.raw_to_phys(raw))
+    }
+
+    /// The command value of a frame with this message's id, or `None` if it
+    /// fails checksum verification (a receiving ECU drops it).
+    fn decode(&self, frame: &CanFrame) -> Option<f64> {
+        if self.checksum && !verify_honda_checksum(self.id, frame.data()) {
+            return None;
+        }
+        let mut data = [0u8; 8];
+        for (dst, src) in data.iter_mut().zip(frame.data()) {
+            *dst = *src;
+        }
+        Some(self.value.raw_to_phys(self.value.extract_raw(&data)))
+    }
+}
+
+/// The three actuator messages' layouts. Only built when every signal
+/// resolves and the constant `*_REQ` companions are in range, which makes
+/// the per-cycle codec's skipped lookups and validations infallible by
+/// construction.
+#[derive(Debug)]
 struct CycleSignals {
-    steer: Signal,
-    gas: Signal,
-    brake: Signal,
+    steer: CommandLayout,
+    gas: CommandLayout,
+    brake: CommandLayout,
 }
 
 impl CycleSignals {
     fn resolve(dbc: &VirtualCarDbc) -> Option<Self> {
-        let req_ok = |sig: Option<&Signal>| sig.is_some_and(|s| s.phys_to_raw(1.0).is_ok());
-        if !req_ok(dbc.steering_control().signal("STEER_REQ"))
-            || !req_ok(dbc.gas_command().signal("GAS_REQ"))
-            || !req_ok(dbc.brake_command().signal("BRAKE_REQ"))
-        {
-            return None;
-        }
         Some(Self {
-            steer: *dbc.steering_control().signal("STEER_ANGLE_CMD")?,
-            gas: *dbc.gas_command().signal("ACCEL_CMD")?,
-            brake: *dbc.brake_command().signal("BRAKE_CMD")?,
+            steer: CommandLayout::resolve(dbc.steering_control(), "STEER_ANGLE_CMD", "STEER_REQ")?,
+            gas: CommandLayout::resolve(dbc.gas_command(), "ACCEL_CMD", "GAS_REQ")?,
+            brake: CommandLayout::resolve(dbc.brake_command(), "BRAKE_CMD", "BRAKE_REQ")?,
         })
     }
 }
@@ -41,7 +115,8 @@ impl CycleSignals {
 #[derive(Debug)]
 pub struct CommandEncoder {
     dbc: VirtualCarDbc,
-    encoder: Encoder,
+    /// `None` only if the DBC lacked a command signal; every encode then
+    /// fails closed (no frames) and every decode holds the last command.
     cycle_signals: Option<CycleSignals>,
 }
 
@@ -56,16 +131,19 @@ impl CommandEncoder {
     pub fn new() -> Self {
         let dbc = VirtualCarDbc::new();
         let cycle_signals = CycleSignals::resolve(&dbc);
-        Self {
-            dbc,
-            encoder: Encoder::new(),
-            cycle_signals,
-        }
+        Self { dbc, cycle_signals }
     }
 
     /// The message database in use.
     pub fn dbc(&self) -> &VirtualCarDbc {
         &self.dbc
+    }
+
+    /// The resolved layouts, or the error an encode by name would raise.
+    fn layouts(&mut self) -> Result<&mut CycleSignals, CanError> {
+        self.cycle_signals.as_mut().ok_or(CanError::UnknownSignal {
+            name: "STEER_ANGLE_CMD",
+        })
     }
 
     /// Encodes one control cycle's command into its three actuator frames:
@@ -96,26 +174,13 @@ impl CommandEncoder {
         frames: &mut Vec<CanFrame>,
     ) -> Result<(), CanError> {
         frames.clear();
-        let gas = control.accel.max(Accel::ZERO);
-        let brake = control.accel.min(Accel::ZERO);
+        let sig = self.layouts()?;
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
-        frames.push(self.encoder.encode(
-            self.dbc.steering_control(),
-            &[
-                ("STEER_ANGLE_CMD", control.steer.degrees()),
-                ("STEER_REQ", 1.0),
-            ],
-        )?);
+        frames.push(sig.steer.encode(control.steer.degrees())?);
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
-        frames.push(self.encoder.encode(
-            self.dbc.gas_command(),
-            &[("ACCEL_CMD", gas.mps2()), ("GAS_REQ", 1.0)],
-        )?);
+        frames.push(sig.gas.encode(control.accel.max(Accel::ZERO).mps2())?);
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
-        frames.push(self.encoder.encode(
-            self.dbc.brake_command(),
-            &[("BRAKE_CMD", brake.mps2()), ("BRAKE_REQ", 1.0)],
-        )?);
+        frames.push(sig.brake.encode(control.accel.min(Accel::ZERO).mps2())?);
         Ok(())
     }
 
@@ -137,45 +202,10 @@ impl CommandEncoder {
     /// command, which is what the actuator side does when a cycle's frames
     /// never arrive.
     pub fn quantize_cycle(&mut self, control: &CarControl) -> Result<CarControl, CanError> {
-        let Some(sig) = self.cycle_signals else {
-            return self.quantize_cycle_by_name(control);
-        };
-        // Same value order and error points as `encode_into`: a message's
-        // out-of-range command aborts before that message's counter draw,
-        // after the preceding messages consumed theirs. The `*_REQ`
-        // companions were validated at construction and cannot fail.
-        let steer_raw = sig.steer.phys_to_raw(control.steer.degrees())?;
-        self.encoder.advance_counter(self.dbc.steering_control());
-        let gas_raw = sig.gas.phys_to_raw(control.accel.max(Accel::ZERO).mps2())?;
-        self.encoder.advance_counter(self.dbc.gas_command());
-        let brake_raw = sig.brake.phys_to_raw(control.accel.min(Accel::ZERO).mps2())?;
-        self.encoder.advance_counter(self.dbc.brake_command());
-        Ok(CarControl {
-            accel: Accel::from_mps2(sig.gas.raw_to_phys(gas_raw) + sig.brake.raw_to_phys(brake_raw)),
-            steer: Angle::from_degrees(sig.steer.raw_to_phys(steer_raw)),
-        })
-    }
-
-    /// Name-lookup fallback of [`quantize_cycle`](Self::quantize_cycle),
-    /// taken only if the DBC did not resolve at construction.
-    fn quantize_cycle_by_name(&mut self, control: &CarControl) -> Result<CarControl, CanError> {
-        let gas = control.accel.max(Accel::ZERO);
-        let brake = control.accel.min(Accel::ZERO);
-        let steer = self.encoder.quantize(
-            self.dbc.steering_control(),
-            &[
-                ("STEER_ANGLE_CMD", control.steer.degrees()),
-                ("STEER_REQ", 1.0),
-            ],
-        )?;
-        let gas = self.encoder.quantize(
-            self.dbc.gas_command(),
-            &[("ACCEL_CMD", gas.mps2()), ("GAS_REQ", 1.0)],
-        )?;
-        let brake = self.encoder.quantize(
-            self.dbc.brake_command(),
-            &[("BRAKE_CMD", brake.mps2()), ("BRAKE_REQ", 1.0)],
-        )?;
+        let sig = self.layouts()?;
+        let steer = sig.steer.quantize(control.steer.degrees())?;
+        let gas = sig.gas.quantize(control.accel.max(Accel::ZERO).mps2())?;
+        let brake = sig.brake.quantize(control.accel.min(Accel::ZERO).mps2())?;
         Ok(CarControl {
             accel: Accel::from_mps2(gas + brake),
             steer: Angle::from_degrees(steer),
@@ -188,22 +218,20 @@ impl CommandEncoder {
     /// fall back to `base` (actuators hold their last valid command).
     pub fn decode_actuators(&self, frames: &[CanFrame], base: CarControl) -> CarControl {
         let mut out = base;
+        let Some(sig) = &self.cycle_signals else {
+            return out;
+        };
         let mut gas = None;
         let mut brake = None;
         for frame in frames {
-            if frame.id() == self.dbc.steering_control().id {
-                if let Ok(deg) = decode_signal(self.dbc.steering_control(), frame, "STEER_ANGLE_CMD")
-                {
+            if frame.id() == sig.steer.id {
+                if let Some(deg) = sig.steer.decode(frame) {
                     out.steer = Angle::from_degrees(deg);
                 }
-            } else if frame.id() == self.dbc.gas_command().id {
-                if let Ok(v) = decode_signal(self.dbc.gas_command(), frame, "ACCEL_CMD") {
-                    gas = Some(v);
-                }
-            } else if frame.id() == self.dbc.brake_command().id {
-                if let Ok(v) = decode_signal(self.dbc.brake_command(), frame, "BRAKE_CMD") {
-                    brake = Some(v);
-                }
+            } else if frame.id() == sig.gas.id {
+                gas = sig.gas.decode(frame).or(gas);
+            } else if frame.id() == sig.brake.id {
+                brake = sig.brake.decode(frame).or(brake);
             }
         }
         if gas.is_some() || brake.is_some() {
@@ -279,6 +307,81 @@ mod tests {
         // Counters stayed in lockstep across 50 shortcut cycles.
         let c = control(1.0, 0.1);
         assert_eq!(wire.encode(&c).unwrap(), short.encode(&c).unwrap());
+    }
+
+    /// The name-lookup codec the resolved layouts replaced: frames via
+    /// `canbus::Encoder::encode`, commands via `decode_signal`.
+    fn by_name_frames(
+        enc: &mut canbus::Encoder,
+        dbc: &VirtualCarDbc,
+        c: &CarControl,
+    ) -> Vec<CanFrame> {
+        let gas = c.accel.max(Accel::ZERO).mps2();
+        let brake = c.accel.min(Accel::ZERO).mps2();
+        vec![
+            enc.encode(
+                dbc.steering_control(),
+                &[("STEER_ANGLE_CMD", c.steer.degrees()), ("STEER_REQ", 1.0)],
+            )
+            .unwrap(),
+            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", gas), ("GAS_REQ", 1.0)])
+                .unwrap(),
+            enc.encode(
+                dbc.brake_command(),
+                &[("BRAKE_CMD", brake), ("BRAKE_REQ", 1.0)],
+            )
+            .unwrap(),
+        ]
+    }
+
+    fn by_name_decode(dbc: &VirtualCarDbc, frames: &[CanFrame], base: CarControl) -> CarControl {
+        let mut out = base;
+        let (mut gas, mut brake) = (None, None);
+        for f in frames {
+            let (spec, name) = match f.id() {
+                id if id == dbc.steering_control().id => {
+                    (dbc.steering_control(), "STEER_ANGLE_CMD")
+                }
+                id if id == dbc.gas_command().id => (dbc.gas_command(), "ACCEL_CMD"),
+                _ => (dbc.brake_command(), "BRAKE_CMD"),
+            };
+            if let Ok(v) = canbus::decode_signal(spec, f, name) {
+                match name {
+                    "STEER_ANGLE_CMD" => out.steer = Angle::from_degrees(v),
+                    "ACCEL_CMD" => gas = Some(v),
+                    _ => brake = Some(v),
+                }
+            }
+        }
+        if gas.is_some() || brake.is_some() {
+            out.accel = Accel::from_mps2(gas.unwrap_or(0.0) + brake.unwrap_or(0.0));
+        }
+        out
+    }
+
+    #[test]
+    fn resolved_layouts_match_the_codec_by_name() {
+        let dbc = VirtualCarDbc::new();
+        let mut by_name = canbus::Encoder::new();
+        let mut enc = CommandEncoder::new();
+        let mut rng = 0x5EED_u64;
+        for i in 0..400 {
+            let c = control(-4.0 + 0.0163 * i as f64, -0.5 + 0.0025 * i as f64);
+            let mut frames = enc.encode(&c).unwrap();
+            assert_eq!(frames, by_name_frames(&mut by_name, &dbc, &c), "cycle {i}");
+            // Corrupt a random bit of a random frame on most cycles: both
+            // decoders must drop exactly the same frames.
+            rng = units::mix::splitmix64(rng);
+            if rng % 4 != 0 {
+                let frame = &mut frames[(rng >> 8) as usize % 3];
+                let bit = (rng >> 16) as usize % (frame.data().len() * 8);
+                frame.data_mut()[bit / 8] ^= 1 << (bit % 8);
+            }
+            let base = control(0.3, -0.02);
+            let got = enc.decode_actuators(&frames, base);
+            let want = by_name_decode(&dbc, &frames, base);
+            assert_eq!(got, want, "cycle {i}");
+        }
     }
 
     #[test]

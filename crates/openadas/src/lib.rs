@@ -17,9 +17,10 @@
 //! * a Panda-style CAN safety model ([`PandaSafety`]) that can gate outgoing
 //!   actuator frames.
 //!
-//! The top-level [`Adas`] consumes one [`SensorFrame`]-shaped set of
-//! messages per 10 ms tick and emits a [`msgbus::schema::CarControl`] plus
-//! the corresponding CAN frames.
+//! The top-level [`Adas`] consumes one [`msgbus::schema::SensorFeed`] of
+//! sensor messages per 10 ms tick — drained from the bus or handed over
+//! directly — and emits a [`msgbus::schema::CarControl`] plus the
+//! corresponding CAN frames.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::float_cmp)]
@@ -44,7 +45,7 @@ mod state;
 
 pub use acc::{AccController, AccOutput};
 pub use aeb::{Aeb, AebConfig, AebState};
-pub use adas::{Adas, AdasOutput, DirectCycle};
+pub use adas::{Adas, AdasOutput};
 pub use alc::{AlcController, AlcOutput};
 pub use alerts::AlertManager;
 pub use controls::CommandEncoder;

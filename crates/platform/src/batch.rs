@@ -6,10 +6,10 @@
 //! physics) runs as one loop across all lanes before the next stage
 //! starts. Per-lane math is the scalar component code, bit for bit — the
 //! scalar [`Harness`] is the oracle and batched results must equal it
-//! exactly (`SimResult` for `SimResult`). Nearly all of the speed over the
+//! exactly (`SimResult` for `SimResult`). Most of the speed over the
 //! scalar harness comes from the work a fused lane skips (below), not from
-//! the lockstep: on one thread a one-lane batch already runs about 2.8×
-//! the scalar harness, and 72 lanes in lockstep add about 6% (DESIGN.md,
+//! the lockstep: on one thread a one-lane batch runs about 1.3× the
+//! scalar harness, and 72 lanes in lockstep add about 10% (DESIGN.md,
 //! "Where the speed comes from").
 //!
 //! # Lane lifecycle
@@ -19,12 +19,10 @@
 //! regimes, each provably bit-equivalent to the scalar tick:
 //!
 //! - **Full**: the whole pipeline runs, fused — sensors feed the ADAS and
-//!   the attacker directly (the harness publishes at most one message per
-//!   stream per tick, so newest-wins draining and a direct feed are
-//!   identical), and actuator frames are only materialized on ticks the
-//!   attacker actively rewrites; other ticks advance the CAN rolling
-//!   counters and quantize the command through the same DBC round trip
-//!   the wire would apply.
+//!   the attacker directly, as in the scalar harness, and actuator frames
+//!   are only materialized on ticks the attacker actively rewrites; other
+//!   ticks advance the CAN rolling counters and quantize the command
+//!   through the same DBC round trip the wire would apply.
 //! - **Disengaged**: the driver has taken over (permanent — the driver
 //!   model never hands back control), the attack is halted (latched off),
 //!   and the disengaged ADAS emits a default command, no alerts and no
@@ -47,9 +45,8 @@ use driver_model::{Driver, Observation};
 use driving_sim::batch::{SensorColumn, WorldColumn};
 use driving_sim::{ActuatorCommand, RADAR_RANGE};
 use msgbus::schema::{CarControl, CarState, GpsLocation, LaneModel, RadarState};
-use msgbus::Bus;
 use openadas::batch::AdasColumn;
-use openadas::{AdasOutput, CommandEncoder, DegradationState, DirectCycle};
+use openadas::{AdasOutput, CommandEncoder, DegradationState};
 use units::{Tick, STEPS_PER_SIM};
 
 use crate::trace::TraceRecorder;
@@ -98,7 +95,9 @@ struct FastBatch {
     hazards: Vec<HazardDetector>,
     actuators: Vec<CommandEncoder>,
     outs: Vec<AdasOutput>,
-    cycles: Vec<DirectCycle>,
+    /// The command each lane's actuator side decodes on a tick its frames
+    /// were skipped (`None`: hold the last command).
+    quantized: Vec<Option<CarControl>>,
     /// Stage masks and per-lane world commands, recomputed every tick.
     live: Vec<bool>,
     encode: Vec<bool>,
@@ -112,11 +111,10 @@ impl FastBatch {
         self.worlds.admit(config.scenario, config.seed);
         self.sensors.admit(config.seed);
         self.adas.admit(config.scenario.cruise_speed);
-        // Same seed derivation as the scalar harness; the engine's
-        // eavesdropper taps a private idle bus it will never drain.
+        // Same seed derivation as the scalar harness.
         self.attackers.push(config.attack.map(|mut a| {
             a.seed = a.seed.wrapping_add(config.seed);
-            AttackEngine::new(&Bus::new(), a)
+            AttackEngine::direct(a)
         }));
         self.drivers.push(Driver::new(config.driver));
         self.hazards.push(HazardDetector::new(config.hazard_params));
@@ -126,7 +124,7 @@ impl FastBatch {
         self.radars.push(RadarState::default());
         self.cars.push(None);
         self.outs.push(AdasOutput::default());
-        self.cycles.push(DirectCycle::default());
+        self.quantized.push(None);
         self.live.push(false);
         self.encode.push(false);
         self.step_world.push(false);
@@ -204,7 +202,7 @@ impl FastBatch {
             &self.encode,
             &self.live,
             &mut self.outs,
-            &mut self.cycles,
+            &mut self.quantized,
         );
 
         // Stage 4: bookkeeping, man-in-the-middle, actuation and the
@@ -284,17 +282,16 @@ impl FastBatch {
         // flight; otherwise the quantized command is exactly what the
         // decoder would have produced (`None` holds the last command, the
         // empty-batch behaviour).
-        let cycle = &self.cycles[i];
         let cmd = if self.encode[i] {
             if let Some(att) = self.attackers[i].as_mut() {
                 att.process_frames_in_place(tick, &mut out.frames);
             }
             self.actuators[i].decode_actuators(&out.frames, meta.last_cmd)
         } else {
-            cycle.quantized.unwrap_or(meta.last_cmd)
+            self.quantized[i].unwrap_or(meta.last_cmd)
         };
         meta.last_cmd = cmd;
-        self.cars[i] = Some(cycle.car);
+        self.cars[i] = Some(out.car);
 
         // The driver watches the executed behaviour and any alert.
         let Some(world) = self.worlds.as_slice().get(i) else {

@@ -9,8 +9,15 @@
 //!                                                             ▼
 //! hazard detector ◀── world.step(cmd) ◀── driver override? ◀── actuators
 //! ```
+//!
+//! The harness hands the ADAS and the attacker their traffic directly
+//! instead of routing it through the bus: each stream carries at most one
+//! message per tick, so a newest-wins drain and a direct feed see the same
+//! samples. The bus carries the tick's traffic, in the pub/sub order
+//! above, only while someone observes it — an outside subscriber or the
+//! flight recorder — and is otherwise never touched.
 
-use attack_core::{AttackConfig, AttackEngine};
+use attack_core::{AttackConfig, AttackEngine, Observations};
 use defense::{
     CanIds, ContextMonitor, ContextObservation, ControlInvariantDetector, DefensePolicy,
     IdsConfig, IdsVerdict,
@@ -18,8 +25,8 @@ use defense::{
 use driver_model::{Driver, DriverConfig, DriverPhase, Observation};
 use driving_sim::{ActuatorCommand, Scenario, SensorSuite, World, RADAR_RANGE};
 use faultinj::{FaultEngine, FaultSchedule};
-use msgbus::schema::CarControl;
-use msgbus::{Bus, Payload};
+use msgbus::schema::{CarControl, CarState};
+use msgbus::Bus;
 use openadas::{Adas, AdasOutput, CommandEncoder, DegradationState, GateConfig, PandaSafety};
 use serde::{Deserialize, Serialize};
 use units::{Seconds, Tick};
@@ -204,43 +211,37 @@ pub struct Harness {
     first_failsafe: Option<Tick>,
     recovered_at: Option<Tick>,
     recorder: Option<TraceRecorder>,
-    /// ADAS output buffers, handed to [`Adas::step_into`] and taken back
+    /// ADAS output buffers, handed to [`Adas::step_with`] and taken back
     /// every tick so the steady-state loop never touches the heap.
     adas_out: AdasOutput,
+    /// The `carState` the ADAS produced last tick — what the attacker's
+    /// eavesdropper would drain this tick (`None` before the first).
+    last_car: Option<CarState>,
 }
 
 impl Harness {
     /// Wires up a run.
     pub fn new(config: HarnessConfig) -> Self {
-        let bus = Bus::new();
-        let world = World::new(config.scenario, config.seed);
-        let sensors = SensorSuite::new(config.seed);
-        // The attacker must subscribe before the ADAS so it sees the same
-        // traffic from the start (subscription order does not matter for
-        // delivery, only for realism of the deployment story).
         let attacker = config.attack.map(|mut a| {
             a.seed = a.seed.wrapping_add(config.seed);
-            AttackEngine::new(&bus, a)
+            AttackEngine::direct(a)
         });
         // With detectors attached the ADAS carries plausibility gates; the
         // gates only *withhold* readings under an acting policy, otherwise
         // they observe and count. With `Off` the construction is exactly
         // the undefended baseline, bit for bit.
-        let adas = if config.defense.detectors_attached() {
-            let gates = if config.defense.acts() {
+        let gates = config.defense.detectors_attached().then(|| {
+            if config.defense.acts() {
                 GateConfig::enforcing()
             } else {
                 GateConfig::observing()
-            };
-            Adas::with_gates(&bus, config.scenario.cruise_speed, gates)
-        } else {
-            Adas::new(&bus, config.scenario.cruise_speed)
-        };
+            }
+        });
         Self {
-            bus,
-            world,
-            sensors,
-            adas,
+            bus: Bus::new(),
+            world: World::new(config.scenario, config.seed),
+            sensors: SensorSuite::new(config.seed),
+            adas: Adas::direct(config.scenario.cruise_speed, gates),
             attacker,
             driver: Driver::new(config.driver),
             panda: PandaSafety::new(config.panda_enabled),
@@ -270,6 +271,7 @@ impl Harness {
             recovered_at: None,
             recorder: config.trace.enabled.then(|| TraceRecorder::new(config.trace)),
             adas_out: AdasOutput::default(),
+            last_car: None,
             config,
         }
     }
@@ -279,7 +281,9 @@ impl Harness {
         &self.world
     }
 
-    /// The message bus (e.g. to attach extra eavesdroppers).
+    /// The message bus (e.g. to attach extra eavesdroppers). It carries a
+    /// tick's traffic only while it has a subscriber or the flight recorder
+    /// is attached.
     pub fn bus(&self) -> &Bus {
         &self.bus
     }
@@ -307,41 +311,46 @@ impl Harness {
             return tick;
         }
 
-        // 1. Sensors sample ground truth and publish. With a fault engine
-        // attached the sample is mutated first (stuck-at, noise, latency)
-        // and the IPC stage can drop or delay the per-stream publishes;
-        // without one the path is untouched and bit-identical to before.
-        let frame = match self.faults.as_mut() {
-            Some(eng) => {
-                let mut frame = self.sensors.sample(&self.world);
-                let plan = eng.apply_sensors(tick, &mut frame);
-                // Each publish carries the plan's *sample* stamp: a latency
-                // or bus-delay replay arrives stamped with the tick it was
-                // sampled at, so the ADAS staleness watchdog sees its true
-                // age instead of a forged fresh timestamp.
-                if let Some((stamp, gps)) = plan.gps {
-                    self.bus.publish(stamp, Payload::GpsLocationExternal(gps));
-                }
-                if let Some((stamp, lane)) = plan.lane {
-                    self.bus.publish(stamp, Payload::ModelV2(lane));
-                }
-                if let Some((stamp, radar)) = plan.radar {
-                    self.bus.publish(stamp, Payload::RadarState(radar));
-                }
-                frame
-            }
-            None => self.sensors.publish(&self.bus, tick, &self.world),
-        };
+        // Publish only while someone observes the bus; the ADAS and the
+        // attacker are fed directly either way.
+        let observed = self.recorder.is_some() || self.bus.has_subscribers();
 
-        // 2. The attacker eavesdrops and matches contexts.
+        // 1. Sensors sample ground truth. With a fault engine attached the
+        // sample is mutated first (stuck-at, noise, latency) and the IPC
+        // stage can drop or delay each stream's message; without one every
+        // stream delivers this tick's sample. Each message carries its
+        // *sample* stamp: a latency or bus-delay replay arrives stamped with
+        // the tick it was sampled at, so the ADAS staleness watchdog sees
+        // its true age instead of a forged fresh timestamp.
+        let mut frame = self.sensors.sample(&self.world);
+        let feed = match self.faults.as_mut() {
+            Some(eng) => eng.apply_sensors(tick, &mut frame),
+            None => frame.stamped(tick),
+        };
+        if observed {
+            feed.publish(&self.bus);
+        }
+
+        // 2. The attacker eavesdrops and matches contexts: this tick's
+        // sensor messages and the `carState` published last tick.
         if let Some(att) = self.attacker.as_mut() {
-            att.observe(tick);
+            let obs = Observations {
+                gps: feed.gps.map(|(_, gps)| gps),
+                lane: feed.lane.map(|(_, lane)| lane),
+                radar: feed.radar.map(|(_, radar)| radar),
+                car_state: self.last_car,
+            };
+            att.observe_with(tick, &obs);
         }
 
         // 3. The ADAS runs its control cycle and emits actuator frames. The
         // output buffers are owned by the harness and reused every tick.
         let mut out = std::mem::take(&mut self.adas_out);
-        self.adas.step_into(tick, &mut out);
+        self.adas.step_with(tick, &feed, true, &mut out);
+        if observed {
+            out.publish(&self.bus, tick);
+        }
+        self.last_car = Some(out.car);
         self.alert_events += out.new_alerts.len() as u64;
 
         // 3b. Degradation bookkeeping for the resilience metrics.

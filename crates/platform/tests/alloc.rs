@@ -11,9 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use attack_core::AttackConfig;
 use driving_sim::{Scenario, ScenarioId};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use platform::{Harness, HarnessConfig};
+use platform::{DefensePolicy, Harness, HarnessConfig};
 use units::Distance;
 
 struct CountingAllocator;
@@ -49,7 +50,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Single test so the global counters see exactly one measured window per
-/// harness (plain and fault-injected, armed back to back).
+/// harness (plain, fault-injected, and attacked + faulted + defended,
+/// armed back to back).
 #[test]
 fn steady_state_tick_does_not_touch_the_heap() {
     let scenario = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
@@ -65,18 +67,31 @@ fn steady_state_tick_does_not_touch_the_heap() {
     ));
     let mut faulted = Harness::new(faulted_cfg);
 
+    // A third with everything attached at once: an attacker, a sensor
+    // noise window and the Degrade defense (plausibility gates, CAN IDS,
+    // invariant detector and context monitor).
+    let defended_cfg = HarnessConfig::with_attack(scenario, 3, AttackConfig::default())
+        .with_faults(FaultSchedule::single(
+            FaultSpec::window(FaultKind::SensorNoiseBurst, FaultTarget::All, 50, 20_000)
+                .with_intensity(0.5),
+        ))
+        .with_defense(DefensePolicy::Degrade);
+    let mut defended = Harness::new(defended_cfg);
+
     // Warm-up: let every reused buffer reach its high-water mark (the
     // encoder's counter map fills on the first engaged tick; the msgbus
     // ring and the drain scratch buffers stabilize within a few ticks).
     for _ in 0..500 {
         harness.step();
         faulted.step();
+        defended.step();
     }
 
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..1_000 {
         harness.step();
         faulted.step();
+        defended.step();
     }
     ARMED.store(false, Ordering::SeqCst);
 
@@ -86,6 +101,7 @@ fn steady_state_tick_does_not_touch_the_heap() {
         (allocs, reallocs),
         (0, 0),
         "steady-state Harness::step must not allocate, with or without \
-         fault injection ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
+         faults, attack and defenses ({allocs} allocs, {reallocs} reallocs \
+         over 1000 ticks)"
     );
 }
