@@ -1,27 +1,24 @@
 //! Campaign throughput benchmark: sims/sec and ticks/sec, serial vs.
-//! parallel vs. batched, written to `BENCH_throughput.json` at the repo
-//! root so the perf trajectory is tracked PR over PR.
+//! parallel, written to `BENCH_throughput.json` at the repo root so the
+//! perf trajectory is tracked from commit to commit.
 //!
 //! The workload is a scaled Context-Aware campaign (the paper's headline
-//! strategy) over all six attack types. Serial runs one scalar
-//! [`Harness`] per sim on the calling thread, the reference engine;
-//! parallel is the campaign runner as every campaign uses it — each cell
-//! a one-lane fused run (`platform::simulate`) fanned out over the
-//! persistent worker pool (`REPRO_WORKERS` or all cores); batched steps
-//! every lane in lockstep through one single-threaded [`BatchHarness`].
-//! All three passes must produce bit-identical results.
+//! strategy) over all six attack types. Serial runs one [`Harness`] per
+//! sim on the calling thread; parallel is the campaign runner as every
+//! campaign uses it — the same cells fanned out over the persistent worker
+//! pool (`REPRO_WORKERS` or all cores). Both passes must produce
+//! bit-identical results.
 //!
 //! Run with e.g. `REPRO_SCALE=20 cargo bench -p bench --bench throughput`.
 //! No wall-clock gating anywhere: the JSON records `cores` and `workers`,
-//! since `speedup` (parallel over serial) combines the fused engine's gain
-//! with the core count.
+//! since `speedup` (parallel over serial) is mostly the core count.
 
 use attack_core::StrategyKind;
 use bench::{scale_divisor, scaled_reps, write_artifact};
 use platform::experiment::{
     detected_cores, plan_attack_campaign, run_parallel_with, CampaignConfig, RunnerConfig, RunSpec,
 };
-use platform::{BatchHarness, Harness, SimResult, TraceConfig};
+use platform::{Harness, SimResult, TraceConfig};
 use units::STEPS_PER_SIM;
 
 /// One timed pass over the work list.
@@ -48,32 +45,6 @@ fn timed(
             ticks_per_sec: ticks / seconds,
         },
         results,
-    )
-}
-
-/// One timed pass over the work list as a single SoA batch, including the
-/// batch build — the apples-to-apples counterpart of the serial pass,
-/// which also constructs its harnesses inside the window.
-fn timed_batched(specs: &[RunSpec]) -> (Pass, Vec<SimResult>, usize, usize) {
-    let t0 = std::time::Instant::now();
-    let mut batch = BatchHarness::new();
-    for s in specs {
-        batch.admit(s.harness_config(TraceConfig::disabled()));
-    }
-    let (fast, exact) = (batch.fast_lanes(), batch.exact_lanes());
-    let results = batch.run();
-    let seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    let sims = specs.len() as f64;
-    let ticks = sims * STEPS_PER_SIM as f64;
-    (
-        Pass {
-            seconds,
-            sims_per_sec: sims / seconds,
-            ticks_per_sec: ticks / seconds,
-        },
-        results,
-        fast,
-        exact,
     )
 }
 
@@ -120,30 +91,16 @@ fn main() {
         parallel.seconds, parallel.sims_per_sec, parallel.ticks_per_sec
     );
 
-    let (batched, batched_results, fast_lanes, exact_lanes) = timed_batched(&specs);
-    let batched_speedup = serial.seconds / batched.seconds;
-    println!(
-        "  batched:  {:.2}s  {:.1} sims/s  {:.0} ticks/s  ({fast_lanes} fast + {exact_lanes} exact lanes, 1 thread)",
-        batched.seconds, batched.sims_per_sec, batched.ticks_per_sec
-    );
-
     let speedup = serial.seconds / parallel.seconds;
-    let identical = serial_results == parallel_results && serial_results == batched_results;
-    println!(
-        "  speedup: parallel {speedup:.2}x  batched {batched_speedup:.2}x  results identical: {identical}"
-    );
-    assert!(
-        identical,
-        "parallel and batched results must match serial bit for bit"
-    );
+    let identical = serial_results == parallel_results;
+    println!("  speedup: parallel {speedup:.2}x  results identical: {identical}");
+    assert!(identical, "parallel results must match serial bit for bit");
 
     let json = format!(
         "{{\n  \"bench\": \"throughput\",\n  \"campaign\": \"context_aware_all_types\",\n  \
          \"scale_divisor\": {},\n  \"reps_per_cell\": {},\n  \"sims\": {},\n  \
          \"ticks_per_sim\": {},\n  \"cores\": {},\n  \"workers\": {},\n  \
-         \"serial\": {},\n  \"parallel\": {},\n  \"batched\": {},\n  \
-         \"speedup\": {:.2},\n  \"batched_speedup\": {:.2},\n  \
-         \"fast_lanes\": {},\n  \"exact_lanes\": {},\n  \
+         \"serial\": {},\n  \"parallel\": {},\n  \"speedup\": {:.2},\n  \
          \"results_identical\": {}\n}}\n",
         scale_divisor(),
         reps,
@@ -153,11 +110,7 @@ fn main() {
         workers,
         pass_json(&serial),
         pass_json(&parallel),
-        pass_json(&batched),
         speedup,
-        batched_speedup,
-        fast_lanes,
-        exact_lanes,
         identical
     );
 

@@ -1,7 +1,6 @@
 //! The virtual CAN bus: a per-tick frame queue with a man-in-the-middle
 //! interceptor hook and an optional traffic capture.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use units::Tick;
 
 use crate::CanFrame;
@@ -117,7 +116,7 @@ impl CanBus {
         let frames = std::mem::take(&mut self.pending);
         if let Some(capture) = self.capture.as_mut() {
             for f in &frames {
-                capture.record(tick, f);
+                capture.log_frame(tick, f);
             }
         }
         frames
@@ -137,7 +136,7 @@ impl CanBus {
 /// ranges.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Capture {
-    buf: BytesMut,
+    buf: Vec<u8>,
     frames: usize,
 }
 
@@ -147,12 +146,14 @@ impl Capture {
         Self::default()
     }
 
-    /// Appends one frame observation.
-    pub fn record(&mut self, tick: Tick, frame: &CanFrame) {
-        self.buf.put_u64(tick.index());
-        self.buf.put_u16(frame.id());
-        self.buf.put_u8(frame.dlc());
-        self.buf.put_slice(frame.data());
+    /// Appends one frame observation. (Named `log_frame`, not `record`:
+    /// adas-lint's call graph joins methods by name, and `record` is the
+    /// flight recorder's per-tick entry.)
+    pub fn log_frame(&mut self, tick: Tick, frame: &CanFrame) {
+        self.buf.extend_from_slice(&tick.index().to_be_bytes());
+        self.buf.extend_from_slice(&frame.id().to_be_bytes());
+        self.buf.push(frame.dlc());
+        self.buf.extend_from_slice(frame.data());
         self.frames += 1;
     }
 
@@ -166,14 +167,14 @@ impl Capture {
         self.frames == 0
     }
 
-    /// Freezes the capture into an immutable byte buffer.
-    pub fn into_bytes(self) -> Bytes {
-        self.buf.freeze()
+    /// The capture's bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
-    /// Parses a frozen capture back into `(tick, frame)` records. Truncated
-    /// or malformed records terminate the parse rather than panicking.
-    pub fn parse(bytes: &Bytes) -> Vec<(Tick, CanFrame)> {
+    /// Parses a capture back into `(tick, frame)` records. Truncated or
+    /// malformed records terminate the parse rather than panicking.
+    pub fn parse(bytes: &[u8]) -> Vec<(Tick, CanFrame)> {
         let mut out = Vec::new();
         let mut i = 0usize;
         while let Some(tick_bytes) = bytes
@@ -293,9 +294,8 @@ mod tests {
     #[test]
     fn parse_tolerates_truncation() {
         let mut c = Capture::new();
-        c.record(Tick::ZERO, &frame(0xE4, 1));
+        c.log_frame(Tick::ZERO, &frame(0xE4, 1));
         let bytes = c.into_bytes();
-        let truncated = bytes.slice(..bytes.len() - 3);
-        assert!(Capture::parse(&truncated).is_empty());
+        assert!(Capture::parse(&bytes[..bytes.len() - 3]).is_empty());
     }
 }

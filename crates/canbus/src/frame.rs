@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// A classic CAN 2.0A data frame: 11-bit identifier, up to 8 data bytes.
@@ -80,11 +79,6 @@ impl CanFrame {
         self.data.get_mut(..self.dlc as usize).unwrap_or(&mut [])
     }
 
-    /// The payload as a cheap, shareable byte buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        Bytes::copy_from_slice(self.data())
-    }
-
     /// The payload interpreted as a 64-bit big-endian word, unused trailing
     /// bytes zero-padded. This is the bit pool DBC signals are carved from.
     pub fn as_u64(&self) -> u64 {
@@ -142,7 +136,6 @@ mod tests {
         let f = CanFrame::new(0x1, &[1, 2, 3]).unwrap();
         assert_eq!(f.data(), &[1, 2, 3]);
         assert_eq!(f.dlc(), 3);
-        assert_eq!(f.to_bytes().as_ref(), &[1, 2, 3]);
     }
 
     #[test]

@@ -127,9 +127,9 @@ impl AttackEngine {
 
     /// Bus-free variant of [`observe`](Self::observe): the caller hands the
     /// tick's eavesdropped samples directly instead of draining a
-    /// subscriber. The harness and batched lanes use this — at most one
-    /// message per stream per tick would be published, so newest-wins
-    /// draining and a direct feed see identical traffic.
+    /// subscriber. The harness uses this — at most one message per stream
+    /// per tick would be published, so newest-wins draining and a direct
+    /// feed see identical traffic.
     pub fn observe_with(&mut self, tick: Tick, obs: &crate::Observations) {
         let state = self.inference.absorb(obs);
         self.decide(tick, state);

@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 mod collision;
 mod lead;
 mod neighbor;

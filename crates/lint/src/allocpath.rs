@@ -21,10 +21,9 @@ use crate::scope::{concurrency_applies, FileInfo};
 use crate::symbols::SymbolTable;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// Qualified names of the steady-state tick entry points. (The batched
-/// core's per-tick entry is `BatchHarness::step`; the campaign drivers
-/// call it in a loop.)
-pub const R13_ROOTS: [&str; 2] = ["Harness::step", "BatchHarness::step"];
+/// Qualified names of the steady-state tick entry points: every campaign
+/// cell calls `Harness::step` in a loop.
+pub const R13_ROOTS: [&str; 1] = ["Harness::step"];
 
 /// Method names that allocate when they resolve to nothing in the
 /// workspace (i.e. are std container/string APIs). `push` beyond capacity,
@@ -261,9 +260,9 @@ mod tests {
         // `.push(…)` that resolves to a workspace method is not a std
         // allocation; the callee's own body is what gets judged.
         let d = analyze(&[(
-            "crates/platform/src/batch.rs",
-            "pub struct BatchHarness;\n\
-             impl BatchHarness { pub fn step(&mut self) { self.ring.push(1); } }\n\
+            "crates/platform/src/harness.rs",
+            "pub struct Harness;\n\
+             impl Harness { pub fn step(&mut self) { self.ring.push(1); } }\n\
              pub struct Ring;\n\
              impl Ring { pub fn push(&mut self, v: u8) { self.buf[self.head] = v; } }\n",
         )]);

@@ -2,7 +2,7 @@
 //!
 //! R2 proves "no panic *token* in this file" for the safety-path crates;
 //! R7 upgrades that to "no call *path* from a steady-state root
-//! ([`R7_ROOTS`]: the scalar tick, the batched tick, the pool worker loop)
+//! ([`R7_ROOTS`]: the tick, the pool worker loop, the daemon's loops)
 //! reaches a panicking function", whatever crate the function lives in. The graph is
 //! name-based and crate-closure-filtered (see [`crate::symbols`]), which
 //! over-approximates reachability: a reported chain might not be
@@ -17,14 +17,13 @@ use crate::scope::FileInfo;
 use crate::symbols::SymbolTable;
 use std::collections::{HashMap, VecDeque};
 
-/// The fully-qualified roots the R7 walk starts from: one scalar tick of
-/// the closed loop, one batched tick, the campaign pool's worker loop,
-/// and the campaign daemon's two long-running service loops (a panic in
-/// either kills the service, not just one request). Everything the steady
-/// state can execute hangs off these.
-pub const R7_ROOTS: [&str; 5] = [
+/// The fully-qualified roots the R7 walk starts from: one tick of the
+/// closed loop, the campaign pool's worker loop, and the campaign daemon's
+/// two long-running service loops (a panic in either kills the service,
+/// not just one request). Everything the steady state can execute hangs
+/// off these.
+pub const R7_ROOTS: [&str; 4] = [
     "Harness::step",
-    "BatchHarness::step",
     "spawn_worker",
     "accept_loop",
     "supervisor_loop",

@@ -51,9 +51,9 @@ pub enum Rule {
     /// `.lock().expect(...)` covered by a documented poisoning policy.
     LockDiscipline,
     /// R13 — hot-path allocation freedom: no call path from the
-    /// steady-state tick roots (`Harness::step`, `BatchHarness::step`)
-    /// reaches an allocating std API, except provably-amortized
-    /// buffer-reuse sites (`drain_into`-style).
+    /// steady-state tick root (`Harness::step`) reaches an allocating std
+    /// API, except provably-amortized buffer-reuse sites
+    /// (`drain_into`-style).
     AllocFreedom,
     /// R14 — shared-state determinism: no shared mutable statics, no
     /// `OnceLock` initializers that read the environment, and campaign

@@ -29,7 +29,6 @@
 
 mod acc;
 mod adas;
-pub mod batch;
 mod aeb;
 mod alc;
 mod alerts;

@@ -31,7 +31,7 @@ use units::Seconds;
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
 use crate::resilience::{FAULT_DURATION, FAULT_START, INTENSITIES};
-use crate::{HarnessConfig, SimResult};
+use crate::{Harness, HarnessConfig, SimResult};
 
 /// The defense deployments a campaign sweeps, weakest to strongest.
 pub const POLICIES: [DefensePolicy; 4] = [
@@ -145,7 +145,7 @@ impl DefenseSpec {
 
     /// Executes the run.
     pub fn run(&self) -> SimResult {
-        crate::simulate(self.harness_config())
+        Harness::new(self.harness_config()).run()
     }
 }
 

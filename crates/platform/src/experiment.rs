@@ -102,7 +102,7 @@ impl RunSpec {
 
     /// Executes the run without tracing.
     pub fn run(&self) -> SimResult {
-        crate::simulate(self.harness_config(TraceConfig::disabled()))
+        Harness::new(self.harness_config(TraceConfig::disabled())).run()
     }
 
     /// Executes the run with a flight recorder attached.

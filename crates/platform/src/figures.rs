@@ -92,7 +92,7 @@ pub fn fig8_parameter_space(
             };
             let mut cfg = HarnessConfig::with_attack(scenario, seed, attack);
             cfg.driver = driver;
-            let result = crate::simulate(cfg);
+            let result = Harness::new(cfg).run();
             points.push(Fig8Point {
                 start: Seconds::new(start),
                 duration: Seconds::new(duration),
@@ -112,7 +112,7 @@ pub fn fig8_parameter_space(
         };
         let mut cfg = HarnessConfig::with_attack(scenario, run_seed, attack);
         cfg.driver = driver;
-        let result = crate::simulate(cfg);
+        let result = Harness::new(cfg).run();
         if let Some(t_a) = result.attack_activated {
             points.push(Fig8Point {
                 start: t_a,

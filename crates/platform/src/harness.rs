@@ -16,6 +16,14 @@
 //! samples. The bus carries the tick's traffic, in the pub/sub order
 //! above, only while someone observes it — an outside subscriber or the
 //! flight recorder — and is otherwise never touched.
+//!
+//! A tick skips the work nothing reads, through three predicates on
+//! [`Harness`]: actuator frames are encoded only when read (`wire_read`),
+//! a dormant attacker is not stepped (`attacker_dormant`), and after a
+//! driver takeover only the driver, the world and the hazard detector run
+//! (`disengaged`). Every skip is off while the bus is observed, so a
+//! traced run executes the whole pipeline and is the oracle for the
+//! untraced one.
 
 use attack_core::{AttackConfig, AttackEngine, Observations};
 use defense::{
@@ -105,6 +113,17 @@ impl HarnessConfig {
     /// The same run with the given defense policy.
     pub fn with_defense(self, defense: DefensePolicy) -> Self {
         Self { defense, ..self }
+    }
+
+    /// Whether the run is built with something that reads its actuator
+    /// frames — a fault engine (its CAN pass), the CAN IDS (attached with
+    /// the detectors) or Panda — or with the flight recorder, which turns
+    /// every skip off.
+    fn wire_attached(&self) -> bool {
+        self.trace.enabled
+            || !self.faults.is_empty()
+            || self.defense.detectors_attached()
+            || self.panda_enabled
     }
 }
 
@@ -284,11 +303,20 @@ impl Harness {
     /// The message bus (e.g. to attach extra eavesdroppers). It carries a
     /// tick's traffic only while it has a subscriber or the flight recorder
     /// is attached.
+    ///
+    /// Attach taps before the first [`step`](Self::step). An unobserved run
+    /// stops sampling the sensors and stepping the ADAS once the driver has
+    /// taken over, so a tap attached later would see that state resume
+    /// from where it stopped rather than from where a fully observed run
+    /// would be.
     pub fn bus(&self) -> &Bus {
         &self.bus
     }
 
-    /// The attack engine, if one is mounted.
+    /// The attack engine, if one is mounted. In an unobserved run a
+    /// dormant engine is no longer stepped, so once it can never inject
+    /// again its `is_active`, `values` and `context` keep the last values
+    /// it computed.
     pub fn attacker(&self) -> Option<&AttackEngine> {
         self.attacker.as_ref()
     }
@@ -296,6 +324,43 @@ impl Harness {
     /// Whether the run has completed its 5,000 ticks.
     pub fn finished(&self) -> bool {
         self.world.finished()
+    }
+
+    /// Frames only when read: whether anything but an injecting attacker
+    /// reads this tick's actuator frames, or the run is observed. The
+    /// frames' readers are the attack MITM (an injecting tick encodes
+    /// regardless), the fault engine's CAN pass, the CAN IDS, Panda and
+    /// the actuator-side decoder. When only the decoder is left, the ADAS
+    /// skips the frame bytes and hands over the command the decoder would
+    /// have read (the rolling counters advance either way).
+    fn wire_read(&self, observed: bool) -> bool {
+        observed || self.config.wire_attached()
+    }
+
+    /// Dormant attacker: whether this tick may skip the attacker's
+    /// observe/decide cycle and its MITM — it can never inject again
+    /// ([`AttackEngine::dormant`]). The skipped cycle would only refresh
+    /// state nothing else reads: its context inference and its
+    /// `is_active`/`values` latch, read by the MITM (gated on this tick's
+    /// decision, never on the latch), by the recorder's `attack_active`
+    /// column (off while observed) and through [`attacker`](Self::attacker).
+    fn attacker_dormant(&self, tick: Tick, observed: bool) -> bool {
+        !observed && self.attacker.as_ref().is_some_and(|att| att.dormant(tick))
+    }
+
+    /// Disengaged: whether this tick runs only the driver, the world and
+    /// the hazard detector. After a takeover the ADAS is disengaged for
+    /// good and the attacker halted, so sensing, the attacker and the
+    /// control stack feed nothing the run reports: the driver sees the
+    /// held `last_cmd` (what an empty frame batch decodes to) and no alert
+    /// (a disengaged ADAS commands zero, and without faults or gates its
+    /// degradation ladder stays `Nominal`, so alert and degradation counts
+    /// stand still). The frozen state's other readers — the bus, the
+    /// recorder, the fault engine, the detectors and Panda — are absent
+    /// whenever the wire is unread. The sensor RNG is not drawn on these
+    /// ticks.
+    fn disengaged(&self, wire_read: bool) -> bool {
+        self.ever_disengaged && !wire_read
     }
 
     /// Advances one control cycle; returns the tick that was executed.
@@ -312,8 +377,17 @@ impl Harness {
         }
 
         // Publish only while someone observes the bus; the ADAS and the
-        // attacker are fed directly either way.
+        // attacker are fed directly either way. Every skip is off while
+        // the bus is observed, so an observed run executes the whole
+        // pipeline.
         let observed = self.recorder.is_some() || self.bus.has_subscribers();
+        let wire_read = self.wire_read(observed);
+        if self.disengaged(wire_read) {
+            let final_cmd = self.drive(tick, self.last_cmd, false);
+            self.world.step(final_cmd);
+            self.hazards.step(&self.world);
+            return tick;
+        }
 
         // 1. Sensors sample ground truth. With a fault engine attached the
         // sample is mutated first (stuck-at, noise, latency) and the IPC
@@ -333,20 +407,28 @@ impl Harness {
 
         // 2. The attacker eavesdrops and matches contexts: this tick's
         // sensor messages and the `carState` published last tick.
-        if let Some(att) = self.attacker.as_mut() {
-            let obs = Observations {
-                gps: feed.gps.map(|(_, gps)| gps),
-                lane: feed.lane.map(|(_, lane)| lane),
-                radar: feed.radar.map(|(_, radar)| radar),
-                car_state: self.last_car,
-            };
-            att.observe_with(tick, &obs);
-        }
+        let dormant = self.attacker_dormant(tick, observed);
+        let injecting = match self.attacker.as_mut() {
+            Some(att) if !dormant => {
+                let obs = Observations {
+                    gps: feed.gps.map(|(_, gps)| gps),
+                    lane: feed.lane.map(|(_, lane)| lane),
+                    radar: feed.radar.map(|(_, radar)| radar),
+                    car_state: self.last_car,
+                };
+                att.observe_with(tick, &obs);
+                att.is_active()
+            }
+            _ => false,
+        };
 
-        // 3. The ADAS runs its control cycle and emits actuator frames. The
-        // output buffers are owned by the harness and reused every tick.
+        // 3. The ADAS runs its control cycle and emits actuator frames when
+        // something reads them, else the quantized command. The output
+        // buffers are owned by the harness and reused every tick.
         let mut out = std::mem::take(&mut self.adas_out);
-        self.adas.step_with(tick, &feed, true, &mut out);
+        let quantized = self
+            .adas
+            .step_with(tick, &feed, injecting || wire_read, &mut out);
         if observed {
             out.publish(&self.bus, tick);
         }
@@ -386,8 +468,10 @@ impl Harness {
         }
 
         // 4. Man-in-the-middle: the attack rewrites frames in flight.
-        if let Some(att) = self.attacker.as_mut() {
-            att.process_frames_in_place(tick, &mut out.frames);
+        if injecting {
+            if let Some(att) = self.attacker.as_mut() {
+                att.process_frames_in_place(tick, &mut out.frames);
+            }
         }
 
         // 4b. Fault injection at the CAN layer: bus-off, frame drops and
@@ -428,9 +512,13 @@ impl Harness {
         out.frames.retain(|f| self.panda.check(f).passed());
 
         // 6. Actuator-side decode; invalid/missing frames hold last values.
-        let cmd = self
-            .actuator_side
-            .decode_actuators(&out.frames, self.last_cmd);
+        // A tick whose frames were skipped carries the quantized command.
+        let cmd = match quantized {
+            Some(cmd) => cmd,
+            None => self
+                .actuator_side
+                .decode_actuators(&out.frames, self.last_cmd),
+        };
         self.last_cmd = cmd;
 
         // 6b. §V defenses observe the boundary: the invariant detector
@@ -461,24 +549,40 @@ impl Harness {
         }
 
         // 7. The driver watches the executed behaviour and any alert.
+        let final_cmd = self.drive(tick, cmd, !out.new_alerts.is_empty());
+
+        // 8. Physics + hazard bookkeeping.
+        self.world.step(final_cmd);
+        self.hazards.step(&self.world);
+
+        // 9. Flight recorder: snapshot the executed cycle (no-op when off).
+        self.capture_tick(tick, Some(&out), final_cmd);
+
+        // Hand the output buffers back for the next tick.
+        self.adas_out = out;
+        tick
+    }
+
+    /// The driver's part of a tick: it watches the executed command and
+    /// whether the ADAS raised an alert, and may take over — which
+    /// disengages the ADAS and halts the attack for good. Returns the
+    /// command the world executes.
+    fn drive(&mut self, tick: Tick, cmd: CarControl, adas_alert: bool) -> ActuatorCommand {
         let obs = Observation {
             speed: self.world.ego().speed(),
             v_cruise: self.config.scenario.cruise_speed,
             accel_cmd: cmd.accel,
             steer_cmd: cmd.steer,
-            adas_alert: !out.new_alerts.is_empty(),
+            adas_alert,
             lane_offset: self.world.ego().d(),
             lead_gap: {
                 let gap = self.world.gap();
                 (gap.raw() > 0.0 && gap < RADAR_RANGE).then_some(gap)
             },
         };
-        let driver_cmd = self.driver.step(tick, &obs);
-
-        let final_cmd = match driver_cmd {
+        match self.driver.step(tick, &obs) {
             Some(d) => {
                 if !self.ever_disengaged {
-                    // Driver takes over: ADAS disengages, attack halts.
                     self.adas.disengage();
                     if let Some(att) = self.attacker.as_mut() {
                         att.halt(tick);
@@ -494,18 +598,7 @@ impl Harness {
                 accel: cmd.accel,
                 steer: cmd.steer,
             },
-        };
-
-        // 8. Physics + hazard bookkeeping.
-        self.world.step(final_cmd);
-        self.hazards.step(&self.world);
-
-        // 9. Flight recorder: snapshot the executed cycle (no-op when off).
-        self.capture_tick(tick, Some(&out), final_cmd);
-
-        // Hand the output buffers back for the next tick.
-        self.adas_out = out;
-        tick
+        }
     }
 
     /// Snapshots the tick that just executed into the recorder, if one is
@@ -603,11 +696,6 @@ impl Harness {
         self.recorder.as_ref()
     }
 
-    /// Detaches the flight recorder, leaving the harness untraced.
-    pub fn take_recorder(&mut self) -> Option<TraceRecorder> {
-        self.recorder.take()
-    }
-
     /// The newest `n` trace ticks as an aligned table, for diagnostics and
     /// assertion messages. Explains itself when tracing is off.
     pub fn trace_tail(&self, n: usize) -> String {
@@ -681,6 +769,37 @@ impl Harness {
                 .map(Tick::time),
             gate_rejections: self.adas.gate_rejections(),
         }
+    }
+}
+
+/// Runs executed one after another, in push order. Its last caller is the
+/// benchmark's stage trace (`crates/bench/perf/stages.rs`); it goes when
+/// that file next changes.
+#[derive(Default)]
+pub struct BatchHarness {
+    configs: Vec<HarnessConfig>,
+}
+
+impl BatchHarness {
+    /// An empty list of runs.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds one run.
+    pub fn admit(&mut self, config: HarnessConfig) {
+        self.configs.push(config);
+    }
+
+    /// Runs whose wire nothing reads from construction: no recorder, fault
+    /// schedule, detectors or Panda.
+    pub fn fast_lanes(&self) -> usize {
+        self.configs.iter().filter(|c| !c.wire_attached()).count()
+    }
+
+    /// `Harness::new(config).run()` for every run, in push order.
+    pub fn run(self) -> Vec<SimResult> {
+        self.configs.into_iter().map(|c| Harness::new(c).run()).collect()
     }
 }
 

@@ -3,9 +3,8 @@
 //! wired together in lock-step, plus the experiment campaigns that
 //! regenerate every table and figure of the evaluation.
 //!
-//! * [`Harness`] — one simulation run (5,000 × 10 ms ticks).
-//! * [`simulate`] — one run on the fused lane engine when the config
-//!   allows it, else on [`Harness`]; every campaign cell goes through it.
+//! * [`Harness`] — one simulation run (5,000 × 10 ms ticks); every
+//!   campaign cell is `Harness::new(config).run()`.
 //! * [`HazardDetector`] — the hazards H1–H3 and accidents A1/A3 of §III-A.
 //! * [`SimResult`] / [`metrics`] — per-run outcomes and aggregation.
 //! * [`experiment`] — the 1,440/14,400-run campaigns (Tables IV and V).
@@ -32,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod defense_campaign;
 pub mod experiment;
 pub mod figures;
@@ -45,9 +43,8 @@ pub mod resilience;
 pub mod tables;
 pub mod trace;
 
-pub use batch::{simulate, BatchHarness};
 pub use defense::DefensePolicy;
-pub use harness::{Harness, HarnessConfig, SimResult};
+pub use harness::{BatchHarness, Harness, HarnessConfig, SimResult};
 pub use hazard::{AccidentKind, HazardDetector, HazardKind, HazardParams};
 pub use trace::{TraceConfig, TraceRecorder};
 

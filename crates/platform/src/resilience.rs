@@ -20,7 +20,7 @@ use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
-use crate::{HarnessConfig, SimResult};
+use crate::{Harness, HarnessConfig, SimResult};
 
 /// Tick at which every campaign fault window opens (5 s into the run,
 /// after cruise is established).
@@ -89,7 +89,7 @@ impl ResilienceSpec {
 
     /// Executes the run.
     pub fn run(&self) -> SimResult {
-        crate::simulate(self.harness_config())
+        Harness::new(self.harness_config()).run()
     }
 }
 

@@ -11,11 +11,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use attack_core::AttackConfig;
+use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driving_sim::{Scenario, ScenarioId};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use platform::{DefensePolicy, Harness, HarnessConfig};
-use units::Distance;
+use units::{Distance, Seconds};
 
 struct CountingAllocator;
 
@@ -50,8 +50,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Single test so the global counters see exactly one measured window per
-/// harness (plain, fault-injected, and attacked + faulted + defended,
-/// armed back to back).
+/// harness (plain, fault-injected, attacked + faulted + defended, and
+/// attacked past the driver's takeover, armed back to back).
 #[test]
 fn steady_state_tick_does_not_touch_the_heap() {
     let scenario = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
@@ -78,6 +78,18 @@ fn steady_state_tick_does_not_touch_the_heap() {
         .with_defense(DefensePolicy::Degrade);
     let mut defended = Harness::new(defended_cfg);
 
+    // A fourth, attacked but fault-free and undefended: a fixed
+    // deceleration window from 1 s makes the driver take over within the
+    // warm-up, so the measured window runs the disengaged tick.
+    let takeover_attack = AttackConfig {
+        attack_type: AttackType::Deceleration,
+        strategy: StrategyKind::RandomStDur,
+        value_mode: ValueMode::Fixed,
+        window_override: Some((Seconds::new(1.0), Seconds::new(3.0))),
+        ..AttackConfig::default()
+    };
+    let mut taken_over = Harness::new(HarnessConfig::with_attack(scenario, 3, takeover_attack));
+
     // Warm-up: let every reused buffer reach its high-water mark (the
     // encoder's counter map fills on the first engaged tick; the msgbus
     // ring and the drain scratch buffers stabilize within a few ticks).
@@ -85,15 +97,25 @@ fn steady_state_tick_does_not_touch_the_heap() {
         harness.step();
         faulted.step();
         defended.step();
+        taken_over.step();
     }
+    assert!(
+        taken_over.result_so_far().driver_engaged.is_some(),
+        "the driver took over during the warm-up"
+    );
 
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..1_000 {
         harness.step();
         faulted.step();
         defended.step();
+        taken_over.step();
     }
     ARMED.store(false, Ordering::SeqCst);
+    assert!(
+        taken_over.world().collision().is_none(),
+        "the post-takeover window ran the disengaged tick, not frozen ones"
+    );
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
     let reallocs = REALLOCS.load(Ordering::SeqCst);
@@ -101,7 +123,7 @@ fn steady_state_tick_does_not_touch_the_heap() {
         (allocs, reallocs),
         (0, 0),
         "steady-state Harness::step must not allocate, with or without \
-         faults, attack and defenses ({allocs} allocs, {reallocs} reallocs \
-         over 1000 ticks)"
+         faults, attack, defenses or a driver takeover ({allocs} allocs, \
+         {reallocs} reallocs over 1000 ticks)"
     );
 }

@@ -1,12 +1,19 @@
-//! Frozen-bytes oracle for the lane mix no campaign runs: an attack, a
-//! fault schedule, a defense policy and Panda checks in one simulation.
+//! Frozen-bytes oracles for two lane samples, each run's `SimResult`
+//! digested and compared with a golden file.
 //!
-//! The resilience campaign has faults but no attacker, the defense campaign
-//! has attacks but no Panda, and the paper campaigns have neither, so no
-//! committed report pins what these stages do together. This test pins it:
-//! a seeded sample of such configs, each run's `SimResult` digested and
-//! compared with `tests/golden/mixed_lanes.txt`. Regenerate (only for an
-//! intended behaviour change) with
+//! * **Mixed** (`tests/golden/mixed_lanes.txt`): the lane mix no campaign
+//!   runs — an attack, a fault schedule, a defense policy and Panda checks
+//!   in one simulation. The resilience campaign has faults but no
+//!   attacker, the defense campaign has attacks but no Panda, and the
+//!   paper campaigns have neither, so no committed report pins what these
+//!   stages do together.
+//! * **Attacked** (`tests/golden/attacked_lanes.txt`): the paper's lanes —
+//!   attacked, undefended, fault-free, Panda off — over every strategy,
+//!   attack type and value mode, with both driver kinds. Nothing reads
+//!   their wire, so these are the lanes on which `Harness::step` skips
+//!   frame encoding, a dormant attacker and a disengaged control stack.
+//!
+//! Regenerate both (only for an intended behaviour change) with
 //! `REGEN_MIXED_GOLDEN=1 cargo test --test mixed_lanes`.
 //!
 //! The same configs check the harness's bus contract: an unobserved run
@@ -17,13 +24,20 @@ use driver_model::DriverConfig;
 use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use msgbus::{Envelope, Topic};
-use platform::{simulate, DefensePolicy, Harness, HarnessConfig, SimResult};
+use platform::{DefensePolicy, Harness, HarnessConfig, SimResult};
 use units::mix::splitmix64;
+use units::{Tick, STEPS_PER_SIM};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mixed_lanes.txt");
+const ATTACKED_GOLDEN: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/attacked_lanes.txt");
 
-/// Configs in the sample; each defense policy gets a quarter of them.
+/// Configs in the mixed sample; each defense policy gets a quarter of them.
 const SAMPLE: u64 = 24;
+
+/// Configs in the attacked sample: one per strategy × attack type × value
+/// mode.
+const ATTACKED_SAMPLE: u64 = 48;
 
 const POLICIES: [DefensePolicy; 4] = [
     DefensePolicy::Off,
@@ -91,6 +105,28 @@ fn config(i: u64) -> HarnessConfig {
     config
 }
 
+/// The `i`-th config of the attacked sample: undefended, fault-free and
+/// Panda-off. Strategy, attack type and value mode walk their cross
+/// product; scenario, seeds and the driver are drawn.
+fn attacked_config(i: u64) -> HarnessConfig {
+    let mut d = Draws(i.wrapping_mul(0x2545_F491) ^ 0xA77A_C4ED);
+    let scenario = d.pick(&Scenario::matrix());
+    let seed = d.below(1 << 32);
+    let i = i as usize;
+    let attack = AttackConfig {
+        attack_type: AttackType::ALL[i / 2 % AttackType::ALL.len()],
+        strategy: StrategyKind::ALL[i / (2 * AttackType::ALL.len()) % StrategyKind::ALL.len()],
+        value_mode: [ValueMode::Fixed, ValueMode::Strategic][i % 2],
+        seed: d.below(1 << 32),
+        ..AttackConfig::default()
+    };
+    let mut config = HarnessConfig::with_attack(scenario, seed, attack);
+    if d.below(2) == 0 {
+        config.driver = DriverConfig::inattentive();
+    }
+    config
+}
+
 /// FNV-1a-64 over the result's `Debug` rendering, which prints every
 /// float in its shortest round-trip form.
 fn digest(result: &SimResult) -> u64 {
@@ -101,23 +137,29 @@ fn digest(result: &SimResult) -> u64 {
         })
 }
 
-#[test]
-fn mixed_lane_results_match_the_frozen_digests() {
-    let results: Vec<SimResult> = (0..SAMPLE).map(|i| Harness::new(config(i)).run()).collect();
+/// Compares each result's digest with the golden file's line, or rewrites
+/// the file under `REGEN_MIXED_GOLDEN`.
+fn assert_matches_golden(path: &str, results: &[SimResult]) {
     let lines: String = results
         .iter()
         .enumerate()
         .map(|(i, r)| format!("{i:02} {:016x}\n", digest(r)))
         .collect();
     if std::env::var_os("REGEN_MIXED_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &lines).expect("write golden");
+        std::fs::write(path, &lines).expect("write golden");
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN).expect("read golden");
+    let golden = std::fs::read_to_string(path).expect("read golden");
     for (got, want) in lines.lines().zip(golden.lines()) {
-        assert_eq!(got, want, "mixed-lane result drifted (index digest)");
+        assert_eq!(got, want, "{path}: result drifted (index digest)");
     }
     assert_eq!(lines.lines().count(), golden.lines().count());
+}
+
+#[test]
+fn mixed_lane_results_match_the_frozen_digests() {
+    let results: Vec<SimResult> = (0..SAMPLE).map(|i| Harness::new(config(i)).run()).collect();
+    assert_matches_golden(GOLDEN, &results);
 
     // The sample must exercise every stage it claims to mix.
     assert!(
@@ -137,11 +179,38 @@ fn mixed_lane_results_match_the_frozen_digests() {
 }
 
 #[test]
-fn campaign_entry_runs_mixed_lanes_like_the_harness() {
-    for i in (0..SAMPLE).step_by(5) {
-        let cfg = config(i);
-        assert_eq!(simulate(cfg), Harness::new(cfg).run(), "config {i}");
+fn attacked_lane_results_match_the_frozen_digests() {
+    let mut results = Vec::new();
+    let mut dormant_unhalted = false;
+    for i in 0..ATTACKED_SAMPLE {
+        let mut h = Harness::new(attacked_config(i));
+        while !h.finished() {
+            h.step();
+        }
+        let att = h.attacker().expect("every lane is attacked");
+        dormant_unhalted |=
+            att.timeline().halted_at().is_none() && att.dormant(Tick::new(STEPS_PER_SIM - 1));
+        results.push(h.result_so_far());
     }
+    assert_matches_golden(ATTACKED_GOLDEN, &results);
+
+    // The sample must reach every regime the harness skips work in.
+    let configs: Vec<HarnessConfig> = (0..ATTACKED_SAMPLE).map(attacked_config).collect();
+    assert!(
+        configs.iter().any(|c| c.driver == DriverConfig::alert())
+            && configs.iter().any(|c| c.driver == DriverConfig::inattentive()),
+        "both driver kinds"
+    );
+    assert!(
+        results.iter().any(|r| r.driver_engaged.is_some()),
+        "a driver takes over"
+    );
+    assert!(results.iter().any(|r| r.accident.is_some()), "a collision");
+    assert!(dormant_unhalted, "an attacker goes dormant before the last tick");
+    assert!(
+        results.iter().any(|r| r.frames_rewritten > 0),
+        "attack injected"
+    );
 }
 
 #[test]
@@ -157,8 +226,9 @@ fn unobserved_runs_leave_the_bus_untouched() {
 
 #[test]
 fn observing_the_bus_leaves_results_unchanged() {
-    for i in (1..SAMPLE).step_by(4) {
-        let cfg = config(i);
+    let mixed = (1..SAMPLE).step_by(4).map(config);
+    let attacked = (0..ATTACKED_SAMPLE).step_by(5).map(attacked_config);
+    for (i, cfg) in mixed.chain(attacked).enumerate() {
         let mut h = Harness::new(cfg);
         let mut tap = h.bus().subscribe(&Topic::ALL);
         let mut seen = Vec::<Envelope>::new();
