@@ -18,7 +18,6 @@
 //! quick pass, e.g. `REPRO_SCALE=10` runs 144-sim campaigns.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
 
 use platform::metrics::MeanStd;
 

@@ -337,6 +337,15 @@ impl Manifest {
             .write_all(format!("done\t{id}\t{outcome}\n").as_bytes())?;
         self.file.sync_data()
     }
+
+    /// An existing manifest behind a read-only handle, on which every
+    /// write fails.
+    #[cfg(test)]
+    pub(crate) fn open_read_only(state_dir: &Path) -> io::Result<Self> {
+        Ok(Self {
+            file: File::open(Self::path_in(state_dir))?,
+        })
+    }
 }
 
 /// Replays the manifest. Missing file → empty. Malformed tail lines are

@@ -11,7 +11,7 @@
 //!   enqueues (202) or sheds load (429 + `Retry-After`) while the queue is
 //!   at capacity; memory use is bounded by construction, not by hope.
 //! * **Supervision** ([`supervisor`]) — cells execute through
-//!   [`platform::pool::submit_catching`]'s per-cell panic capture; a
+//!   [`platform::pool::catch_cell`]'s per-cell panic capture; a
 //!   panicked cell is retried with deterministic exponential backoff and,
 //!   past the attempt budget, quarantined so one pathological seed cannot
 //!   wedge the campaign. Per-job wall-clock deadlines bound runaway jobs.
@@ -29,6 +29,9 @@
 //! (seed mixing, plan-order aggregation), robustness from this one.
 
 #![forbid(unsafe_code)]
+// Deadlines, backoff and Slowloris budgets are wall-clock by definition;
+// determinism lives in the seeded cells the daemon submits to the pool.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod checkpoint;
 pub mod http;

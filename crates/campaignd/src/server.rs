@@ -160,16 +160,24 @@ impl Server {
 
         if cfg.resume {
             for entry in entries {
-                let Ok(obj) = parse_object(entry.canonical.as_bytes()) else {
-                    continue;
+                let spec = match parse_object(entry.canonical.as_bytes())
+                    .and_then(|obj| JobSpec::from_recorded(&obj))
+                {
+                    Ok(spec) => spec,
+                    Err(err) => {
+                        eprintln!("campaignd: job {}: not resumed: {err}", entry.id);
+                        continue;
+                    }
                 };
-                let Ok(spec) = JobSpec::from_object(&obj) else {
-                    continue;
-                };
-                let total = spec.plan().len();
+                let total = spec.cell_count() as usize;
                 let progress = Arc::new(JobProgress::new(total as u64));
                 let Some(done) = entry.done.as_deref() else {
-                    // Unfinished: the supervisor resumes it from its WAL.
+                    // Unfinished: the supervisor resumes it from its WAL,
+                    // planning it again, so the size cap applies.
+                    if let Err(err) = spec.check_size() {
+                        eprintln!("campaignd: job {}: not resumed: {err}", entry.id);
+                        continue;
+                    }
                     let job = Arc::new(JobState {
                         id: entry.id.clone(),
                         spec,
@@ -465,7 +473,7 @@ fn stats_body(state: &Arc<ServerState>) -> String {
     format!(
         "{{\"queue_depth\": {queue_depth}, \"queue_cap\": {}, \"accepted\": {}, \
 \"shed\": {}, \"in_flight_cells\": {}, \"cells_done\": {}, \"retries\": {}, \
-\"quarantined\": {}, \"jobs\": {{\"queued\": {queued}, \"running\": {running}, \
+\"quarantined\": {}, \"io_errors\": {}, \"jobs\": {{\"queued\": {queued}, \"running\": {running}, \
 \"completed\": {completed}, \"failed\": {failed}, \"interrupted\": {interrupted}}}, \
 \"cell_seconds\": {{\"count\": {cell_count}, \"mean\": {cell_mean:.6}, \
 \"sparkline\": \"{}\"}}, \"draining\": {}}}",
@@ -476,6 +484,7 @@ fn stats_body(state: &Arc<ServerState>) -> String {
         state.stats.cells_done.load(Ordering::SeqCst),
         state.stats.retries.load(Ordering::SeqCst),
         state.stats.quarantined.load(Ordering::SeqCst),
+        state.stats.io_errors.load(Ordering::SeqCst),
         escape(&spark),
         state.draining.load(Ordering::SeqCst),
     )
@@ -530,8 +539,9 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
     // Durability before acknowledgement: the 202 must survive a crash.
     {
         let mut manifest = state.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-        if manifest.record_job(&id, &canonical).is_err() {
+        if let Err(e) = manifest.record_job(&id, &canonical) {
             drop(manifest);
+            count_io_error(state, &id, "cannot record the accepted job", &e);
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.retain(|queued| queued != &id);
             drop(queue);
@@ -543,7 +553,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         }
     }
 
-    let total = spec.plan().len() as u64;
+    let total = spec.cell_count();
     let job = Arc::new(JobState {
         id: id.clone(),
         spec,
@@ -575,7 +585,10 @@ fn job_status_body(state: &Arc<ServerState>, id: &str) -> Vec<u8> {
         let status = job.status.lock().unwrap_or_else(PoisonError::into_inner);
         let reason = match &*status {
             JobStatus::Failed(reason) => format!(", \"reason\": \"{}\"", escape(reason)),
-            _ => String::new(),
+            JobStatus::Queued
+            | JobStatus::Running
+            | JobStatus::Completed
+            | JobStatus::Interrupted => String::new(),
         };
         (status.label(), reason)
     };
@@ -629,7 +642,7 @@ fn job_report_body(state: &Arc<ServerState>, id: &str) -> Vec<u8> {
             "Gone",
             format!("{{\"error\": \"{}\"}}", escape(&reason)),
         ),
-        _ => response(
+        JobStatus::Queued | JobStatus::Running | JobStatus::Interrupted => response(
             409,
             "Conflict",
             "application/json",
@@ -755,9 +768,21 @@ fn set_status(job: &Arc<JobState>, status: JobStatus) {
     *held = status;
 }
 
+/// Records a job's terminal outcome. A failed write leaves the job's
+/// status as it is; without the record, `--resume` runs the job again from
+/// its checkpoints.
 fn record_done(state: &Arc<ServerState>, id: &str, outcome: &str) {
     let mut manifest = state.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = manifest.record_done(id, outcome);
+    if let Err(e) = manifest.record_done(id, outcome) {
+        drop(manifest);
+        count_io_error(state, id, &format!("cannot record outcome `{outcome}`"), &e);
+    }
+}
+
+/// Logs a failed manifest write with its job id and counts it on `/stats`.
+fn count_io_error(state: &Arc<ServerState>, id: &str, what: &str, e: &std::io::Error) {
+    eprintln!("campaignd: job {id}: {what} in the manifest: {e}");
+    state.stats.io_errors.fetch_add(1, Ordering::SeqCst);
 }
 
 #[cfg(test)]
@@ -788,6 +813,76 @@ mod tests {
         let addr = server.local_addr().unwrap();
         assert!(addr.port() > 0);
         assert!(Manifest::path_in(&cfg.state_dir).exists());
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn a_failed_manifest_write_is_logged_and_counted() {
+        let cfg = temp_cfg("manifest-ro");
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        *server.state.manifest.lock().unwrap() =
+            Manifest::open_read_only(&cfg.state_dir).unwrap();
+        record_done(&server.state, "job-0000-00000000", "completed");
+        assert_eq!(server.state.stats.io_errors.load(Ordering::SeqCst), 1);
+        assert!(
+            stats_body(&server.state).contains("\"io_errors\": 1"),
+            "{}",
+            stats_body(&server.state)
+        );
+        assert!(load_manifest(&cfg.state_dir).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn resume_keeps_a_finished_job_over_the_cap_and_skips_an_unfinished_one() {
+        let cfg = DaemonConfig {
+            resume: true,
+            ..temp_cfg("resume-cap")
+        };
+        std::fs::create_dir_all(&cfg.state_dir).unwrap();
+        let over = JobSpec::from_object(
+            &parse_object(br#"{"kind": "resilience", "reps": 1}"#).unwrap(),
+        )
+        .map(|spec| JobSpec { reps: 500, ..spec })
+        .unwrap();
+        assert!(over.check_size().is_err());
+        let mut manifest = Manifest::open(&cfg.state_dir).unwrap();
+        manifest.record_job("job-finished", &over.canonical()).unwrap();
+        manifest.record_done("job-finished", "failed").unwrap();
+        manifest.record_job("job-unfinished", &over.canonical()).unwrap();
+        manifest.record_job("job-garbled", "{\"kind\": ").unwrap();
+        drop(manifest);
+
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let jobs = server.state.jobs.lock().unwrap();
+        let ids: Vec<&str> = jobs.keys().map(String::as_str).collect();
+        assert_eq!(ids, ["job-finished"]);
+        assert_eq!(jobs["job-finished"].spec, over);
+        assert!(matches!(
+            *jobs["job-finished"].status.lock().unwrap(),
+            JobStatus::Failed(_)
+        ));
+        drop(jobs);
+        assert!(server.state.queue.lock().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn an_oversized_job_is_rejected_before_it_is_recorded() {
+        let cfg = temp_cfg("oversized");
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let body = br#"{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": 4294967295}"#;
+        let mut raw = format!("POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
+            .into_bytes();
+        raw.extend_from_slice(body);
+        let Parse::Complete(req, _) = parse_request(&raw) else {
+            panic!("request parses");
+        };
+        let reply = String::from_utf8_lossy(&submit_job(&req, &server.state)).into_owned();
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        assert!(reply.contains("100000"), "{reply}");
+        assert!(load_manifest(&cfg.state_dir).unwrap().is_empty());
+        assert!(server.state.queue.lock().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 

@@ -19,6 +19,12 @@ use platform::SimResult;
 
 use crate::wire::{Object, Value};
 
+/// The most cells one job may plan, about five times Table IV. A spec over
+/// it is rejected from its `reps` before anything is planned or recorded,
+/// so an oversized submission is a 400 rather than an allocation that
+/// takes the daemon down (and, recorded, takes it down again on resume).
+pub const MAX_JOB_CELLS: u64 = 100_000;
+
 /// Which campaign family the job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -166,9 +172,21 @@ fn str_field<'a>(obj: &'a Object, key: &str) -> Result<Option<&'a str>, String> 
 }
 
 impl JobSpec {
-    /// Builds a spec from a parsed submission object; the error string is
-    /// what the client sees in the 400 body.
+    /// Builds a spec from a parsed submission object and rejects one over
+    /// [`MAX_JOB_CELLS`]; the error string is what the client sees in the
+    /// 400 body.
     pub fn from_object(obj: &Object) -> Result<Self, String> {
+        let spec = Self::from_recorded(obj)?;
+        spec.check_size()?;
+        Ok(spec)
+    }
+
+    /// Builds a spec from a manifest entry without the size cap. A resumed
+    /// daemon rebuilds a finished job's report from its WAL without
+    /// planning, so a job an older daemon accepted over the cap keeps its
+    /// report; an unfinished one is planned again, so it is checked with
+    /// [`check_size`](Self::check_size) first.
+    pub(crate) fn from_recorded(obj: &Object) -> Result<Self, String> {
         let kind = match str_field(obj, "kind")? {
             Some("attack") => {
                 let strategy = str_field(obj, "strategy")?
@@ -189,8 +207,9 @@ impl JobSpec {
             }
             _ => return Err("'kind' must be \"attack\" or \"resilience\"".to_string()),
         };
-        let reps = u32::try_from(uint_field(obj, "reps", 1)?.max(1))
-            .map_err(|_| "'reps' out of range".to_string())?;
+        let reps = u32::try_from(uint_field(obj, "reps", 1)?.max(1)).map_err(|_| {
+            format!("'reps' out of range: a job plans at most {MAX_JOB_CELLS} cells")
+        })?;
         let chaos = ChaosKnobs {
             panic_cells: pairs_field(obj, "panic_cells")?
                 .into_iter()
@@ -207,6 +226,29 @@ impl JobSpec {
             reps,
             chaos,
         })
+    }
+
+    /// Rejects a spec that would plan more than [`MAX_JOB_CELLS`] cells.
+    pub(crate) fn check_size(&self) -> Result<(), String> {
+        let cells = self.cell_count();
+        if cells > MAX_JOB_CELLS {
+            return Err(format!(
+                "job would plan {cells} cells, over the cap of {MAX_JOB_CELLS}; lower 'reps'"
+            ));
+        }
+        Ok(())
+    }
+
+    /// How many cells [`plan`](Self::plan) returns. Both plans are linear
+    /// in `reps`, so this plans one rep (12 or 216 cells) and scales it.
+    pub fn cell_count(&self) -> u64 {
+        let one_rep = Self {
+            kind: self.kind,
+            base_seed: self.base_seed,
+            reps: 1,
+            chaos: ChaosKnobs::default(),
+        };
+        one_rep.plan().len() as u64 * u64::from(self.reps)
     }
 
     /// Canonical single-line encoding: deterministic field order, parses
@@ -380,6 +422,20 @@ mod tests {
         let report = spec.report(&results);
         assert!(report.contains("\"bench\": \"resilience\""));
         assert!(report.ends_with("}\n"));
+    }
+
+    #[test]
+    fn cell_count_matches_the_plan_and_caps_reps() {
+        for body in [
+            &br#"{"kind": "resilience", "reps": 2}"#[..],
+            br#"{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": 3}"#,
+        ] {
+            let spec = JobSpec::from_object(&parse_object(body).unwrap()).unwrap();
+            assert_eq!(spec.cell_count(), spec.plan().len() as u64);
+        }
+        let over = parse_object(br#"{"kind": "resilience", "reps": 100000}"#).unwrap();
+        let err = JobSpec::from_object(&over).unwrap_err();
+        assert!(err.contains(&MAX_JOB_CELLS.to_string()), "{err}");
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct DaemonStats {
     pub quarantined: AtomicU64,
     /// Cell attempts currently executing on pool workers.
     pub in_flight: AtomicU64,
+    /// Manifest writes that failed; each is also logged to stderr with
+    /// its job id.
+    pub io_errors: AtomicU64,
     /// Wall-clock seconds per successful cell attempt, 0–1 s in 20 bins.
     pub cell_seconds: Mutex<Option<Histogram>>,
 }

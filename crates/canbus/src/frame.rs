@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A classic CAN 2.0A data frame: 11-bit identifier, up to 8 data bytes.
 ///
 /// Lower identifiers win bus arbitration, so safety-critical commands (like
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(frame.data()[1], 0x34);
 /// # Ok::<(), canbus::CanError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CanFrame {
     id: u16,
     dlc: u8,

@@ -1,12 +1,10 @@
 //! DBC-style signal layout: where a signal lives inside a frame and how its
 //! raw bits map to a physical value (`physical = raw * factor + offset`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::CanError;
 
 /// Bit ordering of a multi-byte signal, matching DBC conventions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ByteOrder {
     /// Intel / little-endian: `start_bit` is the signal's LSB; bits fill
     /// toward higher frame-bit positions.
@@ -19,7 +17,7 @@ pub enum ByteOrder {
 }
 
 /// One signal within a CAN message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Signal {
     /// Signal name, unique within its message.
     pub name: &'static str,
@@ -240,7 +238,7 @@ fn next_be(pos: u16) -> u16 {
 }
 
 /// A complete CAN message definition (DBC `BO_` entry).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageSpec {
     /// Frame identifier.
     pub id: u16,

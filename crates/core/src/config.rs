@@ -1,12 +1,11 @@
 //! Attack-engine configuration.
 
-use serde::{Deserialize, Serialize};
 use units::Seconds;
 
 use crate::{AttackType, RuleParams, StrategyKind};
 
 /// How attack values are chosen (paper Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueMode {
     /// Use the maximum limits defined in the ADAS software:
     /// `steer = 0.5°`, `brake = −4 m/s²`, `accel = 2.4 m/s²`. Passes the
@@ -21,7 +20,7 @@ pub enum ValueMode {
 }
 
 /// Full configuration of one attack campaign run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackConfig {
     /// Which output variables to corrupt (Table II).
     pub attack_type: AttackType,
@@ -59,7 +58,9 @@ impl AttackConfig {
     pub fn canonical_value_mode(strategy: StrategyKind) -> ValueMode {
         match strategy {
             StrategyKind::ContextAware => ValueMode::Strategic,
-            _ => ValueMode::Fixed,
+            StrategyKind::RandomStDur | StrategyKind::RandomSt | StrategyKind::RandomDur => {
+                ValueMode::Fixed
+            }
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Safety context inference: turning eavesdropped messages into the
 //! human-interpretable state variables of the safety specification.
 
-use serde::{Deserialize, Serialize};
 use units::{Distance, Seconds, Speed, Tick};
 
 use crate::eavesdrop::Eavesdropper;
@@ -11,7 +10,7 @@ use crate::eavesdrop::Eavesdropper;
 const HALF_WIDTH: Distance = Distance::meters(0.91);
 
 /// The inferred system context at one instant — the variables of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContextState {
     /// Ego speed (from GPS).
     pub v_ego: Speed,

@@ -17,14 +17,13 @@
 //! near the overspeed ceiling the injected value tapers so the *next-step*
 //! predicted speed never crosses `1.1 v_cruise`.
 
-use serde::{Deserialize, Serialize};
 use units::{limits, Accel, Angle, Speed, DT};
 
 use crate::{AttackAction, SteerDirection, ValueMode};
 
 /// The actuator values to inject this cycle. `None` leaves that actuator's
 /// frames untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackValues {
     /// Value for the gas message (`ACCEL_CMD`).
     pub accel: Option<Accel>,
@@ -35,7 +34,7 @@ pub struct AttackValues {
 }
 
 /// The Kalman-style one-step speed predictor of Eq. 2–3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedPredictor {
     v_hat: f64,
     gain: f64,
@@ -86,7 +85,7 @@ impl SpeedPredictor {
 }
 
 /// Computes injected values for the active attack actions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorruptionPolicy {
     mode: ValueMode,
     predictor: SpeedPredictor,

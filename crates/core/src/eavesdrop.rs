@@ -62,7 +62,9 @@ impl Eavesdropper {
                 Payload::ModelV2(m) => obs.lane = Some(m),
                 Payload::RadarState(r) => obs.radar = Some(r),
                 Payload::CarState(c) => obs.car_state = Some(c),
-                _ => {}
+                // `Payload` is `#[non_exhaustive]`, so a wildcard must
+                // follow the named variants.
+                Payload::CarControl(_) | Payload::ControlsState(_) | _ => {}
             }
         }
         obs

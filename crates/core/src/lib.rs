@@ -43,8 +43,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
-
 #![warn(missing_docs)]
 
 mod attack_type;

@@ -10,11 +10,10 @@
 //! Residuals are accumulated with a CUSUM statistic so brief sensor noise
 //! never alarms but a persistent deviation does.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Seconds, Speed, Tick, DT};
 
 /// Detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvariantConfig {
     /// First-order lag of the modelled longitudinal actuator.
     pub accel_tau: Seconds,
@@ -52,7 +51,7 @@ impl Default for InvariantConfig {
 /// The detector. Feed it, per control cycle, the command the ADAS issued
 /// (from `carControl`) and the measurements (speed from GPS, lateral offset
 /// from the lane model); it predicts the response and integrates residuals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlInvariantDetector {
     config: InvariantConfig,
     /// Modelled realised acceleration (first-order lag of the command).

@@ -50,8 +50,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
-
 #![warn(missing_docs)]
 
 mod ids;

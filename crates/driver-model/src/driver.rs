@@ -1,6 +1,5 @@
 //! The driver state machine: monitoring → reacting → engaged.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Distance, Speed, Tick};
 
 use crate::{brake_curve, DriverConfig};
@@ -29,7 +28,7 @@ pub struct Observation {
 /// What kind of anomaly the driver noticed — it shapes the response: a
 /// phantom hard brake is answered by releasing the pedals and resuming,
 /// everything else by a panic brake along Eq. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyKind {
     /// Braking harder than the ADAS envelope allows.
     UnexpectedBrake,
@@ -44,7 +43,7 @@ pub enum AnomalyKind {
 }
 
 /// The command issued by an engaged driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverCommand {
     /// Longitudinal command (panic brake per Eq. 4).
     pub accel: Accel,
@@ -53,7 +52,7 @@ pub struct DriverCommand {
 }
 
 /// Where the driver is in the perceive–react–act pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverPhase {
     /// Hands off, monitoring.
     Monitoring,
@@ -74,7 +73,7 @@ pub enum DriverPhase {
 }
 
 /// The simulated human driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Driver {
     config: DriverConfig,
     phase: DriverPhase,
@@ -118,7 +117,7 @@ impl Driver {
     pub fn engaged_at(&self) -> Option<Tick> {
         match self.phase {
             DriverPhase::Engaged { engaged_at, .. } => Some(engaged_at),
-            _ => None,
+            DriverPhase::Monitoring | DriverPhase::Reacting { .. } => None,
         }
     }
 
@@ -216,7 +215,7 @@ impl Driver {
         self.prev_offset = Some(obs.lane_offset);
         let (engaged_at, anomaly) = match self.phase {
             DriverPhase::Engaged { engaged_at, anomaly } => (engaged_at, anomaly),
-            _ => (now, AnomalyKind::AdasAlert),
+            DriverPhase::Monitoring | DriverPhase::Reacting { .. } => (now, AnomalyKind::AdasAlert),
         };
         // A phantom hard brake is answered by releasing the brake and
         // resuming normal driving. Everything else starts with a panic
@@ -226,7 +225,10 @@ impl Driver {
         // "stops in the middle of a lane", its source of new hazards).
         let accel = match anomaly {
             AnomalyKind::UnexpectedBrake => self.manual_drive(obs),
-            _ => {
+            AnomalyKind::UnexpectedAccel
+            | AnomalyKind::UnexpectedSteer
+            | AnomalyKind::Overspeed
+            | AnomalyKind::AdasAlert => {
                 if self.released {
                     self.manual_drive(obs)
                 } else {

@@ -1,13 +1,12 @@
 //! Collision and lane-invasion detection (CARLA's collision and
 //! `lane_invasion` sensors).
 
-use serde::{Deserialize, Serialize};
 use units::Distance;
 
 use crate::Road;
 
 /// What the ego vehicle collided with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollisionKind {
     /// Rear-ended the lead vehicle (the paper's accident A1).
     LeadVehicle,
@@ -22,7 +21,7 @@ pub enum CollisionKind {
 /// CARLA emits one `lane_invasion` event when a tire touches a lane marking;
 /// re-triggering requires returning fully inside the lane first. The paper
 /// counts these per second (0.46/s even without attacks, Observation 1).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaneInvasionTracker {
     invading: bool,
     events: u64,

@@ -2,14 +2,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use units::{Accel, Distance, Seconds, Speed, Tick, DT};
 
 use crate::OrnsteinUhlenbeck;
 
 /// Scripted longitudinal behaviour of the lead vehicle, matching the paper's
 /// driving scenarios (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LeadBehavior {
     /// Cruise at a constant speed (S1: 35 mph, S2: 50 mph).
     Cruise(Speed),

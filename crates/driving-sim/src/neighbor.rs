@@ -7,11 +7,10 @@
 //! across the left line at speed has a good chance of clipping a convoy
 //! member, while a slow, shallow incursion usually slots into a gap.
 
-use serde::{Deserialize, Serialize};
 use units::{Distance, Seconds, Speed};
 
 /// An infinite, evenly-spaced convoy cruising in the left neighbour lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborTraffic {
     /// Lateral position of the convoy's lane centre.
     pub lane_center: Distance,

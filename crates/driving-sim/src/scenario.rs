@@ -3,7 +3,6 @@
 //! "The Ego vehicle, cruising at 60 mph from 50, 70, or 100 meters away,
 //! approaches a lead vehicle with different behaviors."
 
-use serde::{Deserialize, Serialize};
 use units::{Distance, Seconds, Speed};
 
 use crate::LeadBehavior;
@@ -12,7 +11,7 @@ use crate::LeadBehavior;
 pub const INITIAL_GAPS: [f64; 3] = [50.0, 70.0, 100.0];
 
 /// The four lead-vehicle behaviours of §IV-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioId {
     /// Lead cruises at 35 mph.
     S1,
@@ -59,7 +58,7 @@ impl ScenarioId {
 }
 
 /// A fully-specified driving scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Which lead behaviour to run.
     pub id: ScenarioId,

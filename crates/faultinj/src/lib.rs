@@ -24,7 +24,6 @@
 //! See `EXPERIMENTS.md` ("Resilience campaigns") for the fault grammar.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -1,6 +1,6 @@
 //! Interval abstract interpretation over the lowered IR — rules R9–R11.
 //!
-//! The lexical (R1–R5) and syntactic/taint (R6–R8) layers check *shape*;
+//! The lexical (R1, R3) and syntactic/taint (R6, R7) layers check *shape*;
 //! this layer checks *numbers*. Every function body lowered by
 //! [`crate::ir`] is evaluated over an abstract domain of closed `f64`
 //! intervals with a separate may-be-NaN flag, and three rule families read
@@ -203,7 +203,7 @@ impl AbsVal {
 }
 
 /// Bitwise interval equality — fixpoint detection must not use float `==`
-/// semantics (R4 applies to the linter's own source).
+/// semantics (clippy's `float_cmp` applies to the linter's own source).
 fn iv_bits_eq(a: Interval, b: Interval) -> bool {
     a.lo.to_bits() == b.lo.to_bits() && a.hi.to_bits() == b.hi.to_bits()
 }

@@ -4,7 +4,7 @@
 //! workspace root) holding one entry per accepted pre-existing finding:
 //!
 //! ```text
-//! R2<TAB>crates/foo/src/bar.rs<TAB>normalized offending line
+//! R3<TAB>crates/foo/src/bar.rs<TAB>normalized offending line
 //! ```
 //!
 //! Matching is by `(rule, file, normalized snippet)` rather than line
@@ -140,8 +140,8 @@ mod tests {
     #[test]
     fn roundtrip_and_multiset_matching() {
         let diags = vec![
-            d(Rule::PanicFreedom, "a.rs", "x.unwrap();"),
-            d(Rule::PanicFreedom, "a.rs", "x.unwrap();"),
+            d(Rule::ActuatorContainment, "a.rs", "c.accel = a;"),
+            d(Rule::ActuatorContainment, "a.rs", "c.accel = a;"),
         ];
         let text = render(&diags);
         let mut b = Baseline::parse(&text).unwrap();
@@ -153,19 +153,20 @@ mod tests {
 
     #[test]
     fn whitespace_churn_still_matches() {
-        let text = "R2\ta.rs\tlet x =   y[0];\n";
+        let text = "R3\ta.rs\tc.accel   =  a;\n";
         let mut b = Baseline::parse(text).unwrap();
-        assert!(b.matches(&d(Rule::PanicFreedom, "a.rs", "let x = y[0];")));
+        assert!(b.matches(&d(Rule::ActuatorContainment, "a.rs", "c.accel = a;")));
     }
 
     #[test]
     fn unknown_rule_is_an_error() {
         assert!(Baseline::parse("R99\ta.rs\tx\n").is_err());
+        assert!(Baseline::parse("R2\ta.rs\tx.unwrap();\n").is_err(), "R2 is retired");
     }
 
     #[test]
     fn unused_entries_are_reported() {
-        let b = Baseline::parse("R2\tgone.rs\tx.unwrap();\n").unwrap();
+        let b = Baseline::parse("R3\tgone.rs\tc.accel = a;\n").unwrap();
         assert_eq!(b.unused().len(), 1);
     }
 }

@@ -27,8 +27,10 @@ use std::path::{Path, PathBuf};
 /// lock-event facts for the concurrency/alloc layer, R12–R14. v5: the
 /// campaignd crate joined the scan scope and the R7 root set — scope
 /// tables are not part of the config fingerprint, so the version bump is
-/// what invalidates verdicts computed under the old scope.)
-pub const FORMAT_VERSION: u32 = 5;
+/// what invalidates verdicts computed under the old scope. v6: R2, R4, R5
+/// and R8 moved to clippy, and suppression sites carry the ids they name
+/// that are no rule.)
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Flattened R12–R14 rule tables, folded into the config fingerprint:
 /// editing a lock-boundary, merge-sink, or allocating-API table must
@@ -74,15 +76,25 @@ pub fn scan_key(content: u64, config: u64) -> u64 {
 pub struct SuppressionSite {
     /// 1-based line the suppression applies to.
     pub line: usize,
-    /// Covered rules; empty means all.
+    /// Covered rules; empty (with no `unknown` ids) means all.
     pub rules: Vec<Rule>,
+    /// Named ids that are no rule; they cover nothing.
+    pub unknown: Vec<String>,
+}
+
+impl SuppressionSite {
+    /// Whether this site covers `rule`.
+    pub fn covers(&self, rule: Rule) -> bool {
+        crate::tokenizer::allow_covers(&self.rules, &self.unknown, rule)
+    }
 }
 
 /// Everything the workspace pass needs from one file — the unit of
 /// caching.
 #[derive(Debug, Clone, Default)]
 pub struct FileAnalysis {
-    /// Raw local findings (R1–R5, R8), before suppression filtering.
+    /// Raw local findings (R1, R3 and the local halves of R12/R14), before
+    /// suppression filtering.
     pub raw_diags: Vec<Diagnostic>,
     /// Inline suppression sites.
     pub suppressions: Vec<SuppressionSite>,
@@ -166,7 +178,12 @@ pub fn serialize(rel: &str, hash: u64, a: &FileAnalysis) -> String {
         } else {
             s.rules.iter().map(|r| r.id()).collect::<Vec<_>>().join(",")
         };
-        out.push_str(&format!("supp\t{}\t{rules}\n", s.line));
+        let unknown = if s.unknown.is_empty() {
+            "-".to_string()
+        } else {
+            s.unknown.iter().map(|u| esc(u)).collect::<Vec<_>>().join(",")
+        };
+        out.push_str(&format!("supp\t{}\t{rules}\t{unknown}\n", s.line));
     }
     for f in &a.fns {
         out.push_str(&format!(
@@ -275,9 +292,14 @@ pub fn deserialize(text: &str, rel: &str, hash: u64) -> Option<FileAnalysis> {
                 } else {
                     spec.split(',').map(Rule::parse).collect::<Option<Vec<_>>>()?
                 };
+                let unknown = match parts.next()? {
+                    "-" => Vec::new(),
+                    ids => ids.split(',').map(unesc).collect(),
+                };
                 a.suppressions.push(SuppressionSite {
                     line: line_no,
                     rules,
+                    unknown,
                 });
             }
             "fn" => {
@@ -392,21 +414,28 @@ mod tests {
     fn sample() -> FileAnalysis {
         FileAnalysis {
             raw_diags: vec![Diagnostic {
-                rule: Rule::PanicFreedom,
+                rule: Rule::ActuatorContainment,
                 severity: Severity::Error,
                 file: "crates/a/src/lib.rs".into(),
                 line: 3,
-                snippet: "x.unwrap()\twith tab".into(),
-                message: "panics\nbadly".into(),
+                snippet: "c.accel = a;\twith tab".into(),
+                message: "writes\nbadly".into(),
             }],
             suppressions: vec![
                 SuppressionSite {
                     line: 7,
-                    rules: vec![Rule::UnitSafety, Rule::FloatHygiene],
+                    rules: vec![Rule::UnitSafety, Rule::ActuatorContainment],
+                    unknown: vec!["R4".into()],
+                },
+                SuppressionSite {
+                    line: 8,
+                    rules: Vec::new(),
+                    unknown: vec!["R2".into(), "typo\twith tab".into()],
                 },
                 SuppressionSite {
                     line: 9,
                     rules: Vec::new(),
+                    unknown: Vec::new(),
                 },
             ],
             fns: vec![FnDef {
@@ -473,8 +502,8 @@ mod tests {
         let text = serialize("crates/a/src/lib.rs", 0xdead_beef, &a);
         let b = deserialize(&text, "crates/a/src/lib.rs", 0xdead_beef).expect("roundtrip");
         assert_eq!(b.raw_diags.len(), 1);
-        assert_eq!(b.raw_diags[0].snippet, "x.unwrap()\twith tab");
-        assert_eq!(b.raw_diags[0].message, "panics\nbadly");
+        assert_eq!(b.raw_diags[0].snippet, "c.accel = a;\twith tab");
+        assert_eq!(b.raw_diags[0].message, "writes\nbadly");
         assert_eq!(b.suppressions, a.suppressions);
         assert_eq!(b.fns.len(), 1);
         assert_eq!(b.fns[0].qual, "Harness::step");
@@ -520,7 +549,7 @@ mod tests {
         let mut reversed = all.clone();
         reversed.reverse();
         assert_eq!(config_fingerprint(&all), config_fingerprint(&reversed));
-        let subset = vec![Rule::PanicFreedom, Rule::FloatHygiene];
+        let subset = vec![Rule::UnitSafety, Rule::ActuatorContainment];
         assert_ne!(config_fingerprint(&all), config_fingerprint(&subset));
     }
 
@@ -528,7 +557,7 @@ mod tests {
     fn scan_key_separates_configs_for_same_content() {
         let content = content_hash(b"fn f() {}");
         let a = scan_key(content, config_fingerprint(&crate::diag::ALL_RULES));
-        let b = scan_key(content, config_fingerprint(&[Rule::PanicFreedom]));
+        let b = scan_key(content, config_fingerprint(&[Rule::UnitSafety]));
         assert_ne!(a, b);
     }
 

@@ -1,10 +1,11 @@
 //! The cross-file call graph and R7: transitive panic freedom.
 //!
-//! R2 proves "no panic *token* in this file" for the safety-path crates;
-//! R7 upgrades that to "no call *path* from a steady-state root
-//! ([`R7_ROOTS`]: the tick, the pool worker loop, the daemon's loops)
-//! reaches a panicking function", whatever crate the function lives in. The graph is
-//! name-based and crate-closure-filtered (see [`crate::symbols`]), which
+//! Clippy's `unwrap_used`/`expect_used`/`panic` lints prove "no panic
+//! *token* in this file" for the safety-path crates; R7 upgrades that to
+//! "no call *path* from a steady-state root ([`R7_ROOTS`]: the tick, the
+//! pool worker loop, the daemon's loops) reaches a panicking function",
+//! whatever crate the function lives in. The graph is name-based and
+//! crate-closure-filtered (see [`crate::symbols`]), which
 //! over-approximates reachability: a reported chain might not be
 //! executable, but an *absent* chain is a real guarantee, which is the
 //! direction a safety gate must err in. Calls that resolve to nothing

@@ -2,26 +2,20 @@
 
 use std::fmt;
 
-/// The safety invariants adas-lint enforces.
+/// The safety invariants adas-lint enforces. The IDs R2, R4, R5 and R8 are
+/// retired, never reused: panic-freedom, float equality, wall-clock types
+/// and wildcard enum arms are clippy lints configured in the workspace
+/// `Cargo.toml` and `clippy.toml`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// R1 — public APIs of the safety-path crates must pass speeds,
     /// distances, angles, and accelerations as `units::` newtypes, not raw
     /// `f64`/`f32`.
     UnitSafety,
-    /// R2 — no `unwrap()` / `expect()` / `panic!` / array indexing in
-    /// non-test library code of the safety-path crates.
-    PanicFreedom,
     /// R3 — direct writes to gas/brake/steer command fields only inside
     /// `openadas::safety`, `openadas::controls`, and the attack engine's
     /// designated mutation points.
     ActuatorContainment,
-    /// R4 — no `==`/`!=` on floats and no NaN-unchecked
-    /// `partial_cmp().unwrap()` in control code.
-    FloatHygiene,
-    /// R5 — no wall-clock time or entropy-seeded RNG construction outside
-    /// the benchmark harness; everything else must stay replayable.
-    Determinism,
     /// R6 — cross-file taint flow: attack values are clamped at birth,
     /// reach CAN bytes only through the audited `Injector` choke point,
     /// and the ADAS side never calls back into the attack crate.
@@ -29,10 +23,6 @@ pub enum Rule {
     /// R7 — transitive panic freedom: no call path from `Harness::step`
     /// reaches a panicking function, in any crate.
     TransitivePanic,
-    /// R8 — no wildcard `_ =>` arms when matching the safety-critical
-    /// enums (attack types, alerts, hazards); adding a variant must be a
-    /// compile-time event, not a silently-ignored runtime one.
-    EnumExhaustiveness,
     /// R9 — every value flowing into an actuator `encode` call is provably
     /// bounded (by interval abstract interpretation) within the physical
     /// limits declared in `units::limits`.
@@ -62,15 +52,11 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 14] = [
+pub const ALL_RULES: [Rule; 10] = [
     Rule::UnitSafety,
-    Rule::PanicFreedom,
     Rule::ActuatorContainment,
-    Rule::FloatHygiene,
-    Rule::Determinism,
     Rule::TaintFlow,
     Rule::TransitivePanic,
-    Rule::EnumExhaustiveness,
     Rule::EnvelopeSoundness,
     Rule::ThresholdConsistency,
     Rule::ClampHygiene,
@@ -80,17 +66,13 @@ pub const ALL_RULES: [Rule; 14] = [
 ];
 
 impl Rule {
-    /// Short identifier (`R1`…`R5`).
+    /// Short identifier (`R1`…`R14`).
     pub fn id(self) -> &'static str {
         match self {
             Rule::UnitSafety => "R1",
-            Rule::PanicFreedom => "R2",
             Rule::ActuatorContainment => "R3",
-            Rule::FloatHygiene => "R4",
-            Rule::Determinism => "R5",
             Rule::TaintFlow => "R6",
             Rule::TransitivePanic => "R7",
-            Rule::EnumExhaustiveness => "R8",
             Rule::EnvelopeSoundness => "R9",
             Rule::ThresholdConsistency => "R10",
             Rule::ClampHygiene => "R11",
@@ -104,13 +86,9 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnitSafety => "unit-safety",
-            Rule::PanicFreedom => "panic-freedom",
             Rule::ActuatorContainment => "actuator-containment",
-            Rule::FloatHygiene => "float-hygiene",
-            Rule::Determinism => "determinism",
             Rule::TaintFlow => "taint-flow",
             Rule::TransitivePanic => "transitive-panic",
-            Rule::EnumExhaustiveness => "enum-exhaustiveness",
             Rule::EnvelopeSoundness => "envelope-soundness",
             Rule::ThresholdConsistency => "threshold-consistency",
             Rule::ClampHygiene => "clamp-hygiene",
@@ -126,26 +104,14 @@ impl Rule {
             Rule::UnitSafety => {
                 "public APIs of safety-path crates take units:: newtypes, not raw f64"
             }
-            Rule::PanicFreedom => {
-                "no unwrap()/expect()/panic!/array-index in non-test safety-path library code"
-            }
             Rule::ActuatorContainment => {
                 "gas/brake/steer command fields written only in designated modules"
-            }
-            Rule::FloatHygiene => {
-                "no float ==/!= and no NaN-unchecked partial_cmp().unwrap() in control code"
-            }
-            Rule::Determinism => {
-                "no wall-clock time or entropy-seeded RNGs outside the bench harness"
             }
             Rule::TaintFlow => {
                 "attack values clamped at birth and routed to CAN bytes only via the Injector choke point"
             }
             Rule::TransitivePanic => {
                 "no call path from Harness::step reaches a panicking function, in any crate"
-            }
-            Rule::EnumExhaustiveness => {
-                "no wildcard _ => arms when matching safety-critical enums"
             }
             Rule::EnvelopeSoundness => {
                 "every actuator-bound value provably inside units::limits physical bounds"
@@ -168,7 +134,7 @@ impl Rule {
         }
     }
 
-    /// Parses `R2` / `r2` / `panic-freedom` style names.
+    /// Parses `R3` / `r3` / `actuator-containment` style names.
     pub fn parse(s: &str) -> Option<Rule> {
         let s = s.trim();
         ALL_RULES
@@ -280,7 +246,10 @@ mod tests {
             assert_eq!(Rule::parse(r.name()), Some(r));
             assert_eq!(Rule::parse(&r.id().to_lowercase()), Some(r));
         }
-        assert_eq!(Rule::parse("R15"), None);
+        // R2, R4, R5 and R8 moved to clippy; their IDs are not reused.
+        for retired in ["R2", "R4", "R5", "R8", "R15", "panic-freedom"] {
+            assert_eq!(Rule::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]
@@ -291,15 +260,15 @@ mod tests {
     #[test]
     fn human_render_contains_location() {
         let d = Diagnostic {
-            rule: Rule::PanicFreedom,
+            rule: Rule::ActuatorContainment,
             severity: Severity::Error,
             file: "crates/openadas/src/adas.rs".into(),
             line: 42,
-            snippet: "x.unwrap()".into(),
-            message: "`.unwrap()` in safety-path library code".into(),
+            snippet: "self.cmd.steer_cmd = 400.0;".into(),
+            message: "write to actuator command field `.steer_cmd`".into(),
         };
         let h = d.render_human();
-        assert!(h.contains("error[R2/panic-freedom]"));
+        assert!(h.contains("error[R3/actuator-containment]"));
         assert!(h.contains("crates/openadas/src/adas.rs:42"));
     }
 }

@@ -4,19 +4,15 @@
 //! ADAS attacks succeed precisely by keeping corrupted values *inside* the
 //! safety-check envelope, so the reproduction's own safety layer, unit
 //! handling, and determinism guarantees are machine-checked rather than
-//! convention-checked. Fourteen rules run over every workspace `.rs` file:
+//! convention-checked. Ten rules run over every workspace `.rs` file:
 //!
 //! | Rule | Name                  | Invariant                                            |
 //! |------|-----------------------|------------------------------------------------------|
 //! | R1   | `unit-safety`         | public APIs use `units::` newtypes, not raw `f64`    |
-//! | R2   | `panic-freedom`       | no `unwrap`/`expect`/`panic!`/indexing in safety path|
 //! | R3   | `actuator-containment`| actuator command writes only in designated modules   |
-//! | R4   | `float-hygiene`       | no float `==`, no NaN-unchecked `partial_cmp`        |
-//! | R5   | `determinism`         | no wall clock / entropy RNGs outside the bench rig   |
 //! | R6   | `taint-flow`          | attack values clamped at birth, sinks only via the   |
 //! |      |                       | `Injector` choke point, no ADAS→attack back-flow     |
 //! | R7   | `transitive-panic`    | no call path from `Harness::step` reaches a panic    |
-//! | R8   | `enum-exhaustiveness` | no `_ =>` arms over safety-critical enums            |
 //! | R9   | `envelope-soundness`  | values at actuator encode sinks provably inside the  |
 //! |      |                       | physical limits (interval abstract interpretation)   |
 //! | R10  | `threshold-consistency`| gate/IDS/escalation constants mutually consistent,  |
@@ -28,7 +24,12 @@
 //! | R14  | `shared-state-determinism` | no `static mut`, no env-latching `OnceLock`,    |
 //! |      |                       | campaign merges by index, never completion order     |
 //!
-//! The analysis is layered: the **lexical** layer (R1–R5, R8) runs over
+//! The IDs R2, R4, R5 and R8 are retired. Clippy checks those invariants
+//! (panic-freedom, float equality, wall-clock reads, wildcard enum arms)
+//! from the lint configuration in the workspace `Cargo.toml` and
+//! `clippy.toml`.
+//!
+//! The analysis is layered: the **lexical** layer (R1, R3) runs over
 //! masked lines; the **taint/callgraph** layer (R6/R7) over a parsed
 //! symbol table and cross-file call graph ([`parser`], [`symbols`],
 //! [`callgraph`], [`taint`]); the **numeric** layer (R9–R11) does interval
@@ -43,12 +44,11 @@
 //! `// adas-lint: allow(<rule>, reason = "…")` comment for sites that are
 //! correct by construction, or the checked-in `lint-baseline.txt` for
 //! grandfathered code. Both are themselves checked: a suppression that
-//! absorbs nothing and a baseline entry whose site is gone each fail the
-//! gate. The `tests/lint_clean.rs` integration test runs the scan under
-//! `cargo test`.
+//! absorbs nothing, a suppression naming an id that is no rule, and a
+//! baseline entry whose site is gone each fail the gate. The
+//! `tests/lint_clean.rs` integration test runs the scan under `cargo test`.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
 
 pub mod absint;
 pub mod allocpath;
@@ -163,15 +163,48 @@ impl ScanReport {
 }
 
 /// Scans one source text as if it lived at `rel_path`. Per-file rules only
-/// (R1–R5, R8); inline suppressions are honored, no baseline. This is the
-/// entry point single-file tests use to prove rules fire.
+/// (R1, R3, and the local halves of R12/R14); inline suppressions are
+/// honored, no baseline. This is the entry point single-file tests use to
+/// prove rules fire.
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let info = classify(rel_path);
     let file = tokenizer::tokenize(source);
     let facts = parser::parse(&file);
     let mut out = rules::local_rules(&info, &file, &facts);
     out.retain(|d| !file.is_suppressed(d.line, d.rule));
+    out.extend(unknown_rule_findings(&info.rel, &rules::suppression_sites(&file)));
     out
+}
+
+/// The rule a finding about a suppression comment is filed under: the
+/// first rule the comment names, or R1, first in report order, for a
+/// comment that names none.
+fn filed_under(site: &cache::SuppressionSite) -> Rule {
+    site.rules.first().copied().unwrap_or(ALL_RULES[0])
+}
+
+/// One active error per id a suppression names that is no rule (retired
+/// or misspelled). Such an id covers nothing, and the finding itself is
+/// never suppressible, so a stale id can neither widen an allow into a
+/// blanket one nor hide behind it.
+fn unknown_rule_findings(file: &str, sites: &[cache::SuppressionSite]) -> Vec<Diagnostic> {
+    sites
+        .iter()
+        .flat_map(|site| {
+            site.unknown.iter().map(move |id| Diagnostic {
+                rule: filed_under(site),
+                severity: Severity::Error,
+                file: file.to_string(),
+                line: site.line,
+                snippet: format!("adas-lint: allow({id})"),
+                message: format!(
+                    "suppression names `{id}`, which is no adas-lint rule, so it \
+                     suppresses nothing; name a rule from --list-rules or remove it \
+                     (R2, R4, R5 and R8 are clippy lints now: use `#[allow(clippy::…)]`)"
+                ),
+            })
+        })
+        .collect()
 }
 
 /// Scans an in-memory multi-file set: per-file rules, the cross-file
@@ -194,6 +227,7 @@ pub fn scan_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
                 .into_iter()
                 .filter(|d| !file.is_suppressed(d.line, d.rule)),
         );
+        out.extend(unknown_rule_findings(&info.rel, &rules::suppression_sites(&file)));
         if scope::needs_ir(&info) {
             semfiles.push(absint::SemFile::new(
                 info.rel.clone(),
@@ -368,6 +402,9 @@ pub fn scan_workspace_with(
     let mut sites: Vec<(String, cache::SuppressionSite, bool)> = Vec::new();
     let mut sites_by_file: HashMap<&str, Vec<usize>> = HashMap::new();
     for (info, a) in &analyses {
+        report
+            .active
+            .extend(unknown_rule_findings(&info.rel, &a.suppressions));
         for s in &a.suppressions {
             sites_by_file
                 .entry(info.rel.as_str())
@@ -387,7 +424,7 @@ pub fn scan_workspace_with(
         if let Some(idxs) = sites_by_file.get(d.file.as_str()) {
             for &i in idxs {
                 let (_, site, used) = &mut sites[i];
-                if site.line == d.line && (site.rules.is_empty() || site.rules.contains(&d.rule)) {
+                if site.line == d.line && site.covers(d.rule) {
                     *used = true;
                     absorbed = true;
                     break;
@@ -408,7 +445,8 @@ pub fn scan_workspace_with(
     // simply not have been computed this run.
     let full = opts.full_rule_set();
     for (file, site, used) in sites {
-        if used || !full {
+        // A site naming only unknown ids is reported above, not as dead.
+        if used || !full || (site.rules.is_empty() && !site.unknown.is_empty()) {
             continue;
         }
         let claimed = if site.rules.is_empty() {
@@ -421,9 +459,7 @@ pub fn scan_workspace_with(
                 .join(", ")
         };
         report.dead_suppressions.push(Diagnostic {
-            // A blanket allow has no single rule to attribute; R2 is the
-            // rule suppressions most commonly excuse.
-            rule: site.rules.first().copied().unwrap_or(Rule::PanicFreedom),
+            rule: filed_under(&site),
             severity: Severity::Warning,
             file,
             line: site.line,
@@ -481,10 +517,34 @@ mod tests {
     fn scan_source_fires_on_injected_violation() {
         let d = scan_source(
             "crates/openadas/src/injected.rs",
-            "pub fn set(&mut self, speed: f64) { self.v.unwrap(); }\n",
+            "pub fn set(&mut self, speed: f64) { self.cmd.steer = speed; }\n",
         );
         assert!(d.iter().any(|d| d.rule == Rule::UnitSafety));
-        assert!(d.iter().any(|d| d.rule == Rule::PanicFreedom));
+        assert!(d.iter().any(|d| d.rule == Rule::ActuatorContainment));
+    }
+
+    #[test]
+    fn retired_rule_id_in_an_allow_is_a_finding_not_a_blanket_allow() {
+        let d = scan_source(
+            "crates/openadas/src/injected.rs",
+            "// adas-lint: allow(R4, reason = \"float-hygiene is clippy's now\")\n\
+             pub fn set(&mut self, speed: f64) {}\n",
+        );
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(|d| d.line == 2 && d.severity == Severity::Error));
+        assert!(d.iter().any(|d| d.message.contains("raw float")), "{d:?}");
+        assert!(
+            d.iter().any(|d| d.message.contains("`R4`") && d.snippet.contains("allow(R4)")),
+            "{d:?}"
+        );
+        // Naming the finding's own rule next to the unknown id absorbs the
+        // finding, but not the report about the unknown id.
+        let d = scan_source(
+            "crates/openadas/src/injected.rs",
+            "pub fn set(&mut self, speed: f64) {} // adas-lint: allow(R1, R8)\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`R8`"), "{d:?}");
     }
 
     #[test]

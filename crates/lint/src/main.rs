@@ -45,7 +45,7 @@ const USAGE: &str = "adas-lint — safety-invariant static analysis for this wor
 USAGE:
     adas-lint [--root DIR] [--format human|json|sarif] [--baseline FILE]
               [--no-baseline] [--write-baseline] [--list-rules] [--list-files]
-              [--rules R1,R2,...] [--sarif-out FILE] [--lock-graph-dot FILE]
+              [--rules R1,R3,...] [--sarif-out FILE] [--lock-graph-dot FILE]
               [--no-cache] [--cache-dir DIR] [--timings]
 
 OPTIONS:
@@ -232,8 +232,9 @@ fn main() -> ExitCode {
         None
     };
 
-    // The lint crate is R5-exempt tooling: measuring its own wall-time is
-    // the point of --timings.
+    // The lint crate is tooling, exempt from clippy's wall-clock ban
+    // (`disallowed_types`, `disallowed_methods`): measuring its own
+    // wall-time is the point of --timings.
     let t0 = std::time::Instant::now();
     let report = match scan_workspace_with(&opts.root, baseline, &opts.scan) {
         Ok(r) => r,

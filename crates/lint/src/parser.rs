@@ -1,14 +1,13 @@
 //! A token-tree/item parser on top of the masking tokenizer.
 //!
 //! This is deliberately **not** a Rust grammar. The cross-file rules
-//! (R6 taint flow, R7 transitive panic freedom, R8 safety-enum
-//! exhaustiveness) only need to know, per file:
+//! (R6 taint flow, R7 transitive panic freedom, R12–R14 locks and
+//! allocation) only need to know, per file:
 //!
 //! * which functions are defined (free functions and `impl` methods, with
 //!   their return-type text and whether they live in test code),
-//! * which calls, macro invocations, panic primitives, and field accesses
-//!   each function body contains,
-//! * which `match` expressions exist and what their arm patterns look like,
+//! * which calls, macro invocations, panic primitives, field accesses and
+//!   lock events each function body contains,
 //! * which `enum`s are declared.
 //!
 //! Everything is extracted from the tokenizer's *masked* lines, so string
@@ -141,34 +140,6 @@ pub struct FnDef {
     pub locks: Vec<LockEvent>,
 }
 
-/// One arm of a `match`.
-#[derive(Debug, Clone)]
-pub struct Arm {
-    /// 1-based line the pattern starts on.
-    pub line: usize,
-    /// Pattern text (tokens joined with spaces), guard included.
-    pub pat: String,
-    /// Whether the pattern is a bare `_` (optionally guarded).
-    pub wildcard: bool,
-    /// `Enum::Variant` path heads appearing in the pattern (the `Enum`
-    /// part), deduplicated.
-    pub enum_heads: Vec<String>,
-}
-
-/// One `match` expression with its arms (innermost ownership: arms of a
-/// nested match belong to the nested fact, not the enclosing one).
-#[derive(Debug, Clone)]
-pub struct MatchFact {
-    /// 1-based line of the `match` keyword.
-    pub line: usize,
-    /// Scrutinee text (tokens joined with spaces).
-    pub scrutinee: String,
-    /// The arms, in order.
-    pub arms: Vec<Arm>,
-    /// Whether the match sits in test code.
-    pub is_test: bool,
-}
-
 /// A declared `enum` and its variants.
 #[derive(Debug, Clone)]
 pub struct EnumDef {
@@ -185,8 +156,6 @@ pub struct EnumDef {
 pub struct FileFacts {
     /// Function definitions, in source order.
     pub fns: Vec<FnDef>,
-    /// Match expressions, innermost-ownership.
-    pub matches: Vec<MatchFact>,
     /// Enum declarations.
     pub enums: Vec<EnumDef>,
     /// Struct names declared in the file.
@@ -199,10 +168,10 @@ const NON_CALL_KEYWORDS: [&str; 12] = [
 ];
 
 /// The explicit panic primitives R7 tracks. Indexing is deliberately not
-/// in this set: it stays a *lexical* obligation (R2) inside the safety-path
-/// crates, where bounds are short and reviewable, because a call-chain
-/// report for every fixed-size array access in the plant model would bury
-/// the real findings.
+/// in this set: it stays a per-file obligation (clippy's
+/// `indexing_slicing`) inside the safety-path crates, where bounds are
+/// short and reviewable, because a call-chain report for every fixed-size
+/// array access in the plant model would bury the real findings.
 pub const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 /// Method calls that panic on `None`/`Err`.
 pub const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
@@ -379,7 +348,7 @@ pub fn parse(src: &SourceFile) -> FileFacts {
                 i = next;
             }
             "fn" => {
-                let (def, next) = parse_fn(&toks, i, &impl_stack, saw_pub, &in_test, &mut facts);
+                let (def, next) = parse_fn(&toks, i, &impl_stack, saw_pub, &in_test);
                 if let Some(def) = def {
                     facts.fns.push(def);
                 }
@@ -521,7 +490,6 @@ fn parse_fn(
     impl_stack: &[(String, i64)],
     is_pub: bool,
     in_test: &dyn Fn(usize) -> bool,
-    facts: &mut FileFacts,
 ) -> (Option<FnDef>, usize) {
     let Some(name) = toks.get(fn_idx + 1).filter(|t| t.is_word) else {
         return (None, fn_idx + 1);
@@ -587,13 +555,6 @@ fn parse_fn(
     };
     scan_flat(toks, body_start + 1, body_end.saturating_sub(1), &mut def);
     scan_locks(toks, body_start + 1, body_end.saturating_sub(1), &mut def);
-    scan_matches(
-        toks,
-        body_start + 1,
-        body_end.saturating_sub(1),
-        in_test,
-        &mut facts.matches,
-    );
     (Some(def), body_end)
 }
 
@@ -932,165 +893,6 @@ fn scan_locks(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
     }
 }
 
-/// Recursive match-expression scan over a body token range. Arms belong to
-/// the innermost match; nested matches inside arm bodies and scrutinees
-/// get their own fact.
-fn scan_matches(
-    toks: &[Tok],
-    start: usize,
-    end: usize,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<MatchFact>,
-) {
-    let mut i = start;
-    while i < end {
-        if toks[i].is_word && toks[i].text == "match" {
-            i = parse_match(toks, i, end, in_test, out);
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Parses one `match` expression starting at the `match` keyword; returns
-/// the index one past its closing brace.
-fn parse_match(
-    toks: &[Tok],
-    match_idx: usize,
-    limit: usize,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<MatchFact>,
-) -> usize {
-    // Scrutinee: tokens until the `{` at nesting level 0. Rust forbids bare
-    // struct literals in scrutinee position, so the first level-0 `{` opens
-    // the match body.
-    let mut i = match_idx + 1;
-    let mut scrutinee = String::new();
-    while i < limit {
-        match toks[i].text.as_str() {
-            "{" => break,
-            "(" | "[" => {
-                let close = matching(toks, i);
-                for t in &toks[i..close.min(limit)] {
-                    if !scrutinee.is_empty() {
-                        scrutinee.push(' ');
-                    }
-                    scrutinee.push_str(&t.text);
-                }
-                i = close;
-            }
-            _ => {
-                if !scrutinee.is_empty() {
-                    scrutinee.push(' ');
-                }
-                scrutinee.push_str(&toks[i].text);
-                i += 1;
-            }
-        }
-    }
-    if i >= limit {
-        return limit;
-    }
-    let body_open = i;
-    let body_end = matching(toks, body_open);
-    let mut fact = MatchFact {
-        line: toks[match_idx].line,
-        scrutinee,
-        arms: Vec::new(),
-        is_test: in_test(toks[match_idx].line),
-    };
-
-    // Scrutinee may itself contain a `match` (e.g. `match match x {…} {…}`
-    // — never written here, but stay correct).
-    scan_matches(toks, match_idx + 1, body_open, in_test, out);
-
-    let mut j = body_open + 1;
-    let inner_end = body_end.saturating_sub(1);
-    while j < inner_end {
-        // Pattern: tokens until `=>` at level 0.
-        let pat_start = j;
-        let mut pat = String::new();
-        let mut enum_heads: Vec<String> = Vec::new();
-        while j < inner_end && toks[j].text != "=>" {
-            match toks[j].text.as_str() {
-                "(" | "[" | "{" => {
-                    let close = matching(toks, j);
-                    for k in j..close.min(inner_end) {
-                        push_pat_tok(toks, k, &mut pat, &mut enum_heads);
-                    }
-                    j = close;
-                }
-                _ => {
-                    push_pat_tok(toks, j, &mut pat, &mut enum_heads);
-                    j += 1;
-                }
-            }
-        }
-        if j >= inner_end {
-            break;
-        }
-        let pat_line = toks[pat_start].line;
-        let first = toks.get(pat_start).map(|t| t.text.as_str());
-        let second = toks.get(pat_start + 1).map(|t| t.text.as_str());
-        let wildcard = first == Some("_") && (pat_start + 1 == j || second == Some("if"));
-        enum_heads.sort();
-        enum_heads.dedup();
-        fact.arms.push(Arm {
-            line: pat_line,
-            pat,
-            wildcard,
-            enum_heads,
-        });
-        j += 1; // past `=>`
-        // Arm body: a block, or an expression up to the level-0 comma.
-        if j < inner_end && toks[j].text == "{" {
-            let close = matching(toks, j);
-            scan_matches(toks, j + 1, close.saturating_sub(1).min(inner_end), in_test, out);
-            j = close;
-            if j < inner_end && toks[j].text == "," {
-                j += 1;
-            }
-        } else {
-            let expr_start = j;
-            while j < inner_end && toks[j].text != "," {
-                match toks[j].text.as_str() {
-                    "(" | "[" | "{" => j = matching(toks, j),
-                    _ => j += 1,
-                }
-            }
-            scan_matches(toks, expr_start, j.min(inner_end), in_test, out);
-            if j < inner_end {
-                j += 1; // past `,`
-            }
-        }
-    }
-    out.push(fact);
-    body_end
-}
-
-/// Appends one pattern token, recording `Enum::Variant` heads.
-fn push_pat_tok(toks: &[Tok], idx: usize, pat: &mut String, enum_heads: &mut Vec<String>) {
-    let t = &toks[idx];
-    if !pat.is_empty() {
-        pat.push(' ');
-    }
-    pat.push_str(&t.text);
-    if t.text == "::" {
-        if let (Some(prev), Some(next)) = (
-            toks.get(idx.wrapping_sub(1)).filter(|t| t.is_word),
-            toks.get(idx + 1).filter(|t| t.is_word),
-        ) {
-            // `Enum::Variant` — heuristically a path into a type when the
-            // head is capitalized (`msgbus::schema` stays out).
-            if prev.text.chars().next().is_some_and(|c| c.is_uppercase())
-                && next.text.chars().next().is_some_and(|c| c.is_uppercase())
-            {
-                enum_heads.push(prev.text.clone());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1146,34 +948,6 @@ mod tests {
         let panics: Vec<&str> = d.panics.iter().map(|p| p.what.as_str()).collect();
         assert!(panics.contains(&".unwrap()"));
         assert!(panics.contains(&"panic!"));
-    }
-
-    #[test]
-    fn match_arms_innermost_ownership() {
-        let f = facts(
-            "fn f(a: A) -> bool {\n\
-             match a.b() {\n\
-               AttackAction::Go => match (x, y) {\n\
-                 (Some(q), Some(r)) => true,\n\
-                 _ => false,\n\
-               },\n\
-               AttackAction::Stop => false,\n\
-             }\n}\n",
-        );
-        assert_eq!(f.matches.len(), 2);
-        let inner = f
-            .matches
-            .iter()
-            .find(|m| m.scrutinee == "( x , y )")
-            .expect("inner match");
-        assert!(inner.arms.iter().any(|a| a.wildcard));
-        let outer = f
-            .matches
-            .iter()
-            .find(|m| m.scrutinee == "a . b ( )")
-            .expect("outer match");
-        assert!(!outer.arms.iter().any(|a| a.wildcard), "{outer:?}");
-        assert!(outer.arms[0].enum_heads.contains(&"AttackAction".into()));
     }
 
     #[test]

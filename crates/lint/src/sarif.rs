@@ -3,7 +3,7 @@
 //! CI wants findings in a machine-ingestible interchange format so they
 //! show up as code-scanning annotations; SARIF 2.1.0 is the lingua franca.
 //! The emitter writes the minimal valid document by hand — one run, the
-//! full R1–R8 rule catalog in `tool.driver.rules`, one `result` per
+//! full rule catalog in `tool.driver.rules`, one `result` per
 //! diagnostic with a `physicalLocation` — because the workspace has no
 //! JSON serializer and vendoring one for this would be absurd.
 //!

@@ -32,17 +32,6 @@ pub const ROOT_CRATE: &str = "adas-attack-repro";
 /// Crates whose public APIs R1 holds to `units::` newtypes.
 pub const R1_CRATES: [&str; 4] = ["openadas", "driving-sim", "canbus", "driver-model"];
 
-/// Safety-path crates R2 holds panic-free: everything between the sensor
-/// models and the actuator bus.
-pub const R2_CRATES: [&str; 6] = [
-    "openadas",
-    "canbus",
-    "driving-sim",
-    "driver-model",
-    "units",
-    "msgbus",
-];
-
 /// Modules allowed to write actuator command fields (R3): the safety
 /// clamp, the command encoder, and the attack engine's designated
 /// mutation points.
@@ -51,31 +40,6 @@ pub const R3_ALLOWED_PATHS: [&str; 4] = [
     "crates/openadas/src/controls.rs",
     "crates/core/src/corruption.rs",
     "crates/core/src/injector.rs",
-];
-
-/// Crates exempt from R5: the bench harness measures wall-clock time by
-/// design, the lint itself is tooling outside the simulation, and the
-/// campaign daemon's deadlines, backoff, and Slowloris budgets are
-/// wall-clock by definition (its *simulation* determinism is enforced
-/// downstream, in the seeded cells it submits to the pool).
-pub const R5_EXEMPT_CRATES: [&str; 3] = ["bench", "lint", "campaignd"];
-
-/// Safety-critical enums R8 requires exhaustive matching on. Adding a
-/// variant to any of these (a new attack type, a new hazard class) must be
-/// a compile-time event at every consumer — a `_ =>` arm would silently
-/// swallow it, which is exactly how a new attack mode escapes the safety
-/// layer or the detector.
-pub const R8_ENUMS: [&str; 10] = [
-    "AttackType",
-    "AttackAction",
-    "SteerDirection",
-    "AlertKind",
-    "HazardKind",
-    "AccidentKind",
-    "DegradationState",
-    "FaultKind",
-    "DefensePolicy",
-    "IdsVerdict",
 ];
 
 /// Crates whose library/binary code the semantic layer (R9–R11) lowers to
@@ -145,32 +109,10 @@ pub fn r1_applies(info: &FileInfo) -> bool {
     info.kind == FileKind::Lib && R1_CRATES.contains(&info.crate_name.as_str())
 }
 
-/// R2 covers library code of the safety-path crates.
-pub fn r2_applies(info: &FileInfo) -> bool {
-    info.kind == FileKind::Lib && R2_CRATES.contains(&info.crate_name.as_str())
-}
-
 /// R3 covers all non-test code except the designated mutation points.
 pub fn r3_applies(info: &FileInfo) -> bool {
     matches!(info.kind, FileKind::Lib | FileKind::Bin | FileKind::Example)
         && !R3_ALLOWED_PATHS.contains(&info.rel.as_str())
-}
-
-/// R4 covers all non-test, non-bench code.
-pub fn r4_applies(info: &FileInfo) -> bool {
-    matches!(info.kind, FileKind::Lib | FileKind::Bin | FileKind::Example)
-}
-
-/// R5 covers everything but the bench harness and the lint tooling.
-pub fn r5_applies(info: &FileInfo) -> bool {
-    matches!(info.kind, FileKind::Lib | FileKind::Bin | FileKind::Example)
-        && !R5_EXEMPT_CRATES.contains(&info.crate_name.as_str())
-}
-
-/// R8 covers all non-test code in every crate: a wildcard over a safety
-/// enum is dangerous wherever it appears.
-pub fn r8_applies(info: &FileInfo) -> bool {
-    matches!(info.kind, FileKind::Lib | FileKind::Bin | FileKind::Example)
 }
 
 /// Whether the semantic layer lowers this file to IR at all (R9–R11 input
@@ -222,13 +164,13 @@ mod tests {
 
     #[test]
     fn scope_matrix() {
-        assert!(r2_applies(&classify("crates/openadas/src/acc.rs")));
-        assert!(!r2_applies(&classify("crates/platform/src/harness.rs")));
-        assert!(!r2_applies(&classify("crates/openadas/tests/properties.rs")));
+        assert!(r1_applies(&classify("crates/openadas/src/acc.rs")));
+        assert!(!r1_applies(&classify("crates/platform/src/harness.rs")));
+        assert!(!r1_applies(&classify("crates/openadas/tests/properties.rs")));
         assert!(!r3_applies(&classify("crates/core/src/corruption.rs")));
         assert!(r3_applies(&classify("crates/core/src/engine.rs")));
-        assert!(!r5_applies(&classify("crates/bench/benches/micro.rs")));
-        assert!(r5_applies(&classify("crates/driving-sim/src/world.rs")));
+        assert!(!r3_applies(&classify("crates/bench/benches/micro.rs")));
+        assert!(r3_applies(&classify("examples/quickstart.rs")));
     }
 
     #[test]

@@ -32,8 +32,12 @@ pub struct Line {
 /// A parsed `adas-lint: allow(...)` suppression.
 #[derive(Debug, Clone)]
 pub struct Suppression {
-    /// Rules the suppression covers; empty means "all rules".
+    /// Rules the suppression covers; empty (with no `unknown` ids) means
+    /// "all rules".
     pub rules: Vec<Rule>,
+    /// Named ids that are no rule (retired or misspelled). They cover
+    /// nothing, and the scan reports each one as a finding.
+    pub unknown: Vec<String>,
     /// The free-text justification, if one was given.
     pub reason: Option<String>,
 }
@@ -41,8 +45,14 @@ pub struct Suppression {
 impl Suppression {
     /// Whether this suppression covers `rule`.
     pub fn covers(&self, rule: Rule) -> bool {
-        self.rules.is_empty() || self.rules.contains(&rule)
+        allow_covers(&self.rules, &self.unknown, rule)
     }
+}
+
+/// Whether an allow naming `rules` and `unknown` ids covers `rule`. One
+/// that names no id at all covers every rule; an unknown id covers nothing.
+pub fn allow_covers(rules: &[Rule], unknown: &[String], rule: Rule) -> bool {
+    (rules.is_empty() && unknown.is_empty()) || rules.contains(&rule)
 }
 
 /// A fully tokenized source file.
@@ -364,7 +374,7 @@ fn mark_test_regions(lines: &mut [Line]) {
     }
 }
 
-/// Parses `adas-lint: allow(R2, reason = "…")` out of a comment's text.
+/// Parses `adas-lint: allow(R3, reason = "…")` out of a comment's text.
 ///
 /// Doc comments (`///`, `//!`) never suppress: they *document* the syntax
 /// (this very file does), and a doc-comment "suppression" would otherwise
@@ -394,14 +404,24 @@ fn parse_suppression(comment: &str) -> Option<Suppression> {
         }
     };
 
-    let rules: Vec<Rule> = rules_part
+    let mut rules = Vec::new();
+    let mut unknown = Vec::new();
+    for id in rules_part
         .split(',')
         .map(|t| t.trim().trim_end_matches(')').trim())
         .filter(|t| !t.is_empty())
-        .filter_map(Rule::parse)
-        .collect();
+    {
+        match Rule::parse(id) {
+            Some(rule) => rules.push(rule),
+            None => unknown.push(id.to_string()),
+        }
+    }
 
-    Some(Suppression { rules, reason })
+    Some(Suppression {
+        rules,
+        unknown,
+        reason,
+    })
 }
 
 #[cfg(test)]
@@ -466,19 +486,36 @@ mod tests {
 
     #[test]
     fn suppression_on_same_line_and_next_line() {
-        let src = "x.unwrap(); // adas-lint: allow(R2, reason = \"checked above\")\n// adas-lint: allow(R4)\ny == 0.0;";
+        let src = "c.accel = a; // adas-lint: allow(R3, reason = \"checked above\")\n// adas-lint: allow(R1)\npub fn f(x: f64) {}";
         let f = tokenize(src);
-        assert!(f.is_suppressed(1, Rule::PanicFreedom));
-        assert!(!f.is_suppressed(1, Rule::FloatHygiene));
-        assert!(f.is_suppressed(3, Rule::FloatHygiene));
+        assert!(f.is_suppressed(1, Rule::ActuatorContainment));
+        assert!(!f.is_suppressed(1, Rule::UnitSafety));
+        assert!(f.is_suppressed(3, Rule::UnitSafety));
+    }
+
+    #[test]
+    fn unknown_ids_cover_nothing() {
+        // A retired id must not turn the allow into a blanket one.
+        let f = tokenize("// adas-lint: allow(R4, reason = \"retired\")\npub fn f(x: f64) {}\n");
+        assert!(!f.is_suppressed(2, Rule::UnitSafety));
+        assert!(!f.is_suppressed(2, Rule::ActuatorContainment));
+        let sups = &f.suppressions[&2];
+        assert_eq!(sups[0].unknown, vec!["R4".to_string()]);
+        // Known ids next to an unknown one still cover their rules.
+        let f = tokenize("pub fn f(x: f64) {} // adas-lint: allow(R1, R8)\n");
+        assert!(f.is_suppressed(1, Rule::UnitSafety));
+        assert!(!f.is_suppressed(1, Rule::ActuatorContainment));
+        // A comment naming no id at all stays a blanket allow.
+        let f = tokenize("pub fn f(x: f64) {} // adas-lint: allow(reason = \"demo\")\n");
+        assert!(f.is_suppressed(1, Rule::UnitSafety));
     }
 
     #[test]
     fn doc_comments_document_but_never_suppress() {
-        let src = "/// Write `// adas-lint: allow(R2)` to excuse a site.\nx.unwrap();\n//! `adas-lint: allow(R2)` syntax reference\ny.unwrap();";
+        let src = "/// Write `// adas-lint: allow(R1)` to excuse a site.\npub fn f(x: f64) {}\n//! `adas-lint: allow(R1)` syntax reference\npub fn g(x: f64) {}";
         let f = tokenize(src);
         assert!(f.suppressions.is_empty(), "{:?}", f.suppressions);
-        assert!(!f.is_suppressed(2, Rule::PanicFreedom));
-        assert!(!f.is_suppressed(4, Rule::PanicFreedom));
+        assert!(!f.is_suppressed(2, Rule::UnitSafety));
+        assert!(!f.is_suppressed(4, Rule::UnitSafety));
     }
 }

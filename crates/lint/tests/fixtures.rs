@@ -7,7 +7,7 @@ use std::path::Path;
 use adas_lint::scan_source;
 
 /// The fixture files are scanned as if they lived inside openadas — the
-/// strictest scope (all five rules apply).
+/// strictest scope (both per-file rules, R1 and R3, apply).
 const FIXTURE_SCAN_PATH: &str = "crates/openadas/src/fixture.rs";
 
 fn read_fixture(name: &str) -> String {

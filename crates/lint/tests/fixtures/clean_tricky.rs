@@ -4,11 +4,10 @@
 //! Like its sibling, this file is scanned as `crates/openadas/src/fixture.rs`
 //! and never compiled.
 
-// A doc comment mentioning .unwrap() and panic!("boom") must not fire R2.
+// A comment mentioning self.brake_cmd = 1.0 must not fire R3.
 
-/// Returns the label. Comparing `a == 0.0` here is prose, not code (R4 trap);
-/// so is `std::time::Instant::now()` (R5 trap) and `self.steer_cmd = 1.0`
-/// (R3 trap) and `pub fn speed(v: f64)` (R1 trap).
+/// Returns the label. Writing `self.steer_cmd = 1.0` here is prose, not
+/// code (R3 trap); so is `pub fn speed(v: f64)` (R1 trap).
 fn label() -> &'static str {
     "call .unwrap() or panic!(\"boom\") — it's fine inside a string"
 }

@@ -9,41 +9,21 @@ pub fn set_target_speed(&mut self, speed: f64) {
     self.target = speed;
 }
 
-// R2: unwrap in non-test library code.
-fn first_frame(frames: &[u8]) -> u8 {
-    frames.first().copied().unwrap()
-}
-
-// R2: indexing with a computed subscript.
-fn nth_frame(frames: &[u8], i: usize) -> u8 {
-    frames[i]
-}
-
 // R3: actuator command write outside the safety/controls modules.
 fn hijack(&mut self) {
     self.cmd.steer_cmd = 400.0;
 }
 
-// R4: strict float equality on the safety path.
-fn is_stopped(v: f64) -> bool {
-    v == 0.0
-}
-
-// R5: wall-clock time instead of the simulation tick.
-fn stamp() -> u128 {
-    std::time::SystemTime::now().elapsed().unwrap().as_millis()
-}
-
-// Suppressed: the allow comment acknowledges the unwrap with a reason.
-fn acknowledged(v: Option<u8>) -> u8 {
-    // adas-lint: allow(R2, reason = "fixture demonstrates suppression")
-    v.unwrap()
+// Suppressed: the allow comment acknowledges the write with a reason.
+fn acknowledged(&mut self) {
+    // adas-lint: allow(R3, reason = "fixture demonstrates suppression")
+    self.cmd.accel_cmd = 0.0;
 }
 
 #[cfg(test)]
 mod tests {
-    // Exempt: test code may panic freely.
-    fn in_tests(v: Option<u8>) -> u8 {
-        v.unwrap()
+    // Exempt: test code may write actuator fields freely.
+    fn in_tests(&mut self) {
+        self.cmd.brake_cmd = 1.0;
     }
 }

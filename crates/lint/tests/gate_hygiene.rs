@@ -1,7 +1,7 @@
 //! The gate's self-checks: the facts cache may change wall-time but never
-//! results, dead suppressions fail the build, and stale baseline entries
-//! fail the build. Each test scans a tiny synthetic workspace under
-//! `CARGO_TARGET_TMPDIR`.
+//! results, and dead suppressions, suppressions naming an id that is no
+//! rule, and stale baseline entries fail the build. Each test scans a tiny
+//! synthetic workspace under `CARGO_TARGET_TMPDIR`.
 
 use adas_lint::{scan_workspace_with, Baseline, Rule, ScanOptions, Severity};
 use std::fs;
@@ -29,7 +29,7 @@ fn cache_changes_wall_time_never_results() {
     let ws = temp_ws("cache_equivalence");
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
-        "fn helper(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\npub fn fine() {}\n",
+        "fn helper(c: &mut Cmd) {\n    c.accel = 1;\n}\npub fn fine() {}\n",
     )
     .expect("write");
     let cache = ws.join("lint-cache");
@@ -48,8 +48,8 @@ fn cache_changes_wall_time_never_results() {
     assert_eq!(render(&cold), render(&warm), "cache must not change results");
     assert_eq!(render(&cold), render(&uncached));
     assert!(
-        cold.active.iter().any(|d| d.rule == Rule::PanicFreedom),
-        "the planted unwrap is found either way: {:?}",
+        cold.active.iter().any(|d| d.rule == Rule::ActuatorContainment),
+        "the planted actuator write is found either way: {:?}",
         cold.active
     );
 }
@@ -59,7 +59,7 @@ fn editing_a_file_invalidates_only_its_entry() {
     let ws = temp_ws("cache_invalidation");
     let lib = ws.join("crates/openadas/src/lib.rs");
     let other = ws.join("crates/openadas/src/steady.rs");
-    fs::write(&lib, "fn f(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n").expect("write");
+    fs::write(&lib, "fn f(c: &mut Cmd) {\n    c.accel = 1;\n}\n").expect("write");
     fs::write(&other, "pub fn untouched() {}\n").expect("write");
     let cache = ws.join("lint-cache");
     let o = opts(Some(cache), true);
@@ -68,7 +68,7 @@ fn editing_a_file_invalidates_only_its_entry() {
     assert_eq!(first.active.len(), 1, "{:?}", first.active);
 
     // Fix the violation; only the edited file recomputes.
-    fs::write(&lib, "fn f(v: Option<u8>) -> u8 {\n    v.unwrap_or(0)\n}\n").expect("write");
+    fs::write(&lib, "fn f(c: &Cmd) -> i32 {\n    c.accel\n}\n").expect("write");
     let second = scan_workspace_with(&ws, None, &o).expect("scan");
     assert!(second.active.is_empty(), "{:?}", second.active);
     assert_eq!(
@@ -88,12 +88,12 @@ fn cache_entries_are_keyed_by_rule_set() {
     let ws = temp_ws("cache_rule_set_key");
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
-        "fn helper(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\npub fn fine() {}\n",
+        "fn helper(c: &mut Cmd) {\n    c.accel = 1;\n}\npub fn fine() {}\n",
     )
     .expect("write");
     let cache = ws.join("lint-cache");
 
-    // Populate the cache with a scan that does NOT run R2 (panic-freedom).
+    // Populate the cache with a scan that does NOT run R3.
     let subset = ScanOptions {
         rules: vec![Rule::UnitSafety],
         ..opts(Some(cache.clone()), true)
@@ -105,13 +105,13 @@ fn cache_entries_are_keyed_by_rule_set() {
         narrow.active
     );
 
-    // A full scan over the same cache dir must still see the unwrap: its
+    // A full scan over the same cache dir must still see the write: its
     // scan key differs, so the narrow entry cannot be (wrongly) reused.
     let full = scan_workspace_with(&ws, None, &opts(Some(cache), true)).expect("full scan");
     assert_eq!(full.cache_hits, 0, "full scan must not reuse subset entries");
     assert!(
-        full.active.iter().any(|d| d.rule == Rule::PanicFreedom),
-        "the planted unwrap must survive a warm subset cache: {:?}",
+        full.active.iter().any(|d| d.rule == Rule::ActuatorContainment),
+        "the planted actuator write must survive a warm subset cache: {:?}",
         full.active
     );
 }
@@ -168,7 +168,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
     let ws = temp_ws("dead_suppression");
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
-        "// adas-lint: allow(R2, reason = \"the unwrap this excused was removed\")\npub fn fine() {}\n",
+        "// adas-lint: allow(R3, reason = \"the write this excused was removed\")\npub fn fine() {}\n",
     )
     .expect("write");
 
@@ -184,7 +184,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
     // A suppression that absorbs its finding is counted, not reported.
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
-        "// adas-lint: allow(R2, reason = \"bounded by construction\")\nfn f(v: Option<u8>) -> u8 { v.unwrap() }\n",
+        "// adas-lint: allow(R3, reason = \"clamped by construction\")\nfn f(c: &mut Cmd) { c.accel = 1; }\n",
     )
     .expect("write");
     let report = scan_workspace_with(&ws, None, &opts(None, false)).expect("scan");
@@ -194,12 +194,45 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
 }
 
 #[test]
+fn allow_naming_a_retired_rule_fails_the_gate_cold_and_warm() {
+    let ws = temp_ws("retired_rule_allow");
+    fs::write(
+        ws.join("crates/openadas/src/lib.rs"),
+        "// adas-lint: allow(R4, reason = \"exact zero\")\npub fn f(speed: f64) {}\n",
+    )
+    .expect("write");
+    let cache = ws.join("lint-cache");
+    for pass in ["cold", "warm"] {
+        let report = scan_workspace_with(&ws, None, &opts(Some(cache.clone()), true)).expect(pass);
+        assert_eq!(report.cache_hits, usize::from(pass == "warm"), "{pass}");
+        // The R4 id covers nothing, so the R1 finding below it survives…
+        assert!(
+            report.active.iter().any(|d| d.rule == Rule::UnitSafety && d.line == 2
+                && d.message.contains("raw float")),
+            "{pass}: {:?}",
+            report.active
+        );
+        // …and the stale id is an active error of its own, not a dead allow.
+        assert!(
+            report.active.iter().any(|d| d.severity == Severity::Error
+                && d.line == 2
+                && d.message.contains("`R4`")),
+            "{pass}: {:?}",
+            report.active
+        );
+        assert_eq!(report.active.len(), 2, "{pass}: {:?}", report.active);
+        assert!(report.dead_suppressions.is_empty(), "{pass}: {:?}", report.dead_suppressions);
+        assert!(!report.is_clean());
+    }
+}
+
+#[test]
 fn stale_baseline_entry_fails_the_gate() {
     let ws = temp_ws("stale_baseline");
     fs::write(ws.join("crates/openadas/src/lib.rs"), "pub fn fine() {}\n").expect("write");
 
     let baseline = Baseline::parse(
-        "R2\tcrates/openadas/src/lib.rs\tlet gone = removed.unwrap();\n",
+        "R3\tcrates/openadas/src/lib.rs\tself.cmd.accel = removed;\n",
     )
     .expect("baseline parses");
     let report = scan_workspace_with(&ws, Some(baseline), &opts(None, false)).expect("scan");

@@ -105,24 +105,6 @@ fn impl_methods_are_qualified() {
 }
 
 #[test]
-fn match_arms_carry_enum_heads_and_wildcards() {
-    let f = facts(
-        "fn act(t: AttackType) -> u8 {\n    match t {\n        AttackType::Acceleration => 1,\n        AttackType::Deceleration if hard() => 2,\n        _ => 0,\n    }\n}\n",
-    );
-    assert_eq!(f.matches.len(), 1, "{:?}", f.matches);
-    let m = &f.matches[0];
-    assert_eq!(m.scrutinee, "t");
-    assert_eq!(m.arms.len(), 3);
-    assert!(m.arms[0].enum_heads.contains(&"AttackType".to_string()));
-    assert!(!m.arms[0].wildcard);
-    assert!(
-        !m.arms[1].wildcard,
-        "a guarded variant arm is not a wildcard"
-    );
-    assert!(m.arms[2].wildcard, "{:?}", m.arms[2]);
-}
-
-#[test]
 fn enums_and_structs_are_catalogued() {
     let f = facts(
         "pub enum AlertKind {\n    SteerSaturated,\n    ForwardCollisionWarning,\n}\npub struct Harness {\n    tick: u64,\n}\n",

@@ -2,7 +2,7 @@
 //! violation file whose (rule, line) findings are pinned in
 //! `semantic_violations.expected`, and a clean file proving the analyzer
 //! can actually discharge every obligation it is asked to. Lexical
-//! findings (R1–R8) on the same sources are out of scope here — the
+//! and call-graph findings (R1, R3, R6, R7) on the same sources are out of scope here — the
 //! `fixtures.rs` suite owns those — so the assertions filter to the
 //! semantic rules.
 

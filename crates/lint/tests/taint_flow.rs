@@ -130,7 +130,7 @@ fn real_workspace_proves_the_envelope_with_empty_baseline() {
     let report = scan_workspace(&root, Some(baseline)).expect("workspace scan succeeds");
     assert!(
         report.active.is_empty() && report.dead_suppressions.is_empty(),
-        "the workspace must prove R1–R8 clean: {:?} {:?}",
+        "the workspace must prove every rule clean: {:?} {:?}",
         report.active,
         report.dead_suppressions
     );

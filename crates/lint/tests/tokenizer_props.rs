@@ -1,15 +1,16 @@
 //! Property tests for the masking tokenizer — the correctness core of the
-//! whole linter. Violation-looking text (`.unwrap()`, `panic!`, float `==`,
-//! `std::time`) is planted inside comments, strings, raw strings, and char
-//! literals; the properties assert the masked view never leaks it and that
+//! whole linter. Violation-looking text (actuator writes, raw-float APIs,
+//! `.unwrap()`, float `==`) is planted inside comments, strings, raw
+//! strings, and char literals; the properties assert the masked view never leaks it and that
 //! masking preserves line/column alignment exactly.
 
 use adas_lint::scan_source;
 use adas_lint::tokenizer::tokenize;
 use proptest::prelude::*;
 
-/// Fragments that would each trip at least one rule if they appeared in code
-/// position inside a safety-path crate.
+/// Fragments that look like violations in code position inside a
+/// safety-path crate: the R1 and R3 ones fire there, and the rest must not
+/// fabricate tokens either.
 fn violation_texts() -> Vec<&'static str> {
     vec![
         ".unwrap()",
@@ -100,7 +101,7 @@ proptest! {
         // A real violation after all the raw strings must be reported at its
         // true line number.
         let violation_line = src.lines().count() + 1;
-        src.push_str("fn real(v: Option<u8>) -> u8 { v.unwrap() }\n");
+        src.push_str("fn real(&mut self) { self.cmd.steer_cmd = 1.0; }\n");
         let diags = scan_source("crates/openadas/src/gen.rs", &src);
         prop_assert_eq!(diags.len(), 1, "only the real violation fires:\n{}", &src);
         prop_assert_eq!(diags[0].line, violation_line, "line numbers stay aligned");
@@ -163,7 +164,7 @@ proptest! {
             '\\' => "'\\\\'".to_owned(),
             c => format!("'{c}'"),
         };
-        let src = format!("fn f() -> char {{ {lit} }}\nfn real(v: Option<u8>) -> u8 {{ v.unwrap() }}\n");
+        let src = format!("fn f() -> char {{ {lit} }}\nfn real(&mut self) {{ self.cmd.steer_cmd = 1.0; }}\n");
         let diags = scan_source("crates/openadas/src/gen.rs", &src);
         prop_assert_eq!(diags.len(), 1, "source:\n{}", &src);
         prop_assert_eq!(diags[0].line, 2);

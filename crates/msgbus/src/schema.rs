@@ -7,13 +7,12 @@
 //! * Longitudinal acceleration is positive for gas, negative for brake.
 //! * Road curvature is positive for a left-hand curve.
 
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Distance, Speed, Tick};
 
 use crate::{Bus, Topic};
 
 /// Ego position fix published by the GPS module.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GpsLocation {
     /// Ground speed of the ego vehicle.
     pub speed: Speed,
@@ -22,7 +21,7 @@ pub struct GpsLocation {
 }
 
 /// Lane-line estimate published by the perception model (`modelV2`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LaneModel {
     /// Lateral distance from the ego centreline to the left lane line
     /// (positive when the line is to the left, i.e. normally).
@@ -61,7 +60,7 @@ impl LaneModel {
 }
 
 /// A tracked lead vehicle, as published in `radarState`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeadTrack {
     /// Longitudinal gap to the lead's rear bumper.
     pub d_rel: Distance,
@@ -72,7 +71,7 @@ pub struct LeadTrack {
 }
 
 /// Radar module output.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RadarState {
     /// The primary lead track, if one is detected.
     pub lead: Option<LeadTrack>,
@@ -110,7 +109,7 @@ impl SensorFeed {
 }
 
 /// Fused vehicle state (`carState`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CarState {
     /// Ego speed.
     pub v_ego: Speed,
@@ -128,7 +127,7 @@ pub struct CarState {
 ///
 /// This is the quantity the paper's attack engine corrupts: it is translated
 /// into gas/brake/steering CAN messages just before transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CarControl {
     /// Desired longitudinal acceleration (positive = gas, negative = brake).
     pub accel: Accel,
@@ -139,10 +138,10 @@ pub struct CarControl {
 /// Alerts the ADAS can raise to the driver.
 ///
 /// Deliberately *exhaustive* (unlike [`Payload`]): alert kinds are a
-/// safety-critical vocabulary, and adas-lint's R8 requires every consumer
-/// to name each variant — adding an alert must be a compile-time event at
-/// every match, never absorbed by a `_ =>` arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// safety-critical vocabulary, and clippy's `wildcard_enum_match_arm`
+/// requires every consumer to name each variant — adding an alert must be
+/// a compile-time event at every match, never absorbed by a `_ =>` arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlertKind {
     /// The lateral controller wants more steering than the safety limit
     /// allows (`steerSaturated`). The only alert the paper observed during
@@ -177,7 +176,7 @@ impl AlertKind {
 }
 
 /// Controller status published every cycle (`controlsState`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControlsState {
     /// Whether lateral+longitudinal control is active.
     pub engaged: bool,
@@ -186,7 +185,7 @@ pub struct ControlsState {
 }
 
 /// A typed message body; each variant corresponds to one [`Topic`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Payload {
     /// See [`GpsLocation`].
@@ -267,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn debug_output_names_the_fields() {
         let p = Payload::RadarState(RadarState {
             lead: Some(LeadTrack {
                 d_rel: Distance::meters(50.0),
@@ -275,13 +274,7 @@ mod tests {
                 a_lead: Accel::ZERO,
             }),
         });
-        let json = serde_json_like(&p);
-        assert!(json.contains("d_rel"), "{json}");
-    }
-
-    /// Cheap structural check without pulling in serde_json: serialize into
-    /// the debug representation of the serde data model via ron-like format.
-    fn serde_json_like(p: &Payload) -> String {
-        format!("{p:?}")
+        let shown = format!("{p:?}");
+        assert!(shown.contains("d_rel"), "{shown}");
     }
 }

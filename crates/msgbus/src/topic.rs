@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The event streams published on the [`Bus`](crate::Bus).
 ///
 /// Names follow the Cereal services from the paper's §III-C: the attacker
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// positions) and `radarState` (lead relative speed/distance); the ADAS
 /// additionally publishes its fused car state, its actuator outputs and its
 /// controls/alert state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Topic {
     /// Ego speed and bearing from the GPS module (`gpsLocationExternal`).

@@ -108,19 +108,25 @@ impl BusTaps {
     fn drain(&mut self) -> SensorFeed {
         let scratch = &mut self.scratch;
         self.gps.drain_into(scratch);
-        let gps = scratch.iter().rev().find_map(|env| match env.payload() {
-            Payload::GpsLocationExternal(gps) => Some((env.tick(), *gps)),
-            _ => None,
+        let gps = scratch.iter().rev().find_map(|env| {
+            let Payload::GpsLocationExternal(gps) = env.payload() else {
+                return None;
+            };
+            Some((env.tick(), *gps))
         });
         self.model.drain_into(scratch);
-        let lane = scratch.iter().rev().find_map(|env| match env.payload() {
-            Payload::ModelV2(lane) => Some((env.tick(), *lane)),
-            _ => None,
+        let lane = scratch.iter().rev().find_map(|env| {
+            let Payload::ModelV2(lane) = env.payload() else {
+                return None;
+            };
+            Some((env.tick(), *lane))
         });
         self.radar.drain_into(scratch);
-        let radar = scratch.iter().rev().find_map(|env| match env.payload() {
-            Payload::RadarState(radar) => Some((env.tick(), *radar)),
-            _ => None,
+        let radar = scratch.iter().rev().find_map(|env| {
+            let Payload::RadarState(radar) = env.payload() else {
+                return None;
+            };
+            Some((env.tick(), *radar))
         });
         SensorFeed { gps, lane, radar }
     }

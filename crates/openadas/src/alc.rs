@@ -1,13 +1,12 @@
 //! Automated Lane Centering: the lateral controller.
 
-use serde::{Deserialize, Serialize};
 use units::{Angle, Distance};
 
 use crate::perception::LaneEstimate;
 use crate::SafetyLimits;
 
 /// Lateral control output, before and after the safety clamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlcOutput {
     /// The raw desired road-wheel angle (drives the steer-saturated alert).
     pub desired: Angle,
@@ -24,7 +23,7 @@ pub struct AlcOutput {
 /// the system the paper measured, the controller does "not keep the Ego
 /// vehicle in the center of the lane at all times" (Observation 1): sensor
 /// drift walks the car around the lane and occasionally onto a lane line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlcController {
     /// Wheelbase used for the curvature feed-forward.
     pub wheelbase: Distance,

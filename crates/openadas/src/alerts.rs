@@ -1,7 +1,6 @@
 //! Alert generation: `steerSaturated` and the Forward Collision Warning.
 
 use msgbus::schema::AlertKind;
-use serde::{Deserialize, Serialize};
 use units::Accel;
 
 /// Sustained saturation (in 10 ms ticks) required before the
@@ -18,7 +17,7 @@ const SATURATION_TICKS: u32 = 175;
 const FCW_BRAKE_THRESHOLD: Accel = Accel::from_mps2(-4.0);
 
 /// Debounces raw controller conditions into driver-visible alert events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertManager {
     saturation_streak: u32,
     saturation_active: bool,

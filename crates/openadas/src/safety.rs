@@ -12,11 +12,10 @@
 //!   `speed ≤ 1.1 × v_cruise`.
 
 use msgbus::schema::CarControl;
-use serde::{Deserialize, Serialize};
 use units::{limits, Accel, Angle, Speed};
 
 /// A set of actuator-output limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyLimits {
     /// Maximum commanded acceleration.
     pub accel_max: Accel,

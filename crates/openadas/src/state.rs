@@ -1,14 +1,13 @@
 //! Fused car state.
 
 use msgbus::schema::{CarState, GpsLocation};
-use serde::{Deserialize, Serialize};
 use units::{Accel, Angle, Speed, DT};
 
 use crate::Kalman1D;
 
 /// Builds the `carState` stream: Kalman-filtered ego speed, derived
 /// acceleration, and the cruise setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CarStateEstimator {
     speed_filter: Option<Kalman1D>,
     state: CarState,

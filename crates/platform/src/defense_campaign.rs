@@ -26,7 +26,6 @@ use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use defense::DefensePolicy;
 use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
-use serde::{Deserialize, Serialize};
 use units::Seconds;
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
@@ -174,7 +173,7 @@ pub fn plan_defense_campaign(cfg: &DefenseCampaignConfig) -> Vec<DefenseSpec> {
 }
 
 /// Aggregate outcome of one (policy, threat) campaign cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseCell {
     /// Policy label ([`DefensePolicy::label`]).
     pub policy: String,
@@ -282,7 +281,7 @@ impl DefenseCell {
 
 /// A full campaign's aggregate: one [`DefenseCell`] per (policy, threat),
 /// in sweep order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseReport {
     /// Base seed of the campaign.
     pub base_seed: u64,
@@ -296,7 +295,7 @@ pub struct DefenseReport {
 
 impl DefenseReport {
     /// Renders the report as deterministic, fixed-precision JSON
-    /// (hand-rolled; the vendored `serde` is an API stub).
+    /// (hand-rolled: the workspace has no serialization dependency).
     pub fn to_json(&self) -> String {
         let cells: Vec<String> = self
             .cells
@@ -348,11 +347,6 @@ pub fn run_defense_campaign_with(
         total_runs: results.len() as u64,
         cells,
     }
-}
-
-/// Runs a defense campaign with the default (all-cores) runner.
-pub fn run_defense_campaign(cfg: &DefenseCampaignConfig) -> DefenseReport {
-    run_defense_campaign_with(RunnerConfig::default(), cfg)
 }
 
 #[cfg(test)]

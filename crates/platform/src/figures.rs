@@ -3,13 +3,12 @@
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driver_model::DriverConfig;
 use driving_sim::{Scenario, ScenarioId};
-use serde::{Deserialize, Serialize};
 use units::{Distance, Seconds};
 
 use crate::{Harness, HarnessConfig};
 
 /// One sample of the ego trajectory (Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectorySample {
     /// Simulated time.
     pub t: Seconds,
@@ -47,7 +46,7 @@ pub fn fig7_trajectory(seed: u64, stride: u64) -> (Vec<TrajectorySample>, u64) {
 }
 
 /// One point of the Fig. 8 parameter space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Point {
     /// Attack start time.
     pub start: Seconds,

@@ -36,7 +36,6 @@ use faultinj::{FaultEngine, FaultSchedule};
 use msgbus::schema::{CarControl, CarState};
 use msgbus::Bus;
 use openadas::{Adas, AdasOutput, CommandEncoder, DegradationState, GateConfig, PandaSafety};
-use serde::{Deserialize, Serialize};
 use units::{Seconds, Tick};
 
 use crate::trace::{
@@ -128,7 +127,7 @@ impl HarnessConfig {
 }
 
 /// Everything measured in one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Seed of the run.
     pub seed: u64,

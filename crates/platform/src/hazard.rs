@@ -10,11 +10,10 @@
 //!   paper's accident counts, ours only contain A1/A3.
 
 use driving_sim::{CollisionKind, World, RADAR_RANGE};
-use serde::{Deserialize, Serialize};
 use units::{Distance, Seconds, Speed, Tick};
 
 /// Hazardous system states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HazardKind {
     /// Safe following distance violated.
     H1,
@@ -25,7 +24,7 @@ pub enum HazardKind {
 }
 
 /// Accidents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccidentKind {
     /// Collision with the lead vehicle.
     A1,
@@ -45,7 +44,7 @@ impl From<CollisionKind> for AccidentKind {
 /// Detection thresholds. Defaults are chosen so that *no* hazard fires in
 /// attack-free operation (validated by the no-attack campaign) while every
 /// attack-induced unsafe state is caught.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HazardParams {
     /// H1 fires when headway time drops below this (or the gap below
     /// [`HazardParams::h1_min_gap`]).
@@ -78,7 +77,7 @@ impl Default for HazardParams {
 
 /// Watches ground truth and records the first occurrence of each hazard and
 /// of the accident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HazardDetector {
     params: HazardParams,
     first_h1: Option<Tick>,

@@ -27,8 +27,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
-
 #![warn(missing_docs)]
 
 pub mod defense_campaign;

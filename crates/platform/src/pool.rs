@@ -285,10 +285,9 @@ where
         .collect()
 }
 
-/// A panic caught from one task of a [`submit_catching`] submission,
-/// reduced to its message so the value is `Send + Sync` and can be stored,
-/// logged, and retried without carrying the raw `Box<dyn Any>` payload
-/// around.
+/// A panic caught by [`catch_cell`], reduced to its message so the value
+/// is `Send + Sync` and can be stored, logged, and retried without carrying
+/// the raw `Box<dyn Any>` payload around.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellPanic {
     /// The panic message (`&str` / `String` payloads), or a placeholder for
@@ -304,9 +303,11 @@ impl std::fmt::Display for CellPanic {
 
 /// Runs `f`, converting a panic into `Err(CellPanic)` instead of unwinding.
 ///
-/// This is the per-task capture primitive behind [`submit_catching`];
-/// supervisors (campaignd) also use it directly so a retry wrapper and the
-/// pool agree on what a caught panic looks like.
+/// [`run_indexed`] deliberately fails the whole submission on the first
+/// latched panic, which is right for benches, where a panicking cell
+/// invalidates the campaign. A supervisor (campaignd) wraps each cell in
+/// this instead, so the other cells' results survive and only the failed
+/// cell is retried.
 pub fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, CellPanic> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let message = payload
@@ -316,23 +317,6 @@ pub fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, CellPanic> {
             .unwrap_or_else(|| "<non-string panic payload>".to_string());
         CellPanic { message }
     })
-}
-
-/// [`run_indexed`], but each task's panic is captured as a per-task
-/// `Err(CellPanic)` instead of being latched and re-raised at the submit
-/// site.
-///
-/// `run_indexed` deliberately fails the whole submission on the *first*
-/// latched panic — right for benches, where a panicking cell invalidates
-/// the campaign — but a supervising service needs the opposite: the other
-/// `n - 1` results must survive so only the failed cell is retried. Every
-/// task runs to a `Result`; nothing is lost and nothing is re-thrown.
-pub fn submit_catching<T, F>(workers: usize, n: usize, f: F) -> Vec<Result<T, CellPanic>>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    run_indexed(workers, n, move |i| catch_cell(|| f(i)))
 }
 
 #[cfg(test)]
@@ -423,55 +407,19 @@ mod tests {
     }
 
     #[test]
-    fn submit_catching_captures_every_panic_and_keeps_the_rest() {
-        // Regression: run_indexed re-raises only the *first* latched panic
-        // and abandons the whole submission's results. With two panicking
-        // cells, submit_catching must return both failures individually
-        // and every other result intact — that is what lets a supervisor
-        // retry exactly the failed cells instead of losing the batch.
-        let out = submit_catching(4, 16, |i| {
-            if i == 3 {
-                panic!("cell 3 exploded");
-            }
-            if i == 11 {
-                panic!("cell 11 exploded");
-            }
-            i * 2
-        });
-        assert_eq!(out.len(), 16);
-        for (i, r) in out.iter().enumerate() {
-            match (i, r) {
-                (3, Err(p)) => assert_eq!(p.message, "cell 3 exploded"),
-                (11, Err(p)) => assert_eq!(p.message, "cell 11 exploded"),
-                (_, Ok(v)) => assert_eq!(*v, i * 2),
-                (_, r) => panic!("cell {i}: unexpected {r:?}"),
-            }
-        }
-        // The pool itself never saw a panic: subsequent plain submissions
-        // are unaffected.
-        assert_eq!(run_indexed(4, 4, |i| i), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn submit_catching_single_worker_and_string_payloads() {
-        // The serial fast path must behave identically, and `String`
-        // payloads (panic! with formatting) must round-trip their message.
-        let out = submit_catching(1, 3, |i| {
-            if i == 1 {
-                panic!("formatted {}", 42);
-            }
-            i
-        });
-        assert!(matches!(&out[0], Ok(0)));
-        assert_eq!(out[1].as_ref().unwrap_err().message, "formatted 42");
-        assert!(matches!(&out[2], Ok(2)));
-    }
-
-    #[test]
     fn catch_cell_passes_values_through() {
         assert_eq!(catch_cell(|| 7u32), Ok(7));
         let err = catch_cell(|| -> u32 { panic!("boom") }).unwrap_err();
         assert_eq!(err.message, "boom");
         assert_eq!(err.to_string(), "task panicked: boom");
+    }
+
+    #[test]
+    fn catch_cell_keeps_string_payload_messages() {
+        // `panic!` with formatting arguments carries a `String` payload.
+        let err = catch_cell(|| -> u32 { panic!("formatted {}", 42) }).unwrap_err();
+        assert_eq!(err.message, "formatted 42");
+        let err = catch_cell(|| -> u32 { std::panic::panic_any(7u8) }).unwrap_err();
+        assert_eq!(err.message, "<non-string panic payload>");
     }
 }

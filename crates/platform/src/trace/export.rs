@@ -84,8 +84,8 @@ fn json_num(x: f64) -> String {
     }
 }
 
-/// Renders records as a JSON array of objects (hand-rolled; the vendored
-/// `serde` is an API stub without real serialization).
+/// Renders records as a JSON array of objects (hand-rolled: the workspace
+/// has no serialization dependency).
 pub fn to_json<'a>(records: impl IntoIterator<Item = &'a TickRecord>) -> String {
     let mut out = String::from("[\n");
     let mut first = true;

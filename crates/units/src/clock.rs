@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Seconds;
 
 /// Length of one control cycle: 10 ms.
@@ -32,9 +30,7 @@ pub const SIM_DURATION: Seconds = Seconds::new(50.0);
 /// assert_eq!(t.time().secs(), 2.5);
 /// assert_eq!(Tick::from_time(units::Seconds::new(2.5)), t);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(u64);
 
 impl Tick {
@@ -113,7 +109,7 @@ impl Sub for Tick {
 /// assert_eq!(clock.now().index(), 1);
 /// assert!(!clock.finished());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimClock {
     now: Tick,
 }

@@ -4,15 +4,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Conversion factor: one mile per hour expressed in metres per second.
 const MPS_PER_MPH: f64 = 0.44704;
 
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -62,7 +60,6 @@ macro_rules! quantity {
             /// Returns the sign of the quantity (`-1.0`, `0.0` or `1.0`).
             #[inline]
             pub fn signum(self) -> f64 {
-                // adas-lint: allow(R4, reason = "exact-zero check is the documented contract of signum")
                 if self.0 == 0.0 { 0.0 } else { self.0.signum() }
             }
         }

@@ -5,7 +5,6 @@
 //! crates; the most useful entry points are re-exported here.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::float_cmp)]
 
 pub use attack_core;
 pub use canbus;
