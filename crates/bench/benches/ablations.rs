@@ -15,7 +15,9 @@ use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use bench::{scaled_reps, write_artifact};
 use canbus::{CanFrame, VirtualCarDbc};
 use driver_model::DriverConfig;
-use platform::experiment::{plan_attack_campaign, run_parallel, CampaignConfig};
+use platform::experiment::{
+    plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
+};
 use platform::{Harness, HarnessConfig};
 use driving_sim::{Scenario, ScenarioId};
 use units::Distance;
@@ -67,7 +69,7 @@ fn panda_ablation(reps: u32) -> String {
             for s in &mut specs {
                 s.panda_enabled = panda;
             }
-            let results = run_parallel(&specs);
+            let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
             let hazards = results.iter().filter(|r| r.hazardous()).count();
             let blocked: u64 = results.iter().map(|r| r.panda_blocked).sum();
             out.push_str(&format!(
@@ -92,12 +94,12 @@ fn driver_ablation(reps: u32) -> String {
         cfg.value_mode = ValueMode::Fixed;
         cfg.reps = reps;
         let specs = plan_attack_campaign(&cfg, attack_type);
-        let alert = run_parallel(&specs);
+        let alert = run_campaign_cells(RunnerConfig::default(), specs.clone(), RunSpec::run);
         let mut inattentive = specs;
         for s in &mut inattentive {
             s.driver = DriverConfig::inattentive();
         }
-        let absent = run_parallel(&inattentive);
+        let absent = run_campaign_cells(RunnerConfig::default(), inattentive, RunSpec::run);
         let h_alert = alert.iter().filter(|r| r.hazardous()).count();
         let h_absent = absent.iter().filter(|r| r.hazardous()).count();
         out.push_str(&format!(

@@ -15,10 +15,13 @@
 //!
 //! Run with `REPRO_SCALE=10` for a quick (≈ 1/10-size) pass.
 
-use attack_core::StrategyKind;
+use attack_core::{AttackType, StrategyKind};
 use bench::{fmt_tth, scale_divisor, scaled_reps, write_artifact};
 use driver_model::DriverConfig;
-use platform::experiment::{plan_no_attack_campaign, run_full_campaign, run_parallel, CampaignConfig};
+use platform::experiment::{
+    plan_attack_campaign, plan_no_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec,
+    RunnerConfig,
+};
 use platform::metrics::StrategyAggregate;
 use platform::tables::render_table_iv;
 
@@ -34,7 +37,11 @@ fn main() {
 
     // Baseline: no attacks.
     let t0 = std::time::Instant::now();
-    let baseline = run_parallel(&plan_no_attack_campaign(reps, 0x7AB1E4, DriverConfig::alert()));
+    let baseline = run_campaign_cells(
+        RunnerConfig::default(),
+        plan_no_attack_campaign(reps, 0x7AB1E4, DriverConfig::alert()),
+        RunSpec::run,
+    );
     rows.push(StrategyAggregate::from_results("No Attacks", &baseline));
     println!("  no-attack campaign: {} sims in {:.1?}", baseline.len(), t0.elapsed());
 
@@ -42,7 +49,13 @@ fn main() {
         let t0 = std::time::Instant::now();
         let mut cfg = CampaignConfig::paper(strategy);
         cfg.reps = reps;
-        let results = run_full_campaign(&cfg);
+        // All six attack types, concatenated: the paper's 1,440-run (or
+        // 14,400-run) strategy campaign.
+        let specs: Vec<RunSpec> = AttackType::ALL
+            .into_iter()
+            .flat_map(|t| plan_attack_campaign(&cfg, t))
+            .collect();
+        let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
         rows.push(StrategyAggregate::from_results(strategy.label(), &results));
         println!(
             "  {} campaign: {} sims in {:.1?}",

@@ -17,7 +17,9 @@
 use attack_core::{AttackType, StrategyKind, ValueMode};
 use bench::{fmt_tth, scaled_reps, write_artifact};
 use driver_model::DriverConfig;
-use platform::experiment::{plan_attack_campaign, run_parallel, CampaignConfig};
+use platform::experiment::{
+    plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
+};
 use platform::metrics::PairedAggregate;
 use platform::tables::{render_table_v, table_v_total};
 
@@ -30,14 +32,14 @@ fn run_mode(mode: ValueMode, reps: u32) -> Vec<PairedAggregate> {
 
         // With an alert driver…
         let with_specs = plan_attack_campaign(&cfg, attack_type);
-        let with_driver = run_parallel(&with_specs);
+        let with_driver = run_campaign_cells(RunnerConfig::default(), with_specs.clone(), RunSpec::run);
 
         // …and the seed-paired ablation without one.
         let mut no_driver_specs = with_specs;
         for s in &mut no_driver_specs {
             s.driver = DriverConfig::inattentive();
         }
-        let no_driver = run_parallel(&no_driver_specs);
+        let no_driver = run_campaign_cells(RunnerConfig::default(), no_driver_specs, RunSpec::run);
 
         rows.push(PairedAggregate::from_pairs(
             attack_type.label(),

@@ -16,7 +16,7 @@
 use attack_core::StrategyKind;
 use bench::{scale_divisor, scaled_reps, write_artifact};
 use platform::experiment::{
-    detected_cores, plan_attack_campaign, run_parallel_with, CampaignConfig, RunnerConfig, RunSpec,
+    detected_cores, plan_attack_campaign, run_campaign_cells, CampaignConfig, RunnerConfig, RunSpec,
 };
 use platform::{Harness, SimResult, TraceConfig};
 use units::STEPS_PER_SIM;
@@ -84,7 +84,7 @@ fn main() {
         serial.seconds, serial.sims_per_sec, serial.ticks_per_sec
     );
     let (parallel, parallel_results) = timed(&specs, |specs| {
-        run_parallel_with(RunnerConfig::default(), specs)
+        run_campaign_cells(RunnerConfig::default(), specs.to_vec(), RunSpec::run)
     });
     println!(
         "  parallel: {:.2}s  {:.1} sims/s  {:.0} ticks/s  ({workers} workers, {cores} cores)",

@@ -236,22 +236,22 @@ impl WalWriter {
 }
 
 /// Loads the trusted prefix of a WAL: completed cells keyed by index,
-/// first write wins, stopping at the first torn or corrupt line. A
-/// missing file is an empty map. A header naming a different job is an
-/// error — resuming into someone else's checkpoint must not look like
-/// an empty one.
+/// first write wins, stopping at the first torn or corrupt line (a line
+/// that is not UTF-8 included). A missing file is an empty map. A header
+/// naming a different job is an error — resuming into someone else's
+/// checkpoint must not look like an empty one.
 pub fn load_wal(path: &Path, job_id: &str) -> io::Result<BTreeMap<usize, SimResult>> {
-    let mut text = String::new();
+    let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
-            f.read_to_string(&mut text)?;
+            f.read_to_end(&mut bytes)?;
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
         Err(e) => return Err(e),
     }
-    let mut lines = text.split('\n');
+    let mut lines = bytes.split(|&b| b == b'\n');
     let expected = format!("{WAL_HEADER} {job_id}");
-    if lines.next() != Some(expected.as_str()) {
+    if lines.next() != Some(expected.as_bytes()) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{}: not a WAL for job {job_id}", path.display()),
@@ -262,7 +262,7 @@ pub fn load_wal(path: &Path, job_id: &str) -> io::Result<BTreeMap<usize, SimResu
         if line.is_empty() {
             continue;
         }
-        let Some(parsed) = parse_cell_line(line) else {
+        let Some(parsed) = std::str::from_utf8(line).ok().and_then(parse_cell_line) else {
             break; // torn or corrupt tail: trust only the prefix
         };
         cells.entry(parsed.0).or_insert(parsed.1);

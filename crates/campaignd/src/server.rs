@@ -193,9 +193,15 @@ impl Server {
                 };
                 // Finished in an earlier run: rebuild the report from the
                 // WAL without re-simulating, and close the job's stream
-                // with its terminal event.
-                let cells =
-                    load_wal(&wal_path(&cfg.state_dir, &entry.id), &entry.id).unwrap_or_default();
+                // with its terminal event. An unreadable WAL is logged and
+                // counted, and the job fails as an incomplete checkpoint.
+                let cells = match load_wal(&wal_path(&cfg.state_dir, &entry.id), &entry.id) {
+                    Ok(cells) => cells,
+                    Err(e) => {
+                        count_io_error(&state, &entry.id, "cannot load the checkpoint", &e);
+                        BTreeMap::new()
+                    }
+                };
                 progress
                     .cells_done
                     .store(cells.len() as u64, Ordering::SeqCst);
@@ -541,7 +547,8 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         let mut manifest = state.manifest.lock().unwrap_or_else(PoisonError::into_inner);
         if let Err(e) = manifest.record_job(&id, &canonical) {
             drop(manifest);
-            count_io_error(state, &id, "cannot record the accepted job", &e);
+            let what = "cannot record the accepted job in the manifest";
+            count_io_error(state, &id, what, &e);
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.retain(|queued| queued != &id);
             drop(queue);
@@ -775,13 +782,15 @@ fn record_done(state: &Arc<ServerState>, id: &str, outcome: &str) {
     let mut manifest = state.manifest.lock().unwrap_or_else(PoisonError::into_inner);
     if let Err(e) = manifest.record_done(id, outcome) {
         drop(manifest);
-        count_io_error(state, id, &format!("cannot record outcome `{outcome}`"), &e);
+        let what = format!("cannot record outcome `{outcome}` in the manifest");
+        count_io_error(state, id, &what, &e);
     }
 }
 
-/// Logs a failed manifest write with its job id and counts it on `/stats`.
+/// Logs a failed state-directory read or write with its job id and counts
+/// it on `/stats`.
 fn count_io_error(state: &Arc<ServerState>, id: &str, what: &str, e: &std::io::Error) {
-    eprintln!("campaignd: job {id}: {what} in the manifest: {e}");
+    eprintln!("campaignd: job {id}: {what}: {e}");
     state.stats.io_errors.fetch_add(1, Ordering::SeqCst);
 }
 
@@ -864,6 +873,37 @@ mod tests {
         ));
         drop(jobs);
         assert!(server.state.queue.lock().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn resume_counts_a_finished_job_whose_wal_belongs_to_another_job() {
+        let cfg = DaemonConfig {
+            resume: true,
+            ..temp_cfg("resume-foreign-wal")
+        };
+        std::fs::create_dir_all(&cfg.state_dir).unwrap();
+        let spec =
+            JobSpec::from_object(&parse_object(br#"{"kind": "resilience", "reps": 1}"#).unwrap())
+                .unwrap();
+        let mut manifest = Manifest::open(&cfg.state_dir).unwrap();
+        manifest.record_job("job-done", &spec.canonical()).unwrap();
+        manifest.record_done("job-done", "completed").unwrap();
+        drop(manifest);
+        crate::checkpoint::WalWriter::open(&wal_path(&cfg.state_dir, "job-done"), "job-other")
+            .unwrap();
+
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let jobs = server.state.jobs.lock().unwrap();
+        assert_eq!(jobs["job-done"].status.lock().unwrap().label(), "failed");
+        assert_eq!(jobs["job-done"].progress.cells_done.load(Ordering::SeqCst), 0);
+        drop(jobs);
+        assert_eq!(server.state.stats.io_errors.load(Ordering::SeqCst), 1);
+        assert!(
+            stats_body(&server.state).contains("\"io_errors\": 1"),
+            "{}",
+            stats_body(&server.state)
+        );
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 

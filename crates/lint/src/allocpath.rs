@@ -69,7 +69,7 @@ pub const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
 /// descends into nor reports inside these; the runtime counting-allocator
 /// gate (`platform/tests/alloc.rs`) is the end-to-end witness that the
 /// exemption is sound.
-pub const AMORTIZED_FNS: [&str; 2] = ["drain_into", "drain_frames_into"];
+pub const AMORTIZED_FNS: [&str; 1] = ["drain_into"];
 
 /// Whether a call site resolves to at least one workspace symbol, under
 /// the same rules [`CallGraph::build`] uses.

@@ -36,9 +36,9 @@
 //! abstract interpretation over a lowered IR ([`ir`], [`interval`],
 //! [`absint`]); and the **concurrency/alloc** layer (R12–R14) builds a
 //! lock-order graph and a may-allocate closure over the same call graph
-//! ([`locks`], [`allocpath`]). Per-file work is cached, keyed by content
-//! hash mixed with the scan-configuration fingerprint ([`cache`]), and
-//! fanned out across cores, so warm runs are sub-second.
+//! ([`locks`], [`allocpath`]). Every scan runs the whole pipeline, uncached:
+//! per-file work fans out across cores, then the cross-file layers run over
+//! the merged facts. [`scan_workspace`] and [`scan_sources`] share it.
 //!
 //! Findings can be acknowledged two ways: an inline
 //! `// adas-lint: allow(<rule>, reason = "…")` comment for sites that are
@@ -53,7 +53,6 @@
 pub mod absint;
 pub mod allocpath;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod diag;
 pub mod interval;
@@ -81,57 +80,6 @@ use std::path::{Path, PathBuf};
 /// fixtures.
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", ".github", "fixtures"];
 
-/// Knobs for a workspace scan.
-#[derive(Debug, Clone)]
-pub struct ScanOptions {
-    /// Whether to read/write the per-file facts cache.
-    pub use_cache: bool,
-    /// Cache directory; `None` means [`default_cache_dir`].
-    pub cache_dir: Option<PathBuf>,
-    /// Whether to analyze files across worker threads.
-    pub parallel: bool,
-    /// Active rules; findings for other rules are not computed or
-    /// reported. Part of the cache key — see [`cache::scan_key`].
-    pub rules: Vec<Rule>,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions {
-            use_cache: true,
-            cache_dir: None,
-            parallel: true,
-            rules: ALL_RULES.to_vec(),
-        }
-    }
-}
-
-impl ScanOptions {
-    /// Whether every rule is active (subset scans skip the dead-suppression
-    /// and stale-baseline checks, which only a full scan can judge).
-    fn full_rule_set(&self) -> bool {
-        cache::config_fingerprint(&self.rules) == cache::config_fingerprint(&ALL_RULES)
-    }
-
-    fn semantic_active(&self) -> bool {
-        self.rules.iter().any(|r| {
-            matches!(
-                r,
-                Rule::EnvelopeSoundness | Rule::ThresholdConsistency | Rule::ClampHygiene
-            )
-        })
-    }
-
-    fn concurrency_active(&self) -> bool {
-        self.rules.iter().any(|r| {
-            matches!(
-                r,
-                Rule::LockDiscipline | Rule::AllocFreedom | Rule::SharedStateDeterminism
-            )
-        })
-    }
-}
-
 /// Result of a workspace scan.
 #[derive(Debug, Default)]
 pub struct ScanReport {
@@ -143,14 +91,11 @@ pub struct ScanReport {
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// How many files were served from the facts cache.
-    pub cache_hits: usize,
     /// Baseline entries that matched nothing (stale).
     pub unused_baseline: Vec<BaselineEntry>,
     /// Inline suppressions that absorbed nothing (dead), as warnings.
     pub dead_suppressions: Vec<Diagnostic>,
-    /// GraphViz rendering of the R12 lock-order graph (empty when the
-    /// concurrency layer did not run).
+    /// GraphViz rendering of the R12 lock-order graph.
     pub lock_order_dot: String,
 }
 
@@ -162,24 +107,52 @@ impl ScanReport {
     }
 }
 
+/// One file after the per-file step every scan shares.
+struct FileScan {
+    info: FileInfo,
+    facts: parser::FileFacts,
+    /// Per-file findings (R1, R3 and the local halves of R12/R14), before
+    /// suppressions are applied.
+    local: Vec<Diagnostic>,
+    sites: Vec<rules::SuppressionSite>,
+}
+
+/// The per-file step: tokenize, parse, run the per-file rules and collect
+/// the suppression sites. The tokenized source is returned beside the
+/// result for the semantic layer to lower.
+fn scan_file(rel: &str, text: &str) -> (FileScan, tokenizer::SourceFile) {
+    let info = classify(rel);
+    let src = tokenizer::tokenize(text);
+    let facts = parser::parse(&src);
+    let local = rules::local_rules(&info, &src, &facts);
+    let sites = rules::suppression_sites(&src);
+    (
+        FileScan {
+            info,
+            facts,
+            local,
+            sites,
+        },
+        src,
+    )
+}
+
 /// Scans one source text as if it lived at `rel_path`. Per-file rules only
 /// (R1, R3, and the local halves of R12/R14); inline suppressions are
 /// honored, no baseline. This is the entry point single-file tests use to
 /// prove rules fire.
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
-    let info = classify(rel_path);
-    let file = tokenizer::tokenize(source);
-    let facts = parser::parse(&file);
-    let mut out = rules::local_rules(&info, &file, &facts);
-    out.retain(|d| !file.is_suppressed(d.line, d.rule));
-    out.extend(unknown_rule_findings(&info.rel, &rules::suppression_sites(&file)));
+    let (file, src) = scan_file(rel_path, source);
+    let mut out = file.local;
+    out.retain(|d| !src.is_suppressed(d.line, d.rule));
+    out.extend(unknown_rule_findings(&file.info.rel, &file.sites));
     out
 }
 
 /// The rule a finding about a suppression comment is filed under: the
 /// first rule the comment names, or R1, first in report order, for a
 /// comment that names none.
-fn filed_under(site: &cache::SuppressionSite) -> Rule {
+fn filed_under(site: &rules::SuppressionSite) -> Rule {
     site.rules.first().copied().unwrap_or(ALL_RULES[0])
 }
 
@@ -187,7 +160,7 @@ fn filed_under(site: &cache::SuppressionSite) -> Rule {
 /// or misspelled). Such an id covers nothing, and the finding itself is
 /// never suppressible, so a stale id can neither widen an allow into a
 /// blanket one nor hide behind it.
-fn unknown_rule_findings(file: &str, sites: &[cache::SuppressionSite]) -> Vec<Diagnostic> {
+fn unknown_rule_findings(file: &str, sites: &[rules::SuppressionSite]) -> Vec<Diagnostic> {
     sites
         .iter()
         .flat_map(|site| {
@@ -207,57 +180,13 @@ fn unknown_rule_findings(file: &str, sites: &[cache::SuppressionSite]) -> Vec<Di
         .collect()
 }
 
-/// Scans an in-memory multi-file set: per-file rules, the cross-file
-/// R6/R7 analyses with the permissive crate closure (every crate sees
-/// every other — there are no manifests to consult), and the semantic
-/// R9–R11 layer over the files its scope covers. Inline suppressions are
-/// honored, no baseline. This is how the fixture tests drive the
+/// Scans an in-memory multi-file set through the same pipeline as
+/// [`scan_workspace`], with the permissive crate closure (every crate sees
+/// every other — there are no manifests to consult) and no baseline.
+/// Returns the active findings. This is how the fixture tests drive the
 /// workspace rules without a workspace on disk.
 pub fn scan_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let mut parsed: Vec<(FileInfo, parser::FileFacts)> = Vec::new();
-    let mut tokenized: Vec<tokenizer::SourceFile> = Vec::new();
-    let mut semfiles: Vec<absint::SemFile> = Vec::new();
-    let mut out: Vec<Diagnostic> = Vec::new();
-    for (rel, text) in sources {
-        let info = classify(rel);
-        let file = tokenizer::tokenize(text);
-        let facts = parser::parse(&file);
-        out.extend(
-            rules::local_rules(&info, &file, &facts)
-                .into_iter()
-                .filter(|d| !file.is_suppressed(d.line, d.rule)),
-        );
-        out.extend(unknown_rule_findings(&info.rel, &rules::suppression_sites(&file)));
-        if scope::needs_ir(&info) {
-            semfiles.push(absint::SemFile::new(
-                info.rel.clone(),
-                tokenizer::tokenize(text),
-                scope::r9_applies(&info),
-                scope::r11_applies(&info),
-            ));
-        }
-        parsed.push((info, facts));
-        tokenized.push(file);
-    }
-    let table = symbols::SymbolTable::build(&parsed, None);
-    let graph = callgraph::CallGraph::build(&parsed, &table);
-    let mut ws = taint::r6_taint_flow(&table, &graph);
-    ws.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
-    ws.extend(absint::semantic_rules(&semfiles));
-    let (conc, _lock_graph) = locks::concurrency_rules(&parsed, &table, &graph);
-    ws.extend(conc);
-    ws.extend(allocpath::r13_alloc_freedom(&parsed, &table, &graph));
-    for d in ws {
-        let suppressed = parsed
-            .iter()
-            .position(|(info, _)| info.rel == d.file)
-            .is_some_and(|i| tokenized[i].is_suppressed(d.line, d.rule));
-        if !suppressed {
-            out.push(d);
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    out
+    scan(sources, None, None).active
 }
 
 /// Collects every scannable `.rs` file under `root`, workspace-relative,
@@ -285,143 +214,94 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Default facts-cache location, under the Cargo target dir so `cargo
-/// clean` clears it too.
-pub fn default_cache_dir(root: &Path) -> PathBuf {
-    root.join("target").join("adas-lint-cache")
-}
-
-/// Scans the whole workspace with default options (cache on, parallel).
+/// Scans the whole workspace under `root`, with the crate closure read
+/// from its manifests, and resolves findings against `baseline`.
 pub fn scan_workspace(root: &Path, baseline: Option<Baseline>) -> io::Result<ScanReport> {
-    scan_workspace_with(root, baseline, &ScanOptions::default())
-}
-
-/// Scans the whole workspace: per-file rules (cached, parallel), then the
-/// cross-file R6/R7 analyses over the assembled symbol table and call
-/// graph, then suppression/baseline resolution with dead-entry detection.
-pub fn scan_workspace_with(
-    root: &Path,
-    mut baseline: Option<Baseline>,
-    opts: &ScanOptions,
-) -> io::Result<ScanReport> {
-    let rels = collect_files(root)?;
-    let cache_dir = opts
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| default_cache_dir(root));
-    let cfg = cache::config_fingerprint(&opts.rules);
-    let sem_active = opts.semantic_active();
-
-    // Phase 1: per-file analysis — tokenize/parse/local rules, or a cache
-    // hit keyed by content hash mixed with the scan configuration. Pure
-    // per-file work, so it fans out. Semantic IR lowering rides along here
-    // (it is also pure per-file work) but is cache-*independent*: the IR
-    // holds borrows-free trees that are cheap to rebuild and expensive to
-    // serialize, and the whole-program phase re-reads them every run
-    // anyway — caching them could only add a staleness channel.
-    type PerFile = (FileInfo, cache::FileAnalysis, bool, Option<absint::SemFile>);
-    let analyze = |i: usize| -> io::Result<PerFile> {
-        let rel = &rels[i];
-        let source = fs::read_to_string(root.join(rel))?;
-        let info = classify(rel);
-        let key = cache::scan_key(cache::content_hash(source.as_bytes()), cfg);
-        let sem = (sem_active && scope::needs_ir(&info)).then(|| {
-            absint::SemFile::new(
-                rel.clone(),
-                tokenizer::tokenize(&source),
-                scope::r9_applies(&info),
-                scope::r11_applies(&info),
-            )
-        });
-        if opts.use_cache {
-            if let Some(a) = cache::load(&cache_dir, rel, key) {
-                return Ok((info, a, true, sem));
-            }
-        }
-        let mut a = rules::analyze_file(&info, &source);
-        a.raw_diags.retain(|d| opts.rules.contains(&d.rule));
-        if opts.use_cache {
-            cache::store(&cache_dir, rel, key, &a);
-        }
-        Ok((info, a, false, sem))
-    };
-    let results: Vec<io::Result<PerFile>> = if opts.parallel {
-        platform::experiment::run_parallel_map(rels.len(), analyze)
-    } else {
-        (0..rels.len()).map(analyze).collect()
-    };
-
-    let mut report = ScanReport::default();
-    let mut analyses: Vec<(FileInfo, cache::FileAnalysis)> = Vec::with_capacity(results.len());
-    let mut semfiles: Vec<absint::SemFile> = Vec::new();
-    for r in results {
-        let (info, a, hit, sem) = r?;
-        report.files_scanned += 1;
-        if hit {
-            report.cache_hits += 1;
-        }
-        if let Some(s) = sem {
-            semfiles.push(s);
-        }
-        analyses.push((info, a));
-    }
-
-    // Phase 2: workspace rules over the merged facts. Cheap (graph walks),
-    // so it always recomputes — the cache can never stale a cross-file
-    // result.
-    let files: Vec<(FileInfo, parser::FileFacts)> = analyses
-        .iter()
-        .map(|(info, a)| {
-            (
-                info.clone(),
-                parser::FileFacts {
-                    fns: a.fns.clone(),
-                    ..parser::FileFacts::default()
-                },
-            )
+    let files = collect_files(root)?
+        .into_iter()
+        .map(|rel| {
+            let text = fs::read_to_string(root.join(&rel))?;
+            Ok((rel, text))
         })
+        .collect::<io::Result<Vec<(String, String)>>>()?;
+    let sources: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(rel, text)| (rel.as_str(), text.as_str()))
         .collect();
     let deps = symbols::workspace_deps(root);
-    let table = symbols::SymbolTable::build(&files, Some(&deps));
-    let graph = callgraph::CallGraph::build(&files, &table);
-    let mut workspace_diags = taint::r6_taint_flow(&table, &graph);
-    workspace_diags.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
-    if sem_active {
-        workspace_diags.extend(absint::semantic_rules(&semfiles));
+    Ok(scan(&sources, Some(&deps), baseline))
+}
+
+/// The scan pipeline: the per-file step fanned out across cores, then the
+/// cross-file rules (R6/R7, R9–R11, R12–R14) over the merged facts, then
+/// suppression and baseline resolution with dead-entry detection. `deps`
+/// is the crate closure for [`symbols::SymbolTable::build`].
+fn scan(
+    sources: &[(&str, &str)],
+    deps: Option<&HashMap<String, Vec<String>>>,
+    mut baseline: Option<Baseline>,
+) -> ScanReport {
+    // Phase 1: per-file work, index-ordered. Files the semantic layer
+    // covers are lowered to IR here too; it is pure per-file work.
+    let per_file = platform::experiment::run_parallel_map(
+        platform::experiment::RunnerConfig::default(),
+        sources.len(),
+        |i| {
+            let (file, src) = scan_file(sources[i].0, sources[i].1);
+            let sem = scope::needs_ir(&file.info).then(|| {
+                absint::SemFile::new(
+                    file.info.rel.clone(),
+                    src,
+                    scope::r9_applies(&file.info),
+                    scope::r11_applies(&file.info),
+                )
+            });
+            (file, sem)
+        },
+    );
+
+    let mut report = ScanReport {
+        files_scanned: sources.len(),
+        ..ScanReport::default()
+    };
+    let mut parsed: Vec<(FileInfo, parser::FileFacts)> = Vec::with_capacity(per_file.len());
+    let mut semfiles: Vec<absint::SemFile> = Vec::new();
+    let mut candidates: Vec<Diagnostic> = Vec::new();
+    // Every suppression site with whether it absorbed a finding.
+    let mut sites: Vec<(String, rules::SuppressionSite, bool)> = Vec::new();
+    let mut sites_by_file: HashMap<String, Vec<usize>> = HashMap::new();
+    for (file, sem) in per_file {
+        report
+            .active
+            .extend(unknown_rule_findings(&file.info.rel, &file.sites));
+        for site in file.sites {
+            sites_by_file
+                .entry(file.info.rel.clone())
+                .or_default()
+                .push(sites.len());
+            sites.push((file.info.rel.clone(), site, false));
+        }
+        candidates.extend(file.local);
+        semfiles.extend(sem);
+        parsed.push((file.info, file.facts));
     }
-    if opts.concurrency_active() {
-        let (conc, lock_graph) = locks::concurrency_rules(&files, &table, &graph);
-        workspace_diags.extend(conc);
-        workspace_diags.extend(allocpath::r13_alloc_freedom(&files, &table, &graph));
-        report.lock_order_dot = lock_graph.to_dot();
-    }
-    workspace_diags.retain(|d| opts.rules.contains(&d.rule));
+
+    // Phase 2: workspace rules over the merged facts.
+    let table = symbols::SymbolTable::build(&parsed, deps);
+    let graph = callgraph::CallGraph::build(&parsed, &table);
+    candidates.extend(taint::r6_taint_flow(&table, &graph));
+    candidates.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
+    candidates.extend(absint::semantic_rules(&semfiles));
+    let (conc, lock_graph) = locks::concurrency_rules(&parsed, &table, &graph);
+    candidates.extend(conc);
+    candidates.extend(allocpath::r13_alloc_freedom(&parsed, &table, &graph));
+    report.lock_order_dot = lock_graph.to_dot();
 
     // Phase 3: suppression and baseline resolution, tracking which
     // suppressions actually earned their keep.
-    let mut sites: Vec<(String, cache::SuppressionSite, bool)> = Vec::new();
-    let mut sites_by_file: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (info, a) in &analyses {
-        report
-            .active
-            .extend(unknown_rule_findings(&info.rel, &a.suppressions));
-        for s in &a.suppressions {
-            sites_by_file
-                .entry(info.rel.as_str())
-                .or_default()
-                .push(sites.len());
-            sites.push((info.rel.clone(), s.clone(), false));
-        }
-    }
-
-    let mut candidates: Vec<Diagnostic> = analyses
-        .iter()
-        .flat_map(|(_, a)| a.raw_diags.iter().cloned())
-        .collect();
-    candidates.extend(workspace_diags);
     for d in candidates {
         let mut absorbed = false;
-        if let Some(idxs) = sites_by_file.get(d.file.as_str()) {
+        if let Some(idxs) = sites_by_file.get(&d.file) {
             for &i in idxs {
                 let (_, site, used) = &mut sites[i];
                 if site.line == d.line && site.covers(d.rule) {
@@ -440,13 +320,9 @@ pub fn scan_workspace_with(
         }
     }
 
-    // Only a full scan can call a suppression dead or a baseline entry
-    // stale: under `--rules` subsets, a finding the entry absorbs may
-    // simply not have been computed this run.
-    let full = opts.full_rule_set();
     for (file, site, used) in sites {
         // A site naming only unknown ids is reported above, not as dead.
-        if used || !full || (site.rules.is_empty() && !site.unknown.is_empty()) {
+        if used || (site.rules.is_empty() && !site.unknown.is_empty()) {
             continue;
         }
         let claimed = if site.rules.is_empty() {
@@ -472,9 +348,7 @@ pub fn scan_workspace_with(
     }
 
     if let Some(b) = baseline {
-        if full {
-            report.unused_baseline = b.unused();
-        }
+        report.unused_baseline = b.unused();
     }
     report
         .active
@@ -482,7 +356,7 @@ pub fn scan_workspace_with(
     report
         .dead_suppressions
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
+    report
 }
 
 /// Default baseline location: `lint-baseline.txt` at the workspace root.

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 /// caller-side guard across them is a deadlock recipe even without a
 /// lock-order cycle. Matched against qualified and bare symbol names of
 /// the transitive callee set.
-pub const BOUNDARY_FNS: [&str; 4] = ["Job::participate", "Job::wait", "run_indexed", "submit"];
+pub const BOUNDARY_FNS: [&str; 3] = ["Job::participate", "Job::wait", "run_indexed"];
 
 /// Accumulator methods that, invoked under a guard, indicate a
 /// merge-by-completion-order reduction (R14): whichever thread finishes

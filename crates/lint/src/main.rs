@@ -13,9 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use adas_lint::{
-    baseline, default_baseline_path, load_baseline, scan_workspace_with, ScanOptions, ALL_RULES,
-};
+use adas_lint::{baseline, default_baseline_path, load_baseline, scan_workspace, ALL_RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -30,7 +28,6 @@ struct Options {
     sarif_out: Option<PathBuf>,
     lock_graph_dot: Option<PathBuf>,
     timings: bool,
-    scan: ScanOptions,
 }
 
 #[derive(PartialEq)]
@@ -45,14 +42,10 @@ const USAGE: &str = "adas-lint — safety-invariant static analysis for this wor
 USAGE:
     adas-lint [--root DIR] [--format human|json|sarif] [--baseline FILE]
               [--no-baseline] [--write-baseline] [--list-rules] [--list-files]
-              [--rules R1,R3,...] [--sarif-out FILE] [--lock-graph-dot FILE]
-              [--no-cache] [--cache-dir DIR] [--timings]
+              [--sarif-out FILE] [--lock-graph-dot FILE] [--timings]
 
 OPTIONS:
     --root DIR         Workspace root to scan (default: auto-detected)
-    --rules LIST       Comma-separated rule ids to run (default: all).
-                       Subset scans skip dead-suppression/stale-baseline
-                       checks, which only a full scan can judge.
     --format FMT       Output format: human (default), json, or sarif
     --baseline FILE    Baseline file (default: <root>/lint-baseline.txt)
     --no-baseline      Ignore the baseline; report every finding
@@ -62,9 +55,7 @@ OPTIONS:
     --sarif-out FILE   Additionally write a SARIF 2.1.0 report to FILE
     --lock-graph-dot FILE
                        Write the R12 lock-order graph as GraphViz DOT to FILE
-    --no-cache         Bypass the per-file facts cache (cold scan)
-    --cache-dir DIR    Facts cache dir (default: <root>/target/adas-lint-cache)
-    --timings          Print scan wall-time and cache statistics to stderr
+    --timings          Print the scan's wall-time and file count to stderr
 ";
 
 fn parse_args() -> Result<Options, String> {
@@ -79,7 +70,6 @@ fn parse_args() -> Result<Options, String> {
         sarif_out: None,
         lock_graph_dot: None,
         timings: false,
-        scan: ScanOptions::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -111,26 +101,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.lock_graph_dot = Some(PathBuf::from(
                     args.next().ok_or("--lock-graph-dot needs a value")?,
                 ));
-            }
-            "--rules" => {
-                let spec = args.next().ok_or("--rules needs a value")?;
-                let mut rules = Vec::new();
-                for id in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    let rule = adas_lint::Rule::parse(id)
-                        .ok_or_else(|| format!("unknown rule `{id}` (try --list-rules)"))?;
-                    if !rules.contains(&rule) {
-                        rules.push(rule);
-                    }
-                }
-                if rules.is_empty() {
-                    return Err("--rules needs at least one rule id".to_string());
-                }
-                opts.scan.rules = rules;
-            }
-            "--no-cache" => opts.scan.use_cache = false,
-            "--cache-dir" => {
-                opts.scan.cache_dir =
-                    Some(PathBuf::from(args.next().ok_or("--cache-dir needs a value")?));
             }
             "--timings" => opts.timings = true,
             "--help" | "-h" => {
@@ -200,7 +170,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| default_baseline_path(&opts.root));
 
     if opts.write_baseline {
-        let report = match scan_workspace_with(&opts.root, None, &opts.scan) {
+        let report = match scan_workspace(&opts.root, None) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: scan failed: {e}");
@@ -236,7 +206,7 @@ fn main() -> ExitCode {
     // (`disallowed_types`, `disallowed_methods`): measuring its own
     // wall-time is the point of --timings.
     let t0 = std::time::Instant::now();
-    let report = match scan_workspace_with(&opts.root, baseline, &opts.scan) {
+    let report = match scan_workspace(&opts.root, baseline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: scan failed: {e}");
@@ -247,15 +217,9 @@ fn main() -> ExitCode {
 
     if opts.timings {
         eprintln!(
-            "adas-lint: scan took {:.1} ms ({}/{} files from cache, {})",
+            "adas-lint: scan took {:.1} ms ({} files)",
             elapsed.as_secs_f64() * 1e3,
-            report.cache_hits,
             report.files_scanned,
-            if opts.scan.use_cache {
-                "cache on"
-            } else {
-                "cache off"
-            },
         );
     }
 
@@ -299,11 +263,10 @@ fn main() -> ExitCode {
                 })
                 .collect();
             println!(
-                "{{\"version\":2,\"diagnostics\":[{}],\"unused_baseline\":[{}],\"summary\":{{\"files_scanned\":{},\"cache_hits\":{},\"active\":{},\"dead_suppressions\":{},\"baselined\":{},\"suppressed\":{}}}}}",
+                "{{\"version\":3,\"diagnostics\":[{}],\"unused_baseline\":[{}],\"summary\":{{\"files_scanned\":{},\"active\":{},\"dead_suppressions\":{},\"baselined\":{},\"suppressed\":{}}}}}",
                 diags.join(","),
                 unused.join(","),
                 report.files_scanned,
-                report.cache_hits,
                 report.active.len(),
                 report.dead_suppressions.len(),
                 report.baselined,
@@ -323,9 +286,8 @@ fn main() -> ExitCode {
                 );
             }
             println!(
-                "adas-lint: {} files scanned ({} cached), {} active finding(s), {} dead suppression(s), {} stale baseline entr(ies), {} baselined, {} suppressed",
+                "adas-lint: {} files scanned, {} active finding(s), {} dead suppression(s), {} stale baseline entr(ies), {} baselined, {} suppressed",
                 report.files_scanned,
-                report.cache_hits,
                 report.active.len(),
                 report.dead_suppressions.len(),
                 report.unused_baseline.len(),

@@ -6,9 +6,8 @@
 //!
 //! * which functions are defined (free functions and `impl` methods, with
 //!   their return-type text and whether they live in test code),
-//! * which calls, macro invocations, panic primitives, field accesses and
-//!   lock events each function body contains,
-//! * which `enum`s are declared.
+//! * which calls, macro invocations, panic primitives and lock events each
+//!   function body contains.
 //!
 //! Everything is extracted from the tokenizer's *masked* lines, so string
 //! literals and comments can never fabricate an item, and from a compound
@@ -132,23 +131,10 @@ pub struct FnDef {
     pub calls: Vec<Call>,
     /// Panic primitives in the body.
     pub panics: Vec<PanicSite>,
-    /// Field accesses `.field` (reads and writes alike) in the body.
-    pub fields: Vec<(usize, String)>,
     /// Macro invocations in the body (name without `!`).
     pub macros: Vec<(usize, String)>,
     /// Lock acquisitions, condvar waits, and calls-under-guard (R12/R14).
     pub locks: Vec<LockEvent>,
-}
-
-/// A declared `enum` and its variants.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// Variant names, in declaration order.
-    pub variants: Vec<String>,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
 }
 
 /// Everything the cross-file rules need from one file.
@@ -156,10 +142,6 @@ pub struct EnumDef {
 pub struct FileFacts {
     /// Function definitions, in source order.
     pub fns: Vec<FnDef>,
-    /// Enum declarations.
-    pub enums: Vec<EnumDef>,
-    /// Struct names declared in the file.
-    pub structs: Vec<String>,
 }
 
 /// Keywords that look like callees when followed by `(` but are not.
@@ -334,19 +316,7 @@ pub fn parse(src: &SourceFile) -> FileFacts {
                     i += 1;
                 }
             }
-            "struct" => {
-                if let Some(name) = toks.get(i + 1).filter(|t| t.is_word) {
-                    facts.structs.push(name.text.clone());
-                }
-                i += 1;
-            }
-            "enum" => {
-                let (def, next) = parse_enum(&toks, i);
-                if let Some(def) = def {
-                    facts.enums.push(def);
-                }
-                i = next;
-            }
+            "enum" => i = skip_enum(&toks, i),
             "fn" => {
                 let (def, next) = parse_fn(&toks, i, &impl_stack, saw_pub, &in_test);
                 if let Some(def) = def {
@@ -430,12 +400,12 @@ fn parse_impl_header(toks: &[Tok], impl_idx: usize) -> Option<(String, usize)> {
     None
 }
 
-/// Parses `enum Name { Variant, … }`; returns the def and the index one
-/// past the closing brace.
-fn parse_enum(toks: &[Tok], enum_idx: usize) -> (Option<EnumDef>, usize) {
-    let Some(name) = toks.get(enum_idx + 1).filter(|t| t.is_word) else {
-        return (None, enum_idx + 1);
-    };
+/// Skips `enum Name { … }`: returns the index one past the closing brace,
+/// so variant payloads never parse as items.
+fn skip_enum(toks: &[Tok], enum_idx: usize) -> usize {
+    if toks.get(enum_idx + 1).is_none_or(|t| !t.is_word) {
+        return enum_idx + 1;
+    }
     let mut i = enum_idx + 2;
     if toks.get(i).is_some_and(|t| t.text == "<") {
         i = skip_generics(toks, i);
@@ -444,41 +414,9 @@ fn parse_enum(toks: &[Tok], enum_idx: usize) -> (Option<EnumDef>, usize) {
         i += 1;
     }
     if i >= toks.len() || toks[i].text == ";" {
-        return (None, i);
+        return i;
     }
-    let end = matching(toks, i);
-    let mut variants = Vec::new();
-    let mut expect_variant = true;
-    let mut j = i + 1;
-    while j < end.saturating_sub(1) {
-        match toks[j].text.as_str() {
-            "(" | "[" | "{" => {
-                j = matching(toks, j);
-                continue;
-            }
-            "," => expect_variant = true,
-            // Attribute on a variant: `#[…]`.
-            "#" if toks.get(j + 1).is_some_and(|t| t.text == "[") => {
-                j = matching(toks, j + 1);
-                continue;
-            }
-            "=" => expect_variant = false, // discriminant expression
-            _ if toks[j].is_word && expect_variant => {
-                variants.push(toks[j].text.clone());
-                expect_variant = false;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (
-        Some(EnumDef {
-            name: name.text.clone(),
-            variants,
-            line: toks[enum_idx].line,
-        }),
-        end,
-    )
+    matching(toks, i)
 }
 
 /// Parses a `fn` item starting at the `fn` token. Returns the def (if the
@@ -530,7 +468,6 @@ fn parse_fn(
                 ret,
                 calls: Vec::new(),
                 panics: Vec::new(),
-                fields: Vec::new(),
                 macros: Vec::new(),
                 locks: Vec::new(),
             }),
@@ -549,7 +486,6 @@ fn parse_fn(
         ret,
         calls: Vec::new(),
         panics: Vec::new(),
-        fields: Vec::new(),
         macros: Vec::new(),
         locks: Vec::new(),
     };
@@ -565,7 +501,7 @@ fn qualify(impl_stack: &[(String, i64)], name: &str) -> String {
     }
 }
 
-/// Flat body scan: calls, panic primitives, field accesses, macros.
+/// Flat body scan: calls, panic primitives, macros.
 /// Nested fns are rare in this workspace and their bodies are attributed
 /// to the enclosing def, which is conservative in the right direction for
 /// both R6 and R7 (the enclosing fn can reach whatever the nested one
@@ -630,10 +566,6 @@ fn scan_flat(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
                         });
                     }
                 }
-            } else if prev == Some(".") && next != Some("(") {
-                // `.field` access (await and numeric tuple indices included;
-                // harmless for the consumers).
-                def.fields.push((t.line, t.text.clone()));
             }
         }
         i += 1;
@@ -948,16 +880,6 @@ mod tests {
         let panics: Vec<&str> = d.panics.iter().map(|p| p.what.as_str()).collect();
         assert!(panics.contains(&".unwrap()"));
         assert!(panics.contains(&"panic!"));
-    }
-
-    #[test]
-    fn enum_variants_extracted() {
-        let f = facts(
-            "pub enum HazardKind {\n  #[doc = \"x\"]\n  H1,\n  H2(u8),\n  H3 { v: u8 },\n}\n",
-        );
-        assert_eq!(f.enums.len(), 1);
-        assert_eq!(f.enums[0].name, "HazardKind");
-        assert_eq!(f.enums[0].variants, vec!["H1", "H2", "H3"]);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! tracks which suppressions actually absorbed something — a dead
 //! `allow(...)` is itself a finding.
 
-use crate::cache::{FileAnalysis, SuppressionSite};
 use crate::diag::{Diagnostic, Rule, Severity};
 use crate::parser::FileFacts;
 use crate::scope::FileInfo;
@@ -35,32 +34,21 @@ pub fn local_rules(info: &FileInfo, src: &SourceFile, facts: &FileFacts) -> Vec<
     out
 }
 
-/// Tokenizes + parses + rules one file into the cacheable analysis record:
-/// raw local findings, suppression sites, and the function/enum facts the
-/// workspace rules (R6/R7) need.
-pub fn analyze_file(info: &FileInfo, source: &str) -> FileAnalysis {
-    let src = crate::tokenizer::tokenize(source);
-    let facts = crate::parser::parse(&src);
-    let raw_diags = local_rules(info, &src, &facts);
-    let suppressions = suppression_sites(&src);
-    let fns = facts
-        .fns
-        .into_iter()
-        .map(|mut f| {
-            // Field facts are only consumed at parse time; dropping them
-            // keeps cache entries small. Macros and lock events survive —
-            // the workspace concurrency/alloc layer (R12–R14) reads them
-            // from the cache on warm runs.
-            f.fields = Vec::new();
-            f
-        })
-        .collect();
-    let enums = facts.enums.into_iter().map(|e| e.name).collect();
-    FileAnalysis {
-        raw_diags,
-        suppressions,
-        fns,
-        enums,
+/// One inline suppression site, as the workspace pass needs it.
+#[derive(Debug)]
+pub struct SuppressionSite {
+    /// 1-based line the suppression applies to.
+    pub line: usize,
+    /// Covered rules; empty (with no `unknown` ids) means all.
+    pub rules: Vec<Rule>,
+    /// Named ids that are no rule; they cover nothing.
+    pub unknown: Vec<String>,
+}
+
+impl SuppressionSite {
+    /// Whether this site covers `rule`.
+    pub fn covers(&self, rule: Rule) -> bool {
+        crate::tokenizer::allow_covers(&self.rules, &self.unknown, rule)
     }
 }
 

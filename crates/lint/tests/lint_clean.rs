@@ -4,16 +4,17 @@
 //! model cares about and asserting the rules fire.
 
 use adas_lint::{
-    default_baseline_path, load_baseline, scan_source, scan_workspace,
-    workspace_root_from_manifest, Rule,
+    collect_files, default_baseline_path, load_baseline, parser, scan_source, scan_workspace,
+    scope, tokenizer, workspace_root_from_manifest, FileKind, Rule,
 };
+use std::collections::HashSet;
 
 fn workspace_root() -> std::path::PathBuf {
     workspace_root_from_manifest(env!("CARGO_MANIFEST_DIR"))
 }
 
 #[test]
-fn workspace_has_no_unacknowledged_findings() {
+fn workspace_scan_is_clean() {
     let root = workspace_root();
     let baseline = load_baseline(&default_baseline_path(&root)).expect("baseline parses");
     let report = scan_workspace(&root, Some(baseline)).expect("workspace scan succeeds");
@@ -31,19 +32,66 @@ fn workspace_has_no_unacknowledged_findings() {
         report.active.len(),
         rendered.join("\n")
     );
-}
-
-#[test]
-fn baseline_has_no_stale_entries() {
-    let root = workspace_root();
-    let baseline = load_baseline(&default_baseline_path(&root)).expect("baseline parses");
-    let report = scan_workspace(&root, Some(baseline)).expect("workspace scan succeeds");
     assert!(
         report.unused_baseline.is_empty(),
         "stale baseline entries (the code they grandfathered is gone — \
          re-run `cargo run -p adas-lint -- --write-baseline`): {:?}",
         report.unused_baseline
     );
+    assert!(
+        report.dead_suppressions.is_empty(),
+        "dead suppressions (the code they excused is gone — remove them): {:?}",
+        report.dead_suppressions
+    );
+}
+
+/// The rule tables match by name, so an entry naming code that does not
+/// exist matches nothing until a function of that name appears anywhere,
+/// which then silently becomes a root, a pool boundary or an R13
+/// exemption. Every entry
+/// must name a non-test function of library or binary code, by qualified
+/// or bare name, and every R3 path must be a scanned file: the table
+/// counterpart of the dead-suppression check.
+#[test]
+fn rule_tables_name_only_code_that_exists() {
+    let root = workspace_root();
+    let files = collect_files(&root).expect("workspace walk");
+    let mut fns: HashSet<String> = HashSet::new();
+    for rel in &files {
+        let info = scope::classify(rel);
+        if !matches!(info.kind, FileKind::Lib | FileKind::Bin) {
+            continue;
+        }
+        let text = std::fs::read_to_string(root.join(rel)).expect("read source");
+        let facts = parser::parse(&tokenizer::tokenize(&text));
+        for f in facts.fns.into_iter().filter(|f| !f.is_test) {
+            fns.insert(f.name);
+            fns.insert(f.qual);
+        }
+    }
+    let tables: [(&str, &[&str]); 4] = [
+        ("callgraph::R7_ROOTS", &adas_lint::callgraph::R7_ROOTS),
+        ("allocpath::R13_ROOTS", &adas_lint::allocpath::R13_ROOTS),
+        ("locks::BOUNDARY_FNS", &adas_lint::locks::BOUNDARY_FNS),
+        (
+            "allocpath::AMORTIZED_FNS",
+            &adas_lint::allocpath::AMORTIZED_FNS,
+        ),
+    ];
+    let mut missing: Vec<String> = Vec::new();
+    for (table, entries) in tables {
+        for entry in entries.iter().filter(|e| !fns.contains(**e)) {
+            missing.push(format!("{table} entry `{entry}` names no function"));
+        }
+    }
+    for path in scope::R3_ALLOWED_PATHS {
+        if !files.iter().any(|f| f == path) {
+            missing.push(format!(
+                "scope::R3_ALLOWED_PATHS entry `{path}` is no scanned file"
+            ));
+        }
+    }
+    assert!(missing.is_empty(), "{}", missing.join("\n"));
 }
 
 /// Injecting a raw-f64 public API into a safety-path crate must fail with R1.

@@ -103,17 +103,3 @@ fn impl_methods_are_qualified() {
     let callees: Vec<&str> = f.fns[0].calls.iter().map(|c| c.callee.name()).collect();
     assert_eq!(callees, ["observe", "helper"]);
 }
-
-#[test]
-fn enums_and_structs_are_catalogued() {
-    let f = facts(
-        "pub enum AlertKind {\n    SteerSaturated,\n    ForwardCollisionWarning,\n}\npub struct Harness {\n    tick: u64,\n}\n",
-    );
-    assert_eq!(f.enums.len(), 1);
-    assert_eq!(f.enums[0].name, "AlertKind");
-    assert_eq!(
-        f.enums[0].variants,
-        ["SteerSaturated", "ForwardCollisionWarning"]
-    );
-    assert!(f.structs.contains(&"Harness".to_string()));
-}

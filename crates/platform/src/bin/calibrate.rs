@@ -5,7 +5,9 @@
 
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driver_model::DriverConfig;
-use platform::experiment::{mix_seed, plan_no_attack_campaign, run_parallel, RunSpec};
+use platform::experiment::{
+    mix_seed, plan_no_attack_campaign, run_campaign_cells, RunSpec, RunnerConfig,
+};
 use platform::{Harness, HarnessConfig};
 use driving_sim::Scenario;
 
@@ -17,7 +19,7 @@ fn main() {
 
     // --- Attack-free campaign -------------------------------------------
     let specs = plan_no_attack_campaign(reps, 0xCA11B, DriverConfig::alert());
-    let results = run_parallel(&specs);
+    let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
     let sims = results.len();
     let hazards = results.iter().filter(|r| r.hazardous()).count();
     let alerts: u64 = results.iter().map(|r| r.alert_events).sum();
@@ -76,7 +78,7 @@ fn main() {
                 });
             }
         }
-        let results = run_parallel(&specs);
+        let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
         let n = results.len();
         let triggered = results.iter().filter(|r| r.attack_activated.is_some()).count();
         let hazards = results.iter().filter(|r| r.hazardous()).count();

@@ -2,14 +2,20 @@
 //! calibration companion to the `calibrate` binary).
 
 use attack_core::{AttackType, StrategyKind, ValueMode};
-use platform::experiment::{plan_attack_campaign, run_parallel, CampaignConfig};
+use platform::experiment::{
+    plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
+};
 fn main() {
     for strategy in [StrategyKind::RandomSt, StrategyKind::RandomStDur] {
         println!("== {} ==", strategy.label());
         for t in AttackType::ALL {
             let mut cfg = CampaignConfig::smoke(strategy, 5);
             cfg.value_mode = ValueMode::Fixed;
-            let r = run_parallel(&plan_attack_campaign(&cfg, t));
+            let r = run_campaign_cells(
+                RunnerConfig::default(),
+                plan_attack_campaign(&cfg, t),
+                RunSpec::run,
+            );
             let haz = r.iter().filter(|x| x.hazardous()).count();
             let acc = r.iter().filter(|x| x.accident.is_some()).count();
             let h1 = r.iter().filter(|x| x.has_hazard(platform::HazardKind::H1)).count();

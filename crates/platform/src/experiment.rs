@@ -6,7 +6,7 @@ use defense::DefensePolicy;
 use driver_model::DriverConfig;
 use driving_sim::Scenario;
 
-use crate::trace::{CampaignMetrics, TraceConfig, TraceRecorder};
+use crate::trace::{TraceConfig, TraceRecorder};
 use crate::{Harness, HarnessConfig, HazardParams, SimResult};
 
 /// A full campaign: every attack type over the whole scenario matrix.
@@ -326,30 +326,20 @@ where
     }
 }
 
-/// Maps `f` over `0..n` in parallel, preserving order.
+/// Maps `f` over `0..n` in parallel with `cfg`'s worker count, preserving
+/// order.
 ///
 /// Unlike the campaign runners — which fan out over the persistent pool via
 /// [`run_campaign_cells`] — this is a *scoped* map: `f` may borrow from the
 /// calling stack frame, at the cost of spawning fresh threads per call. Use
 /// it for one-shot generic maps (the lint crate's analysis fan-out); use
-/// the pool for anything campaign-shaped. The worker count comes from
-/// [`RunnerConfig::default`] (i.e. `REPRO_WORKERS` or all cores); use
-/// [`run_parallel_map_with`] to pin it.
-pub fn run_parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_parallel_map_with(RunnerConfig::default(), n, f)
-}
-
-/// [`run_parallel_map`] with an explicit [`RunnerConfig`].
+/// the pool for anything campaign-shaped.
 ///
 /// Each worker accumulates `(index, result)` pairs in a thread-local batch
 /// that is merged once at join — no per-item `Mutex`, no per-item
 /// allocation, and a single-worker job degenerates to a plain serial loop
 /// on the calling thread.
-pub fn run_parallel_map_with<T, F>(cfg: RunnerConfig, n: usize, f: F) -> Vec<T>
+pub fn run_parallel_map<T, F>(cfg: RunnerConfig, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -396,51 +386,6 @@ where
         .into_iter()
         .map(|s| s.expect("every index was claimed by exactly one worker"))
         .collect()
-}
-
-/// Runs a work list on the persistent pool across all cores, preserving
-/// order.
-pub fn run_parallel(specs: &[RunSpec]) -> Vec<SimResult> {
-    run_parallel_with(RunnerConfig::default(), specs)
-}
-
-/// [`run_parallel`] with an explicit [`RunnerConfig`].
-pub fn run_parallel_with(cfg: RunnerConfig, specs: &[RunSpec]) -> Vec<SimResult> {
-    run_campaign_cells(cfg, specs.to_vec(), RunSpec::run)
-}
-
-/// Runs a work list in parallel with a flight recorder on every run,
-/// folding each run's metrics into one [`CampaignMetrics`] aggregate.
-///
-/// The per-run rings are dropped after aggregation (a campaign's worth of
-/// full traces would be gigabytes); pass a small `trace.capacity` since only
-/// the metrics survive.
-pub fn run_parallel_traced(
-    specs: &[RunSpec],
-    trace: TraceConfig,
-) -> (Vec<SimResult>, CampaignMetrics) {
-    let runs = run_campaign_cells(RunnerConfig::default(), specs.to_vec(), move |s: &RunSpec| {
-        s.run_traced(trace)
-    });
-    let mut campaign = CampaignMetrics::default();
-    let mut results = Vec::with_capacity(runs.len());
-    for (result, recorder) in runs {
-        if let Some(rec) = recorder {
-            campaign.absorb_run(rec.metrics(), &result);
-        }
-        results.push(result);
-    }
-    (results, campaign)
-}
-
-/// Runs all six attack types and returns the concatenated results
-/// (the paper's 1,440-run — or 14,400-run — strategy campaigns).
-pub fn run_full_campaign(cfg: &CampaignConfig) -> Vec<SimResult> {
-    let specs: Vec<RunSpec> = AttackType::ALL
-        .into_iter()
-        .flat_map(|t| plan_attack_campaign(cfg, t))
-        .collect();
-    run_parallel(&specs)
 }
 
 #[cfg(test)]
@@ -494,7 +439,7 @@ mod tests {
             .into_iter()
             .take(4)
             .collect();
-        let parallel = run_parallel(&specs);
+        let parallel = run_campaign_cells(RunnerConfig::default(), specs.clone(), RunSpec::run);
         let serial: Vec<SimResult> = specs.iter().map(RunSpec::run).collect();
         assert_eq!(parallel, serial);
     }
@@ -508,22 +453,22 @@ mod tests {
 
     #[test]
     fn parallel_map_empty_job_returns_empty() {
-        let out = run_parallel_map(0, |i| i);
+        let out = run_parallel_map(RunnerConfig::default(), 0, |i| i);
         assert!(out.is_empty());
-        let out = run_parallel_map_with(RunnerConfig::with_workers(8), 0, |i| i);
+        let out = run_parallel_map(RunnerConfig::with_workers(8), 0, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn parallel_map_with_fewer_items_than_workers() {
-        let out = run_parallel_map_with(RunnerConfig::with_workers(16), 3, |i| i * 10);
+        let out = run_parallel_map(RunnerConfig::with_workers(16), 3, |i| i * 10);
         assert_eq!(out, vec![0, 10, 20]);
     }
 
     #[test]
     fn parallel_map_preserves_order_under_a_slow_first_item() {
         // Item 0 finishes last; its result must still come back first.
-        let out = run_parallel_map_with(RunnerConfig::with_workers(4), 8, |i| {
+        let out = run_parallel_map(RunnerConfig::with_workers(4), 8, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
@@ -535,7 +480,7 @@ mod tests {
     #[test]
     fn single_worker_equals_serial() {
         let serial: Vec<usize> = (0..10).map(|i| i * i).collect();
-        let one = run_parallel_map_with(RunnerConfig::with_workers(1), 10, |i| i * i);
+        let one = run_parallel_map(RunnerConfig::with_workers(1), 10, |i| i * i);
         assert_eq!(one, serial);
         // An explicit 0 clamps to 1 rather than deadlocking.
         assert_eq!(RunnerConfig::with_workers(0).worker_count(10), 1);

@@ -23,7 +23,7 @@
 //! a `'static` bound on jobs: callers hand the pool owned state (e.g. an
 //! `Arc<[RunSpec]>`) rather than borrowing from the submitting stack frame.
 //! Borrow-based generic maps (the lint crate's analysis fan-out) stay on
-//! the scoped runner in [`crate::experiment::run_parallel_map_with`].
+//! the scoped runner in [`crate::experiment::run_parallel_map`].
 //!
 //! Every lock acquisition recovers from poisoning with
 //! [`PoisonError::into_inner`] instead of unwrapping (R12). That is sound

@@ -11,7 +11,9 @@
 //! `cargo bench -p bench --bench table_v`.)
 
 use attack_core::{AttackType, StrategyKind};
-use platform::experiment::{plan_attack_campaign, run_parallel, CampaignConfig};
+use platform::experiment::{
+    plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
+};
 use platform::metrics::StrategyAggregate;
 
 fn main() {
@@ -30,7 +32,11 @@ fn main() {
     );
 
     for attack_type in AttackType::ALL {
-        let results = run_parallel(&plan_attack_campaign(&cfg, attack_type));
+        let results = run_campaign_cells(
+            RunnerConfig::default(),
+            plan_attack_campaign(&cfg, attack_type),
+            RunSpec::run,
+        );
         let agg = StrategyAggregate::from_results(attack_type.label(), &results);
         let frames: u64 = results.iter().map(|r| r.frames_rewritten).sum();
         println!(

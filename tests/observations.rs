@@ -6,7 +6,8 @@ use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driver_model::DriverConfig;
 use driving_sim::{Scenario, ScenarioId};
 use platform::experiment::{
-    mix_seed, plan_attack_campaign, plan_no_attack_campaign, run_parallel, CampaignConfig,
+    mix_seed, plan_attack_campaign, plan_no_attack_campaign, run_campaign_cells, CampaignConfig,
+    RunSpec, RunnerConfig,
 };
 use platform::{Harness, HarnessConfig, SimResult};
 use units::Distance;
@@ -14,14 +15,22 @@ use units::Distance;
 fn context_campaign(attack_type: AttackType, mode: ValueMode, reps: u32) -> Vec<SimResult> {
     let mut cfg = CampaignConfig::smoke(StrategyKind::ContextAware, reps);
     cfg.value_mode = mode;
-    run_parallel(&plan_attack_campaign(&cfg, attack_type))
+    run_campaign_cells(
+        RunnerConfig::default(),
+        plan_attack_campaign(&cfg, attack_type),
+        RunSpec::run,
+    )
 }
 
 /// Observation 1: "Lane invasions can happen even without any attacks" —
 /// and, per Table IV, no hazards or accidents do.
 #[test]
 fn observation_1_attack_free_runs_invade_lanes_but_stay_safe() {
-    let results = run_parallel(&plan_no_attack_campaign(3, 0x0B51, DriverConfig::alert()));
+    let results = run_campaign_cells(
+        RunnerConfig::default(),
+        plan_no_attack_campaign(3, 0x0B51, DriverConfig::alert()),
+        RunSpec::run,
+    );
     assert_eq!(results.len(), 36);
     for r in &results {
         assert!(!r.hazardous(), "no hazards without attacks: {:?}", r.first_hazard);
@@ -68,7 +77,11 @@ fn observation_3_context_aware_does_not_waste_injections() {
     // short draws waste the opportunity.
     let mut cfg = CampaignConfig::smoke(StrategyKind::RandomDur, 2);
     cfg.value_mode = ValueMode::Strategic;
-    let rd = run_parallel(&plan_attack_campaign(&cfg, AttackType::SteeringRight));
+    let rd = run_campaign_cells(
+        RunnerConfig::default(),
+        plan_attack_campaign(&cfg, AttackType::SteeringRight),
+        RunSpec::run,
+    );
     let rd_activated = rd.iter().filter(|r| r.attack_activated.is_some()).count();
     let rd_hazard = rd.iter().filter(|r| r.hazardous()).count();
     assert!(rd_activated > 0);
@@ -86,12 +99,12 @@ fn observation_4_alert_driver_prevents_noticeable_attacks() {
     let mut cfg = CampaignConfig::smoke(StrategyKind::ContextAware, 2);
     cfg.value_mode = ValueMode::Fixed;
     let specs = plan_attack_campaign(&cfg, AttackType::Deceleration);
-    let with_driver = run_parallel(&specs);
+    let with_driver = run_campaign_cells(RunnerConfig::default(), specs.clone(), RunSpec::run);
     let mut no_driver_specs = specs;
     for s in &mut no_driver_specs {
         s.driver = DriverConfig::inattentive();
     }
-    let no_driver = run_parallel(&no_driver_specs);
+    let no_driver = run_campaign_cells(RunnerConfig::default(), no_driver_specs, RunSpec::run);
 
     let agg = platform::metrics::PairedAggregate::from_pairs("Decel", &with_driver, &no_driver);
     assert!(

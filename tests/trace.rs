@@ -6,9 +6,9 @@ use driver_model::DriverConfig;
 use driving_sim::{Scenario, ScenarioId};
 use msgbus::Topic;
 use platform::experiment::{
-    mix_seed, plan_attack_campaign, run_parallel_traced, CampaignConfig,
+    mix_seed, plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
 };
-use platform::trace::to_csv;
+use platform::trace::{to_csv, CampaignMetrics};
 use platform::{trace_assert, Harness, HarnessConfig, TraceConfig};
 use units::Distance;
 
@@ -112,8 +112,19 @@ fn traced_campaign_aggregates_and_matches_untraced() {
         .into_iter()
         .take(4)
         .collect();
-    let untraced = platform::experiment::run_parallel(&specs);
-    let (traced, campaign) = run_parallel_traced(&specs, TraceConfig::enabled(32));
+    let untraced = run_campaign_cells(RunnerConfig::default(), specs.clone(), RunSpec::run);
+    // Each run's ring is dropped once its metrics are folded in; only the
+    // aggregate survives.
+    let runs = run_campaign_cells(RunnerConfig::default(), specs, |s: &RunSpec| {
+        s.run_traced(TraceConfig::enabled(32))
+    });
+    let mut campaign = CampaignMetrics::default();
+    let mut traced = Vec::with_capacity(runs.len());
+    for (result, recorder) in runs {
+        let rec = recorder.expect("a traced run returns its recorder");
+        campaign.absorb_run(rec.metrics(), &result);
+        traced.push(result);
+    }
     assert_eq!(untraced, traced, "recorder is invisible to campaign results");
     assert_eq!(campaign.runs, 4);
     assert_eq!(campaign.totals.ticks, 4 * units::STEPS_PER_SIM);
