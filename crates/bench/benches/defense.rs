@@ -11,6 +11,12 @@
 //! The campaign is run twice (parallel, then single-worker) and the two
 //! JSON reports must match byte for byte.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench times its own run; timings are reported beside the seeded results and never feed them"
+)]
+
 use bench::{scale_divisor, write_artifact};
 use platform::defense_campaign::{run_defense_campaign_with, DefenseCampaignConfig};
 use platform::experiment::RunnerConfig;

@@ -3,6 +3,12 @@
 //! runs; the Context-Aware strategy's activations (diamonds) should all land
 //! inside the critical window and all be hazardous (Observation 3).
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench times its own run; timings are reported beside the seeded results and never feed them"
+)]
+
 use bench::{scale_divisor, write_artifact};
 use driver_model::DriverConfig;
 use platform::figures::{fig8_parameter_space, render_fig8};

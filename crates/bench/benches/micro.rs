@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks of the reproduction's building blocks:
 //! simulation stepping, CAN encode/decode + checksum repair, the
-//! actuator-command codec, bus pub/sub, context matching, and a full
-//! harness tick — attacked, faulted and defended, and faulted with an
-//! outside subscriber observing the bus.
+//! actuator-command codec, the CAN IDS, bus pub/sub, context matching, and
+//! a full harness tick — attacked, faulted and defended, defended and
+//! attacked, and faulted with an outside subscriber observing the bus.
 
 use attack_core::{
     AttackAction, AttackConfig, AttackEngine, ContextState, ContextTable, SteerDirection,
 };
-use canbus::{decode, rewrite_signal, Encoder, VirtualCarDbc};
+use canbus::{decode, rewrite_signal, CanFrame, Encoder, VirtualCarDbc};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use defense::{CanIds, IdsConfig};
 use driving_sim::{ActuatorCommand, Scenario, ScenarioId, SensorSuite, World};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use msgbus::schema::{CarControl, GpsLocation};
@@ -82,6 +83,40 @@ fn bench_command_codec(c: &mut Criterion) {
         let mut enc = CommandEncoder::new();
         let frames = enc.encode(&control).unwrap();
         b.iter(|| black_box(enc.decode_actuators(black_box(&frames), CarControl::default())));
+    });
+}
+
+/// The CAN IDS alone, one engaged control cycle per iteration: checking
+/// the three encoded frames, and taking the encoder's rolling counters
+/// for a cycle whose frames nothing altered.
+fn bench_ids(c: &mut Criterion) {
+    let control = CarControl {
+        accel: Accel::from_mps2(1.2),
+        steer: Angle::from_degrees(-0.3),
+    };
+    c.bench_function("ids_observe", |b| {
+        // One encoded cycle per rolling-counter value, replayed in order,
+        // so the counter sequence stays continuous and the IDS nominal.
+        let mut enc = CommandEncoder::new();
+        let cycles: Vec<Vec<CanFrame>> = (0..4).map(|_| enc.encode(&control).unwrap()).collect();
+        let mut ids = CanIds::new(IdsConfig::default());
+        let mut t = 0u64;
+        b.iter(|| {
+            let frames = &cycles[(t % 4) as usize];
+            let verdict = ids.observe(Tick::new(t), black_box(frames), true);
+            t += 1;
+            black_box(verdict)
+        });
+    });
+    c.bench_function("ids_observe_clean", |b| {
+        let mut ids = CanIds::new(IdsConfig::default());
+        let mut t = 0u64;
+        b.iter(|| {
+            let counters = [(t % 4) as u8; 3];
+            let verdict = ids.observe_clean(Tick::new(t), black_box(counters));
+            t += 1;
+            black_box(verdict)
+        });
     });
 }
 
@@ -170,6 +205,24 @@ fn bench_harness_tick(c: &mut Criterion) {
             black_box(harness.step());
         });
     });
+    // A `defense_matrix` cell: `harness_full_tick`'s Context-Aware attack
+    // against the Observe policy, no faults. The detectors and the IDS run
+    // on every tick; frames are encoded only while the attack injects.
+    let defended = HarnessConfig::with_attack(
+        Scenario::new(ScenarioId::S2, Distance::meters(200.0)),
+        3,
+        AttackConfig::default(),
+    )
+    .with_defense(DefensePolicy::Observe);
+    c.bench_function("harness_defended_tick", |b| {
+        let mut harness = Harness::new(defended);
+        b.iter(|| {
+            if harness.finished() {
+                harness = Harness::new(defended);
+            }
+            black_box(harness.step());
+        });
+    });
     c.bench_function("harness_faulted_tick_observed", |b| {
         let mut harness = Harness::new(faulted);
         let mut tap = harness.bus().subscribe(&Topic::ALL);
@@ -208,6 +261,7 @@ criterion_group!(
     bench_sensor_sample,
     bench_can_roundtrip,
     bench_command_codec,
+    bench_ids,
     bench_bus,
     bench_context_matching,
     bench_attack_engine_observe,

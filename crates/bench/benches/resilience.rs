@@ -11,6 +11,12 @@
 //! JSON reports must match byte for byte: seeded fault injection is part
 //! of the reproducibility contract.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench times its own run; timings are reported beside the seeded results and never feed them"
+)]
+
 use bench::{canonical_resilience_config, scale_divisor, write_artifact};
 use platform::experiment::RunnerConfig;
 use platform::resilience::run_resilience_campaign_with;

@@ -15,6 +15,12 @@
 //!
 //! Run with `REPRO_SCALE=10` for a quick (≈ 1/10-size) pass.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench times its own run; timings are reported beside the seeded results and never feed them"
+)]
+
 use attack_core::{AttackType, StrategyKind};
 use bench::{fmt_tth, scale_divisor, scaled_reps, write_artifact};
 use driver_model::DriverConfig;

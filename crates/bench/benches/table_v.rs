@@ -14,6 +14,12 @@
 //! accidents 44.5%, TTH 2.43±1.29, and essentially nothing is prevented —
 //! the values evade the driver's anomaly perception entirely.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench times its own run; timings are reported beside the seeded results and never feed them"
+)]
+
 use attack_core::{AttackType, StrategyKind, ValueMode};
 use bench::{fmt_tth, scaled_reps, write_artifact};
 use driver_model::DriverConfig;

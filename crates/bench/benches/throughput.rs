@@ -13,6 +13,12 @@
 //! No wall-clock gating anywhere: the JSON records `cores` and `workers`,
 //! since `speedup` (parallel over serial) is mostly the core count.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench times its own run; timings are reported beside the seeded results and never feed them"
+)]
+
 use attack_core::StrategyKind;
 use bench::{scale_divisor, scaled_reps, write_artifact};
 use platform::experiment::{

@@ -218,7 +218,7 @@ mod tests {
                 assert!(req.body.is_empty());
                 assert_eq!(used, buf.len());
             }
-            other => panic!("{other:?}"),
+            other @ (Parse::NeedMore | Parse::Reject(..)) => panic!("{other:?}"),
         }
     }
 
@@ -232,7 +232,7 @@ mod tests {
                 assert_eq!(req.body, b"abcde");
                 assert_eq!(used, buf.len());
             }
-            other => panic!("{other:?}"),
+            other @ (Parse::NeedMore | Parse::Reject(..)) => panic!("{other:?}"),
         }
     }
 
@@ -245,10 +245,10 @@ mod tests {
                 assert_eq!(used, 19);
                 match parse_request(&buf[used..]) {
                     Parse::Complete(req, _) => assert_eq!(req.target, "/b"),
-                    other => panic!("{other:?}"),
+                    other @ (Parse::NeedMore | Parse::Reject(..)) => panic!("{other:?}"),
                 }
             }
-            other => panic!("{other:?}"),
+            other @ (Parse::NeedMore | Parse::Reject(..)) => panic!("{other:?}"),
         }
     }
 

@@ -763,7 +763,12 @@ fn supervisor_loop(state: &Arc<ServerState>) {
                 // No manifest record: resume re-enqueues it.
             }
             Err(e) => {
-                set_status(&job, JobStatus::Failed(format!("i/o error: {e}")));
+                // No terminal event was pushed: close the stream here.
+                count_io_error(state, &id, "job failed", &e);
+                let reason = format!("i/o error: {e}");
+                set_status(&job, JobStatus::Failed(reason.clone()));
+                job.progress.push_event(Event::Failed { reason });
+                job.progress.mark_finished();
                 record_done(state, &id, "failed");
             }
         }
@@ -903,6 +908,64 @@ mod tests {
             stats_body(&server.state).contains("\"io_errors\": 1"),
             "{}",
             stats_body(&server.state)
+        );
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn a_job_that_hits_an_io_error_fails_closes_its_stream_and_is_counted() {
+        let cfg = DaemonConfig {
+            resume: true,
+            ..temp_cfg("resume-foreign-wal-unfinished")
+        };
+        std::fs::create_dir_all(&cfg.state_dir).unwrap();
+        let spec =
+            JobSpec::from_object(&parse_object(br#"{"kind": "resilience", "reps": 1}"#).unwrap())
+                .unwrap();
+        let mut manifest = Manifest::open(&cfg.state_dir).unwrap();
+        manifest
+            .record_job("job-unfinished", &spec.canonical())
+            .unwrap();
+        drop(manifest);
+        // The WAL names another job, so `run_job` fails before any cell.
+        crate::checkpoint::WalWriter::open(
+            &wal_path(&cfg.state_dir, "job-unfinished"),
+            "job-other",
+        )
+        .unwrap();
+
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let state = Arc::clone(&server.state);
+        let daemon = std::thread::spawn(move || server.run());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(b"GET /jobs/job-unfinished/stream HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut body = String::new();
+        let read = stream.read_to_string(&mut body);
+        state.draining.store(true, Ordering::SeqCst);
+        daemon.join().unwrap().unwrap();
+
+        assert!(
+            read.is_ok(),
+            "the stream did not end within 10 s: {read:?}\n{body}"
+        );
+        let last = body.lines().last().unwrap_or_default();
+        assert!(
+            last.starts_with(
+                "{\"event\": \"job\", \"id\": \"job-unfinished\", \"status\": \"failed\""
+            ),
+            "{body}"
+        );
+        assert!(last.contains("i/o error"), "{last}");
+        assert_eq!(state.stats.io_errors.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            load_manifest(&cfg.state_dir).unwrap()[0].done.as_deref(),
+            Some("failed")
         );
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }

@@ -71,8 +71,9 @@ pub struct DaemonStats {
     pub quarantined: AtomicU64,
     /// Cell attempts currently executing on pool workers.
     pub in_flight: AtomicU64,
-    /// Manifest writes that failed; each is also logged to stderr with
-    /// its job id.
+    /// State-directory reads and writes that failed (manifest records,
+    /// checkpoints loaded on `--resume`, and jobs stopped by a WAL error);
+    /// each is also logged to stderr with its job id.
     pub io_errors: AtomicU64,
     /// Wall-clock seconds per successful cell attempt, 0–1 s in 20 bins.
     pub cell_seconds: Mutex<Option<Histogram>>,
@@ -761,7 +762,9 @@ mod tests {
                 assert!(reason.contains("quarantined"), "{reason}");
                 assert!(reason.contains('5'), "{reason}");
             }
-            other => panic!("{other:?}"),
+            other @ (JobOutcome::Completed { .. } | JobOutcome::Interrupted) => {
+                panic!("{other:?}")
+            }
         }
         assert_eq!(
             *progress.quarantined.lock().unwrap(),
@@ -787,7 +790,9 @@ mod tests {
         let (outcome, _) = run(&cfg, "job-dl", &spec, &dir);
         match outcome {
             JobOutcome::Failed { reason } => assert!(reason.contains("deadline"), "{reason}"),
-            other => panic!("{other:?}"),
+            other @ (JobOutcome::Completed { .. } | JobOutcome::Interrupted) => {
+                panic!("{other:?}")
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

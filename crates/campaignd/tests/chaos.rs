@@ -6,6 +6,12 @@
 //! write-ahead checkpoint; after a second restart the archived job's
 //! report, counters and stream come back from that checkpoint.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "waits on a live daemon under wall-clock deadlines; the reports are compared byte for byte"
+)]
+
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};

@@ -5,6 +5,11 @@
 // Each integration test binary compiles its own copy of this module and
 // uses a different subset of it.
 #![allow(dead_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "waits on a live daemon under wall-clock deadlines"
+)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

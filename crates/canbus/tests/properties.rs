@@ -40,8 +40,11 @@ proptest! {
         let attacked = rewrite_signal(spec, &frame, "BRAKE_CMD", attack).unwrap();
         let map = decode(spec, &attacked).unwrap();
         prop_assert!((map["BRAKE_CMD"] - attack).abs() <= 0.001);
-        prop_assert_eq!(map["BRAKE_REQ"], 1.0);
-        prop_assert_eq!(map["COUNTER"], decode(spec, &frame).unwrap()["COUNTER"]);
+        prop_assert_eq!(map["BRAKE_REQ"].to_bits(), 1.0f64.to_bits());
+        prop_assert_eq!(
+            map["COUNTER"].to_bits(),
+            decode(spec, &frame).unwrap()["COUNTER"].to_bits()
+        );
     }
 
     /// A single flipped payload bit is always caught by the checksum unless

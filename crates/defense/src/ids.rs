@@ -136,6 +136,18 @@ struct IdState {
     last_counter: Option<u8>,
 }
 
+impl IdState {
+    /// Records the rolling counter of an integrity-valid frame; whether it
+    /// broke continuity with the previous one.
+    fn advance_counter(&mut self, counter: u8) -> bool {
+        let broke = self
+            .last_counter
+            .is_some_and(|prev| counter != (prev + 1) & 0x3);
+        self.last_counter = Some(counter);
+        broke
+    }
+}
+
 /// The three actuator messages every engaged control cycle must carry.
 const WATCHED: [u16; 3] = [STEERING_CONTROL_ID, GAS_COMMAND_ID, BRAKE_COMMAND_ID];
 
@@ -226,12 +238,7 @@ impl CanIds {
                         .data()
                         .last()
                         .map_or(0, |last| (last >> 4) & 0x3);
-                    if let Some(prev) = state.last_counter {
-                        if counter != (prev + 1) & 0x3 {
-                            counter_event = true;
-                        }
-                    }
-                    state.last_counter = Some(counter);
+                    counter_event |= state.advance_counter(counter);
                 }
             }
         } else {
@@ -240,12 +247,35 @@ impl CanIds {
             self.ids = [IdState::default(); WATCHED.len()];
         }
 
-        self.timing_score = leak(self.timing_score, timing_event);
-        self.counter_score = leak(self.counter_score, counter_event);
-        self.checksum_score = leak(self.checksum_score, checksum_event);
-        self.events.0 += u64::from(timing_event);
-        self.events.1 += u64::from(counter_event);
-        self.events.2 += u64::from(checksum_event);
+        self.settle(tick, timing_event, counter_event, checksum_event)
+    }
+
+    /// Feeds one engaged control cycle whose frames reached the bus as the
+    /// encoder produced them: one frame per watched id, valid checksums,
+    /// and the rolling `counters` (steering, gas, brake) the encoder drew.
+    /// Returns the verdict [`observe`](Self::observe) gives for those
+    /// frames, without the frames: nothing is missing, duplicated or
+    /// corrupted, but the counter-continuity check still runs, so the
+    /// first clean cycle after a frame-drop window raises its counter
+    /// event here too.
+    pub fn observe_clean(&mut self, tick: Tick, counters: [u8; 3]) -> IdsVerdict {
+        let mut counter_event = false;
+        for (state, counter) in self.ids.iter_mut().zip(counters) {
+            state.miss_streak = 0;
+            counter_event |= state.advance_counter(counter & 0x3);
+        }
+        self.settle(tick, false, counter_event, false)
+    }
+
+    /// The tail of every cycle: leaks the per-category scores, counts the
+    /// events, latches the first alarm and returns the verdict.
+    fn settle(&mut self, tick: Tick, timing: bool, counter: bool, checksum: bool) -> IdsVerdict {
+        self.timing_score = leak(self.timing_score, timing);
+        self.counter_score = leak(self.counter_score, counter);
+        self.checksum_score = leak(self.checksum_score, checksum);
+        self.events.0 += u64::from(timing);
+        self.events.1 += u64::from(counter);
+        self.events.2 += u64::from(checksum);
 
         let verdict = self.verdict();
         if verdict == IdsVerdict::Alarm && self.detected_at.is_none() {
@@ -432,6 +462,23 @@ mod tests {
         }
         assert_eq!(ids.verdict(), IdsVerdict::Nominal);
         assert!(ids.detected_at().is_some());
+    }
+
+    #[test]
+    fn clean_cycles_after_a_drop_still_break_the_counter_sequence() {
+        let mut ids = CanIds::default();
+        for t in 0..10u64 {
+            ids.observe_clean(Tick::new(t), [(t % 4) as u8; 3]);
+        }
+        // The gas frame of tick 10 is lost; the encoder's counters advance
+        // regardless, so tick 11's clean cycle arrives one count ahead.
+        let mut frames = cycle_frames(2);
+        frames.remove(1);
+        ids.observe(Tick::new(10), &frames, true);
+        assert_eq!(ids.event_counts(), (0, 0, 0), "one missed cycle is jitter");
+        let v = ids.observe_clean(Tick::new(11), [3; 3]);
+        assert_eq!(v, IdsVerdict::Suspicious);
+        assert_eq!(ids.event_counts(), (0, 1, 0));
     }
 
     #[test]

@@ -22,6 +22,11 @@ const HISTORY_LEN: usize = 256;
 /// frames (after MITM/attack processing, before the Panda safety check —
 /// physical bus errors hit everything in flight).
 ///
+/// Outside its windows the engine is idle: `apply_sensors` hands the
+/// sample through stamped at the current tick and `apply_can` returns at
+/// once, so a caller may skip encoding frames whenever
+/// [`FaultEngine::can_active`] is false.
+///
 /// All stochastic choices are stateless hashes of
 /// `(seed, tick, slot, salt)`, so fault draws are reproducible and do not
 /// perturb any other seeded stream in the simulation.
@@ -31,6 +36,8 @@ pub struct FaultEngine {
     schedule: FaultSchedule,
     /// Pristine sampled frames for the last [`HISTORY_LEN`] ticks, indexed
     /// by `tick % HISTORY_LEN`; written before any mutation each tick.
+    /// Empty unless the schedule holds a kind that replays it
+    /// ([`FaultKind::SensorLatency`], [`FaultKind::BusDelay`]).
     history: Vec<SensorFrame>,
     /// Frame captured at each spec's onset tick, keyed by the spec's dense
     /// schedule index; feeds [`FaultKind::SensorStuckAt`] and is cleared
@@ -41,13 +48,19 @@ pub struct FaultEngine {
 }
 
 impl FaultEngine {
-    /// Creates an engine for one run. This is the only allocation the
-    /// engine ever performs.
+    /// Creates an engine for one run. The history ring, allocated here when
+    /// the schedule replays history, is the only allocation the engine
+    /// ever performs.
     pub fn new(seed: u64, schedule: FaultSchedule) -> Self {
+        let replays = schedule.iter().any(|spec| spec.kind.replays_history());
         Self {
             seed,
             schedule,
-            history: vec![SensorFrame::default(); HISTORY_LEN],
+            history: if replays {
+                vec![SensorFrame::default(); HISTORY_LEN]
+            } else {
+                Vec::new()
+            },
             held: [None; MAX_FAULTS],
             active_mask: 0,
             faults_injected: 0,
@@ -64,6 +77,15 @@ impl FaultEngine {
     /// suppressed sensor stream per tick, one per dropped/flipped CAN frame.
     pub fn faults_injected(&self) -> u64 {
         self.faults_injected
+    }
+
+    /// Whether a CAN-side fault window ([`FaultKind::is_can`]) is open at
+    /// `tick`: the only ticks [`apply_can`](Self::apply_can) alters frames.
+    pub fn can_active(&self, tick: Tick) -> bool {
+        let t = tick.index();
+        self.schedule
+            .iter()
+            .any(|spec| spec.kind.is_can() && spec.active_at(t))
     }
 
     /// First tick after the last scheduled fault window closes, if any —
@@ -94,6 +116,13 @@ impl FaultEngine {
         let slot = (t % HISTORY_LEN as u64) as usize;
         if let Some(cell) = self.history.get_mut(slot) {
             *cell = *frame;
+        }
+
+        // Idle outside every window: the sample goes through as taken, and
+        // no stuck-at hold outlives its window.
+        if !self.schedule.iter().any(|spec| spec.active_at(t)) {
+            self.held = [None; MAX_FAULTS];
+            return frame.stamped(tick);
         }
 
         let schedule = self.schedule;
@@ -214,7 +243,11 @@ impl FaultEngine {
     }
 
     /// Applies CAN-side faults to the encoded actuator frames in flight.
+    /// Does nothing unless [`can_active`](Self::can_active).
     pub fn apply_can(&mut self, tick: Tick, frames: &mut Vec<CanFrame>) {
+        if !self.can_active(tick) {
+            return;
+        }
         let t = tick.index();
         let schedule = self.schedule;
         for (i, spec) in schedule.iter().enumerate() {
@@ -585,6 +618,45 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11).1, 0, "half intensity drops something in 100 ticks");
+    }
+
+    #[test]
+    fn only_latency_class_schedules_keep_a_history() {
+        let of = |kind| {
+            FaultEngine::new(
+                1,
+                FaultSchedule::single(FaultSpec::window(kind, FaultTarget::All, 0, 10)),
+            )
+        };
+        for kind in FaultKind::ALL {
+            assert_eq!(
+                !of(kind).history.is_empty(),
+                kind.replays_history(),
+                "{kind:?}"
+            );
+        }
+        assert!(FaultEngine::new(1, FaultSchedule::empty())
+            .history
+            .is_empty());
+    }
+
+    #[test]
+    fn can_active_sees_only_open_can_windows() {
+        let mut schedule = FaultSchedule::single(FaultSpec::window(
+            FaultKind::SensorDropout,
+            FaultTarget::All,
+            0,
+            100,
+        ));
+        let _ = schedule.add(FaultSpec::window(
+            FaultKind::CanBitFlip,
+            FaultTarget::All,
+            50,
+            10,
+        ));
+        let eng = FaultEngine::new(1, schedule);
+        let open: Vec<u64> = (0..100).filter(|&t| eng.can_active(Tick::new(t))).collect();
+        assert_eq!(open, (50..60).collect::<Vec<_>>());
     }
 
     #[test]

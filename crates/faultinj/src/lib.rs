@@ -15,9 +15,13 @@
 //!   seed reproduces the same faulted run bit for bit, and fault draws never
 //!   perturb the simulation's own RNG streams.
 //! * **Allocation-free after construction**: the engine allocates its
-//!   history ring once in [`FaultEngine::new`]; `apply_sensors` /
-//!   `apply_can` never touch the heap, preserving the zero-allocation
-//!   warm-tick invariant.
+//!   history ring once in [`FaultEngine::new`], and only for a schedule
+//!   with a latency-class fault; `apply_sensors` / `apply_can` never touch
+//!   the heap, preserving the zero-allocation warm-tick invariant.
+//! * **Idle outside its windows**: with no window open, `apply_sensors`
+//!   returns the sample stamped at the current tick and `apply_can`
+//!   returns at once, so the harness encodes actuator frames only while
+//!   [`FaultEngine::can_active`] (or something else reads them).
 //! * **Panic-free**: the per-tick path is reachable from `Harness::step`,
 //!   so it uses no indexing, `unwrap` or panicking macros (adas-lint R7).
 //!

@@ -100,6 +100,21 @@ impl FaultKind {
             | FaultKind::BusDelay => false,
         }
     }
+
+    /// Whether the kind replays pristine samples from earlier ticks, the
+    /// only reason the engine keeps a history of them.
+    pub(crate) fn replays_history(self) -> bool {
+        match self {
+            FaultKind::SensorLatency | FaultKind::BusDelay => true,
+            FaultKind::SensorDropout
+            | FaultKind::SensorStuckAt
+            | FaultKind::SensorNoiseBurst
+            | FaultKind::CanFrameDrop
+            | FaultKind::CanBitFlip
+            | FaultKind::CanBusOff
+            | FaultKind::BusPublishDrop => false,
+        }
+    }
 }
 
 /// Which sensor stream(s) a sensor/bus-side fault hits. CAN-side faults

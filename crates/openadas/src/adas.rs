@@ -13,8 +13,8 @@ use crate::plausibility::STALE_AFTER_TICKS;
 use crate::safety;
 use crate::{
     AccController, AlcController, AlertManager, CarStateEstimator, CommandEncoder,
-    DegradationMonitor, DegradationState, GateConfig, LaneProcessor, LeadTracker,
-    PerceptionGates,
+    DegradationMonitor, DegradationState, GateConfig, LaneProcessor, LeadTracker, PerceptionGates,
+    QuantizedCycle,
 };
 
 /// Everything the ADAS produced in one control cycle.
@@ -286,17 +286,17 @@ impl Adas {
     /// drain. With `encode_frames` the actuator frames are produced as
     /// usual (a man-in-the-middle or a receiver wants real bytes); without
     /// it the encoder's rolling counters still advance and the return value
-    /// carries the command the actuator side would have decoded (`None`:
-    /// frames were encoded, the ADAS is disengaged, or the encode path
-    /// errored — hold the last command, exactly what an empty frame batch
-    /// decodes to).
+    /// carries the command the actuator side would have decoded and the
+    /// counters the frames would have carried (`None`: frames were encoded,
+    /// the ADAS is disengaged, or the encode path errored — hold the last
+    /// command, exactly what an empty frame batch decodes to).
     pub fn step_with(
         &mut self,
         tick: Tick,
         feed: &SensorFeed,
         encode_frames: bool,
         out: &mut AdasOutput,
-    ) -> Option<CarControl> {
+    ) -> Option<QuantizedCycle> {
         let fresh = self.ingest(tick, feed);
         self.control_cycle(fresh, encode_frames, out)
     }
@@ -369,7 +369,7 @@ impl Adas {
         fresh: Freshness,
         encode_frames: bool,
         out: &mut AdasOutput,
-    ) -> Option<CarControl> {
+    ) -> Option<QuantizedCycle> {
         // An externally requested rung (CAN IDS alarm under an acting
         // policy) lands before the watchdogs step, so this cycle's control
         // authority already reflects it.

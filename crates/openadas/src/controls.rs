@@ -66,13 +66,15 @@ impl CommandLayout {
     }
 
     /// [`encode`](Self::encode)'s validation, quantization and counter draw
-    /// without the frame: the value a receiver would decode.
-    fn quantize(&mut self, phys: f64) -> Result<f64, CanError> {
+    /// without the frame: the value a receiver would decode and the rolling
+    /// counter the frame would carry (0 for a message without one).
+    fn quantize(&mut self, phys: f64) -> Result<(f64, u8), CanError> {
         let raw = self.value.phys_to_raw(phys)?;
-        if self.counter_signal.is_some() {
-            self.counter.next_value();
-        }
-        Ok(self.value.raw_to_phys(raw))
+        let counter = match self.counter_signal {
+            Some(_) => self.counter.next_value(),
+            None => 0,
+        };
+        Ok((self.value.raw_to_phys(raw), counter))
     }
 
     /// The command value of a frame with this message's id, or `None` if it
@@ -108,6 +110,17 @@ impl CycleSignals {
             brake: CommandLayout::resolve(dbc.brake_command(), "BRAKE_CMD", "BRAKE_REQ")?,
         })
     }
+}
+
+/// One control cycle's actuator frames as their readers would see them,
+/// without the bytes: what [`CommandEncoder::quantize_cycle`] returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QuantizedCycle {
+    /// The command the actuator side decodes from the unmolested frames.
+    pub command: CarControl,
+    /// The rolling counters the steering, gas and brake frames carry, in
+    /// that order (what a bus monitor reads from them).
+    pub counters: [u8; 3],
 }
 
 /// Encodes [`CarControl`] commands into gas/brake/steering CAN frames and
@@ -188,7 +201,8 @@ impl CommandEncoder {
     /// the wire: quantizes the command through the same per-signal DBC
     /// scaling [`encode_into`](Self::encode_into) would apply and consumes
     /// the same three rolling-counter draws, returning the [`CarControl`]
-    /// the actuator side would decode from an unmolested frame batch.
+    /// the actuator side would decode from an unmolested frame batch and
+    /// the counters those frames would carry.
     ///
     /// The counter parity means a hot path may freely alternate between
     /// real frames (ticks something inspects the bus) and this shortcut
@@ -201,14 +215,17 @@ impl CommandEncoder {
     /// point in the sequence; on error the caller should hold its last
     /// command, which is what the actuator side does when a cycle's frames
     /// never arrive.
-    pub fn quantize_cycle(&mut self, control: &CarControl) -> Result<CarControl, CanError> {
+    pub fn quantize_cycle(&mut self, control: &CarControl) -> Result<QuantizedCycle, CanError> {
         let sig = self.layouts()?;
-        let steer = sig.steer.quantize(control.steer.degrees())?;
-        let gas = sig.gas.quantize(control.accel.max(Accel::ZERO).mps2())?;
-        let brake = sig.brake.quantize(control.accel.min(Accel::ZERO).mps2())?;
-        Ok(CarControl {
-            accel: Accel::from_mps2(gas + brake),
-            steer: Angle::from_degrees(steer),
+        let (steer, steer_counter) = sig.steer.quantize(control.steer.degrees())?;
+        let (gas, gas_counter) = sig.gas.quantize(control.accel.max(Accel::ZERO).mps2())?;
+        let (brake, brake_counter) = sig.brake.quantize(control.accel.min(Accel::ZERO).mps2())?;
+        Ok(QuantizedCycle {
+            command: CarControl {
+                accel: Accel::from_mps2(gas + brake),
+                steer: Angle::from_degrees(steer),
+            },
+            counters: [steer_counter, gas_counter, brake_counter],
         })
     }
 
@@ -302,7 +319,11 @@ mod tests {
             let frames = wire.encode(&c).unwrap();
             let decoded = wire.decode_actuators(&frames, CarControl::default());
             let quantized = short.quantize_cycle(&c).unwrap();
-            assert_eq!(decoded, quantized, "cycle {i}");
+            assert_eq!(decoded, quantized.command, "cycle {i}");
+            let counters = frames
+                .iter()
+                .map(|f| (f.data()[f.data().len() - 1] >> 4) & 0x3);
+            assert!(counters.eq(quantized.counters), "cycle {i}");
         }
         // Counters stayed in lockstep across 50 shortcut cycles.
         let c = control(1.0, 0.1);
@@ -372,7 +393,7 @@ mod tests {
             // Corrupt a random bit of a random frame on most cycles: both
             // decoders must drop exactly the same frames.
             rng = units::mix::splitmix64(rng);
-            if rng % 4 != 0 {
+            if !rng.is_multiple_of(4) {
                 let frame = &mut frames[(rng >> 8) as usize % 3];
                 let bit = (rng >> 16) as usize % (frame.data().len() * 8);
                 frame.data_mut()[bit / 8] ^= 1 << (bit % 8);

@@ -56,7 +56,7 @@ pub use aeb::{Aeb, AebConfig, AebState};
 pub use adas::{Adas, AdasOutput};
 pub use alc::{AlcController, AlcOutput};
 pub use alerts::AlertManager;
-pub use controls::CommandEncoder;
+pub use controls::{CommandEncoder, QuantizedCycle};
 pub use degradation::{
     DegradationMonitor, DegradationState, DEGRADE_AFTER, FAILSAFE_AFTER, FAILSAFE_BRAKE,
     GENTLE_BRAKE, RECOVERY_TICKS,

@@ -148,9 +148,12 @@ fn drive(gates: GateConfig, seed: u64) {
         let published: Vec<CarState> = state_tap
             .drain()
             .iter()
-            .filter_map(|env| match env.payload() {
-                Payload::CarState(car) => Some(*car),
-                _ => None,
+            .filter_map(|env| {
+                if let Payload::CarState(car) = env.payload() {
+                    Some(*car)
+                } else {
+                    None
+                }
             })
             .collect();
         assert_eq!(published, [out_direct.car], "tick {tick}: carState");

@@ -17,13 +17,22 @@
 //! above, only while someone observes it — an outside subscriber or the
 //! flight recorder — and is otherwise never touched.
 //!
-//! A tick skips the work nothing reads, through three predicates on
-//! [`Harness`]: actuator frames are encoded only when read (`wire_read`),
-//! a dormant attacker is not stepped (`attacker_dormant`), and after a
-//! driver takeover only the driver, the world and the hazard detector run
-//! (`disengaged`). Every skip is off while the bus is observed, so a
-//! traced run executes the whole pipeline and is the oracle for the
-//! untraced one.
+//! A tick skips the work nothing reads, through four predicates on
+//! [`Harness`]:
+//!
+//! * actuator frames are encoded only on ticks something reads their
+//!   bytes (`frames_read`): an injecting attacker, an open CAN-fault
+//!   window or Panda. Otherwise the actuator side takes the quantized
+//!   command and the CAN IDS the encoder's rolling counters;
+//! * a dormant attacker is not stepped (`attacker_dormant`);
+//! * after a driver takeover only the driver, the world and the hazard
+//!   detector run (`disengaged`);
+//! * the invariant detector and the context monitor stop stepping once
+//!   their first-detection latch is set (`detector_latched`).
+//!
+//! The fault engine is idle outside its windows on its own. Every skip is
+//! off while the bus is observed, so a traced run executes the whole
+//! pipeline and is the oracle for the untraced one.
 
 use attack_core::{AttackConfig, AttackEngine, Observations};
 use defense::{
@@ -114,11 +123,11 @@ impl HarnessConfig {
         Self { defense, ..self }
     }
 
-    /// Whether the run is built with something that reads its actuator
-    /// frames — a fault engine (its CAN pass), the CAN IDS (attached with
-    /// the detectors) or Panda — or with the flight recorder, which turns
-    /// every skip off.
-    fn wire_attached(&self) -> bool {
+    /// Whether the run is built with a stage that still reads sensing or
+    /// the control stack after a driver takeover — a fault engine, the
+    /// detectors, Panda — or with the flight recorder, which turns every
+    /// skip off.
+    fn reads_after_takeover(&self) -> bool {
         self.trace.enabled
             || !self.faults.is_empty()
             || self.defense.detectors_attached()
@@ -229,6 +238,8 @@ pub struct Harness {
     first_failsafe: Option<Tick>,
     recovered_at: Option<Tick>,
     recorder: Option<TraceRecorder>,
+    /// [`HarnessConfig::reads_after_takeover`], fixed at construction.
+    reads_after_takeover: bool,
     /// ADAS output buffers, handed to [`Adas::step_with`] and taken back
     /// every tick so the steady-state loop never touches the heap.
     adas_out: AdasOutput,
@@ -288,6 +299,7 @@ impl Harness {
             first_failsafe: None,
             recovered_at: None,
             recorder: config.trace.enabled.then(|| TraceRecorder::new(config.trace)),
+            reads_after_takeover: config.reads_after_takeover(),
             adas_out: AdasOutput::default(),
             last_car: None,
             config,
@@ -325,15 +337,19 @@ impl Harness {
         self.world.finished()
     }
 
-    /// Frames only when read: whether anything but an injecting attacker
-    /// reads this tick's actuator frames, or the run is observed. The
+    /// Frames when read: whether anything but an injecting attacker reads
+    /// this tick's actuator frames as bytes, or the run is observed. The
     /// frames' readers are the attack MITM (an injecting tick encodes
-    /// regardless), the fault engine's CAN pass, the CAN IDS, Panda and
-    /// the actuator-side decoder. When only the decoder is left, the ADAS
-    /// skips the frame bytes and hands over the command the decoder would
-    /// have read (the rolling counters advance either way).
-    fn wire_read(&self, observed: bool) -> bool {
-        observed || self.config.wire_attached()
+    /// regardless), the fault engine's CAN pass (only while a CAN-fault
+    /// window is open), Panda, the CAN IDS and the actuator-side decoder.
+    /// The last two only need to know the frames arrived as encoded: when
+    /// nothing else reads them, the ADAS skips the frame bytes and hands
+    /// over the command the decoder would have read and the rolling
+    /// counters the IDS would have seen (the counters advance either way).
+    fn frames_read(&self, tick: Tick, observed: bool) -> bool {
+        observed
+            || self.config.panda_enabled
+            || self.faults.as_ref().is_some_and(|eng| eng.can_active(tick))
     }
 
     /// Dormant attacker: whether this tick may skip the attacker's
@@ -356,10 +372,20 @@ impl Harness {
     /// degradation ladder stays `Nominal`, so alert and degradation counts
     /// stand still). The frozen state's other readers — the bus, the
     /// recorder, the fault engine, the detectors and Panda — are absent
-    /// whenever the wire is unread. The sensor RNG is not drawn on these
-    /// ticks.
-    fn disengaged(&self, wire_read: bool) -> bool {
-        self.ever_disengaged && !wire_read
+    /// whenever [`HarnessConfig::reads_after_takeover`] is false and the run
+    /// is unobserved. The sensor RNG is not drawn on these ticks.
+    fn disengaged(&self, observed: bool) -> bool {
+        self.ever_disengaged && !observed && !self.reads_after_takeover
+    }
+
+    /// Latched detectors: whether a detector whose first alarm was at
+    /// `detected_at` may skip this tick's step. The invariant detector's
+    /// and the context monitor's only readers are
+    /// `SimResult::{invariant,monitor}_detected`, which read that latch and
+    /// nothing else, so once it is set a further step changes nothing the
+    /// run reports.
+    fn detector_latched(detected_at: Option<Tick>, observed: bool) -> bool {
+        !observed && detected_at.is_some()
     }
 
     /// Advances one control cycle; returns the tick that was executed.
@@ -380,8 +406,7 @@ impl Harness {
         // the bus is observed, so an observed run executes the whole
         // pipeline.
         let observed = self.recorder.is_some() || self.bus.has_subscribers();
-        let wire_read = self.wire_read(observed);
-        if self.disengaged(wire_read) {
+        if self.disengaged(observed) {
             let final_cmd = self.drive(tick, self.last_cmd, false);
             self.world.step(final_cmd);
             self.hazards.step(&self.world);
@@ -422,12 +447,13 @@ impl Harness {
         };
 
         // 3. The ADAS runs its control cycle and emits actuator frames when
-        // something reads them, else the quantized command. The output
-        // buffers are owned by the harness and reused every tick.
+        // something reads them, else the quantized command and counters.
+        // The output buffers are owned by the harness and reused every tick.
+        let frames_read = self.frames_read(tick, observed);
         let mut out = std::mem::take(&mut self.adas_out);
         let quantized = self
             .adas
-            .step_with(tick, &feed, injecting || wire_read, &mut out);
+            .step_with(tick, &feed, injecting || frames_read, &mut out);
         if observed {
             out.publish(&self.bus, tick);
         }
@@ -482,13 +508,15 @@ impl Harness {
         }
 
         // 4c. CAN IDS watches the frames as delivered — after the MITM and
-        // any bus fault, before the receivers. Under an acting policy an
-        // alarm forces the degradation ladder; the request lands at the top
-        // of the *next* control cycle (one-tick actuation delay, like a
-        // real supervisor task).
-        let ids_verdict = match self.ids.as_mut() {
-            Some(ids) => ids.observe(tick, &out.frames, out.engaged),
-            None => IdsVerdict::Nominal,
+        // any bus fault, before the receivers; a tick whose frames were
+        // skipped delivered them as encoded, so the IDS sees their counters.
+        // Under an acting policy an alarm forces the degradation ladder;
+        // the request lands at the top of the *next* control cycle
+        // (one-tick actuation delay, like a real supervisor task).
+        let ids_verdict = match (self.ids.as_mut(), quantized) {
+            (Some(ids), Some(clean)) => ids.observe_clean(tick, clean.counters),
+            (Some(ids), None) => ids.observe(tick, &out.frames, out.engaged),
+            (None, _) => IdsVerdict::Nominal,
         };
         match self.config.defense {
             DefensePolicy::Off | DefensePolicy::Observe => {}
@@ -513,7 +541,7 @@ impl Harness {
         // 6. Actuator-side decode; invalid/missing frames hold last values.
         // A tick whose frames were skipped carries the quantized command.
         let cmd = match quantized {
-            Some(cmd) => cmd,
+            Some(clean) => clean.command,
             None => self
                 .actuator_side
                 .decode_actuators(&out.frames, self.last_cmd),
@@ -522,8 +550,13 @@ impl Harness {
 
         // 6b. §V defenses observe the boundary: the invariant detector
         // compares the *issued* command with the measured response; the
-        // context monitor judges the *executed* command in context.
-        if let Some(inv) = self.invariant.as_mut() {
+        // context monitor judges the *executed* command in context. A
+        // latched detector is not stepped.
+        if let Some(inv) = self
+            .invariant
+            .as_mut()
+            .filter(|inv| !Self::detector_latched(inv.detected_at(), observed))
+        {
             inv.step(
                 tick,
                 out.control.accel,
@@ -532,7 +565,11 @@ impl Harness {
                 frame.lane.lateral_offset().raw(),
             );
         }
-        if let Some(mon) = self.monitor.as_mut() {
+        if let Some(mon) = self
+            .monitor
+            .as_mut()
+            .filter(|mon| !Self::detector_latched(mon.detected_at(), observed))
+        {
             let half_width = self.world.ego().params().width / 2.0;
             let v = frame.gps.speed;
             let obs = ContextObservation {
@@ -793,7 +830,7 @@ impl BatchHarness {
     /// Runs whose wire nothing reads from construction: no recorder, fault
     /// schedule, detectors or Panda.
     pub fn fast_lanes(&self) -> usize {
-        self.configs.iter().filter(|c| !c.wire_attached()).count()
+        self.configs.iter().filter(|c| !c.reads_after_takeover()).count()
     }
 
     /// `Harness::new(config).run()` for every run, in push order.

@@ -149,9 +149,12 @@ fn trace_records_fault_mask_and_degradation_transitions() {
     let ladder: Vec<DegradationCode> = rec
         .events()
         .iter()
-        .filter_map(|e| match e.kind {
-            TraceEventKind::DegradationChanged(code) => Some(code),
-            _ => None,
+        .filter_map(|e| {
+            if let TraceEventKind::DegradationChanged(code) = e.kind {
+                Some(code)
+            } else {
+                None
+            }
         })
         .collect();
     assert!(

@@ -6,11 +6,16 @@
 //! pipeline, so it is the oracle: for any config, the untraced
 //! `SimResult` must equal the traced one bit for bit.
 //!
-//! Two proptest blocks draw the configs, so coverage of the skips does
+//! Three proptest blocks draw the configs, so coverage of the skips does
 //! not depend on what the RNG happens to draw:
 //!
 //! * **Wire-free** — attacked, fault-free, undefended, Panda off: nothing
 //!   reads the wire, so every skip can fire.
+//! * **Wired** — attacked and defended, with a CAN-side fault window drawn
+//!   around the attack's first injection and optional Panda: the per-tick
+//!   frame predicate turns on and off at the window's edges and on
+//!   injection ticks inside and outside the window, the IDS switches
+//!   between frames and counters, and the detectors latch.
 //! * **Any** — attacks, fault windows, defense policies, Panda and drivers
 //!   all drawn: the skips must stay off, or stay invisible, wherever a
 //!   stage reads what they freeze.
@@ -21,6 +26,12 @@ use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use platform::{DefensePolicy, Harness, HarnessConfig, HazardParams, TraceConfig};
 use proptest::prelude::*;
+
+const CAN_FAULTS: [FaultKind; 3] = [
+    FaultKind::CanFrameDrop,
+    FaultKind::CanBitFlip,
+    FaultKind::CanBusOff,
+];
 
 const POLICIES: [DefensePolicy; 4] = [
     DefensePolicy::Off,
@@ -72,6 +83,18 @@ fn fault_schedule(kind_i: usize, intensity: f64, start: u64, duration: u64) -> F
     FaultSchedule::single(spec)
 }
 
+/// The tick the attack first injects on `config`'s lane, if it does.
+fn attack_onset(config: HarnessConfig) -> Option<u64> {
+    let mut harness = Harness::new(config);
+    while !harness.finished() {
+        harness.step();
+    }
+    harness
+        .attacker()
+        .and_then(|att| att.timeline().activated_at())
+        .map(|tick| tick.index())
+}
+
 /// Asserts the untraced run equals its fully executed, traced twin.
 fn assert_skips_are_invisible(config: HarnessConfig) {
     let untraced = Harness::new(config).run();
@@ -98,6 +121,33 @@ proptest! {
         let mut config = base_config(scenario_i, seed, driver_alert);
         let (t, s, v, sd) = atk;
         config.attack = Some(attack(t, s, v, sd));
+        assert_skips_are_invisible(config);
+    }
+
+    /// Attacked, defended lanes with a CAN-side fault window that starts
+    /// up to 4 s before or after the attack's first injection (or anywhere,
+    /// when the attack never injects), with optional Panda.
+    #[test]
+    fn wired_lanes_match_their_traced_runs(
+        scenario_i in 0..12usize,
+        seed in any::<u64>(),
+        driver_alert in any::<bool>(),
+        atk in (0..6usize, 0..4usize, any::<bool>(), any::<u64>()),
+        fault in (0..3usize, 0.05..1.0f64, -400..400i64, 1..800u64, 0..4_000u64),
+        policy_i in 1..4usize,
+        panda in any::<bool>(),
+    ) {
+        let mut config = base_config(scenario_i, seed, driver_alert);
+        let (t, s, v, sd) = atk;
+        config.attack = Some(attack(t, s, v, sd));
+        let (kind_i, intensity, offset, duration, fallback) = fault;
+        let start = attack_onset(config)
+            .map_or(fallback, |onset| onset.saturating_add_signed(offset));
+        let spec = FaultSpec::window(CAN_FAULTS[kind_i], FaultTarget::All, start, duration)
+            .with_intensity(intensity);
+        config.faults = FaultSchedule::single(spec);
+        config.defense = POLICIES[policy_i];
+        config.panda_enabled = panda;
         assert_skips_are_invisible(config);
     }
 

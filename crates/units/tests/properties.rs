@@ -47,8 +47,8 @@ proptest! {
     fn tick_time_monotone(a in 0u64..100_000, b in 0u64..100_000) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(Tick::new(lo).time() <= Tick::new(hi).time());
-        prop_assert_eq!(Tick::new(hi).since(Tick::new(lo)).secs(),
-                        (hi - lo) as f64 * 0.01);
+        prop_assert_eq!(Tick::new(hi).since(Tick::new(lo)).secs().to_bits(),
+                        ((hi - lo) as f64 * 0.01).to_bits());
     }
 
     #[test]
