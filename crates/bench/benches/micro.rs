@@ -14,7 +14,7 @@ use driving_sim::{ActuatorCommand, Scenario, ScenarioId, SensorSuite, World};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use msgbus::schema::{CarControl, GpsLocation};
 use msgbus::{Bus, Payload, Topic};
-use openadas::CommandEncoder;
+use openadas::{CommandEncoder, Enveloped};
 use platform::{DefensePolicy, Harness, HarnessConfig, TraceConfig};
 use units::{Accel, Angle, Distance, Seconds, Speed, Tick};
 
@@ -67,10 +67,11 @@ fn bench_can_roundtrip(c: &mut Criterion) {
 /// One control cycle's actuator codec: the ADAS encodes a command into its
 /// three frames, the actuator side decodes them back.
 fn bench_command_codec(c: &mut Criterion) {
-    let control = CarControl {
+    let control = Enveloped::new(CarControl {
         accel: Accel::from_mps2(1.2),
         steer: Angle::from_degrees(-0.3),
-    };
+    })
+    .unwrap();
     c.bench_function("command_encode_into", |b| {
         let mut enc = CommandEncoder::new();
         let mut frames = Vec::with_capacity(3);
@@ -90,10 +91,11 @@ fn bench_command_codec(c: &mut Criterion) {
 /// the three encoded frames, and taking the encoder's rolling counters
 /// for a cycle whose frames nothing altered.
 fn bench_ids(c: &mut Criterion) {
-    let control = CarControl {
+    let control = Enveloped::new(CarControl {
         accel: Accel::from_mps2(1.2),
         steer: Angle::from_degrees(-0.3),
-    };
+    })
+    .unwrap();
     c.bench_function("ids_observe", |b| {
         // One encoded cycle per rolling-counter value, replayed in order,
         // so the counter sequence stays continuous and the IDS nominal.

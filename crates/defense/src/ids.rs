@@ -299,6 +299,21 @@ mod tests {
     use super::*;
     use canbus::checksum::apply_honda_checksum;
 
+    #[test]
+    fn default_reproduces_the_canonical_limits() {
+        // Destructured, so a new field cannot be left out of the check.
+        let IdsConfig {
+            miss_after,
+            timing_threshold,
+            counter_threshold,
+            checksum_threshold,
+        } = IdsConfig::default();
+        assert_eq!(miss_after, limits::IDS_MISS_AFTER);
+        assert_eq!(timing_threshold, limits::IDS_TIMING_THRESHOLD);
+        assert_eq!(counter_threshold, limits::IDS_COUNTER_THRESHOLD);
+        assert_eq!(checksum_threshold, limits::IDS_CHECKSUM_THRESHOLD);
+    }
+
     /// Builds the three actuator frames for one cycle with valid checksums
     /// and the given rolling counter value.
     fn cycle_frames(counter: u8) -> Vec<CanFrame> {

@@ -4,7 +4,10 @@
 //! for one engaged cycle of untampered encoder output. A real
 //! `CommandEncoder` is driven through runs of random commands; every run
 //! of cycles is one of five kinds: clean, one frame dropped, one frame
-//! duplicated, one bit flipped (checksum not repaired), or disengaged.
+//! duplicated, one bit flipped (checksum not repaired), or disengaged. A
+//! command goes to the encoder only through `Enveloped::new`, as in the
+//! ADAS; one it turns away leaves an engaged cycle without frames, like an
+//! encode error.
 //!
 //! * Twin A encodes every engaged cycle and always calls `observe` on the
 //!   frames.
@@ -20,9 +23,9 @@
 use canbus::CanFrame;
 use defense::{CanIds, IdsConfig};
 use msgbus::schema::CarControl;
-use openadas::CommandEncoder;
+use openadas::{CommandEncoder, Enveloped};
 use units::mix::splitmix64;
-use units::{Accel, Angle, Tick};
+use units::{limits, Accel, Angle, Tick};
 
 /// Independent encoder pairs, each driven through [`CYCLES`] cycles.
 const CASES: u64 = 64;
@@ -68,17 +71,26 @@ impl Cycle {
     }
 }
 
-/// A command inside the DBC's ranges, or now and then far outside them so
-/// the encode path errors (both twins then see an empty engaged cycle).
+/// A command inside the physical envelope, or now and then far outside it
+/// so `Enveloped::new` turns it away (both twins then see an empty engaged
+/// cycle).
 fn command(rng: &mut Rng) -> CarControl {
     let steer = if rng.below(50) == 0 {
         rng.range(-2_000.0, 2_000.0)
     } else {
-        rng.range(-20.0, 20.0)
+        rng.range(-limits::PHYS_STEER_MAX_DEG, limits::PHYS_STEER_MAX_DEG)
     };
     CarControl {
         accel: Accel::from_mps2(rng.range(-4.0, 2.5)),
         steer: Angle::from_degrees(steer),
+    }
+}
+
+/// Encodes one engaged cycle into `frames`; a command outside the envelope
+/// or an encode error leaves none.
+fn encode(enc: &mut CommandEncoder, control: Option<&Enveloped>, frames: &mut Vec<CanFrame>) {
+    if control.is_none_or(|c| enc.encode_into(c, frames).is_err()) {
+        frames.clear();
     }
 }
 
@@ -108,6 +120,7 @@ fn tamper(kind: Cycle, frames: &mut Vec<CanFrame>, rng: &mut Rng) {
 #[test]
 fn observe_clean_matches_observe_on_untampered_frames() {
     let mut clean_cycles = 0u64;
+    let mut rejected = 0u64;
     let mut counter_events = 0u64;
     let mut alarms = 0u64;
     for case in 0..CASES {
@@ -128,27 +141,28 @@ fn observe_clean_matches_observe_on_untampered_frames() {
             left -= 1;
             let tick = Tick::new(t);
             let engaged = kind != Cycle::Disengaged;
-            let control = command(&mut rng);
+            let control = Enveloped::new(command(&mut rng));
+            rejected += u64::from(control.is_none());
 
             frames_a.clear();
-            if engaged && wire.encode_into(&control, &mut frames_a).is_err() {
-                frames_a.clear();
+            if engaged {
+                encode(&mut wire, control.as_ref(), &mut frames_a);
             }
             let va;
             let vb;
             if kind == Cycle::Clean {
                 va = a.observe(tick, &frames_a, true);
-                vb = match direct.quantize_cycle(&control) {
-                    Ok(clean) => {
+                vb = match control.map(|c| direct.quantize_cycle(&c)) {
+                    Some(Ok(clean)) => {
                         clean_cycles += 1;
                         b.observe_clean(tick, clean.counters)
                     }
-                    Err(_) => b.observe(tick, &[], true),
+                    Some(Err(_)) | None => b.observe(tick, &[], true),
                 };
             } else {
                 frames_b.clear();
-                if engaged && direct.encode_into(&control, &mut frames_b).is_err() {
-                    frames_b.clear();
+                if engaged {
+                    encode(&mut direct, control.as_ref(), &mut frames_b);
                 }
                 assert_eq!(
                     frames_a, frames_b,
@@ -168,6 +182,10 @@ fn observe_clean_matches_observe_on_untampered_frames() {
     assert!(
         clean_cycles > CASES * CYCLES / 3,
         "{clean_cycles} clean cycles"
+    );
+    assert!(
+        rejected > 0 && rejected < CASES * CYCLES / 20,
+        "{rejected} commands outside the envelope"
     );
     assert!(counter_events > 0, "no counter event was drawn");
     assert!(alarms > 0, "no alarm was drawn");

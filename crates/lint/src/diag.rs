@@ -2,10 +2,12 @@
 
 use std::fmt;
 
-/// The safety invariants adas-lint enforces. The IDs R2, R4, R5 and R8 are
-/// retired, never reused: panic-freedom, float equality, wall-clock types
-/// and wildcard enum arms are clippy lints configured in the workspace
-/// `Cargo.toml` and `clippy.toml`.
+/// The safety invariants adas-lint enforces. Retired IDs are never reused.
+/// R2, R4, R5 and R8 (panic-freedom, float equality, wall-clock types and
+/// wildcard enum arms) are clippy lints configured in the workspace
+/// `Cargo.toml` and `clippy.toml`. R9–R11 (the actuator envelope and the
+/// limit orderings) are proved by the compiler: `openadas::Enveloped`
+/// gates the encoder and `const` assertions sit in `units::limits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// R1 — public APIs of the safety-path crates must pass speeds,
@@ -23,17 +25,6 @@ pub enum Rule {
     /// R7 — transitive panic freedom: no call path from `Harness::step`
     /// reaches a panicking function, in any crate.
     TransitivePanic,
-    /// R9 — every value flowing into an actuator `encode` call is provably
-    /// bounded (by interval abstract interpretation) within the physical
-    /// limits declared in `units::limits`.
-    EnvelopeSoundness,
-    /// R10 — the literal thresholds of the runtime defenses (plausibility
-    /// gates, CAN IDS, degradation escalation) are mutually consistent
-    /// with the controller dynamics they guard.
-    ThresholdConsistency,
-    /// R11 — clamp hygiene: no provably-dead clamps, no inverted clamp
-    /// bounds, and no possibly-NaN value on a path to actuation.
-    ClampHygiene,
     /// R12 — lock discipline: the lock-order graph built from every
     /// `Mutex`/`Condvar` acquisition site reached via the call graph must
     /// be acyclic; no lock may be held across a pool submit/wait boundary;
@@ -52,14 +43,11 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 10] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::UnitSafety,
     Rule::ActuatorContainment,
     Rule::TaintFlow,
     Rule::TransitivePanic,
-    Rule::EnvelopeSoundness,
-    Rule::ThresholdConsistency,
-    Rule::ClampHygiene,
     Rule::LockDiscipline,
     Rule::AllocFreedom,
     Rule::SharedStateDeterminism,
@@ -73,9 +61,6 @@ impl Rule {
             Rule::ActuatorContainment => "R3",
             Rule::TaintFlow => "R6",
             Rule::TransitivePanic => "R7",
-            Rule::EnvelopeSoundness => "R9",
-            Rule::ThresholdConsistency => "R10",
-            Rule::ClampHygiene => "R11",
             Rule::LockDiscipline => "R12",
             Rule::AllocFreedom => "R13",
             Rule::SharedStateDeterminism => "R14",
@@ -89,9 +74,6 @@ impl Rule {
             Rule::ActuatorContainment => "actuator-containment",
             Rule::TaintFlow => "taint-flow",
             Rule::TransitivePanic => "transitive-panic",
-            Rule::EnvelopeSoundness => "envelope-soundness",
-            Rule::ThresholdConsistency => "threshold-consistency",
-            Rule::ClampHygiene => "clamp-hygiene",
             Rule::LockDiscipline => "lock-discipline",
             Rule::AllocFreedom => "alloc-freedom",
             Rule::SharedStateDeterminism => "shared-state-determinism",
@@ -112,15 +94,6 @@ impl Rule {
             }
             Rule::TransitivePanic => {
                 "no call path from Harness::step reaches a panicking function, in any crate"
-            }
-            Rule::EnvelopeSoundness => {
-                "every actuator-bound value provably inside units::limits physical bounds"
-            }
-            Rule::ThresholdConsistency => {
-                "defense thresholds (gates, IDS, degradation) consistent with controller dynamics"
-            }
-            Rule::ClampHygiene => {
-                "no dead clamps, inverted clamp bounds, or possible-NaN on actuation paths"
             }
             Rule::LockDiscipline => {
                 "acyclic lock order, no locks across pool submit/wait, Condvar::wait in predicate loops, documented poisoning policy"
@@ -246,8 +219,22 @@ mod tests {
             assert_eq!(Rule::parse(r.name()), Some(r));
             assert_eq!(Rule::parse(&r.id().to_lowercase()), Some(r));
         }
-        // R2, R4, R5 and R8 moved to clippy; their IDs are not reused.
-        for retired in ["R2", "R4", "R5", "R8", "R15", "panic-freedom"] {
+        // R2, R4, R5 and R8 moved to clippy and R9–R11 to the compiler;
+        // their IDs and names are not reused.
+        for retired in [
+            "R2",
+            "R4",
+            "R5",
+            "R8",
+            "R9",
+            "R10",
+            "R11",
+            "R15",
+            "panic-freedom",
+            "envelope-soundness",
+            "threshold-consistency",
+            "clamp-hygiene",
+        ] {
             assert_eq!(Rule::parse(retired), None, "{retired}");
         }
     }

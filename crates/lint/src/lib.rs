@@ -4,7 +4,7 @@
 //! ADAS attacks succeed precisely by keeping corrupted values *inside* the
 //! safety-check envelope, so the reproduction's own safety layer, unit
 //! handling, and determinism guarantees are machine-checked rather than
-//! convention-checked. Ten rules run over every workspace `.rs` file:
+//! convention-checked. Seven rules run over every workspace `.rs` file:
 //!
 //! | Rule | Name                  | Invariant                                            |
 //! |------|-----------------------|------------------------------------------------------|
@@ -13,11 +13,6 @@
 //! | R6   | `taint-flow`          | attack values clamped at birth, sinks only via the   |
 //! |      |                       | `Injector` choke point, no ADAS→attack back-flow     |
 //! | R7   | `transitive-panic`    | no call path from `Harness::step` reaches a panic    |
-//! | R9   | `envelope-soundness`  | values at actuator encode sinks provably inside the  |
-//! |      |                       | physical limits (interval abstract interpretation)   |
-//! | R10  | `threshold-consistency`| gate/IDS/escalation constants mutually consistent,  |
-//! |      |                       | config constructors reproduce them bit-for-bit       |
-//! | R11  | `clamp-hygiene`       | no inverted/dead clamps, no NaN reaching actuation   |
 //! | R12  | `lock-discipline`     | acyclic lock order, no guards across pool boundaries,|
 //! |      |                       | condvar waits in predicate loops, poisoning policy   |
 //! | R13  | `alloc-freedom`       | steady-state tick roots reach no allocating std API  |
@@ -27,18 +22,20 @@
 //! The IDs R2, R4, R5 and R8 are retired. Clippy checks those invariants
 //! (panic-freedom, float equality, wall-clock reads, wildcard enum arms)
 //! from the lint configuration in the workspace `Cargo.toml` and
-//! `clippy.toml`.
+//! `clippy.toml`. R9–R11 are retired too: the compiler proves the actuator
+//! envelope (the encoder takes only an `openadas::Enveloped` command, whose
+//! constructor rejects NaN and anything outside the physical limits) and
+//! the orderings between limits (`const` assertions in `units::limits`).
 //!
 //! The analysis is layered: the **lexical** layer (R1, R3) runs over
 //! masked lines; the **taint/callgraph** layer (R6/R7) over a parsed
 //! symbol table and cross-file call graph ([`parser`], [`symbols`],
-//! [`callgraph`], [`taint`]); the **numeric** layer (R9–R11) does interval
-//! abstract interpretation over a lowered IR ([`ir`], [`interval`],
-//! [`absint`]); and the **concurrency/alloc** layer (R12–R14) builds a
-//! lock-order graph and a may-allocate closure over the same call graph
-//! ([`locks`], [`allocpath`]). Every scan runs the whole pipeline, uncached:
-//! per-file work fans out across cores, then the cross-file layers run over
-//! the merged facts. [`scan_workspace`] and [`scan_sources`] share it.
+//! [`callgraph`], [`taint`]); and the **concurrency/alloc** layer
+//! (R12–R14) builds a lock-order graph and a may-allocate closure over the
+//! same call graph ([`locks`], [`allocpath`]). Every scan runs the whole
+//! pipeline, uncached: per-file work fans out across cores, then the
+//! cross-file layers run over the merged facts. [`scan_workspace`] and
+//! [`scan_sources`] share it.
 //!
 //! Findings can be acknowledged two ways: an inline
 //! `// adas-lint: allow(<rule>, reason = "…")` comment for sites that are
@@ -50,13 +47,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod absint;
 pub mod allocpath;
 pub mod baseline;
 pub mod callgraph;
 pub mod diag;
-pub mod interval;
-pub mod ir;
 pub mod locks;
 pub mod parser;
 pub mod rules;
@@ -119,7 +113,7 @@ struct FileScan {
 
 /// The per-file step: tokenize, parse, run the per-file rules and collect
 /// the suppression sites. The tokenized source is returned beside the
-/// result for the semantic layer to lower.
+/// result for [`scan_source`]'s suppression check.
 fn scan_file(rel: &str, text: &str) -> (FileScan, tokenizer::SourceFile) {
     let info = classify(rel);
     let src = tokenizer::tokenize(text);
@@ -173,7 +167,10 @@ fn unknown_rule_findings(file: &str, sites: &[rules::SuppressionSite]) -> Vec<Di
                 message: format!(
                     "suppression names `{id}`, which is no adas-lint rule, so it \
                      suppresses nothing; name a rule from --list-rules or remove it \
-                     (R2, R4, R5 and R8 are clippy lints now: use `#[allow(clippy::…)]`)"
+                     (R2, R4, R5 and R8 are clippy lints now: use `#[allow(clippy::…)]`; \
+                     R9–R11 are compiler checks now: the encoder takes only an \
+                     `openadas::Enveloped` command, and the limit orderings are \
+                     `const` assertions in `units::limits`)"
                 ),
             })
         })
@@ -233,7 +230,7 @@ pub fn scan_workspace(root: &Path, baseline: Option<Baseline>) -> io::Result<Sca
 }
 
 /// The scan pipeline: the per-file step fanned out across cores, then the
-/// cross-file rules (R6/R7, R9–R11, R12–R14) over the merged facts, then
+/// cross-file rules (R6/R7, R12–R14) over the merged facts, then
 /// suppression and baseline resolution with dead-entry detection. `deps`
 /// is the crate closure for [`symbols::SymbolTable::build`].
 fn scan(
@@ -241,23 +238,11 @@ fn scan(
     deps: Option<&HashMap<String, Vec<String>>>,
     mut baseline: Option<Baseline>,
 ) -> ScanReport {
-    // Phase 1: per-file work, index-ordered. Files the semantic layer
-    // covers are lowered to IR here too; it is pure per-file work.
+    // Phase 1: per-file work, index-ordered.
     let per_file = platform::experiment::run_parallel_map(
         platform::experiment::RunnerConfig::default(),
         sources.len(),
-        |i| {
-            let (file, src) = scan_file(sources[i].0, sources[i].1);
-            let sem = scope::needs_ir(&file.info).then(|| {
-                absint::SemFile::new(
-                    file.info.rel.clone(),
-                    src,
-                    scope::r9_applies(&file.info),
-                    scope::r11_applies(&file.info),
-                )
-            });
-            (file, sem)
-        },
+        |i| scan_file(sources[i].0, sources[i].1).0,
     );
 
     let mut report = ScanReport {
@@ -265,12 +250,11 @@ fn scan(
         ..ScanReport::default()
     };
     let mut parsed: Vec<(FileInfo, parser::FileFacts)> = Vec::with_capacity(per_file.len());
-    let mut semfiles: Vec<absint::SemFile> = Vec::new();
     let mut candidates: Vec<Diagnostic> = Vec::new();
     // Every suppression site with whether it absorbed a finding.
     let mut sites: Vec<(String, rules::SuppressionSite, bool)> = Vec::new();
     let mut sites_by_file: HashMap<String, Vec<usize>> = HashMap::new();
-    for (file, sem) in per_file {
+    for file in per_file {
         report
             .active
             .extend(unknown_rule_findings(&file.info.rel, &file.sites));
@@ -282,7 +266,6 @@ fn scan(
             sites.push((file.info.rel.clone(), site, false));
         }
         candidates.extend(file.local);
-        semfiles.extend(sem);
         parsed.push((file.info, file.facts));
     }
 
@@ -291,7 +274,6 @@ fn scan(
     let graph = callgraph::CallGraph::build(&parsed, &table);
     candidates.extend(taint::r6_taint_flow(&table, &graph));
     candidates.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
-    candidates.extend(absint::semantic_rules(&semfiles));
     let (conc, lock_graph) = locks::concurrency_rules(&parsed, &table, &graph);
     candidates.extend(conc);
     candidates.extend(allocpath::r13_alloc_freedom(&parsed, &table, &graph));

@@ -20,14 +20,14 @@ use crate::tokenizer::SourceFile;
 
 /// One lexical token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+struct Tok {
     /// Identifier, keyword, number, or punctuation (`::`, `->`, `=>` are
     /// fused; every other punctuation char stands alone).
-    pub text: String,
+    text: String,
     /// 1-based line the token starts on.
-    pub line: usize,
+    line: usize,
     /// Whether the token is an identifier/keyword/number.
-    pub is_word: bool,
+    is_word: bool,
 }
 
 /// How a call site names its callee.
@@ -159,7 +159,7 @@ pub const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemen
 pub const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 
 /// Lexes the masked lines into a compound token stream.
-pub fn lex(src: &SourceFile) -> Vec<Tok> {
+fn lex(src: &SourceFile) -> Vec<Tok> {
     let mut toks = Vec::new();
     for (idx, line) in src.lines.iter().enumerate() {
         let lineno = idx + 1;

@@ -42,24 +42,6 @@ pub const R3_ALLOWED_PATHS: [&str; 4] = [
     "crates/core/src/injector.rs",
 ];
 
-/// Crates whose library/binary code the semantic layer (R9–R11) lowers to
-/// IR: everything between sensing and actuation, plus the attack and
-/// defense crates whose constants R10 cross-checks.
-pub const SEMANTIC_CRATES: [&str; 8] = [
-    "openadas",
-    "canbus",
-    "driving-sim",
-    "driver-model",
-    "units",
-    "msgbus",
-    "core",
-    "defense",
-];
-
-/// Crates holding R9 actuator-encode sinks: the ADAS controller that emits
-/// commands and the bus codec that frames them.
-pub const R9_CRATES: [&str; 2] = ["openadas", "canbus"];
-
 /// Crates the concurrency/allocation layer (R12–R14) analyzes: the
 /// platform crate owns the pool, the batched core, and the campaign
 /// runner — every Mutex/Condvar in the workspace lives there — and the
@@ -115,23 +97,6 @@ pub fn r3_applies(info: &FileInfo) -> bool {
         && !R3_ALLOWED_PATHS.contains(&info.rel.as_str())
 }
 
-/// Whether the semantic layer lowers this file to IR at all (R9–R11 input
-/// set; also where R10 resolves constants and config constructors from).
-pub fn needs_ir(info: &FileInfo) -> bool {
-    matches!(info.kind, FileKind::Lib | FileKind::Bin)
-        && SEMANTIC_CRATES.contains(&info.crate_name.as_str())
-}
-
-/// R9 checks encode sinks only in the crates that own them.
-pub fn r9_applies(info: &FileInfo) -> bool {
-    needs_ir(info) && R9_CRATES.contains(&info.crate_name.as_str())
-}
-
-/// R11 covers every file the semantic layer lowers.
-pub fn r11_applies(info: &FileInfo) -> bool {
-    needs_ir(info)
-}
-
 /// Whether the concurrency/allocation layer (R12–R14) analyzes this file.
 /// Library code only: tests and benches lock and allocate by design.
 pub fn concurrency_applies(info: &FileInfo) -> bool {
@@ -171,17 +136,6 @@ mod tests {
         assert!(r3_applies(&classify("crates/core/src/engine.rs")));
         assert!(!r3_applies(&classify("crates/bench/benches/micro.rs")));
         assert!(r3_applies(&classify("examples/quickstart.rs")));
-    }
-
-    #[test]
-    fn semantic_scope() {
-        assert!(needs_ir(&classify("crates/openadas/src/adas.rs")));
-        assert!(needs_ir(&classify("crates/defense/src/ids.rs")));
-        assert!(!needs_ir(&classify("crates/lint/src/absint.rs")));
-        assert!(!needs_ir(&classify("crates/openadas/tests/properties.rs")));
-        assert!(r9_applies(&classify("crates/canbus/src/codec.rs")));
-        assert!(!r9_applies(&classify("crates/core/src/corruption.rs")));
-        assert!(r11_applies(&classify("crates/core/src/corruption.rs")));
     }
 
     #[test]

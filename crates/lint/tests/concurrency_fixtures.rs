@@ -3,8 +3,8 @@
 //! `concurrency_violations.expected`, and a clean file proving the
 //! analyzer can discharge every obligation it is asked to. Findings from
 //! other layers on the same sources are out of scope here — `fixtures.rs`
-//! owns the lexical rules and `semantic_fixtures.rs` the numeric ones —
-//! so the assertions filter to the concurrency rules.
+//! owns the lexical rules — so the assertions filter to the concurrency
+//! rules.
 
 use std::path::Path;
 

@@ -47,30 +47,59 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
 #[test]
 fn allow_naming_a_retired_rule_fails_the_gate() {
     let ws = temp_ws("retired_rule_allow");
-    fs::write(
-        ws.join("crates/openadas/src/lib.rs"),
-        "// adas-lint: allow(R4, reason = \"exact zero\")\npub fn f(speed: f64) {}\n",
-    )
-    .expect("write");
-    let report = scan_workspace(&ws, None).expect("scan");
-    // The R4 id covers nothing, so the R1 finding below it survives…
-    assert!(
-        report.active.iter().any(|d| d.rule == Rule::UnitSafety && d.line == 2
-            && d.message.contains("raw float")),
-        "{:?}",
-        report.active
-    );
-    // …and the stale id is an active error of its own, not a dead allow.
-    assert!(
-        report.active.iter().any(|d| d.severity == Severity::Error
-            && d.line == 2
-            && d.message.contains("`R4`")),
-        "{:?}",
-        report.active
-    );
-    assert_eq!(report.active.len(), 2, "{:?}", report.active);
-    assert!(report.dead_suppressions.is_empty(), "{:?}", report.dead_suppressions);
-    assert!(!report.is_clean());
+    for id in ["R4", "R9", "R10", "R11"] {
+        fs::write(
+            ws.join("crates/openadas/src/lib.rs"),
+            format!("// adas-lint: allow({id}, reason = \"retired\")\npub fn f(speed: f64) {{}}\n"),
+        )
+        .expect("write");
+        let report = scan_workspace(&ws, None).expect("scan");
+        // The retired id covers nothing, so the R1 finding below it survives…
+        assert!(
+            report.active.iter().any(|d| d.rule == Rule::UnitSafety
+                && d.line == 2
+                && d.message.contains("raw float")),
+            "{id}: {:?}",
+            report.active
+        );
+        // …and the stale id is an active error of its own, not a dead allow.
+        let Some(stale) = report.active.iter().find(|d| {
+            d.severity == Severity::Error && d.line == 2 && d.message.contains(&format!("`{id}`"))
+        }) else {
+            panic!("{id}: {:?}", report.active)
+        };
+        // The message says where the retired checks live now.
+        let message = &stale.message;
+        assert!(message.contains("clippy"), "{id}: {message}");
+        assert!(
+            message.contains("openadas::Enveloped") && message.contains("units::limits"),
+            "{id}: {message}"
+        );
+        assert_eq!(report.active.len(), 2, "{id}: {:?}", report.active);
+        assert!(
+            report.dead_suppressions.is_empty(),
+            "{id}: {:?}",
+            report.dead_suppressions
+        );
+        assert!(!report.is_clean(), "{id}");
+
+        // Naming a live rule beside the retired id absorbs that rule's
+        // finding, but never the report about the retired id.
+        fs::write(
+            ws.join("crates/openadas/src/lib.rs"),
+            format!("pub fn f(speed: f64) {{}} // adas-lint: allow(R1, {id})\n"),
+        )
+        .expect("write");
+        let report = scan_workspace(&ws, None).expect("scan");
+        assert_eq!(report.active.len(), 1, "{id}: {:?}", report.active);
+        assert!(
+            report.active[0].message.contains(&format!("`{id}`")),
+            "{id}: {:?}",
+            report.active
+        );
+        assert_eq!(report.suppressed, 1, "{id}");
+        assert!(!report.is_clean(), "{id}");
+    }
 }
 
 #[test]

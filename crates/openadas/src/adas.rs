@@ -13,8 +13,8 @@ use crate::plausibility::STALE_AFTER_TICKS;
 use crate::safety;
 use crate::{
     AccController, AlcController, AlertManager, CarStateEstimator, CommandEncoder,
-    DegradationMonitor, DegradationState, GateConfig, LaneProcessor, LeadTracker, PerceptionGates,
-    QuantizedCycle,
+    DegradationMonitor, DegradationState, Enveloped, GateConfig, LaneProcessor, LeadTracker,
+    PerceptionGates, QuantizedCycle,
 };
 
 /// Everything the ADAS produced in one control cycle.
@@ -288,8 +288,9 @@ impl Adas {
     /// it the encoder's rolling counters still advance and the return value
     /// carries the command the actuator side would have decoded and the
     /// counters the frames would have carried (`None`: frames were encoded,
-    /// the ADAS is disengaged, or the encode path errored — hold the last
-    /// command, exactly what an empty frame batch decodes to).
+    /// the ADAS is disengaged, the command is not [`Enveloped`] (a NaN), or
+    /// the encode path errored — hold the last command, exactly what an
+    /// empty frame batch decodes to).
     pub fn step_with(
         &mut self,
         tick: Tick,
@@ -405,9 +406,9 @@ impl Adas {
         } else {
             CarControl::default()
         };
-        // Terminal envelope: every path into the encoder passes this clamp
-        // (the invariant adas-lint R9 proves). No-op on the nominal path —
-        // ACC and ALC outputs are already clamped tighter upstream.
+        // Terminal envelope: every command this cycle publishes and encodes
+        // passes this clamp. No-op on the nominal path — ACC and ALC
+        // outputs are already clamped tighter upstream.
         let control = safety::envelope_clamp(control);
         self.last_control = control;
 
@@ -423,22 +424,29 @@ impl Adas {
             out.new_alerts.push(kind);
         }
 
+        // The encoder takes only an enveloped command. The clamp above
+        // holds every finite command inside the envelope, so only a NaN is
+        // turned away here. Fail safe: a rejected command or an encode
+        // error sends no frames at all (actuators hold/coast) rather than
+        // panicking mid-drive.
         let mut quantized = None;
-        if encode_frames {
-            // Fail safe: if a command somehow escapes its clamp, send no
-            // frames at all (actuators hold/coast) rather than panicking
-            // mid-drive.
-            if !engaged || self.encoder.encode_into(&control, &mut out.frames).is_err() {
-                out.frames.clear();
-            }
+        out.frames.clear();
+        let command = if engaged {
+            Enveloped::new(control)
         } else {
-            // No one inspects the wire this cycle: skip the frame bytes but
-            // keep counter parity and quantization, so the actuator sees
-            // bit-identical commands either way. An encode-path error maps
-            // to `None`, like an empty frame batch.
-            out.frames.clear();
-            if engaged {
-                quantized = self.encoder.quantize_cycle(&control).ok();
+            None
+        };
+        if let Some(command) = command {
+            if encode_frames {
+                if self.encoder.encode_into(&command, &mut out.frames).is_err() {
+                    out.frames.clear();
+                }
+            } else {
+                // No one inspects the wire this cycle: skip the frame bytes
+                // but keep counter parity and quantization, so the actuator
+                // sees bit-identical commands either way. An encode-path
+                // error maps to `None`, like an empty frame batch.
+                quantized = self.encoder.quantize_cycle(&command).ok();
             }
         }
 

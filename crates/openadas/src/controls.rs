@@ -9,6 +9,8 @@ use canbus::{CanError, CanFrame, MessageSpec, Signal, VirtualCarDbc};
 use msgbus::schema::CarControl;
 use units::{Accel, Angle};
 
+use crate::Enveloped;
+
 /// One command message resolved against its spec once, at construction:
 /// the command-value signal, its constant `*_REQ` companion, and the
 /// rolling-counter/checksum tail — plus the message's transmit counter.
@@ -123,8 +125,8 @@ pub struct QuantizedCycle {
     pub counters: [u8; 3],
 }
 
-/// Encodes [`CarControl`] commands into gas/brake/steering CAN frames and
-/// decodes them back on the actuator side.
+/// Encodes [`Enveloped`] commands into gas/brake/steering CAN frames and
+/// decodes them back on the actuator side as [`CarControl`]s.
 #[derive(Debug)]
 pub struct CommandEncoder {
     dbc: VirtualCarDbc,
@@ -164,9 +166,11 @@ impl CommandEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`CanError::ValueOutOfRange`] if a command exceeds its
-    /// signal's representable range (clamp upstream).
-    pub fn encode(&mut self, control: &CarControl) -> Result<Vec<CanFrame>, CanError> {
+    /// Returns [`CanError::UnknownSignal`] if the DBC lacks a command
+    /// signal. The physical envelope an [`Enveloped`] command sits in lies
+    /// inside every command signal's range, so
+    /// [`CanError::ValueOutOfRange`] does not arise.
+    pub fn encode(&mut self, control: &Enveloped) -> Result<Vec<CanFrame>, CanError> {
         // adas-lint: allow(R13, reason = "allocating convenience wrapper — steady-state callers hold a 3-slot buffer and use encode_into")
         let mut frames = Vec::with_capacity(3);
         self.encode_into(control, &mut frames)?;
@@ -178,15 +182,15 @@ impl CommandEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`CanError::ValueOutOfRange`] if a command exceeds its
-    /// signal's representable range (clamp upstream). On error `frames` may
-    /// hold a partial batch; callers should treat it as garbage.
+    /// As [`encode`](Self::encode). On error `frames` may hold a partial
+    /// batch; callers should treat it as garbage.
     pub fn encode_into(
         &mut self,
-        control: &CarControl,
+        control: &Enveloped,
         frames: &mut Vec<CanFrame>,
     ) -> Result<(), CanError> {
         frames.clear();
+        let control = control.get();
         let sig = self.layouts()?;
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
         frames.push(sig.steer.encode(control.steer.degrees())?);
@@ -215,7 +219,8 @@ impl CommandEncoder {
     /// point in the sequence; on error the caller should hold its last
     /// command, which is what the actuator side does when a cycle's frames
     /// never arrive.
-    pub fn quantize_cycle(&mut self, control: &CarControl) -> Result<QuantizedCycle, CanError> {
+    pub fn quantize_cycle(&mut self, control: &Enveloped) -> Result<QuantizedCycle, CanError> {
+        let control = control.get();
         let sig = self.layouts()?;
         let (steer, steer_counter) = sig.steer.quantize(control.steer.degrees())?;
         let (gas, gas_counter) = sig.gas.quantize(control.accel.max(Accel::ZERO).mps2())?;
@@ -264,11 +269,15 @@ mod tests {
     use super::*;
     use canbus::decode;
 
-    fn control(accel: f64, steer_deg: f64) -> CarControl {
+    fn raw(accel: f64, steer_deg: f64) -> CarControl {
         CarControl {
             accel: Accel::from_mps2(accel),
             steer: Angle::from_degrees(steer_deg),
         }
+    }
+
+    fn control(accel: f64, steer_deg: f64) -> Enveloped {
+        Enveloped::new(raw(accel, steer_deg)).unwrap()
     }
 
     #[test]
@@ -304,7 +313,7 @@ mod tests {
         let mut frames = enc.encode(&control(2.0, 0.3)).unwrap();
         // Corrupt the steering frame without fixing the checksum.
         frames[0].data_mut()[0] ^= 0xFF;
-        let base = control(0.5, 0.1);
+        let base = raw(0.5, 0.1);
         let decoded = enc.decode_actuators(&frames, base);
         assert!((decoded.steer.degrees() - 0.1).abs() < 1e-9, "held last valid steer");
         assert!((decoded.accel.mps2() - 2.0).abs() < 0.002, "gas still applied");
@@ -335,8 +344,9 @@ mod tests {
     fn by_name_frames(
         enc: &mut canbus::Encoder,
         dbc: &VirtualCarDbc,
-        c: &CarControl,
+        c: &Enveloped,
     ) -> Vec<CanFrame> {
+        let c = c.get();
         let gas = c.accel.max(Accel::ZERO).mps2();
         let brake = c.accel.min(Accel::ZERO).mps2();
         vec![
@@ -398,7 +408,7 @@ mod tests {
                 let bit = (rng >> 16) as usize % (frame.data().len() * 8);
                 frame.data_mut()[bit / 8] ^= 1 << (bit % 8);
             }
-            let base = control(0.3, -0.02);
+            let base = raw(0.3, -0.02);
             let got = enc.decode_actuators(&frames, base);
             let want = by_name_decode(&dbc, &frames, base);
             assert_eq!(got, want, "cycle {i}");
@@ -408,7 +418,7 @@ mod tests {
     #[test]
     fn empty_batch_returns_base() {
         let enc = CommandEncoder::new();
-        let base = control(-1.0, 0.05);
+        let base = raw(-1.0, 0.05);
         assert_eq!(enc.decode_actuators(&[], base), base);
     }
 }

@@ -66,5 +66,5 @@ pub use panda::{PandaSafety, PandaVerdict};
 pub use perception::{LaneEstimate, LaneProcessor};
 pub use plausibility::{GateConfig, PerceptionGates, STALE_AFTER_TICKS};
 pub use radar::{LeadEstimate, LeadTracker};
-pub use safety::SafetyLimits;
+pub use safety::{Enveloped, SafetyLimits};
 pub use state::CarStateEstimator;

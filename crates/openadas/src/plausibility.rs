@@ -340,6 +340,57 @@ mod tests {
     use msgbus::schema::LeadTrack;
     use units::{Accel, Angle, Distance, Speed};
 
+    #[test]
+    fn enforcing_reproduces_the_canonical_limits() {
+        // Destructured, so a new field cannot be left out of the check.
+        let GateConfig {
+            enforce,
+            innovation_sigma,
+            max_speed_jump,
+            max_dist_jump,
+            max_lead_speed_jump,
+            max_offset_jump,
+            stuck_after,
+            reacquire_after,
+            min_moving_speed,
+            elapsed_cap,
+        } = GateConfig::enforcing();
+        assert!(enforce);
+        for (field, got, want) in [
+            (
+                "innovation_sigma",
+                innovation_sigma,
+                limits::GATE_INNOVATION_SIGMA,
+            ),
+            (
+                "max_speed_jump",
+                max_speed_jump,
+                limits::GATE_MAX_SPEED_JUMP_MPS,
+            ),
+            ("max_dist_jump", max_dist_jump, limits::GATE_MAX_DIST_JUMP_M),
+            (
+                "max_lead_speed_jump",
+                max_lead_speed_jump,
+                limits::GATE_MAX_LEAD_SPEED_JUMP_MPS,
+            ),
+            (
+                "max_offset_jump",
+                max_offset_jump,
+                limits::GATE_MAX_OFFSET_JUMP_M,
+            ),
+            (
+                "min_moving_speed",
+                min_moving_speed,
+                limits::GATE_MIN_MOVING_SPEED_MPS,
+            ),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{field}: {got} != {want}");
+        }
+        assert_eq!(stuck_after, limits::GATE_STUCK_AFTER);
+        assert_eq!(reacquire_after, limits::GATE_REACQUIRE_AFTER);
+        assert_eq!(elapsed_cap, limits::GATE_ELAPSED_CAP);
+    }
+
     fn gps(v: f64) -> GpsLocation {
         GpsLocation {
             speed: Speed::from_mps(v),

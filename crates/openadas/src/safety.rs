@@ -83,14 +83,14 @@ impl SafetyLimits {
 /// The final output envelope: clamps an assembled control command into the
 /// software limits immediately before it reaches the CAN encoder.
 ///
-/// This is the stage adas-lint R9 anchors its proof on — the bounds are
-/// spelled as literals from the canonical [`units::limits`] module so the
-/// abstract interpreter can verify that everything flowing into
-/// `CommandEncoder::encode_into` lies inside the physical plant limits. On
-/// the nominal path the clamp is a no-op (the ACC command is already
+/// On the nominal path the clamp is a no-op (the ACC command is already
 /// strict-clamped and the ALC command software-clamped), but it converts
 /// "every upstream stage behaved" from an assumption into a local
-/// invariant.
+/// invariant. A NaN passes any clamp; [`Enveloped::new`], which the
+/// encoder's input type demands next, is what turns one away. Every finite
+/// command this returns is inside the software envelope, so inside the
+/// physical one (the `const` assertions in [`units::limits`] keep the two
+/// nested), and `Enveloped::new` admits it.
 pub fn envelope_clamp(control: CarControl) -> CarControl {
     CarControl {
         accel: control.accel.clamp(
@@ -101,6 +101,65 @@ pub fn envelope_clamp(control: CarControl) -> CarControl {
             Angle::from_degrees(-limits::SW_STEER_MAX_DEG),
             Angle::from_degrees(limits::SW_STEER_MAX_DEG),
         ),
+    }
+}
+
+/// A [`CarControl`] inside the physical plant envelope of
+/// [`units::limits`]: finite, `accel` within
+/// `[PHYS_BRAKE_MIN_MPS2, PHYS_ACCEL_MAX_MPS2]` and `steer` within
+/// `±PHYS_STEER_MAX_DEG`. The field is private and [`Enveloped::new`] is the
+/// only constructor, so holding one is the proof that the command may go
+/// on the bus. It is the only command type
+/// [`CommandEncoder`](crate::CommandEncoder) encodes or quantizes:
+///
+/// ```
+/// use msgbus::schema::CarControl;
+/// use openadas::{CommandEncoder, Enveloped};
+///
+/// let mut encoder = CommandEncoder::new();
+/// let mut frames = Vec::new();
+/// let command = Enveloped::new(CarControl::default()).expect("zero is inside");
+/// assert!(encoder.encode_into(&command, &mut frames).is_ok());
+/// assert!(encoder.quantize_cycle(&command).is_ok());
+/// ```
+///
+/// A raw command, such as one taken before `envelope_clamp`, does not
+/// compile at either sink:
+///
+/// ```compile_fail,E0308
+/// use msgbus::schema::CarControl;
+/// use openadas::CommandEncoder;
+///
+/// let mut encoder = CommandEncoder::new();
+/// let mut frames = Vec::new();
+/// let _ = encoder.encode_into(&CarControl::default(), &mut frames);
+/// ```
+///
+/// ```compile_fail,E0308
+/// use msgbus::schema::CarControl;
+/// use openadas::CommandEncoder;
+///
+/// let mut encoder = CommandEncoder::new();
+/// let _ = encoder.quantize_cycle(&CarControl::default());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Enveloped(CarControl);
+
+impl Enveloped {
+    /// Admits `control` if both fields are inside the physical envelope
+    /// (bounds included); `None` for NaN, ±∞ or any value past a bound.
+    pub fn new(control: CarControl) -> Option<Self> {
+        let accel = Accel::from_mps2(limits::PHYS_BRAKE_MIN_MPS2)
+            ..=Accel::from_mps2(limits::PHYS_ACCEL_MAX_MPS2);
+        let steer_max = Angle::from_degrees(limits::PHYS_STEER_MAX_DEG);
+        // NaN compares false with every bound, so `contains` rejects it.
+        (accel.contains(&control.accel) && (-steer_max..=steer_max).contains(&control.steer))
+            .then_some(Self(control))
+    }
+
+    /// The admitted command.
+    pub fn get(self) -> CarControl {
+        self.0
     }
 }
 

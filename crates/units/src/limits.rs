@@ -7,19 +7,21 @@
 //! scattered across `openadas/safety.rs`, `openadas/plausibility.rs`,
 //! `openadas/degradation.rs`, `defense/ids.rs` and `core/corruption.rs`,
 //! free to drift independently. Now each constant is declared once, here,
-//! and adas-lint's semantic layer (R9–R11) cross-checks them statically:
+//! and the compiler checks how they relate:
 //!
-//! * **R9** proves every actuator-bound value passes a clamp whose literal
-//!   bounds sit inside the [`PHYS_ACCEL_MAX_MPS2`]-family physical limits.
-//! * **R10** cross-checks thresholds against controller dynamics (e.g. the
-//!   plausibility gates' [`GATE_MAX_SPEED_JUMP_MPS`] must exceed the max
-//!   per-tick speed change the envelope itself allows, else the gate
-//!   rejects legitimate data).
-//! * **R11** flags clamps these constants make dead or inverted.
+//! * every ordering the stack relies on is a `const` assertion beside the
+//!   constants it names (envelopes nest strict ⊆ software ⊆ physical; the
+//!   plausibility gates' [`GATE_MAX_SPEED_JUMP_MPS`] exceeds the per-tick
+//!   speed change the envelope lets the controller command; the escalation
+//!   ticks are ordered), so a retuned constant that breaks one fails
+//!   `cargo build` with E0080;
+//! * no clamp pair built from these constants is inverted (the same
+//!   assertions), so `f64::clamp` can never panic on them;
+//! * the physical envelope bounds `openadas::Enveloped`, the only command
+//!   type the CAN encoder accepts.
 //!
-//! All values are plain numerics (unit suffix in the name) so the linter's
-//! constant evaluator can read them as literals; the newtype wrappers are
-//! applied at the use site.
+//! All values are plain numerics (unit suffix in the name); the newtype
+//! wrappers are applied at the use site.
 
 /// Hard physical plant limit: max forward acceleration (m/s²) the virtual
 /// car's powertrain can produce. Any software envelope must sit inside it.
@@ -32,12 +34,6 @@ pub const PHYS_BRAKE_MIN_MPS2: f64 = -9.8;
 /// Hard physical plant limit: max steering-angle command magnitude
 /// (degrees) the EPS rack accepts at speed.
 pub const PHYS_STEER_MAX_DEG: f64 = 5.0;
-
-/// One control cycle in seconds. Must equal [`DT`](crate::DT)`.secs()`
-/// (asserted by a unit test); duplicated as a plain literal so the linter
-/// can fold `limit × TICK_SECONDS` products when cross-checking per-tick
-/// thresholds.
-pub const TICK_SECONDS: f64 = 0.01;
 
 /// ADAS software envelope (Table III footnote 1): max acceleration command
 /// (m/s²).
@@ -66,6 +62,31 @@ pub const STRICT_STEER_MAX_DEG: f64 = 0.25;
 /// Strict envelope: overspeed ceiling factor (the paper's Eq. 1).
 pub const STRICT_OVERSPEED_FACTOR: f64 = 1.1;
 
+const _: () = assert!(
+    STRICT_ACCEL_MAX_MPS2 <= SW_ACCEL_MAX_MPS2 && SW_ACCEL_MAX_MPS2 <= PHYS_ACCEL_MAX_MPS2,
+    "acceleration envelopes must nest: strict <= software <= physical"
+);
+const _: () = assert!(
+    STRICT_BRAKE_MIN_MPS2 >= SW_BRAKE_MIN_MPS2 && SW_BRAKE_MIN_MPS2 >= PHYS_BRAKE_MIN_MPS2,
+    "braking envelopes must nest: strict >= software >= physical (all negative)"
+);
+const _: () = assert!(
+    STRICT_STEER_MAX_DEG <= SW_STEER_MAX_DEG && SW_STEER_MAX_DEG <= PHYS_STEER_MAX_DEG,
+    "steering envelopes must nest: strict <= software <= physical"
+);
+const _: () = assert!(
+    1.0 < STRICT_OVERSPEED_FACTOR && STRICT_OVERSPEED_FACTOR <= SW_OVERSPEED_FACTOR,
+    "overspeed factors must satisfy 1 < strict <= software; a factor at or below 1 \
+     rejects the cruise set-point itself"
+);
+// The envelopes' clamp pairs (`[BRAKE_MIN, ACCEL_MAX]`, `[-STEER_MAX,
+// STEER_MAX]`, and the strategic corruption's `[0, STRICT_ACCEL_MAX]`) are
+// ordered for the innermost envelope, so by the nesting above for every one.
+const _: () = assert!(
+    STRICT_BRAKE_MIN_MPS2 < 0.0 && 0.0 < STRICT_ACCEL_MAX_MPS2 && 0.0 < STRICT_STEER_MAX_DEG,
+    "no clamp pair built from the envelopes may be inverted: f64::clamp panics on one"
+);
+
 /// Graceful-degradation ladder: gentle controlled-stop deceleration (m/s²)
 /// commanded in `DegradedAccOff`.
 pub const GENTLE_BRAKE_MPS2: f64 = -1.0;
@@ -75,11 +96,24 @@ pub const GENTLE_BRAKE_MPS2: f64 = -1.0;
 /// [`SW_BRAKE_MIN_MPS2`] so the stop itself never violates the envelope.
 pub const FAILSAFE_BRAKE_MPS2: f64 = -2.5;
 
+const _: () = assert!(
+    SW_BRAKE_MIN_MPS2 <= FAILSAFE_BRAKE_MPS2
+        && FAILSAFE_BRAKE_MPS2 <= GENTLE_BRAKE_MPS2
+        && GENTLE_BRAKE_MPS2 < 0.0,
+    "controlled stops must order SW_BRAKE_MIN <= FAILSAFE_BRAKE <= GENTLE_BRAKE < 0, \
+     so the stop itself never violates the envelope it enforces"
+);
+
 /// Ticks of continuous stream trouble before the ladder leaves `Nominal`.
 pub const DEGRADE_AFTER_TICKS: u32 = 25;
 
 /// Ticks of continuous stream trouble before the ladder enters `FailSafe`.
 pub const FAILSAFE_AFTER_TICKS: u32 = 150;
+
+const _: () = assert!(
+    DEGRADE_AFTER_TICKS < FAILSAFE_AFTER_TICKS,
+    "the degradation ladder must pass through the degraded rungs before fail-safe"
+);
 
 /// Ticks of clean data required before the ladder steps back down
 /// (hysteresis).
@@ -89,14 +123,32 @@ pub const RECOVERY_TICKS: u32 = 100;
 /// stream counts as stale even though the message arrived this tick.
 pub const STALE_AFTER_TICKS: u64 = 5;
 
+const _: () = assert!(
+    STALE_AFTER_TICKS < DEGRADE_AFTER_TICKS as u64,
+    "staleness must be detected before the degradation ladder escalates, else the \
+     ladder escalates on data it never classified as stale"
+);
+
 /// Plausibility gates: normalized-innovation threshold in sigmas.
 pub const GATE_INNOVATION_SIGMA: f64 = 6.0;
 
 /// Plausibility gates: max ego-speed change per tick (m/s) between
 /// accepted readings. Must exceed the largest per-tick speed change the
-/// envelope allows the controller to command
-/// (`SW_ACCEL_MAX_MPS2 × TICK_SECONDS` — checked by adas-lint R10).
+/// envelope allows the controller to command (`SW_ACCEL_MAX_MPS2 × DT`
+/// and `−SW_BRAKE_MIN_MPS2 × DT`, asserted below).
 pub const GATE_MAX_SPEED_JUMP_MPS: f64 = 1.0;
+
+const _: () = assert!(
+    GATE_MAX_SPEED_JUMP_MPS > SW_ACCEL_MAX_MPS2 * crate::DT.secs(),
+    "the gate's per-tick speed allowance must exceed the speed change the software \
+     envelope lets the controller command in one tick, else legitimate control \
+     authority is rejected as implausible"
+);
+const _: () = assert!(
+    GATE_MAX_SPEED_JUMP_MPS > -SW_BRAKE_MIN_MPS2 * crate::DT.secs(),
+    "the gate's per-tick speed allowance must exceed the per-tick speed change of a \
+     maximal envelope brake"
+);
 
 /// Plausibility gates: max lead-distance change per tick (m).
 pub const GATE_MAX_DIST_JUMP_M: f64 = 4.0;
@@ -115,8 +167,14 @@ pub const GATE_STUCK_AFTER: u32 = 5;
 /// Plausibility gates: self-consistent ticks before a bound-violating
 /// stream re-anchors. Must stay below [`DEGRADE_AFTER_TICKS`] so a
 /// legitimate discontinuity is re-acquired before the ladder escalates
-/// (checked by adas-lint R10).
+/// (asserted below).
 pub const GATE_REACQUIRE_AFTER: u32 = 15;
+
+const _: () = assert!(
+    GATE_REACQUIRE_AFTER < DEGRADE_AFTER_TICKS,
+    "a bound-violating stream must re-anchor before the degradation ladder \
+     escalates, else a legitimate discontinuity degrades the stack"
+);
 
 /// Plausibility gates: ego-speed reading (m/s) below which the stuck
 /// detector disarms.
@@ -132,60 +190,14 @@ pub const IDS_MISS_AFTER: u32 = 10;
 /// CAN IDS: leaky-score threshold for timing events.
 pub const IDS_TIMING_THRESHOLD: u32 = 10;
 
+const _: () = assert!(
+    IDS_MISS_AFTER + IDS_TIMING_THRESHOLD < DEGRADE_AFTER_TICKS,
+    "the CAN IDS must be able to raise a timing alert before the degradation ladder \
+     escalates"
+);
+
 /// CAN IDS: leaky-score threshold for rolling-counter discontinuities.
 pub const IDS_COUNTER_THRESHOLD: u32 = 5;
 
 /// CAN IDS: leaky-score threshold for checksum failures.
 pub const IDS_CHECKSUM_THRESHOLD: u32 = 4;
-
-#[cfg(test)]
-// Asserting on constants is the point here: these tests are the runtime
-// witnesses of the cross-constant orderings that adas-lint R10 proves
-// statically, and they must fail loudly if someone retunes a limit.
-#[allow(clippy::assertions_on_constants)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[allow(clippy::float_cmp)] // literal-vs-literal identity checks
-    fn tick_seconds_matches_clock() {
-        assert_eq!(TICK_SECONDS, crate::DT.secs());
-    }
-
-    #[test]
-    fn envelopes_nest() {
-        // strict ⊆ software ⊆ physical — the same ordering R10 proves
-        // statically; this test is the runtime witness.
-        assert!(STRICT_ACCEL_MAX_MPS2 <= SW_ACCEL_MAX_MPS2);
-        assert!(SW_ACCEL_MAX_MPS2 <= PHYS_ACCEL_MAX_MPS2);
-        assert!(STRICT_BRAKE_MIN_MPS2 >= SW_BRAKE_MIN_MPS2);
-        assert!(SW_BRAKE_MIN_MPS2 >= PHYS_BRAKE_MIN_MPS2);
-        assert!(STRICT_STEER_MAX_DEG <= SW_STEER_MAX_DEG);
-        assert!(SW_STEER_MAX_DEG <= PHYS_STEER_MAX_DEG);
-        assert!(STRICT_OVERSPEED_FACTOR <= SW_OVERSPEED_FACTOR);
-    }
-
-    #[test]
-    fn gate_outruns_controller() {
-        // The gate's per-tick speed allowance must exceed what the envelope
-        // lets the controller command in one tick, else legitimate control
-        // authority gets rejected as implausible.
-        assert!(GATE_MAX_SPEED_JUMP_MPS > SW_ACCEL_MAX_MPS2 * TICK_SECONDS);
-        assert!(GATE_MAX_SPEED_JUMP_MPS > -SW_BRAKE_MIN_MPS2 * TICK_SECONDS);
-    }
-
-    #[test]
-    fn escalation_ordering() {
-        assert!(GATE_REACQUIRE_AFTER < DEGRADE_AFTER_TICKS);
-        assert!((STALE_AFTER_TICKS as u32) < DEGRADE_AFTER_TICKS);
-        assert!(DEGRADE_AFTER_TICKS < FAILSAFE_AFTER_TICKS);
-        assert!(IDS_MISS_AFTER + IDS_TIMING_THRESHOLD < DEGRADE_AFTER_TICKS);
-    }
-
-    #[test]
-    fn controlled_stops_inside_envelope() {
-        assert!(GENTLE_BRAKE_MPS2 < 0.0 && GENTLE_BRAKE_MPS2 >= SW_BRAKE_MIN_MPS2);
-        assert!(FAILSAFE_BRAKE_MPS2 < 0.0 && FAILSAFE_BRAKE_MPS2 >= SW_BRAKE_MIN_MPS2);
-        assert!(FAILSAFE_BRAKE_MPS2 < GENTLE_BRAKE_MPS2);
-    }
-}

@@ -5,8 +5,7 @@
 //! (campaign seed derivation), `openadas::plausibility` (stuck-stream
 //! fingerprints) and `faultinj` (per-fault random streams). They were
 //! bit-identical by convention only; hoisting them here makes the
-//! convention structural, and gives adas-lint R10 one source of truth when
-//! cross-checking seed-mixing constants.
+//! convention structural.
 
 /// The SplitMix64 finalizer: adds the 64-bit golden-ratio increment and
 /// applies the xor-multiply avalanche. Bijective, so distinct inputs never

@@ -10,7 +10,7 @@ use attack_core::recon::{analyze_can, SafetyEnvelopeEstimate};
 use canbus::{CanBus, Capture};
 use driving_sim::{Scenario, ScenarioId};
 use msgbus::{Payload, Topic};
-use openadas::CommandEncoder;
+use openadas::{CommandEncoder, Enveloped};
 use platform::{Harness, HarnessConfig};
 use units::Distance;
 
@@ -31,7 +31,8 @@ fn main() {
                 controls.push(*c);
                 // Mirror the command onto a recorded CAN segment the way the
                 // in-car tap sees it.
-                for frame in encoder.encode(c).expect("in-range commands") {
+                let c = Enveloped::new(*c).expect("published commands are inside the envelope");
+                for frame in encoder.encode(&c).expect("in-range commands") {
                     can.send(tick, frame);
                 }
             }

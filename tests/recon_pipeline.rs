@@ -7,7 +7,7 @@ use attack_core::recon::{analyze_can, SafetyEnvelopeEstimate};
 use canbus::{CanBus, Capture};
 use driving_sim::{Scenario, ScenarioId};
 use msgbus::{Payload, Topic};
-use openadas::CommandEncoder;
+use openadas::{CommandEncoder, Enveloped};
 use platform::{Harness, HarnessConfig};
 use units::Distance;
 
@@ -24,7 +24,8 @@ fn record_benign_run(seed: u64) -> (Vec<(units::Tick, canbus::CanFrame)>, Vec<ms
         for env in tap.drain() {
             if let Payload::CarControl(c) = env.payload() {
                 controls.push(*c);
-                for frame in encoder.encode(c).expect("in range") {
+                let c = Enveloped::new(*c).expect("inside the envelope");
+                for frame in encoder.encode(&c).expect("in range") {
                     can.send(tick, frame);
                 }
             }
