@@ -221,9 +221,9 @@ impl WalWriter {
     }
 
     /// Appends one completed cell. Buffered by the OS until
-    /// [`sync`](Self::sync) — the supervisor syncs once per chunk,
-    /// trading at most one chunk of recompute for not paying fsync
-    /// latency per cell.
+    /// [`sync`](Self::sync) — the supervisor syncs once per `sync_cells`
+    /// appends, trading at most that many cells of recompute for not
+    /// paying fsync latency per cell.
     pub fn append_cell(&mut self, idx: usize, result: &SimResult) -> io::Result<()> {
         self.file
             .write_all(cell_record(idx, &encode_result(result)).as_bytes())

@@ -16,10 +16,10 @@
 //!   past the attempt budget, quarantined so one pathological seed cannot
 //!   wedge the campaign. Per-job wall-clock deadlines bound runaway jobs.
 //! * **Checkpoint/resume** ([`checkpoint`]) — every completed cell is
-//!   appended to a write-ahead log keyed by the campaign's seed mix and
-//!   fsync'd per chunk; `campaignd --resume` replays the job manifest and
-//!   recomputes only the missing cells. The chaos test asserts the final
-//!   report is byte-identical to an undisturbed run.
+//!   appended to a write-ahead log, keyed by cell index, as it finishes,
+//!   fsync'd per `sync_cells` appends; `campaignd --resume` replays the
+//!   job manifest and recomputes only the missing cells. The chaos test
+//!   asserts the final report is byte-identical to an undisturbed run.
 //! * **Hardened HTTP** ([`http`]) — a hand-rolled incremental HTTP/1.1
 //!   parser over `std::net` (the vendor-stub culture rules out tokio):
 //!   read timeouts, header/body caps, Slowloris-resistant accumulation

@@ -3,8 +3,9 @@
 //!
 //! Threading model — deliberately boring:
 //!
-//! * one accept loop ([`accept_loop`]) polling a non-blocking listener so
-//!   drain can interrupt it without a self-connection trick;
+//! * one accept loop ([`accept_loop`]) blocked in `accept`, so a client is
+//!   served the moment it connects; [`ServerState::drain`] wakes it with
+//!   one loopback connection of its own;
 //! * one connection thread per client, capped at
 //!   [`DaemonConfig::max_connections`] (over the cap → immediate 503),
 //!   each with read/write timeouts and a per-request wall-clock budget so
@@ -12,7 +13,13 @@
 //! * one supervisor loop ([`supervisor_loop`]) running queued jobs
 //!   sequentially — the *cells* of a job are the parallelism, fanned out
 //!   over the platform worker pool, so a second concurrent job would only
-//!   fight the first for the same cores.
+//!   fight the first for the same cores. It sleeps on the queue's condvar
+//!   until a job is queued or a drain starts.
+//!
+//! The queue holds each job's [`JobState`], pushed only once the job's
+//! manifest record is written, and a job's stream ends only once its
+//! report and status are published: a client that reads the stream to
+//! EOF finds the report served.
 //!
 //! Lock discipline: every lock here (`queue`, `jobs`, `manifest`, and the
 //! supervisor's WAL/event locks) is acquired alone — taken, used, dropped
@@ -21,7 +28,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -111,10 +118,21 @@ pub struct JobState {
     pub report: Mutex<Option<String>>,
 }
 
+/// The bounded job queue: jobs waiting for the supervisor, plus the slots
+/// submissions have reserved while they record their job.
+#[derive(Debug, Default)]
+struct JobQueue {
+    waiting: VecDeque<Arc<JobState>>,
+    reserved: usize,
+}
+
 /// Shared daemon state.
 pub struct ServerState {
     cfg: DaemonConfig,
-    queue: Mutex<VecDeque<String>>,
+    /// The listener's own address, for the connection that wakes the
+    /// accept loop on drain.
+    wake_addr: SocketAddr,
+    queue: Mutex<JobQueue>,
     queue_cv: Condvar,
     jobs: Mutex<BTreeMap<String, Arc<JobState>>>,
     manifest: Mutex<Manifest>,
@@ -123,7 +141,25 @@ pub struct ServerState {
     shed: AtomicU64,
     connections: AtomicU64,
     stats: Arc<DaemonStats>,
-    draining: AtomicBool,
+    draining: Arc<AtomicBool>,
+}
+
+impl ServerState {
+    /// Starts a graceful drain: sets the flag, wakes the supervisor, and
+    /// connects once to the listener so the blocked accept returns and
+    /// sees the flag. Used by `POST /shutdown`.
+    fn drain(&self) {
+        {
+            // Under the queue lock, so the supervisor cannot miss the
+            // wakeup between its check of the flag and its wait.
+            let _queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.draining.store(true, Ordering::SeqCst);
+        }
+        self.queue_cv.notify_all();
+        if let Err(e) = TcpStream::connect(self.wake_addr) {
+            eprintln!("campaignd: cannot wake the accept loop: {e}");
+        }
+    }
 }
 
 /// The bound daemon, ready to [`run`](Server::run).
@@ -140,14 +176,21 @@ impl Server {
     pub fn bind(addr: &str, cfg: DaemonConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let manifest = Manifest::open(&cfg.state_dir)?;
         let entries = load_manifest(&cfg.state_dir)?;
 
         let state = Arc::new(ServerState {
             next_ordinal: AtomicU64::new(entries.len() as u64),
             cfg: cfg.clone(),
-            queue: Mutex::new(VecDeque::new()),
+            wake_addr,
+            queue: Mutex::new(JobQueue::default()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(BTreeMap::new()),
             manifest: Mutex::new(manifest),
@@ -155,7 +198,7 @@ impl Server {
             shed: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             stats: Arc::new(DaemonStats::default()),
-            draining: AtomicBool::new(false),
+            draining: Arc::new(AtomicBool::new(false)),
         });
 
         if cfg.resume {
@@ -185,9 +228,9 @@ impl Server {
                         progress,
                         report: Mutex::new(None),
                     });
-                    insert_job(&state, job);
+                    insert_job(&state, Arc::clone(&job));
                     let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                    queue.push_back(entry.id);
+                    queue.waiting.push_back(job);
                     drop(queue);
                     continue;
                 };
@@ -255,7 +298,6 @@ impl Server {
             .name("campaignd-supervisor".to_string())
             .spawn(move || supervisor_loop(&supervisor_state))?;
         accept_loop(&self.listener, &self.state);
-        self.state.queue_cv.notify_all();
         let _ = supervisor.join();
         // Graceful drain: give in-flight connection threads a bounded
         // window to flush their responses.
@@ -277,47 +319,42 @@ fn lookup_job(state: &Arc<ServerState>, id: &str) -> Option<Arc<JobState>> {
     jobs.get(id).cloned()
 }
 
-/// Accepts connections until drain. Non-blocking accept + sleep keeps the
-/// loop interruptible without signals or a wakeup socket.
+/// Accepts connections until drain. The listener blocks, so each client is
+/// taken the moment it connects; [`ServerState::drain`] connects once
+/// itself so that the loop wakes and sees the flag.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    loop {
+    for accepted in listener.incoming() {
         if state.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
-                    // Over the connection cap: shed immediately rather
-                    // than queueing unbounded handler threads.
-                    let _ = write_all(&stream, &response(
-                        503,
-                        "Service Unavailable",
-                        "application/json",
-                        b"{\"error\": \"connection limit\"}",
-                        &[("Retry-After", "1")],
-                        false,
-                    ));
-                    continue;
-                }
-                state.connections.fetch_add(1, Ordering::SeqCst);
-                let conn_state = Arc::clone(state);
-                let spawned = std::thread::Builder::new()
-                    .name("campaignd-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_state);
-                        conn_state.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    state.connections.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        let Ok(stream) = accepted else {
+            // Out of descriptors or the like: back off rather than spin.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
+            // Over the connection cap: shed immediately rather than
+            // queueing unbounded handler threads.
+            let _ = write_all(&stream, &response(
+                503,
+                "Service Unavailable",
+                "application/json",
+                b"{\"error\": \"connection limit\"}",
+                &[("Retry-After", "1")],
+                false,
+            ));
+            continue;
+        }
+        state.connections.fetch_add(1, Ordering::SeqCst);
+        let conn_state = Arc::clone(state);
+        let spawned = std::thread::Builder::new()
+            .name("campaignd-conn".to_string())
+            .spawn(move || {
+                handle_connection(stream, &conn_state);
+                conn_state.connections.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            state.connections.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -410,8 +447,7 @@ fn route(req: &Request, stream: &TcpStream, state: &Arc<ServerState>) -> bool {
         ("GET", "/stats") => json_response(200, "OK", stats_body(state)),
         ("POST", "/jobs") => submit_job(req, state),
         ("POST", "/shutdown") => {
-            state.draining.store(true, Ordering::SeqCst);
-            state.queue_cv.notify_all();
+            state.drain();
             let bytes = response(
                 202,
                 "Accepted",
@@ -458,7 +494,7 @@ fn not_found() -> Vec<u8> {
 fn stats_body(state: &Arc<ServerState>) -> String {
     let queue_depth = {
         let queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        queue.len()
+        queue.waiting.len()
     };
     let (queued, running, completed, failed, interrupted) = {
         let jobs = state.jobs.lock().unwrap_or_else(PoisonError::into_inner);
@@ -524,10 +560,11 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         fnv64(canonical.as_bytes()) & 0xffff_ffff
     );
 
-    // Backpressure: reserve a queue slot or shed, in one lock hold.
+    // Backpressure: reserve a queue slot or shed, in one lock hold. The job
+    // is queued only once it is recorded.
     {
         let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        if queue.len() >= state.cfg.queue_cap {
+        if queue.waiting.len() + queue.reserved >= state.cfg.queue_cap {
             drop(queue);
             state.shed.fetch_add(1, Ordering::SeqCst);
             return response(
@@ -539,7 +576,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
                 true,
             );
         }
-        queue.push_back(id.clone());
+        queue.reserved += 1;
     }
 
     // Durability before acknowledgement: the 202 must survive a crash.
@@ -550,7 +587,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
             let what = "cannot record the accepted job in the manifest";
             count_io_error(state, &id, what, &e);
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            queue.retain(|queued| queued != &id);
+            queue.reserved -= 1;
             drop(queue);
             return json_response(
                 500,
@@ -568,13 +605,15 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         progress: Arc::new(JobProgress::new(total)),
         report: Mutex::new(None),
     });
-    insert_job(state, job);
+    insert_job(state, Arc::clone(&job));
     state.accepted.fetch_add(1, Ordering::SeqCst);
-    state.queue_cv.notify_all();
     let queue_depth = {
-        let queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        queue.len()
+        let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.reserved -= 1;
+        queue.waiting.push_back(job);
+        queue.waiting.len()
     };
+    state.queue_cv.notify_all();
     json_response(
         202,
         "Accepted",
@@ -715,63 +754,70 @@ fn supervisor_loop(state: &Arc<ServerState>) {
                 if state.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                if let Some(id) = queue.pop_front() {
-                    break Some(id);
+                if let Some(job) = queue.waiting.pop_front() {
+                    break Some(job);
                 }
-                let (reacquired, _) = state
+                queue = state
                     .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
-                queue = reacquired;
             }
         };
-        let Some(id) = next else { return };
-
-        // The submit path publishes to the jobs map right after the queue
-        // reservation; tolerate the tiny in-between window.
-        let job = loop {
-            if let Some(job) = lookup_job(state, &id) {
-                break job;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let Some(job) = next else { return };
         set_status(&job, JobStatus::Running);
         let outcome = run_job(
             &state.cfg.supervisor,
-            &id,
+            &job.id,
             &job.spec,
             &state.cfg.state_dir,
             &job.progress,
             &state.stats,
             &state.draining,
         );
-        match outcome {
-            Ok(JobOutcome::Completed { report }) => {
-                {
-                    let mut held = job.report.lock().unwrap_or_else(PoisonError::into_inner);
-                    *held = Some(report);
-                }
-                set_status(&job, JobStatus::Completed);
-                record_done(state, &id, "completed");
-            }
-            Ok(JobOutcome::Failed { reason }) => {
-                set_status(&job, JobStatus::Failed(reason));
-                record_done(state, &id, "failed");
-            }
-            Ok(JobOutcome::Interrupted) => {
-                set_status(&job, JobStatus::Interrupted);
-                // No manifest record: resume re-enqueues it.
-            }
-            Err(e) => {
-                // No terminal event was pushed: close the stream here.
-                count_io_error(state, &id, "job failed", &e);
-                let reason = format!("i/o error: {e}");
-                set_status(&job, JobStatus::Failed(reason.clone()));
-                job.progress.push_event(Event::Failed { reason });
-                job.progress.mark_finished();
-                record_done(state, &id, "failed");
-            }
+        publish_outcome(state, &job, outcome);
+    }
+}
+
+/// Publishes a job's outcome: the report and the status first, then the
+/// terminal event that ends the job's stream, so a client that reads the
+/// stream to EOF finds the report served. The manifest record comes last.
+fn publish_outcome(
+    state: &Arc<ServerState>,
+    job: &Arc<JobState>,
+    outcome: std::io::Result<JobOutcome>,
+) {
+    let (status, event, done) = match outcome {
+        Ok(JobOutcome::Completed { report }) => {
+            *job.report.lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
+            let cells_total = job.progress.cells_total as usize;
+            (
+                JobStatus::Completed,
+                Event::Completed { cells_total },
+                Some("completed"),
+            )
         }
+        Ok(JobOutcome::Failed { reason }) => (
+            JobStatus::Failed(reason.clone()),
+            Event::Failed { reason },
+            Some("failed"),
+        ),
+        // No manifest record: resume re-enqueues it.
+        Ok(JobOutcome::Interrupted) => (JobStatus::Interrupted, Event::Interrupted, None),
+        Err(e) => {
+            count_io_error(state, &job.id, "job failed", &e);
+            let reason = format!("i/o error: {e}");
+            (
+                JobStatus::Failed(reason.clone()),
+                Event::Failed { reason },
+                Some("failed"),
+            )
+        }
+    };
+    set_status(job, status);
+    job.progress.push_event(event);
+    job.progress.mark_finished();
+    if let Some(done) = done {
+        record_done(state, &job.id, done);
     }
 }
 
@@ -877,7 +923,7 @@ mod tests {
             JobStatus::Failed(_)
         ));
         drop(jobs);
-        assert!(server.state.queue.lock().unwrap().is_empty());
+        assert!(server.state.queue.lock().unwrap().waiting.is_empty());
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 
@@ -947,7 +993,7 @@ mod tests {
             .unwrap();
         let mut body = String::new();
         let read = stream.read_to_string(&mut body);
-        state.draining.store(true, Ordering::SeqCst);
+        state.drain();
         daemon.join().unwrap().unwrap();
 
         assert!(
@@ -970,22 +1016,165 @@ mod tests {
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 
-    #[test]
-    fn an_oversized_job_is_rejected_before_it_is_recorded() {
-        let cfg = temp_cfg("oversized");
+    /// Serves `cfg` on a thread; the receiver gets `Server::run`'s result.
+    fn serve(
+        cfg: &DaemonConfig,
+    ) -> (
+        std::net::SocketAddr,
+        Arc<ServerState>,
+        std::sync::mpsc::Receiver<std::io::Result<()>>,
+    ) {
         let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let body = br#"{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": 4294967295}"#;
-        let mut raw = format!("POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
-            .into_bytes();
+        let addr = server.local_addr().unwrap();
+        let state = Arc::clone(&server.state);
+        let (ran, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = ran.send(server.run());
+        });
+        (addr, state, finished)
+    }
+
+    /// A parsed `POST /jobs` carrying `body`.
+    fn post_jobs(body: &[u8]) -> Request {
+        let mut raw = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
         raw.extend_from_slice(body);
         let Parse::Complete(req, _) = parse_request(&raw) else {
             panic!("request parses");
         };
+        req
+    }
+
+    /// Sends `POST /shutdown` and reads the reply until the daemon closes.
+    fn post_shutdown(addr: std::net::SocketAddr) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+            .write_all(b"POST /shutdown HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocking_accept() {
+        let cfg = temp_cfg("shutdown");
+        let (addr, _, finished) = serve(&cfg);
+        let reply = post_shutdown(addr);
+        assert!(reply.starts_with("HTTP/1.1 202"), "{reply}");
+        // No other client connects: only the drain's own connection can
+        // wake the accept loop.
+        let ran = finished.recv_timeout(Duration::from_secs(1));
+        assert!(
+            matches!(ran, Ok(Ok(()))),
+            "Server::run did not return: {ran:?}"
+        );
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn a_failed_submission_queues_nothing_and_drain_still_completes() {
+        let cfg = temp_cfg("submit-ro");
+        let (addr, state, finished) = serve(&cfg);
+        *state.manifest.lock().unwrap() = Manifest::open_read_only(&cfg.state_dir).unwrap();
+        let req = post_jobs(
+            br#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration", "reps": 1}"#,
+        );
+        let reply = String::from_utf8_lossy(&submit_job(&req, &state)).into_owned();
+        assert!(reply.starts_with("HTTP/1.1 500"), "{reply}");
+        assert!(
+            stats_body(&state).contains("\"queue_depth\": 0"),
+            "{}",
+            stats_body(&state)
+        );
+        assert_eq!(state.queue.lock().unwrap().reserved, 0);
+
+        assert!(post_shutdown(addr).starts_with("HTTP/1.1 202"));
+        let ran = finished.recv_timeout(Duration::from_secs(5));
+        assert!(
+            matches!(ran, Ok(Ok(()))),
+            "Server::run did not return: {ran:?}"
+        );
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn a_job_stream_ends_only_after_its_outcome_is_published() {
+        let cfg = temp_cfg("publish");
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let spec =
+            JobSpec::from_object(&parse_object(br#"{"kind": "resilience", "reps": 1}"#).unwrap())
+                .unwrap();
+        let cases = [
+            (
+                JobOutcome::Completed {
+                    report: "{}".to_string(),
+                },
+                "completed",
+                Some("{}"),
+            ),
+            (
+                JobOutcome::Failed {
+                    reason: "quarantined".to_string(),
+                },
+                "failed",
+                None,
+            ),
+            (JobOutcome::Interrupted, "interrupted", None),
+        ];
+        for (outcome, label, report) in cases {
+            let job = Arc::new(JobState {
+                id: "job-publish".to_string(),
+                spec: spec.clone(),
+                status: Mutex::new(JobStatus::Running),
+                progress: Arc::new(JobProgress::new(216)),
+                report: Mutex::new(None),
+            });
+            // Hold the status: the publisher sets it before anything that
+            // ends the stream, so the stream stays open until the guard
+            // goes.
+            let held = job.status.lock().unwrap();
+            let publisher = {
+                let (state, job) = (Arc::clone(&server.state), Arc::clone(&job));
+                std::thread::spawn(move || publish_outcome(&state, &job, Ok(outcome)))
+            };
+            let (early, finished) = job.progress.wait_events(0, Duration::from_millis(200));
+            assert!(early.is_empty() && !finished, "{label}: {early:?}");
+            drop(held);
+            publisher.join().unwrap();
+
+            let (events, finished) = job.progress.wait_events(0, Duration::ZERO);
+            assert!(finished, "{label}");
+            assert_eq!(job.status.lock().unwrap().label(), label);
+            assert_eq!(job.report.lock().unwrap().as_deref(), report, "{label}");
+            let lines: Vec<String> = events.iter().map(|e| e.render("job-publish")).collect();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(
+                lines[0].contains(&format!("\"status\": \"{label}\"")),
+                "{lines:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn an_oversized_job_is_rejected_before_it_is_recorded() {
+        let cfg = temp_cfg("oversized");
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let req = post_jobs(
+            br#"{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": 4294967295}"#,
+        );
         let reply = String::from_utf8_lossy(&submit_job(&req, &server.state)).into_owned();
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
         assert!(reply.contains("100000"), "{reply}");
         assert!(load_manifest(&cfg.state_dir).unwrap().is_empty());
-        assert!(server.state.queue.lock().unwrap().is_empty());
+        assert!(server.state.queue.lock().unwrap().waiting.is_empty());
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 

@@ -1,29 +1,33 @@
-//! Per-job supervision: chunked execution over the worker pool with
+//! Per-job supervision: one fan-out over the worker pool per job, with
 //! cell-level panic isolation, bounded deterministic retry, wall-clock
-//! deadlines, quarantine, and per-chunk checkpointing.
+//! deadlines, quarantine, and completion-order checkpointing.
 //!
 //! The supervisor never trusts a cell. Every attempt runs inside
 //! [`platform::pool::catch_cell`], so a panicking simulation becomes an
 //! `Err(CellPanic)` in that cell's slot instead of poisoning the batch
 //! (the pool's own latch would re-raise the *first* panic and abandon the
-//! submission). Failed cells are retried serially with exponential
-//! backoff — `base * 2^(attempt-1)`, a fixed deterministic schedule, not
-//! jitter — and a cell that exhausts its attempt budget is *quarantined*:
-//! recorded, reported, and routed around, so one pathological seed cannot
-//! wedge a million-cell campaign.
+//! submission). Failed cells are retried serially, once the fan-out is
+//! over, with exponential backoff — `base * 2^(attempt-1)`, a fixed
+//! deterministic schedule, not jitter — and a cell that exhausts its
+//! attempt budget is *quarantined*: recorded, reported, and routed around,
+//! so one pathological seed cannot wedge a million-cell campaign.
 //!
-//! Progress is durable at chunk granularity: completed cells stream
-//! through [`platform::experiment::run_campaign_cells_observed`]'s
-//! index-ordered hook into the WAL as they finish, and the file is
-//! fsync'd once per chunk. A kill at any instant loses at most one
-//! chunk of recompute and zero completed-and-synced cells.
+//! A job's missing cells go through one
+//! [`platform::experiment::run_campaign_cells`] fan-out. Before each cell
+//! a worker checks for a drain, the deadline and a failed WAL write, and
+//! skips the cell if it finds one. After each cell it appends the result
+//! to the WAL in completion order and fsyncs the file once per
+//! [`SupervisorConfig::sync_cells`] appends. The WAL is keyed by cell
+//! index, first write wins, so completion order never reaches a report. A
+//! kill at any instant loses at most one sync group plus the cells in
+//! flight, and never a synced cell.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use platform::experiment::{run_campaign_cells_observed, RunnerConfig};
+use platform::experiment::{run_campaign_cells, RunnerConfig};
 use platform::pool::{catch_cell, CellPanic};
 use platform::trace::Histogram;
 use platform::SimResult;
@@ -35,7 +39,7 @@ use crate::wire::escape;
 /// Supervision policy for every job the daemon runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Pool workers per chunk (0 = auto: every core).
+    /// Pool workers per job (0 = auto: every core).
     pub workers: usize,
     /// Total attempts per cell before quarantine (first run + retries).
     pub max_attempts: u32,
@@ -43,8 +47,8 @@ pub struct SupervisorConfig {
     pub backoff_base_ms: u64,
     /// Per-job wall-clock deadline in milliseconds (0 = unbounded).
     pub deadline_ms: u64,
-    /// Cells per chunk (0 = auto: `4 *` resolved workers).
-    pub chunk_cells: usize,
+    /// WAL appends per fsync (0 = auto: `4 *` resolved workers).
+    pub sync_cells: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -54,7 +58,7 @@ impl Default for SupervisorConfig {
             max_attempts: 3,
             backoff_base_ms: 10,
             deadline_ms: 0,
-            chunk_cells: 0,
+            sync_cells: 0,
         }
     }
 }
@@ -108,8 +112,8 @@ impl DaemonStats {
 /// The journal keeps events typed, a few machine words each, and
 /// [`render`](Self::render) turns one into its NDJSON line only when a
 /// stream reads it. A finished job's journal therefore holds no text, and
-/// the index-ordered observe hook, which runs under the frontier lock,
-/// formats nothing.
+/// the pool workers that append cell events format nothing. Events are in
+/// arrival order: a job's cell events follow the order its cells finish.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// The job started, adopting `checkpointed` cells from its WAL.
@@ -119,7 +123,7 @@ pub enum Event {
         /// Cells already in the WAL.
         checkpointed: usize,
     },
-    /// A cell succeeded in its chunk's pooled pass.
+    /// A cell succeeded in the job's pooled pass.
     CellOk {
         /// Cell index in the plan.
         idx: usize,
@@ -149,7 +153,7 @@ pub enum Event {
         /// Attempts made.
         attempts: u32,
     },
-    /// Every cell completed; the report is rendered.
+    /// Every cell completed; the report is served.
     Completed {
         /// Cells in the plan.
         cells_total: usize,
@@ -283,7 +287,9 @@ impl JobProgress {
     }
 }
 
-/// Terminal (or interrupted) outcome of one supervised job.
+/// Terminal (or interrupted) outcome of one supervised job. The caller
+/// publishes it: it stores the report and the status, then pushes the
+/// matching terminal event and closes the job's stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobOutcome {
     /// Every cell completed; the final report is rendered.
@@ -329,12 +335,62 @@ fn attempt_cell(
     (attempt, started.elapsed().as_secs_f64(), result)
 }
 
+/// A job's WAL as the fan-out's workers share it: appends in completion
+/// order, one fsync per `sync_cells` appends, and the first failed append
+/// or sync latched so that no later cell starts.
+struct JobWal {
+    writer: WalWriter,
+    sync_cells: usize,
+    unsynced: usize,
+    error: Option<std::io::Error>,
+}
+
+impl JobWal {
+    fn append_cell(&mut self, idx: usize, result: &SimResult) -> std::io::Result<()> {
+        self.writer.append_cell(idx, result)?;
+        self.unsynced += 1;
+        if self.unsynced >= self.sync_cells {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        if self.unsynced > 0 {
+            self.writer.sync()?;
+            self.unsynced = 0;
+        }
+        Ok(())
+    }
+
+    /// Whether an append or a sync has failed.
+    fn failed(wal: &Mutex<Self>) -> bool {
+        wal.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .error
+            .is_some()
+    }
+}
+
+/// Whether a job started at `started` is past `cfg`'s deadline.
+fn past_deadline(cfg: &SupervisorConfig, started: Instant) -> bool {
+    cfg.deadline_ms > 0 && started.elapsed().as_millis() as u64 >= cfg.deadline_ms
+}
+
+/// Syncs the WAL's tail, then ends the job with `outcome`.
+fn settle(wal: &Mutex<JobWal>, outcome: JobOutcome) -> std::io::Result<JobOutcome> {
+    wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
+    Ok(outcome)
+}
+
 /// Runs one job to an outcome, checkpointing into `state_dir`.
 ///
 /// On entry the WAL (if any) is replayed and only missing cells execute;
 /// the returned `Completed` report is therefore byte-identical whether
 /// the job ran once uninterrupted or across any number of resumes — the
-/// chaos test's central assertion.
+/// chaos test's central assertion. The job's journal gets its `running`
+/// and cell events here; the terminal event is the caller's to push once
+/// it has published the outcome.
 pub fn run_job(
     cfg: &SupervisorConfig,
     job_id: &str,
@@ -342,17 +398,14 @@ pub fn run_job(
     state_dir: &Path,
     progress: &Arc<JobProgress>,
     stats: &Arc<DaemonStats>,
-    drain: &AtomicBool,
+    drain: &Arc<AtomicBool>,
 ) -> std::io::Result<JobOutcome> {
     let started = Instant::now();
-    let deadline_hit =
-        |now: Instant| cfg.deadline_ms > 0 && now.duration_since(started).as_millis() as u64 >= cfg.deadline_ms;
-
     let plan: Arc<[CellSpec]> = spec.plan().into();
     let n = plan.len();
     let path = wal_path(state_dir, job_id);
     let checkpointed = load_wal(&path, job_id)?;
-    let wal = Arc::new(Mutex::new(WalWriter::open(&path, job_id)?));
+    let writer = WalWriter::open(&path, job_id)?;
 
     progress
         .cells_done
@@ -376,131 +429,122 @@ pub fn run_job(
     } else {
         cfg.workers
     });
-    let chunk_cells = if cfg.chunk_cells == 0 {
+    let sync_cells = if cfg.sync_cells == 0 {
         4 * workers.worker_count(n.max(1))
     } else {
-        cfg.chunk_cells
+        cfg.sync_cells
     }
     .max(1);
+    let wal = Arc::new(Mutex::new(JobWal {
+        writer,
+        sync_cells,
+        unsynced: 0,
+        error: None,
+    }));
+    let deadline_reason = || {
+        format!(
+            "deadline exceeded after {} of {n} cells",
+            progress.cells_done.load(Ordering::SeqCst)
+        )
+    };
 
-    let mut quarantine: Vec<usize> = Vec::new();
-    for chunk in missing.chunks(chunk_cells) {
-        if drain.load(Ordering::SeqCst) {
-            return interrupt(progress, &wal);
+    // Pooled first pass: each worker checks before a cell whether the job
+    // must stop, then checkpoints and streams the cell as it lands. A
+    // skipped cell comes back as `None`.
+    let run_cfg = *cfg;
+    let run_plan = Arc::clone(&plan);
+    let run_spec = spec.clone();
+    let run_attempts = Arc::clone(&attempts);
+    let run_progress = Arc::clone(progress);
+    let run_stats = Arc::clone(stats);
+    let run_wal = Arc::clone(&wal);
+    let run_drain = Arc::clone(drain);
+    let outcomes = run_campaign_cells(workers, missing.clone(), move |&gi| {
+        let halted = run_drain.load(Ordering::SeqCst)
+            || past_deadline(&run_cfg, started)
+            || JobWal::failed(&run_wal);
+        if halted {
+            return None;
         }
-        if deadline_hit(Instant::now()) {
-            return fail(
-                progress,
-                &wal,
-                format!(
-                    "deadline exceeded after {} of {n} cells",
-                    progress.cells_done.load(Ordering::SeqCst)
-                ),
-            );
-        }
-
-        // Pooled first pass over the chunk: panics captured per cell,
-        // successes checkpointed and streamed in index order as the
-        // frontier advances.
-        let chunk_specs: Vec<(usize, CellSpec)> =
-            chunk.iter().map(|&gi| (gi, plan[gi])).collect();
-        let run_spec = spec.clone();
-        let run_attempts = Arc::clone(&attempts);
-        let run_stats = Arc::clone(stats);
-        let hook_wal = Arc::clone(&wal);
-        let hook_progress = Arc::clone(progress);
-        let hook_stats = Arc::clone(stats);
-        let hook_chunk: Vec<usize> = chunk.to_vec();
-        let wal_error: Arc<Mutex<Option<std::io::Error>>> = Arc::new(Mutex::new(None));
-        let hook_wal_error = Arc::clone(&wal_error);
-        let outcomes = run_campaign_cells_observed(
-            workers,
-            chunk_specs,
-            move |&(gi, cell)| {
-                run_stats.in_flight.fetch_add(1, Ordering::SeqCst);
-                let attempted = attempt_cell(gi, &cell, &run_spec, &run_attempts);
-                run_stats.in_flight.fetch_sub(1, Ordering::SeqCst);
-                attempted
-            },
-            move |ci, (attempt, secs, outcome)| {
-                let gi = hook_chunk[ci];
-                match outcome {
-                    Ok(result) => {
-                        let mut writer =
-                            hook_wal.lock().unwrap_or_else(PoisonError::into_inner);
-                        if let Err(e) = writer.append_cell(gi, result) {
-                            let mut slot = hook_wal_error
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner);
-                            slot.get_or_insert(e);
-                        }
-                        drop(writer);
-                        hook_progress.cells_done.fetch_add(1, Ordering::SeqCst);
-                        hook_stats.cells_done.fetch_add(1, Ordering::SeqCst);
-                        hook_stats.record_cell_seconds(*secs);
-                        hook_progress.push_event(Event::CellOk {
-                            idx: gi,
-                            attempt: *attempt,
-                        });
-                    }
-                    Err(panic) => {
-                        hook_progress.push_event(Event::CellPanic {
-                            idx: gi,
-                            attempt: *attempt,
-                            message: panic.message.clone(),
-                        });
-                    }
+        run_stats.in_flight.fetch_add(1, Ordering::SeqCst);
+        let attempted = attempt_cell(gi, &run_plan[gi], &run_spec, &run_attempts);
+        run_stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let (attempt, secs, outcome) = &attempted;
+        match outcome {
+            Ok(result) => {
+                let mut writer = run_wal.lock().unwrap_or_else(PoisonError::into_inner);
+                if let Err(e) = writer.append_cell(gi, result) {
+                    writer.error.get_or_insert(e);
                 }
-            },
-        );
-        let mut held_error = wal_error.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(e) = held_error.take() {
-            return Err(e);
-        }
-        drop(held_error);
-        wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-
-        // Serial retry ladder for the chunk's failures, with deterministic
-        // exponential backoff between attempts.
-        let mut retried_any = false;
-        for (ci, (_, _, outcome)) in outcomes.iter().enumerate() {
-            let gi = chunk[ci];
-            match outcome {
-                Ok(result) => results[gi] = Some(result.clone()),
-                Err(_) => {
-                    let healed = retry_cell(
-                        cfg, spec, &plan, gi, &attempts, progress, stats, drain, &started,
-                    );
-                    match healed {
-                        Retry::Ok(result) => {
-                            let mut writer =
-                                wal.lock().unwrap_or_else(PoisonError::into_inner);
-                            writer.append_cell(gi, &result)?;
-                            drop(writer);
-                            retried_any = true;
-                            results[gi] = Some(*result);
-                            progress.cells_done.fetch_add(1, Ordering::SeqCst);
-                            stats.cells_done.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Retry::Quarantined => quarantine.push(gi),
-                        Retry::Drained => return interrupt(progress, &wal),
-                        Retry::DeadlineHit => {
-                            return fail(
-                                progress,
-                                &wal,
-                                format!(
-                                    "deadline exceeded after {} of {n} cells",
-                                    progress.cells_done.load(Ordering::SeqCst)
-                                ),
-                            )
-                        }
-                    }
-                }
+                drop(writer);
+                run_progress.cells_done.fetch_add(1, Ordering::SeqCst);
+                run_stats.cells_done.fetch_add(1, Ordering::SeqCst);
+                run_stats.record_cell_seconds(*secs);
+                run_progress.push_event(Event::CellOk {
+                    idx: gi,
+                    attempt: *attempt,
+                });
             }
+            Err(panic) => run_progress.push_event(Event::CellPanic {
+                idx: gi,
+                attempt: *attempt,
+                message: panic.message.clone(),
+            }),
         }
-        if retried_any {
-            wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-        }
+        Some(attempted)
+    });
+    let latched = wal
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .error
+        .take();
+    if let Some(e) = latched {
+        return Err(e);
+    }
+    if outcomes.iter().any(Option::is_none) {
+        let outcome = if drain.load(Ordering::SeqCst) {
+            JobOutcome::Interrupted
+        } else {
+            JobOutcome::Failed {
+                reason: deadline_reason(),
+            }
+        };
+        return settle(&wal, outcome);
+    }
+
+    // Serial retry ladder for the pass's failures, in plan order, with
+    // deterministic exponential backoff between attempts.
+    let mut quarantine: Vec<usize> = Vec::new();
+    for (&gi, (_, _, outcome)) in missing.iter().zip(outcomes.into_iter().flatten()) {
+        let result = match outcome {
+            Ok(result) => result,
+            Err(_) => match retry_cell(
+                cfg, spec, &plan, gi, &attempts, progress, stats, drain, started,
+            ) {
+                Retry::Ok(result) => {
+                    wal.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .append_cell(gi, &result)?;
+                    progress.cells_done.fetch_add(1, Ordering::SeqCst);
+                    stats.cells_done.fetch_add(1, Ordering::SeqCst);
+                    *result
+                }
+                Retry::Quarantined => {
+                    quarantine.push(gi);
+                    continue;
+                }
+                Retry::Drained => return settle(&wal, JobOutcome::Interrupted),
+                Retry::DeadlineHit => {
+                    return settle(
+                        &wal,
+                        JobOutcome::Failed {
+                            reason: deadline_reason(),
+                        },
+                    )
+                }
+            },
+        };
+        results[gi] = Some(result);
     }
 
     if !quarantine.is_empty() {
@@ -511,24 +555,19 @@ pub fn run_job(
             .unwrap_or_else(PoisonError::into_inner);
         held.extend_from_slice(&quarantine);
         drop(held);
-        return fail(
-            progress,
-            &wal,
-            format!(
-                "{} cell(s) quarantined after {} attempts each: [{}]",
-                quarantine.len(),
-                cfg.max_attempts,
-                listed.join(", ")
-            ),
+        let reason = format!(
+            "{} cell(s) quarantined after {} attempts each: [{}]",
+            quarantine.len(),
+            cfg.max_attempts,
+            listed.join(", ")
         );
+        return settle(&wal, JobOutcome::Failed { reason });
     }
 
     let complete: Vec<SimResult> = results.into_iter().flatten().collect();
     debug_assert_eq!(complete.len(), n);
     let report = spec.report(&complete);
-    progress.push_event(Event::Completed { cells_total: n });
-    progress.mark_finished();
-    Ok(JobOutcome::Completed { report })
+    settle(&wal, JobOutcome::Completed { report })
 }
 
 enum Retry {
@@ -548,7 +587,7 @@ fn retry_cell(
     progress: &Arc<JobProgress>,
     stats: &Arc<DaemonStats>,
     drain: &AtomicBool,
-    job_started: &Instant,
+    job_started: Instant,
 ) -> Retry {
     loop {
         let tried = attempts[gi].load(Ordering::Relaxed);
@@ -563,9 +602,7 @@ fn retry_cell(
         if drain.load(Ordering::SeqCst) {
             return Retry::Drained;
         }
-        if cfg.deadline_ms > 0
-            && job_started.elapsed().as_millis() as u64 >= cfg.deadline_ms
-        {
+        if past_deadline(cfg, job_started) {
             return Retry::DeadlineHit;
         }
         // Deterministic schedule: 1x, 2x, 4x ... the base per retry rank.
@@ -589,29 +626,6 @@ fn retry_cell(
             }
         }
     }
-}
-
-fn interrupt(
-    progress: &Arc<JobProgress>,
-    wal: &Arc<Mutex<WalWriter>>,
-) -> std::io::Result<JobOutcome> {
-    wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-    progress.push_event(Event::Interrupted);
-    progress.mark_finished();
-    Ok(JobOutcome::Interrupted)
-}
-
-fn fail(
-    progress: &Arc<JobProgress>,
-    wal: &Arc<Mutex<WalWriter>>,
-    reason: String,
-) -> std::io::Result<JobOutcome> {
-    wal.lock().unwrap_or_else(PoisonError::into_inner).sync()?;
-    progress.push_event(Event::Failed {
-        reason: reason.clone(),
-    });
-    progress.mark_finished();
-    Ok(JobOutcome::Failed { reason })
 }
 
 #[cfg(test)]
@@ -656,7 +670,7 @@ mod tests {
             dir,
             &progress,
             &stats,
-            &AtomicBool::new(false),
+            &Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
         (outcome, progress)
@@ -784,7 +798,7 @@ mod tests {
         let cfg = SupervisorConfig {
             workers: 1,
             deadline_ms: 1,
-            chunk_cells: 2,
+            sync_cells: 2,
             ..SupervisorConfig::default()
         };
         let (outcome, _) = run(&cfg, "job-dl", &spec, &dir);
@@ -794,6 +808,62 @@ mod tests {
                 panic!("{other:?}")
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_drain_mid_fan_out_checkpoints_exactly_the_streamed_cells() {
+        let dir = temp_state("drain");
+        // Every cell dawdles, so the drain lands with cells in flight.
+        let spec = tiny_job(ChaosKnobs {
+            panic_cells: Vec::new(),
+            delay_cells: (0..216).map(|i| (i, 5)).collect(),
+        });
+        let cfg = SupervisorConfig {
+            workers: 4,
+            sync_cells: 3,
+            ..SupervisorConfig::default()
+        };
+        let progress = Arc::new(JobProgress::new(spec.plan().len() as u64));
+        let drain = Arc::new(AtomicBool::new(false));
+        let watcher_progress = Arc::clone(&progress);
+        let watcher_drain = Arc::clone(&drain);
+        let watcher = std::thread::spawn(move || {
+            while watcher_progress.cells_done.load(Ordering::SeqCst) < 10 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            watcher_drain.store(true, Ordering::SeqCst);
+        });
+        let stats = Arc::new(DaemonStats::default());
+        let outcome = run_job(&cfg, "job-drain", &spec, &dir, &progress, &stats, &drain).unwrap();
+        watcher.join().unwrap();
+        assert_eq!(outcome, JobOutcome::Interrupted);
+
+        let (events, _) = progress.wait_events(0, Duration::ZERO);
+        let streamed: std::collections::BTreeSet<usize> = events
+            .iter()
+            .filter_map(|event| {
+                if let Event::CellOk { idx, .. } = event {
+                    Some(*idx)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        let checkpointed: std::collections::BTreeSet<usize> =
+            load_wal(&wal_path(&dir, "job-drain"), "job-drain")
+                .unwrap()
+                .into_keys()
+                .collect();
+        assert_eq!(
+            checkpointed, streamed,
+            "every finished cell is checkpointed"
+        );
+        assert!(
+            streamed.len() >= 10 && streamed.len() < 216,
+            "{}",
+            streamed.len()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -812,11 +882,11 @@ mod tests {
         let progress = Arc::new(JobProgress::new(spec.plan().len() as u64));
         let stats = Arc::new(DaemonStats::default());
         let small_chunks = SupervisorConfig {
-            chunk_cells: 16,
+            sync_cells: 16,
             ..cfg
         };
-        // Drain immediately after the first chunk: flip the flag from a
-        // watcher thread once a few cells complete.
+        // Drain early: flip the flag from a watcher thread once a few
+        // cells complete.
         let watcher_progress = Arc::clone(&progress);
         let flag = Arc::new(AtomicBool::new(false));
         let watcher_flag = Arc::clone(&flag);
@@ -847,7 +917,7 @@ mod tests {
             &dir,
             &progress2,
             &Arc::new(DaemonStats::default()),
-            &AtomicBool::new(false),
+            &Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
         match (baseline, resumed) {

@@ -4,7 +4,7 @@
 
 mod common;
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -121,6 +121,49 @@ fn submitted_job_reproduces_the_in_process_report() {
 }
 
 #[test]
+fn a_stream_that_ends_completed_means_the_report_is_served() {
+    let state = temp_state("stream-eof");
+    let mut daemon = Daemon::launch(&state, &[]);
+
+    for (seed, attack) in [
+        "acceleration",
+        "steering_left",
+        "steering_right",
+        "deceleration_steering",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let spec = format!(
+            "{{\"kind\": \"attack\", \"strategy\": \"context_aware\", \
+\"attack\": \"{attack}\", \"base_seed\": {seed}, \"reps\": 1}}"
+        );
+        let (status, body) = http(&daemon.addr, "POST", "/jobs", Some(&spec));
+        assert_eq!(status, 202, "{body}");
+        let id = job_id(&body);
+
+        // Read the stream to EOF, then fetch the report once: no retry.
+        let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream
+            .write_all(format!("GET /jobs/{id}/stream HTTP/1.1\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut events = String::new();
+        stream.read_to_string(&mut events).unwrap();
+        let last = events.lines().rfind(|l| l.starts_with('{')).unwrap_or("");
+        assert!(last.contains("\"status\": \"completed\""), "{events}");
+
+        let (status, report) = http(&daemon.addr, "GET", &format!("/jobs/{id}/report"), None);
+        assert_eq!(status, 200, "{report}");
+    }
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn overload_sheds_with_429_and_drain_is_graceful() {
     let state = temp_state("overload");
     let mut daemon = Daemon::launch(&state, &["--queue-cap", "1", "--workers", "1"]);
@@ -153,7 +196,6 @@ fn overload_sheds_with_429_and_drain_is_graceful() {
     let mut raw = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        use std::io::Read;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -173,9 +215,9 @@ fn overload_sheds_with_429_and_drain_is_graceful() {
     assert!(stats.contains("\"shed\": 1"), "{stats}");
     assert!(stats.contains("\"queue_depth\": 1"), "{stats}");
 
-    // Drain: the running job is interrupted at a chunk boundary (its WAL
-    // keeps the finished cells), the queued job is left for resume, and
-    // the process exits cleanly.
+    // Drain: the running job finishes its in-flight cells and starts no
+    // more (its WAL keeps the finished ones), the queued job is left for
+    // resume, and the process exits cleanly.
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }

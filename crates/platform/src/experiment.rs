@@ -228,7 +228,9 @@ pub fn detected_cores() -> usize {
 /// This is the one fan-out every campaign shares — the attack campaigns
 /// here, the fault matrix in [`crate::resilience`], and the policy ladder
 /// in [`crate::defense_campaign`] all pass their own spec type and a
-/// `.run()`-shaped closure. The spec vector is moved into an `Arc<[S]>` so
+/// `.run()`-shaped closure; `campaignd` passes a job's missing cell
+/// indices and a closure that checkpoints each result as it lands. The
+/// spec vector is moved into an `Arc<[S]>` so
 /// the job satisfies the pool's `'static` bound (workers are detached
 /// persistent threads; see [`crate::pool`]) without cloning a single spec.
 pub fn run_campaign_cells<S, T, F>(cfg: RunnerConfig, specs: Vec<S>, run: F) -> Vec<T>
@@ -240,90 +242,6 @@ where
     let n = specs.len();
     let specs: std::sync::Arc<[S]> = specs.into();
     crate::pool::run_indexed(cfg.worker_count(n), n, move |i| run(&specs[i]))
-}
-
-/// [`run_campaign_cells`] with an incremental, **index-ordered**
-/// `on_cell_complete` hook: `observe(i, &result)` is called exactly once
-/// per cell, in plan order, as soon as cell `i` *and every cell before it*
-/// have finished.
-///
-/// This is what lets a checkpoint writer or an NDJSON result streamer ride
-/// a campaign without buffering it whole: the hook fires while later cells
-/// are still running, and because invocations are index-ordered they are
-/// deterministic across worker counts — a completion-order hook would leak
-/// scheduling into whatever consumes it (the R14 merge rule, applied to
-/// callbacks).
-///
-/// Mechanics: results land in pre-sized per-cell slots; whichever worker
-/// completes a cell then advances a shared frontier cursor, draining every
-/// consecutive ready slot through `observe`. The hot path allocates
-/// nothing — slots and cursor are allocated once up front, and a cell
-/// behind the frontier costs one slot store plus one cursor check. The
-/// hook runs on worker threads under the frontier lock (that is what
-/// serializes it into index order), so it should be cheap or amortized —
-/// an append to an open file, a buffered socket write.
-pub fn run_campaign_cells_observed<S, T, F, C>(
-    cfg: RunnerConfig,
-    specs: Vec<S>,
-    run: F,
-    observe: C,
-) -> Vec<T>
-where
-    S: Send + Sync + 'static,
-    T: Send + 'static,
-    F: Fn(&S) -> T + Send + Sync + 'static,
-    C: FnMut(usize, &T) + Send + 'static,
-{
-    use std::sync::{Arc, Mutex, PoisonError};
-
-    let n = specs.len();
-    let specs: Arc<[S]> = specs.into();
-    let slots: Arc<Vec<Mutex<Option<T>>>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-    // Frontier cursor: (next index to observe, the hook). One lock for
-    // both so the index order is a lock-order fact, not a protocol.
-    let cursor: Arc<Mutex<(usize, C)>> = Arc::new(Mutex::new((0, observe)));
-    let sink = Arc::clone(&slots);
-    // Lock poisoning policy: the slot and cursor guards only wrap plain
-    // stores and the user hook; a poisoned guard means a sibling hook or
-    // `run` panicked, which the pool latches and re-raises at the submit
-    // site — recovering the guard here keeps the structurally consistent
-    // state usable for the cells that still finish.
-    crate::pool::run_indexed(cfg.worker_count(n), n, move |i| {
-        let value = run(&specs[i]);
-        {
-            // Narrow scope: the slot guard is released before the cursor
-            // is taken, so the only cross-lock order is cursor → slot.
-            let mut slot = sink[i].lock().unwrap_or_else(PoisonError::into_inner);
-            *slot = Some(value);
-        }
-        // Advance the frontier over every consecutively ready slot. The
-        // cursor guard is held while `observe` runs — that serialization
-        // is the index-order guarantee.
-        let mut cur = cursor.lock().unwrap_or_else(PoisonError::into_inner);
-        while cur.0 < sink.len() {
-            let at = cur.0;
-            let slot = sink[at].lock().unwrap_or_else(PoisonError::into_inner);
-            match slot.as_ref() {
-                Some(value) => {
-                    (cur.1)(at, value);
-                    drop(slot);
-                    cur.0 += 1;
-                }
-                None => break,
-            }
-        }
-    });
-    // Sole owner now: every worker finished and dropped its Arc clones.
-    match Arc::try_unwrap(slots) {
-        Ok(slots) => slots
-            .into_iter()
-            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect(),
-        Err(slots) => slots
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).take())
-            .collect(),
-    }
 }
 
 /// Maps `f` over `0..n` in parallel with `cfg`'s worker count, preserving
@@ -492,55 +410,5 @@ mod tests {
         assert_eq!(cfg.worker_count(3), 3);
         assert_eq!(cfg.worker_count(0), 1);
         assert_eq!(cfg.worker_count(1000), 64);
-    }
-
-    #[test]
-    fn observed_runner_fires_hook_once_per_cell_in_index_order() {
-        use std::sync::{Arc, Mutex};
-        let seen: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        // Cell 0 finishes last under 4 workers; the hook must still see it
-        // first, and every later cell exactly once, in order.
-        let specs: Vec<u64> = (0..16).collect();
-        let out = run_campaign_cells_observed(
-            RunnerConfig::with_workers(4),
-            specs,
-            |&s| {
-                if s == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(40));
-                }
-                s * 3
-            },
-            move |i, v| sink.lock().unwrap().push((i, *v)),
-        );
-        assert_eq!(out, (0..16).map(|i| i * 3).collect::<Vec<u64>>());
-        let seen = seen.lock().unwrap();
-        assert_eq!(*seen, (0..16).map(|i| (i as usize, i * 3)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn observed_runner_matches_plain_runner_and_handles_empty() {
-        use std::sync::{Arc, Mutex};
-        let cfg = CampaignConfig::smoke(StrategyKind::RandomSt, 1);
-        let specs: Vec<RunSpec> = plan_attack_campaign(&cfg, AttackType::SteeringRight)
-            .into_iter()
-            .take(6)
-            .collect();
-        let plain = run_campaign_cells(RunnerConfig::with_workers(3), specs.clone(), RunSpec::run);
-        let count = Arc::new(Mutex::new(0usize));
-        let sink = Arc::clone(&count);
-        let observed = run_campaign_cells_observed(
-            RunnerConfig::with_workers(3),
-            specs,
-            RunSpec::run,
-            move |_, _| *sink.lock().unwrap() += 1,
-        );
-        assert_eq!(observed, plain);
-        assert_eq!(*count.lock().unwrap(), 6);
-
-        let none: Vec<u32> = Vec::new();
-        let out =
-            run_campaign_cells_observed(RunnerConfig::default(), none, |&x| x, |_, _| panic!());
-        assert!(out.is_empty());
     }
 }
