@@ -21,6 +21,17 @@ pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// `413 Content Too Large`.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
+/// The protocol version on a request line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Version {
+    /// `HTTP/1.0`: one request per connection unless the client asks for
+    /// `Connection: keep-alive`.
+    Http10,
+    /// `HTTP/1.1`: the connection persists unless either side says
+    /// `Connection: close`.
+    Http11,
+}
+
 /// A parsed request. Header names are lowercased; values are trimmed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -28,6 +39,8 @@ pub struct Request {
     pub method: String,
     /// Request target (path + query), verbatim.
     pub target: String,
+    /// Protocol version from the request line.
+    pub version: Version,
     /// Headers in arrival order, names lowercased.
     pub headers: Vec<(String, String)>,
     /// Body bytes (exactly `Content-Length` of them).
@@ -41,6 +54,24 @@ impl Request {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the client lets the connection stay open after the reply:
+    /// an HTTP/1.1 request unless a `Connection` header lists `close`, an
+    /// HTTP/1.0 one only when it lists `keep-alive`.
+    pub fn keep_alive(&self) -> bool {
+        let lists = |token: &str| {
+            self.headers.iter().any(|(name, value)| {
+                name == "connection"
+                    && value
+                        .split(',')
+                        .any(|t| t.trim().eq_ignore_ascii_case(token))
+            })
+        };
+        match self.version {
+            Version::Http10 => lists("keep-alive"),
+            Version::Http11 => !lists("close"),
+        }
     }
 }
 
@@ -104,9 +135,11 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     if target.is_empty() || target.iter().any(|&b| b <= b' ' || b >= 0x7f) {
         return Parse::Reject(400, "Bad Request");
     }
-    if version != b"HTTP/1.1" && version != b"HTTP/1.0" {
-        return Parse::Reject(505, "HTTP Version Not Supported");
-    }
+    let version = match version {
+        b"HTTP/1.1" => Version::Http11,
+        b"HTTP/1.0" => Version::Http10,
+        _ => return Parse::Reject(505, "HTTP Version Not Supported"),
+    };
 
     let mut headers = Vec::new();
     let mut content_length: Option<usize> = None;
@@ -160,6 +193,7 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         Request {
             method: String::from_utf8_lossy(method).to_uppercase(),
             target: String::from_utf8_lossy(target).to_string(),
+            version,
             headers,
             body: buf[head_len..total].to_vec(),
         },
@@ -214,6 +248,7 @@ mod tests {
             Parse::Complete(req, used) => {
                 assert_eq!(req.method, "GET");
                 assert_eq!(req.target, "/healthz");
+                assert_eq!(req.version, Version::Http11);
                 assert_eq!(req.header("host"), Some("x"));
                 assert!(req.body.is_empty());
                 assert_eq!(used, buf.len());
@@ -288,6 +323,31 @@ mod tests {
         // Agreeing duplicates are tolerated.
         let buf = b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab";
         assert!(matches!(parse_request(buf), Parse::Complete(_, _)));
+    }
+
+    #[test]
+    fn keep_alive_follows_version_and_connection_tokens() {
+        let cases: [(&[u8], bool); 7] = [
+            (b"GET / HTTP/1.1\r\n\r\n", true),
+            (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", false),
+            (
+                b"GET / HTTP/1.1\r\nConnection: Keep-Alive, CLOSE\r\n\r\n",
+                false,
+            ),
+            (b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", true),
+            (b"GET / HTTP/1.0\r\n\r\n", false),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true),
+            (
+                b"GET / HTTP/1.0\r\nHost: x\r\nConnection: upgrade, Keep-Alive\r\n\r\n",
+                true,
+            ),
+        ];
+        for (raw, keep) in cases {
+            let Parse::Complete(req, _) = parse_request(raw) else {
+                panic!("{}", String::from_utf8_lossy(raw));
+            };
+            assert_eq!(req.keep_alive(), keep, "{}", String::from_utf8_lossy(raw));
+        }
     }
 
     #[test]

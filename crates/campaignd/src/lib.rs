@@ -20,6 +20,9 @@
 //!   fsync'd per `sync_cells` appends; `campaignd --resume` replays the
 //!   job manifest and recomputes only the missing cells. The chaos test
 //!   asserts the final report is byte-identical to an undisturbed run.
+//!   The same checkpoints serve finished jobs: past a fixed window of the
+//!   most recent, a finished job is a compact record in memory and its
+//!   report is rebuilt from its WAL on request ([`server`]).
 //! * **Hardened HTTP** ([`http`]) — a hand-rolled incremental HTTP/1.1
 //!   parser over `std::net` (the vendor-stub culture rules out tokio):
 //!   read timeouts, header/body caps, Slowloris-resistant accumulation

@@ -9,7 +9,10 @@
 //! * one connection thread per client, capped at
 //!   [`DaemonConfig::max_connections`] (over the cap → immediate 503),
 //!   each with read/write timeouts and a per-request wall-clock budget so
-//!   a Slowloris peer costs one bounded thread, never the daemon;
+//!   a Slowloris peer costs one bounded thread, never the daemon. A
+//!   request that says `Connection: close`, or an HTTP/1.0 one without
+//!   `Connection: keep-alive`, gets its reply and then EOF; during a drain
+//!   an idle connection ends at its next read timeout;
 //! * one supervisor loop ([`supervisor_loop`]) running queued jobs
 //!   sequentially — the *cells* of a job are the parallelism, fanned out
 //!   over the platform worker pool, so a second concurrent job would only
@@ -21,6 +24,15 @@
 //! report and status are published: a client that reads the stream to
 //! EOF finds the report served.
 //!
+//! Memory holds only live jobs. The job table keeps every unfinished job
+//! and the [`FINISHED_WINDOW`] most recently finished ones in full: spec,
+//! event journal and report. An older finished job, and every finished
+//! job `--resume` replays, is a compact record of its spec, status and
+//! counters, and is served from its checkpoint: its report is rebuilt
+//! from its WAL on each request, and its stream is its terminal event
+//! alone. `/stats` reads per-status job counters that move at each status
+//! change, so it never scans the table.
+//!
 //! Lock discipline: every lock here (`queue`, `jobs`, `manifest`, and the
 //! supervisor's WAL/event locks) is acquired alone — taken, used, dropped
 //! before the next — so the lock-order graph stays edge-free by
@@ -29,7 +41,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -39,6 +51,11 @@ use crate::http::{parse_request, response, stream_head, Parse, Request};
 use crate::spec::JobSpec;
 use crate::supervisor::{run_job, DaemonStats, Event, JobOutcome, JobProgress, SupervisorConfig};
 use crate::wire::{escape, parse_object};
+
+/// Finished jobs the daemon keeps in full, journal and report included,
+/// besides every unfinished one. When one more finishes, the oldest of
+/// them shrinks to a compact record and is served from its checkpoint.
+pub(crate) const FINISHED_WINDOW: usize = 16;
 
 /// Daemon-level configuration (the CLI flags, resolved).
 #[derive(Debug, Clone)]
@@ -100,6 +117,21 @@ impl JobStatus {
             JobStatus::Interrupted => "interrupted",
         }
     }
+
+    /// The event that ends the stream of a job left in this status; `None`
+    /// while the job is queued or running.
+    fn terminal_event(&self, cells_total: u64) -> Option<Event> {
+        match self {
+            JobStatus::Queued | JobStatus::Running => None,
+            JobStatus::Completed => Some(Event::Completed {
+                cells_total: cells_total as usize,
+            }),
+            JobStatus::Failed(reason) => Some(Event::Failed {
+                reason: reason.clone(),
+            }),
+            JobStatus::Interrupted => Some(Event::Interrupted),
+        }
+    }
 }
 
 /// One job's full state, shared between connection threads and the
@@ -118,6 +150,158 @@ pub struct JobState {
     pub report: Mutex<Option<String>>,
 }
 
+impl JobState {
+    /// The job's spec, status and counters as they stand.
+    fn record(&self) -> JobRecord {
+        let status = self
+            .status
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        let quarantined = self
+            .progress
+            .quarantined
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        JobRecord {
+            spec: self.spec.clone(),
+            status,
+            cells_total: self.progress.cells_total,
+            cells_done: self.progress.cells_done.load(Ordering::SeqCst),
+            retries: self.progress.retries.load(Ordering::SeqCst),
+            quarantined,
+        }
+    }
+}
+
+/// A finished job's compact record: what `/jobs/<id>` prints and the spec
+/// that renders its report from its WAL, without its event journal or its
+/// report.
+#[derive(Debug, Clone)]
+struct JobRecord {
+    spec: JobSpec,
+    status: JobStatus,
+    cells_total: u64,
+    cells_done: u64,
+    retries: u64,
+    quarantined: Vec<usize>,
+}
+
+impl JobRecord {
+    /// The `/jobs/<id>` body.
+    fn status_body(&self, id: &str) -> String {
+        let reason = match &self.status {
+            JobStatus::Failed(reason) => format!(", \"reason\": \"{}\"", escape(reason)),
+            JobStatus::Queued
+            | JobStatus::Running
+            | JobStatus::Completed
+            | JobStatus::Interrupted => String::new(),
+        };
+        let quarantined: Vec<String> = self.quarantined.iter().map(usize::to_string).collect();
+        format!(
+            "{{\"id\": \"{id}\", \"status\": \"{}\", \"cells_total\": {}, \
+\"cells_done\": {}, \"retries\": {}, \"quarantined\": [{}]{reason}}}",
+            self.status.label(),
+            self.cells_total,
+            self.cells_done,
+            self.retries,
+            quarantined.join(", "),
+        )
+    }
+
+    /// Rebuilds a completed job's report from its WAL, as `--resume`
+    /// resolves a finished job. A WAL that cannot be read, names another
+    /// job, or holds fewer cells than the plan is an error.
+    fn rebuild_report(&self, state_dir: &Path, id: &str) -> std::io::Result<String> {
+        let cells = load_wal(&wal_path(state_dir, id), id)?;
+        if cells.len() as u64 != self.cells_total {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "the checkpoint holds {} of {} cells",
+                    cells.len(),
+                    self.cells_total
+                ),
+            ));
+        }
+        let results: Vec<_> = cells.into_values().collect();
+        Ok(self.spec.report(&results))
+    }
+}
+
+/// A job as the table holds it.
+enum Held {
+    /// Unfinished, or among the [`FINISHED_WINDOW`] most recently finished.
+    Full(Arc<JobState>),
+    /// Finished earlier, or replayed by `--resume`.
+    Compact(JobRecord),
+}
+
+impl Held {
+    fn status(&self) -> JobStatus {
+        match self {
+            Held::Full(job) => job
+                .status
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
+            Held::Compact(record) => record.status.clone(),
+        }
+    }
+}
+
+/// Every job `/jobs/<id>` can name: unfinished jobs and a window of the
+/// most recently finished ones in full, every older finished job as its
+/// compact record.
+#[derive(Debug, Default)]
+struct JobTable {
+    full: BTreeMap<String, Arc<JobState>>,
+    /// The finished jobs among `full`, oldest first, each with the record
+    /// it shrinks to.
+    window: VecDeque<(String, JobRecord)>,
+    compact: BTreeMap<String, JobRecord>,
+}
+
+impl JobTable {
+    /// Adds a job that has just finished to the window and shrinks the
+    /// window's oldest job to its record once the window is over
+    /// [`FINISHED_WINDOW`]. A stream still reading that job keeps its
+    /// state alive through its own `Arc`.
+    fn retire(&mut self, id: String, record: JobRecord) {
+        self.window.push_back((id, record));
+        while self.window.len() > FINISHED_WINDOW {
+            let Some((oldest, record)) = self.window.pop_front() else {
+                break;
+            };
+            self.full.remove(&oldest);
+            self.compact.insert(oldest, record);
+        }
+    }
+}
+
+/// Jobs per status for `/stats`, moved at every status change.
+#[derive(Debug, Default)]
+struct StatusCounts {
+    queued: AtomicU64,
+    running: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    interrupted: AtomicU64,
+}
+
+impl StatusCounts {
+    fn of(&self, status: &JobStatus) -> &AtomicU64 {
+        match status {
+            JobStatus::Queued => &self.queued,
+            JobStatus::Running => &self.running,
+            JobStatus::Completed => &self.completed,
+            JobStatus::Failed(_) => &self.failed,
+            JobStatus::Interrupted => &self.interrupted,
+        }
+    }
+}
+
 /// The bounded job queue: jobs waiting for the supervisor, plus the slots
 /// submissions have reserved while they record their job.
 #[derive(Debug, Default)]
@@ -134,7 +318,8 @@ pub struct ServerState {
     wake_addr: SocketAddr,
     queue: Mutex<JobQueue>,
     queue_cv: Condvar,
-    jobs: Mutex<BTreeMap<String, Arc<JobState>>>,
+    jobs: Mutex<JobTable>,
+    counts: StatusCounts,
     manifest: Mutex<Manifest>,
     next_ordinal: AtomicU64,
     accepted: AtomicU64,
@@ -160,6 +345,48 @@ impl ServerState {
             eprintln!("campaignd: cannot wake the accept loop: {e}");
         }
     }
+
+    /// Adds a queued job to the table and counts it; the caller queues it.
+    fn admit(&self, id: String, spec: JobSpec) -> Arc<JobState> {
+        let total = spec.cell_count();
+        let job = Arc::new(JobState {
+            id: id.clone(),
+            spec,
+            status: Mutex::new(JobStatus::Queued),
+            progress: Arc::new(JobProgress::new(total)),
+            report: Mutex::new(None),
+        });
+        self.counts.queued.fetch_add(1, Ordering::SeqCst);
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        jobs.full.insert(id, Arc::clone(&job));
+        drop(jobs);
+        job
+    }
+
+    /// Adds a job finished in an earlier run as its compact record.
+    fn archive(&self, id: String, record: JobRecord) {
+        self.counts
+            .of(&record.status)
+            .fetch_add(1, Ordering::SeqCst);
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        jobs.compact.insert(id, record);
+    }
+
+    fn lookup(&self, id: &str) -> Option<Held> {
+        let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        match jobs.full.get(id) {
+            Some(job) => Some(Held::Full(Arc::clone(job))),
+            None => jobs.compact.get(id).cloned().map(Held::Compact),
+        }
+    }
+
+    /// Moves `job` to `status` and its count with it.
+    fn set_status(&self, job: &JobState, status: JobStatus) {
+        let mut held = job.status.lock().unwrap_or_else(PoisonError::into_inner);
+        self.counts.of(&status).fetch_add(1, Ordering::SeqCst);
+        self.counts.of(&held).fetch_sub(1, Ordering::SeqCst);
+        *held = status;
+    }
 }
 
 /// The bound daemon, ready to [`run`](Server::run).
@@ -170,8 +397,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr`, opens the state directory, and (with `cfg.resume`)
-    /// replays the manifest: finished jobs get their status, counters,
-    /// report and terminal stream event rebuilt from checkpoints,
+    /// replays the manifest: finished jobs get their status and counters
+    /// resolved from their checkpoints and are kept as compact records,
     /// unfinished ones are re-enqueued.
     pub fn bind(addr: &str, cfg: DaemonConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.state_dir)?;
@@ -192,7 +419,8 @@ impl Server {
             wake_addr,
             queue: Mutex::new(JobQueue::default()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(BTreeMap::new()),
+            jobs: Mutex::new(JobTable::default()),
+            counts: StatusCounts::default(),
             manifest: Mutex::new(manifest),
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -212,8 +440,6 @@ impl Server {
                         continue;
                     }
                 };
-                let total = spec.cell_count() as usize;
-                let progress = Arc::new(JobProgress::new(total as u64));
                 let Some(done) = entry.done.as_deref() else {
                     // Unfinished: the supervisor resumes it from its WAL,
                     // planning it again, so the size cap applies.
@@ -221,64 +447,45 @@ impl Server {
                         eprintln!("campaignd: job {}: not resumed: {err}", entry.id);
                         continue;
                     }
-                    let job = Arc::new(JobState {
-                        id: entry.id.clone(),
-                        spec,
-                        status: Mutex::new(JobStatus::Queued),
-                        progress,
-                        report: Mutex::new(None),
-                    });
-                    insert_job(&state, Arc::clone(&job));
+                    let job = state.admit(entry.id, spec);
                     let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
                     queue.waiting.push_back(job);
                     drop(queue);
                     continue;
                 };
-                // Finished in an earlier run: rebuild the report from the
-                // WAL without re-simulating, and close the job's stream
-                // with its terminal event. An unreadable WAL is logged and
-                // counted, and the job fails as an incomplete checkpoint.
-                let cells = match load_wal(&wal_path(&cfg.state_dir, &entry.id), &entry.id) {
-                    Ok(cells) => cells,
+                // Finished in an earlier run: count the cells its WAL
+                // holds without re-simulating, and keep the compact
+                // record; its report is rebuilt from the WAL when asked
+                // for. An unreadable WAL is logged and counted, and the
+                // job fails as an incomplete checkpoint.
+                let cells_total = spec.cell_count();
+                let cells_done = match load_wal(&wal_path(&cfg.state_dir, &entry.id), &entry.id) {
+                    Ok(cells) => cells.len() as u64,
                     Err(e) => {
                         count_io_error(&state, &entry.id, "cannot load the checkpoint", &e);
-                        BTreeMap::new()
+                        0
                     }
                 };
-                progress
-                    .cells_done
-                    .store(cells.len() as u64, Ordering::SeqCst);
-                let (status, report, event) = if done == "completed" && cells.len() == total {
-                    let results: Vec<_> = cells.into_values().collect();
-                    (
-                        JobStatus::Completed,
-                        Some(spec.report(&results)),
-                        Event::Completed { cells_total: total },
+                let status = if done == "completed" && cells_done == cells_total {
+                    JobStatus::Completed
+                } else if done == "completed" {
+                    JobStatus::Failed(
+                        "completed in a previous run but checkpoint is incomplete".to_string(),
                     )
                 } else {
-                    let reason = if done == "completed" {
-                        "completed in a previous run but checkpoint is incomplete"
-                    } else {
-                        "failed in a previous run"
-                    };
-                    (
-                        JobStatus::Failed(reason.to_string()),
-                        None,
-                        Event::Failed {
-                            reason: reason.to_string(),
-                        },
-                    )
+                    JobStatus::Failed("failed in a previous run".to_string())
                 };
-                progress.push_event(event);
-                progress.mark_finished();
-                let job = Arc::new(JobState {
-                    id: entry.id,
-                    spec,
-                    status: Mutex::new(status),
-                    progress,
-                    report: Mutex::new(report),
-                });
-                insert_job(&state, job);
+                state.archive(
+                    entry.id,
+                    JobRecord {
+                        spec,
+                        status,
+                        cells_total,
+                        cells_done,
+                        retries: 0,
+                        quarantined: Vec::new(),
+                    },
+                );
             }
         }
         Ok(Self { listener, state })
@@ -300,23 +507,14 @@ impl Server {
         accept_loop(&self.listener, &self.state);
         let _ = supervisor.join();
         // Graceful drain: give in-flight connection threads a bounded
-        // window to flush their responses.
+        // window to flush their responses. Idle ones end at their next
+        // read timeout.
         let deadline = Instant::now() + Duration::from_secs(2);
         while self.state.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         Ok(())
     }
-}
-
-fn insert_job(state: &Arc<ServerState>, job: Arc<JobState>) {
-    let mut jobs = state.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-    jobs.insert(job.id.clone(), job);
-}
-
-fn lookup_job(state: &Arc<ServerState>, id: &str) -> Option<Arc<JobState>> {
-    let jobs = state.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-    jobs.get(id).cloned()
 }
 
 /// Accepts connections until drain. The listener blocks, so each client is
@@ -335,14 +533,8 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
         if state.connections.load(Ordering::SeqCst) >= state.cfg.max_connections {
             // Over the connection cap: shed immediately rather than
             // queueing unbounded handler threads.
-            let _ = write_all(&stream, &response(
-                503,
-                "Service Unavailable",
-                "application/json",
-                b"{\"error\": \"connection limit\"}",
-                &[("Retry-After", "1")],
-                false,
-            ));
+            let reply = Reply::error(503, "Service Unavailable", "connection limit").retry_later();
+            let _ = write_all(&stream, &reply.to_bytes(false));
             continue;
         }
         state.connections.fetch_add(1, Ordering::SeqCst);
@@ -366,7 +558,8 @@ fn write_all(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<()> {
 /// Reads requests off one connection until it closes, times out, or a
 /// response demands closing. Incremental parsing with a per-request
 /// wall-clock budget: a peer dribbling header bytes gets 408, not a
-/// parked thread forever.
+/// parked thread forever. Once a drain starts, a connection holding no
+/// part of a request ends at its next read timeout.
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     let read_timeout = Duration::from_millis(state.cfg.read_timeout_ms.max(1));
     if stream.set_read_timeout(Some(read_timeout)).is_err() {
@@ -382,11 +575,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                 req
             }
             Parse::Reject(status, reason) => {
-                let body = format!("{{\"error\": \"{}\"}}", escape(reason));
-                let _ = write_all(
-                    &stream,
-                    &response(status, reason, "application/json", body.as_bytes(), &[], false),
-                );
+                let reply = Reply::error(status, reason, reason);
+                let _ = write_all(&stream, &reply.to_bytes(false));
                 return;
             }
             Parse::NeedMore => {
@@ -394,17 +584,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     >= state.cfg.request_deadline_ms.max(1)
                 {
                     if !buf.is_empty() {
-                        let _ = write_all(
-                            &stream,
-                            &response(
-                                408,
-                                "Request Timeout",
-                                "application/json",
-                                b"{\"error\": \"request timeout\"}",
-                                &[],
-                                false,
-                            ),
-                        );
+                        let reply = Reply::error(408, "Request Timeout", "request timeout");
+                        let _ = write_all(&stream, &reply.to_bytes(false));
                     }
                     return;
                 }
@@ -414,7 +595,12 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     Ok(n) => buf.extend_from_slice(&chunk[..n]),
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        if buf.is_empty() && state.draining.load(Ordering::SeqCst) {
+                            return;
+                        }
+                    }
                     Err(_) => return,
                 }
                 continue;
@@ -428,15 +614,63 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     }
 }
 
-fn json_response(status: u16, reason: &'static str, body: String) -> Vec<u8> {
-    response(status, reason, "application/json", body.as_bytes(), &[], true)
+/// A reply before it is framed; every body but a stream's is JSON.
+struct Reply {
+    status: u16,
+    reason: &'static str,
+    body: String,
+    /// Whether to carry `Retry-After: 1`.
+    retry_later: bool,
+}
+
+impl Reply {
+    fn json(status: u16, reason: &'static str, body: String) -> Self {
+        Self {
+            status,
+            reason,
+            body,
+            retry_later: false,
+        }
+    }
+
+    /// `{"error": message}`.
+    fn error(status: u16, reason: &'static str, message: &str) -> Self {
+        let body = format!("{{\"error\": \"{}\"}}", escape(message));
+        Self::json(status, reason, body)
+    }
+
+    fn retry_later(self) -> Self {
+        Self {
+            retry_later: true,
+            ..self
+        }
+    }
+
+    /// The reply's bytes; `keep_alive: false` adds `Connection: close`.
+    fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        let extra: &[(&str, &str)] = if self.retry_later {
+            &[("Retry-After", "1")]
+        } else {
+            &[]
+        };
+        response(
+            self.status,
+            self.reason,
+            "application/json",
+            self.body.as_bytes(),
+            extra,
+            keep_alive,
+        )
+    }
 }
 
 /// Dispatches one request; returns whether to keep the connection alive.
+/// It stays open only if the request lets it ([`Request::keep_alive`]);
+/// a stream or a shutdown always closes it.
 fn route(req: &Request, stream: &TcpStream, state: &Arc<ServerState>) -> bool {
     let path = req.target.split('?').next().unwrap_or("");
     let reply = match (req.method.as_str(), path) {
-        ("GET", "/healthz") => json_response(
+        ("GET", "/healthz") => Reply::json(
             200,
             "OK",
             format!(
@@ -444,51 +678,37 @@ fn route(req: &Request, stream: &TcpStream, state: &Arc<ServerState>) -> bool {
                 state.draining.load(Ordering::SeqCst)
             ),
         ),
-        ("GET", "/stats") => json_response(200, "OK", stats_body(state)),
+        ("GET", "/stats") => Reply::json(200, "OK", stats_body(state)),
         ("POST", "/jobs") => submit_job(req, state),
         ("POST", "/shutdown") => {
             state.drain();
-            let bytes = response(
-                202,
-                "Accepted",
-                "application/json",
-                b"{\"ok\": true, \"draining\": true}",
-                &[],
-                false,
-            );
-            let _ = write_all(stream, &bytes);
+            let reply = Reply::json(202, "Accepted", "{\"ok\": true, \"draining\": true}".into());
+            let _ = write_all(stream, &reply.to_bytes(false));
             return false;
         }
-        ("GET", path) => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
-                match rest.split_once('/') {
-                    None => job_status_body(state, rest),
-                    Some((id, "report")) => job_report_body(state, id),
-                    Some((id, "stream")) => {
-                        stream_job(stream, state, id);
-                        return false; // streams always close
-                    }
-                    Some(_) => not_found(),
+        ("GET", path) => match path.strip_prefix("/jobs/") {
+            Some(rest) => match rest.split_once('/') {
+                None => job_status_body(state, rest),
+                Some((id, "report")) => job_report_body(state, id),
+                Some((id, "stream")) => {
+                    stream_job(stream, state, id);
+                    return false; // streams always close
                 }
-            } else {
-                not_found()
-            }
+                Some(_) => not_found(),
+            },
+            None => not_found(),
+        },
+        (_, "/healthz" | "/stats" | "/jobs" | "/shutdown") => {
+            Reply::error(405, "Method Not Allowed", "method not allowed")
         }
-        (_, "/healthz" | "/stats" | "/jobs" | "/shutdown") => response(
-            405,
-            "Method Not Allowed",
-            "application/json",
-            b"{\"error\": \"method not allowed\"}",
-            &[],
-            true,
-        ),
         _ => not_found(),
     };
-    write_all(stream, &reply).is_ok()
+    let keep_alive = req.keep_alive();
+    write_all(stream, &reply.to_bytes(keep_alive)).is_ok() && keep_alive
 }
 
-fn not_found() -> Vec<u8> {
-    json_response(404, "Not Found", "{\"error\": \"not found\"}".to_string())
+fn not_found() -> Reply {
+    Reply::error(404, "Not Found", "not found")
 }
 
 fn stats_body(state: &Arc<ServerState>) -> String {
@@ -496,27 +716,14 @@ fn stats_body(state: &Arc<ServerState>) -> String {
         let queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
         queue.waiting.len()
     };
-    let (queued, running, completed, failed, interrupted) = {
-        let jobs = state.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut counts = (0u64, 0u64, 0u64, 0u64, 0u64);
-        for job in jobs.values() {
-            let status = job.status.lock().unwrap_or_else(PoisonError::into_inner);
-            match *status {
-                JobStatus::Queued => counts.0 += 1,
-                JobStatus::Running => counts.1 += 1,
-                JobStatus::Completed => counts.2 += 1,
-                JobStatus::Failed(_) => counts.3 += 1,
-                JobStatus::Interrupted => counts.4 += 1,
-            }
-        }
-        counts
-    };
+    let count = |n: &AtomicU64| n.load(Ordering::SeqCst);
+    let jobs = &state.counts;
     let (cell_count, cell_mean, spark) = state.stats.cell_seconds_summary();
     format!(
         "{{\"queue_depth\": {queue_depth}, \"queue_cap\": {}, \"accepted\": {}, \
 \"shed\": {}, \"in_flight_cells\": {}, \"cells_done\": {}, \"retries\": {}, \
-\"quarantined\": {}, \"io_errors\": {}, \"jobs\": {{\"queued\": {queued}, \"running\": {running}, \
-\"completed\": {completed}, \"failed\": {failed}, \"interrupted\": {interrupted}}}, \
+\"quarantined\": {}, \"io_errors\": {}, \"jobs\": {{\"queued\": {}, \"running\": {}, \
+\"completed\": {}, \"failed\": {}, \"interrupted\": {}}}, \
 \"cell_seconds\": {{\"count\": {cell_count}, \"mean\": {cell_mean:.6}, \
 \"sparkline\": \"{}\"}}, \"draining\": {}}}",
         state.cfg.queue_cap,
@@ -527,31 +734,23 @@ fn stats_body(state: &Arc<ServerState>) -> String {
         state.stats.retries.load(Ordering::SeqCst),
         state.stats.quarantined.load(Ordering::SeqCst),
         state.stats.io_errors.load(Ordering::SeqCst),
+        count(&jobs.queued),
+        count(&jobs.running),
+        count(&jobs.completed),
+        count(&jobs.failed),
+        count(&jobs.interrupted),
         escape(&spark),
         state.draining.load(Ordering::SeqCst),
     )
 }
 
-fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
+fn submit_job(req: &Request, state: &Arc<ServerState>) -> Reply {
     if state.draining.load(Ordering::SeqCst) {
-        return response(
-            503,
-            "Service Unavailable",
-            "application/json",
-            b"{\"error\": \"draining\"}",
-            &[],
-            true,
-        );
+        return Reply::error(503, "Service Unavailable", "draining");
     }
     let spec = match parse_object(&req.body).and_then(|obj| JobSpec::from_object(&obj)) {
         Ok(spec) => spec,
-        Err(message) => {
-            return json_response(
-                400,
-                "Bad Request",
-                format!("{{\"error\": \"{}\"}}", escape(&message)),
-            )
-        }
+        Err(message) => return Reply::error(400, "Bad Request", &message),
     };
     let canonical = spec.canonical();
     let ordinal = state.next_ordinal.fetch_add(1, Ordering::SeqCst);
@@ -567,14 +766,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         if queue.waiting.len() + queue.reserved >= state.cfg.queue_cap {
             drop(queue);
             state.shed.fetch_add(1, Ordering::SeqCst);
-            return response(
-                429,
-                "Too Many Requests",
-                "application/json",
-                b"{\"error\": \"queue full\"}",
-                &[("Retry-After", "1")],
-                true,
-            );
+            return Reply::error(429, "Too Many Requests", "queue full").retry_later();
         }
         queue.reserved += 1;
     }
@@ -589,23 +781,12 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.reserved -= 1;
             drop(queue);
-            return json_response(
-                500,
-                "Internal Server Error",
-                "{\"error\": \"manifest write failed\"}".to_string(),
-            );
+            return Reply::error(500, "Internal Server Error", "manifest write failed");
         }
     }
 
-    let total = spec.cell_count();
-    let job = Arc::new(JobState {
-        id: id.clone(),
-        spec,
-        status: Mutex::new(JobStatus::Queued),
-        progress: Arc::new(JobProgress::new(total)),
-        report: Mutex::new(None),
-    });
-    insert_job(state, Arc::clone(&job));
+    let job = state.admit(id.clone(), spec);
+    let total = job.progress.cells_total;
     state.accepted.fetch_add(1, Ordering::SeqCst);
     let queue_depth = {
         let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -614,7 +795,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
         queue.waiting.len()
     };
     state.queue_cv.notify_all();
-    json_response(
+    Reply::json(
         202,
         "Accepted",
         format!(
@@ -623,93 +804,67 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Vec<u8> {
     )
 }
 
-fn job_status_body(state: &Arc<ServerState>, id: &str) -> Vec<u8> {
-    let Some(job) = lookup_job(state, id) else {
-        return not_found();
+fn job_status_body(state: &Arc<ServerState>, id: &str) -> Reply {
+    let record = match state.lookup(id) {
+        Some(Held::Full(job)) => job.record(),
+        Some(Held::Compact(record)) => record,
+        None => return not_found(),
     };
-    let (label, reason) = {
-        let status = job.status.lock().unwrap_or_else(PoisonError::into_inner);
-        let reason = match &*status {
-            JobStatus::Failed(reason) => format!(", \"reason\": \"{}\"", escape(reason)),
-            JobStatus::Queued
-            | JobStatus::Running
-            | JobStatus::Completed
-            | JobStatus::Interrupted => String::new(),
-        };
-        (status.label(), reason)
-    };
-    let quarantined = {
-        let held = job
-            .progress
-            .quarantined
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let listed: Vec<String> = held.iter().map(usize::to_string).collect();
-        listed.join(", ")
-    };
-    json_response(
-        200,
-        "OK",
-        format!(
-            "{{\"id\": \"{id}\", \"status\": \"{label}\", \"cells_total\": {}, \
-\"cells_done\": {}, \"retries\": {}, \"quarantined\": [{quarantined}]{reason}}}",
-            job.progress.cells_total,
-            job.progress.cells_done.load(Ordering::SeqCst),
-            job.progress.retries.load(Ordering::SeqCst),
-        ),
-    )
+    Reply::json(200, "OK", record.status_body(id))
 }
 
-fn job_report_body(state: &Arc<ServerState>, id: &str) -> Vec<u8> {
-    let Some(job) = lookup_job(state, id) else {
+fn job_report_body(state: &Arc<ServerState>, id: &str) -> Reply {
+    let Some(held) = state.lookup(id) else {
         return not_found();
     };
-    let status = {
-        let held = job.status.lock().unwrap_or_else(PoisonError::into_inner);
-        held.clone()
-    };
-    match status {
-        JobStatus::Completed => {
-            let report = {
-                let held = job.report.lock().unwrap_or_else(PoisonError::into_inner);
-                held.clone()
-            };
-            match report {
-                Some(report) => json_response(200, "OK", report),
-                None => json_response(
-                    500,
-                    "Internal Server Error",
-                    "{\"error\": \"report missing\"}".to_string(),
-                ),
-            }
+    match held.status() {
+        JobStatus::Completed => {}
+        JobStatus::Failed(reason) => return Reply::error(410, "Gone", &reason),
+        JobStatus::Queued | JobStatus::Running | JobStatus::Interrupted => {
+            return Reply::error(409, "Conflict", "job not finished").retry_later()
         }
-        JobStatus::Failed(reason) => json_response(
-            410,
-            "Gone",
-            format!("{{\"error\": \"{}\"}}", escape(&reason)),
-        ),
-        JobStatus::Queued | JobStatus::Running | JobStatus::Interrupted => response(
-            409,
-            "Conflict",
-            "application/json",
-            b"{\"error\": \"job not finished\"}",
-            &[("Retry-After", "1")],
-            true,
-        ),
+    }
+    let report = match held {
+        Held::Full(job) => job
+            .report
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone(),
+        Held::Compact(record) => match record.rebuild_report(&state.cfg.state_dir, id) {
+            Ok(report) => Some(report),
+            Err(e) => {
+                let what = "cannot rebuild the report from the checkpoint";
+                count_io_error(state, id, what, &e);
+                return Reply::error(500, "Internal Server Error", "checkpoint unreadable");
+            }
+        },
+    };
+    match report {
+        Some(report) => Reply::json(200, "OK", report),
+        None => Reply::error(500, "Internal Server Error", "report missing"),
     }
 }
 
 /// Streams a job's event journal as NDJSON, then live events until the
-/// job finishes. A dead or slow client hits the write timeout and only
-/// its own thread unwinds.
+/// job finishes. A job held as its compact record streams its terminal
+/// event alone. A dead or slow client hits the write timeout and only its
+/// own thread unwinds.
 fn stream_job(stream: &TcpStream, state: &Arc<ServerState>, id: &str) {
-    let Some(job) = lookup_job(state, id) else {
-        let _ = write_all(stream, &not_found());
+    let Some(held) = state.lookup(id) else {
+        let _ = write_all(stream, &not_found().to_bytes(false));
         return;
     };
     if write_all(stream, &stream_head("application/x-ndjson")).is_err() {
         return;
     }
+    let job = match held {
+        Held::Full(job) => job,
+        Held::Compact(record) => {
+            let last = record.status.terminal_event(record.cells_total);
+            let _ = write_events(stream, id, last.as_slice());
+            return;
+        }
+    };
     let mut seen = 0usize;
     loop {
         let (fresh, finished) = job
@@ -764,7 +919,7 @@ fn supervisor_loop(state: &Arc<ServerState>) {
             }
         };
         let Some(job) = next else { return };
-        set_status(&job, JobStatus::Running);
+        state.set_status(&job, JobStatus::Running);
         let outcome = run_job(
             &state.cfg.supervisor,
             &job.id,
@@ -779,51 +934,43 @@ fn supervisor_loop(state: &Arc<ServerState>) {
 }
 
 /// Publishes a job's outcome: the report and the status first, then the
-/// terminal event that ends the job's stream, so a client that reads the
-/// stream to EOF finds the report served. The manifest record comes last.
+/// job's place among the finished (which may shrink an older one to its
+/// record), then the terminal event that ends the job's stream, so a
+/// client that reads the stream to EOF finds the report served. The
+/// manifest record comes last.
 fn publish_outcome(
     state: &Arc<ServerState>,
     job: &Arc<JobState>,
     outcome: std::io::Result<JobOutcome>,
 ) {
-    let (status, event, done) = match outcome {
+    let (status, done) = match outcome {
         Ok(JobOutcome::Completed { report }) => {
             *job.report.lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
-            let cells_total = job.progress.cells_total as usize;
-            (
-                JobStatus::Completed,
-                Event::Completed { cells_total },
-                Some("completed"),
-            )
+            (JobStatus::Completed, Some("completed"))
         }
-        Ok(JobOutcome::Failed { reason }) => (
-            JobStatus::Failed(reason.clone()),
-            Event::Failed { reason },
-            Some("failed"),
-        ),
+        Ok(JobOutcome::Failed { reason }) => (JobStatus::Failed(reason), Some("failed")),
         // No manifest record: resume re-enqueues it.
-        Ok(JobOutcome::Interrupted) => (JobStatus::Interrupted, Event::Interrupted, None),
+        Ok(JobOutcome::Interrupted) => (JobStatus::Interrupted, None),
         Err(e) => {
             count_io_error(state, &job.id, "job failed", &e);
-            let reason = format!("i/o error: {e}");
-            (
-                JobStatus::Failed(reason.clone()),
-                Event::Failed { reason },
-                Some("failed"),
-            )
+            (JobStatus::Failed(format!("i/o error: {e}")), Some("failed"))
         }
     };
-    set_status(job, status);
-    job.progress.push_event(event);
+    let last = status.terminal_event(job.progress.cells_total);
+    state.set_status(job, status);
+    let record = job.record();
+    state
+        .jobs
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .retire(job.id.clone(), record);
+    if let Some(event) = last {
+        job.progress.push_event(event);
+    }
     job.progress.mark_finished();
     if let Some(done) = done {
         record_done(state, &job.id, done);
     }
-}
-
-fn set_status(job: &Arc<JobState>, status: JobStatus) {
-    let mut held = job.status.lock().unwrap_or_else(PoisonError::into_inner);
-    *held = status;
 }
 
 /// Records a job's terminal outcome. A failed write leaves the job's
@@ -915,11 +1062,12 @@ mod tests {
 
         let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
         let jobs = server.state.jobs.lock().unwrap();
-        let ids: Vec<&str> = jobs.keys().map(String::as_str).collect();
+        assert!(jobs.full.is_empty() && jobs.window.is_empty());
+        let ids: Vec<&str> = jobs.compact.keys().map(String::as_str).collect();
         assert_eq!(ids, ["job-finished"]);
-        assert_eq!(jobs["job-finished"].spec, over);
+        assert_eq!(jobs.compact["job-finished"].spec, over);
         assert!(matches!(
-            *jobs["job-finished"].status.lock().unwrap(),
+            jobs.compact["job-finished"].status,
             JobStatus::Failed(_)
         ));
         drop(jobs);
@@ -946,8 +1094,8 @@ mod tests {
 
         let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
         let jobs = server.state.jobs.lock().unwrap();
-        assert_eq!(jobs["job-done"].status.lock().unwrap().label(), "failed");
-        assert_eq!(jobs["job-done"].progress.cells_done.load(Ordering::SeqCst), 0);
+        assert_eq!(jobs.compact["job-done"].status.label(), "failed");
+        assert_eq!(jobs.compact["job-done"].cells_done, 0);
         drop(jobs);
         assert_eq!(server.state.stats.io_errors.load(Ordering::SeqCst), 1);
         assert!(
@@ -1020,7 +1168,7 @@ mod tests {
     fn serve(
         cfg: &DaemonConfig,
     ) -> (
-        std::net::SocketAddr,
+        SocketAddr,
         Arc<ServerState>,
         std::sync::mpsc::Receiver<std::io::Result<()>>,
     ) {
@@ -1049,7 +1197,7 @@ mod tests {
     }
 
     /// Sends `POST /shutdown` and reads the reply until the daemon closes.
-    fn post_shutdown(addr: std::net::SocketAddr) -> String {
+    fn post_shutdown(addr: SocketAddr) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1086,7 +1234,7 @@ mod tests {
         let req = post_jobs(
             br#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration", "reps": 1}"#,
         );
-        let reply = String::from_utf8_lossy(&submit_job(&req, &state)).into_owned();
+        let reply = String::from_utf8_lossy(&submit_job(&req, &state).to_bytes(true)).into_owned();
         assert!(reply.starts_with("HTTP/1.1 500"), "{reply}");
         assert!(
             stats_body(&state).contains("\"queue_depth\": 0"),
@@ -1128,14 +1276,11 @@ mod tests {
             ),
             (JobOutcome::Interrupted, "interrupted", None),
         ];
+        let state = &server.state;
         for (outcome, label, report) in cases {
-            let job = Arc::new(JobState {
-                id: "job-publish".to_string(),
-                spec: spec.clone(),
-                status: Mutex::new(JobStatus::Running),
-                progress: Arc::new(JobProgress::new(216)),
-                report: Mutex::new(None),
-            });
+            let id = format!("job-publish-{label}");
+            let job = state.admit(id.clone(), spec.clone());
+            state.set_status(&job, JobStatus::Running);
             // Hold the status: the publisher sets it before anything that
             // ends the stream, so the stream stays open until the guard
             // goes.
@@ -1153,6 +1298,17 @@ mod tests {
             assert!(finished, "{label}");
             assert_eq!(job.status.lock().unwrap().label(), label);
             assert_eq!(job.report.lock().unwrap().as_deref(), report, "{label}");
+            let (newest, record) = state.jobs.lock().unwrap().window.back().cloned().unwrap();
+            assert_eq!(
+                (newest.as_str(), record.status.label()),
+                (id.as_str(), label)
+            );
+            // Each label is published once, so its count reads 1.
+            let stats = stats_body(state);
+            assert!(
+                stats.contains(&format!("\"{label}\": 1")) && stats.contains("\"running\": 0"),
+                "{label}: {stats}"
+            );
             let lines: Vec<String> = events.iter().map(|e| e.render("job-publish")).collect();
             assert_eq!(lines.len(), 1, "{lines:?}");
             assert!(
@@ -1170,11 +1326,193 @@ mod tests {
         let req = post_jobs(
             br#"{"kind": "attack", "strategy": "random_st", "attack": "acceleration", "reps": 4294967295}"#,
         );
-        let reply = String::from_utf8_lossy(&submit_job(&req, &server.state)).into_owned();
+        let reply =
+            String::from_utf8_lossy(&submit_job(&req, &server.state).to_bytes(true)).into_owned();
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
         assert!(reply.contains("100000"), "{reply}");
         assert!(load_manifest(&cfg.state_dir).unwrap().is_empty());
         assert!(server.state.queue.lock().unwrap().waiting.is_empty());
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    /// Drains the daemon at `addr` and waits for its `Server::run` to return.
+    fn shut_down(addr: SocketAddr, finished: &std::sync::mpsc::Receiver<std::io::Result<()>>) {
+        assert!(post_shutdown(addr).starts_with("HTTP/1.1 202"));
+        let ran = finished.recv_timeout(Duration::from_secs(5));
+        assert!(
+            matches!(ran, Ok(Ok(()))),
+            "Server::run did not return: {ran:?}"
+        );
+    }
+
+    /// Sends one request that asks the daemon to close the connection and
+    /// reads the reply to EOF: its status code and its body.
+    fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        let (head, body) = raw
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("{raw}"));
+        let status = head
+            .split(' ')
+            .nth(1)
+            .and_then(|code| code.parse().ok())
+            .unwrap_or_else(|| panic!("{head}"));
+        (status, body.to_string())
+    }
+
+    /// What a client read of one job once its stream ended.
+    struct Served {
+        id: String,
+        status: String,
+        report: String,
+    }
+
+    /// Runs `n` 12-cell attack jobs one after another: submits each, reads
+    /// its stream to EOF, then reads its `/jobs/<id>` body and its report.
+    /// After each job the table holds no more than the window in full.
+    fn run_jobs(addr: SocketAddr, state: &ServerState, n: usize) -> Vec<Served> {
+        (0..n)
+            .map(|seed| {
+                let spec = format!(
+                    "{{\"kind\": \"attack\", \"strategy\": \"context_aware\", \
+\"attack\": \"acceleration\", \"base_seed\": {seed}, \"reps\": 1}}"
+                );
+                let (code, body) = exchange(addr, "POST", "/jobs", &spec);
+                assert_eq!(code, 202, "{body}");
+                let id = body.split('"').nth(3).unwrap().to_string();
+                let (_, events) = exchange(addr, "GET", &format!("/jobs/{id}/stream"), "");
+                let last = events.lines().last().unwrap_or_default();
+                assert!(last.contains("\"status\": \"completed\""), "{events}");
+                let (_, status) = exchange(addr, "GET", &format!("/jobs/{id}"), "");
+                let (code, report) = exchange(addr, "GET", &format!("/jobs/{id}/report"), "");
+                assert_eq!(code, 200, "{report}");
+                let jobs = state.jobs.lock().unwrap();
+                let unfinished = state.counts.queued.load(Ordering::SeqCst)
+                    + state.counts.running.load(Ordering::SeqCst);
+                assert!(jobs.window.len() <= FINISHED_WINDOW);
+                assert!(jobs.full.len() as u64 <= FINISHED_WINDOW as u64 + unfinished);
+                drop(jobs);
+                Served { id, status, report }
+            })
+            .collect()
+    }
+
+    /// Checks that a finished job serves the `/jobs/<id>` body and the
+    /// report read at its completion, and streams its terminal event alone.
+    fn assert_served_from_its_record(addr: SocketAddr, job: &Served) {
+        let path = format!("/jobs/{}", job.id);
+        assert_eq!(exchange(addr, "GET", &path, ""), (200, job.status.clone()));
+        let report = exchange(addr, "GET", &format!("{path}/report"), "");
+        assert_eq!(report, (200, job.report.clone()));
+        let terminal = format!(
+            "{{\"event\": \"job\", \"id\": \"{}\", \"status\": \"completed\", \
+\"cells_total\": 12}}\n",
+            job.id
+        );
+        let stream = exchange(addr, "GET", &format!("{path}/stream"), "");
+        assert_eq!(stream, (200, terminal));
+    }
+
+    #[test]
+    fn finished_jobs_past_the_window_are_served_from_their_checkpoints() {
+        let cfg = temp_cfg("window");
+        let (addr, state, finished) = serve(&cfg);
+        let n = 3 * FINISHED_WINDOW;
+        let served = run_jobs(addr, &state, n);
+
+        let jobs = state.jobs.lock().unwrap();
+        assert_eq!(
+            (jobs.full.len(), jobs.window.len(), jobs.compact.len()),
+            (FINISHED_WINDOW, FINISHED_WINDOW, n - FINISHED_WINDOW)
+        );
+        drop(jobs);
+        for job in &served[..n - FINISHED_WINDOW] {
+            assert_served_from_its_record(addr, job);
+        }
+        let (_, stats) = exchange(addr, "GET", "/stats", "");
+        assert!(
+            stats.contains(&format!(
+                "\"jobs\": {{\"queued\": 0, \"running\": 0, \"completed\": {n}, \"failed\": 0, \
+\"interrupted\": 0}}"
+            )),
+            "{stats}"
+        );
+
+        // Without its WAL an evicted job's report cannot be rebuilt: the
+        // request fails closed and is counted.
+        let first = &served[0].id;
+        std::fs::remove_file(wal_path(&cfg.state_dir, first)).unwrap();
+        let (code, body) = exchange(addr, "GET", &format!("/jobs/{first}/report"), "");
+        assert_eq!(code, 500, "{body}");
+        assert_eq!(state.stats.io_errors.load(Ordering::SeqCst), 1);
+        let status = exchange(addr, "GET", &format!("/jobs/{first}"), "");
+        assert_eq!(status, (200, served[0].status.clone()));
+
+        shut_down(addr, &finished);
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn resume_holds_no_reports_and_serves_each_byte_identical() {
+        let cfg = temp_cfg("resume-window");
+        let (addr, state, finished) = serve(&cfg);
+        let n = FINISHED_WINDOW + 4;
+        let served = run_jobs(addr, &state, n);
+        shut_down(addr, &finished);
+
+        let (addr, state, finished) = serve(&DaemonConfig {
+            resume: true,
+            ..cfg.clone()
+        });
+        let jobs = state.jobs.lock().unwrap();
+        assert!(jobs.full.is_empty() && jobs.window.is_empty());
+        assert_eq!(jobs.compact.len(), n);
+        drop(jobs);
+        for job in &served {
+            assert_served_from_its_record(addr, job);
+        }
+        let (_, stats) = exchange(addr, "GET", "/stats", "");
+        assert!(stats.contains(&format!("\"completed\": {n}, ")), "{stats}");
+        assert!(stats.contains("\"io_errors\": 0"), "{stats}");
+
+        shut_down(addr, &finished);
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn an_idle_keep_alive_connection_does_not_hold_up_the_drain() {
+        let cfg = temp_cfg("idle-drain");
+        let (addr, _, finished) = serve(&cfg);
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut reply = [0u8; 512];
+        let read = idle.read(&mut reply).unwrap();
+        let head = String::from_utf8_lossy(&reply[..read]).into_owned();
+        assert!(
+            head.starts_with("HTTP/1.1 200") && !head.contains("Connection: close"),
+            "{head}"
+        );
+
+        assert!(post_shutdown(addr).starts_with("HTTP/1.1 202"));
+        let ran = finished.recv_timeout(Duration::from_secs(1));
+        assert!(
+            matches!(ran, Ok(Ok(()))),
+            "Server::run did not return: {ran:?}"
+        );
+        // The daemon ended the idle connection.
+        assert_eq!(idle.read(&mut reply).unwrap(), 0);
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 

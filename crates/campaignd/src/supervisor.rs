@@ -76,8 +76,9 @@ pub struct DaemonStats {
     /// Cell attempts currently executing on pool workers.
     pub in_flight: AtomicU64,
     /// State-directory reads and writes that failed (manifest records,
-    /// checkpoints loaded on `--resume`, and jobs stopped by a WAL error);
-    /// each is also logged to stderr with its job id.
+    /// checkpoints loaded on `--resume`, jobs stopped by a WAL error, and
+    /// reports that could not be rebuilt from a checkpoint); each is also
+    /// logged to stderr with its job id.
     pub io_errors: AtomicU64,
     /// Wall-clock seconds per successful cell attempt, 0–1 s in 20 bins.
     pub cell_seconds: Mutex<Option<Histogram>>,

@@ -1,12 +1,19 @@
 //! Real-socket integration tests: the spawned `campaignd` binary serving
 //! HTTP over an ephemeral port — health, stats, submission, report
-//! identity against an in-process run, backpressure, and graceful drain.
+//! identity against an in-process run, backpressure, connection close,
+//! and graceful drain.
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "times how long a live daemon takes to close a connection"
+)]
 
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{http, job_id, read_response, temp_state, wait_for_status, Daemon};
 use platform::experiment::RunnerConfig;
@@ -51,6 +58,40 @@ fn health_errors_and_pipelining() {
     assert_eq!((first, second), (200, 200));
     assert!(body.contains("queue_depth"), "{body}");
 
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn a_request_that_asks_for_close_reaches_eof_at_once() {
+    let state = temp_state("close");
+    let mut daemon = Daemon::launch(&state, &[]);
+    for request in [
+        "GET /healthz HTTP/1.1\r\nHost: campaignd\r\nConnection: close\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+    ] {
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{request:?} reached EOF after {took:?}"
+        );
+        assert!(
+            reply.starts_with("HTTP/1.1 200") && reply.contains("\r\nConnection: close\r\n"),
+            "{reply}"
+        );
+        assert!(
+            reply.ends_with("{\"ok\": true, \"draining\": false}"),
+            "{reply}"
+        );
+    }
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }

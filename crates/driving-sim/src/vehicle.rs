@@ -1,5 +1,6 @@
 //! The ego vehicle: a kinematic bicycle model with first-order actuator lag.
 
+use units::limits::{PLANT_ACCEL_MAX_MPS2, PLANT_BRAKE_MIN_MPS2};
 use units::{Accel, Angle, Distance, Seconds, Speed, DT};
 
 use crate::Road;
@@ -23,9 +24,11 @@ pub struct VehicleParams {
     /// Commands on the CAN bus are steering-wheel degrees (as on real
     /// angle-controlled cars); the tires see `cmd / ratio`.
     pub steering_ratio: f64,
-    /// Hardest physically possible deceleration (panic braking).
+    /// Hardest physically possible deceleration (panic braking); by
+    /// default `units::limits::PLANT_BRAKE_MIN_MPS2`.
     pub max_brake: Accel,
-    /// Strongest physically possible acceleration.
+    /// Strongest physically possible acceleration; by default
+    /// `units::limits::PLANT_ACCEL_MAX_MPS2`.
     pub max_accel: Accel,
 }
 
@@ -38,8 +41,8 @@ impl Default for VehicleParams {
             accel_tau: Seconds::new(0.25),
             steer_rate_limit: Angle::from_degrees(5.0),
             steering_ratio: 2.0,
-            max_brake: Accel::from_mps2(-8.0),
-            max_accel: Accel::from_mps2(3.0),
+            max_brake: Accel::from_mps2(PLANT_BRAKE_MIN_MPS2),
+            max_accel: Accel::from_mps2(PLANT_ACCEL_MAX_MPS2),
         }
     }
 }

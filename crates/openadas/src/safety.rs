@@ -109,7 +109,11 @@ pub fn envelope_clamp(control: CarControl) -> CarControl {
 /// `[PHYS_BRAKE_MIN_MPS2, PHYS_ACCEL_MAX_MPS2]` and `steer` within
 /// `±PHYS_STEER_MAX_DEG`. The field is private and [`Enveloped::new`] is the
 /// only constructor, so holding one is the proof that the command may go
-/// on the bus. It is the only command type
+/// on the bus. The simulated plant saturates inside this envelope, at
+/// `PLANT_BRAKE_MIN_MPS2` (−8.0) and `PLANT_ACCEL_MAX_MPS2` (3.0): a
+/// command between the plant's limits and the envelope's, such as 4 or −9
+/// m/s², is admitted and encoded as sent, and the plant executes its own
+/// limit instead. It is the only command type
 /// [`CommandEncoder`](crate::CommandEncoder) encodes or quantizes:
 ///
 /// ```

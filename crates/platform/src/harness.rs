@@ -397,7 +397,7 @@ impl Harness {
         // clock advances (keeping run durations comparable).
         if self.world.collision().is_some() {
             self.world.step(ActuatorCommand::default());
-            self.capture_tick(tick, None, ActuatorCommand::default());
+            self.capture_tick(tick, false, ActuatorCommand::default());
             return tick;
         }
 
@@ -448,12 +448,13 @@ impl Harness {
 
         // 3. The ADAS runs its control cycle and emits actuator frames when
         // something reads them, else the quantized command and counters.
-        // The output buffers are owned by the harness and reused every tick.
+        // The output buffers are owned by the harness, reused every tick
+        // and borrowed in place through the decode stage.
         let frames_read = self.frames_read(tick, observed);
-        let mut out = std::mem::take(&mut self.adas_out);
+        let out = &mut self.adas_out;
         let quantized = self
             .adas
-            .step_with(tick, &feed, injecting || frames_read, &mut out);
+            .step_with(tick, &feed, injecting || frames_read, out);
         if observed {
             out.publish(&self.bus, tick);
         }
@@ -585,17 +586,15 @@ impl Harness {
         }
 
         // 7. The driver watches the executed behaviour and any alert.
-        let final_cmd = self.drive(tick, cmd, !out.new_alerts.is_empty());
+        let alerted = !out.new_alerts.is_empty();
+        let final_cmd = self.drive(tick, cmd, alerted);
 
         // 8. Physics + hazard bookkeeping.
         self.world.step(final_cmd);
         self.hazards.step(&self.world);
 
         // 9. Flight recorder: snapshot the executed cycle (no-op when off).
-        self.capture_tick(tick, Some(&out), final_cmd);
-
-        // Hand the output buffers back for the next tick.
-        self.adas_out = out;
+        self.capture_tick(tick, true, final_cmd);
         tick
     }
 
@@ -638,11 +637,13 @@ impl Harness {
     }
 
     /// Snapshots the tick that just executed into the recorder, if one is
-    /// attached. `out` is `None` on post-collision frozen ticks.
-    fn capture_tick(&mut self, tick: Tick, out: Option<&AdasOutput>, applied: ActuatorCommand) {
+    /// attached. `cycled` says whether the ADAS ran this tick, leaving its
+    /// output in `adas_out`; it is `false` on post-collision frozen ticks.
+    fn capture_tick(&mut self, tick: Tick, cycled: bool, applied: ActuatorCommand) {
         let Some(rec) = self.recorder.as_mut() else {
             return;
         };
+        let out = cycled.then_some(&self.adas_out);
         let ego = self.world.ego();
         let lead = self.world.lead();
         let v = ego.speed().mps();

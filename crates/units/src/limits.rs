@@ -10,7 +10,8 @@
 //! and the compiler checks how they relate:
 //!
 //! * every ordering the stack relies on is a `const` assertion beside the
-//!   constants it names (envelopes nest strict ⊆ software ⊆ physical; the
+//!   constants it names (envelopes nest strict ⊆ software ⊆ physical, and
+//!   the simulated plant saturates between software and physical; the
 //!   plausibility gates' [`GATE_MAX_SPEED_JUMP_MPS`] exceeds the per-tick
 //!   speed change the envelope lets the controller command; the escalation
 //!   ticks are ordered), so a retuned constant that breaks one fails
@@ -23,13 +24,26 @@
 //! All values are plain numerics (unit suffix in the name); the newtype
 //! wrappers are applied at the use site.
 
-/// Hard physical plant limit: max forward acceleration (m/s²) the virtual
-/// car's powertrain can produce. Any software envelope must sit inside it.
+/// Physical envelope: max forward acceleration command (m/s²) that may go
+/// on the bus at all, the bound `openadas::Enveloped` admits. Every other
+/// acceleration limit here sits inside it.
 pub const PHYS_ACCEL_MAX_MPS2: f64 = 5.0;
 
-/// Hard physical plant limit: max braking deceleration (m/s², negative) —
-/// roughly 1 g, the tyre friction ceiling.
+/// Physical envelope: max braking command (m/s², negative) that may go on
+/// the bus at all — roughly 1 g, the tyre friction ceiling.
 pub const PHYS_BRAKE_MIN_MPS2: f64 = -9.8;
+
+/// The simulated plant's acceleration saturation (m/s²): the strongest
+/// acceleration `driving_sim`'s vehicle model executes, whatever it is
+/// commanded. A command between it and [`PHYS_ACCEL_MAX_MPS2`] goes on
+/// the bus as sent and is clipped by the plant.
+pub const PLANT_ACCEL_MAX_MPS2: f64 = 3.0;
+
+/// The simulated plant's braking saturation (m/s², negative): the hardest
+/// deceleration the vehicle model executes. A command between it and
+/// [`PHYS_BRAKE_MIN_MPS2`] goes on the bus as sent and is clipped by the
+/// plant.
+pub const PLANT_BRAKE_MIN_MPS2: f64 = -8.0;
 
 /// Hard physical plant limit: max steering-angle command magnitude
 /// (degrees) the EPS rack accepts at speed.
@@ -69,6 +83,16 @@ const _: () = assert!(
 const _: () = assert!(
     STRICT_BRAKE_MIN_MPS2 >= SW_BRAKE_MIN_MPS2 && SW_BRAKE_MIN_MPS2 >= PHYS_BRAKE_MIN_MPS2,
     "braking envelopes must nest: strict >= software >= physical (all negative)"
+);
+const _: () = assert!(
+    SW_ACCEL_MAX_MPS2 <= PLANT_ACCEL_MAX_MPS2 && PLANT_ACCEL_MAX_MPS2 <= PHYS_ACCEL_MAX_MPS2,
+    "the plant's acceleration saturation must lie inside the physical envelope and \
+     execute every command the software envelope allows"
+);
+const _: () = assert!(
+    SW_BRAKE_MIN_MPS2 >= PLANT_BRAKE_MIN_MPS2 && PLANT_BRAKE_MIN_MPS2 >= PHYS_BRAKE_MIN_MPS2,
+    "the plant's braking saturation must lie inside the physical envelope and execute \
+     every command the software envelope allows (all negative)"
 );
 const _: () = assert!(
     STRICT_STEER_MAX_DEG <= SW_STEER_MAX_DEG && SW_STEER_MAX_DEG <= PHYS_STEER_MAX_DEG,
