@@ -14,7 +14,7 @@
 //! and the supervisor's bookkeeping) resolve first-write-wins, which
 //! keeps replay idempotent.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -350,6 +350,11 @@ impl Manifest {
 
 /// Replays the manifest. Missing file → empty. Malformed tail lines are
 /// skipped (a torn `job` record was never acknowledged to any client).
+///
+/// A `done` line applies to every `job` line with its id read before it,
+/// and the last one wins; a `done` line naming no such job is ignored.
+/// Entries are indexed by id as they are read, so replay is linear in the
+/// manifest's length.
 pub fn load_manifest(state_dir: &Path) -> io::Result<Vec<ManifestEntry>> {
     let mut text = String::new();
     match File::open(Manifest::path_in(state_dir)) {
@@ -360,9 +365,12 @@ pub fn load_manifest(state_dir: &Path) -> io::Result<Vec<ManifestEntry>> {
         Err(e) => return Err(e),
     }
     let mut entries: Vec<ManifestEntry> = Vec::new();
+    // Every entry index per id; a duplicated id has several.
+    let mut by_id: HashMap<&str, Vec<usize>> = HashMap::new();
     for line in text.split('\n').skip(1) {
         if let Some(rest) = line.strip_prefix("job\t") {
             if let Some((id, canonical)) = rest.split_once('\t') {
+                by_id.entry(id).or_default().push(entries.len());
                 entries.push(ManifestEntry {
                     id: id.to_string(),
                     canonical: canonical.to_string(),
@@ -371,10 +379,8 @@ pub fn load_manifest(state_dir: &Path) -> io::Result<Vec<ManifestEntry>> {
             }
         } else if let Some(rest) = line.strip_prefix("done\t") {
             if let Some((id, outcome)) = rest.split_once('\t') {
-                for entry in &mut entries {
-                    if entry.id == id {
-                        entry.done = Some(outcome.to_string());
-                    }
+                for &i in by_id.get(id).into_iter().flatten() {
+                    entries[i].done = Some(outcome.to_string());
                 }
             }
         }

@@ -33,7 +33,7 @@
 
 #![forbid(unsafe_code)]
 // Deadlines, backoff and Slowloris budgets are wall-clock by definition;
-// determinism lives in the seeded cells the daemon submits to the pool.
+// determinism lives in the seeded cells the daemon fans out.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod checkpoint;

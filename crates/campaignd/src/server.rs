@@ -15,9 +15,10 @@
 //!   an idle connection ends at its next read timeout;
 //! * one supervisor loop ([`supervisor_loop`]) running queued jobs
 //!   sequentially — the *cells* of a job are the parallelism, fanned out
-//!   over the platform worker pool, so a second concurrent job would only
-//!   fight the first for the same cores. It sleeps on the queue's condvar
-//!   until a job is queued or a drain starts.
+//!   by `platform::experiment::run_campaign_cells`, so a second concurrent
+//!   job would only fight the first for the same cores. It sleeps on the
+//!   queue's condvar until a job is queued or a drain starts, and on a
+//!   drain it publishes every job still queued as interrupted.
 //!
 //! The queue holds each job's [`JobState`], pushed only once the job's
 //! manifest record is written, and a job's stream ends only once its
@@ -41,6 +42,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -103,7 +105,8 @@ pub enum JobStatus {
     Completed,
     /// Terminally failed (quarantine, deadline, or I/O), with the reason.
     Failed(String),
-    /// Stopped by drain with progress checkpointed; `--resume` continues.
+    /// Stopped by a drain, while running or queued, with progress
+    /// checkpointed; `--resume` continues.
     Interrupted,
 }
 
@@ -145,7 +148,7 @@ pub struct JobState {
     /// Lifecycle status.
     pub status: Mutex<JobStatus>,
     /// Live counters and the NDJSON event log.
-    pub progress: Arc<JobProgress>,
+    pub progress: JobProgress,
     /// The rendered report, once completed.
     pub report: Mutex<Option<String>>,
 }
@@ -325,8 +328,8 @@ pub struct ServerState {
     accepted: AtomicU64,
     shed: AtomicU64,
     connections: AtomicU64,
-    stats: Arc<DaemonStats>,
-    draining: Arc<AtomicBool>,
+    stats: DaemonStats,
+    draining: AtomicBool,
 }
 
 impl ServerState {
@@ -353,7 +356,7 @@ impl ServerState {
             id: id.clone(),
             spec,
             status: Mutex::new(JobStatus::Queued),
-            progress: Arc::new(JobProgress::new(total)),
+            progress: JobProgress::new(total),
             report: Mutex::new(None),
         });
         self.counts.queued.fetch_add(1, Ordering::SeqCst);
@@ -425,8 +428,8 @@ impl Server {
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            stats: Arc::new(DaemonStats::default()),
-            draining: Arc::new(AtomicBool::new(false)),
+            stats: DaemonStats::default(),
+            draining: AtomicBool::new(false),
         });
 
         if cfg.resume {
@@ -788,13 +791,24 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Reply {
     let job = state.admit(id.clone(), spec);
     let total = job.progress.cells_total;
     state.accepted.fetch_add(1, Ordering::SeqCst);
-    let queue_depth = {
+    let (queued, queue_depth) = {
         let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
         queue.reserved -= 1;
-        queue.waiting.push_back(job);
-        queue.waiting.len()
+        // Checked under the queue lock, which the drain sets its flag
+        // under: a job either reaches the queue before the supervisor's
+        // drain sweep takes it, or is interrupted here.
+        let queued = !state.draining.load(Ordering::SeqCst);
+        if queued {
+            queue.waiting.push_back(Arc::clone(&job));
+        }
+        (queued, queue.waiting.len())
     };
-    state.queue_cv.notify_all();
+    if queued {
+        state.queue_cv.notify_all();
+    } else {
+        // Recorded but never run: `--resume` queues it again.
+        publish_outcome(state, &job, Ok(JobOutcome::Interrupted));
+    }
     Reply::json(
         202,
         "Accepted",
@@ -896,21 +910,24 @@ fn write_events(stream: &TcpStream, job_id: &str, events: &[Event]) -> std::io::
 }
 
 /// Pops and runs queued jobs until drain. One job at a time: cell-level
-/// parallelism comes from the worker pool underneath.
+/// parallelism comes from the job's cell fan-out.
+///
+/// On a drain, the running job finishes the cells it has in flight, and
+/// every job still queued is published as interrupted: its stream ends,
+/// and with no manifest `done` record, `--resume` queues it again.
 fn supervisor_loop(state: &Arc<ServerState>) {
     loop {
         let next = {
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                // Drain check before the pop: queued-but-unstarted jobs
-                // stay queued (and un-`done` in the manifest) so a
-                // `--resume` picks them up; only the in-flight job gets
-                // its in-flight cells finished.
+                // Drain check before the pop, under the lock the drain
+                // sets the flag under: once it is seen, `submit_job`
+                // queues nothing more, so the sweep takes every job.
                 if state.draining.load(Ordering::SeqCst) {
-                    break None;
+                    break ControlFlow::Break(std::mem::take(&mut queue.waiting));
                 }
                 if let Some(job) = queue.waiting.pop_front() {
-                    break Some(job);
+                    break ControlFlow::Continue(job);
                 }
                 queue = state
                     .queue_cv
@@ -918,7 +935,15 @@ fn supervisor_loop(state: &Arc<ServerState>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some(job) = next else { return };
+        let job = match next {
+            ControlFlow::Continue(job) => job,
+            ControlFlow::Break(swept) => {
+                for job in &swept {
+                    publish_outcome(state, job, Ok(JobOutcome::Interrupted));
+                }
+                return;
+            }
+        };
         state.set_status(&job, JobStatus::Running);
         let outcome = run_job(
             &state.cfg.supervisor,
@@ -1513,6 +1538,132 @@ mod tests {
         );
         // The daemon ended the idle connection.
         assert_eq!(idle.read(&mut reply).unwrap(), 0);
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    /// Opens a stream on job `id`, waits for its head, and reads the rest
+    /// to EOF on a thread; the receiver gets the body and the instant EOF
+    /// arrived.
+    fn stream_to_eof(addr: SocketAddr, id: &str) -> std::sync::mpsc::Receiver<(String, Instant)> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let request = format!("GET /jobs/{id}/stream HTTP/1.1\r\nHost: x\r\n\r\n");
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        while !raw.windows(4).any(|w| w == b"\r\n\r\n") {
+            let mut chunk = [0u8; 512];
+            let read = stream.read(&mut chunk).unwrap();
+            assert!(read > 0, "the stream closed before its head");
+            raw.extend_from_slice(&chunk[..read]);
+        }
+        let (sent, received) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = stream.read_to_end(&mut raw);
+            let _ = sent.send((String::from_utf8_lossy(&raw).into_owned(), Instant::now()));
+        });
+        received
+    }
+
+    #[test]
+    fn a_drain_interrupts_queued_jobs_and_ends_their_streams() {
+        let mut cfg = temp_cfg("drain-queued");
+        cfg.supervisor.workers = 1;
+        let (addr, state, finished) = serve(&cfg);
+        let slow = "{\"kind\": \"attack\", \"strategy\": \"context_aware\", \
+\"attack\": \"acceleration\", \"reps\": 1, \"delay_cells\": \
+[[0, 200], [1, 200], [2, 200], [3, 200], [4, 200], [5, 200]]}";
+        let (code, body) = exchange(addr, "POST", "/jobs", slow);
+        assert_eq!(code, 202, "{body}");
+        let running = body.split('"').nth(3).unwrap().to_string();
+        while state.counts.running.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (code, body) = exchange(
+            addr,
+            "POST",
+            "/jobs",
+            r#"{"kind": "resilience", "base_seed": 9, "reps": 1}"#,
+        );
+        assert_eq!(code, 202, "{body}");
+        let queued = body.split('"').nth(3).unwrap().to_string();
+        let eof = stream_to_eof(addr, &queued);
+
+        let asked = Instant::now();
+        assert!(post_shutdown(addr).starts_with("HTTP/1.1 202"));
+        let (raw, at) = eof.recv_timeout(Duration::from_secs(10)).unwrap();
+        let took = at.duration_since(asked);
+        assert!(took < Duration::from_secs(1), "EOF came {took:?} after the shutdown");
+        let interrupted =
+            format!("{{\"event\": \"job\", \"id\": \"{queued}\", \"status\": \"interrupted\"}}");
+        assert_eq!(raw.lines().last(), Some(interrupted.as_str()), "{raw}");
+        let ran = finished.recv_timeout(Duration::from_secs(5));
+        assert!(
+            matches!(ran, Ok(Ok(()))),
+            "Server::run did not return: {ran:?}"
+        );
+        let stats = stats_body(&state);
+        assert!(
+            stats.contains("\"queue_depth\": 0")
+                && stats.contains("\"queued\": 0, \"running\": 0")
+                && stats.contains("\"interrupted\": 2"),
+            "{stats}"
+        );
+        let entries = load_manifest(&cfg.state_dir).unwrap();
+        assert!(entries.iter().all(|entry| entry.done.is_none()), "{entries:?}");
+
+        let resumed = Server::bind(
+            "127.0.0.1:0",
+            DaemonConfig {
+                resume: true,
+                ..cfg.clone()
+            },
+        )
+        .unwrap();
+        let queue = resumed.state.queue.lock().unwrap();
+        let waiting: Vec<&str> = queue.waiting.iter().map(|job| job.id.as_str()).collect();
+        assert_eq!(waiting, [running.as_str(), queued.as_str()]);
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&cfg.state_dir);
+    }
+
+    #[test]
+    fn a_job_recorded_as_the_drain_starts_is_interrupted_not_queued() {
+        let cfg = temp_cfg("drain-submit");
+        let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let state = Arc::clone(&server.state);
+        // Hold the manifest so that the submission stops between its drain
+        // check and its push, then start the drain.
+        let manifest = state.manifest.lock().unwrap();
+        let submitter = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                let req = post_jobs(br#"{"kind": "resilience", "reps": 1}"#);
+                String::from_utf8_lossy(&submit_job(&req, &state).to_bytes(true)).into_owned()
+            })
+        };
+        while state.queue.lock().unwrap().reserved == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        state.drain();
+        drop(manifest);
+        let reply = submitter.join().unwrap();
+        assert!(reply.starts_with("HTTP/1.1 202"), "{reply}");
+
+        assert!(state.queue.lock().unwrap().waiting.is_empty());
+        let (_, body) = reply.split_once("\r\n\r\n").unwrap();
+        let id = body.split('"').nth(3).unwrap();
+        let Some(Held::Full(job)) = state.lookup(id) else {
+            panic!("{id} is not held in full");
+        };
+        assert_eq!(job.status.lock().unwrap().label(), "interrupted");
+        let (events, finished) = job.progress.wait_events(0, Duration::ZERO);
+        assert!(finished);
+        assert!(matches!(events.as_slice(), [Event::Interrupted]), "{events:?}");
+        let entries = load_manifest(&cfg.state_dir).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].id.as_str(), entries[0].done.as_deref()), (id, None));
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 

@@ -1,16 +1,16 @@
-//! Per-job supervision: one fan-out over the worker pool per job, with
-//! cell-level panic isolation, bounded deterministic retry, wall-clock
-//! deadlines, quarantine, and completion-order checkpointing.
+//! Per-job supervision: one cell fan-out per job, with cell-level panic
+//! isolation, bounded deterministic retry, wall-clock deadlines,
+//! quarantine, and completion-order checkpointing.
 //!
 //! The supervisor never trusts a cell. Every attempt runs inside
 //! [`platform::pool::catch_cell`], so a panicking simulation becomes an
-//! `Err(CellPanic)` in that cell's slot instead of poisoning the batch
-//! (the pool's own latch would re-raise the *first* panic and abandon the
-//! submission). Failed cells are retried serially, once the fan-out is
-//! over, with exponential backoff — `base * 2^(attempt-1)`, a fixed
-//! deterministic schedule, not jitter — and a cell that exhausts its
-//! attempt budget is *quarantined*: recorded, reported, and routed around,
-//! so one pathological seed cannot wedge a million-cell campaign.
+//! `Err(CellPanic)` in that cell's slot instead of failing the fan-out
+//! (which would re-raise the panic and abandon the job's other cells).
+//! Failed cells are retried serially, once the fan-out is over, with
+//! exponential backoff — `base * 2^(attempt-1)`, a fixed deterministic
+//! schedule, not jitter — and a cell that exhausts its attempt budget is
+//! *quarantined*: recorded, reported, and routed around, so one
+//! pathological seed cannot wedge a million-cell campaign.
 //!
 //! A job's missing cells go through one
 //! [`platform::experiment::run_campaign_cells`] fan-out. Before each cell
@@ -24,7 +24,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use platform::experiment::{run_campaign_cells, RunnerConfig};
@@ -39,7 +39,8 @@ use crate::wire::escape;
 /// Supervision policy for every job the daemon runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Pool workers per job (0 = auto: every core).
+    /// Workers in a job's cell fan-out: the supervisor thread plus
+    /// `workers − 1` scoped threads (0 = auto: every core).
     pub workers: usize,
     /// Total attempts per cell before quarantine (first run + retries).
     pub max_attempts: u32,
@@ -73,7 +74,7 @@ pub struct DaemonStats {
     pub retries: AtomicU64,
     /// Cells quarantined after exhausting their attempt budget.
     pub quarantined: AtomicU64,
-    /// Cell attempts currently executing on pool workers.
+    /// Cell attempts currently executing in a fan-out.
     pub in_flight: AtomicU64,
     /// State-directory reads and writes that failed (manifest records,
     /// checkpoints loaded on `--resume`, jobs stopped by a WAL error, and
@@ -113,8 +114,9 @@ impl DaemonStats {
 /// The journal keeps events typed, a few machine words each, and
 /// [`render`](Self::render) turns one into its NDJSON line only when a
 /// stream reads it. A finished job's journal therefore holds no text, and
-/// the pool workers that append cell events format nothing. Events are in
-/// arrival order: a job's cell events follow the order its cells finish.
+/// the fan-out's workers that append cell events format nothing. Events
+/// are in arrival order: a job's cell events follow the order its cells
+/// finish.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// The job started, adopting `checkpointed` cells from its WAL.
@@ -124,7 +126,7 @@ pub enum Event {
         /// Cells already in the WAL.
         checkpointed: usize,
     },
-    /// A cell succeeded in the job's pooled pass.
+    /// A cell succeeded in the job's parallel first pass.
     CellOk {
         /// Cell index in the plan.
         idx: usize,
@@ -397,12 +399,12 @@ pub fn run_job(
     job_id: &str,
     spec: &JobSpec,
     state_dir: &Path,
-    progress: &Arc<JobProgress>,
-    stats: &Arc<DaemonStats>,
-    drain: &Arc<AtomicBool>,
+    progress: &JobProgress,
+    stats: &DaemonStats,
+    drain: &AtomicBool,
 ) -> std::io::Result<JobOutcome> {
     let started = Instant::now();
-    let plan: Arc<[CellSpec]> = spec.plan().into();
+    let plan = spec.plan();
     let n = plan.len();
     let path = wal_path(state_dir, job_id);
     let checkpointed = load_wal(&path, job_id)?;
@@ -424,7 +426,7 @@ pub fn run_job(
     }
     let missing: Vec<usize> = (0..n).filter(|i| results[*i].is_none()).collect();
 
-    let attempts: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
+    let attempts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let workers = RunnerConfig::with_workers(if cfg.workers == 0 {
         platform::experiment::detected_cores()
     } else {
@@ -436,12 +438,12 @@ pub fn run_job(
         cfg.sync_cells
     }
     .max(1);
-    let wal = Arc::new(Mutex::new(JobWal {
+    let wal = Mutex::new(JobWal {
         writer,
         sync_cells,
         unsynced: 0,
         error: None,
-    }));
+    });
     let deadline_reason = || {
         format!(
             "deadline exceeded after {} of {n} cells",
@@ -449,44 +451,36 @@ pub fn run_job(
         )
     };
 
-    // Pooled first pass: each worker checks before a cell whether the job
+    // Parallel first pass: each worker checks before a cell whether the job
     // must stop, then checkpoints and streams the cell as it lands. A
     // skipped cell comes back as `None`.
-    let run_cfg = *cfg;
-    let run_plan = Arc::clone(&plan);
-    let run_spec = spec.clone();
-    let run_attempts = Arc::clone(&attempts);
-    let run_progress = Arc::clone(progress);
-    let run_stats = Arc::clone(stats);
-    let run_wal = Arc::clone(&wal);
-    let run_drain = Arc::clone(drain);
-    let outcomes = run_campaign_cells(workers, missing.clone(), move |&gi| {
-        let halted = run_drain.load(Ordering::SeqCst)
-            || past_deadline(&run_cfg, started)
-            || JobWal::failed(&run_wal);
+    let outcomes = run_campaign_cells(workers, missing.clone(), |&gi| {
+        let halted = drain.load(Ordering::SeqCst)
+            || past_deadline(cfg, started)
+            || JobWal::failed(&wal);
         if halted {
             return None;
         }
-        run_stats.in_flight.fetch_add(1, Ordering::SeqCst);
-        let attempted = attempt_cell(gi, &run_plan[gi], &run_spec, &run_attempts);
-        run_stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        stats.in_flight.fetch_add(1, Ordering::SeqCst);
+        let attempted = attempt_cell(gi, &plan[gi], spec, &attempts);
+        stats.in_flight.fetch_sub(1, Ordering::SeqCst);
         let (attempt, secs, outcome) = &attempted;
         match outcome {
             Ok(result) => {
-                let mut writer = run_wal.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut writer = wal.lock().unwrap_or_else(PoisonError::into_inner);
                 if let Err(e) = writer.append_cell(gi, result) {
                     writer.error.get_or_insert(e);
                 }
                 drop(writer);
-                run_progress.cells_done.fetch_add(1, Ordering::SeqCst);
-                run_stats.cells_done.fetch_add(1, Ordering::SeqCst);
-                run_stats.record_cell_seconds(*secs);
-                run_progress.push_event(Event::CellOk {
+                progress.cells_done.fetch_add(1, Ordering::SeqCst);
+                stats.cells_done.fetch_add(1, Ordering::SeqCst);
+                stats.record_cell_seconds(*secs);
+                progress.push_event(Event::CellOk {
                     idx: gi,
                     attempt: *attempt,
                 });
             }
-            Err(panic) => run_progress.push_event(Event::CellPanic {
+            Err(panic) => progress.push_event(Event::CellPanic {
                 idx: gi,
                 attempt: *attempt,
                 message: panic.message.clone(),
@@ -585,8 +579,8 @@ fn retry_cell(
     plan: &[CellSpec],
     gi: usize,
     attempts: &[AtomicU32],
-    progress: &Arc<JobProgress>,
-    stats: &Arc<DaemonStats>,
+    progress: &JobProgress,
+    stats: &DaemonStats,
     drain: &AtomicBool,
     job_started: Instant,
 ) -> Retry {
@@ -633,6 +627,7 @@ fn retry_cell(
 mod tests {
     use super::*;
     use crate::spec::{ChaosKnobs, JobKind};
+    use std::sync::Arc;
     use defense::DefensePolicy;
 
     fn tiny_job(chaos: ChaosKnobs) -> JobSpec {

@@ -12,13 +12,17 @@
 //! * a WAL with a torn or bit-flipped tail loads exactly its intact prefix,
 //!   first write winning for a repeated cell;
 //! * a WAL whose header names another job is an error;
-//! * random and mutated bytes never panic `load_manifest`.
+//! * random and mutated bytes never panic `load_manifest`, and it replays
+//!   every manifest, random or mutated, to the same entries as a
+//!   reference linear scan, duplicate ids and a `done` before its `job`
+//!   included.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 
 use campaignd::checkpoint::{
-    decode_result, encode_result, load_manifest, load_wal, wal_path, Manifest, WalWriter,
+    decode_result, encode_result, load_manifest, load_wal, wal_path, Manifest, ManifestEntry,
+    WalWriter,
 };
 use platform::{AccidentKind, HazardKind, SimResult};
 use units::mix::splitmix64;
@@ -294,6 +298,71 @@ fn a_wal_for_another_job_is_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The replay `load_manifest` used before it indexed entries by id: each
+/// `done` line scans every entry read so far. Kept as the reference.
+fn reference_manifest(text: &str) -> Vec<ManifestEntry> {
+    let mut entries: Vec<ManifestEntry> = Vec::new();
+    for line in text.split('\n').skip(1) {
+        if let Some(rest) = line.strip_prefix("job\t") {
+            if let Some((id, canonical)) = rest.split_once('\t') {
+                entries.push(ManifestEntry {
+                    id: id.to_string(),
+                    canonical: canonical.to_string(),
+                    done: None,
+                });
+            }
+        } else if let Some(rest) = line.strip_prefix("done\t") {
+            if let Some((id, outcome)) = rest.split_once('\t') {
+                for entry in &mut entries {
+                    if entry.id == id {
+                        entry.done = Some(outcome.to_string());
+                    }
+                }
+            }
+        }
+    }
+    entries
+}
+
+/// A manifest over a few ids, so that ids repeat and a `done` line often
+/// comes before its `job` line or names no job at all.
+fn random_manifest(rng: &mut Rng) -> Vec<u8> {
+    let mut text = String::from("campaignd-manifest v1\n");
+    for _ in 0..rng.below(24) {
+        let id = format!("job-{}", rng.below(5));
+        let line = match rng.below(7) {
+            0..=2 => format!("job\t{id}\t{{\"kind\": \"attack\", \"reps\": {}}}", rng.below(9)),
+            3 => format!("done\t{id}\tcompleted"),
+            4 => format!("done\t{id}\tfailed"),
+            5 => format!("done\t{id}\t"),
+            _ => ["", "job", "job\tno-tab", "done\tno-tab", "jobs\tx\ty"][rng.below(5) as usize]
+                .to_string(),
+        };
+        text.push_str(&line);
+        text.push('\n');
+    }
+    if rng.below(4) == 0 {
+        text.pop(); // a torn last line
+    }
+    text.into_bytes()
+}
+
+/// Mutates `bytes` in place: byte flips, inserts from the manifest's
+/// alphabet, and deletions.
+fn mutate_manifest(rng: &mut Rng, bytes: &mut Vec<u8>) {
+    for _ in 0..=rng.below(4) {
+        let at = rng.below(bytes.len() as u64 + 1) as usize;
+        match rng.below(3) {
+            0 if at < bytes.len() => bytes[at] = rng.next() as u8,
+            1 => bytes.insert(at, b"\t\n{}jobdne"[rng.below(10) as usize]),
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn random_and_mutated_manifests_never_panic() {
     let dir = temp_dir("checkpoint_fuzz_manifest");
@@ -315,17 +384,7 @@ fn random_and_mutated_manifests_never_panic() {
             (0..rng.below(160)).map(|_| rng.next() as u8).collect()
         } else {
             let mut bytes = valid.clone();
-            for _ in 0..=rng.below(4) {
-                let at = rng.below(bytes.len() as u64 + 1) as usize;
-                match rng.below(3) {
-                    0 if at < bytes.len() => bytes[at] = rng.next() as u8,
-                    1 => bytes.insert(at, b"\t\n{}jobdne"[rng.below(10) as usize]),
-                    _ if at < bytes.len() => {
-                        bytes.remove(at);
-                    }
-                    _ => {}
-                }
-            }
+            mutate_manifest(&mut rng, &mut bytes);
             bytes
         };
         std::fs::write(Manifest::path_in(&dir), &bytes).expect("write manifest");
@@ -333,5 +392,55 @@ fn random_and_mutated_manifests_never_panic() {
             assert!(entries.len() <= bytes.len(), "case {case}");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whether some `done` line comes before the first `job` line of its id.
+fn done_before_its_job(text: &str) -> bool {
+    let mut jobs = HashSet::new();
+    let mut early = HashSet::new();
+    for line in text.split('\n').skip(1) {
+        if let Some((id, _)) = line.strip_prefix("job\t").and_then(|r| r.split_once('\t')) {
+            if early.contains(id) {
+                return true;
+            }
+            jobs.insert(id);
+        } else if let Some((id, _)) = line.strip_prefix("done\t").and_then(|r| r.split_once('\t')) {
+            if !jobs.contains(id) {
+                early.insert(id);
+            }
+        }
+    }
+    false
+}
+
+#[test]
+fn manifest_replay_matches_the_reference_scan() {
+    let dir = temp_dir("checkpoint_fuzz_manifest_reference");
+    let mut rng = Rng(0xC4EC_0006);
+    let (mut duplicated, mut done_first) = (0, 0);
+    for case in 0..CASES * 2 {
+        let mut bytes = random_manifest(&mut rng);
+        if case % 2 == 1 {
+            mutate_manifest(&mut rng, &mut bytes);
+        }
+        std::fs::write(Manifest::path_in(&dir), &bytes).expect("write manifest");
+        let loaded = load_manifest(&dir);
+        match String::from_utf8(bytes) {
+            Ok(text) => {
+                let expected = reference_manifest(&text);
+                assert_eq!(loaded.ok(), Some(expected.clone()), "case {case}: {text:?}");
+                let mut ids: Vec<&str> = expected.iter().map(|e| e.id.as_str()).collect();
+                ids.sort_unstable();
+                duplicated += usize::from(ids.windows(2).any(|w| w[0] == w[1]));
+                done_first += usize::from(done_before_its_job(&text));
+            }
+            // Bytes that are no UTF-8 fail to load, as they did before.
+            Err(_) => assert!(loaded.is_err(), "case {case}"),
+        }
+    }
+    // The generator reaches the cases the index must get right.
+    assert!(duplicated > CASES as usize / 4, "{duplicated}");
+    assert!(done_first > CASES as usize / 8, "{done_first}");
     let _ = std::fs::remove_dir_all(&dir);
 }

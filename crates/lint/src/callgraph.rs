@@ -2,8 +2,8 @@
 //!
 //! Clippy's `unwrap_used`/`expect_used`/`panic` lints prove "no panic
 //! *token* in this file" for the safety-path crates; R7 upgrades that to
-//! "no call *path* from a steady-state root ([`R7_ROOTS`]: the tick, the
-//! pool worker loop, the daemon's loops) reaches a panicking function",
+//! "no call *path* from a steady-state root ([`R7_ROOTS`]: the tick and
+//! the daemon's loops) reaches a panicking function",
 //! whatever crate the function lives in. The graph is name-based and
 //! crate-closure-filtered (see [`crate::symbols`]), which
 //! over-approximates reachability: a reported chain might not be
@@ -19,16 +19,11 @@ use crate::symbols::SymbolTable;
 use std::collections::{HashMap, VecDeque};
 
 /// The fully-qualified roots the R7 walk starts from: one tick of the
-/// closed loop, the campaign pool's worker loop, and the campaign daemon's
-/// two long-running service loops (a panic in either kills the service,
-/// not just one request). Everything the steady state can execute hangs
-/// off these.
-pub const R7_ROOTS: [&str; 4] = [
-    "Harness::step",
-    "spawn_worker",
-    "accept_loop",
-    "supervisor_loop",
-];
+/// closed loop, and the campaign daemon's two long-running service loops
+/// (a panic in either kills the service, not just one request). The
+/// supervisor loop reaches the campaign fan-out, `run_campaign_cells`.
+/// Everything the steady state can execute hangs off these.
+pub const R7_ROOTS: [&str; 3] = ["Harness::step", "accept_loop", "supervisor_loop"];
 
 /// A call graph over symbol ids.
 #[derive(Debug, Default)]
@@ -172,7 +167,7 @@ pub fn r7_transitive_panic_freedom(table: &SymbolTable, graph: &CallGraph) -> Ve
                 snippet: format!("{} in {}", p.what, sym.qual),
                 message: format!(
                     "`{}` panics and is reachable from a steady-state root \
-                     (tick loop or pool worker); call chain: {chain}. Degrade \
+                     (tick loop or service loop); call chain: {chain}. Degrade \
                      (fail-closed) instead of dying, or allow with a reason \
                      proving the invariant",
                     p.what

@@ -27,7 +27,7 @@ pub enum Rule {
     TransitivePanic,
     /// R12 — lock discipline: the lock-order graph built from every
     /// `Mutex`/`Condvar` acquisition site reached via the call graph must
-    /// be acyclic; no lock may be held across a pool submit/wait boundary;
+    /// be acyclic; no lock may be held across the campaign fan-out;
     /// `Condvar::wait` only inside a predicate loop; every
     /// `.lock().expect(...)` covered by a documented poisoning policy.
     LockDiscipline,
@@ -96,7 +96,7 @@ impl Rule {
                 "no call path from Harness::step reaches a panicking function, in any crate"
             }
             Rule::LockDiscipline => {
-                "acyclic lock order, no locks across pool submit/wait, Condvar::wait in predicate loops, documented poisoning policy"
+                "acyclic lock order, no locks across run_campaign_cells, Condvar::wait in predicate loops, documented poisoning policy"
             }
             Rule::AllocFreedom => {
                 "no call path from the steady-state tick roots reaches an allocating std API"

@@ -13,7 +13,7 @@
 //! | R6   | `taint-flow`          | attack values clamped at birth, sinks only via the   |
 //! |      |                       | `Injector` choke point, no ADAS→attack back-flow     |
 //! | R7   | `transitive-panic`    | no call path from `Harness::step` reaches a panic    |
-//! | R12  | `lock-discipline`     | acyclic lock order, no guards across pool boundaries,|
+//! | R12  | `lock-discipline`     | acyclic lock order, no guards across the fan-out,    |
 //! |      |                       | condvar waits in predicate loops, poisoning policy   |
 //! | R13  | `alloc-freedom`       | steady-state tick roots reach no allocating std API  |
 //! | R14  | `shared-state-determinism` | no `static mut`, no env-latching `OnceLock`,    |
@@ -112,23 +112,19 @@ struct FileScan {
 }
 
 /// The per-file step: tokenize, parse, run the per-file rules and collect
-/// the suppression sites. The tokenized source is returned beside the
-/// result for [`scan_source`]'s suppression check.
-fn scan_file(rel: &str, text: &str) -> (FileScan, tokenizer::SourceFile) {
+/// the suppression sites.
+fn scan_file(rel: &str, text: &str) -> FileScan {
     let info = classify(rel);
     let src = tokenizer::tokenize(text);
     let facts = parser::parse(&src);
     let local = rules::local_rules(&info, &src, &facts);
     let sites = rules::suppression_sites(&src);
-    (
-        FileScan {
-            info,
-            facts,
-            local,
-            sites,
-        },
-        src,
-    )
+    FileScan {
+        info,
+        facts,
+        local,
+        sites,
+    }
 }
 
 /// Scans one source text as if it lived at `rel_path`. Per-file rules only
@@ -136,9 +132,9 @@ fn scan_file(rel: &str, text: &str) -> (FileScan, tokenizer::SourceFile) {
 /// honored, no baseline. This is the entry point single-file tests use to
 /// prove rules fire.
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
-    let (file, src) = scan_file(rel_path, source);
+    let file = scan_file(rel_path, source);
     let mut out = file.local;
-    out.retain(|d| !src.is_suppressed(d.line, d.rule));
+    out.retain(|d| !file.sites.iter().any(|s| s.line == d.line && s.covers(d.rule)));
     out.extend(unknown_rule_findings(&file.info.rel, &file.sites));
     out
 }
@@ -238,11 +234,11 @@ fn scan(
     deps: Option<&HashMap<String, Vec<String>>>,
     mut baseline: Option<Baseline>,
 ) -> ScanReport {
-    // Phase 1: per-file work, index-ordered.
-    let per_file = platform::experiment::run_parallel_map(
+    // Phase 1: per-file work, in file order.
+    let per_file = platform::experiment::run_campaign_cells(
         platform::experiment::RunnerConfig::default(),
-        sources.len(),
-        |i| scan_file(sources[i].0, sources[i].1).0,
+        sources.to_vec(),
+        |&(rel, text)| scan_file(rel, text),
     );
 
     let mut report = ScanReport {

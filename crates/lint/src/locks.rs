@@ -1,10 +1,10 @@
 //! R12 lock discipline and the workspace half of R14 shared-state
 //! determinism.
 //!
-//! The campaign pool (PR 8) made correctness depend on invariants no type
+//! The campaign fan-out makes correctness depend on invariants no type
 //! system checks: locks must be acquired in a consistent global order, no
-//! guard may be held across a pool participate/wait boundary (a parked
-//! worker cannot make progress while the submitter holds what it needs),
+//! guard may be held across the fan-out (a cell cannot make progress while
+//! the caller holds what it needs),
 //! `Condvar::wait` must sit in a predicate loop (spurious wakeups are
 //! legal), and campaign results must merge by *index*, never by completion
 //! order (completion order is scheduling-dependent, and a
@@ -26,12 +26,12 @@ use crate::scope::{concurrency_applies, FileInfo};
 use crate::symbols::SymbolTable;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
-/// Pool submit/wait boundary functions: while one of these runs, progress
-/// depends on *other* threads acquiring the pool's locks, so holding any
-/// caller-side guard across them is a deadlock recipe even without a
-/// lock-order cycle. Matched against qualified and bare symbol names of
-/// the transitive callee set.
-pub const BOUNDARY_FNS: [&str; 3] = ["Job::participate", "Job::wait", "run_indexed"];
+/// Fan-out boundary functions: while one of these runs, the caller waits on
+/// cells running on *other* threads, so holding any caller-side guard
+/// across it stalls every cell that needs the lock, a deadlock recipe even
+/// without a lock-order cycle. Matched against qualified and bare symbol
+/// names of the transitive callee set.
+pub const BOUNDARY_FNS: [&str; 1] = ["run_campaign_cells"];
 
 /// Accumulator methods that, invoked under a guard, indicate a
 /// merge-by-completion-order reduction (R14): whichever thread finishes
@@ -243,7 +243,7 @@ fn acquire_closure(
     acquired
 }
 
-/// Whether a symbol may transitively enter a pool boundary fn; returns the
+/// Whether a symbol may transitively enter a fan-out boundary fn; returns the
 /// first boundary's qualified name.
 fn boundary_closure(
     start: usize,
@@ -362,9 +362,9 @@ pub fn concurrency_rules(
                                     sym.qual
                                 ),
                                 message: format!(
-                                    "lock `{}` held across the pool boundary `{boundary}`: \
-                                     progress there depends on other threads taking the pool's \
-                                     locks, so drop every guard before submitting or waiting",
+                                    "lock `{}` held across the fan-out boundary `{boundary}`: \
+                                     its cells run on other threads and may need the lock, \
+                                     so drop every guard before fanning out",
                                     ev.held.join("`, `"),
                                 ),
                             });
@@ -538,18 +538,22 @@ mod tests {
     }
 
     #[test]
-    fn lock_held_across_pool_boundary() {
+    fn lock_held_across_the_fan_out() {
         let (d, _) = analyze(&[(
             "crates/platform/src/experiment.rs",
-            "pub struct Job;\n\
-             impl Job { pub fn wait(&self) {} }\n\
-             pub fn submit_under_guard(job: &Job, m: &std::sync::Mutex<u32>) {\n\
+            "pub fn run_campaign_cells(cells: Vec<u32>) -> Vec<u32> { cells }\n\
+             pub fn fan_out_under_guard(m: &std::sync::Mutex<u32>) {\n\
                let g = m.lock().unwrap();\n\
-               job.wait();\n\
+               run_campaign_cells(Vec::new());\n\
              }\n",
         )]);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("pool boundary `Job::wait`"), "{}", d[0].message);
+        assert_eq!(d[0].line, 4, "{d:?}");
+        assert!(
+            d[0].message.contains("fan-out boundary `run_campaign_cells`"),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]

@@ -46,9 +46,10 @@ pub struct SuppressionSite {
 }
 
 impl SuppressionSite {
-    /// Whether this site covers `rule`.
+    /// Whether this site covers `rule`. A site that names no id at all
+    /// covers every rule; an unknown id covers nothing.
     pub fn covers(&self, rule: Rule) -> bool {
-        crate::tokenizer::allow_covers(&self.rules, &self.unknown, rule)
+        (self.rules.is_empty() && self.unknown.is_empty()) || self.rules.contains(&rule)
     }
 }
 
@@ -246,8 +247,7 @@ pub const POISON_POLICY_MARKER: &str = "lock poisoning policy:";
 /// R12 (local half): every `Mutex::lock` guard consumed by
 /// `.expect(…)`/`.unwrap()` must be covered by a documented poisoning
 /// policy in the same file. Without one, a panic in any other guard holder
-/// turns every later lock attempt into a cascade of worker deaths — the
-/// exact failure mode the pool's panic latch exists to prevent.
+/// turns every later lock attempt into a cascade of worker deaths.
 fn r12_expect_policy(
     info: &FileInfo,
     src: &SourceFile,
@@ -315,21 +315,11 @@ fn r14_static_mut(info: &FileInfo, src: &SourceFile, out: &mut Vec<Diagnostic>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scope::classify;
-    use crate::tokenizer::tokenize;
-
-    fn check(path: &str, src: &str) -> Vec<Diagnostic> {
-        let info = classify(path);
-        let file = tokenize(src);
-        let facts = crate::parser::parse(&file);
-        let mut out = local_rules(&info, &file, &facts);
-        out.retain(|d| !file.is_suppressed(d.line, d.rule));
-        out
-    }
+    use crate::scan_source;
 
     #[test]
     fn r1_flags_raw_f64_pub_fn() {
-        let d = check(
+        let d = scan_source(
             "crates/openadas/src/x.rs",
             "pub fn set_speed(&mut self, speed: f64) {}\n",
         );
@@ -338,7 +328,7 @@ mod tests {
 
     #[test]
     fn r1_ignores_newtype_api_and_private_fn() {
-        let d = check(
+        let d = scan_source(
             "crates/openadas/src/x.rs",
             "pub fn set_speed(&mut self, speed: Speed) {}\nfn helper(x: f64) {}\npub(crate) fn h2(x: f64) {}\n",
         );
@@ -347,9 +337,9 @@ mod tests {
 
     #[test]
     fn r3_flags_actuator_write_outside_designated_modules() {
-        let d = check("crates/platform/src/x.rs", "fn f(c: &mut CarControl) { c.accel = a; }\n");
+        let d = scan_source("crates/platform/src/x.rs", "fn f(c: &mut CarControl) { c.accel = a; }\n");
         assert!(d.iter().any(|d| d.rule == Rule::ActuatorContainment), "{d:?}");
-        let d = check(
+        let d = scan_source(
             "crates/core/src/corruption.rs",
             "fn f(c: &mut CarControl) { c.accel = a; }\n",
         );
@@ -358,7 +348,7 @@ mod tests {
 
     #[test]
     fn r3_ignores_reads_comparisons_and_longer_fields() {
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/x.rs",
             "fn f(c: &C) { if c.accel == x {} let v = c.steer; s.steering_angle = q; }\n",
         );
@@ -367,7 +357,7 @@ mod tests {
 
     #[test]
     fn suppression_silences_a_finding() {
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/x.rs",
             "fn f(c: &mut CarControl) { c.accel = a; } // adas-lint: allow(R3, reason = \"demo\")\n",
         );
@@ -376,7 +366,7 @@ mod tests {
 
     #[test]
     fn r12_expect_without_poisoning_policy_fires() {
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/pool.rs",
             "fn f(&self) { let g = self.state.lock().expect(\"pool lock\"); }\n",
         );
@@ -392,14 +382,14 @@ mod tests {
     fn r12_documented_policy_or_recovery_is_silent() {
         // A `lock poisoning policy:` paragraph anywhere in the file covers
         // every expect-consumed guard in it.
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/pool.rs",
             "//! lock poisoning policy: workers never panic while holding these.\n\
              fn f(&self) { let g = self.state.lock().expect(\"pool lock\"); }\n",
         );
         assert!(d.iter().all(|d| d.rule != Rule::LockDiscipline), "{d:?}");
         // Recovery via `PoisonError::into_inner` never sets the expect flag.
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/pool.rs",
             "fn f(&self) { let g = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner); }\n",
         );
@@ -409,12 +399,12 @@ mod tests {
     #[test]
     fn r12_is_scoped_to_concurrency_crates_and_skips_tests() {
         // The lint crate itself is outside the concurrency scope.
-        let d = check(
+        let d = scan_source(
             "crates/lint/src/x.rs",
             "fn f(&self) { let g = self.state.lock().expect(\"x\"); }\n",
         );
         assert!(d.iter().all(|d| d.rule != Rule::LockDiscipline), "{d:?}");
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/pool.rs",
             "#[cfg(test)]\nmod tests {\n  fn t(&self) { let g = self.state.lock().expect(\"x\"); }\n}\n",
         );
@@ -423,7 +413,7 @@ mod tests {
 
     #[test]
     fn r14_static_mut_fires_outside_tests() {
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/x.rs",
             "static mut COUNTER: u64 = 0;\n",
         );
@@ -435,7 +425,7 @@ mod tests {
             "{d:?}"
         );
         // `static` without `mut` (and test code) stay silent.
-        let d = check(
+        let d = scan_source(
             "crates/platform/src/x.rs",
             "static NAME: &str = \"pool\";\n#[cfg(test)]\nmod tests {\n  static mut T: u64 = 0;\n}\n",
         );

@@ -43,10 +43,9 @@ pub const R3_ALLOWED_PATHS: [&str; 4] = [
 ];
 
 /// Crates the concurrency/allocation layer (R12–R14) analyzes: the
-/// platform crate owns the pool, the batched core, and the campaign
-/// runner — every Mutex/Condvar in the workspace lives there — and the
-/// hot-path reachability closure for R13 extends into the crates the tick
-/// roots call into.
+/// platform crate owns the campaign fan-out and the campaign runners, the
+/// daemon's locks live in `campaignd`, and the hot-path reachability
+/// closure for R13 extends into the crates the tick roots call into.
 pub const CONCURRENCY_CRATES: [&str; 10] = [
     "platform",
     "openadas",

@@ -42,19 +42,6 @@ pub struct Suppression {
     pub reason: Option<String>,
 }
 
-impl Suppression {
-    /// Whether this suppression covers `rule`.
-    pub fn covers(&self, rule: Rule) -> bool {
-        allow_covers(&self.rules, &self.unknown, rule)
-    }
-}
-
-/// Whether an allow naming `rules` and `unknown` ids covers `rule`. One
-/// that names no id at all covers every rule; an unknown id covers nothing.
-pub fn allow_covers(rules: &[Rule], unknown: &[String], rule: Rule) -> bool {
-    (rules.is_empty() && unknown.is_empty()) || rules.contains(&rule)
-}
-
 /// A fully tokenized source file.
 #[derive(Debug, Default)]
 pub struct SourceFile {
@@ -64,15 +51,6 @@ pub struct SourceFile {
     /// comment that shares its line with code applies to that line; a
     /// comment alone on a line applies to the next line.
     pub suppressions: HashMap<usize, Vec<Suppression>>,
-}
-
-impl SourceFile {
-    /// Suppressions applying to 1-based `line` that cover `rule`.
-    pub fn is_suppressed(&self, line: usize, rule: Rule) -> bool {
-        self.suppressions
-            .get(&line)
-            .is_some_and(|v| v.iter().any(|s| s.covers(rule)))
-    }
 }
 
 /// Pushes `ch` into the masked buffer: newlines survive (they keep lines
@@ -428,6 +406,14 @@ fn parse_suppression(comment: &str) -> Option<Suppression> {
 mod tests {
     use super::*;
 
+    /// Whether a suppression site on 1-based `line` covers `rule`, matched
+    /// as the scan matches a finding.
+    fn suppressed(f: &SourceFile, line: usize, rule: Rule) -> bool {
+        crate::rules::suppression_sites(f)
+            .iter()
+            .any(|s| s.line == line && s.covers(rule))
+    }
+
     #[test]
     fn masks_line_comment() {
         let f = tokenize("let x = 1; // call .unwrap() here\n");
@@ -488,26 +474,26 @@ mod tests {
     fn suppression_on_same_line_and_next_line() {
         let src = "c.accel = a; // adas-lint: allow(R3, reason = \"checked above\")\n// adas-lint: allow(R1)\npub fn f(x: f64) {}";
         let f = tokenize(src);
-        assert!(f.is_suppressed(1, Rule::ActuatorContainment));
-        assert!(!f.is_suppressed(1, Rule::UnitSafety));
-        assert!(f.is_suppressed(3, Rule::UnitSafety));
+        assert!(suppressed(&f, 1, Rule::ActuatorContainment));
+        assert!(!suppressed(&f, 1, Rule::UnitSafety));
+        assert!(suppressed(&f, 3, Rule::UnitSafety));
     }
 
     #[test]
     fn unknown_ids_cover_nothing() {
         // A retired id must not turn the allow into a blanket one.
         let f = tokenize("// adas-lint: allow(R4, reason = \"retired\")\npub fn f(x: f64) {}\n");
-        assert!(!f.is_suppressed(2, Rule::UnitSafety));
-        assert!(!f.is_suppressed(2, Rule::ActuatorContainment));
+        assert!(!suppressed(&f, 2, Rule::UnitSafety));
+        assert!(!suppressed(&f, 2, Rule::ActuatorContainment));
         let sups = &f.suppressions[&2];
         assert_eq!(sups[0].unknown, vec!["R4".to_string()]);
         // Known ids next to an unknown one still cover their rules.
         let f = tokenize("pub fn f(x: f64) {} // adas-lint: allow(R1, R8)\n");
-        assert!(f.is_suppressed(1, Rule::UnitSafety));
-        assert!(!f.is_suppressed(1, Rule::ActuatorContainment));
+        assert!(suppressed(&f, 1, Rule::UnitSafety));
+        assert!(!suppressed(&f, 1, Rule::ActuatorContainment));
         // A comment naming no id at all stays a blanket allow.
         let f = tokenize("pub fn f(x: f64) {} // adas-lint: allow(reason = \"demo\")\n");
-        assert!(f.is_suppressed(1, Rule::UnitSafety));
+        assert!(suppressed(&f, 1, Rule::UnitSafety));
     }
 
     #[test]
@@ -515,7 +501,7 @@ mod tests {
         let src = "/// Write `// adas-lint: allow(R1)` to excuse a site.\npub fn f(x: f64) {}\n//! `adas-lint: allow(R1)` syntax reference\npub fn g(x: f64) {}";
         let f = tokenize(src);
         assert!(f.suppressions.is_empty(), "{:?}", f.suppressions);
-        assert!(!f.is_suppressed(2, Rule::UnitSafety));
-        assert!(!f.is_suppressed(4, Rule::UnitSafety));
+        assert!(!suppressed(&f, 2, Rule::UnitSafety));
+        assert!(!suppressed(&f, 4, Rule::UnitSafety));
     }
 }

@@ -21,10 +21,10 @@ impl Harness {
     }
 }
 
-pub struct Job;
-
-impl Job {
-    pub fn wait(&self) {}
+/// Stands in for the campaign fan-out, `experiment::run_campaign_cells`:
+/// its cells run on other threads while the caller waits.
+pub fn run_campaign_cells(cells: Vec<u32>) -> Vec<u32> {
+    cells
 }
 
 pub struct Pool {
@@ -68,11 +68,11 @@ impl Pool {
         let _g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
     }
 
-    /// R12: a guard is still held across the pool boundary `Job::wait`,
-    /// so every worker that needs the lock stalls behind this job.
-    pub fn submit_and_wait(&self, job: &Job) {
+    /// R12: a guard is still held across the fan-out `run_campaign_cells`,
+    /// so every cell that needs the lock stalls behind this caller.
+    pub fn fan_out_under_guard(&self, cells: Vec<u32>) {
         let _a = self.alpha.lock().unwrap_or_else(PoisonError::into_inner);
-        job.wait();
+        run_campaign_cells(cells);
     }
 
     /// R14: results merged in arrival order under the lock — the output

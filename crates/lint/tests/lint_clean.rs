@@ -47,7 +47,7 @@ fn workspace_scan_is_clean() {
 
 /// The rule tables match by name, so an entry naming code that does not
 /// exist matches nothing until a function of that name appears anywhere,
-/// which then silently becomes a root, a pool boundary or an R13
+/// which then silently becomes a root, a fan-out boundary or an R13
 /// exemption. Every entry
 /// must name a non-test function of library or binary code, by qualified
 /// or bare name, and every R3 path must be a scanned file: the table

@@ -1,10 +1,15 @@
 //! The experiment campaigns of §IV: scenario × initial-gap × repetition
-//! matrices for each attack type and strategy, run in parallel.
+//! matrices for each attack type and strategy, and [`run_campaign_cells`],
+//! the one fan-out that runs every campaign's cells in parallel.
 
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use defense::DefensePolicy;
 use driver_model::DriverConfig;
 use driving_sim::Scenario;
+
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::trace::{TraceConfig, TraceRecorder};
 use crate::{Harness, HarnessConfig, HazardParams, SimResult};
@@ -158,7 +163,7 @@ pub fn plan_no_attack_campaign(reps: u32, base_seed: u64, driver: DriverConfig) 
     specs
 }
 
-/// Worker-pool configuration for the campaign runners.
+/// Worker count for [`run_campaign_cells`].
 ///
 /// # `REPRO_WORKERS`
 ///
@@ -169,11 +174,11 @@ pub fn plan_no_attack_campaign(reps: u32, base_seed: u64, driver: DriverConfig) 
 /// * unset, empty, unparsable, or `0` — **auto**: every core
 ///   `std::thread::available_parallelism()` reports;
 /// * `1` — serial on the calling thread (the reproducibility baseline);
-/// * `k ≥ 2` — exactly `k` participants, the caller plus `k - 1` pool
-///   workers.
+/// * `k ≥ 2` — exactly `k` workers: the caller plus `k − 1` scoped
+///   threads.
 ///
 /// The resolved count is always clamped to the job size, so small campaigns
-/// never spawn idle workers.
+/// never spawn idle threads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunnerConfig {
     /// Worker thread count. `None` resolves from the `REPRO_WORKERS`
@@ -222,87 +227,67 @@ pub fn detected_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Fans a planned campaign's cells out over the persistent worker pool,
-/// preserving plan order: element `i` of the result is `run(&specs[i])`.
+/// Fans a planned campaign's cells out over scoped threads, preserving
+/// plan order: element `i` of the result is `run(&specs[i])`.
 ///
-/// This is the one fan-out every campaign shares — the attack campaigns
-/// here, the fault matrix in [`crate::resilience`], and the policy ladder
-/// in [`crate::defense_campaign`] all pass their own spec type and a
-/// `.run()`-shaped closure; `campaignd` passes a job's missing cell
-/// indices and a closure that checkpoints each result as it lands. The
-/// spec vector is moved into an `Arc<[S]>` so
-/// the job satisfies the pool's `'static` bound (workers are detached
-/// persistent threads; see [`crate::pool`]) without cloning a single spec.
+/// This is the workspace's one fan-out. The attack campaigns here, the
+/// fault matrix in [`crate::resilience`], the policy ladder in
+/// [`crate::defense_campaign`] and the benches pass their own spec type and
+/// a `.run()`-shaped closure; `campaignd` passes a job's missing cell
+/// indices and a closure that checkpoints each result as it lands; adas-lint
+/// passes its source files. The closure may borrow from the caller's stack.
+///
+/// The calling thread and `cfg.worker_count(n) - 1` scoped threads claim
+/// cell indices from one atomic counter. Each result goes into its
+/// pre-sized slot, so the output never depends on which cell finished first
+/// (R14). With one worker the cells run serially on the calling thread. A
+/// thread the OS refuses to start is skipped; the caller's share of the
+/// work grows instead.
+///
+/// # Panics
+///
+/// Re-raises a cell's panic with its original payload once every worker
+/// has stopped.
 pub fn run_campaign_cells<S, T, F>(cfg: RunnerConfig, specs: Vec<S>, run: F) -> Vec<T>
 where
-    S: Send + Sync + 'static,
-    T: Send + 'static,
-    F: Fn(&S) -> T + Send + Sync + 'static,
-{
-    let n = specs.len();
-    let specs: std::sync::Arc<[S]> = specs.into();
-    crate::pool::run_indexed(cfg.worker_count(n), n, move |i| run(&specs[i]))
-}
-
-/// Maps `f` over `0..n` in parallel with `cfg`'s worker count, preserving
-/// order.
-///
-/// Unlike the campaign runners — which fan out over the persistent pool via
-/// [`run_campaign_cells`] — this is a *scoped* map: `f` may borrow from the
-/// calling stack frame, at the cost of spawning fresh threads per call. Use
-/// it for one-shot generic maps (the lint crate's analysis fan-out); use
-/// the pool for anything campaign-shaped.
-///
-/// Each worker accumulates `(index, result)` pairs in a thread-local batch
-/// that is merged once at join — no per-item `Mutex`, no per-item
-/// allocation, and a single-worker job degenerates to a plain serial loop
-/// on the calling thread.
-pub fn run_parallel_map<T, F>(cfg: RunnerConfig, n: usize, f: F) -> Vec<T>
-where
+    S: Send + Sync,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(&S) -> T + Send + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = cfg.worker_count(n);
+    let workers = cfg.worker_count(specs.len());
     if workers <= 1 {
-        return (0..n).map(f).collect();
+        return specs.iter().map(run).collect();
     }
-
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let batches: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut batch: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        batch.push((i, f(i)));
-                    }
-                    batch
-                })
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let (Some(spec), Some(slot)) = (specs.get(i), slots.get(i)) else {
+            break;
+        };
+        let result = run(spec);
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map_while(|_| {
+                std::thread::Builder::new()
+                    .name("campaign-worker".into())
+                    .spawn_scoped(scope, work)
+                    .ok()
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for batch in batches {
-        for (i, value) in batch {
-            slots[i] = Some(value);
+        work();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                resume_unwind(payload);
+            }
         }
-    }
+    });
+    // No cell panicked, so every slot holds its result.
     slots
         .into_iter()
-        .map(|s| s.expect("every index was claimed by exactly one worker"))
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect()
 }
 
@@ -370,38 +355,99 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_empty_job_returns_empty() {
-        let out = run_parallel_map(RunnerConfig::default(), 0, |i| i);
-        assert!(out.is_empty());
-        let out = run_parallel_map(RunnerConfig::with_workers(8), 0, |i| i);
-        assert!(out.is_empty());
+    fn plan_order_survives_a_slowest_first_cell() {
+        // Cell 0 finishes last; its result must still come back first.
+        let out = run_campaign_cells(RunnerConfig::with_workers(4), (0..32u64).collect(), |&i| {
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            i * 3
+        });
+        assert_eq!(out, (0..32).map(|i| i * 3).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn parallel_map_with_fewer_items_than_workers() {
-        let out = run_parallel_map(RunnerConfig::with_workers(16), 3, |i| i * 10);
+    fn empty_and_single_cell_jobs() {
+        for workers in [1, 8] {
+            let cfg = RunnerConfig::with_workers(workers);
+            assert!(run_campaign_cells(cfg, Vec::<u32>::new(), |&i| i).is_empty());
+            assert_eq!(run_campaign_cells(cfg, vec![7u32], |&i| i + 1), vec![8]);
+        }
+        assert!(run_campaign_cells(RunnerConfig::default(), Vec::<u32>::new(), |&i| i).is_empty());
+    }
+
+    #[test]
+    fn more_workers_than_cells() {
+        let out = run_campaign_cells(RunnerConfig::with_workers(16), vec![0u32, 1, 2], |&i| i * 10);
         assert_eq!(out, vec![0, 10, 20]);
     }
 
     #[test]
-    fn parallel_map_preserves_order_under_a_slow_first_item() {
-        // Item 0 finishes last; its result must still come back first.
-        let out = run_parallel_map(RunnerConfig::with_workers(4), 8, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            i as u64
+    fn one_worker_runs_serially_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let out = run_campaign_cells(RunnerConfig::with_workers(1), (0..10usize).collect(), |&i| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+            i * i
         });
-        assert_eq!(out, (0..8).collect::<Vec<u64>>());
+        assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(order.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
+        // An explicit 0 clamps to 1 rather than starting no worker at all.
+        assert_eq!(RunnerConfig::with_workers(0).worker_count(10), 1);
     }
 
     #[test]
-    fn single_worker_equals_serial() {
-        let serial: Vec<usize> = (0..10).map(|i| i * i).collect();
-        let one = run_parallel_map(RunnerConfig::with_workers(1), 10, |i| i * i);
-        assert_eq!(one, serial);
-        // An explicit 0 clamps to 1 rather than deadlocking.
-        assert_eq!(RunnerConfig::with_workers(0).worker_count(10), 1);
+    fn a_nested_fan_out_completes() {
+        let out = run_campaign_cells(RunnerConfig::with_workers(3), (0..6usize).collect(), |&i| {
+            let inner = run_campaign_cells(RunnerConfig::with_workers(2), (0..4).collect(), |&j| {
+                i * 10 + j
+            });
+            inner.iter().sum::<usize>()
+        });
+        let expect: Vec<usize> = (0..6).map(|i| (0..4).map(|j| i * 10 + j).sum()).collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn a_cell_panic_reaches_the_caller_with_its_payload() {
+        let caller = std::thread::current().id();
+        // One case panics on the calling thread, the other on a spawned
+        // thread, whose payload crosses a join. The other thread's cells
+        // wait for the panic, so each thread takes a cell.
+        for on_caller in [true, false] {
+            let panicked = std::sync::atomic::AtomicBool::new(false);
+            let message = format!("cell exploded, on the caller: {on_caller}");
+            let result = std::panic::catch_unwind(|| {
+                run_campaign_cells(RunnerConfig::with_workers(2), (0..8usize).collect(), |&i| {
+                    if (std::thread::current().id() == caller) == on_caller {
+                        panicked.store(true, Ordering::SeqCst);
+                        std::panic::panic_any(message.clone());
+                    }
+                    for _ in 0..10_000 {
+                        if panicked.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    i
+                })
+            });
+            let payload = result.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&message));
+        }
+    }
+
+    #[test]
+    fn the_closure_may_borrow_from_the_callers_stack() {
+        let table = [5u64, 6, 7, 8];
+        let calls = AtomicUsize::new(0);
+        let out = run_campaign_cells(RunnerConfig::with_workers(2), vec![3usize, 0, 2], |&i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            table[i]
+        });
+        assert_eq!(out, vec![8, 5, 7]);
+        assert_eq!(calls.into_inner(), 3);
     }
 
     #[test]
