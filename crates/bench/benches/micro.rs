@@ -76,13 +76,13 @@ fn bench_command_codec(c: &mut Criterion) {
         let mut enc = CommandEncoder::new();
         let mut frames = Vec::with_capacity(3);
         b.iter(|| {
-            let ok = enc.encode_into(black_box(&control), &mut frames).is_ok();
-            black_box((ok, frames.len()))
+            enc.encode_into(black_box(&control), &mut frames);
+            black_box(frames.len())
         });
     });
     c.bench_function("decode_actuators", |b| {
         let mut enc = CommandEncoder::new();
-        let frames = enc.encode(&control).unwrap();
+        let frames = enc.encode(&control);
         b.iter(|| black_box(enc.decode_actuators(black_box(&frames), CarControl::default())));
     });
 }
@@ -100,7 +100,7 @@ fn bench_ids(c: &mut Criterion) {
         // One encoded cycle per rolling-counter value, replayed in order,
         // so the counter sequence stays continuous and the IDS nominal.
         let mut enc = CommandEncoder::new();
-        let cycles: Vec<Vec<CanFrame>> = (0..4).map(|_| enc.encode(&control).unwrap()).collect();
+        let cycles: Vec<Vec<CanFrame>> = (0..4).map(|_| enc.encode(&control)).collect();
         let mut ids = CanIds::new(IdsConfig::default());
         let mut t = 0u64;
         b.iter(|| {

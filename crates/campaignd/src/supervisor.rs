@@ -253,7 +253,7 @@ impl JobProgress {
     /// Appends one event to the journal and wakes streaming subscribers.
     pub fn push_event(&self, event: Event) {
         let mut guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        // adas-lint: allow(R14, reason = "the event log is an arrival-ordered journal by contract; campaign results merge by index in the WAL and result slots, never through this log")
+        // adas-lint: allow(R14, reason = "the event log is an arrival-ordered journal by contract; campaign results merge by index in the WAL and the fan-out's plan-ordered output, never through this log")
         guard.push(event);
         drop(guard);
         self.events_cv.notify_all();

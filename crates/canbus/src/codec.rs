@@ -68,8 +68,7 @@ impl Encoder {
             let raw = signal.phys_to_raw(*value)?;
             signal.insert_raw(&mut data, raw);
         }
-        if let Some(counter_name) = spec.counter_signal {
-            let signal = spec.require_signal(counter_name)?;
+        if let Some(signal) = spec.counter_signal {
             let value = self.next_counter(spec.id);
             signal.insert_raw(&mut data, value as u64);
         }

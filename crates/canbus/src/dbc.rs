@@ -18,7 +18,7 @@ pub const WHEEL_SPEEDS_ID: u16 = 0x1D0;
 /// Identifier of the steering-angle feedback message.
 pub const STEER_STATUS_ID: u16 = 0x18F;
 
-fn be(name: &'static str, start_bit: u16, length: u8, factor: f64, signed: bool) -> Signal {
+const fn be(name: &'static str, start_bit: u16, length: u8, factor: f64, signed: bool) -> Signal {
     Signal {
         name,
         start_bit,
@@ -30,158 +30,140 @@ fn be(name: &'static str, start_bit: u16, length: u8, factor: f64, signed: bool)
     }
 }
 
-/// Counter/checksum pair at the tail of a message of the given dlc.
-fn tail(dlc: u8) -> (Signal, Signal) {
-    let last_byte_msb = (dlc as u16 - 1) * 8;
-    (
-        be("COUNTER", last_byte_msb + 5, 2, 1.0, false),
-        be("CHECKSUM", last_byte_msb + 3, 4, 1.0, false),
-    )
-}
+/// Steering command: road-wheel angle, 0.01 degrees per bit.
+pub const STEER_ANGLE_CMD: Signal = be("STEER_ANGLE_CMD", 7, 16, 0.01, true);
+/// Steering command: the request flag, 1 while the ADAS steers.
+pub const STEER_REQ: Signal = be("STEER_REQ", 23, 1, 1.0, false);
+/// Gas command: acceleration, 0.001 m/s² per bit.
+pub const ACCEL_CMD: Signal = be("ACCEL_CMD", 7, 16, 0.001, true);
+/// Gas command: the request flag.
+pub const GAS_REQ: Signal = be("GAS_REQ", 23, 1, 1.0, false);
+/// Brake command: deceleration (negative), 0.001 m/s² per bit.
+pub const BRAKE_CMD: Signal = be("BRAKE_CMD", 7, 16, 0.001, true);
+/// Brake command: the request flag.
+pub const BRAKE_REQ: Signal = be("BRAKE_REQ", 23, 1, 1.0, false);
 
-fn command_message(
+const WHEEL_SPEED_FL: Signal = be("WHEEL_SPEED_FL", 7, 16, 0.01, false);
+const WHEEL_SPEED_FR: Signal = be("WHEEL_SPEED_FR", 23, 16, 0.01, false);
+const STEER_ANGLE: Signal = be("STEER_ANGLE", 7, 16, 0.01, true);
+
+// The rolling counter (bits 5–4) and checksum (bits 3–0) in the last byte
+// of a 6-byte and of an 8-byte message.
+const COUNTER_6: Signal = be("COUNTER", 5 * 8 + 5, 2, 1.0, false);
+const CHECKSUM_6: Signal = be("CHECKSUM", 5 * 8 + 3, 4, 1.0, false);
+const COUNTER_8: Signal = be("COUNTER", 7 * 8 + 5, 2, 1.0, false);
+const CHECKSUM_8: Signal = be("CHECKSUM", 7 * 8 + 3, 4, 1.0, false);
+
+/// A 6-byte actuator command: a 16-bit value, its request flag, and the
+/// counter/checksum tail.
+const fn command_message(
     id: u16,
     name: &'static str,
-    value_signal: &'static str,
-    factor: f64,
-    req_signal: &'static str,
+    signals: &'static [Signal; 4],
 ) -> MessageSpec {
-    let dlc = 6;
-    let (counter, checksum) = tail(dlc);
     MessageSpec {
         id,
         name,
-        dlc,
-        signals: vec![
-            be(value_signal, 7, 16, factor, true),
-            be(req_signal, 23, 1, 1.0, false),
-            counter,
-            checksum,
-        ],
-        checksum_signal: Some("CHECKSUM"),
-        counter_signal: Some("COUNTER"),
+        dlc: 6,
+        signals,
+        checksum_signal: Some(CHECKSUM_6),
+        counter_signal: Some(COUNTER_6),
     }
 }
+
+// Actuator commands (ADAS -> car), the attack's targets.
+const STEERING_CONTROL: MessageSpec = command_message(
+    STEERING_CONTROL_ID,
+    "STEERING_CONTROL",
+    &[STEER_ANGLE_CMD, STEER_REQ, COUNTER_6, CHECKSUM_6],
+);
+const GAS_COMMAND: MessageSpec = command_message(
+    GAS_COMMAND_ID,
+    "GAS_COMMAND",
+    &[ACCEL_CMD, GAS_REQ, COUNTER_6, CHECKSUM_6],
+);
+const BRAKE_COMMAND: MessageSpec = command_message(
+    BRAKE_COMMAND_ID,
+    "BRAKE_COMMAND",
+    &[BRAKE_CMD, BRAKE_REQ, COUNTER_6, CHECKSUM_6],
+);
+// Feedback (car -> ADAS).
+const WHEEL_SPEEDS: MessageSpec = MessageSpec {
+    id: WHEEL_SPEEDS_ID,
+    name: "WHEEL_SPEEDS",
+    dlc: 8,
+    signals: &[WHEEL_SPEED_FL, WHEEL_SPEED_FR, COUNTER_8, CHECKSUM_8],
+    checksum_signal: Some(CHECKSUM_8),
+    counter_signal: Some(COUNTER_8),
+};
+const STEER_STATUS: MessageSpec = MessageSpec {
+    id: STEER_STATUS_ID,
+    name: "STEER_STATUS",
+    dlc: 6,
+    signals: &[STEER_ANGLE, COUNTER_6, CHECKSUM_6],
+    checksum_signal: Some(CHECKSUM_6),
+    counter_signal: Some(COUNTER_6),
+};
 
 /// The full message database of the virtual car.
 ///
-/// Each well-known message is a named field rather than a slot in a looked-up
-/// table, so the accessors below are infallible by construction — no
-/// `expect("always present")` on the safety path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VirtualCarDbc {
-    steering_control: MessageSpec,
-    gas_command: MessageSpec,
-    brake_command: MessageSpec,
-    wheel_speeds: MessageSpec,
-    steer_status: MessageSpec,
-}
-
-impl Default for VirtualCarDbc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The database is compile-time data: every message and signal is a
+/// `const`, so the value is zero-sized, [`new`](Self::new) is a `const fn`
+/// that builds nothing, and each accessor returns the one static
+/// definition of its message, infallibly.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct VirtualCarDbc;
 
 impl VirtualCarDbc {
-    /// Builds the database.
-    pub fn new() -> Self {
-        let (ws_counter, ws_checksum) = tail(8);
-        Self {
-            // Actuator commands (ADAS -> car), the attack's targets.
-            steering_control: command_message(
-                STEERING_CONTROL_ID,
-                "STEERING_CONTROL",
-                "STEER_ANGLE_CMD",
-                0.01, // degrees per bit
-                "STEER_REQ",
-            ),
-            gas_command: command_message(
-                GAS_COMMAND_ID,
-                "GAS_COMMAND",
-                "ACCEL_CMD",
-                0.001, // m/s^2 per bit
-                "GAS_REQ",
-            ),
-            brake_command: command_message(
-                BRAKE_COMMAND_ID,
-                "BRAKE_COMMAND",
-                "BRAKE_CMD",
-                0.001, // m/s^2 per bit (negative = decelerate)
-                "BRAKE_REQ",
-            ),
-            // Feedback (car -> ADAS).
-            wheel_speeds: MessageSpec {
-                id: WHEEL_SPEEDS_ID,
-                name: "WHEEL_SPEEDS",
-                dlc: 8,
-                signals: vec![
-                    be("WHEEL_SPEED_FL", 7, 16, 0.01, false),
-                    be("WHEEL_SPEED_FR", 23, 16, 0.01, false),
-                    ws_counter,
-                    ws_checksum,
-                ],
-                checksum_signal: Some("CHECKSUM"),
-                counter_signal: Some("COUNTER"),
-            },
-            steer_status: MessageSpec {
-                id: STEER_STATUS_ID,
-                name: "STEER_STATUS",
-                dlc: 6,
-                signals: {
-                    let (c, k) = tail(6);
-                    vec![be("STEER_ANGLE", 7, 16, 0.01, true), c, k]
-                },
-                checksum_signal: Some("CHECKSUM"),
-                counter_signal: Some("COUNTER"),
-            },
-        }
+    /// The database.
+    pub const fn new() -> Self {
+        Self
     }
 
     /// All message specs, in id-independent declaration order.
-    pub fn messages(&self) -> [&MessageSpec; 5] {
+    pub fn messages(&self) -> [&'static MessageSpec; 5] {
         [
-            &self.steering_control,
-            &self.gas_command,
-            &self.brake_command,
-            &self.wheel_speeds,
-            &self.steer_status,
+            &STEERING_CONTROL,
+            &GAS_COMMAND,
+            &BRAKE_COMMAND,
+            &WHEEL_SPEEDS,
+            &STEER_STATUS,
         ]
     }
 
     /// Looks up a message by frame identifier.
-    pub fn by_id(&self, id: u16) -> Option<&MessageSpec> {
+    pub fn by_id(&self, id: u16) -> Option<&'static MessageSpec> {
         self.messages().into_iter().find(|m| m.id == id)
     }
 
     /// Looks up a message by name.
-    pub fn by_name(&self, name: &str) -> Option<&MessageSpec> {
+    pub fn by_name(&self, name: &str) -> Option<&'static MessageSpec> {
         self.messages().into_iter().find(|m| m.name == name)
     }
 
     /// The steering command message (`0xE4`).
-    pub fn steering_control(&self) -> &MessageSpec {
-        &self.steering_control
+    pub const fn steering_control(&self) -> &'static MessageSpec {
+        &STEERING_CONTROL
     }
 
     /// The gas command message.
-    pub fn gas_command(&self) -> &MessageSpec {
-        &self.gas_command
+    pub const fn gas_command(&self) -> &'static MessageSpec {
+        &GAS_COMMAND
     }
 
     /// The brake command message.
-    pub fn brake_command(&self) -> &MessageSpec {
-        &self.brake_command
+    pub const fn brake_command(&self) -> &'static MessageSpec {
+        &BRAKE_COMMAND
     }
 
     /// The wheel-speed feedback message.
-    pub fn wheel_speeds(&self) -> &MessageSpec {
-        &self.wheel_speeds
+    pub const fn wheel_speeds(&self) -> &'static MessageSpec {
+        &WHEEL_SPEEDS
     }
 
     /// The steering-angle feedback message.
-    pub fn steer_status(&self) -> &MessageSpec {
-        &self.steer_status
+    pub const fn steer_status(&self) -> &'static MessageSpec {
+        &STEER_STATUS
     }
 }
 
@@ -205,8 +187,8 @@ mod tests {
         let dbc = VirtualCarDbc::new();
         let steer = dbc.steering_control();
         assert_eq!(steer.id, 0xE4, "paper Fig. 4 uses 0xE4 for steering");
-        assert!(steer.signal("STEER_ANGLE_CMD").is_some());
-        assert_eq!(steer.checksum_signal, Some("CHECKSUM"));
+        assert_eq!(steer.signal("STEER_ANGLE_CMD"), Some(&STEER_ANGLE_CMD));
+        assert_eq!(steer.checksum_signal.map(|s| s.name), Some("CHECKSUM"));
     }
 
     #[test]
@@ -215,8 +197,7 @@ mod tests {
         // every protected message.
         let dbc = VirtualCarDbc::new();
         for m in dbc.messages() {
-            if let Some(name) = m.checksum_signal {
-                let s = m.signal(name).expect("checksum signal exists");
+            if let Some(s) = m.checksum_signal {
                 assert_eq!(s.length, 4, "{}: checksum is a nibble", m.name);
                 assert_eq!(
                     s.start_bit,
@@ -248,7 +229,16 @@ mod tests {
             VirtualCarDbc::brake_command,
         ] {
             let m = accessor(&dbc);
-            assert_eq!(m.counter_signal, Some("COUNTER"), "{}", m.name);
+            assert_eq!(m.counter_signal.map(|s| s.name), Some("COUNTER"), "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn counter_and_checksum_are_signals_of_their_message() {
+        for m in VirtualCarDbc::new().messages() {
+            for tail in [m.counter_signal, m.checksum_signal].into_iter().flatten() {
+                assert_eq!(m.signal(tail.name), Some(&tail), "{}", m.name);
+            }
         }
     }
 }

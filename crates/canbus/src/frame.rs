@@ -29,13 +29,14 @@ impl CanFrame {
     /// Maximum 11-bit identifier.
     pub const MAX_ID: u16 = 0x7FF;
 
-    /// Creates a frame from an identifier and payload.
+    /// Creates a frame from an identifier and payload. A `const fn`, so a
+    /// sender's frame template can be validated where it is defined.
     ///
     /// # Errors
     ///
     /// Returns [`CanError::InvalidId`] if `id` exceeds 11 bits and
     /// [`CanError::InvalidDlc`] if the payload is longer than 8 bytes.
-    pub fn new(id: u16, data: &[u8]) -> Result<Self, crate::CanError> {
+    pub const fn new(id: u16, data: &[u8]) -> Result<Self, crate::CanError> {
         if id > Self::MAX_ID {
             return Err(crate::CanError::InvalidId { id: id as u32 });
         }
@@ -43,9 +44,7 @@ impl CanFrame {
             return Err(crate::CanError::InvalidDlc { dlc: data.len() });
         }
         let mut buf = [0u8; 8];
-        for (dst, src) in buf.iter_mut().zip(data) {
-            *dst = *src;
-        }
+        buf.split_at_mut(data.len()).0.copy_from_slice(data);
         Ok(Self {
             id,
             dlc: data.len() as u8,

@@ -15,6 +15,8 @@
 //! * [`Signal`]/[`MessageSpec`] — DBC-style signal layout with scaling,
 //! * [`checksum`] — the Honda-style nibble checksum and rolling counter,
 //! * [`VirtualCarDbc`] — the message database of the simulated vehicle,
+//!   compile-time data: every signal (such as [`STEER_ANGLE_CMD`]) and
+//!   message is a `const`, and building the database costs nothing,
 //! * [`Encoder`]/[`decode`] — codecs that maintain counters and verify
 //!   checksums (receivers drop frames that fail verification),
 //! * [`CanBus`] — a frame queue with a man-in-the-middle [`Interceptor`]
@@ -25,8 +27,9 @@
 //! ```
 //! use canbus::{VirtualCarDbc, Encoder, decode};
 //!
-//! let dbc = VirtualCarDbc::new();
-//! let steer = dbc.steering_control();
+//! // The database is `const` data: no allocation, no lookup table.
+//! const DBC: VirtualCarDbc = VirtualCarDbc::new();
+//! let steer = DBC.steering_control();
 //! let mut enc = Encoder::new();
 //!
 //! // Encode a 0.25 degree steering command...
@@ -64,8 +67,8 @@ mod signal;
 pub use bus::{BusStats, CanBus, Capture, Interceptor};
 pub use codec::{decode, decode_signal, decode_unchecked, rewrite_signal, Encoder};
 pub use dbc::{
-    VirtualCarDbc, BRAKE_COMMAND_ID, GAS_COMMAND_ID, STEERING_CONTROL_ID, STEER_STATUS_ID,
-    WHEEL_SPEEDS_ID,
+    VirtualCarDbc, ACCEL_CMD, BRAKE_CMD, BRAKE_COMMAND_ID, BRAKE_REQ, GAS_COMMAND_ID, GAS_REQ,
+    STEERING_CONTROL_ID, STEER_ANGLE_CMD, STEER_REQ, STEER_STATUS_ID, WHEEL_SPEEDS_ID,
 };
 pub use error::CanError;
 pub use frame::CanFrame;

@@ -50,7 +50,7 @@ impl Signal {
     }
 
     /// Maximum raw value representable by this signal.
-    fn raw_max(&self) -> i64 {
+    const fn raw_max(&self) -> i64 {
         if self.signed {
             (1i64 << (self.length - 1)) - 1
         } else if self.length >= 63 {
@@ -61,7 +61,7 @@ impl Signal {
     }
 
     /// Minimum raw value representable by this signal.
-    fn raw_min(&self) -> i64 {
+    const fn raw_min(&self) -> i64 {
         if self.signed {
             -(1i64 << (self.length - 1))
         } else {
@@ -69,14 +69,27 @@ impl Signal {
         }
     }
 
+    /// An in-range raw integer as the frame stores it: two's complement,
+    /// cut to the signal's width.
+    const fn masked(&self, raw: i64) -> u64 {
+        let mask = if self.length == 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.length) - 1
+        };
+        (raw as u64) & mask
+    }
+
     /// Converts a physical value to the raw integer stored in the frame.
+    /// A `const fn`, so a table of signals can check at compile time that
+    /// the values it will carry fit.
     ///
     /// # Errors
     ///
     /// Returns [`CanError::ValueOutOfRange`] if the scaled value does not fit
     /// in the signal's bit width.
     // adas-lint: allow(R1, reason = "DBC physical values are unit-erased by definition; units attach at the schema layer")
-    pub fn phys_to_raw(&self, value: f64) -> Result<u64, CanError> {
+    pub const fn phys_to_raw(&self, value: f64) -> Result<u64, CanError> {
         let raw = ((value - self.offset) / self.factor).round();
         if !raw.is_finite() || raw < self.raw_min() as f64 || raw > self.raw_max() as f64 {
             return Err(CanError::ValueOutOfRange {
@@ -84,13 +97,17 @@ impl Signal {
                 value,
             });
         }
-        let raw = raw as i64;
-        let mask = if self.length == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.length) - 1
-        };
-        Ok((raw as u64) & mask)
+        Ok(self.masked(raw as i64))
+    }
+
+    /// [`phys_to_raw`](Self::phys_to_raw) for a sender whose values are
+    /// known to fit: the same raw integer for every value `phys_to_raw`
+    /// accepts, and the nearest end of the range for one it would refuse
+    /// (NaN reads as 0), so it cannot fail.
+    // adas-lint: allow(R1, reason = "DBC physical values are unit-erased by definition; units attach at the schema layer")
+    pub fn saturating_phys_to_raw(&self, value: f64) -> u64 {
+        let raw = ((value - self.offset) / self.factor).round();
+        self.masked(raw.clamp(self.raw_min() as f64, self.raw_max() as f64) as i64)
     }
 
     /// Converts a raw integer back to its physical value.
@@ -237,7 +254,8 @@ fn next_be(pos: u16) -> u16 {
     }
 }
 
-/// A complete CAN message definition (DBC `BO_` entry).
+/// A complete CAN message definition (DBC `BO_` entry). Every field is
+/// static data, so a database of them is a set of `const`s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MessageSpec {
     /// Frame identifier.
@@ -247,11 +265,13 @@ pub struct MessageSpec {
     /// Payload length in bytes.
     pub dlc: u8,
     /// The signals carried by the message.
-    pub signals: Vec<Signal>,
-    /// Name of the 4-bit Honda-style checksum signal, if protected.
-    pub checksum_signal: Option<&'static str>,
-    /// Name of the 2-bit rolling-counter signal, if present.
-    pub counter_signal: Option<&'static str>,
+    pub signals: &'static [Signal],
+    /// The 4-bit Honda-style checksum signal, if protected (also listed in
+    /// `signals`).
+    pub checksum_signal: Option<Signal>,
+    /// The 2-bit rolling-counter signal, if present (also listed in
+    /// `signals`).
+    pub counter_signal: Option<Signal>,
 }
 
 impl MessageSpec {
@@ -393,12 +413,27 @@ mod tests {
     }
 
     #[test]
+    fn saturating_conversion_matches_the_checked_one_inside_the_range() {
+        let s = Signal {
+            factor: 0.01,
+            ..le_signal(0, 16, true)
+        };
+        for phys in [-327.68, -1.0, -0.004, -0.0, 0.0, 0.006, 0.25, 327.67] {
+            assert_eq!(Ok(s.saturating_phys_to_raw(phys)), s.phys_to_raw(phys), "{phys}");
+        }
+        assert_eq!(s.saturating_phys_to_raw(400.0), s.phys_to_raw(327.67).unwrap());
+        assert_eq!(s.saturating_phys_to_raw(-400.0), s.phys_to_raw(-327.68).unwrap());
+        assert_eq!(s.saturating_phys_to_raw(f64::NAN), 0);
+    }
+
+    #[test]
     fn message_spec_lookup() {
+        const S: Signal = Signal::plain("S", 0, 8);
         let spec = MessageSpec {
             id: 0xE4,
             name: "TEST",
             dlc: 8,
-            signals: vec![le_signal(0, 8, false)],
+            signals: &[S],
             checksum_signal: None,
             counter_signal: None,
         };

@@ -6,8 +6,7 @@
 //! of cycles is one of five kinds: clean, one frame dropped, one frame
 //! duplicated, one bit flipped (checksum not repaired), or disengaged. A
 //! command goes to the encoder only through `Enveloped::new`, as in the
-//! ADAS; one it turns away leaves an engaged cycle without frames, like an
-//! encode error.
+//! ADAS; one it turns away leaves an engaged cycle without frames.
 //!
 //! * Twin A encodes every engaged cycle and always calls `observe` on the
 //!   frames.
@@ -87,10 +86,11 @@ fn command(rng: &mut Rng) -> CarControl {
 }
 
 /// Encodes one engaged cycle into `frames`; a command outside the envelope
-/// or an encode error leaves none.
+/// leaves none.
 fn encode(enc: &mut CommandEncoder, control: Option<&Enveloped>, frames: &mut Vec<CanFrame>) {
-    if control.is_none_or(|c| enc.encode_into(c, frames).is_err()) {
-        frames.clear();
+    match control {
+        Some(c) => enc.encode_into(c, frames),
+        None => frames.clear(),
     }
 }
 
@@ -153,11 +153,11 @@ fn observe_clean_matches_observe_on_untampered_frames() {
             if kind == Cycle::Clean {
                 va = a.observe(tick, &frames_a, true);
                 vb = match control.map(|c| direct.quantize_cycle(&c)) {
-                    Some(Ok(clean)) => {
+                    Some(clean) => {
                         clean_cycles += 1;
                         b.observe_clean(tick, clean.counters)
                     }
-                    Some(Err(_)) | None => b.observe(tick, &[], true),
+                    None => b.observe(tick, &[], true),
                 };
             } else {
                 frames_b.clear();

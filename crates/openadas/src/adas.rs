@@ -288,9 +288,9 @@ impl Adas {
     /// it the encoder's rolling counters still advance and the return value
     /// carries the command the actuator side would have decoded and the
     /// counters the frames would have carried (`None`: frames were encoded,
-    /// the ADAS is disengaged, the command is not [`Enveloped`] (a NaN), or
-    /// the encode path errored — hold the last command, exactly what an
-    /// empty frame batch decodes to).
+    /// the ADAS is disengaged, or the command is not [`Enveloped`] (a NaN)
+    /// — hold the last command, exactly what an empty frame batch decodes
+    /// to).
     pub fn step_with(
         &mut self,
         tick: Tick,
@@ -426,9 +426,8 @@ impl Adas {
 
         // The encoder takes only an enveloped command. The clamp above
         // holds every finite command inside the envelope, so only a NaN is
-        // turned away here. Fail safe: a rejected command or an encode
-        // error sends no frames at all (actuators hold/coast) rather than
-        // panicking mid-drive.
+        // turned away here. Fail safe: a rejected command sends no frames
+        // at all (actuators hold/coast) rather than panicking mid-drive.
         let mut quantized = None;
         out.frames.clear();
         let command = if engaged {
@@ -438,15 +437,12 @@ impl Adas {
         };
         if let Some(command) = command {
             if encode_frames {
-                if self.encoder.encode_into(&command, &mut out.frames).is_err() {
-                    out.frames.clear();
-                }
+                self.encoder.encode_into(&command, &mut out.frames);
             } else {
                 // No one inspects the wire this cycle: skip the frame bytes
                 // but keep counter parity and quantization, so the actuator
-                // sees bit-identical commands either way. An encode-path
-                // error maps to `None`, like an empty frame batch.
-                quantized = self.encoder.quantize_cycle(&command).ok();
+                // sees bit-identical commands either way.
+                quantized = Some(self.encoder.quantize_cycle(&command));
             }
         }
 

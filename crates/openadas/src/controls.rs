@@ -5,114 +5,130 @@
 //! upstream can be bypassed by corrupting the frames here.
 
 use canbus::checksum::{apply_honda_checksum, verify_honda_checksum, RollingCounter};
-use canbus::{CanError, CanFrame, MessageSpec, Signal, VirtualCarDbc};
+use canbus::{
+    CanFrame, MessageSpec, Signal, VirtualCarDbc, ACCEL_CMD, BRAKE_CMD, BRAKE_REQ, GAS_REQ,
+    STEER_ANGLE_CMD, STEER_REQ,
+};
 use msgbus::schema::CarControl;
-use units::{Accel, Angle};
+use units::{limits, Accel, Angle};
 
 use crate::Enveloped;
 
-/// One command message resolved against its spec once, at construction:
-/// the command-value signal, its constant `*_REQ` companion, and the
-/// rolling-counter/checksum tail — plus the message's transmit counter.
-/// The 100 Hz codec then pays no per-tick name lookups, and the request
-/// flag's validation is done for good.
-#[derive(Debug)]
+/// One actuator command message laid out at compile time from the DBC's
+/// `const` definitions: its frame (id and length, validated), the
+/// command-value signal, its constant `*_REQ` companion and the
+/// rolling-counter/checksum tail. The 100 Hz codec pays no name lookup
+/// and no validation.
 struct CommandLayout {
-    id: u16,
-    dlc: u8,
+    /// An all-zero frame of the message's id and length.
+    frame: CanFrame,
     value: Signal,
     req: Signal,
-    /// `req` set to 1, validated at resolution.
+    /// `req` set to 1.
     req_raw: u64,
-    counter_signal: Option<Signal>,
+    counter: Option<Signal>,
     checksum: bool,
-    counter: RollingCounter,
 }
 
 impl CommandLayout {
-    fn resolve(spec: &MessageSpec, value: &str, req: &str) -> Option<Self> {
-        let req = *spec.signal(req)?;
-        let counter_signal = match spec.counter_signal {
-            Some(name) => Some(*spec.signal(name)?),
-            None => None,
+    /// Evaluated only for the `const` layouts below, so a command message
+    /// that is not a classic CAN frame (an id over 11 bits, more than 8
+    /// bytes), or a request flag that cannot hold 1, fails the build
+    /// (E0080) instead of an encode.
+    #[allow(
+        clippy::panic,
+        reason = "compile-time only: every caller is a `const` item, so a panic here is a build error"
+    )]
+    const fn new(spec: &MessageSpec, value: Signal, req: Signal) -> Self {
+        let Ok(frame) = CanFrame::new(spec.id, [0; 8].split_at(spec.dlc as usize).0) else {
+            panic!("a command message must fit a classic CAN frame");
         };
-        Some(Self {
-            id: spec.id,
-            dlc: spec.dlc.min(8),
-            value: *spec.signal(value)?,
-            req_raw: req.phys_to_raw(1.0).ok()?,
+        let Ok(req_raw) = req.phys_to_raw(1.0) else {
+            panic!("a request flag must be able to hold 1");
+        };
+        Self {
+            frame,
+            value,
             req,
-            counter_signal,
+            req_raw,
+            counter: spec.counter_signal,
             checksum: spec.checksum_signal.is_some(),
-            counter: RollingCounter::new(),
-        })
+        }
     }
 
     /// The frame `canbus::Encoder::encode(spec, &[(value, phys), (req, 1)])`
     /// produces, bit for bit: value and request flag, then the counter
-    /// draw, then the checksum. An out-of-range value fails before the
-    /// counter draw, as there.
-    fn encode(&mut self, phys: f64) -> Result<CanFrame, CanError> {
-        let raw = self.value.phys_to_raw(phys)?;
+    /// draw, then the checksum. `phys` must lie in the value signal's
+    /// range, which the envelope assertions below prove for every
+    /// [`Enveloped`] command.
+    fn encode(&self, counter: &mut RollingCounter, phys: f64) -> CanFrame {
         let mut data = [0u8; 8];
+        let raw = self.value.saturating_phys_to_raw(phys);
         self.value.insert_raw(&mut data, raw);
         self.req.insert_raw(&mut data, self.req_raw);
-        if let Some(signal) = self.counter_signal {
-            signal.insert_raw(&mut data, u64::from(self.counter.next_value()));
+        if let Some(signal) = self.counter {
+            signal.insert_raw(&mut data, u64::from(counter.next_value()));
         }
-        let payload = data.get_mut(..usize::from(self.dlc)).unwrap_or(&mut []);
+        let mut frame = self.frame;
+        frame.set_u64(u64::from_be_bytes(data));
         if self.checksum {
-            apply_honda_checksum(self.id, payload);
+            apply_honda_checksum(frame.id(), frame.data_mut());
         }
-        CanFrame::new(self.id, payload)
+        frame
     }
 
-    /// [`encode`](Self::encode)'s validation, quantization and counter draw
-    /// without the frame: the value a receiver would decode and the rolling
-    /// counter the frame would carry (0 for a message without one).
-    fn quantize(&mut self, phys: f64) -> Result<(f64, u8), CanError> {
-        let raw = self.value.phys_to_raw(phys)?;
-        let counter = match self.counter_signal {
-            Some(_) => self.counter.next_value(),
+    /// [`encode`](Self::encode)'s quantization and counter draw without
+    /// the frame: the value a receiver would decode and the rolling counter
+    /// the frame would carry (0 for a message without one).
+    fn quantize(&self, counter: &mut RollingCounter, phys: f64) -> (f64, u8) {
+        let raw = self.value.saturating_phys_to_raw(phys);
+        let counter = match self.counter {
+            Some(_) => counter.next_value(),
             None => 0,
         };
-        Ok((self.value.raw_to_phys(raw), counter))
+        (self.value.raw_to_phys(raw), counter)
     }
 
     /// The command value of a frame with this message's id, or `None` if it
     /// fails checksum verification (a receiving ECU drops it).
     fn decode(&self, frame: &CanFrame) -> Option<f64> {
-        if self.checksum && !verify_honda_checksum(self.id, frame.data()) {
+        if self.checksum && !verify_honda_checksum(frame.id(), frame.data()) {
             return None;
         }
-        let mut data = [0u8; 8];
-        for (dst, src) in data.iter_mut().zip(frame.data()) {
-            *dst = *src;
-        }
-        Some(self.value.raw_to_phys(self.value.extract_raw(&data)))
+        Some(self.value.raw_to_phys(self.value.extract_raw(&frame.as_u64().to_be_bytes())))
     }
 }
 
-/// The three actuator messages' layouts. Only built when every signal
-/// resolves and the constant `*_REQ` companions are in range, which makes
-/// the per-cycle codec's skipped lookups and validations infallible by
-/// construction.
-#[derive(Debug)]
-struct CycleSignals {
-    steer: CommandLayout,
-    gas: CommandLayout,
-    brake: CommandLayout,
+const DBC: VirtualCarDbc = VirtualCarDbc::new();
+const STEER: CommandLayout = CommandLayout::new(DBC.steering_control(), STEER_ANGLE_CMD, STEER_REQ);
+const GAS: CommandLayout = CommandLayout::new(DBC.gas_command(), ACCEL_CMD, GAS_REQ);
+const BRAKE: CommandLayout = CommandLayout::new(DBC.brake_command(), BRAKE_CMD, BRAKE_REQ);
+
+/// Whether every value in `[lo, hi]` fits `signal`: both ends convert, and
+/// with a positive factor the conversion is monotone, so the values
+/// between them do too.
+const fn carries(signal: &Signal, lo: f64, hi: f64) -> bool {
+    signal.factor > 0.0 && signal.phys_to_raw(lo).is_ok() && signal.phys_to_raw(hi).is_ok()
 }
 
-impl CycleSignals {
-    fn resolve(dbc: &VirtualCarDbc) -> Option<Self> {
-        Some(Self {
-            steer: CommandLayout::resolve(dbc.steering_control(), "STEER_ANGLE_CMD", "STEER_REQ")?,
-            gas: CommandLayout::resolve(dbc.gas_command(), "ACCEL_CMD", "GAS_REQ")?,
-            brake: CommandLayout::resolve(dbc.brake_command(), "BRAKE_CMD", "BRAKE_REQ")?,
-        })
-    }
-}
+// The physical envelope `Enveloped` admits (`units::limits`) lies inside
+// every command signal's raw range, so the encoder has no value to refuse:
+// the steering signal carries `±PHYS_STEER_MAX_DEG`, the gas signal
+// `accel.max(0)` and the brake signal `accel.min(0)`. A wider envelope or a
+// narrower signal fails the build (E0080). `openadas/tests/properties.rs`
+// is the runtime half: every admitted command decodes within half a step.
+const _: () = assert!(
+    carries(&STEER.value, -limits::PHYS_STEER_MAX_DEG, limits::PHYS_STEER_MAX_DEG),
+    "the steering envelope must fit the steering command signal"
+);
+const _: () = assert!(
+    carries(&GAS.value, 0.0, limits::PHYS_ACCEL_MAX_MPS2),
+    "the acceleration envelope must fit the gas command signal"
+);
+const _: () = assert!(
+    carries(&BRAKE.value, limits::PHYS_BRAKE_MIN_MPS2, 0.0),
+    "the braking envelope must fit the brake command signal"
+);
 
 /// One control cycle's actuator frames as their readers would see them,
 /// without the bytes: what [`CommandEncoder::quantize_cycle`] returns.
@@ -127,78 +143,43 @@ pub struct QuantizedCycle {
 
 /// Encodes [`Enveloped`] commands into gas/brake/steering CAN frames and
 /// decodes them back on the actuator side as [`CarControl`]s.
-#[derive(Debug)]
+///
+/// The message layouts are compile-time data, so the encoder holds only
+/// the three messages' rolling counters, and it cannot fail: an
+/// `Enveloped` command always fits the command signals.
+#[derive(Debug, Default)]
 pub struct CommandEncoder {
-    dbc: VirtualCarDbc,
-    /// `None` only if the DBC lacked a command signal; every encode then
-    /// fails closed (no frames) and every decode holds the last command.
-    cycle_signals: Option<CycleSignals>,
-}
-
-impl Default for CommandEncoder {
-    fn default() -> Self {
-        Self::new()
-    }
+    steer: RollingCounter,
+    gas: RollingCounter,
+    brake: RollingCounter,
 }
 
 impl CommandEncoder {
-    /// Creates an encoder over the virtual car's DBC.
+    /// Creates an encoder with every rolling counter at zero.
     pub fn new() -> Self {
-        let dbc = VirtualCarDbc::new();
-        let cycle_signals = CycleSignals::resolve(&dbc);
-        Self { dbc, cycle_signals }
-    }
-
-    /// The message database in use.
-    pub fn dbc(&self) -> &VirtualCarDbc {
-        &self.dbc
-    }
-
-    /// The resolved layouts, or the error an encode by name would raise.
-    fn layouts(&mut self) -> Result<&mut CycleSignals, CanError> {
-        self.cycle_signals.as_mut().ok_or(CanError::UnknownSignal {
-            name: "STEER_ANGLE_CMD",
-        })
+        Self::default()
     }
 
     /// Encodes one control cycle's command into its three actuator frames:
     /// steering (`0xE4`), gas and brake.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CanError::UnknownSignal`] if the DBC lacks a command
-    /// signal. The physical envelope an [`Enveloped`] command sits in lies
-    /// inside every command signal's range, so
-    /// [`CanError::ValueOutOfRange`] does not arise.
-    pub fn encode(&mut self, control: &Enveloped) -> Result<Vec<CanFrame>, CanError> {
+    pub fn encode(&mut self, control: &Enveloped) -> Vec<CanFrame> {
         // adas-lint: allow(R13, reason = "allocating convenience wrapper — steady-state callers hold a 3-slot buffer and use encode_into")
         let mut frames = Vec::with_capacity(3);
-        self.encode_into(control, &mut frames)?;
-        Ok(frames)
+        self.encode_into(control, &mut frames);
+        frames
     }
 
     /// Allocation-free variant of [`encode`](Self::encode): clears `frames`
     /// and appends the three actuator frames, reusing the buffer's capacity.
-    ///
-    /// # Errors
-    ///
-    /// As [`encode`](Self::encode). On error `frames` may hold a partial
-    /// batch; callers should treat it as garbage.
-    pub fn encode_into(
-        &mut self,
-        control: &Enveloped,
-        frames: &mut Vec<CanFrame>,
-    ) -> Result<(), CanError> {
+    pub fn encode_into(&mut self, control: &Enveloped, frames: &mut Vec<CanFrame>) {
         frames.clear();
         let control = control.get();
-        let sig = self.layouts()?;
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
-        frames.push(sig.steer.encode(control.steer.degrees())?);
+        frames.push(STEER.encode(&mut self.steer, control.steer.degrees()));
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
-        frames.push(sig.gas.encode(control.accel.max(Accel::ZERO).mps2())?);
+        frames.push(GAS.encode(&mut self.gas, control.accel.max(Accel::ZERO).mps2()));
         // adas-lint: allow(R13, reason = "append into the caller's cleared buffer, which retains its 3-frame capacity across ticks — amortized after the first cycle")
-        frames.push(sig.brake.encode(control.accel.min(Accel::ZERO).mps2())?);
-        Ok(())
+        frames.push(BRAKE.encode(&mut self.brake, control.accel.min(Accel::ZERO).mps2()));
     }
 
     /// Runs one control cycle's encode→decode round trip without touching
@@ -212,26 +193,19 @@ impl CommandEncoder {
     /// real frames (ticks something inspects the bus) and this shortcut
     /// (ticks nothing does) per cycle without the transmit counters
     /// drifting from a frame-for-frame run.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`encode_into`](Self::encode_into)'s errors at the same
-    /// point in the sequence; on error the caller should hold its last
-    /// command, which is what the actuator side does when a cycle's frames
-    /// never arrive.
-    pub fn quantize_cycle(&mut self, control: &Enveloped) -> Result<QuantizedCycle, CanError> {
+    pub fn quantize_cycle(&mut self, control: &Enveloped) -> QuantizedCycle {
         let control = control.get();
-        let sig = self.layouts()?;
-        let (steer, steer_counter) = sig.steer.quantize(control.steer.degrees())?;
-        let (gas, gas_counter) = sig.gas.quantize(control.accel.max(Accel::ZERO).mps2())?;
-        let (brake, brake_counter) = sig.brake.quantize(control.accel.min(Accel::ZERO).mps2())?;
-        Ok(QuantizedCycle {
+        let (steer, steer_counter) = STEER.quantize(&mut self.steer, control.steer.degrees());
+        let (gas, gas_counter) = GAS.quantize(&mut self.gas, control.accel.max(Accel::ZERO).mps2());
+        let (brake, brake_counter) =
+            BRAKE.quantize(&mut self.brake, control.accel.min(Accel::ZERO).mps2());
+        QuantizedCycle {
             command: CarControl {
                 accel: Accel::from_mps2(gas + brake),
                 steer: Angle::from_degrees(steer),
             },
             counters: [steer_counter, gas_counter, brake_counter],
-        })
+        }
     }
 
     /// Actuator-side decoding: folds a batch of delivered frames back into a
@@ -240,20 +214,17 @@ impl CommandEncoder {
     /// fall back to `base` (actuators hold their last valid command).
     pub fn decode_actuators(&self, frames: &[CanFrame], base: CarControl) -> CarControl {
         let mut out = base;
-        let Some(sig) = &self.cycle_signals else {
-            return out;
-        };
         let mut gas = None;
         let mut brake = None;
         for frame in frames {
-            if frame.id() == sig.steer.id {
-                if let Some(deg) = sig.steer.decode(frame) {
+            if frame.id() == STEER.frame.id() {
+                if let Some(deg) = STEER.decode(frame) {
                     out.steer = Angle::from_degrees(deg);
                 }
-            } else if frame.id() == sig.gas.id {
-                gas = sig.gas.decode(frame).or(gas);
-            } else if frame.id() == sig.brake.id {
-                brake = sig.brake.decode(frame).or(brake);
+            } else if frame.id() == GAS.frame.id() {
+                gas = GAS.decode(frame).or(gas);
+            } else if frame.id() == BRAKE.frame.id() {
+                brake = BRAKE.decode(frame).or(brake);
             }
         }
         if gas.is_some() || brake.is_some() {
@@ -283,7 +254,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let mut enc = CommandEncoder::new();
-        let frames = enc.encode(&control(1.5, -0.2)).unwrap();
+        let frames = enc.encode(&control(1.5, -0.2));
         assert_eq!(frames.len(), 3);
         let decoded = enc.decode_actuators(&frames, CarControl::default());
         assert!((decoded.accel.mps2() - 1.5).abs() < 0.002);
@@ -293,24 +264,24 @@ mod tests {
     #[test]
     fn braking_goes_on_the_brake_message() {
         let mut enc = CommandEncoder::new();
-        let frames = enc.encode(&control(-3.0, 0.0)).unwrap();
+        let frames = enc.encode(&control(-3.0, 0.0));
         let brake_frame = frames
             .iter()
-            .find(|f| f.id() == enc.dbc().brake_command().id)
+            .find(|f| f.id() == DBC.brake_command().id)
             .unwrap();
-        let map = decode(enc.dbc().brake_command(), brake_frame).unwrap();
+        let map = decode(DBC.brake_command(), brake_frame).unwrap();
         assert!((map["BRAKE_CMD"] + 3.0).abs() < 0.002);
         let gas_frame = frames
             .iter()
-            .find(|f| f.id() == enc.dbc().gas_command().id)
+            .find(|f| f.id() == DBC.gas_command().id)
             .unwrap();
-        assert_eq!(decode(enc.dbc().gas_command(), gas_frame).unwrap()["ACCEL_CMD"], 0.0);
+        assert_eq!(decode(DBC.gas_command(), gas_frame).unwrap()["ACCEL_CMD"], 0.0);
     }
 
     #[test]
     fn corrupted_frame_is_dropped_and_base_held() {
         let mut enc = CommandEncoder::new();
-        let mut frames = enc.encode(&control(2.0, 0.3)).unwrap();
+        let mut frames = enc.encode(&control(2.0, 0.3));
         // Corrupt the steering frame without fixing the checksum.
         frames[0].data_mut()[0] ^= 0xFF;
         let base = raw(0.5, 0.1);
@@ -325,9 +296,9 @@ mod tests {
         let mut short = CommandEncoder::new();
         for i in 0..50 {
             let c = control(-4.0 + 0.173 * i as f64, -2.0 + 0.083 * i as f64);
-            let frames = wire.encode(&c).unwrap();
+            let frames = wire.encode(&c);
             let decoded = wire.decode_actuators(&frames, CarControl::default());
-            let quantized = short.quantize_cycle(&c).unwrap();
+            let quantized = short.quantize_cycle(&c);
             assert_eq!(decoded, quantized.command, "cycle {i}");
             let counters = frames
                 .iter()
@@ -336,10 +307,10 @@ mod tests {
         }
         // Counters stayed in lockstep across 50 shortcut cycles.
         let c = control(1.0, 0.1);
-        assert_eq!(wire.encode(&c).unwrap(), short.encode(&c).unwrap());
+        assert_eq!(wire.encode(&c), short.encode(&c));
     }
 
-    /// The name-lookup codec the resolved layouts replaced: frames via
+    /// The name-lookup codec the `const` layouts replaced: frames via
     /// `canbus::Encoder::encode`, commands via `decode_signal`.
     fn by_name_frames(
         enc: &mut canbus::Encoder,
@@ -391,14 +362,14 @@ mod tests {
     }
 
     #[test]
-    fn resolved_layouts_match_the_codec_by_name() {
+    fn const_layouts_match_the_codec_by_name() {
         let dbc = VirtualCarDbc::new();
         let mut by_name = canbus::Encoder::new();
         let mut enc = CommandEncoder::new();
         let mut rng = 0x5EED_u64;
         for i in 0..400 {
             let c = control(-4.0 + 0.0163 * i as f64, -0.5 + 0.0025 * i as f64);
-            let mut frames = enc.encode(&c).unwrap();
+            let mut frames = enc.encode(&c);
             assert_eq!(frames, by_name_frames(&mut by_name, &dbc, &c), "cycle {i}");
             // Corrupt a random bit of a random frame on most cycles: both
             // decoders must drop exactly the same frames.

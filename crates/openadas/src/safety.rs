@@ -123,8 +123,9 @@ pub fn envelope_clamp(control: CarControl) -> CarControl {
 /// let mut encoder = CommandEncoder::new();
 /// let mut frames = Vec::new();
 /// let command = Enveloped::new(CarControl::default()).expect("zero is inside");
-/// assert!(encoder.encode_into(&command, &mut frames).is_ok());
-/// assert!(encoder.quantize_cycle(&command).is_ok());
+/// encoder.encode_into(&command, &mut frames);
+/// assert_eq!(frames.len(), 3);
+/// assert_eq!(encoder.quantize_cycle(&command).command, CarControl::default());
 /// ```
 ///
 /// A raw command, such as one taken before `envelope_clamp`, does not
@@ -136,7 +137,7 @@ pub fn envelope_clamp(control: CarControl) -> CarControl {
 ///
 /// let mut encoder = CommandEncoder::new();
 /// let mut frames = Vec::new();
-/// let _ = encoder.encode_into(&CarControl::default(), &mut frames);
+/// encoder.encode_into(&CarControl::default(), &mut frames);
 /// ```
 ///
 /// ```compile_fail,E0308

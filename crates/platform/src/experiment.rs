@@ -7,6 +7,7 @@ use defense::DefensePolicy;
 use driver_model::DriverConfig;
 use driving_sim::Scenario;
 
+use std::collections::BTreeMap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -238,11 +239,16 @@ pub fn detected_cores() -> usize {
 /// passes its source files. The closure may borrow from the caller's stack.
 ///
 /// The calling thread and `cfg.worker_count(n) - 1` scoped threads claim
-/// cell indices from one atomic counter. Each result goes into its
-/// pre-sized slot, so the output never depends on which cell finished first
-/// (R14). With one worker the cells run serially on the calling thread. A
-/// thread the OS refuses to start is skipped; the caller's share of the
-/// work grows instead.
+/// cell indices from one atomic counter. Results join the output in plan
+/// order: one that finishes ahead of its turn waits in a small reorder
+/// buffer until every cell before it is in, so the output never depends on
+/// which cell finished first (R14). The output is the one large buffer a
+/// call allocates, reserved up front as the serial path's `collect` does:
+/// a second per-cell buffer beside it fragments glibc's heap across
+/// repeated calls, and a long-running caller's resident memory then grows
+/// with every call. With one worker the cells run serially on the calling
+/// thread. A thread the OS refuses to start is skipped; the caller's share
+/// of the work grows instead.
 ///
 /// # Panics
 ///
@@ -259,14 +265,22 @@ where
         return specs.iter().map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+    // The output so far, in plan order, and the results waiting for their
+    // turn, by index.
+    let merged = Mutex::new((Vec::with_capacity(specs.len()), BTreeMap::new()));
     let work = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
-        let (Some(spec), Some(slot)) = (specs.get(i), slots.get(i)) else {
+        let Some(spec) = specs.get(i) else {
             break;
         };
         let result = run(spec);
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        let mut guard = merged.lock().unwrap_or_else(PoisonError::into_inner);
+        let (out, early) = &mut *guard;
+        early.insert(i, result);
+        while let Some(ready) = early.remove(&out.len()) {
+            // adas-lint: allow(R14, reason = "appends only the result whose index is the output's length, so the output is in plan order whichever cell finished first")
+            out.push(ready);
+        }
     };
     std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers)
@@ -284,11 +298,8 @@ where
             }
         }
     });
-    // No cell panicked, so every slot holds its result.
-    slots
-        .into_iter()
-        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect()
+    // No cell panicked, so every result has joined the output.
+    merged.into_inner().unwrap_or_else(PoisonError::into_inner).0
 }
 
 #[cfg(test)]

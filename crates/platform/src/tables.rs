@@ -96,7 +96,16 @@ pub fn table_v_total(rows: &[PairedAggregate]) -> PairedAggregate {
         tth_n += r.tth.n;
     }
     if tth_n > 0 {
-        total.tth.mean = tth_weighted / tth_n as f64;
+        let mean = tth_weighted / tth_n as f64;
+        // The pooled population variance, exact from each row's (n, mean,
+        // std): Σ nᵢ(σᵢ² + (μᵢ − μ)²) / N, what `mean_std` gives over the
+        // rows' samples together.
+        let spread: f64 = rows
+            .iter()
+            .map(|r| r.tth.n as f64 * (r.tth.std.powi(2) + (r.tth.mean - mean).powi(2)))
+            .sum();
+        total.tth.mean = mean;
+        total.tth.std = (spread / tth_n as f64).sqrt();
         total.tth.n = tth_n;
     }
     total
@@ -164,5 +173,30 @@ mod tests {
         assert_eq!(total.hazards, 240);
         assert_eq!(total.prevented_hazards, 240);
         assert!((total.tth.mean - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table_v_total_pools_the_spread_of_its_rows_samples() {
+        use crate::metrics::mean_std;
+        let groups: [&[f64]; 4] = [
+            &[1.2, 2.9, 3.3, 0.8, 5.1],
+            &[4.4, 4.6],
+            &[],
+            &[0.3, 7.5, 2.2, 2.2, 9.0, 1.1, 3.4],
+        ];
+        let rows: Vec<PairedAggregate> = groups
+            .iter()
+            .map(|samples| PairedAggregate {
+                tth: mean_std(samples),
+                ..paired("row", 10)
+            })
+            .collect();
+        let all: Vec<f64> = groups.concat();
+        let want = mean_std(&all);
+        let got = table_v_total(&rows).tth;
+        assert_eq!(got.n, want.n);
+        assert!((got.mean - want.mean).abs() < 1e-12, "{got:?} vs {want:?}");
+        assert!((got.std - want.std).abs() < 1e-12, "{got:?} vs {want:?}");
+        assert!(got.std > 2.0, "the spread is pooled, not left at zero");
     }
 }
