@@ -44,7 +44,7 @@ fn checksum_ablation() -> String {
         }
         // Paper attacker: rewrite via the injector (checksum repaired).
         let repaired =
-            canbus::rewrite_signal(dbc.steering_control(), &frame, "STEER_ANGLE_CMD", 0.5)
+            canbus::rewrite_signal(dbc.steering_control(), &frame, &canbus::STEER_ANGLE_CMD, 0.5)
                 .unwrap();
         if canbus::decode(dbc.steering_control(), &repaired).is_ok() {
             accepted_repaired += 1;

@@ -7,7 +7,7 @@
 use attack_core::{
     AttackAction, AttackConfig, AttackEngine, ContextState, ContextTable, SteerDirection,
 };
-use canbus::{decode, rewrite_signal, CanFrame, Encoder, VirtualCarDbc};
+use canbus::{decode, rewrite_signal, CanFrame, Encoder, VirtualCarDbc, STEER_ANGLE_CMD};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use defense::{CanIds, IdsConfig};
 use driving_sim::{ActuatorCommand, Scenario, ScenarioId, SensorSuite, World};
@@ -58,7 +58,7 @@ fn bench_can_roundtrip(c: &mut Criterion) {
             .unwrap();
         b.iter(|| {
             black_box(
-                rewrite_signal(dbc.steering_control(), &frame, "STEER_ANGLE_CMD", 0.5).unwrap(),
+                rewrite_signal(dbc.steering_control(), &frame, &STEER_ANGLE_CMD, 0.5).unwrap(),
             )
         });
     });

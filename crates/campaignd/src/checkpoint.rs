@@ -144,54 +144,59 @@ pub fn encode_result(r: &SimResult) -> String {
 /// Decodes [`encode_result`]'s output; `None` on any malformation.
 pub fn decode_result(line: &str) -> Option<SimResult> {
     let fields: Vec<&str> = line.split('|').collect();
-    if fields.len() != 24 {
+    let [seed, first_hazard, hazard_kinds, accident, alert_events, fcw_events, lane_invasions,
+        duration, attack_activated, tth, driver_noticed, driver_engaged, frames_rewritten,
+        panda_blocked, invariant_detected, monitor_detected, degraded_ticks, failsafe_ticks,
+        first_degraded, first_failsafe, recovery_latency, faults_injected, ids_detected,
+        gate_rejections] = fields[..]
+    else {
         return None;
-    }
-    let first_hazard = if fields[1] == "-" {
+    };
+    let first_hazard = if first_hazard == "-" {
         None
     } else {
-        let (t, k) = fields[1].split_once(':')?;
+        let (t, k) = first_hazard.split_once(':')?;
         Some((Seconds::new(dec_f64(t)?), dec_hazard(k)?))
     };
-    let hazard_kinds = if fields[2] == "-" {
+    let hazard_kinds = if hazard_kinds == "-" {
         Vec::new()
     } else {
-        fields[2]
+        hazard_kinds
             .split('+')
             .map(dec_hazard)
             .collect::<Option<Vec<_>>>()?
     };
-    let accident = if fields[3] == "-" {
+    let accident = if accident == "-" {
         None
     } else {
-        let (t, k) = fields[3].split_once(':')?;
+        let (t, k) = accident.split_once(':')?;
         Some((Seconds::new(dec_f64(t)?), dec_accident(k)?))
     };
     Some(SimResult {
-        seed: fields[0].parse().ok()?,
+        seed: seed.parse().ok()?,
         first_hazard,
         hazard_kinds,
         accident,
-        alert_events: fields[4].parse().ok()?,
-        fcw_events: fields[5].parse().ok()?,
-        lane_invasions: fields[6].parse().ok()?,
-        duration: Seconds::new(dec_f64(fields[7])?),
-        attack_activated: dec_opt_secs(fields[8])?,
-        tth: dec_opt_secs(fields[9])?,
-        driver_noticed: dec_opt_secs(fields[10])?,
-        driver_engaged: dec_opt_secs(fields[11])?,
-        frames_rewritten: fields[12].parse().ok()?,
-        panda_blocked: fields[13].parse().ok()?,
-        invariant_detected: dec_opt_secs(fields[14])?,
-        monitor_detected: dec_opt_secs(fields[15])?,
-        degraded_ticks: fields[16].parse().ok()?,
-        failsafe_ticks: fields[17].parse().ok()?,
-        first_degraded: dec_opt_secs(fields[18])?,
-        first_failsafe: dec_opt_secs(fields[19])?,
-        recovery_latency: dec_opt_secs(fields[20])?,
-        faults_injected: fields[21].parse().ok()?,
-        ids_detected: dec_opt_secs(fields[22])?,
-        gate_rejections: fields[23].parse().ok()?,
+        alert_events: alert_events.parse().ok()?,
+        fcw_events: fcw_events.parse().ok()?,
+        lane_invasions: lane_invasions.parse().ok()?,
+        duration: Seconds::new(dec_f64(duration)?),
+        attack_activated: dec_opt_secs(attack_activated)?,
+        tth: dec_opt_secs(tth)?,
+        driver_noticed: dec_opt_secs(driver_noticed)?,
+        driver_engaged: dec_opt_secs(driver_engaged)?,
+        frames_rewritten: frames_rewritten.parse().ok()?,
+        panda_blocked: panda_blocked.parse().ok()?,
+        invariant_detected: dec_opt_secs(invariant_detected)?,
+        monitor_detected: dec_opt_secs(monitor_detected)?,
+        degraded_ticks: degraded_ticks.parse().ok()?,
+        failsafe_ticks: failsafe_ticks.parse().ok()?,
+        first_degraded: dec_opt_secs(first_degraded)?,
+        first_failsafe: dec_opt_secs(first_failsafe)?,
+        recovery_latency: dec_opt_secs(recovery_latency)?,
+        faults_injected: faults_injected.parse().ok()?,
+        ids_detected: dec_opt_secs(ids_detected)?,
+        gate_rejections: gate_rejections.parse().ok()?,
     })
 }
 
@@ -380,7 +385,9 @@ pub fn load_manifest(state_dir: &Path) -> io::Result<Vec<ManifestEntry>> {
         } else if let Some(rest) = line.strip_prefix("done\t") {
             if let Some((id, outcome)) = rest.split_once('\t') {
                 for &i in by_id.get(id).into_iter().flatten() {
-                    entries[i].done = Some(outcome.to_string());
+                    if let Some(entry) = entries.get_mut(i) {
+                        entry.done = Some(outcome.to_string());
+                    }
                 }
             }
         }

@@ -94,9 +94,12 @@ fn is_token_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
-/// Finds `\r\n\r\n` in `buf`, returning the index *after* it.
-fn header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+/// Splits the head off `buf` at the first `\r\n\r\n`: the bytes before
+/// it, and the index *after* it.
+fn split_head(buf: &[u8]) -> Option<(&[u8], usize)> {
+    let end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let (head, _) = buf.split_at_checked(end)?;
+    Some((head, end + 4))
 }
 
 /// Incrementally parses one request from the front of `buf`.
@@ -104,8 +107,8 @@ fn header_end(buf: &[u8]) -> Option<usize> {
 /// Pure and idempotent: the same buffer always yields the same outcome,
 /// and `NeedMore` commits to nothing. See [`Parse`] for the contract.
 pub fn parse_request(buf: &[u8]) -> Parse {
-    let head_len = match header_end(buf) {
-        Some(end) => end,
+    let (head, head_len) = match split_head(buf) {
+        Some(split) => split,
         None => {
             // No terminator yet. If the headers alone already exceed the
             // cap, no further bytes can save this request.
@@ -118,11 +121,9 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     if head_len > MAX_HEADER_BYTES {
         return Parse::Reject(431, "Request Header Fields Too Large");
     }
-    let head = &buf[..head_len - 4];
-    let mut lines = head.split(|&b| b == b'\n').map(|l| match l.last() {
-        Some(b'\r') => &l[..l.len() - 1],
-        _ => l,
-    });
+    let mut lines = head
+        .split(|&b| b == b'\n')
+        .map(|l| l.strip_suffix(b"\r").unwrap_or(l));
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split(|&b| b == b' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
@@ -147,11 +148,11 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         if line.is_empty() {
             return Parse::Reject(400, "Bad Request");
         }
-        let colon = match line.iter().position(|&b| b == b':') {
-            Some(c) if c > 0 => c,
+        let mut halves = line.splitn(2, |&b| b == b':');
+        let (name, value) = match (halves.next(), halves.next()) {
+            (Some(name), Some(value)) if !name.is_empty() => (name, value),
             _ => return Parse::Reject(400, "Bad Request"),
         };
-        let (name, value) = (&line[..colon], &line[colon + 1..]);
         if !name.iter().all(|&b| is_token_byte(b)) {
             return Parse::Reject(400, "Bad Request");
         }
@@ -184,18 +185,17 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         headers.push((name, value));
     }
 
-    let body_len = content_length.unwrap_or(0);
-    let total = head_len + body_len;
-    if buf.len() < total {
+    let total = head_len + content_length.unwrap_or(0);
+    let Some(body) = buf.get(head_len..total) else {
         return Parse::NeedMore;
-    }
+    };
     Parse::Complete(
         Request {
             method: String::from_utf8_lossy(method).to_uppercase(),
             target: String::from_utf8_lossy(target).to_string(),
             version,
             headers,
-            body: buf[head_len..total].to_vec(),
+            body: body.to_vec(),
         },
         total,
     )

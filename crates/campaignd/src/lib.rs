@@ -32,6 +32,17 @@
 //! (seed mixing, plan-order aggregation), robustness from this one.
 
 #![forbid(unsafe_code)]
+// Panic-freedom on the service path: a malformed request, WAL or job
+// fails closed, never kills the daemon. `clippy.toml` exempts tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 // Deadlines, backoff and Slowloris budgets are wall-clock by definition;
 // determinism lives in the seeded cells the daemon fans out.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]

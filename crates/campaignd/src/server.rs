@@ -595,7 +595,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                 let mut chunk = [0u8; 4096];
                 match (&stream).read(&mut chunk) {
                     Ok(0) => return, // peer closed
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => buf.extend_from_slice(chunk.get(..n).unwrap_or_default()),
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut =>

@@ -23,7 +23,7 @@
 //! flight, and never a synced cell.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -312,13 +312,7 @@ pub enum JobOutcome {
 
 type Attempted = (u32, f64, Result<SimResult, CellPanic>);
 
-fn attempt_cell(
-    gi: usize,
-    cell: &CellSpec,
-    spec: &JobSpec,
-    attempts: &[AtomicU32],
-) -> Attempted {
-    let attempt = attempts[gi].fetch_add(1, Ordering::Relaxed) + 1;
+fn attempt_cell(gi: usize, cell: &CellSpec, spec: &JobSpec, attempt: u32) -> Attempted {
     let started = Instant::now();
     let delay_ms = spec.chaos.delay_for(gi);
     let panic_budget = spec.chaos.panics_for(gi);
@@ -326,11 +320,14 @@ fn attempt_cell(
         if delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(delay_ms));
         }
+        // The chaos tests' injected fault: a deliberate panic on the cell's
+        // first `panic_budget` attempts, caught one line up by `catch_cell`
+        // and healed by the retry ladder.
+        #[expect(
+            clippy::panic,
+            reason = "chaos fault injection, caught by the enclosing catch_cell and healed by the retry ladder"
+        )]
         if attempt <= panic_budget {
-            // The chaos tests' injected fault: a deliberate panic on the
-            // cell's first `panic_budget` attempts, caught one line up by
-            // `catch_cell` and healed by the retry ladder.
-            // adas-lint: allow(R7, reason = "chaos fault injection, caught by the enclosing catch_cell and healed by the retry ladder")
             panic!("chaos: injected panic (cell {gi}, attempt {attempt})");
         }
         cell.run()
@@ -407,26 +404,26 @@ pub fn run_job(
     let plan = spec.plan();
     let n = plan.len();
     let path = wal_path(state_dir, job_id);
-    let checkpointed = load_wal(&path, job_id)?;
+    // Results by cell index, so key order is plan order: the checkpointed
+    // cells now, the rest as they land.
+    let mut results = load_wal(&path, job_id)?;
     let writer = WalWriter::open(&path, job_id)?;
 
     progress
         .cells_done
-        .store(checkpointed.len() as u64, Ordering::SeqCst);
+        .store(results.len() as u64, Ordering::SeqCst);
     progress.push_event(Event::Running {
         cells_total: n,
-        checkpointed: checkpointed.len(),
+        checkpointed: results.len(),
     });
 
-    let mut results: Vec<Option<SimResult>> = vec![None; n];
-    for (&idx, result) in &checkpointed {
-        if idx < n {
-            results[idx] = Some(result.clone());
-        }
-    }
-    let missing: Vec<usize> = (0..n).filter(|i| results[*i].is_none()).collect();
+    results.retain(|&idx, _| idx < n);
+    let missing: Vec<(usize, &CellSpec)> = plan
+        .iter()
+        .enumerate()
+        .filter(|(gi, _)| !results.contains_key(gi))
+        .collect();
 
-    let attempts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let workers = RunnerConfig::with_workers(if cfg.workers == 0 {
         platform::experiment::detected_cores()
     } else {
@@ -454,7 +451,7 @@ pub fn run_job(
     // Parallel first pass: each worker checks before a cell whether the job
     // must stop, then checkpoints and streams the cell as it lands. A
     // skipped cell comes back as `None`.
-    let outcomes = run_campaign_cells(workers, missing.clone(), |&gi| {
+    let outcomes = run_campaign_cells(workers, missing.clone(), |&(gi, cell)| {
         let halted = drain.load(Ordering::SeqCst)
             || past_deadline(cfg, started)
             || JobWal::failed(&wal);
@@ -462,7 +459,7 @@ pub fn run_job(
             return None;
         }
         stats.in_flight.fetch_add(1, Ordering::SeqCst);
-        let attempted = attempt_cell(gi, &plan[gi], spec, &attempts);
+        let attempted = attempt_cell(gi, cell, spec, 1);
         stats.in_flight.fetch_sub(1, Ordering::SeqCst);
         let (attempt, secs, outcome) = &attempted;
         match outcome {
@@ -510,11 +507,11 @@ pub fn run_job(
     // Serial retry ladder for the pass's failures, in plan order, with
     // deterministic exponential backoff between attempts.
     let mut quarantine: Vec<usize> = Vec::new();
-    for (&gi, (_, _, outcome)) in missing.iter().zip(outcomes.into_iter().flatten()) {
+    for (&(gi, cell), (attempt, _, outcome)) in missing.iter().zip(outcomes.into_iter().flatten()) {
         let result = match outcome {
             Ok(result) => result,
             Err(_) => match retry_cell(
-                cfg, spec, &plan, gi, &attempts, progress, stats, drain, started,
+                cfg, spec, gi, cell, attempt, progress, stats, drain, started,
             ) {
                 Retry::Ok(result) => {
                     wal.lock()
@@ -539,7 +536,7 @@ pub fn run_job(
                 }
             },
         };
-        results[gi] = Some(result);
+        results.insert(gi, result);
     }
 
     if !quarantine.is_empty() {
@@ -559,7 +556,7 @@ pub fn run_job(
         return settle(&wal, JobOutcome::Failed { reason });
     }
 
-    let complete: Vec<SimResult> = results.into_iter().flatten().collect();
+    let complete: Vec<SimResult> = results.into_values().collect();
     debug_assert_eq!(complete.len(), n);
     let report = spec.report(&complete);
     settle(&wal, JobOutcome::Completed { report })
@@ -572,20 +569,21 @@ enum Retry {
     DeadlineHit,
 }
 
+/// Retries cell `gi` after its `tried` failed attempts, until it succeeds,
+/// exhausts `cfg.max_attempts`, or the job must stop.
 #[allow(clippy::too_many_arguments)]
 fn retry_cell(
     cfg: &SupervisorConfig,
     spec: &JobSpec,
-    plan: &[CellSpec],
     gi: usize,
-    attempts: &[AtomicU32],
+    cell: &CellSpec,
+    mut tried: u32,
     progress: &JobProgress,
     stats: &DaemonStats,
     drain: &AtomicBool,
     job_started: Instant,
 ) -> Retry {
     loop {
-        let tried = attempts[gi].load(Ordering::Relaxed);
         if tried >= cfg.max_attempts {
             progress.push_event(Event::CellQuarantined {
                 idx: gi,
@@ -605,7 +603,8 @@ fn retry_cell(
         std::thread::sleep(Duration::from_millis(backoff));
         stats.retries.fetch_add(1, Ordering::SeqCst);
         progress.retries.fetch_add(1, Ordering::SeqCst);
-        let (attempt, secs, outcome) = attempt_cell(gi, &plan[gi], spec, attempts);
+        tried += 1;
+        let (attempt, secs, outcome) = attempt_cell(gi, cell, spec, tried);
         match outcome {
             Ok(result) => {
                 stats.record_cell_seconds(secs);

@@ -97,8 +97,9 @@ impl<'a> Cursor<'a> {
         if self.pos == start {
             return Err(format!("expected digit at byte {start}"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
+        self.bytes
+            .get(start..self.pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("integer overflow at byte {start}"))
     }
@@ -132,11 +133,11 @@ impl<'a> Cursor<'a> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'[') => Ok(Value::Pairs(self.pairs()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
+            Some(b't') if self.bytes.get(self.pos..).is_some_and(|r| r.starts_with(b"true")) => {
                 self.pos += 4;
                 Ok(Value::Bool(true))
             }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
+            Some(b'f') if self.bytes.get(self.pos..).is_some_and(|r| r.starts_with(b"false")) => {
                 self.pos += 5;
                 Ok(Value::Bool(false))
             }

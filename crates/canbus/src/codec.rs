@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::checksum::{apply_honda_checksum, verify_honda_checksum, RollingCounter};
-use crate::{CanError, CanFrame, MessageSpec};
+use crate::{CanError, CanFrame, MessageSpec, Signal};
 
 /// Encodes frames, maintaining one rolling counter per message id, the way a
 /// transmitting ECU does.
@@ -138,18 +138,19 @@ pub fn decode_unchecked(spec: &MessageSpec, frame: &CanFrame) -> BTreeMap<&'stat
         .collect()
 }
 
-/// Decodes one named signal of a frame, verifying its checksum first.
+/// Decodes one signal of `spec` from a frame, verifying its checksum first.
 ///
 /// Allocation-free alternative to [`decode`] for receivers that want a
-/// single signal on a hot path (the actuator-side decoder runs this every
-/// 10 ms control cycle).
+/// single signal on a hot path (the Panda safety model runs this on every
+/// actuator frame). `signal` must be one of `spec`'s signals, such as the
+/// [`STEER_ANGLE_CMD`](crate::STEER_ANGLE_CMD) constant.
 ///
 /// # Errors
 ///
-/// Returns [`CanError::IdMismatch`], [`CanError::ChecksumMismatch`] or
-/// [`CanError::UnknownSignal`] under the corresponding conditions.
+/// Returns [`CanError::IdMismatch`] or [`CanError::ChecksumMismatch`] under
+/// the corresponding conditions.
 // adas-lint: allow(R1, reason = "DBC physical values are unit-erased by definition; units attach at the schema layer")
-pub fn decode_signal(spec: &MessageSpec, frame: &CanFrame, name: &'static str) -> Result<f64, CanError> {
+pub fn decode_signal(spec: &MessageSpec, frame: &CanFrame, signal: &Signal) -> Result<f64, CanError> {
     if frame.id() != spec.id {
         return Err(CanError::IdMismatch {
             expected: spec.id,
@@ -161,24 +162,24 @@ pub fn decode_signal(spec: &MessageSpec, frame: &CanFrame, name: &'static str) -
         let computed = crate::checksum::honda_checksum(spec.id, frame.data());
         return Err(CanError::ChecksumMismatch { found, computed });
     }
-    let signal = spec.require_signal(name)?;
     let data = frame_data(frame);
     Ok(signal.raw_to_phys(signal.extract_raw(&data)))
 }
 
-/// Rewrites one signal of an existing frame in place, preserving every other
-/// bit (including the rolling counter) and recomputing the checksum — the
-/// man-in-the-middle operation of the paper's Fig. 4.
+/// Rewrites one signal of `spec` in an existing frame, preserving every
+/// other bit (including the rolling counter) and recomputing the checksum —
+/// the man-in-the-middle operation of the paper's Fig. 4. `signal` must be
+/// one of `spec`'s signals.
 ///
 /// # Errors
 ///
-/// Returns [`CanError::IdMismatch`], [`CanError::UnknownSignal`] or
-/// [`CanError::ValueOutOfRange`] under the corresponding conditions.
+/// Returns [`CanError::IdMismatch`] or [`CanError::ValueOutOfRange`] under
+/// the corresponding conditions.
 // adas-lint: allow(R1, reason = "DBC physical values are unit-erased by definition; units attach at the schema layer")
 pub fn rewrite_signal(
     spec: &MessageSpec,
     frame: &CanFrame,
-    name: &'static str,
+    signal: &Signal,
     value: f64,
 ) -> Result<CanFrame, CanError> {
     if frame.id() != spec.id {
@@ -187,7 +188,6 @@ pub fn rewrite_signal(
             actual: frame.id(),
         });
     }
-    let signal = spec.require_signal(name)?;
     let raw = signal.phys_to_raw(value)?;
     let mut data = frame_data(frame);
     signal.insert_raw(&mut data, raw);
@@ -201,7 +201,7 @@ pub fn rewrite_signal(
 #[allow(clippy::float_cmp)] // tests assert exactly-representable values
 mod tests {
     use super::*;
-    use crate::VirtualCarDbc;
+    use crate::{VirtualCarDbc, STEER_ANGLE_CMD};
 
     #[test]
     fn encode_decode_round_trip() {
@@ -271,7 +271,7 @@ mod tests {
             .encode(spec, &[("STEER_ANGLE_CMD", 0.05), ("STEER_REQ", 1.0)])
             .unwrap();
 
-        let attacked = rewrite_signal(spec, &original, "STEER_ANGLE_CMD", 0.5).unwrap();
+        let attacked = rewrite_signal(spec, &original, &STEER_ANGLE_CMD, 0.5).unwrap();
         let map = decode(spec, &attacked).expect("checksum must verify after rewrite");
         assert!((map["STEER_ANGLE_CMD"] - 0.5).abs() < 1e-9);
         assert_eq!(map["STEER_REQ"], 1.0, "untouched signal preserved");
@@ -290,7 +290,7 @@ mod tests {
         let frame = enc.encode(spec, &[("STEER_ANGLE_CMD", 0.0)]).unwrap();
         // 16-bit signed at 0.01 deg/bit tops out at 327.67 deg.
         assert!(matches!(
-            rewrite_signal(spec, &frame, "STEER_ANGLE_CMD", 400.0),
+            rewrite_signal(spec, &frame, &STEER_ANGLE_CMD, 400.0),
             Err(CanError::ValueOutOfRange { .. })
         ));
     }

@@ -1,7 +1,9 @@
 //! Property-based tests: codec round-trips and checksum-forgery invariants.
 
 use canbus::checksum::{apply_honda_checksum, verify_honda_checksum};
-use canbus::{decode, decode_unchecked, rewrite_signal, CanError, Encoder, VirtualCarDbc};
+use canbus::{
+    decode, decode_unchecked, rewrite_signal, CanError, Encoder, VirtualCarDbc, BRAKE_CMD,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,7 +39,7 @@ proptest! {
         let frame = enc
             .encode(spec, &[("BRAKE_CMD", original), ("BRAKE_REQ", 1.0)])
             .unwrap();
-        let attacked = rewrite_signal(spec, &frame, "BRAKE_CMD", attack).unwrap();
+        let attacked = rewrite_signal(spec, &frame, &BRAKE_CMD, attack).unwrap();
         let map = decode(spec, &attacked).unwrap();
         prop_assert!((map["BRAKE_CMD"] - attack).abs() <= 0.001);
         prop_assert_eq!(map["BRAKE_REQ"].to_bits(), 1.0f64.to_bits());

@@ -1,6 +1,6 @@
 //! CAN frame rewriting with checksum repair (paper Fig. 4).
 
-use canbus::{rewrite_signal, CanFrame, VirtualCarDbc};
+use canbus::{rewrite_signal, CanFrame, VirtualCarDbc, ACCEL_CMD, BRAKE_CMD, STEER_ANGLE_CMD};
 
 use crate::AttackValues;
 
@@ -31,17 +31,17 @@ impl Injector {
                 rewrite_signal(
                     self.dbc.steering_control(),
                     &frame,
-                    "STEER_ANGLE_CMD",
+                    &STEER_ANGLE_CMD,
                     steer.degrees(),
                 )
             })
         } else if frame.id() == self.dbc.gas_command().id {
             values.accel.map(|accel| {
-                rewrite_signal(self.dbc.gas_command(), &frame, "ACCEL_CMD", accel.mps2())
+                rewrite_signal(self.dbc.gas_command(), &frame, &ACCEL_CMD, accel.mps2())
             })
         } else if frame.id() == self.dbc.brake_command().id {
             values.brake.map(|brake| {
-                rewrite_signal(self.dbc.brake_command(), &frame, "BRAKE_CMD", brake.mps2())
+                rewrite_signal(self.dbc.brake_command(), &frame, &BRAKE_CMD, brake.mps2())
             })
         } else {
             None

@@ -75,12 +75,10 @@ pub fn analyze_can(records: &[(Tick, CanFrame)]) -> BTreeMap<u16, MessageProfile
 fn profile_one(id: u16, frames: &[(Tick, CanFrame)]) -> MessageProfile {
     let dlc = frames.first().map_or(0, |(_, f)| f.dlc());
     let nbits = dlc as usize * 8;
+    let pairs = frames.iter().zip(frames.iter().skip(1));
 
     // Inter-arrival statistics.
-    let mut deltas = Vec::new();
-    for pair in frames.windows(2) {
-        deltas.push(pair[1].0 - pair[0].0);
-    }
+    let deltas: Vec<u64> = pairs.clone().map(|((t0, _), (t1, _))| *t1 - *t0).collect();
     let period_ticks = if deltas.is_empty() {
         0.0
     } else {
@@ -89,9 +87,7 @@ fn profile_one(id: u16, frames: &[(Tick, CanFrame)]) -> MessageProfile {
 
     // Bit toggle counts.
     let mut bit_toggles = vec![0u32; nbits];
-    for pair in frames.windows(2) {
-        let a = pair[0].1;
-        let b = pair[1].1;
+    for ((_, a), (_, b)) in pairs.clone() {
         for (i, toggles) in bit_toggles.iter_mut().enumerate() {
             let byte = i / 8;
             let bit = 7 - (i % 8);
@@ -109,15 +105,16 @@ fn profile_one(id: u16, frames: &[(Tick, CanFrame)]) -> MessageProfile {
             .iter()
             .all(|(_, f)| verify_honda_checksum(id, f.data()));
 
-    // Counter hypothesis: bits 5-4 of the last byte increment mod 4.
+    // Counter hypothesis: bits 5-4 of the last byte increment mod 4. Each
+    // frame's counter is its own last byte: a capture may carry one id at
+    // more than one length.
+    let counter = |f: &CanFrame| (f.data().last().copied().unwrap_or(0) >> 4) & 0x3;
     let rolling_counter = dlc > 0 && {
         let mut ok = 0usize;
         let mut total = 0usize;
-        for pair in frames.windows(2) {
-            let c0 = (pair[0].1.data()[dlc as usize - 1] >> 4) & 0x3;
-            let c1 = (pair[1].1.data()[dlc as usize - 1] >> 4) & 0x3;
+        for ((_, a), (_, b)) in pairs {
             total += 1;
-            if c1 == (c0 + 1) & 0x3 {
+            if counter(b) == (counter(a) + 1) & 0x3 {
                 ok += 1;
             }
         }
@@ -133,8 +130,8 @@ fn profile_one(id: u16, frames: &[(Tick, CanFrame)]) -> MessageProfile {
     };
     let mut fields = Vec::new();
     let mut run_start: Option<usize> = None;
-    for byte in 0..data_bytes {
-        let active = (0..8).any(|b| bit_toggles[byte * 8 + b] > 0);
+    for (byte, bits) in bit_toggles.chunks_exact(8).take(data_bytes).enumerate() {
+        let active = bits.iter().any(|&t| t > 0);
         match (active, run_start) {
             (true, None) => run_start = Some(byte),
             (false, Some(s)) => {
@@ -289,6 +286,19 @@ mod tests {
         assert!(est.steer_max.degrees() <= 0.4 + 1e-9);
         assert!(est.accel_in_envelope(Accel::from_mps2(1.0)));
         assert!(!est.accel_in_envelope(Accel::from_mps2(-4.0)));
+    }
+
+    #[test]
+    fn an_id_whose_length_changes_reads_each_frame_s_own_counter() {
+        // 0x200 arrives as an 8-byte frame, then as a 2-byte one; the
+        // counter (bits 5-4 of the last byte) goes 1 → 2 across them.
+        let records = [
+            (Tick::new(0), CanFrame::new(0x200, &[0, 0, 0, 0, 0, 0, 0, 0x10]).unwrap()),
+            (Tick::new(1), CanFrame::new(0x200, &[0, 0x20]).unwrap()),
+        ];
+        let p = &analyze_can(&records)[&0x200];
+        assert_eq!(p.dlc, 8, "the first frame sets the profile's length");
+        assert!(p.rolling_counter);
     }
 
     #[test]

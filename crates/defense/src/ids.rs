@@ -211,8 +211,7 @@ impl CanIds {
         let mut checksum_event = false;
 
         if engaged {
-            for (slot, &id) in WATCHED.iter().enumerate() {
-                let state = &mut self.ids[slot];
+            for (state, &id) in self.ids.iter_mut().zip(&WATCHED) {
                 let count = frames.iter().filter(|f| f.id() == id).count();
                 if count == 0 {
                     state.miss_streak = state.miss_streak.saturating_add(1);

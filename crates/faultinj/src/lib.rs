@@ -23,11 +23,23 @@
 //!   returns at once, so the harness encodes actuator frames only while
 //!   [`FaultEngine::can_active`] (or something else reads them).
 //! * **Panic-free**: the per-tick path is reachable from `Harness::step`,
-//!   so it uses no indexing, `unwrap` or panicking macros (adas-lint R7).
+//!   so the crate uses no indexing, `unwrap` or panicking macros (clippy's
+//!   panic lints, denied below).
 //!
 //! See `EXPERIMENTS.md` ("Resilience campaigns") for the fault grammar.
 
 #![forbid(unsafe_code)]
+// Panic-freedom on the safety path (sensors → ADAS → CAN): library code
+// degrades, never aborts the control loop. `clippy.toml` exempts tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -3,11 +3,13 @@
 use std::fmt;
 
 /// The safety invariants adas-lint enforces. Retired IDs are never reused.
-/// R2, R4, R5 and R8 (panic-freedom, float equality, wall-clock types and
-/// wildcard enum arms) are clippy lints configured in the workspace
-/// `Cargo.toml` and `clippy.toml`. R9–R11 (the actuator envelope and the
-/// limit orderings) are proved by the compiler: `openadas::Enveloped`
-/// gates the encoder and `const` assertions sit in `units::limits`.
+/// R2, R4, R5, R7 and R8 (panic-freedom, float equality, wall-clock types,
+/// transitive panic-freedom and wildcard enum arms) are clippy lints
+/// configured in the workspace `Cargo.toml`, `clippy.toml` and the `lib.rs`
+/// of every crate the tick and the daemon reach. R9–R11 (the actuator
+/// envelope and the limit orderings) are proved by the compiler:
+/// `openadas::Enveloped` gates the encoder and `const` assertions sit in
+/// `units::limits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// R1 — public APIs of the safety-path crates must pass speeds,
@@ -22,9 +24,6 @@ pub enum Rule {
     /// reach CAN bytes only through the audited `Injector` choke point,
     /// and the ADAS side never calls back into the attack crate.
     TaintFlow,
-    /// R7 — transitive panic freedom: no call path from `Harness::step`
-    /// reaches a panicking function, in any crate.
-    TransitivePanic,
     /// R12 — lock discipline: the lock-order graph built from every
     /// `Mutex`/`Condvar` acquisition site reached via the call graph must
     /// be acyclic; no lock may be held across the campaign fan-out;
@@ -43,11 +42,10 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 7] = [
+pub const ALL_RULES: [Rule; 6] = [
     Rule::UnitSafety,
     Rule::ActuatorContainment,
     Rule::TaintFlow,
-    Rule::TransitivePanic,
     Rule::LockDiscipline,
     Rule::AllocFreedom,
     Rule::SharedStateDeterminism,
@@ -60,7 +58,6 @@ impl Rule {
             Rule::UnitSafety => "R1",
             Rule::ActuatorContainment => "R3",
             Rule::TaintFlow => "R6",
-            Rule::TransitivePanic => "R7",
             Rule::LockDiscipline => "R12",
             Rule::AllocFreedom => "R13",
             Rule::SharedStateDeterminism => "R14",
@@ -73,7 +70,6 @@ impl Rule {
             Rule::UnitSafety => "unit-safety",
             Rule::ActuatorContainment => "actuator-containment",
             Rule::TaintFlow => "taint-flow",
-            Rule::TransitivePanic => "transitive-panic",
             Rule::LockDiscipline => "lock-discipline",
             Rule::AllocFreedom => "alloc-freedom",
             Rule::SharedStateDeterminism => "shared-state-determinism",
@@ -91,9 +87,6 @@ impl Rule {
             }
             Rule::TaintFlow => {
                 "attack values clamped at birth and routed to CAN bytes only via the Injector choke point"
-            }
-            Rule::TransitivePanic => {
-                "no call path from Harness::step reaches a panicking function, in any crate"
             }
             Rule::LockDiscipline => {
                 "acyclic lock order, no locks across run_campaign_cells, Condvar::wait in predicate loops, documented poisoning policy"
@@ -127,10 +120,10 @@ impl fmt::Display for Rule {
 pub enum Severity {
     /// Gate-failing finding.
     Error,
-    /// Hygiene finding (dead suppressions, stale baseline entries). Also
-    /// fails the gate — rot in the suppression machinery is how real
-    /// findings get hidden — but is reported under a distinct label so the
-    /// two failure classes are distinguishable in output.
+    /// Hygiene finding (a dead suppression). Also fails the gate — rot in
+    /// the suppression machinery is how real findings get hidden — but is
+    /// reported under a distinct label so the two failure classes are
+    /// distinguishable in output.
     Warning,
 }
 
@@ -219,18 +212,20 @@ mod tests {
             assert_eq!(Rule::parse(r.name()), Some(r));
             assert_eq!(Rule::parse(&r.id().to_lowercase()), Some(r));
         }
-        // R2, R4, R5 and R8 moved to clippy and R9–R11 to the compiler;
-        // their IDs and names are not reused.
+        // R2, R4, R5, R7 and R8 moved to clippy and R9–R11 to the
+        // compiler; their IDs and names are not reused.
         for retired in [
             "R2",
             "R4",
             "R5",
+            "R7",
             "R8",
             "R9",
             "R10",
             "R11",
             "R15",
             "panic-freedom",
+            "transitive-panic",
             "envelope-soundness",
             "threshold-consistency",
             "clamp-hygiene",

@@ -4,7 +4,7 @@
 //! ADAS attacks succeed precisely by keeping corrupted values *inside* the
 //! safety-check envelope, so the reproduction's own safety layer, unit
 //! handling, and determinism guarantees are machine-checked rather than
-//! convention-checked. Seven rules run over every workspace `.rs` file:
+//! convention-checked. Six rules run over every workspace `.rs` file:
 //!
 //! | Rule | Name                  | Invariant                                            |
 //! |------|-----------------------|------------------------------------------------------|
@@ -12,24 +12,26 @@
 //! | R3   | `actuator-containment`| actuator command writes only in designated modules   |
 //! | R6   | `taint-flow`          | attack values clamped at birth, sinks only via the   |
 //! |      |                       | `Injector` choke point, no ADAS→attack back-flow     |
-//! | R7   | `transitive-panic`    | no call path from `Harness::step` reaches a panic    |
 //! | R12  | `lock-discipline`     | acyclic lock order, no guards across the fan-out,    |
 //! |      |                       | condvar waits in predicate loops, poisoning policy   |
 //! | R13  | `alloc-freedom`       | steady-state tick roots reach no allocating std API  |
 //! | R14  | `shared-state-determinism` | no `static mut`, no env-latching `OnceLock`,    |
 //! |      |                       | campaign merges by index, never completion order     |
 //!
-//! The IDs R2, R4, R5 and R8 are retired. Clippy checks those invariants
-//! (panic-freedom, float equality, wall-clock reads, wildcard enum arms)
-//! from the lint configuration in the workspace `Cargo.toml` and
-//! `clippy.toml`. R9–R11 are retired too: the compiler proves the actuator
-//! envelope (the encoder takes only an `openadas::Enveloped` command, whose
-//! constructor rejects NaN and anything outside the physical limits) and
-//! the orderings between limits (`const` assertions in `units::limits`).
+//! The IDs R2, R4, R5, R7 and R8 are retired. Clippy checks those
+//! invariants (panic-freedom, float equality, wall-clock reads, wildcard
+//! enum arms) from the lint configuration in the workspace `Cargo.toml`,
+//! `clippy.toml` and a `#![deny(…)]` block in the `lib.rs` of every crate
+//! the tick and the daemon reach, which is what R7's transitive
+//! panic-freedom asked for. R9–R11 are retired too: the compiler proves the
+//! actuator envelope (the encoder takes only an `openadas::Enveloped`
+//! command, whose constructor rejects NaN and anything outside the
+//! physical limits) and the orderings between limits (`const` assertions
+//! in `units::limits`).
 //!
 //! The analysis is layered: the **lexical** layer (R1, R3) runs over
-//! masked lines; the **taint/callgraph** layer (R6/R7) over a parsed
-//! symbol table and cross-file call graph ([`parser`], [`symbols`],
+//! masked lines; the **taint/callgraph** layer (R6) over a parsed symbol
+//! table and cross-file call graph ([`parser`], [`symbols`],
 //! [`callgraph`], [`taint`]); and the **concurrency/alloc** layer
 //! (R12–R14) builds a lock-order graph and a may-allocate closure over the
 //! same call graph ([`locks`], [`allocpath`]). Every scan runs the whole
@@ -37,18 +39,16 @@
 //! cross-file layers run over the merged facts. [`scan_workspace`] and
 //! [`scan_sources`] share it.
 //!
-//! Findings can be acknowledged two ways: an inline
-//! `// adas-lint: allow(<rule>, reason = "…")` comment for sites that are
-//! correct by construction, or the checked-in `lint-baseline.txt` for
-//! grandfathered code. Both are themselves checked: a suppression that
-//! absorbs nothing, a suppression naming an id that is no rule, and a
-//! baseline entry whose site is gone each fail the gate. The
-//! `tests/lint_clean.rs` integration test runs the scan under `cargo test`.
+//! A finding is acknowledged one way: an inline
+//! `// adas-lint: allow(<rule>, reason = "…")` comment at a site that is
+//! correct by construction. The comments are themselves checked: one that
+//! absorbs nothing, and one naming an id that is no rule, each fail the
+//! gate. The `tests/lint_clean.rs` integration test runs the scan under
+//! `cargo test`.
 
 #![forbid(unsafe_code)]
 
 pub mod allocpath;
-pub mod baseline;
 pub mod callgraph;
 pub mod diag;
 pub mod locks;
@@ -60,7 +60,6 @@ pub mod symbols;
 pub mod taint;
 pub mod tokenizer;
 
-pub use baseline::{Baseline, BaselineEntry};
 pub use diag::{Diagnostic, Rule, Severity, ALL_RULES};
 pub use scope::{classify, FileInfo, FileKind};
 
@@ -77,16 +76,12 @@ const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", ".github", "fixtures"]
 /// Result of a workspace scan.
 #[derive(Debug, Default)]
 pub struct ScanReport {
-    /// Error findings that survived inline suppressions and the baseline.
+    /// Error findings that survived inline suppressions.
     pub active: Vec<Diagnostic>,
-    /// Findings absorbed by the baseline file.
-    pub baselined: usize,
     /// Findings absorbed by inline `allow` comments.
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Baseline entries that matched nothing (stale).
-    pub unused_baseline: Vec<BaselineEntry>,
     /// Inline suppressions that absorbed nothing (dead), as warnings.
     pub dead_suppressions: Vec<Diagnostic>,
     /// GraphViz rendering of the R12 lock-order graph.
@@ -94,10 +89,10 @@ pub struct ScanReport {
 }
 
 impl ScanReport {
-    /// Whether the scan should gate the build: any active finding, dead
-    /// suppression, or stale baseline entry fails.
+    /// Whether the scan should gate the build: any active finding or dead
+    /// suppression fails.
     pub fn is_clean(&self) -> bool {
-        self.active.is_empty() && self.dead_suppressions.is_empty() && self.unused_baseline.is_empty()
+        self.active.is_empty() && self.dead_suppressions.is_empty()
     }
 }
 
@@ -129,8 +124,8 @@ fn scan_file(rel: &str, text: &str) -> FileScan {
 
 /// Scans one source text as if it lived at `rel_path`. Per-file rules only
 /// (R1, R3, and the local halves of R12/R14); inline suppressions are
-/// honored, no baseline. This is the entry point single-file tests use to
-/// prove rules fire.
+/// honored. This is the entry point single-file tests use to prove rules
+/// fire.
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let file = scan_file(rel_path, source);
     let mut out = file.local;
@@ -163,7 +158,7 @@ fn unknown_rule_findings(file: &str, sites: &[rules::SuppressionSite]) -> Vec<Di
                 message: format!(
                     "suppression names `{id}`, which is no adas-lint rule, so it \
                      suppresses nothing; name a rule from --list-rules or remove it \
-                     (R2, R4, R5 and R8 are clippy lints now: use `#[allow(clippy::…)]`; \
+                     (R2, R4, R5, R7 and R8 are clippy lints now: use `#[allow(clippy::…)]`; \
                      R9–R11 are compiler checks now: the encoder takes only an \
                      `openadas::Enveloped` command, and the limit orderings are \
                      `const` assertions in `units::limits`)"
@@ -175,11 +170,11 @@ fn unknown_rule_findings(file: &str, sites: &[rules::SuppressionSite]) -> Vec<Di
 
 /// Scans an in-memory multi-file set through the same pipeline as
 /// [`scan_workspace`], with the permissive crate closure (every crate sees
-/// every other — there are no manifests to consult) and no baseline.
-/// Returns the active findings. This is how the fixture tests drive the
-/// workspace rules without a workspace on disk.
+/// every other — there are no manifests to consult). Returns the active
+/// findings. This is how the fixture tests drive the workspace rules
+/// without a workspace on disk.
 pub fn scan_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-    scan(sources, None, None).active
+    scan(sources, None).active
 }
 
 /// Collects every scannable `.rs` file under `root`, workspace-relative,
@@ -208,8 +203,8 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
 }
 
 /// Scans the whole workspace under `root`, with the crate closure read
-/// from its manifests, and resolves findings against `baseline`.
-pub fn scan_workspace(root: &Path, baseline: Option<Baseline>) -> io::Result<ScanReport> {
+/// from its manifests.
+pub fn scan_workspace(root: &Path) -> io::Result<ScanReport> {
     let files = collect_files(root)?
         .into_iter()
         .map(|rel| {
@@ -222,18 +217,14 @@ pub fn scan_workspace(root: &Path, baseline: Option<Baseline>) -> io::Result<Sca
         .map(|(rel, text)| (rel.as_str(), text.as_str()))
         .collect();
     let deps = symbols::workspace_deps(root);
-    Ok(scan(&sources, Some(&deps), baseline))
+    Ok(scan(&sources, Some(&deps)))
 }
 
 /// The scan pipeline: the per-file step fanned out across cores, then the
-/// cross-file rules (R6/R7, R12–R14) over the merged facts, then
-/// suppression and baseline resolution with dead-entry detection. `deps`
-/// is the crate closure for [`symbols::SymbolTable::build`].
-fn scan(
-    sources: &[(&str, &str)],
-    deps: Option<&HashMap<String, Vec<String>>>,
-    mut baseline: Option<Baseline>,
-) -> ScanReport {
+/// cross-file rules (R6, R12–R14) over the merged facts, then suppression
+/// resolution with dead-suppression detection. `deps` is the crate closure
+/// for [`symbols::SymbolTable::build`].
+fn scan(sources: &[(&str, &str)], deps: Option<&HashMap<String, Vec<String>>>) -> ScanReport {
     // Phase 1: per-file work, in file order.
     let per_file = platform::experiment::run_campaign_cells(
         platform::experiment::RunnerConfig::default(),
@@ -269,14 +260,13 @@ fn scan(
     let table = symbols::SymbolTable::build(&parsed, deps);
     let graph = callgraph::CallGraph::build(&parsed, &table);
     candidates.extend(taint::r6_taint_flow(&table, &graph));
-    candidates.extend(callgraph::r7_transitive_panic_freedom(&table, &graph));
     let (conc, lock_graph) = locks::concurrency_rules(&parsed, &table, &graph);
     candidates.extend(conc);
     candidates.extend(allocpath::r13_alloc_freedom(&parsed, &table, &graph));
     report.lock_order_dot = lock_graph.to_dot();
 
-    // Phase 3: suppression and baseline resolution, tracking which
-    // suppressions actually earned their keep.
+    // Phase 3: suppression resolution, tracking which suppressions
+    // actually earned their keep.
     for d in candidates {
         let mut absorbed = false;
         if let Some(idxs) = sites_by_file.get(&d.file) {
@@ -291,8 +281,6 @@ fn scan(
         }
         if absorbed {
             report.suppressed += 1;
-        } else if baseline.as_mut().is_some_and(|b| b.matches(&d)) {
-            report.baselined += 1;
         } else {
             report.active.push(d);
         }
@@ -325,9 +313,6 @@ fn scan(
         });
     }
 
-    if let Some(b) = baseline {
-        report.unused_baseline = b.unused();
-    }
     report
         .active
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -335,20 +320,6 @@ fn scan(
         .dead_suppressions
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     report
-}
-
-/// Default baseline location: `lint-baseline.txt` at the workspace root.
-pub fn default_baseline_path(root: &Path) -> PathBuf {
-    root.join("lint-baseline.txt")
-}
-
-/// Loads the baseline at `path`; a missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => Baseline::parse(&text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
 }
 
 /// Locates the workspace root from the lint crate's own manifest dir —
@@ -397,25 +368,6 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`R8`"), "{d:?}");
-    }
-
-    #[test]
-    fn scan_sources_runs_cross_file_rules() {
-        let d = scan_sources(&[
-            (
-                "crates/platform/src/harness.rs",
-                "pub struct Harness;\nimpl Harness { pub fn step(&mut self) { helper(); } }\n",
-            ),
-            (
-                "crates/core/src/util.rs",
-                "pub fn helper() { danger(); }\npub fn danger() { panic!(\"boom\"); }\n",
-            ),
-        ]);
-        assert!(
-            d.iter().any(|d| d.rule == Rule::TransitivePanic
-                && d.message.contains("Harness::step → helper → danger")),
-            "{d:?}"
-        );
     }
 
     #[test]

@@ -4,25 +4,21 @@
 //! cargo run -p adas-lint                      # human output, exit 1 on findings
 //! cargo run -p adas-lint -- --format json     # machine-readable report
 //! cargo run -p adas-lint -- --format sarif    # SARIF 2.1.0 (code scanning)
-//! cargo run -p adas-lint -- --write-baseline  # grandfather current findings
 //! cargo run -p adas-lint -- --list-rules      # rule reference
 //! ```
 //!
-//! Exit codes: `0` clean, `1` active findings / dead suppressions / stale
-//! baseline entries, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` active findings or dead suppressions, `2`
+//! usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use adas_lint::{baseline, default_baseline_path, load_baseline, scan_workspace, ALL_RULES};
+use adas_lint::{scan_workspace, ALL_RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
     format: Format,
-    baseline_path: Option<PathBuf>,
-    use_baseline: bool,
-    write_baseline: bool,
     list_rules: bool,
     list_files: bool,
     sarif_out: Option<PathBuf>,
@@ -40,16 +36,13 @@ enum Format {
 const USAGE: &str = "adas-lint — safety-invariant static analysis for this workspace
 
 USAGE:
-    adas-lint [--root DIR] [--format human|json|sarif] [--baseline FILE]
-              [--no-baseline] [--write-baseline] [--list-rules] [--list-files]
-              [--sarif-out FILE] [--lock-graph-dot FILE] [--timings]
+    adas-lint [--root DIR] [--format human|json|sarif] [--list-rules]
+              [--list-files] [--sarif-out FILE] [--lock-graph-dot FILE]
+              [--timings]
 
 OPTIONS:
     --root DIR         Workspace root to scan (default: auto-detected)
     --format FMT       Output format: human (default), json, or sarif
-    --baseline FILE    Baseline file (default: <root>/lint-baseline.txt)
-    --no-baseline      Ignore the baseline; report every finding
-    --write-baseline   Rewrite the baseline from current findings and exit
     --list-rules       Print the rule table and exit
     --list-files       Print every file the scan covers and exit
     --sarif-out FILE   Additionally write a SARIF 2.1.0 report to FILE
@@ -62,9 +55,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: adas_lint::workspace_root_from_manifest(env!("CARGO_MANIFEST_DIR")),
         format: Format::Human,
-        baseline_path: None,
-        use_baseline: true,
-        write_baseline: false,
         list_rules: false,
         list_files: false,
         sarif_out: None,
@@ -85,12 +75,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err(format!("--format must be human, json, or sarif, got {other:?}"))
                 }
             },
-            "--baseline" => {
-                opts.baseline_path =
-                    Some(PathBuf::from(args.next().ok_or("--baseline needs a value")?));
-            }
-            "--no-baseline" => opts.use_baseline = false,
-            "--write-baseline" => opts.write_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--list-files" => opts.list_files = true,
             "--sarif-out" => {
@@ -164,49 +148,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| default_baseline_path(&opts.root));
-
-    if opts.write_baseline {
-        let report = match scan_workspace(&opts.root, None) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: scan failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let text = baseline::render(&report.active);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote {} entries to {}",
-            report.active.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if opts.use_baseline {
-        match load_baseline(&baseline_path) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-
     // The lint crate is tooling, exempt from clippy's wall-clock ban
     // (`disallowed_types`, `disallowed_methods`): measuring its own
     // wall-time is the point of --timings.
     let t0 = std::time::Instant::now();
-    let report = match scan_workspace(&opts.root, baseline) {
+    let report = match scan_workspace(&opts.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: scan failed: {e}");
@@ -250,26 +196,12 @@ fn main() -> ExitCode {
                 .chain(report.dead_suppressions.iter())
                 .map(|d| d.render_json())
                 .collect();
-            let unused: Vec<String> = report
-                .unused_baseline
-                .iter()
-                .map(|e| {
-                    format!(
-                        "{{\"rule\":\"{}\",\"file\":\"{}\",\"snippet\":\"{}\"}}",
-                        e.rule.id(),
-                        adas_lint::diag::json_escape(&e.file),
-                        adas_lint::diag::json_escape(&e.snippet)
-                    )
-                })
-                .collect();
             println!(
-                "{{\"version\":3,\"diagnostics\":[{}],\"unused_baseline\":[{}],\"summary\":{{\"files_scanned\":{},\"active\":{},\"dead_suppressions\":{},\"baselined\":{},\"suppressed\":{}}}}}",
+                "{{\"version\":4,\"diagnostics\":[{}],\"summary\":{{\"files_scanned\":{},\"active\":{},\"dead_suppressions\":{},\"suppressed\":{}}}}}",
                 diags.join(","),
-                unused.join(","),
                 report.files_scanned,
                 report.active.len(),
                 report.dead_suppressions.len(),
-                report.baselined,
                 report.suppressed,
             );
         }
@@ -277,21 +209,11 @@ fn main() -> ExitCode {
             for d in report.active.iter().chain(report.dead_suppressions.iter()) {
                 println!("{}", d.render_human());
             }
-            for e in &report.unused_baseline {
-                println!(
-                    "warning: stale baseline entry (site was fixed — remove it): {} {} `{}`",
-                    e.rule.id(),
-                    e.file,
-                    e.snippet
-                );
-            }
             println!(
-                "adas-lint: {} files scanned, {} active finding(s), {} dead suppression(s), {} stale baseline entr(ies), {} baselined, {} suppressed",
+                "adas-lint: {} files scanned, {} active finding(s), {} dead suppression(s), {} suppressed",
                 report.files_scanned,
                 report.active.len(),
                 report.dead_suppressions.len(),
-                report.unused_baseline.len(),
-                report.baselined,
                 report.suppressed,
             );
         }

@@ -1,13 +1,13 @@
 //! A token-tree/item parser on top of the masking tokenizer.
 //!
 //! This is deliberately **not** a Rust grammar. The cross-file rules
-//! (R6 taint flow, R7 transitive panic freedom, R12–R14 locks and
-//! allocation) only need to know, per file:
+//! (R6 taint flow, R12–R14 locks and allocation) only need to know, per
+//! file:
 //!
 //! * which functions are defined (free functions and `impl` methods, with
 //!   their return-type text and whether they live in test code),
-//! * which calls, macro invocations, panic primitives and lock events each
-//!   function body contains.
+//! * which calls, macro invocations and lock events each function body
+//!   contains.
 //!
 //! Everything is extracted from the tokenizer's *masked* lines, so string
 //! literals and comments can never fabricate an item, and from a compound
@@ -58,16 +58,6 @@ pub struct Call {
     pub line: usize,
     /// The callee as written.
     pub callee: Callee,
-}
-
-/// One panic primitive inside a function body: `unwrap`/`expect` calls or
-/// a `panic!`/`unreachable!`/`todo!`/`unimplemented!` invocation.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// 1-based line.
-    pub line: usize,
-    /// The primitive, e.g. `unwrap` or `panic!`.
-    pub what: String,
 }
 
 /// What a lock-relevant event does (see [`LockEvent`]).
@@ -129,8 +119,6 @@ pub struct FnDef {
     pub ret: String,
     /// Call sites in the body, in order.
     pub calls: Vec<Call>,
-    /// Panic primitives in the body.
-    pub panics: Vec<PanicSite>,
     /// Macro invocations in the body (name without `!`).
     pub macros: Vec<(usize, String)>,
     /// Lock acquisitions, condvar waits, and calls-under-guard (R12/R14).
@@ -148,15 +136,6 @@ pub struct FileFacts {
 const NON_CALL_KEYWORDS: [&str; 12] = [
     "if", "while", "for", "match", "return", "loop", "in", "as", "fn", "let", "else", "move",
 ];
-
-/// The explicit panic primitives R7 tracks. Indexing is deliberately not
-/// in this set: it stays a per-file obligation (clippy's
-/// `indexing_slicing`) inside the safety-path crates, where bounds are
-/// short and reviewable, because a call-chain report for every fixed-size
-/// array access in the plant model would bury the real findings.
-pub const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-/// Method calls that panic on `None`/`Err`.
-pub const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 
 /// Lexes the masked lines into a compound token stream.
 fn lex(src: &SourceFile) -> Vec<Tok> {
@@ -467,7 +446,6 @@ fn parse_fn(
                 line: toks[fn_idx].line,
                 ret,
                 calls: Vec::new(),
-                panics: Vec::new(),
                 macros: Vec::new(),
                 locks: Vec::new(),
             }),
@@ -485,7 +463,6 @@ fn parse_fn(
         line: toks[fn_idx].line,
         ret,
         calls: Vec::new(),
-        panics: Vec::new(),
         macros: Vec::new(),
         locks: Vec::new(),
     };
@@ -501,11 +478,11 @@ fn qualify(impl_stack: &[(String, i64)], name: &str) -> String {
     }
 }
 
-/// Flat body scan: calls, panic primitives, macros.
+/// Flat body scan: calls and macros.
 /// Nested fns are rare in this workspace and their bodies are attributed
 /// to the enclosing def, which is conservative in the right direction for
-/// both R6 and R7 (the enclosing fn can reach whatever the nested one
-/// does).
+/// the reachability rules (the enclosing fn can reach whatever the nested
+/// one does).
 fn scan_flat(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
     let mut i = start;
     while i < end {
@@ -517,15 +494,6 @@ fn scan_flat(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
             } else {
                 None
             };
-            if next == Some("!") && PANIC_MACROS.contains(&t.text.as_str()) {
-                def.panics.push(PanicSite {
-                    line: t.line,
-                    what: format!("{}!", t.text),
-                });
-                def.macros.push((t.line, t.text.clone()));
-                i += 2;
-                continue;
-            }
             if next == Some("!") {
                 def.macros.push((t.line, t.text.clone()));
                 i += 2;
@@ -545,15 +513,7 @@ fn scan_flat(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
             if let Some(_paren) = call_paren {
                 if !NON_CALL_KEYWORDS.contains(&t.text.as_str()) && prev != Some("fn") {
                     let callee = match prev {
-                        Some(".") => {
-                            if PANIC_METHODS.contains(&t.text.as_str()) {
-                                def.panics.push(PanicSite {
-                                    line: t.line,
-                                    what: format!(".{}()", t.text),
-                                });
-                            }
-                            Some(Callee::Method(t.text.clone()))
-                        }
+                        Some(".") => Some(Callee::Method(t.text.clone())),
                         Some("::") if i >= start + 2 && toks[i - 2].is_word => {
                             Some(Callee::Path(toks[i - 2].text.clone(), t.text.clone()))
                         }
@@ -864,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn records_calls_paths_and_panics() {
+    fn records_calls_and_paths() {
         let f = facts(
             "fn f() {\n  let x = canbus::rewrite_signal(a, b);\n  let y = opt.unwrap();\n  panic!(\"boom\");\n  Type::make(1);\n}\n",
         );
@@ -877,9 +837,8 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.callee == Callee::Path("Type".into(), "make".into())));
-        let panics: Vec<&str> = d.panics.iter().map(|p| p.what.as_str()).collect();
-        assert!(panics.contains(&".unwrap()"));
-        assert!(panics.contains(&"panic!"));
+        assert!(d.calls.iter().any(|c| c.callee == Callee::Method("unwrap".into())));
+        assert!(d.macros.iter().any(|(_, m)| m == "panic"));
     }
 
     #[test]

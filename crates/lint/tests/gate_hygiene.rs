@@ -1,8 +1,8 @@
-//! The gate's self-checks: dead suppressions, suppressions naming an id
-//! that is no rule, and stale baseline entries fail the build. Each test
-//! scans a tiny synthetic workspace under `CARGO_TARGET_TMPDIR`.
+//! The gate's self-checks: dead suppressions and suppressions naming an id
+//! that is no rule fail the build. Each test scans a tiny synthetic
+//! workspace under `CARGO_TARGET_TMPDIR`.
 
-use adas_lint::{scan_workspace, Baseline, Rule, Severity};
+use adas_lint::{scan_workspace, Rule, Severity};
 use std::fs;
 use std::path::PathBuf;
 
@@ -23,7 +23,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
     )
     .expect("write");
 
-    let report = scan_workspace(&ws, None).expect("scan");
+    let report = scan_workspace(&ws).expect("scan");
     assert!(report.active.is_empty(), "{:?}", report.active);
     assert_eq!(report.dead_suppressions.len(), 1, "{:?}", report.dead_suppressions);
     let d = &report.dead_suppressions[0];
@@ -38,7 +38,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
         "// adas-lint: allow(R3, reason = \"clamped by construction\")\nfn f(c: &mut Cmd) { c.accel = 1; }\n",
     )
     .expect("write");
-    let report = scan_workspace(&ws, None).expect("scan");
+    let report = scan_workspace(&ws).expect("scan");
     assert!(report.dead_suppressions.is_empty(), "{:?}", report.dead_suppressions);
     assert_eq!(report.suppressed, 1);
     assert!(report.is_clean());
@@ -47,13 +47,13 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
 #[test]
 fn allow_naming_a_retired_rule_fails_the_gate() {
     let ws = temp_ws("retired_rule_allow");
-    for id in ["R4", "R9", "R10", "R11"] {
+    for id in ["R4", "R7", "R9", "R10", "R11"] {
         fs::write(
             ws.join("crates/openadas/src/lib.rs"),
             format!("// adas-lint: allow({id}, reason = \"retired\")\npub fn f(speed: f64) {{}}\n"),
         )
         .expect("write");
-        let report = scan_workspace(&ws, None).expect("scan");
+        let report = scan_workspace(&ws).expect("scan");
         // The retired id covers nothing, so the R1 finding below it survives…
         assert!(
             report.active.iter().any(|d| d.rule == Rule::UnitSafety
@@ -70,7 +70,10 @@ fn allow_naming_a_retired_rule_fails_the_gate() {
         };
         // The message says where the retired checks live now.
         let message = &stale.message;
-        assert!(message.contains("clippy"), "{id}: {message}");
+        assert!(
+            message.contains("R2, R4, R5, R7 and R8 are clippy lints"),
+            "{id}: {message}"
+        );
         assert!(
             message.contains("openadas::Enveloped") && message.contains("units::limits"),
             "{id}: {message}"
@@ -90,7 +93,7 @@ fn allow_naming_a_retired_rule_fails_the_gate() {
             format!("pub fn f(speed: f64) {{}} // adas-lint: allow(R1, {id})\n"),
         )
         .expect("write");
-        let report = scan_workspace(&ws, None).expect("scan");
+        let report = scan_workspace(&ws).expect("scan");
         assert_eq!(report.active.len(), 1, "{id}: {:?}", report.active);
         assert!(
             report.active[0].message.contains(&format!("`{id}`")),
@@ -100,22 +103,4 @@ fn allow_naming_a_retired_rule_fails_the_gate() {
         assert_eq!(report.suppressed, 1, "{id}");
         assert!(!report.is_clean(), "{id}");
     }
-}
-
-#[test]
-fn stale_baseline_entry_fails_the_gate() {
-    let ws = temp_ws("stale_baseline");
-    fs::write(ws.join("crates/openadas/src/lib.rs"), "pub fn fine() {}\n").expect("write");
-
-    let baseline = Baseline::parse(
-        "R3\tcrates/openadas/src/lib.rs\tself.cmd.accel = removed;\n",
-    )
-    .expect("baseline parses");
-    let report = scan_workspace(&ws, Some(baseline)).expect("scan");
-    assert!(report.active.is_empty(), "{:?}", report.active);
-    assert_eq!(report.unused_baseline.len(), 1, "{:?}", report.unused_baseline);
-    assert!(
-        !report.is_clean(),
-        "a baseline entry whose site is gone must fail until it is removed"
-    );
 }

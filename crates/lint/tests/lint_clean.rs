@@ -1,11 +1,11 @@
 //! The build gate: `cargo test` fails if the workspace picks up a safety
-//! violation that is neither fixed, inline-allowed, nor baselined — and the
-//! gate itself is tested by injecting the violations the paper's threat
-//! model cares about and asserting the rules fire.
+//! violation that is neither fixed nor inline-allowed — and the gate itself
+//! is tested by injecting the violations the paper's threat model cares
+//! about and asserting the rules fire.
 
 use adas_lint::{
-    collect_files, default_baseline_path, load_baseline, parser, scan_source, scan_workspace,
-    scope, tokenizer, workspace_root_from_manifest, FileKind, Rule,
+    collect_files, parser, scan_source, scan_workspace, scope, tokenizer,
+    workspace_root_from_manifest, FileKind, Rule,
 };
 use std::collections::HashSet;
 
@@ -16,8 +16,7 @@ fn workspace_root() -> std::path::PathBuf {
 #[test]
 fn workspace_scan_is_clean() {
     let root = workspace_root();
-    let baseline = load_baseline(&default_baseline_path(&root)).expect("baseline parses");
-    let report = scan_workspace(&root, Some(baseline)).expect("workspace scan succeeds");
+    let report = scan_workspace(&root).expect("workspace scan succeeds");
     assert!(
         report.files_scanned > 50,
         "sanity: scan found only {} files — wrong root?",
@@ -26,17 +25,10 @@ fn workspace_scan_is_clean() {
     let rendered: Vec<String> = report.active.iter().map(|d| d.render_human()).collect();
     assert!(
         report.active.is_empty(),
-        "adas-lint found {} new violation(s); fix them, add an inline \
-         `// adas-lint: allow(<rule>, reason = \"…\")`, or (legacy code only) \
-         re-run `cargo run -p adas-lint -- --write-baseline`:\n\n{}",
+        "adas-lint found {} new violation(s); fix them or add an inline \
+         `// adas-lint: allow(<rule>, reason = \"…\")`:\n\n{}",
         report.active.len(),
         rendered.join("\n")
-    );
-    assert!(
-        report.unused_baseline.is_empty(),
-        "stale baseline entries (the code they grandfathered is gone — \
-         re-run `cargo run -p adas-lint -- --write-baseline`): {:?}",
-        report.unused_baseline
     );
     assert!(
         report.dead_suppressions.is_empty(),
@@ -47,7 +39,7 @@ fn workspace_scan_is_clean() {
 
 /// The rule tables match by name, so an entry naming code that does not
 /// exist matches nothing until a function of that name appears anywhere,
-/// which then silently becomes a root, a fan-out boundary or an R13
+/// which then silently becomes an R13 root, a fan-out boundary or an R13
 /// exemption. Every entry
 /// must name a non-test function of library or binary code, by qualified
 /// or bare name, and every R3 path must be a scanned file: the table
@@ -69,8 +61,7 @@ fn rule_tables_name_only_code_that_exists() {
             fns.insert(f.qual);
         }
     }
-    let tables: [(&str, &[&str]); 4] = [
-        ("callgraph::R7_ROOTS", &adas_lint::callgraph::R7_ROOTS),
+    let tables: [(&str, &[&str]); 3] = [
         ("allocpath::R13_ROOTS", &adas_lint::allocpath::R13_ROOTS),
         ("locks::BOUNDARY_FNS", &adas_lint::locks::BOUNDARY_FNS),
         (

@@ -39,26 +39,20 @@ fn raw_strings_containing_fn_are_opaque() {
     assert_eq!(f.fns.len(), 1, "{:?}", f.fns);
     assert_eq!(f.fns[0].name, "real");
     assert!(
-        f.fns[0].panics.is_empty(),
-        "panics spelled inside a raw string are text, not code: {:?}",
-        f.fns[0].panics
+        f.fns[0].macros.is_empty() && f.fns[0].calls.iter().all(|c| c.callee.name() == "len"),
+        "calls and macros spelled inside a raw string are text, not code: {:?}",
+        f.fns[0]
     );
 }
 
 #[test]
-fn macro_invocations_and_panic_macros_are_split() {
+fn macro_invocations_are_recorded_with_their_lines() {
     let f = facts(
         "fn report(a: u8) {\n    println!(\"a = {}\", a);\n    if a > 250 {\n        unreachable!(\"bounded by caller\");\n    }\n}\n",
     );
     let fd = &f.fns[0];
-    assert!(
-        fd.macros.iter().any(|(_, m)| m == "println"),
-        "ordinary macros land in `macros`: {:?}",
-        fd.macros
-    );
-    assert_eq!(fd.panics.len(), 1, "{:?}", fd.panics);
-    assert_eq!(fd.panics[0].what, "unreachable!");
-    assert_eq!(fd.panics[0].line, 4);
+    let macros: Vec<(usize, &str)> = fd.macros.iter().map(|(l, m)| (*l, m.as_str())).collect();
+    assert_eq!(macros, [(2, "println"), (4, "unreachable")]);
 }
 
 #[test]

@@ -347,7 +347,8 @@ mod tests {
                 id if id == dbc.gas_command().id => (dbc.gas_command(), "ACCEL_CMD"),
                 _ => (dbc.brake_command(), "BRAKE_CMD"),
             };
-            if let Ok(v) = canbus::decode_signal(spec, f, name) {
+            let by_name = spec.require_signal(name);
+            if let Ok(v) = by_name.and_then(|signal| canbus::decode_signal(spec, f, signal)) {
                 match name {
                     "STEER_ANGLE_CMD" => out.steer = Angle::from_degrees(v),
                     "ACCEL_CMD" => gas = Some(v),

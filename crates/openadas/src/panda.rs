@@ -8,7 +8,7 @@
 //! if deployed on an actual vehicle" (§IV-E.4). The strategic values are
 //! chosen inside this stricter envelope so they would pass even here.
 
-use canbus::{decode_signal, CanFrame, VirtualCarDbc};
+use canbus::{decode_signal, CanFrame, VirtualCarDbc, ACCEL_CMD, BRAKE_CMD, STEER_ANGLE_CMD};
 use units::{Accel, Angle};
 
 use crate::SafetyLimits;
@@ -94,7 +94,7 @@ impl PandaSafety {
             // The allocation-free single-signal decode: the firmware model
             // sits on the per-frame hot path, so it must not build a
             // signal map per frame (R13).
-            let deg = match decode_signal(self.dbc.steering_control(), frame, "STEER_ANGLE_CMD") {
+            let deg = match decode_signal(self.dbc.steering_control(), frame, &STEER_ANGLE_CMD) {
                 Ok(v) => v,
                 Err(e) => return blocked(format_args!("steering frame: {e}")),
             };
@@ -109,7 +109,7 @@ impl PandaSafety {
             }
             self.last_steer = steer;
         } else if frame.id() == self.dbc.gas_command().id {
-            let mps2 = match decode_signal(self.dbc.gas_command(), frame, "ACCEL_CMD") {
+            let mps2 = match decode_signal(self.dbc.gas_command(), frame, &ACCEL_CMD) {
                 Ok(v) => v,
                 Err(e) => return blocked(format_args!("gas frame: {e}")),
             };
@@ -121,7 +121,7 @@ impl PandaSafety {
                 ));
             }
         } else if frame.id() == self.dbc.brake_command().id {
-            let mps2 = match decode_signal(self.dbc.brake_command(), frame, "BRAKE_CMD") {
+            let mps2 = match decode_signal(self.dbc.brake_command(), frame, &BRAKE_CMD) {
                 Ok(v) => v,
                 Err(e) => return blocked(format_args!("brake frame: {e}")),
             };

@@ -332,14 +332,11 @@ pub fn run_defense_campaign_with(
     let results = run_campaign_cells(runner, specs, DefenseSpec::run);
     let threats = threat_matrix();
     let per_cell = Scenario::matrix().len() * cfg.reps.max(1) as usize;
-    let cells = results
-        .chunks(per_cell)
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let policy = POLICIES[ci / threats.len()];
-            let threat = threats[ci % threats.len()];
-            DefenseCell::from_results(policy, threat, chunk)
-        })
+    let cells = POLICIES
+        .into_iter()
+        .flat_map(|policy| threats.iter().map(move |&threat| (policy, threat)))
+        .zip(results.chunks(per_cell))
+        .map(|((policy, threat), chunk)| DefenseCell::from_results(policy, threat, chunk))
         .collect();
     DefenseReport {
         base_seed: cfg.base_seed,

@@ -27,6 +27,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Panic-freedom on the safety path (sensors → ADAS → CAN): library code
+// degrades, never aborts the control loop. `clippy.toml` exempts tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 #![warn(missing_docs)]
 
 pub mod defense_campaign;

@@ -267,14 +267,11 @@ pub fn aggregate_resilience_results(
     results: &[SimResult],
 ) -> ResilienceReport {
     let per_cell = Scenario::matrix().len() * cfg.reps.max(1) as usize;
-    let cells = results
-        .chunks(per_cell)
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let kind = FaultKind::ALL[ci / INTENSITIES.len()];
-            let intensity = INTENSITIES[ci % INTENSITIES.len()];
-            ResilienceCell::from_results(kind, intensity, chunk)
-        })
+    let cells = FaultKind::ALL
+        .into_iter()
+        .flat_map(|kind| INTENSITIES.map(|intensity| (kind, intensity)))
+        .zip(results.chunks(per_cell))
+        .map(|((kind, intensity), chunk)| ResilienceCell::from_results(kind, intensity, chunk))
         .collect();
     ResilienceReport {
         base_seed: cfg.base_seed,

@@ -50,7 +50,9 @@ impl Histogram {
         } else {
             let w = (self.hi - self.lo) / self.bins.len() as f64;
             let i = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[i] += 1;
+            if let Some(bin) = self.bins.get_mut(i) {
+                *bin += 1;
+            }
         }
     }
 
@@ -104,7 +106,7 @@ impl Histogram {
         }
         self.bins
             .iter()
-            .map(|&b| GLYPHS[((b * (GLYPHS.len() as u64 - 1)) / max) as usize])
+            .filter_map(|&b| GLYPHS.get(((b * (GLYPHS.len() as u64 - 1)) / max) as usize))
             .collect()
     }
 }

@@ -96,7 +96,8 @@ pub fn to_json<'a>(records: impl IntoIterator<Item = &'a TickRecord>) -> String 
         first = false;
         let topics: Vec<String> = Topic::ALL
             .iter()
-            .map(|t| format!("\"{}\":{}", t.service_name(), r.bus_published[t.index()]))
+            .zip(&r.bus_published)
+            .map(|(t, n)| format!("\"{}\":{n}", t.service_name()))
             .collect();
         out.push_str(&format!(
             "  {{\"tick\":{},\"time_s\":{:.2},\"ego\":{{\"s\":{},\"d\":{},\"v\":{},\"a\":{},\"steer_deg\":{}}},\

@@ -36,8 +36,8 @@ impl TraceRing {
         if self.slots.len() < self.capacity {
             // adas-lint: allow(R13, reason = "fills a fixed-capacity ring pre-reserved by new(); push never reallocates, and once full every record overwrites in place")
             self.slots.push(record);
-        } else {
-            self.slots[self.head] = record;
+        } else if let Some(slot) = self.slots.get_mut(self.head) {
+            *slot = record;
             self.head = (self.head + 1) % self.capacity;
         }
         self.pushed += 1;
@@ -65,8 +65,7 @@ impl TraceRing {
         } else if self.slots.len() < self.capacity {
             self.slots.last()
         } else {
-            let idx = (self.head + self.capacity - 1) % self.capacity;
-            Some(&self.slots[idx])
+            self.slots.get((self.head + self.capacity - 1) % self.capacity)
         }
     }
 

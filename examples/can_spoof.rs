@@ -6,7 +6,7 @@
 //! cargo run --example can_spoof
 //! ```
 
-use canbus::{decode, rewrite_signal, CanBus, CanFrame, Encoder, VirtualCarDbc};
+use canbus::{decode, rewrite_signal, CanBus, CanFrame, Encoder, VirtualCarDbc, STEER_ANGLE_CMD};
 use units::Tick;
 
 fn main() -> Result<(), canbus::CanError> {
@@ -28,7 +28,7 @@ fn main() -> Result<(), canbus::CanError> {
 
     // …while the paper's attacker rewrites the signal *and* recomputes the
     // checksum, so the frame still verifies (Fig. 4).
-    let attacked = rewrite_signal(steer, &original, "STEER_ANGLE_CMD", 0.5)?;
+    let attacked = rewrite_signal(steer, &original, &STEER_ANGLE_CMD, 0.5)?;
     println!("strategic rewrite: {attacked}");
     println!("  decoded        : {:?}", decode(steer, &attacked)?);
     println!("  counter kept   : {}", decode(steer, &attacked)?["COUNTER"]);
@@ -37,7 +37,7 @@ fn main() -> Result<(), canbus::CanError> {
     let mut bus = CanBus::new();
     bus.install_interceptor(Box::new(move |_t: Tick, f: CanFrame| {
         if f.id() == 0xE4 {
-            rewrite_signal(&VirtualCarDbc::new().steering_control().clone(), &f, "STEER_ANGLE_CMD", 0.5)
+            rewrite_signal(&VirtualCarDbc::new().steering_control().clone(), &f, &STEER_ANGLE_CMD, 0.5)
                 .unwrap_or(f)
         } else {
             f

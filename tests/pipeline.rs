@@ -109,7 +109,7 @@ fn attacked_frames_always_verify() {
     let f = enc
         .encode(dbc.gas_command(), &[("ACCEL_CMD", 1.0)])
         .unwrap();
-    let g = canbus::rewrite_signal(dbc.gas_command(), &f, "ACCEL_CMD", 2.4).unwrap();
+    let g = canbus::rewrite_signal(dbc.gas_command(), &f, &canbus::ACCEL_CMD, 2.4).unwrap();
     assert!(decode(dbc.gas_command(), &g).is_ok());
 }
 
