@@ -15,11 +15,11 @@ use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use bench::{scaled_reps, write_artifact};
 use canbus::{CanFrame, VirtualCarDbc};
 use driver_model::DriverConfig;
+use driving_sim::{Scenario, ScenarioId};
 use platform::experiment::{
     plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
 };
 use platform::{Harness, HarnessConfig};
-use driving_sim::{Scenario, ScenarioId};
 use units::Distance;
 
 /// Ablation 1: a naive attacker who flips signal bits *without* repairing
@@ -43,9 +43,13 @@ fn checksum_ablation() -> String {
             accepted_naive += 1;
         }
         // Paper attacker: rewrite via the injector (checksum repaired).
-        let repaired =
-            canbus::rewrite_signal(dbc.steering_control(), &frame, &canbus::STEER_ANGLE_CMD, 0.5)
-                .unwrap();
+        let repaired = canbus::rewrite_signal(
+            dbc.steering_control(),
+            &frame,
+            &canbus::STEER_ANGLE_CMD,
+            0.5,
+        )
+        .unwrap();
         if canbus::decode(dbc.steering_control(), &repaired).is_ok() {
             accepted_repaired += 1;
         }
@@ -59,7 +63,10 @@ fn checksum_ablation() -> String {
 /// Ablation 2: Panda firmware checks enabled.
 fn panda_ablation(reps: u32) -> String {
     let mut out = String::from("Panda firmware-check ablation (Acceleration attacks):\n");
-    for (mode, label) in [(ValueMode::Fixed, "fixed"), (ValueMode::Strategic, "strategic")] {
+    for (mode, label) in [
+        (ValueMode::Fixed, "fixed"),
+        (ValueMode::Strategic, "strategic"),
+    ] {
         for panda in [false, true] {
             let mut cfg = CampaignConfig::paper(StrategyKind::ContextAware);
             cfg.value_mode = mode;

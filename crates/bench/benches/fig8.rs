@@ -38,17 +38,22 @@ fn main() {
     println!("swept {} runs in {:.1?}\n", points.len(), t0.elapsed());
 
     // ASCII scatter: rows = durations (top = long), cols = start time.
-    println!("duration \\ start {:.0}..{:.0}s   (#/o = grid hazard/no-hazard, D/d = Context-Aware)", starts[0], starts.last().unwrap());
+    println!(
+        "duration \\ start {:.0}..{:.0}s   (#/o = grid hazard/no-hazard, D/d = Context-Aware)",
+        starts[0],
+        starts.last().unwrap()
+    );
     for &dur in durations.iter().rev() {
         let mut row = String::new();
         for &st in &starts {
-            let grid = points
-                .iter()
-                .find(|p| !p.context_aware && (p.start.secs() - st).abs() < 1e-9 && (p.duration.secs() - dur).abs() < 1e-9);
-            let ca_here = points.iter().any(|p| {
-                p.context_aware
-                    && (p.start.secs() - st).abs() < start_step / 2.0
+            let grid = points.iter().find(|p| {
+                !p.context_aware
+                    && (p.start.secs() - st).abs() < 1e-9
+                    && (p.duration.secs() - dur).abs() < 1e-9
             });
+            let ca_here = points
+                .iter()
+                .any(|p| p.context_aware && (p.start.secs() - st).abs() < start_step / 2.0);
             row.push(match grid.map(|p| p.hazardous) {
                 Some(true) => '#',
                 Some(false) => 'o',
@@ -62,9 +67,9 @@ fn main() {
     {
         let mut rail = String::new();
         for &st in &starts {
-            let ca_here = points.iter().any(|p| {
-                p.context_aware && (p.start.secs() - st).abs() < start_step / 2.0
-            });
+            let ca_here = points
+                .iter()
+                .any(|p| p.context_aware && (p.start.secs() - st).abs() < start_step / 2.0);
             rail.push(if ca_here { 'D' } else { ' ' });
         }
         println!("  [CA]   {rail}");

@@ -20,10 +20,7 @@ use units::{Accel, Angle, Distance, Seconds, Speed, Tick};
 
 fn bench_world_step(c: &mut Criterion) {
     c.bench_function("world_step", |b| {
-        let mut world = World::new(
-            Scenario::new(ScenarioId::S2, Distance::meters(200.0)),
-            1,
-        );
+        let mut world = World::new(Scenario::new(ScenarioId::S2, Distance::meters(200.0)), 1);
         b.iter(|| {
             world.step(black_box(ActuatorCommand::default()));
         });

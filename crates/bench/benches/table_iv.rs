@@ -49,7 +49,11 @@ fn main() {
         RunSpec::run,
     );
     rows.push(StrategyAggregate::from_results("No Attacks", &baseline));
-    println!("  no-attack campaign: {} sims in {:.1?}", baseline.len(), t0.elapsed());
+    println!(
+        "  no-attack campaign: {} sims in {:.1?}",
+        baseline.len(),
+        t0.elapsed()
+    );
 
     for strategy in StrategyKind::ALL {
         let t0 = std::time::Instant::now();

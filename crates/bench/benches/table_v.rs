@@ -38,7 +38,8 @@ fn run_mode(mode: ValueMode, reps: u32) -> Vec<PairedAggregate> {
 
         // With an alert driver…
         let with_specs = plan_attack_campaign(&cfg, attack_type);
-        let with_driver = run_campaign_cells(RunnerConfig::default(), with_specs.clone(), RunSpec::run);
+        let with_driver =
+            run_campaign_cells(RunnerConfig::default(), with_specs.clone(), RunSpec::run);
 
         // …and the seed-paired ablation without one.
         let mut no_driver_specs = with_specs;
@@ -67,8 +68,7 @@ fn main() {
     println!("{fixed_table}");
 
     let strategic = run_mode(ValueMode::Strategic, reps);
-    let strategic_table =
-        render_table_v("WITH strategic value corruption (Eq. 1-3)", &strategic);
+    let strategic_table = render_table_v("WITH strategic value corruption (Eq. 1-3)", &strategic);
     println!("{strategic_table}");
 
     for rows in [&fixed, &strategic] {
@@ -85,8 +85,5 @@ fn main() {
         );
     }
     println!("\ntotal wall-clock {:.1?}", t0.elapsed());
-    write_artifact(
-        "table_v.txt",
-        &format!("{fixed_table}\n{strategic_table}"),
-    );
+    write_artifact("table_v.txt", &format!("{fixed_table}\n{strategic_table}"));
 }

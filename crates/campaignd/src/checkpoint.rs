@@ -144,11 +144,8 @@ pub fn encode_result(r: &SimResult) -> String {
 /// Decodes [`encode_result`]'s output; `None` on any malformation.
 pub fn decode_result(line: &str) -> Option<SimResult> {
     let fields: Vec<&str> = line.split('|').collect();
-    let [seed, first_hazard, hazard_kinds, accident, alert_events, fcw_events, lane_invasions,
-        duration, attack_activated, tth, driver_noticed, driver_engaged, frames_rewritten,
-        panda_blocked, invariant_detected, monitor_detected, degraded_ticks, failsafe_ticks,
-        first_degraded, first_failsafe, recovery_latency, faults_injected, ids_detected,
-        gate_rejections] = fields[..]
+    let [seed, first_hazard, hazard_kinds, accident, alert_events, fcw_events, lane_invasions, duration, attack_activated, tth, driver_noticed, driver_engaged, frames_rewritten, panda_blocked, invariant_detected, monitor_detected, degraded_ticks, failsafe_ticks, first_degraded, first_failsafe, recovery_latency, faults_injected, ids_detected, gate_rejections] =
+        fields[..]
     else {
         return None;
     };
@@ -528,8 +525,12 @@ mod tests {
         let _ = std::fs::remove_file(Manifest::path_in(&dir));
 
         let mut manifest = Manifest::open(&dir).unwrap();
-        manifest.record_job("job-a", "{\"kind\": \"resilience\"}").unwrap();
-        manifest.record_job("job-b", "{\"kind\": \"attack\"}").unwrap();
+        manifest
+            .record_job("job-a", "{\"kind\": \"resilience\"}")
+            .unwrap();
+        manifest
+            .record_job("job-b", "{\"kind\": \"attack\"}")
+            .unwrap();
         manifest.record_done("job-a", "completed").unwrap();
         drop(manifest);
 
@@ -540,7 +541,9 @@ mod tests {
         assert_eq!(entries[1].id, "job-b");
         assert_eq!(entries[1].done, None);
 
-        assert!(load_manifest(Path::new("/nonexistent-dir-xyz")).unwrap().is_empty());
+        assert!(load_manifest(Path::new("/nonexistent-dir-xyz"))
+            .unwrap()
+            .is_empty());
         let _ = std::fs::remove_file(Manifest::path_in(&dir));
     }
 

@@ -352,8 +352,14 @@ mod tests {
 
     #[test]
     fn response_writer_shapes() {
-        let bytes = response(429, "Too Many Requests", "application/json", b"{}",
-                             &[("Retry-After", "1")], false);
+        let bytes = response(
+            429,
+            "Too Many Requests",
+            "application/json",
+            b"{}",
+            &[("Retry-After", "1")],
+            false,
+        );
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));

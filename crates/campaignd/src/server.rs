@@ -776,7 +776,10 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Reply {
 
     // Durability before acknowledgement: the 202 must survive a crash.
     {
-        let mut manifest = state.manifest.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut manifest = state
+            .manifest
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Err(e) = manifest.record_job(&id, &canonical) {
             drop(manifest);
             let what = "cannot record the accepted job in the manifest";
@@ -812,9 +815,7 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Reply {
     Reply::json(
         202,
         "Accepted",
-        format!(
-            "{{\"id\": \"{id}\", \"cells_total\": {total}, \"queue_depth\": {queue_depth}}}"
-        ),
+        format!("{{\"id\": \"{id}\", \"cells_total\": {total}, \"queue_depth\": {queue_depth}}}"),
     )
 }
 
@@ -881,9 +882,7 @@ fn stream_job(stream: &TcpStream, state: &Arc<ServerState>, id: &str) {
     };
     let mut seen = 0usize;
     loop {
-        let (fresh, finished) = job
-            .progress
-            .wait_events(seen, Duration::from_millis(200));
+        let (fresh, finished) = job.progress.wait_events(seen, Duration::from_millis(200));
         if write_events(stream, &job.id, &fresh).is_err() {
             return; // client went away; the campaign does not care
         }
@@ -1002,7 +1001,10 @@ fn publish_outcome(
 /// status as it is; without the record, `--resume` runs the job again from
 /// its checkpoints.
 fn record_done(state: &Arc<ServerState>, id: &str, outcome: &str) {
-    let mut manifest = state.manifest.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut manifest = state
+        .manifest
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     if let Err(e) = manifest.record_done(id, outcome) {
         drop(manifest);
         let what = format!("cannot record outcome `{outcome}` in the manifest");
@@ -1022,10 +1024,8 @@ mod tests {
     use super::*;
 
     fn temp_cfg(tag: &str) -> DaemonConfig {
-        let state_dir = std::env::temp_dir().join(format!(
-            "campaignd-srv-{tag}-{}",
-            std::process::id()
-        ));
+        let state_dir =
+            std::env::temp_dir().join(format!("campaignd-srv-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&state_dir);
         DaemonConfig {
             state_dir,
@@ -1052,8 +1052,7 @@ mod tests {
     fn a_failed_manifest_write_is_logged_and_counted() {
         let cfg = temp_cfg("manifest-ro");
         let server = Server::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        *server.state.manifest.lock().unwrap() =
-            Manifest::open_read_only(&cfg.state_dir).unwrap();
+        *server.state.manifest.lock().unwrap() = Manifest::open_read_only(&cfg.state_dir).unwrap();
         record_done(&server.state, "job-0000-00000000", "completed");
         assert_eq!(server.state.stats.io_errors.load(Ordering::SeqCst), 1);
         assert!(
@@ -1072,16 +1071,19 @@ mod tests {
             ..temp_cfg("resume-cap")
         };
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
-        let over = JobSpec::from_object(
-            &parse_object(br#"{"kind": "resilience", "reps": 1}"#).unwrap(),
-        )
-        .map(|spec| JobSpec { reps: 500, ..spec })
-        .unwrap();
+        let over =
+            JobSpec::from_object(&parse_object(br#"{"kind": "resilience", "reps": 1}"#).unwrap())
+                .map(|spec| JobSpec { reps: 500, ..spec })
+                .unwrap();
         assert!(over.check_size().is_err());
         let mut manifest = Manifest::open(&cfg.state_dir).unwrap();
-        manifest.record_job("job-finished", &over.canonical()).unwrap();
+        manifest
+            .record_job("job-finished", &over.canonical())
+            .unwrap();
         manifest.record_done("job-finished", "failed").unwrap();
-        manifest.record_job("job-unfinished", &over.canonical()).unwrap();
+        manifest
+            .record_job("job-unfinished", &over.canonical())
+            .unwrap();
         manifest.record_job("job-garbled", "{\"kind\": ").unwrap();
         drop(manifest);
 
@@ -1594,7 +1596,10 @@ mod tests {
         assert!(post_shutdown(addr).starts_with("HTTP/1.1 202"));
         let (raw, at) = eof.recv_timeout(Duration::from_secs(10)).unwrap();
         let took = at.duration_since(asked);
-        assert!(took < Duration::from_secs(1), "EOF came {took:?} after the shutdown");
+        assert!(
+            took < Duration::from_secs(1),
+            "EOF came {took:?} after the shutdown"
+        );
         let interrupted =
             format!("{{\"event\": \"job\", \"id\": \"{queued}\", \"status\": \"interrupted\"}}");
         assert_eq!(raw.lines().last(), Some(interrupted.as_str()), "{raw}");
@@ -1611,7 +1616,10 @@ mod tests {
             "{stats}"
         );
         let entries = load_manifest(&cfg.state_dir).unwrap();
-        assert!(entries.iter().all(|entry| entry.done.is_none()), "{entries:?}");
+        assert!(
+            entries.iter().all(|entry| entry.done.is_none()),
+            "{entries:?}"
+        );
 
         let resumed = Server::bind(
             "127.0.0.1:0",
@@ -1660,10 +1668,16 @@ mod tests {
         assert_eq!(job.status.lock().unwrap().label(), "interrupted");
         let (events, finished) = job.progress.wait_events(0, Duration::ZERO);
         assert!(finished);
-        assert!(matches!(events.as_slice(), [Event::Interrupted]), "{events:?}");
+        assert!(
+            matches!(events.as_slice(), [Event::Interrupted]),
+            "{events:?}"
+        );
         let entries = load_manifest(&cfg.state_dir).unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!((entries[0].id.as_str(), entries[0].done.as_deref()), (id, None));
+        assert_eq!(
+            (entries[0].id.as_str(), entries[0].done.as_deref()),
+            (id, None)
+        );
         let _ = std::fs::remove_dir_all(&cfg.state_dir);
     }
 

@@ -133,7 +133,9 @@ fn attack_token(a: AttackType) -> &'static str {
 }
 
 fn parse_attack(token: &str) -> Option<AttackType> {
-    AttackType::ALL.into_iter().find(|&a| attack_token(a) == token)
+    AttackType::ALL
+        .into_iter()
+        .find(|&a| attack_token(a) == token)
 }
 
 fn parse_defense(token: &str) -> Option<DefensePolicy> {
@@ -189,9 +191,9 @@ impl JobSpec {
     pub(crate) fn from_recorded(obj: &Object) -> Result<Self, String> {
         let kind = match str_field(obj, "kind")? {
             Some("attack") => {
-                let strategy = str_field(obj, "strategy")?
-                    .and_then(parse_strategy)
-                    .ok_or("'strategy' must be one of random_st_dur|random_st|random_dur|context_aware")?;
+                let strategy = str_field(obj, "strategy")?.and_then(parse_strategy).ok_or(
+                    "'strategy' must be one of random_st_dur|random_st|random_dur|context_aware",
+                )?;
                 let attack = str_field(obj, "attack")?
                     .and_then(parse_attack)
                     .ok_or("'attack' must name one of the six attack types")?;
@@ -382,7 +384,12 @@ mod tests {
         let spec = JobSpec::from_object(&obj).unwrap();
         assert_eq!(spec.base_seed, 7);
         assert_eq!(spec.reps, 1);
-        assert_eq!(spec.kind, JobKind::Resilience { defense: DefensePolicy::Degrade });
+        assert_eq!(
+            spec.kind,
+            JobKind::Resilience {
+                defense: DefensePolicy::Degrade
+            }
+        );
 
         let bad = parse_object(br#"{"kind": "nope"}"#).unwrap();
         assert!(JobSpec::from_object(&bad).is_err());

@@ -452,9 +452,8 @@ pub fn run_job(
     // must stop, then checkpoints and streams the cell as it lands. A
     // skipped cell comes back as `None`.
     let outcomes = run_campaign_cells(workers, missing.clone(), |&(gi, cell)| {
-        let halted = drain.load(Ordering::SeqCst)
-            || past_deadline(cfg, started)
-            || JobWal::failed(&wal);
+        let halted =
+            drain.load(Ordering::SeqCst) || past_deadline(cfg, started) || JobWal::failed(&wal);
         if halted {
             return None;
         }
@@ -599,7 +598,9 @@ fn retry_cell(
             return Retry::DeadlineHit;
         }
         // Deterministic schedule: 1x, 2x, 4x ... the base per retry rank.
-        let backoff = cfg.backoff_base_ms.saturating_mul(1u64 << (tried - 1).min(16));
+        let backoff = cfg
+            .backoff_base_ms
+            .saturating_mul(1u64 << (tried - 1).min(16));
         std::thread::sleep(Duration::from_millis(backoff));
         stats.retries.fetch_add(1, Ordering::SeqCst);
         progress.retries.fetch_add(1, Ordering::SeqCst);
@@ -626,8 +627,8 @@ fn retry_cell(
 mod tests {
     use super::*;
     use crate::spec::{ChaosKnobs, JobKind};
-    use std::sync::Arc;
     use defense::DefensePolicy;
+    use std::sync::Arc;
 
     fn tiny_job(chaos: ChaosKnobs) -> JobSpec {
         JobSpec {
@@ -641,10 +642,7 @@ mod tests {
     }
 
     fn temp_state(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "campaignd-sup-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("campaignd-sup-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -891,8 +889,16 @@ mod tests {
             }
             watcher_flag.store(true, Ordering::SeqCst);
         });
-        let outcome =
-            run_job(&small_chunks, "job-res", &spec, &dir, &progress, &stats, &flag).unwrap();
+        let outcome = run_job(
+            &small_chunks,
+            "job-res",
+            &spec,
+            &dir,
+            &progress,
+            &stats,
+            &flag,
+        )
+        .unwrap();
         watcher.join().unwrap();
         assert_eq!(outcome, JobOutcome::Interrupted);
         let done_first = progress.cells_done.load(Ordering::SeqCst);

@@ -133,11 +133,21 @@ impl<'a> Cursor<'a> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'[') => Ok(Value::Pairs(self.pairs()?)),
-            Some(b't') if self.bytes.get(self.pos..).is_some_and(|r| r.starts_with(b"true")) => {
+            Some(b't')
+                if self
+                    .bytes
+                    .get(self.pos..)
+                    .is_some_and(|r| r.starts_with(b"true")) =>
+            {
                 self.pos += 4;
                 Ok(Value::Bool(true))
             }
-            Some(b'f') if self.bytes.get(self.pos..).is_some_and(|r| r.starts_with(b"false")) => {
+            Some(b'f')
+                if self
+                    .bytes
+                    .get(self.pos..)
+                    .is_some_and(|r| r.starts_with(b"false")) =>
+            {
                 self.pos += 5;
                 Ok(Value::Bool(false))
             }

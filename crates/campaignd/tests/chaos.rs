@@ -66,7 +66,10 @@ fn kill_resume_and_misbehaving_clients_leave_the_report_byte_identical() {
             }
         }
     }
-    assert!(events_seen >= 2, "stream produced events before the rugpull");
+    assert!(
+        events_seen >= 2,
+        "stream produced events before the rugpull"
+    );
     drop(lines);
 
     // Chaos knob 3: SIGKILL once real progress is checkpointed.

@@ -331,7 +331,10 @@ fn random_manifest(rng: &mut Rng) -> Vec<u8> {
     for _ in 0..rng.below(24) {
         let id = format!("job-{}", rng.below(5));
         let line = match rng.below(7) {
-            0..=2 => format!("job\t{id}\t{{\"kind\": \"attack\", \"reps\": {}}}", rng.below(9)),
+            0..=2 => format!(
+                "job\t{id}\t{{\"kind\": \"attack\", \"reps\": {}}}",
+                rng.below(9)
+            ),
             3 => format!("done\t{id}\tcompleted"),
             4 => format!("done\t{id}\tfailed"),
             5 => format!("done\t{id}\t"),

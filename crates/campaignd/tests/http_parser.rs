@@ -63,13 +63,14 @@ fn golden_oversized_inputs_are_bounded() {
         "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
         MAX_BODY_BYTES + 1
     );
-    assert!(matches!(parse_request(big.as_bytes()), Parse::Reject(413, _)));
+    assert!(matches!(
+        parse_request(big.as_bytes()),
+        Parse::Reject(413, _)
+    ));
 
     // At the cap exactly it is allowed — the limit is a limit, not an
     // off-by-one.
-    let at_cap = format!(
-        "POST /jobs HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n"
-    );
+    let at_cap = format!("POST /jobs HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n");
     assert!(matches!(parse_request(at_cap.as_bytes()), Parse::NeedMore));
 }
 
@@ -187,7 +188,11 @@ fn classify(buf: &[u8]) -> String {
         Parse::NeedMore => "need-more".to_string(),
         Parse::Reject(status, reason) => format!("reject {status} {reason}"),
         Parse::Complete(req, used) => {
-            assert!(used <= buf.len(), "consumed {used} of a {}-byte buffer", buf.len());
+            assert!(
+                used <= buf.len(),
+                "consumed {used} of a {}-byte buffer",
+                buf.len()
+            );
             format!(
                 "complete {} {} headers={} body={} used={used}",
                 req.method,

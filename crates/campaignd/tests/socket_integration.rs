@@ -35,7 +35,10 @@ fn health_errors_and_pipelining() {
     }
 
     assert_eq!(http(&daemon.addr, "GET", "/nope", None).0, 404);
-    assert_eq!(http(&daemon.addr, "GET", "/jobs/job-9999-ffffffff", None).0, 404);
+    assert_eq!(
+        http(&daemon.addr, "GET", "/jobs/job-9999-ffffffff", None).0,
+        404
+    );
     assert_eq!(http(&daemon.addr, "DELETE", "/healthz", None).0, 405);
     let (status, body) = http(&daemon.addr, "POST", "/jobs", Some("{\"kind\": \"nope\"}"));
     assert_eq!(status, 400);

@@ -256,7 +256,13 @@ mod tests {
         let frames = bus.deliver(Tick::ZERO);
         assert_eq!(frames[0].data()[0], 0xFF, "targeted frame rewritten");
         assert_eq!(frames[1].data()[0], 1, "other traffic untouched");
-        assert_eq!(bus.stats(), BusStats { sent: 2, tampered: 1 });
+        assert_eq!(
+            bus.stats(),
+            BusStats {
+                sent: 2,
+                tampered: 1
+            }
+        );
     }
 
     #[test]

@@ -150,7 +150,11 @@ pub fn decode_unchecked(spec: &MessageSpec, frame: &CanFrame) -> BTreeMap<&'stat
 /// Returns [`CanError::IdMismatch`] or [`CanError::ChecksumMismatch`] under
 /// the corresponding conditions.
 // adas-lint: allow(R1, reason = "DBC physical values are unit-erased by definition; units attach at the schema layer")
-pub fn decode_signal(spec: &MessageSpec, frame: &CanFrame, signal: &Signal) -> Result<f64, CanError> {
+pub fn decode_signal(
+    spec: &MessageSpec,
+    frame: &CanFrame,
+    signal: &Signal,
+) -> Result<f64, CanError> {
     if frame.id() != spec.id {
         return Err(CanError::IdMismatch {
             expected: spec.id,
@@ -222,14 +226,20 @@ mod tests {
     fn counter_advances_per_message_id() {
         let dbc = VirtualCarDbc::new();
         let mut enc = Encoder::new();
-        let f0 = enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.0)]).unwrap();
-        let f1 = enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.0)]).unwrap();
+        let f0 = enc
+            .encode(dbc.gas_command(), &[("ACCEL_CMD", 0.0)])
+            .unwrap();
+        let f1 = enc
+            .encode(dbc.gas_command(), &[("ACCEL_CMD", 0.0)])
+            .unwrap();
         let c0 = decode(dbc.gas_command(), &f0).unwrap()["COUNTER"];
         let c1 = decode(dbc.gas_command(), &f1).unwrap()["COUNTER"];
         assert_eq!(c0, 0.0);
         assert_eq!(c1, 1.0);
         // A different message has its own counter.
-        let b = enc.encode(dbc.brake_command(), &[("BRAKE_CMD", 0.0)]).unwrap();
+        let b = enc
+            .encode(dbc.brake_command(), &[("BRAKE_CMD", 0.0)])
+            .unwrap();
         assert_eq!(decode(dbc.brake_command(), &b).unwrap()["COUNTER"], 0.0);
     }
 
@@ -237,7 +247,9 @@ mod tests {
     fn decode_rejects_wrong_id() {
         let dbc = VirtualCarDbc::new();
         let mut enc = Encoder::new();
-        let frame = enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.0)]).unwrap();
+        let frame = enc
+            .encode(dbc.gas_command(), &[("ACCEL_CMD", 0.0)])
+            .unwrap();
         assert!(matches!(
             decode(dbc.steering_control(), &frame),
             Err(CanError::IdMismatch { .. })

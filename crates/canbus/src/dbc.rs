@@ -229,7 +229,12 @@ mod tests {
             VirtualCarDbc::brake_command,
         ] {
             let m = accessor(&dbc);
-            assert_eq!(m.counter_signal.map(|s| s.name), Some("COUNTER"), "{}", m.name);
+            assert_eq!(
+                m.counter_signal.map(|s| s.name),
+                Some("COUNTER"),
+                "{}",
+                m.name
+            );
         }
     }
 

@@ -52,10 +52,16 @@ impl fmt::Display for CanError {
             CanError::InvalidDlc { dlc } => write!(f, "payload of {dlc} bytes exceeds 8"),
             CanError::UnknownSignal { name } => write!(f, "unknown signal `{name}`"),
             CanError::IdMismatch { expected, actual } => {
-                write!(f, "frame id {actual:#x} does not match spec id {expected:#x}")
+                write!(
+                    f,
+                    "frame id {actual:#x} does not match spec id {expected:#x}"
+                )
             }
             CanError::ChecksumMismatch { found, computed } => {
-                write!(f, "checksum {found:#x} does not match computed {computed:#x}")
+                write!(
+                    f,
+                    "checksum {found:#x} does not match computed {computed:#x}"
+                )
             }
             CanError::ValueOutOfRange { signal, value } => {
                 write!(f, "value {value} out of range for signal `{signal}`")

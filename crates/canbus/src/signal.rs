@@ -241,7 +241,8 @@ fn set_bit_le(data: &mut [u8; 8], pos: u16, value: bool) {
 
 fn get_bit_le(data: &[u8; 8], pos: u16) -> u8 {
     let bit = pos % 8;
-    data.get((pos / 8) as usize).map_or(0, |byte| (byte >> bit) & 1)
+    data.get((pos / 8) as usize)
+        .map_or(0, |byte| (byte >> bit) & 1)
 }
 
 /// Advances a Motorola bit cursor: down within a byte, then to the MSB of the
@@ -286,8 +287,7 @@ impl MessageSpec {
     ///
     /// Returns [`CanError::UnknownSignal`] if no signal has that name.
     pub fn require_signal(&self, name: &'static str) -> Result<&Signal, CanError> {
-        self.signal(name)
-            .ok_or(CanError::UnknownSignal { name })
+        self.signal(name).ok_or(CanError::UnknownSignal { name })
     }
 }
 
@@ -419,10 +419,20 @@ mod tests {
             ..le_signal(0, 16, true)
         };
         for phys in [-327.68, -1.0, -0.004, -0.0, 0.0, 0.006, 0.25, 327.67] {
-            assert_eq!(Ok(s.saturating_phys_to_raw(phys)), s.phys_to_raw(phys), "{phys}");
+            assert_eq!(
+                Ok(s.saturating_phys_to_raw(phys)),
+                s.phys_to_raw(phys),
+                "{phys}"
+            );
         }
-        assert_eq!(s.saturating_phys_to_raw(400.0), s.phys_to_raw(327.67).unwrap());
-        assert_eq!(s.saturating_phys_to_raw(-400.0), s.phys_to_raw(-327.68).unwrap());
+        assert_eq!(
+            s.saturating_phys_to_raw(400.0),
+            s.phys_to_raw(327.67).unwrap()
+        );
+        assert_eq!(
+            s.saturating_phys_to_raw(-400.0),
+            s.phys_to_raw(-327.68).unwrap()
+        );
         assert_eq!(s.saturating_phys_to_raw(f64::NAN), 0);
     }
 

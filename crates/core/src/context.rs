@@ -102,8 +102,8 @@ impl ContextInference {
                     self.lead_age = 0;
                     self.state.lead_present = true;
                     self.state.rs = Some(self.state.v_ego - lead.v_lead);
-                    self.state.hwt = (self.state.v_ego.mps() > 0.5)
-                        .then(|| lead.d_rel / self.state.v_ego);
+                    self.state.hwt =
+                        (self.state.v_ego.mps() > 0.5).then(|| lead.d_rel / self.state.v_ego);
                 }
                 None => {
                     self.lead_age = self.lead_age.saturating_add(1);
@@ -181,7 +181,10 @@ mod tests {
         let s = inf.update(Tick::ZERO);
         assert!(s.lead_present);
         assert!((s.hwt.unwrap().secs() - 2.0).abs() < 1e-9, "HWT = d/v");
-        assert!((s.rs.unwrap().mps() - 11.8224).abs() < 1e-9, "RS = v - v_lead");
+        assert!(
+            (s.rs.unwrap().mps() - 11.8224).abs() < 1e-9,
+            "RS = v - v_lead"
+        );
         assert!((s.v_cruise.mph() - 60.0).abs() < 1e-9);
     }
 

@@ -147,10 +147,14 @@ impl AttackEngine {
         // along whenever the attack is live ("both control actions are
         // activated", §III-C); a pure steering type is gated by its own
         // edge context.
-        let long_now = self.config.attack_type.longitudinal().is_some_and(|action| {
-            self.table.action_matches(&state, action)
-                || (self.long_running && self.table.action_holds(&state, action))
-        });
+        let long_now = self
+            .config
+            .attack_type
+            .longitudinal()
+            .is_some_and(|action| {
+                self.table.action_matches(&state, action)
+                    || (self.long_running && self.table.action_holds(&state, action))
+            });
         let steer_context: Option<SteerDirection> = match self.config.attack_type.steering() {
             Some(Some(dir)) => {
                 // Pure steering type: gated by its own context, with hold.
@@ -176,10 +180,7 @@ impl AttackEngine {
                 Some(Some(d)) => Some(d),
                 // Combined type: steering rider toward the nearest edge,
                 // sticky for the rest of the run.
-                Some(None) => Some(
-                    self.steer_direction
-                        .unwrap_or_else(|| nearest_edge(&state)),
-                ),
+                Some(None) => Some(self.steer_direction.unwrap_or_else(|| nearest_edge(&state))),
             };
             self.long_running = long_now && longitudinal.is_some();
             self.steer_running = steer_context;
@@ -269,7 +270,12 @@ mod tests {
         );
     }
 
-    fn engine(attack_type: AttackType, strategy: StrategyKind, mode: ValueMode, bus: &Bus) -> AttackEngine {
+    fn engine(
+        attack_type: AttackType,
+        strategy: StrategyKind,
+        mode: ValueMode,
+        bus: &Bus,
+    ) -> AttackEngine {
         AttackEngine::new(
             bus,
             AttackConfig {
@@ -322,13 +328,18 @@ mod tests {
         let dbc = VirtualCarDbc::new();
         let mut enc = Encoder::new();
         let frames = vec![
-            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.4)]).unwrap(),
-            enc.encode(dbc.brake_command(), &[("BRAKE_CMD", -1.0)]).unwrap(),
+            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.4)])
+                .unwrap(),
+            enc.encode(dbc.brake_command(), &[("BRAKE_CMD", -1.0)])
+                .unwrap(),
         ];
         let out = eng.process_frames(Tick::ZERO, frames);
         let gas = decode(dbc.gas_command(), &out[0]).unwrap();
         let brake = decode(dbc.brake_command(), &out[1]).unwrap();
-        assert!((gas["ACCEL_CMD"] - 2.4).abs() < 1e-9, "fixed value injected");
+        assert!(
+            (gas["ACCEL_CMD"] - 2.4).abs() < 1e-9,
+            "fixed value injected"
+        );
         assert_eq!(brake["BRAKE_CMD"], 0.0, "brake zeroed");
         assert_eq!(eng.frames_rewritten(), 2);
     }
@@ -391,7 +402,10 @@ mod tests {
         // attack stays quiet.
         publish(&bus, Tick::ZERO, 60.0, 50.0, 35.0, -0.9);
         eng.observe(Tick::ZERO);
-        assert!(!eng.is_active(), "steering context alone must not launch it");
+        assert!(
+            !eng.is_active(),
+            "steering context alone must not launch it"
+        );
         // Lead pulling away with a big gap: rule 2 matches, both actions go.
         publish(&bus, Tick::new(1), 60.0, 120.0, 65.0, -0.9);
         eng.observe(Tick::new(1));
@@ -449,7 +463,9 @@ mod tests {
         assert_eq!(eng.timeline().halted_at(), Some(Tick::new(1)));
         let dbc = VirtualCarDbc::new();
         let mut enc = Encoder::new();
-        let frame = enc.encode(dbc.gas_command(), &[("ACCEL_CMD", 0.4)]).unwrap();
+        let frame = enc
+            .encode(dbc.gas_command(), &[("ACCEL_CMD", 0.4)])
+            .unwrap();
         let out = eng.process_frames(Tick::new(2), vec![frame]);
         assert_eq!(out[0], frame, "no tampering after halt");
     }

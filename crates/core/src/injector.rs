@@ -87,8 +87,10 @@ mod tests {
         vec![
             enc.encode(dbc.steering_control(), &[("STEER_ANGLE_CMD", steer)])
                 .unwrap(),
-            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", accel)]).unwrap(),
-            enc.encode(dbc.brake_command(), &[("BRAKE_CMD", brake)]).unwrap(),
+            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", accel)])
+                .unwrap(),
+            enc.encode(dbc.brake_command(), &[("BRAKE_CMD", brake)])
+                .unwrap(),
         ]
     }
 
@@ -142,10 +144,7 @@ mod tests {
         let dbc = VirtualCarDbc::new();
         for frame in inj.apply_all(frames, &values) {
             let spec = dbc.by_id(frame.id()).unwrap();
-            assert!(
-                decode(spec, &frame).is_ok(),
-                "checksum repaired on {frame}"
-            );
+            assert!(decode(spec, &frame).is_ok(), "checksum repaired on {frame}");
         }
     }
 

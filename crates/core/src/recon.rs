@@ -293,7 +293,10 @@ mod tests {
         // 0x200 arrives as an 8-byte frame, then as a 2-byte one; the
         // counter (bits 5-4 of the last byte) goes 1 → 2 across them.
         let records = [
-            (Tick::new(0), CanFrame::new(0x200, &[0, 0, 0, 0, 0, 0, 0, 0x10]).unwrap()),
+            (
+                Tick::new(0),
+                CanFrame::new(0x200, &[0, 0, 0, 0, 0, 0, 0, 0x10]).unwrap(),
+            ),
             (Tick::new(1), CanFrame::new(0x200, &[0, 0x20]).unwrap()),
         ];
         let p = &analyze_can(&records)[&0x200];

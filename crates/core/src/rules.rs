@@ -102,9 +102,7 @@ impl ContextRule {
     pub fn holds(&self, s: &ContextState, p: &RuleParams) -> bool {
         match self.action {
             AttackAction::Accelerate => match (s.hwt, s.rs) {
-                (Some(hwt), Some(rs)) => {
-                    hwt <= p.t_safe + HOLD_HWT_SLACK && rs > HOLD_RS_SLACK
-                }
+                (Some(hwt), Some(rs)) => hwt <= p.t_safe + HOLD_HWT_SLACK && rs > HOLD_RS_SLACK,
                 _ => false,
             },
             AttackAction::Decelerate => s.v_ego > p.beta1,

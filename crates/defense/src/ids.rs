@@ -233,10 +233,7 @@ impl CanIds {
                         checksum_event = true;
                         continue;
                     }
-                    let counter = frame
-                        .data()
-                        .last()
-                        .map_or(0, |last| (last >> 4) & 0x3);
+                    let counter = frame.data().last().map_or(0, |last| (last >> 4) & 0x3);
                     counter_event |= state.advance_counter(counter);
                 }
             }

@@ -174,7 +174,11 @@ mod tests {
     #[test]
     fn hard_braking_on_a_clear_road_is_unsafe() {
         let m = ContextMonitor::default();
-        assert!(m.unsafe_in_context(&obs(None, 0.0, 1.0, 1.0), Accel::from_mps2(-3.5), Angle::ZERO));
+        assert!(m.unsafe_in_context(
+            &obs(None, 0.0, 1.0, 1.0),
+            Accel::from_mps2(-3.5),
+            Angle::ZERO
+        ));
         // Hard braking toward a close lead is what brakes are for.
         assert!(!m.unsafe_in_context(
             &obs(Some(1.2), 8.0, 1.0, 1.0),
@@ -205,9 +209,15 @@ mod tests {
         let o = obs(Some(1.5), 5.0, 1.0, 1.0);
         let a = Accel::from_mps2(2.0);
         for i in 0..39 {
-            assert_ne!(m.check(Tick::new(i), &o, a, Angle::ZERO), MonitorVerdict::Alarm);
+            assert_ne!(
+                m.check(Tick::new(i), &o, a, Angle::ZERO),
+                MonitorVerdict::Alarm
+            );
         }
-        assert_eq!(m.check(Tick::new(39), &o, a, Angle::ZERO), MonitorVerdict::Alarm);
+        assert_eq!(
+            m.check(Tick::new(39), &o, a, Angle::ZERO),
+            MonitorVerdict::Alarm
+        );
         assert_eq!(m.detected_at(), Some(Tick::new(39)));
     }
 
@@ -222,7 +232,10 @@ mod tests {
         }
         m.check(Tick::new(30), &good, a, Angle::ZERO);
         for i in 31..60 {
-            assert_ne!(m.check(Tick::new(i), &bad, a, Angle::ZERO), MonitorVerdict::Alarm);
+            assert_ne!(
+                m.check(Tick::new(i), &bad, a, Angle::ZERO),
+                MonitorVerdict::Alarm
+            );
         }
         assert_eq!(m.detected_at(), None);
     }

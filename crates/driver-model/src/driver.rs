@@ -174,7 +174,10 @@ impl Driver {
                 }
                 None
             }
-            DriverPhase::Reacting { noticed_at, anomaly } => {
+            DriverPhase::Reacting {
+                noticed_at,
+                anomaly,
+            } => {
                 if now.since(noticed_at) >= self.config.reaction_time {
                     self.phase = DriverPhase::Engaged {
                         engaged_at: now,
@@ -214,7 +217,10 @@ impl Driver {
         };
         self.prev_offset = Some(obs.lane_offset);
         let (engaged_at, anomaly) = match self.phase {
-            DriverPhase::Engaged { engaged_at, anomaly } => (engaged_at, anomaly),
+            DriverPhase::Engaged {
+                engaged_at,
+                anomaly,
+            } => (engaged_at, anomaly),
             DriverPhase::Monitoring | DriverPhase::Reacting { .. } => (now, AnomalyKind::AdasAlert),
         };
         // A phantom hard brake is answered by releasing the brake and
@@ -233,9 +239,7 @@ impl Driver {
                     self.manual_drive(obs)
                 } else {
                     let v = obs.speed.mps();
-                    let gap_safe = obs
-                        .lead_gap
-                        .is_none_or(|g| g.raw() >= 1.5 * v.max(5.0));
+                    let gap_safe = obs.lead_gap.is_none_or(|g| g.raw() >= 1.5 * v.max(5.0));
                     if gap_safe && v <= obs.v_cruise.mps() * 0.9 {
                         self.released = true;
                         self.manual_drive(obs)
@@ -249,10 +253,8 @@ impl Driver {
         };
         // Steer gently back toward the lane centre, with anticipation of
         // the car's lateral motion (damping).
-        let steer = Angle::from_radians(-0.006 * obs.lane_offset.raw() - 0.012 * rate).clamp(
-            Angle::from_degrees(-2.0),
-            Angle::from_degrees(2.0),
-        );
+        let steer = Angle::from_radians(-0.006 * obs.lane_offset.raw() - 0.012 * rate)
+            .clamp(Angle::from_degrees(-2.0), Angle::from_degrees(2.0));
         DriverCommand { accel, steer }
     }
 }
@@ -357,7 +359,10 @@ mod tests {
             d.step(Tick::new(i), &left_of_centre);
         }
         let cmd = d.step(Tick::new(252), &left_of_centre).unwrap();
-        assert!(cmd.steer.radians() < 0.0, "steers right when left of centre");
+        assert!(
+            cmd.steer.radians() < 0.0,
+            "steers right when left of centre"
+        );
     }
 
     #[test]

@@ -144,7 +144,10 @@ mod tests {
 
     #[test]
     fn cruise_holds_speed() {
-        let mut lead = LeadVehicle::new(LeadBehavior::Cruise(Speed::from_mph(35.0)), Distance::meters(50.0));
+        let mut lead = LeadVehicle::new(
+            LeadBehavior::Cruise(Speed::from_mph(35.0)),
+            Distance::meters(50.0),
+        );
         for i in 0..500 {
             lead.step(Tick::new(i));
         }
@@ -167,7 +170,10 @@ mod tests {
             assert!(lead.speed().mph() >= 35.0 - 1e-9);
             assert!(lead.speed().mph() <= 50.0 + 1e-9);
         }
-        assert!((lead.speed().mph() - 35.0).abs() < 1e-6, "converged by 25 s");
+        assert!(
+            (lead.speed().mph() - 35.0).abs() < 1e-6,
+            "converged by 25 s"
+        );
     }
 
     #[test]

@@ -51,7 +51,9 @@ impl Road {
         left_guardrail: Distance,
     ) -> Self {
         assert!(
-            curvature_profile.first().is_some_and(|(s, _)| s.abs() < 1e-9),
+            curvature_profile
+                .first()
+                .is_some_and(|(s, _)| s.abs() < 1e-9),
             "curvature profile must start at s = 0"
         );
         Self {

@@ -25,7 +25,12 @@ pub enum ScenarioId {
 
 impl ScenarioId {
     /// All four scenarios.
-    pub const ALL: [ScenarioId; 4] = [ScenarioId::S1, ScenarioId::S2, ScenarioId::S3, ScenarioId::S4];
+    pub const ALL: [ScenarioId; 4] = [
+        ScenarioId::S1,
+        ScenarioId::S2,
+        ScenarioId::S3,
+        ScenarioId::S4,
+    ];
 
     /// The lead behaviour of this scenario. Speed changes start at t = 10 s,
     /// well after the ADAS has settled into following.
@@ -123,11 +128,15 @@ mod tests {
             Speed::from_mph(50.0)
         );
         assert_eq!(
-            ScenarioId::S3.lead_behavior().target_speed(Seconds::new(100.0)),
+            ScenarioId::S3
+                .lead_behavior()
+                .target_speed(Seconds::new(100.0)),
             Speed::from_mph(35.0)
         );
         assert_eq!(
-            ScenarioId::S4.lead_behavior().target_speed(Seconds::new(100.0)),
+            ScenarioId::S4
+                .lead_behavior()
+                .target_speed(Seconds::new(100.0)),
             Speed::from_mph(50.0)
         );
     }
@@ -136,7 +145,10 @@ mod tests {
     fn defaults_follow_paper() {
         let s = Scenario::new(ScenarioId::S1, Distance::meters(50.0));
         assert_eq!(s.cruise_speed, Speed::from_mph(60.0));
-        assert!(s.initial_lateral_offset.raw() < 0.0, "starts right of centre");
+        assert!(
+            s.initial_lateral_offset.raw() < 0.0,
+            "starts right of centre"
+        );
     }
 
     #[test]

@@ -96,8 +96,7 @@ impl SensorSuite {
             left_line: Distance::meters(half - d_perceived + jitter),
             right_line: Distance::meters(half + d_perceived + jitter),
             lane_width: road.lane_width(),
-            curvature: road.curvature(ego.s())
-                + 2e-5 * gaussian(&mut self.rng),
+            curvature: road.curvature(ego.s()) + 2e-5 * gaussian(&mut self.rng),
         };
 
         // The radar tracks the nearest in-path vehicle of the lane the ego
@@ -105,9 +104,7 @@ impl SensorSuite {
         // convoy member ahead once the ego has moved into the left lane.
         let in_left_lane = (ego.d().raw() - 3.7).abs() < 1.85;
         let radar = if in_left_lane {
-            let member = world
-                .neighbors()
-                .member_ahead(world.now().time(), ego.s());
+            let member = world.neighbors().member_ahead(world.now().time(), ego.s());
             let gap = member - ego.s();
             RadarState {
                 lead: (gap < RADAR_RANGE).then(|| LeadTrack {
@@ -124,9 +121,8 @@ impl SensorSuite {
             }
         } else {
             let gap = world.gap();
-            let lead_visible = gap > Distance::ZERO
-                && gap < RADAR_RANGE
-                && ego.d().abs() < Distance::meters(2.5);
+            let lead_visible =
+                gap > Distance::ZERO && gap < RADAR_RANGE && ego.d().abs() < Distance::meters(2.5);
             RadarState {
                 lead: lead_visible.then(|| LeadTrack {
                     d_rel: Distance::meters(
@@ -160,10 +156,7 @@ mod tests {
     use msgbus::Topic;
 
     fn world(gap: f64) -> World {
-        World::new(
-            Scenario::new(ScenarioId::S1, Distance::meters(gap)),
-            1234,
-        )
+        World::new(Scenario::new(ScenarioId::S1, Distance::meters(gap)), 1234)
     }
 
     #[test]
@@ -242,7 +235,9 @@ mod tests {
         let w = world(70.0);
         let sample = |seed| {
             let mut s = SensorSuite::new(seed);
-            (0..50).map(|_| s.sample(&w).gps.speed.mps()).collect::<Vec<_>>()
+            (0..50)
+                .map(|_| s.sample(&w).gps.speed.mps())
+                .collect::<Vec<_>>()
         };
         assert_eq!(sample(7), sample(7));
         assert_ne!(sample(7), sample(8));

@@ -151,7 +151,9 @@ impl Vehicle {
         let dt = DT.secs();
 
         // Longitudinal: first-order lag toward the request.
-        let target = cmd.accel.clamp(self.params.max_brake, self.params.max_accel);
+        let target = cmd
+            .accel
+            .clamp(self.params.max_brake, self.params.max_accel);
         let alpha = dt / (self.params.accel_tau.secs() + dt);
         // adas-lint: allow(R3, reason = "plant model integrating its own actuator state, not a command path")
         self.accel = self.accel + (target - self.accel) * alpha;

@@ -156,8 +156,8 @@ impl World {
             .step(self.ego.left_edge(), self.ego.right_edge(), &self.road);
 
         // Collision with the lead: longitudinal contact plus lateral overlap.
-        let lateral_overlap = self.ego.d().abs()
-            < (self.ego.params().width + Distance::meters(1.82)) / 2.0;
+        let lateral_overlap =
+            self.ego.d().abs() < (self.ego.params().width + Distance::meters(1.82)) / 2.0;
         if self.gap() <= Distance::ZERO && lateral_overlap {
             self.collision = Some((tick, CollisionKind::LeadVehicle));
         } else if self

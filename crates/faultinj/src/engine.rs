@@ -286,8 +286,9 @@ impl FaultEngine {
                         if bits == 0 {
                             continue;
                         }
-                        let bit = splitmix64(self.seed ^ splitmix64(t ^ splitmix64(slot_salt ^ SALT_CAN_BIT ^ j)))
-                            % bits;
+                        let bit = splitmix64(
+                            self.seed ^ splitmix64(t ^ splitmix64(slot_salt ^ SALT_CAN_BIT ^ j)),
+                        ) % bits;
                         let byte = (bit / 8) as usize;
                         if let Some(b) = frame.data_mut().get_mut(byte) {
                             // The checksum is deliberately NOT repaired:
@@ -314,7 +315,10 @@ impl FaultEngine {
     fn stale_frame(&self, t: u64, delay: u32) -> Option<(u64, SensorFrame)> {
         let delay = (delay as u64).clamp(1, HISTORY_LEN as u64 - 1);
         let src = t.checked_sub(delay)?;
-        let frame = self.history.get((src % HISTORY_LEN as u64) as usize).copied()?;
+        let frame = self
+            .history
+            .get((src % HISTORY_LEN as u64) as usize)
+            .copied()?;
         Some((src, frame))
     }
 
@@ -367,13 +371,7 @@ const SALT_CAN_BIT: u64 = 0x8000;
 
 /// Rewinds the stamp of each targeted stream to `src` (keeping the earliest
 /// stamp if several latency faults stack).
-fn backdate(
-    gps: &mut Tick,
-    lane: &mut Tick,
-    radar: &mut Tick,
-    src: Tick,
-    target: FaultTarget,
-) {
+fn backdate(gps: &mut Tick, lane: &mut Tick, radar: &mut Tick, src: Tick, target: FaultTarget) {
     if target.hits_gps() {
         *gps = (*gps).min(src);
     }
@@ -488,7 +486,10 @@ mod tests {
             (f1.gps.speed.mps() - 20.0).abs() < 1e-12,
             "stuck at the onset reading"
         );
-        assert!((f1.radar.lead.unwrap().d_rel.raw() - 60.0).abs() < 1e-12, "radar untouched");
+        assert!(
+            (f1.radar.lead.unwrap().d_rel.raw() - 60.0).abs() < 1e-12,
+            "radar untouched"
+        );
         // After the window the hold is released; a later window would re-capture.
         let mut f2 = frame(40.0, 60.0);
         eng.apply_sensors(Tick::new(20), &mut f2);
@@ -553,19 +554,28 @@ mod tests {
 
     #[test]
     fn bus_delay_lags_plan_but_not_frame() {
-        let spec =
-            FaultSpec::window(FaultKind::BusDelay, FaultTarget::Gps, 20, 10).with_delay(4);
+        let spec = FaultSpec::window(FaultKind::BusDelay, FaultTarget::Gps, 20, 10).with_delay(4);
         let mut eng = FaultEngine::new(1, FaultSchedule::single(spec));
         let mut last_plan = None;
         for t in 0..30u64 {
             let mut f = frame(t as f64, 60.0);
             eng.apply_sensors(Tick::new(t), &mut f);
-            assert!((f.gps.speed.mps() - t as f64).abs() < 1e-12, "frame is current");
+            assert!(
+                (f.gps.speed.mps() - t as f64).abs() < 1e-12,
+                "frame is current"
+            );
             last_plan = Some(eng.apply_sensors(Tick::new(t), &mut f));
         }
         let (stamp, gps) = last_plan.and_then(|p| p.gps).unwrap();
-        assert!((gps.speed.mps() - 25.0).abs() < 1e-12, "plan is 4 ticks stale");
-        assert_eq!(stamp, Tick::new(25), "stamped at the sample tick, not delivery");
+        assert!(
+            (gps.speed.mps() - 25.0).abs() < 1e-12,
+            "plan is 4 ticks stale"
+        );
+        assert_eq!(
+            stamp,
+            Tick::new(25),
+            "stamped at the sample tick, not delivery"
+        );
     }
 
     #[test]
@@ -579,7 +589,10 @@ mod tests {
         eng.apply_can(Tick::new(3), &mut frames);
         assert!(frames.is_empty());
         assert_eq!(eng.faults_injected(), 2);
-        assert_eq!(eng.active_mask() & (1 << FaultKind::CanBusOff.index()), 1 << 6);
+        assert_eq!(
+            eng.active_mask() & (1 << FaultKind::CanBusOff.index()),
+            1 << 6
+        );
     }
 
     #[test]

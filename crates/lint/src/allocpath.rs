@@ -220,7 +220,11 @@ mod tests {
             ),
         ]);
         assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d[0].message.contains("Harness::step → helper"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains("Harness::step → helper"),
+            "{}",
+            d[0].message
+        );
         assert!(d.iter().any(|x| x.snippet.contains("Vec::new")), "{d:?}");
         assert!(d.iter().any(|x| x.snippet.contains(".push(…)")), "{d:?}");
     }

@@ -38,7 +38,11 @@ impl CallGraph {
         for (info, facts) in files {
             for f in &facts.fns {
                 debug_assert_eq!(table.symbols[id].name, f.name);
-                g.raw_calls[id] = f.calls.iter().map(|c| c.callee.name().to_string()).collect();
+                g.raw_calls[id] = f
+                    .calls
+                    .iter()
+                    .map(|c| c.callee.name().to_string())
+                    .collect();
                 let mut targets: Vec<usize> = Vec::new();
                 for call in &f.calls {
                     match &call.callee {
@@ -78,7 +82,12 @@ impl CallGraph {
     /// Reconstructs the root→target chain of qualified names from a BFS
     /// `parent` map: each reached id → the id it was first reached from,
     /// each root → itself.
-    pub fn chain(&self, table: &SymbolTable, parent: &HashMap<usize, usize>, target: usize) -> Vec<String> {
+    pub fn chain(
+        &self,
+        table: &SymbolTable,
+        parent: &HashMap<usize, usize>,
+        target: usize,
+    ) -> Vec<String> {
         let mut rev = vec![target];
         let mut cur = target;
         while let Some(&p) = parent.get(&cur) {

@@ -129,7 +129,12 @@ fn scan_file(rel: &str, text: &str) -> FileScan {
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let file = scan_file(rel_path, source);
     let mut out = file.local;
-    out.retain(|d| !file.sites.iter().any(|s| s.line == d.line && s.covers(d.rule)));
+    out.retain(|d| {
+        !file
+            .sites
+            .iter()
+            .any(|s| s.line == d.line && s.covers(d.rule))
+    });
     out.extend(unknown_rule_findings(&file.info.rel, &file.sites));
     out
 }
@@ -354,10 +359,13 @@ mod tests {
              pub fn set(&mut self, speed: f64) {}\n",
         );
         assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.line == 2 && d.severity == Severity::Error));
+        assert!(d
+            .iter()
+            .all(|d| d.line == 2 && d.severity == Severity::Error));
         assert!(d.iter().any(|d| d.message.contains("raw float")), "{d:?}");
         assert!(
-            d.iter().any(|d| d.message.contains("`R4`") && d.snippet.contains("allow(R4)")),
+            d.iter()
+                .any(|d| d.message.contains("`R4`") && d.snippet.contains("allow(R4)")),
             "{d:?}"
         );
         // Naming the finding's own rule next to the unknown id absorbs the

@@ -245,11 +245,7 @@ fn acquire_closure(
 
 /// Whether a symbol may transitively enter a fan-out boundary fn; returns the
 /// first boundary's qualified name.
-fn boundary_closure(
-    start: usize,
-    table: &SymbolTable,
-    graph: &CallGraph,
-) -> Option<String> {
+fn boundary_closure(start: usize, table: &SymbolTable, graph: &CallGraph) -> Option<String> {
     let mut seen = HashSet::from([start]);
     let mut queue = VecDeque::from([start]);
     while let Some(cur) = queue.pop_front() {
@@ -331,7 +327,12 @@ pub fn concurrency_rules(
                             severity: Severity::Error,
                             file: info.rel.clone(),
                             line: ev.line,
-                            snippet: format!(".{}(…) under `{}` in {}", ev.what, ev.held.join("`+`"), sym.qual),
+                            snippet: format!(
+                                ".{}(…) under `{}` in {}",
+                                ev.what,
+                                ev.held.join("`+`"),
+                                sym.qual
+                            ),
                             message: format!(
                                 "`.{}(…)` into shared state under a lock merges results in \
                                  completion order, which is scheduling-dependent; merge by \
@@ -441,9 +442,7 @@ pub fn concurrency_rules(
         });
     }
 
-    out.sort_by(|a, b| {
-        (&a.file, a.line, a.rule.id()).cmp(&(&b.file, b.line, b.rule.id()))
-    });
+    out.sort_by(|a, b| (&a.file, a.line, a.rule.id()).cmp(&(&b.file, b.line, b.rule.id())));
     (out, lock_graph)
 }
 
@@ -474,7 +473,9 @@ mod tests {
              }\n",
         )]);
         assert!(
-            g.edges.get("queues").is_some_and(|t| t.contains_key("queues")),
+            g.edges
+                .get("queues")
+                .is_some_and(|t| t.contains_key("queues")),
             "{g:?}"
         );
         assert_eq!(d.len(), 1, "{d:?}");
@@ -495,7 +496,11 @@ mod tests {
              }\n",
         )]);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("alpha → beta → alpha"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains("alpha → beta → alpha"),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]
@@ -528,13 +533,11 @@ mod tests {
             "{msgs:?}"
         );
         assert!(
-            msgs.iter().any(|m| m.contains("releases only its own mutex")),
+            msgs.iter()
+                .any(|m| m.contains("releases only its own mutex")),
             "{msgs:?}"
         );
-        assert!(
-            !d.iter().any(|x| x.snippet.contains("in S::good")),
-            "{d:?}"
-        );
+        assert!(!d.iter().any(|x| x.snippet.contains("in S::good")), "{d:?}");
     }
 
     #[test]
@@ -550,7 +553,8 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 4, "{d:?}");
         assert!(
-            d[0].message.contains("fan-out boundary `run_campaign_cells`"),
+            d[0].message
+                .contains("fan-out boundary `run_campaign_cells`"),
             "{}",
             d[0].message
         );
@@ -571,7 +575,11 @@ mod tests {
         )]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, Rule::SharedStateDeterminism);
-        assert!(d[0].message.contains("completion order"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains("completion order"),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]

@@ -72,14 +72,17 @@ fn parse_args() -> Result<Options, String> {
                 Some("json") => opts.format = Format::Json,
                 Some("sarif") => opts.format = Format::Sarif,
                 other => {
-                    return Err(format!("--format must be human, json, or sarif, got {other:?}"))
+                    return Err(format!(
+                        "--format must be human, json, or sarif, got {other:?}"
+                    ))
                 }
             },
             "--list-rules" => opts.list_rules = true,
             "--list-files" => opts.list_files = true,
             "--sarif-out" => {
-                opts.sarif_out =
-                    Some(PathBuf::from(args.next().ok_or("--sarif-out needs a value")?));
+                opts.sarif_out = Some(PathBuf::from(
+                    args.next().ok_or("--sarif-out needs a value")?,
+                ));
             }
             "--lock-graph-dot" => {
                 opts.lock_graph_dot = Some(PathBuf::from(

@@ -422,7 +422,10 @@ fn parse_fn(
     let mut ret = String::new();
     if toks.get(i).is_some_and(|t| t.text == "->") {
         i += 1;
-        while i < toks.len() && toks[i].text != "{" && toks[i].text != ";" && toks[i].text != "where"
+        while i < toks.len()
+            && toks[i].text != "{"
+            && toks[i].text != ";"
+            && toks[i].text != "where"
         {
             if !ret.is_empty() {
                 ret.push(' ');
@@ -504,9 +507,7 @@ fn scan_flat(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
                 // Turbofish: `name::<T>(…)`.
                 Some("::") if toks.get(i + 2).is_some_and(|t| t.text == "<") => {
                     let after = skip_generics(toks, i + 2);
-                    toks.get(after)
-                        .filter(|t| t.text == "(")
-                        .map(|_| after)
+                    toks.get(after).filter(|t| t.text == "(").map(|_| after)
                 }
                 _ => None,
             };
@@ -706,7 +707,10 @@ fn scan_locks(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) {
                     // `let g = recv.lock()…;` binds the guard to `g`.
                     let mut let_bound = false;
                     let mut binding = None;
-                    if !consumed_inline && cs >= 2 && toks[cs - 1].text == "=" && toks[cs - 2].is_word
+                    if !consumed_inline
+                        && cs >= 2
+                        && toks[cs - 1].text == "="
+                        && toks[cs - 2].is_word
                     {
                         let b = cs - 2;
                         let lead = if b >= 1 && toks[b - 1].text == "mut" {
@@ -837,7 +841,10 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.callee == Callee::Path("Type".into(), "make".into())));
-        assert!(d.calls.iter().any(|c| c.callee == Callee::Method("unwrap".into())));
+        assert!(d
+            .calls
+            .iter()
+            .any(|c| c.callee == Callee::Method("unwrap".into())));
         assert!(d.macros.iter().any(|(_, m)| m == "panic"));
     }
 
@@ -889,7 +896,10 @@ mod tests {
                self.after_drop();\n\
              }\n",
         );
-        assert_eq!(ev.iter().find(|e| e.what == "inside").unwrap().held, vec!["state".to_string()]);
+        assert_eq!(
+            ev.iter().find(|e| e.what == "inside").unwrap().held,
+            vec!["state".to_string()]
+        );
         // Calls made after the guard is gone record no event.
         assert!(!ev.iter().any(|e| e.what == "outside"));
         assert!(!ev.iter().any(|e| e.what == "after_drop"));
@@ -905,7 +915,10 @@ mod tests {
         );
         let acq = ev.iter().find(|e| e.op == LockOp::Acquire).unwrap();
         assert!(!acq.expect);
-        assert_eq!(ev.iter().find(|e| e.what == "guarded").unwrap().held, vec!["state".to_string()]);
+        assert_eq!(
+            ev.iter().find(|e| e.what == "guarded").unwrap().held,
+            vec!["state".to_string()]
+        );
     }
 
     #[test]
@@ -924,9 +937,7 @@ mod tests {
         assert_eq!(w.held, vec!["done".to_string()]);
         // A zero-argument `.wait()` is an ordinary guarded call, not a
         // condvar wait.
-        let ev = lock_events(
-            "fn g(&self) { let l = self.m.lock().unwrap(); job.wait(); }\n",
-        );
+        let ev = lock_events("fn g(&self) { let l = self.m.lock().unwrap(); job.wait(); }\n");
         assert!(!ev.iter().any(|e| e.op == LockOp::CondWait));
         let call = ev.iter().find(|e| e.what == "wait").unwrap();
         assert_eq!(call.op, LockOp::GuardedCall);

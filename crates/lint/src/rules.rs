@@ -70,7 +70,13 @@ pub fn suppression_sites(src: &SourceFile) -> Vec<SuppressionSite> {
     sites
 }
 
-fn diag(rule: Rule, info: &FileInfo, line_idx: usize, snippet: &str, message: String) -> Diagnostic {
+fn diag(
+    rule: Rule,
+    info: &FileInfo,
+    line_idx: usize,
+    snippet: &str,
+    message: String,
+) -> Diagnostic {
     Diagnostic {
         rule,
         severity: Severity::Error,
@@ -180,7 +186,14 @@ fn is_pub_fn(code: &str) -> bool {
 
 /// Actuator command fields whose mutation is contained by R3.
 const ACTUATOR_FIELDS: [&str; 8] = [
-    "accel", "steer", "gas", "brake", "accel_cmd", "brake_cmd", "steer_cmd", "gas_cmd",
+    "accel",
+    "steer",
+    "gas",
+    "brake",
+    "accel_cmd",
+    "brake_cmd",
+    "steer_cmd",
+    "gas_cmd",
 ];
 
 /// R3: writes to actuator command fields outside the designated modules.
@@ -297,7 +310,10 @@ fn r14_static_mut(info: &FileInfo, src: &SourceFile, out: &mut Vec<Diagnostic>) 
             continue;
         }
         if let Some(pos) = find_token(&line.code, "static") {
-            if line.code[pos + "static".len()..].trim_start().starts_with("mut ") {
+            if line.code[pos + "static".len()..]
+                .trim_start()
+                .starts_with("mut ")
+            {
                 out.push(diag(
                     Rule::SharedStateDeterminism,
                     info,
@@ -337,13 +353,22 @@ mod tests {
 
     #[test]
     fn r3_flags_actuator_write_outside_designated_modules() {
-        let d = scan_source("crates/platform/src/x.rs", "fn f(c: &mut CarControl) { c.accel = a; }\n");
-        assert!(d.iter().any(|d| d.rule == Rule::ActuatorContainment), "{d:?}");
+        let d = scan_source(
+            "crates/platform/src/x.rs",
+            "fn f(c: &mut CarControl) { c.accel = a; }\n",
+        );
+        assert!(
+            d.iter().any(|d| d.rule == Rule::ActuatorContainment),
+            "{d:?}"
+        );
         let d = scan_source(
             "crates/core/src/corruption.rs",
             "fn f(c: &mut CarControl) { c.accel = a; }\n",
         );
-        assert!(d.iter().all(|d| d.rule != Rule::ActuatorContainment), "{d:?}");
+        assert!(
+            d.iter().all(|d| d.rule != Rule::ActuatorContainment),
+            "{d:?}"
+        );
     }
 
     #[test]
@@ -352,7 +377,10 @@ mod tests {
             "crates/platform/src/x.rs",
             "fn f(c: &C) { if c.accel == x {} let v = c.steer; s.steering_angle = q; }\n",
         );
-        assert!(d.iter().all(|d| d.rule != Rule::ActuatorContainment), "{d:?}");
+        assert!(
+            d.iter().all(|d| d.rule != Rule::ActuatorContainment),
+            "{d:?}"
+        );
     }
 
     #[test]
@@ -375,7 +403,11 @@ mod tests {
             1,
             "{d:?}"
         );
-        assert!(d[0].message.contains("poisoning policy"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains("poisoning policy"),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]
@@ -413,10 +445,7 @@ mod tests {
 
     #[test]
     fn r14_static_mut_fires_outside_tests() {
-        let d = scan_source(
-            "crates/platform/src/x.rs",
-            "static mut COUNTER: u64 = 0;\n",
-        );
+        let d = scan_source("crates/platform/src/x.rs", "static mut COUNTER: u64 = 0;\n");
         assert_eq!(
             d.iter()
                 .filter(|d| d.rule == Rule::SharedStateDeterminism)

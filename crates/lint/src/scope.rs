@@ -130,7 +130,9 @@ mod tests {
     fn scope_matrix() {
         assert!(r1_applies(&classify("crates/openadas/src/acc.rs")));
         assert!(!r1_applies(&classify("crates/platform/src/harness.rs")));
-        assert!(!r1_applies(&classify("crates/openadas/tests/properties.rs")));
+        assert!(!r1_applies(&classify(
+            "crates/openadas/tests/properties.rs"
+        )));
         assert!(!r3_applies(&classify("crates/core/src/corruption.rs")));
         assert!(r3_applies(&classify("crates/core/src/engine.rs")));
         assert!(!r3_applies(&classify("crates/bench/benches/micro.rs")));
@@ -139,10 +141,18 @@ mod tests {
 
     #[test]
     fn concurrency_scope() {
-        assert!(concurrency_applies(&classify("crates/platform/src/pool.rs")));
-        assert!(concurrency_applies(&classify("crates/openadas/src/adas.rs")));
+        assert!(concurrency_applies(&classify(
+            "crates/platform/src/pool.rs"
+        )));
+        assert!(concurrency_applies(&classify(
+            "crates/openadas/src/adas.rs"
+        )));
         assert!(!concurrency_applies(&classify("crates/lint/src/locks.rs")));
-        assert!(!concurrency_applies(&classify("crates/platform/tests/alloc.rs")));
-        assert!(!concurrency_applies(&classify("crates/bench/benches/micro.rs")));
+        assert!(!concurrency_applies(&classify(
+            "crates/platform/tests/alloc.rs"
+        )));
+        assert!(!concurrency_applies(&classify(
+            "crates/bench/benches/micro.rs"
+        )));
     }
 }

@@ -113,9 +113,7 @@ impl SymbolTable {
             .map(|ids| {
                 ids.iter()
                     .copied()
-                    .filter(|&id| {
-                        self.crate_reaches(from_crate, &self.symbols[id].crate_name)
-                    })
+                    .filter(|&id| self.crate_reaches(from_crate, &self.symbols[id].crate_name))
                     .collect()
             })
             .unwrap_or_default()
@@ -131,9 +129,7 @@ impl SymbolTable {
             .map(|ids| {
                 ids.iter()
                     .copied()
-                    .filter(|&id| {
-                        self.crate_reaches(from_crate, &self.symbols[id].crate_name)
-                    })
+                    .filter(|&id| self.crate_reaches(from_crate, &self.symbols[id].crate_name))
                     .collect()
             })
             .unwrap_or_default();
@@ -208,7 +204,9 @@ pub fn workspace_deps(root: &Path) -> HashMap<String, Vec<String>> {
         if let Some(pkg) = package {
             package_to_dir.insert(pkg, dir.clone());
         }
-        package_to_dir.entry(dir.clone()).or_insert_with(|| dir.clone());
+        package_to_dir
+            .entry(dir.clone())
+            .or_insert_with(|| dir.clone());
         raw.push((dir.clone(), deps));
     }
 

@@ -61,8 +61,7 @@ fn is_sink(table: &SymbolTable, id: usize) -> bool {
     let s = &table.symbols[id];
     SINK_FNS.iter().any(|(ty, name)| {
         s.name == *name
-            && (ty.is_empty() && s.impl_type.is_none()
-                || s.impl_type.as_deref() == Some(*ty))
+            && (ty.is_empty() && s.impl_type.is_none() || s.impl_type.as_deref() == Some(*ty))
     })
 }
 
@@ -272,8 +271,12 @@ mod tests {
         ]);
         assert!(!bad.is_empty(), "{bad:?}");
         assert!(
-            bad[0].message.contains("AttackEngine::emit → shortcut → rewrite_signal")
-                || bad.iter().any(|d| d.message.contains("shortcut → rewrite_signal")),
+            bad[0]
+                .message
+                .contains("AttackEngine::emit → shortcut → rewrite_signal")
+                || bad
+                    .iter()
+                    .any(|d| d.message.contains("shortcut → rewrite_signal")),
             "{bad:?}"
         );
 
@@ -302,10 +305,7 @@ mod tests {
                 "crates/openadas/src/adas.rs",
                 "impl Adas { pub fn step(&mut self) { attack_helper(); } }\n",
             ),
-            (
-                "crates/core/src/engine.rs",
-                "pub fn attack_helper() {}\n",
-            ),
+            ("crates/core/src/engine.rs", "pub fn attack_helper() {}\n"),
         ]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("trust boundary"));

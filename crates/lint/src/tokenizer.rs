@@ -135,7 +135,10 @@ pub fn tokenize(source: &str) -> SourceFile {
                 // Char literal vs lifetime. A literal is `'x'` or `'\…'`;
                 // anything else (e.g. `'static`) passes through as code.
                 let is_escape = i + 1 < n && chars[i + 1] == '\\';
-                let is_plain = i + 2 < n && chars[i + 1] != '\'' && chars[i + 1] != '\n' && chars[i + 2] == '\'';
+                let is_plain = i + 2 < n
+                    && chars[i + 1] != '\''
+                    && chars[i + 1] != '\n'
+                    && chars[i + 2] == '\'';
                 if is_escape || is_plain {
                     let mut j = i + 1;
                     if chars[j] == '\\' {
@@ -146,7 +149,11 @@ pub fn tokenize(source: &str) -> SourceFile {
                     } else {
                         j += 1;
                     }
-                    let end = if j < n && chars[j] == '\'' { j + 1 } else { i + 1 };
+                    let end = if j < n && chars[j] == '\'' {
+                        j + 1
+                    } else {
+                        i + 1
+                    };
                     for _ in i..end {
                         code.push(' ');
                     }
@@ -419,7 +426,10 @@ mod tests {
         let f = tokenize("let x = 1; // call .unwrap() here\n");
         assert!(!f.lines[0].code.contains("unwrap"));
         assert!(f.lines[0].raw.contains("unwrap"));
-        assert_eq!(f.lines[0].code.chars().count(), f.lines[0].raw.chars().count());
+        assert_eq!(
+            f.lines[0].code.chars().count(),
+            f.lines[0].raw.chars().count()
+        );
     }
 
     #[test]
@@ -463,7 +473,8 @@ mod tests {
 
     #[test]
     fn cfg_test_region_is_marked() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn tail() {}";
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn tail() {}";
         let f = tokenize(src);
         assert!(!f.lines[0].in_test);
         assert!(f.lines[3].in_test);

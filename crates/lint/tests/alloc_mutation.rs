@@ -19,8 +19,7 @@ fn read_real_harness() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(HARNESS_REL);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
 fn r13_findings(source: &str) -> Vec<adas_lint::Diagnostic> {
@@ -40,10 +39,7 @@ fn real_harness_step_is_allocation_free() {
     assert!(
         diags.is_empty(),
         "the shipped tick must prove allocation-free, got: {:#?}",
-        diags
-            .iter()
-            .map(|d| d.render_human())
-            .collect::<Vec<_>>()
+        diags.iter().map(|d| d.render_human()).collect::<Vec<_>>()
     );
 }
 
@@ -65,10 +61,7 @@ fn reintroduced_per_tick_vec_is_caught() {
         diags.len(),
         1,
         "exactly the injected Vec::new must fire, got: {:#?}",
-        diags
-            .iter()
-            .map(|d| d.render_human())
-            .collect::<Vec<_>>()
+        diags.iter().map(|d| d.render_human()).collect::<Vec<_>>()
     );
     let d = &diags[0];
     assert!(d.message.contains("Vec::new"), "{}", d.message);

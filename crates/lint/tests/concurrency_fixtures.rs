@@ -107,9 +107,6 @@ fn clean_fixture_discharges_every_obligation() {
     assert!(
         diags.is_empty(),
         "the clean concurrency fixture must prove out, got: {:#?}",
-        diags
-            .iter()
-            .map(|d| d.render_human())
-            .collect::<Vec<_>>()
+        diags.iter().map(|d| d.render_human()).collect::<Vec<_>>()
     );
 }

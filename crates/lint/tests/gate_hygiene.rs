@@ -25,10 +25,18 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
 
     let report = scan_workspace(&ws).expect("scan");
     assert!(report.active.is_empty(), "{:?}", report.active);
-    assert_eq!(report.dead_suppressions.len(), 1, "{:?}", report.dead_suppressions);
+    assert_eq!(
+        report.dead_suppressions.len(),
+        1,
+        "{:?}",
+        report.dead_suppressions
+    );
     let d = &report.dead_suppressions[0];
     assert_eq!(d.severity, Severity::Warning);
-    assert_eq!(d.line, 2, "a standalone allow is anchored at the line it applies to");
+    assert_eq!(
+        d.line, 2,
+        "a standalone allow is anchored at the line it applies to"
+    );
     assert!(d.message.contains("dead suppression"), "{d:?}");
     assert!(!report.is_clean(), "a dead allow must fail the gate");
 
@@ -39,7 +47,11 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
     )
     .expect("write");
     let report = scan_workspace(&ws).expect("scan");
-    assert!(report.dead_suppressions.is_empty(), "{:?}", report.dead_suppressions);
+    assert!(
+        report.dead_suppressions.is_empty(),
+        "{:?}",
+        report.dead_suppressions
+    );
     assert_eq!(report.suppressed, 1);
     assert!(report.is_clean());
 }

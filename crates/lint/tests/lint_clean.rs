@@ -93,7 +93,9 @@ fn injected_raw_float_api_fails_r1() {
         "/// Sets the cruise speed.\npub fn set_cruise_speed(&mut self, speed: f64) {}\n",
     );
     assert!(
-        diags.iter().any(|d| d.rule == Rule::UnitSafety && d.line == 2),
+        diags
+            .iter()
+            .any(|d| d.rule == Rule::UnitSafety && d.line == 2),
         "expected an R1 diagnostic at line 2, got: {diags:?}"
     );
 }
@@ -106,7 +108,9 @@ fn actuator_write_outside_safety_layer_fails_r3() {
         "fn sneak(&mut self) {\n    self.control.accel_cmd = 9.0;\n}\n",
     );
     assert!(
-        diags.iter().any(|d| d.rule == Rule::ActuatorContainment && d.line == 2),
+        diags
+            .iter()
+            .any(|d| d.rule == Rule::ActuatorContainment && d.line == 2),
         "expected an R3 diagnostic at line 2, got: {diags:?}"
     );
     // The identical write inside the safety layer is contained — no finding.
@@ -130,6 +134,12 @@ fn inline_allow_suppresses_only_named_rule() {
         "crates/openadas/src/injected.rs",
         "// adas-lint: allow(R1, reason = \"dimensionless gain\")\npub fn f(gain: f64) { self.cmd.accel = gain; }\n",
     );
-    assert!(diags.iter().all(|d| d.rule != Rule::UnitSafety), "{diags:?}");
-    assert!(diags.iter().any(|d| d.rule == Rule::ActuatorContainment), "{diags:?}");
+    assert!(
+        diags.iter().all(|d| d.rule != Rule::UnitSafety),
+        "{diags:?}"
+    );
+    assert!(
+        diags.iter().any(|d| d.rule == Rule::ActuatorContainment),
+        "{diags:?}"
+    );
 }

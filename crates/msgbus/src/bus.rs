@@ -129,7 +129,9 @@ struct Shared {
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, BusInner> {
-        self.bus_state.lock().unwrap_or_else(PoisonError::into_inner)
+        self.bus_state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -383,21 +385,13 @@ impl Subscriber {
 
     /// Number of messages waiting to be drained.
     pub fn pending(&self) -> usize {
-        self.inner
-            .lock()
-            .subs
-            .get(self.id)
-            .map_or(0, |s| s.pending)
+        self.inner.lock().subs.get(self.id).map_or(0, |s| s.pending)
     }
 
     /// Number of messages discarded because the subscriber's backlog
     /// overflowed [`SUBSCRIBER_QUEUE_CAP`].
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .lock()
-            .subs
-            .get(self.id)
-            .map_or(0, |s| s.dropped)
+        self.inner.lock().subs.get(self.id).map_or(0, |s| s.dropped)
     }
 }
 

@@ -153,7 +153,11 @@ mod tests {
         let acc = AccController::new();
         // 60 mph, lead at 30 m doing 35 mph: well inside the desired gap.
         let out = acc.control(&car(60.0, 60.0), Some(&lead(30.0, 35.0)));
-        assert!(out.command.mps2() < -2.0, "firm braking, got {}", out.command);
+        assert!(
+            out.command.mps2() < -2.0,
+            "firm braking, got {}",
+            out.command
+        );
         assert!(out.command.mps2() >= -3.5, "inside the envelope");
     }
 

@@ -531,7 +531,11 @@ mod tests {
         publish_sensors(&bus, Tick::new(100), 26.8, -0.5, None);
         let out = adas.step(Tick::new(100));
         // Right of centre on a left curve: definitely steering left.
-        assert!(out.control.steer.degrees() > 0.2, "got {}", out.control.steer);
+        assert!(
+            out.control.steer.degrees() > 0.2,
+            "got {}",
+            out.control.steer
+        );
     }
 
     #[test]
@@ -572,7 +576,10 @@ mod tests {
                 alerted = true;
             }
         }
-        assert!(alerted, "steerSaturated raised for a large sustained offset");
+        assert!(
+            alerted,
+            "steerSaturated raised for a large sustained offset"
+        );
         assert_eq!(adas.fcw_events(), 0);
     }
 }

@@ -95,7 +95,10 @@ impl CommandLayout {
         if self.checksum && !verify_honda_checksum(frame.id(), frame.data()) {
             return None;
         }
-        Some(self.value.raw_to_phys(self.value.extract_raw(&frame.as_u64().to_be_bytes())))
+        Some(
+            self.value
+                .raw_to_phys(self.value.extract_raw(&frame.as_u64().to_be_bytes())),
+        )
     }
 }
 
@@ -118,7 +121,11 @@ const fn carries(signal: &Signal, lo: f64, hi: f64) -> bool {
 // narrower signal fails the build (E0080). `openadas/tests/properties.rs`
 // is the runtime half: every admitted command decodes within half a step.
 const _: () = assert!(
-    carries(&STEER.value, -limits::PHYS_STEER_MAX_DEG, limits::PHYS_STEER_MAX_DEG),
+    carries(
+        &STEER.value,
+        -limits::PHYS_STEER_MAX_DEG,
+        limits::PHYS_STEER_MAX_DEG
+    ),
     "the steering envelope must fit the steering command signal"
 );
 const _: () = assert!(
@@ -275,7 +282,10 @@ mod tests {
             .iter()
             .find(|f| f.id() == DBC.gas_command().id)
             .unwrap();
-        assert_eq!(decode(DBC.gas_command(), gas_frame).unwrap()["ACCEL_CMD"], 0.0);
+        assert_eq!(
+            decode(DBC.gas_command(), gas_frame).unwrap()["ACCEL_CMD"],
+            0.0
+        );
     }
 
     #[test]
@@ -286,8 +296,14 @@ mod tests {
         frames[0].data_mut()[0] ^= 0xFF;
         let base = raw(0.5, 0.1);
         let decoded = enc.decode_actuators(&frames, base);
-        assert!((decoded.steer.degrees() - 0.1).abs() < 1e-9, "held last valid steer");
-        assert!((decoded.accel.mps2() - 2.0).abs() < 0.002, "gas still applied");
+        assert!(
+            (decoded.steer.degrees() - 0.1).abs() < 1e-9,
+            "held last valid steer"
+        );
+        assert!(
+            (decoded.accel.mps2() - 2.0).abs() < 0.002,
+            "gas still applied"
+        );
     }
 
     #[test]

@@ -112,7 +112,12 @@ impl DegradationMonitor {
     /// Advances the watchdogs one tick with this tick's per-stream message
     /// arrival flags. Returns the alert to raise when the state *escalates*
     /// (edge-triggered); recovery is silent.
-    pub fn step(&mut self, gps_fresh: bool, cam_fresh: bool, radar_fresh: bool) -> Option<AlertKind> {
+    pub fn step(
+        &mut self,
+        gps_fresh: bool,
+        cam_fresh: bool,
+        radar_fresh: bool,
+    ) -> Option<AlertKind> {
         bump(&mut self.gps_stale, gps_fresh);
         bump(&mut self.cam_stale, cam_fresh);
         bump(&mut self.radar_stale, radar_fresh);
@@ -315,7 +320,10 @@ mod tests {
         assert_eq!(m.force(DegradationState::DegradedAccOff), None);
         assert_eq!(m.force(DegradationState::DegradedAlcOff), None);
         assert_eq!(m.state(), DegradationState::DegradedAccOff);
-        assert_eq!(m.force(DegradationState::FailSafe), Some(AlertKind::FailSafeStop));
+        assert_eq!(
+            m.force(DegradationState::FailSafe),
+            Some(AlertKind::FailSafeStop)
+        );
         assert_eq!(m.state(), DegradationState::FailSafe);
     }
 
@@ -341,6 +349,10 @@ mod tests {
         for _ in 0..RECOVERY_TICKS {
             m.step(true, true, true);
         }
-        assert_eq!(m.state(), DegradationState::Nominal, "no intermediate rungs");
+        assert_eq!(
+            m.state(),
+            DegradationState::Nominal,
+            "no intermediate rungs"
+        );
     }
 }

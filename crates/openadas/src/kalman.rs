@@ -234,13 +234,22 @@ mod tests {
     fn non_finite_measurement_is_rejected() {
         let mut kf = Kalman1D::new(5.0, 1.0, 0.01, 0.1);
         kf.predict(0.0);
-        let snapshot =
-            |kf: &Kalman1D| (kf.estimate().to_bits(), kf.variance().to_bits(), kf.last_gain().to_bits());
+        let snapshot = |kf: &Kalman1D| {
+            (
+                kf.estimate().to_bits(),
+                kf.variance().to_bits(),
+                kf.last_gain().to_bits(),
+            )
+        };
         let before = snapshot(&kf);
         assert!((kf.update(f64::NAN) - 5.0).abs() < 1e-12);
         assert!((kf.update(f64::INFINITY) - 5.0).abs() < 1e-12);
         assert!((kf.update(f64::NEG_INFINITY) - 5.0).abs() < 1e-12);
-        assert_eq!(before, snapshot(&kf), "rejected measurements leave no trace");
+        assert_eq!(
+            before,
+            snapshot(&kf),
+            "rejected measurements leave no trace"
+        );
     }
 
     #[test]
@@ -248,7 +257,10 @@ mod tests {
         let mut kf = Kalman1D::new(5.0, 1.0, 0.01, 0.1);
         kf.predict(f64::NAN);
         assert!((kf.estimate() - 5.0).abs() < 1e-12);
-        assert!(kf.variance().is_finite(), "variance still inflates, finitely");
+        assert!(
+            kf.variance().is_finite(),
+            "variance still inflates, finitely"
+        );
         kf.predict(f64::INFINITY);
         assert!(kf.estimate().is_finite());
     }

@@ -52,8 +52,8 @@ mod safety;
 mod state;
 
 pub use acc::{AccController, AccOutput};
-pub use aeb::{Aeb, AebConfig, AebState};
 pub use adas::{Adas, AdasOutput};
+pub use aeb::{Aeb, AebConfig, AebState};
 pub use alc::{AlcController, AlcOutput};
 pub use alerts::AlertManager;
 pub use controls::{CommandEncoder, QuantizedCycle};

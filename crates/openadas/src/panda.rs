@@ -154,8 +154,10 @@ mod tests {
         let dbc = VirtualCarDbc::new();
         let mut enc = Encoder::new();
         vec![
-            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", accel)]).unwrap(),
-            enc.encode(dbc.brake_command(), &[("BRAKE_CMD", brake)]).unwrap(),
+            enc.encode(dbc.gas_command(), &[("ACCEL_CMD", accel)])
+                .unwrap(),
+            enc.encode(dbc.brake_command(), &[("BRAKE_CMD", brake)])
+                .unwrap(),
             enc.encode(dbc.steering_control(), &[("STEER_ANGLE_CMD", steer)])
                 .unwrap(),
         ]

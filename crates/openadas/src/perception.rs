@@ -84,11 +84,7 @@ impl LaneProcessor {
         let offset = Distance::meters(blend(prev_offset.raw(), raw_offset.raw(), self.alpha));
         // Derivative of the *smoothed* offset, itself lightly filtered.
         let raw_rate = (offset - prev_offset) / DT.secs();
-        let rate = Speed::from_mps(blend(
-            self.est.offset_rate.mps(),
-            raw_rate.raw() / 1.0,
-            0.2,
-        ));
+        let rate = Speed::from_mps(blend(self.est.offset_rate.mps(), raw_rate.raw() / 1.0, 0.2));
         self.est = LaneEstimate {
             offset,
             offset_rate: rate,
@@ -204,7 +200,11 @@ mod tests {
             p.coast();
         }
         let est = p.estimate();
-        assert!((est.confidence - 0.5).abs() < 0.05, "got {}", est.confidence);
+        assert!(
+            (est.confidence - 0.5).abs() < 0.05,
+            "got {}",
+            est.confidence
+        );
         assert_eq!(est.offset.raw(), 0.0);
         // Past the window: pinned at zero, never negative.
         for _ in 0..100 {

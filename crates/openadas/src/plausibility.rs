@@ -158,7 +158,14 @@ impl StreamGate {
     /// updates the re-anchor state. `stuck` and `violation` are the gate's
     /// findings for the reading; `consistent` is whether the reading sits
     /// within one tick's allowance of the *previous incoming* reading.
-    fn decide(&mut self, cfg: &GateConfig, tick: u64, stuck: bool, violation: bool, consistent: bool) -> bool {
+    fn decide(
+        &mut self,
+        cfg: &GateConfig,
+        tick: u64,
+        stuck: bool,
+        violation: bool,
+        consistent: bool,
+    ) -> bool {
         self.consistent_streak = if consistent {
             self.consistent_streak.saturating_add(1)
         } else {
@@ -324,7 +331,9 @@ impl PerceptionGates {
         });
         self.prev_radar = Some((d, v));
 
-        let accept = self.radar.decide(&self.cfg, t, stuck, violation, consistent);
+        let accept = self
+            .radar
+            .decide(&self.cfg, t, stuck, violation, consistent);
         if accept {
             self.accepted_radar = Some((d, v));
         } else {
@@ -435,8 +444,14 @@ mod tests {
         let mut g = PerceptionGates::new(GateConfig::enforcing());
         for i in 0..200u64 {
             let wob = ((i % 7) as f64 - 3.0) * 0.01;
-            assert!(g.admit_gps(Tick::new(i), &gps(26.8 + wob), &est), "gps tick {i}");
-            assert!(g.admit_lane(Tick::new(i), &lane(0.1 + wob, wob)), "lane tick {i}");
+            assert!(
+                g.admit_gps(Tick::new(i), &gps(26.8 + wob), &est),
+                "gps tick {i}"
+            );
+            assert!(
+                g.admit_lane(Tick::new(i), &lane(0.1 + wob, wob)),
+                "lane tick {i}"
+            );
             assert!(
                 g.admit_radar(Tick::new(i), &radar(40.0 + wob, 20.0 - wob), &tracker),
                 "radar tick {i}"
@@ -476,7 +491,11 @@ mod tests {
         for i in 0..200u64 {
             assert!(g.admit_gps(Tick::new(i), &gps(0.0), &est), "tick {i}");
         }
-        assert_eq!(g.rejections(), 0, "exact 0.0 repeats at standstill are legitimate");
+        assert_eq!(
+            g.rejections(),
+            0,
+            "exact 0.0 repeats at standstill are legitimate"
+        );
     }
 
     #[test]

@@ -85,7 +85,11 @@ impl LeadTracker {
     /// Feeds one radar sample.
     pub fn update(&mut self, radar: &RadarState) -> Option<LeadEstimate> {
         match radar.lead {
-            Some(LeadTrack { d_rel, v_lead, a_lead }) => {
+            Some(LeadTrack {
+                d_rel,
+                v_lead,
+                a_lead,
+            }) => {
                 self.dropout = 0;
                 self.confirm = (self.confirm + 1).min(CONFIRM_SAMPLES);
                 self.a_lead = a_lead;
@@ -233,6 +237,10 @@ mod tests {
         // The post-outage measurement is trusted more than the coasted
         // prior: the estimate jumps most of the way to the new reading.
         let est = t.update(&sample(45.0, 18.0)).unwrap();
-        assert!(est.d_rel.raw() > 43.5, "fresh reading dominates: {}", est.d_rel.raw());
+        assert!(
+            est.d_rel.raw() > 43.5,
+            "fresh reading dominates: {}",
+            est.d_rel.raw()
+        );
     }
 }

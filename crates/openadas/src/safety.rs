@@ -208,7 +208,10 @@ mod tests {
     fn clamping() {
         let st = SafetyLimits::strict();
         assert_eq!(st.clamp_accel(Accel::from_mps2(5.0)), Accel::from_mps2(2.0));
-        assert_eq!(st.clamp_accel(Accel::from_mps2(-9.0)), Accel::from_mps2(-3.5));
+        assert_eq!(
+            st.clamp_accel(Accel::from_mps2(-9.0)),
+            Accel::from_mps2(-3.5)
+        );
         assert_eq!(
             st.clamp_steer(Angle::from_degrees(1.0)),
             Angle::from_degrees(0.25)

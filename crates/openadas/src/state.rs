@@ -57,9 +57,9 @@ impl CarStateEstimator {
     /// Feeds one GPS sample and the steering angle the controller last
     /// commanded; returns the fused state.
     pub fn update(&mut self, gps: &GpsLocation, applied_steer: Angle) -> CarState {
-        let filter = self.speed_filter.get_or_insert_with(|| {
-            Kalman1D::new(gps.speed.mps(), 0.5, 0.02, 0.05)
-        });
+        let filter = self
+            .speed_filter
+            .get_or_insert_with(|| Kalman1D::new(gps.speed.mps(), 0.5, 0.02, 0.05));
         let prev_v = filter.estimate();
         filter.predict(0.0);
         let v = filter.update(gps.speed.mps());

@@ -5,11 +5,11 @@
 
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driver_model::DriverConfig;
+use driving_sim::Scenario;
 use platform::experiment::{
     mix_seed, plan_no_attack_campaign, run_campaign_cells, RunSpec, RunnerConfig,
 };
 use platform::{Harness, HarnessConfig};
-use driving_sim::Scenario;
 
 fn main() {
     let reps: u32 = std::env::args()
@@ -25,7 +25,10 @@ fn main() {
     let alerts: u64 = results.iter().map(|r| r.alert_events).sum();
     let invasions: u64 = results.iter().map(|r| r.lane_invasions).sum();
     let secs: f64 = results.iter().map(|r| r.duration.secs()).sum();
-    let driver_engaged = results.iter().filter(|r| r.driver_engaged.is_some()).count();
+    let driver_engaged = results
+        .iter()
+        .filter(|r| r.driver_engaged.is_some())
+        .count();
     println!("== attack-free ({sims} sims) ==");
     println!("hazards: {hazards}  (must be 0)");
     println!("alert events: {alerts}  (paper: ~2 per 1440)");
@@ -56,7 +59,10 @@ fn main() {
     println!("offset: mean {mean:.3} std {std:.3} range [{min:.3}, {max:.3}]");
 
     // --- Context trigger rates per attack type ---------------------------
-    println!("\n== context-aware trigger rates ({} sims each) ==", reps as usize * 12);
+    println!(
+        "\n== context-aware trigger rates ({} sims each) ==",
+        reps as usize * 12
+    );
     for attack_type in AttackType::ALL {
         let mut specs = Vec::new();
         for (si, scenario) in Scenario::matrix().into_iter().enumerate() {
@@ -80,12 +86,22 @@ fn main() {
         }
         let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
         let n = results.len();
-        let triggered = results.iter().filter(|r| r.attack_activated.is_some()).count();
+        let triggered = results
+            .iter()
+            .filter(|r| r.attack_activated.is_some())
+            .count();
         let hazards = results.iter().filter(|r| r.hazardous()).count();
         let accidents = results.iter().filter(|r| r.accident.is_some()).count();
         let alerted = results.iter().filter(|r| r.alerted()).count();
-        let tths: Vec<f64> = results.iter().filter_map(|r| r.tth.map(|t| t.secs())).collect();
-        let tth_mean = if tths.is_empty() { f64::NAN } else { tths.iter().sum::<f64>() / tths.len() as f64 };
+        let tths: Vec<f64> = results
+            .iter()
+            .filter_map(|r| r.tth.map(|t| t.secs()))
+            .collect();
+        let tth_mean = if tths.is_empty() {
+            f64::NAN
+        } else {
+            tths.iter().sum::<f64>() / tths.len() as f64
+        };
         let mean_start: f64 = results
             .iter()
             .filter_map(|r| r.attack_activated.map(|t| t.secs()))

@@ -18,10 +18,24 @@ fn main() {
             );
             let haz = r.iter().filter(|x| x.hazardous()).count();
             let acc = r.iter().filter(|x| x.accident.is_some()).count();
-            let h1 = r.iter().filter(|x| x.has_hazard(platform::HazardKind::H1)).count();
-            let h2 = r.iter().filter(|x| x.has_hazard(platform::HazardKind::H2)).count();
-            let h3 = r.iter().filter(|x| x.has_hazard(platform::HazardKind::H3)).count();
-            println!("{:<22} haz {:>2}/60 acc {:>2} (H1 {h1} H2 {h2} H3 {h3})", t.label(), haz, acc);
+            let h1 = r
+                .iter()
+                .filter(|x| x.has_hazard(platform::HazardKind::H1))
+                .count();
+            let h2 = r
+                .iter()
+                .filter(|x| x.has_hazard(platform::HazardKind::H2))
+                .count();
+            let h3 = r
+                .iter()
+                .filter(|x| x.has_hazard(platform::HazardKind::H3))
+                .count();
+            println!(
+                "{:<22} haz {:>2}/60 acc {:>2} (H1 {h1} H2 {h2} H3 {h3})",
+                t.label(),
+                haz,
+                acc
+            );
         }
     }
 }

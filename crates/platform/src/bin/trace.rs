@@ -181,7 +181,10 @@ fn write_or_die(path: &str, contents: &str) {
 
 fn replay(args: &Args, seed: u64) -> (SimResult, TraceRecorder) {
     let (result, recorder) = Harness::new(config_for(args, seed)).run_traced();
-    (result, recorder.expect("tracing is always on in this binary"))
+    (
+        result,
+        recorder.expect("tracing is always on in this binary"),
+    )
 }
 
 fn opt_time(t: Option<units::Seconds>) -> String {

@@ -317,9 +317,7 @@ impl DefenseReport {
     /// The cell for a (policy, threat) pair, if the campaign ran it.
     pub fn cell(&self, policy: DefensePolicy, threat: &Threat) -> Option<&DefenseCell> {
         let (p, t) = (policy.label(), threat.label());
-        self.cells
-            .iter()
-            .find(|c| c.policy == p && c.threat == t)
+        self.cells.iter().find(|c| c.policy == p && c.threat == t)
     }
 }
 

@@ -124,7 +124,12 @@ pub fn plan_attack_campaign(cfg: &CampaignConfig, attack_type: AttackType) -> Ve
             for draw in 0..cfg.draws {
                 let seed = mix_seed(
                     cfg.base_seed,
-                    &[si as u64, rep as u64, draw as u64, attack_type.index() as u64],
+                    &[
+                        si as u64,
+                        rep as u64,
+                        draw as u64,
+                        attack_type.index() as u64,
+                    ],
                 );
                 specs.push(RunSpec {
                     attack: Some(AttackConfig {
@@ -299,7 +304,10 @@ where
         }
     });
     // No cell panicked, so every result has joined the output.
-    merged.into_inner().unwrap_or_else(PoisonError::into_inner).0
+    merged
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
 #[cfg(test)]
@@ -310,7 +318,10 @@ mod tests {
     fn paper_campaign_sizes_match() {
         let cfg = CampaignConfig::paper(StrategyKind::ContextAware);
         // 12 scenario cells x 20 reps = 240 per attack type; 1,440 total.
-        assert_eq!(plan_attack_campaign(&cfg, AttackType::Acceleration).len(), 240);
+        assert_eq!(
+            plan_attack_campaign(&cfg, AttackType::Acceleration).len(),
+            240
+        );
         let total: usize = AttackType::ALL
             .iter()
             .map(|&t| plan_attack_campaign(&cfg, t).len())
@@ -389,7 +400,9 @@ mod tests {
 
     #[test]
     fn more_workers_than_cells() {
-        let out = run_campaign_cells(RunnerConfig::with_workers(16), vec![0u32, 1, 2], |&i| i * 10);
+        let out = run_campaign_cells(RunnerConfig::with_workers(16), vec![0u32, 1, 2], |&i| {
+            i * 10
+        });
         assert_eq!(out, vec![0, 10, 20]);
     }
 
@@ -397,11 +410,15 @@ mod tests {
     fn one_worker_runs_serially_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        let out = run_campaign_cells(RunnerConfig::with_workers(1), (0..10usize).collect(), |&i| {
-            assert_eq!(std::thread::current().id(), caller);
-            order.lock().unwrap().push(i);
-            i * i
-        });
+        let out = run_campaign_cells(
+            RunnerConfig::with_workers(1),
+            (0..10usize).collect(),
+            |&i| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(i);
+                i * i
+            },
+        );
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(order.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
         // An explicit 0 clamps to 1 rather than starting no worker at all.

@@ -133,7 +133,11 @@ pub fn render_fig8(points: &[Fig8Point]) -> String {
             p.start.secs(),
             p.duration.secs(),
             if p.hazardous { 1 } else { 0 },
-            if p.context_aware { "context-aware" } else { "grid" },
+            if p.context_aware {
+                "context-aware"
+            } else {
+                "grid"
+            },
         ));
     }
     out
@@ -163,16 +167,23 @@ mod tests {
     fn fig7_samples_cover_the_run() {
         let (samples, _invasions) = fig7_trajectory(11, 100);
         assert_eq!(samples.len(), 50, "one sample per second");
-        assert!(samples.iter().all(|s| s.lateral.raw().abs() < 1.85),
-            "attack-free run stays inside the lane bounds");
+        assert!(
+            samples.iter().all(|s| s.lateral.raw().abs() < 1.85),
+            "attack-free run stays inside the lane bounds"
+        );
         let text = render_fig7(&samples);
         assert!(text.lines().count() == 51);
     }
 
     #[test]
     fn fig8_grid_is_complete() {
-        let points =
-            fig8_parameter_space(&[10.0, 30.0], &[0.5, 2.0], 0, 5, DriverConfig::inattentive());
+        let points = fig8_parameter_space(
+            &[10.0, 30.0],
+            &[0.5, 2.0],
+            0,
+            5,
+            DriverConfig::inattentive(),
+        );
         assert_eq!(points.len(), 4);
         let text = render_fig8(&points);
         assert!(text.contains("grid"));

@@ -36,8 +36,8 @@
 
 use attack_core::{AttackConfig, AttackEngine, Observations};
 use defense::{
-    CanIds, ContextMonitor, ContextObservation, ControlInvariantDetector, DefensePolicy,
-    IdsConfig, IdsVerdict,
+    CanIds, ContextMonitor, ContextObservation, ControlInvariantDetector, DefensePolicy, IdsConfig,
+    IdsVerdict,
 };
 use driver_model::{Driver, DriverConfig, DriverPhase, Observation};
 use driving_sim::{ActuatorCommand, Scenario, SensorSuite, World, RADAR_RANGE};
@@ -298,7 +298,10 @@ impl Harness {
             first_degraded: None,
             first_failsafe: None,
             recovered_at: None,
-            recorder: config.trace.enabled.then(|| TraceRecorder::new(config.trace)),
+            recorder: config
+                .trace
+                .enabled
+                .then(|| TraceRecorder::new(config.trace)),
             reads_after_takeover: config.reads_after_takeover(),
             adas_out: AdasOutput::default(),
             last_car: None,
@@ -528,8 +531,7 @@ impl Harness {
                 }
             }
             DefensePolicy::FailSafe => {
-                if ids_verdict == IdsVerdict::Alarm
-                    || out.degradation != DegradationState::Nominal
+                if ids_verdict == IdsVerdict::Alarm || out.degradation != DegradationState::Nominal
                 {
                     self.adas.request_degradation(DegradationState::FailSafe);
                 }
@@ -575,9 +577,10 @@ impl Harness {
             let v = frame.gps.speed;
             let obs = ContextObservation {
                 v_ego: v,
-                hwt: frame.radar.lead.and_then(|l| {
-                    (v.mps() > 0.5).then(|| l.d_rel / v)
-                }),
+                hwt: frame
+                    .radar
+                    .lead
+                    .and_then(|l| (v.mps() > 0.5).then(|| l.d_rel / v)),
                 rs: frame.radar.lead.map(|l| v - l.v_lead),
                 d_left: frame.lane.left_line - half_width,
                 d_right: frame.lane.right_line - half_width,
@@ -702,7 +705,11 @@ impl Harness {
                 DegradationState::FailSafe => DegradationCode::FailSafe,
             },
             gate_rejections: self.adas.gate_rejections(),
-            ids: match self.ids.as_ref().map_or(IdsVerdict::Nominal, CanIds::verdict) {
+            ids: match self
+                .ids
+                .as_ref()
+                .map_or(IdsVerdict::Nominal, CanIds::verdict)
+            {
                 IdsVerdict::Nominal => IdsCode::Nominal,
                 IdsVerdict::Suspicious => IdsCode::Suspicious,
                 IdsVerdict::Alarm => IdsCode::Alarm,
@@ -738,26 +745,21 @@ impl Harness {
     pub fn trace_tail(&self, n: usize) -> String {
         match self.recorder.as_ref() {
             Some(rec) => rec.tail_table(n),
-            None => "(trace recorder disabled; enable HarnessConfig.trace to capture ticks)"
-                .to_string(),
+            None => {
+                "(trace recorder disabled; enable HarnessConfig.trace to capture ticks)".to_string()
+            }
         }
     }
 
     /// Snapshot of the result at the current point in the run.
     pub fn result_so_far(&self) -> SimResult {
-        let first_hazard = self
-            .hazards
-            .first_any()
-            .map(|(t, k)| (t.time(), k));
+        let first_hazard = self.hazards.first_any().map(|(t, k)| (t.time(), k));
         let attack_activated = self
             .attacker
             .as_ref()
             .and_then(|a| a.timeline().activated_at());
         let tth = match (attack_activated, self.hazards.first_any()) {
-            (Some(_), Some((h, _))) => self
-                .attacker
-                .as_ref()
-                .and_then(|a| a.timeline().tth(h)),
+            (Some(_), Some((h, _))) => self.attacker.as_ref().and_then(|a| a.timeline().tth(h)),
             _ => None,
         };
         SimResult {
@@ -831,12 +833,18 @@ impl BatchHarness {
     /// Runs whose wire nothing reads from construction: no recorder, fault
     /// schedule, detectors or Panda.
     pub fn fast_lanes(&self) -> usize {
-        self.configs.iter().filter(|c| !c.reads_after_takeover()).count()
+        self.configs
+            .iter()
+            .filter(|c| !c.reads_after_takeover())
+            .count()
     }
 
     /// `Harness::new(config).run()` for every run, in push order.
     pub fn run(self) -> Vec<SimResult> {
-        self.configs.into_iter().map(|c| Harness::new(c).run()).collect()
+        self.configs
+            .into_iter()
+            .map(|c| Harness::new(c).run())
+            .collect()
     }
 }
 
@@ -853,7 +861,8 @@ mod tests {
 
     #[test]
     fn attack_free_run_is_hazard_free() {
-        let result = Harness::new(HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 3)).run();
+        let result =
+            Harness::new(HarnessConfig::no_attack(scenario(ScenarioId::S1, 70.0), 3)).run();
         assert!(!result.hazardous(), "got {:?}", result.first_hazard);
         assert!(result.accident.is_none());
         assert_eq!(result.fcw_events, 0);
@@ -869,11 +878,18 @@ mod tests {
             value_mode: ValueMode::Strategic,
             ..AttackConfig::default()
         };
-        let result =
-            Harness::new(HarnessConfig::with_attack(scenario(ScenarioId::S1, 70.0), 5, attack))
-                .run();
+        let result = Harness::new(HarnessConfig::with_attack(
+            scenario(ScenarioId::S1, 70.0),
+            5,
+            attack,
+        ))
+        .run();
         assert!(result.attack_activated.is_some(), "context arises in S1");
-        assert!(result.has_hazard(HazardKind::H1), "got {:?}", result.hazard_kinds);
+        assert!(
+            result.has_hazard(HazardKind::H1),
+            "got {:?}",
+            result.hazard_kinds
+        );
         assert!(result.tth.is_some());
         assert!(result.frames_rewritten > 0);
     }
@@ -886,9 +902,12 @@ mod tests {
             value_mode: ValueMode::Strategic,
             ..AttackConfig::default()
         };
-        let result =
-            Harness::new(HarnessConfig::with_attack(scenario(ScenarioId::S1, 70.0), 8, attack))
-                .run();
+        let result = Harness::new(HarnessConfig::with_attack(
+            scenario(ScenarioId::S1, 70.0),
+            8,
+            attack,
+        ))
+        .run();
         if result.attack_activated.is_some() {
             assert!(
                 result.driver_engaged.is_none(),
@@ -905,9 +924,12 @@ mod tests {
             value_mode: ValueMode::Fixed,
             ..AttackConfig::default()
         };
-        let result =
-            Harness::new(HarnessConfig::with_attack(scenario(ScenarioId::S1, 70.0), 8, attack))
-                .run();
+        let result = Harness::new(HarnessConfig::with_attack(
+            scenario(ScenarioId::S1, 70.0),
+            8,
+            attack,
+        ))
+        .run();
         if let Some(t_a) = result.attack_activated {
             let noticed = result.driver_noticed.expect("-4 m/s^2 is an anomaly");
             assert!(noticed >= t_a);
@@ -937,11 +959,18 @@ mod tests {
             // A trigger late in the run may not have time to finish; count
             // the ones that do (the campaign-level rate is ~99%).
             if result.attack_activated.is_some() && result.hazardous() {
-                assert!(result.has_hazard(HazardKind::H3), "{:?}", result.hazard_kinds);
+                assert!(
+                    result.has_hazard(HazardKind::H3),
+                    "{:?}",
+                    result.hazard_kinds
+                );
                 hazardous += 1;
             }
         }
-        assert!(hazardous > 0, "right-edge attacks cause H3 in some of 5 runs");
+        assert!(
+            hazardous > 0,
+            "right-edge attacks cause H3 in some of 5 runs"
+        );
     }
 
     #[test]
@@ -956,7 +985,10 @@ mod tests {
         cfg.panda_enabled = true;
         let result = Harness::new(cfg).run();
         if result.attack_activated.is_some() {
-            assert!(result.panda_blocked > 0, "2.4 m/s^2 exceeds the firmware limit");
+            assert!(
+                result.panda_blocked > 0,
+                "2.4 m/s^2 exceeds the firmware limit"
+            );
         }
     }
 

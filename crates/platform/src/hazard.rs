@@ -188,7 +188,8 @@ impl HazardDetector {
         if self.first_h2.is_none() && v < self.params.h2_speed {
             let desired_gap = 4.0 + 2.2 * v.mps();
             let road_clear = !lead_visible || gap.raw() > self.params.h2_gap_factor * desired_gap;
-            let intent_fast = world.scenario().cruise_speed.mps() > 2.0 * self.params.h2_speed.mps();
+            let intent_fast =
+                world.scenario().cruise_speed.mps() > 2.0 * self.params.h2_speed.mps();
             if road_clear && intent_fast {
                 self.first_h2 = Some(tick);
             }
@@ -347,7 +348,10 @@ mod tests {
             });
             det.step(&w);
         }
-        assert!(det.first(HazardKind::H3).is_none(), "5 ticks is not sustained");
+        assert!(
+            det.first(HazardKind::H3).is_none(),
+            "5 ticks is not sustained"
+        );
     }
 
     #[test]

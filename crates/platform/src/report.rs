@@ -5,7 +5,8 @@ use crate::metrics::StrategyAggregate;
 use crate::SimResult;
 
 /// CSV header matching [`sim_results_csv`].
-pub const CSV_HEADER: &str = "seed,hazard,first_hazard_s,first_hazard_kind,accident_s,accident_kind,\
+pub const CSV_HEADER: &str =
+    "seed,hazard,first_hazard_s,first_hazard_kind,accident_s,accident_kind,\
 alert_events,fcw_events,lane_invasions,attack_activated_s,tth_s,driver_noticed_s,\
 driver_engaged_s,frames_rewritten,panda_blocked,invariant_detected_s,monitor_detected_s";
 
@@ -117,10 +118,7 @@ mod tests {
         assert_eq!(lines[0], CSV_HEADER);
         assert!(lines[1].starts_with("42,1,20.50,H1,22.00,A1,1,0,3,15.00,5.50"));
         // Column count is stable.
-        assert_eq!(
-            lines[1].split(',').count(),
-            CSV_HEADER.split(',').count()
-        );
+        assert_eq!(lines[1].split(',').count(), CSV_HEADER.split(',').count());
     }
 
     #[test]

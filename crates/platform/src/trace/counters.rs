@@ -174,10 +174,8 @@ impl RunMetrics {
         self.attack_active_ticks += u64::from(r.attack_active);
         self.driver_engaged_ticks +=
             u64::from(r.driver_phase == super::record::DriverPhaseCode::Engaged);
-        self.degraded_ticks +=
-            u64::from(r.degradation != super::record::DegradationCode::Nominal);
-        self.failsafe_ticks +=
-            u64::from(r.degradation == super::record::DegradationCode::FailSafe);
+        self.degraded_ticks += u64::from(r.degradation != super::record::DegradationCode::Nominal);
+        self.failsafe_ticks += u64::from(r.degradation == super::record::DegradationCode::FailSafe);
         self.faults_injected = r.faults_injected;
         self.headway.record(r.hwt);
         self.applied_accel.record(r.applied_accel);

@@ -65,7 +65,8 @@ impl TraceRing {
         } else if self.slots.len() < self.capacity {
             self.slots.last()
         } else {
-            self.slots.get((self.head + self.capacity - 1) % self.capacity)
+            self.slots
+                .get((self.head + self.capacity - 1) % self.capacity)
         }
     }
 

@@ -174,11 +174,21 @@ fn harness_wiring_allocates_only_what_its_kind_needs() {
         ("Panda on", panda, 2),
         ("faulted", plain.with_faults(dropout), 2),
         ("faulted, replaying history", plain.with_faults(latency), 3),
-        ("observing defense", plain.with_defense(DefensePolicy::Observe), 2),
-        ("acting defense", plain.with_defense(DefensePolicy::Degrade), 2),
+        (
+            "observing defense",
+            plain.with_defense(DefensePolicy::Observe),
+            2,
+        ),
+        (
+            "acting defense",
+            plain.with_defense(DefensePolicy::Degrade),
+            2,
+        ),
         (
             "attacked, faulted, defended",
-            attacked.with_faults(dropout).with_defense(DefensePolicy::Degrade),
+            attacked
+                .with_faults(dropout)
+                .with_defense(DefensePolicy::Degrade),
             3,
         ),
         ("traced", plain.traced(TraceConfig::enabled(64)), 6),
@@ -186,6 +196,10 @@ fn harness_wiring_allocates_only_what_its_kind_needs() {
     for (kind, config, expected) in kinds {
         let (harness, counts) = counted(|| Harness::new(config));
         drop(harness);
-        assert_eq!(counts, (expected, 0), "Harness::new, {kind}: (allocations, reallocations)");
+        assert_eq!(
+            counts,
+            (expected, 0),
+            "Harness::new, {kind}: (allocations, reallocations)"
+        );
     }
 }

@@ -126,7 +126,10 @@ fn stuck_gps_and_radar_degrade_before_any_hazard() {
             .with_defense(DefensePolicy::Degrade),
     )
     .run();
-    assert!(defended.gate_rejections > 0, "gates must reject the frozen readings");
+    assert!(
+        defended.gate_rejections > 0,
+        "gates must reject the frozen readings"
+    );
     let first = defended
         .first_degraded
         .expect("stuck streams must degrade under an acting policy");
@@ -182,7 +185,10 @@ fn bus_off_raises_ids_alarm_and_forces_degradation() {
         degraded.secs(),
         detected.secs()
     );
-    assert!(result.alert_events > 0, "the forced rung raises an alert edge");
+    assert!(
+        result.alert_events > 0,
+        "the forced rung raises an alert edge"
+    );
     assert!(
         result.driver_noticed.is_some(),
         "the alert is the driver's cue that the bus is dead"

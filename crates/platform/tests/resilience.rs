@@ -55,7 +55,10 @@ fn total_radar_loss_fails_safe_without_collisions_across_the_matrix() {
             result.fcw_events, 0,
             "cell {si}: the fail-safe brake stays under the FCW threshold"
         );
-        assert!(result.alert_events > 0, "cell {si}: degradation alerts fire");
+        assert!(
+            result.alert_events > 0,
+            "cell {si}: degradation alerts fire"
+        );
     }
 }
 
@@ -68,8 +71,9 @@ fn faulted_run_is_bit_reproducible() {
         FaultSpec::window(FaultKind::SensorNoiseBurst, FaultTarget::All, 300, 800)
             .with_intensity(0.7),
     );
-    schedule.add(FaultSpec::window(FaultKind::CanBitFlip, FaultTarget::All, 900, 600)
-        .with_intensity(0.4));
+    schedule.add(
+        FaultSpec::window(FaultKind::CanBitFlip, FaultTarget::All, 900, 600).with_intensity(0.4),
+    );
     let cfg = HarnessConfig::no_attack(Scenario::matrix()[2], 11)
         .with_faults(schedule)
         .traced(TraceConfig::enabled(256));
@@ -112,7 +116,10 @@ fn bounded_outage_recovers_with_hysteresis_latency() {
     let scenario = Scenario::matrix()[0];
     let cfg = HarnessConfig::no_attack(scenario, 33).with_faults(radar_loss(500, 1000));
     let result = Harness::new(cfg).run();
-    assert!(result.failsafe_ticks > 0, "outage long enough for fail-safe");
+    assert!(
+        result.failsafe_ticks > 0,
+        "outage long enough for fail-safe"
+    );
     let latency = result
         .recovery_latency
         .expect("the ladder recovers after the window closes")

@@ -86,7 +86,11 @@ impl Angle {
     /// Returns the sign of the angle (`-1.0`, `0.0` or `1.0`).
     #[inline]
     pub fn signum(self) -> f64 {
-        if self.0 == 0.0 { 0.0 } else { self.0.signum() }
+        if self.0 == 0.0 {
+            0.0
+        } else {
+            self.0.signum()
+        }
     }
 
     /// Returns `true` if the value is finite.

@@ -24,21 +24,32 @@ fn main() -> Result<(), canbus::CanError> {
     let spoofed = enc.encode(steer, &[("STEER_ANGLE_CMD", 0.5)])?;
     naive.data_mut()[..2].copy_from_slice(&spoofed.data()[..2]);
     println!("naive corruption : {naive}");
-    println!("  receiver says  : {:?}\n", decode(steer, &naive).unwrap_err());
+    println!(
+        "  receiver says  : {:?}\n",
+        decode(steer, &naive).unwrap_err()
+    );
 
     // …while the paper's attacker rewrites the signal *and* recomputes the
     // checksum, so the frame still verifies (Fig. 4).
     let attacked = rewrite_signal(steer, &original, &STEER_ANGLE_CMD, 0.5)?;
     println!("strategic rewrite: {attacked}");
     println!("  decoded        : {:?}", decode(steer, &attacked)?);
-    println!("  counter kept   : {}", decode(steer, &attacked)?["COUNTER"]);
+    println!(
+        "  counter kept   : {}",
+        decode(steer, &attacked)?["COUNTER"]
+    );
 
     // The same thing through the bus-level man-in-the-middle hook.
     let mut bus = CanBus::new();
     bus.install_interceptor(Box::new(move |_t: Tick, f: CanFrame| {
         if f.id() == 0xE4 {
-            rewrite_signal(&VirtualCarDbc::new().steering_control().clone(), &f, &STEER_ANGLE_CMD, 0.5)
-                .unwrap_or(f)
+            rewrite_signal(
+                &VirtualCarDbc::new().steering_control().clone(),
+                &f,
+                &STEER_ANGLE_CMD,
+                0.5,
+            )
+            .unwrap_or(f)
         } else {
             f
         }

@@ -31,11 +31,16 @@ fn main() {
     let result = Harness::new(cfg).run();
 
     let t_a = result.attack_activated.expect("attack triggers in S1");
-    println!("t_a  = {:>5.2} s  strategic acceleration attack activates", t_a.secs());
+    println!(
+        "t_a  = {:>5.2} s  strategic acceleration attack activates",
+        t_a.secs()
+    );
     println!(
         "               ADAS alerts: {}   driver noticed: {}",
         result.alert_events,
-        result.driver_noticed.map_or("never".into(), |t| format!("{:.2} s", t.secs())),
+        result
+            .driver_noticed
+            .map_or("never".into(), |t| format!("{:.2} s", t.secs())),
     );
     match result.invariant_detected {
         Some(t) => println!(

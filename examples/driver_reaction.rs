@@ -34,17 +34,26 @@ fn run(label: &str, driver: DriverConfig) {
 
     println!("== {label} ==");
     match result.attack_activated {
-        Some(t) => println!("  t_a  = {:>5.2} s  attack activates (brake -4 m/s²)", t.secs()),
+        Some(t) => println!(
+            "  t_a  = {:>5.2} s  attack activates (brake -4 m/s²)",
+            t.secs()
+        ),
         None => {
             println!("  attack never triggered in this run");
             return;
         }
     }
     if let Some(t) = result.driver_noticed {
-        println!("  t_d  = {:>5.2} s  driver feels the phantom braking", t.secs());
+        println!(
+            "  t_d  = {:>5.2} s  driver feels the phantom braking",
+            t.secs()
+        );
     }
     if let Some(t) = result.driver_engaged {
-        println!("  t_ex = {:>5.2} s  driver takes over (t_d + 2.5 s)", t.secs());
+        println!(
+            "  t_ex = {:>5.2} s  driver takes over (t_d + 2.5 s)",
+            t.secs()
+        );
     }
     match result.first_hazard {
         Some((t, k)) => println!("  t_h  = {:>5.2} s  hazard {k:?}", t.secs()),
@@ -62,7 +71,10 @@ fn main() {
     }
     println!();
 
-    run("alert driver (the paper's Table V right half)", DriverConfig::alert());
+    run(
+        "alert driver (the paper's Table V right half)",
+        DriverConfig::alert(),
+    );
     run("inattentive driver (ablation)", DriverConfig::inattentive());
 
     println!("The alert driver turns a certain hazard into a race: whether the");

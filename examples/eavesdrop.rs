@@ -23,7 +23,10 @@ fn main() {
     let mut inference = ContextInference::new(Eavesdropper::new(harness.bus()));
 
     println!("eavesdropping on gpsLocationExternal / modelV2 / radarState / carState:\n");
-    println!("{:>6} {:>9} {:>7} {:>7} {:>8} {:>8}  matched rule", "t (s)", "v (mph)", "HWT", "RS", "d_left", "d_right");
+    println!(
+        "{:>6} {:>9} {:>7} {:>7} {:>8} {:>8}  matched rule",
+        "t (s)", "v (mph)", "HWT", "RS", "d_left", "d_right"
+    );
 
     let table = attack_core::ContextTable::default();
     while !harness.finished() {
@@ -40,12 +43,8 @@ fn main() {
                 "{:>6.1} {:>9.1} {:>7} {:>7} {:>8.2} {:>8.2}  {}",
                 tick.time().secs(),
                 state.v_ego.mph(),
-                state
-                    .hwt
-                    .map_or("-".into(), |h| format!("{:.2}", h.secs())),
-                state
-                    .rs
-                    .map_or("-".into(), |r| format!("{:+.1}", r.mps())),
+                state.hwt.map_or("-".into(), |h| format!("{:.2}", h.secs())),
+                state.rs.map_or("-".into(), |r| format!("{:+.1}", r.mps())),
                 state.d_left.raw(),
                 state.d_right.raw(),
                 if rule.is_empty() { "-".into() } else { rule },

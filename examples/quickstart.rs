@@ -68,9 +68,15 @@ fn main() {
     }
 
     println!("\nsummary:");
-    println!("  time-to-hazard (TTH):  {:?}", result.tth.map(|t| t.secs()));
+    println!(
+        "  time-to-hazard (TTH):  {:?}",
+        result.tth.map(|t| t.secs())
+    );
     println!("  ADAS alerts raised:    {}", result.alert_events);
-    println!("  FCW warnings:          {} (the paper's Observation 2: none)", result.fcw_events);
+    println!(
+        "  FCW warnings:          {} (the paper's Observation 2: none)",
+        result.fcw_events
+    );
     println!("  CAN frames rewritten:  {}", result.frames_rewritten);
     println!("  lane invasions:        {}", result.lane_invasions);
 }

@@ -45,7 +45,10 @@ fn main() {
     println!("captured {} frames over 50 s\n", capture.len());
     let records = Capture::parse(&capture.into_bytes());
     let profiles = analyze_can(&records);
-    println!("{:<6} {:>6} {:>8} {:>9} {:>8} {:>8}  inferred fields", "id", "count", "rate", "checksum", "counter", "command");
+    println!(
+        "{:<6} {:>6} {:>8} {:>9} {:>8} {:>8}  inferred fields",
+        "id", "count", "rate", "checksum", "counter", "command"
+    );
     for (id, p) in &profiles {
         println!(
             "0x{id:03X} {:>6} {:>6.0}Hz {:>9} {:>8} {:>8}  {:?}",
@@ -64,9 +67,18 @@ fn main() {
         "\nrecovered safety envelope from {} carControl samples:",
         envelope.samples
     );
-    println!("  accel_max ≈ {:.2} m/s²  (true software limit: 2.0 in normal operation)", envelope.accel_max.mps2());
-    println!("  brake_min ≈ {:.2} m/s²  (true software limit: -3.5)", envelope.brake_min.mps2());
-    println!("  steer_max ≈ {:.2}°     (true software clamp: 0.5°)", envelope.steer_max.degrees());
+    println!(
+        "  accel_max ≈ {:.2} m/s²  (true software limit: 2.0 in normal operation)",
+        envelope.accel_max.mps2()
+    );
+    println!(
+        "  brake_min ≈ {:.2} m/s²  (true software limit: -3.5)",
+        envelope.brake_min.mps2()
+    );
+    println!(
+        "  steer_max ≈ {:.2}°     (true software clamp: 0.5°)",
+        envelope.steer_max.degrees()
+    );
     println!(
         "\nA strategic attack constrained to this envelope (paper Eq. 1-3) is\n\
          indistinguishable, value-wise, from the ADAS's own commands."

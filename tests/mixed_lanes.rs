@@ -29,8 +29,10 @@ use units::mix::splitmix64;
 use units::{Tick, STEPS_PER_SIM};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mixed_lanes.txt");
-const ATTACKED_GOLDEN: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/attacked_lanes.txt");
+const ATTACKED_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/attacked_lanes.txt"
+);
 
 /// Configs in the mixed sample; each defense policy gets a quarter of them.
 const SAMPLE: u64 = 24;
@@ -198,7 +200,9 @@ fn attacked_lane_results_match_the_frozen_digests() {
     let configs: Vec<HarnessConfig> = (0..ATTACKED_SAMPLE).map(attacked_config).collect();
     assert!(
         configs.iter().any(|c| c.driver == DriverConfig::alert())
-            && configs.iter().any(|c| c.driver == DriverConfig::inattentive()),
+            && configs
+                .iter()
+                .any(|c| c.driver == DriverConfig::inattentive()),
         "both driver kinds"
     );
     assert!(
@@ -206,7 +210,10 @@ fn attacked_lane_results_match_the_frozen_digests() {
         "a driver takes over"
     );
     assert!(results.iter().any(|r| r.accident.is_some()), "a collision");
-    assert!(dormant_unhalted, "an attacker goes dormant before the last tick");
+    assert!(
+        dormant_unhalted,
+        "an attacker goes dormant before the last tick"
+    );
     assert!(
         results.iter().any(|r| r.frames_rewritten > 0),
         "attack injected"

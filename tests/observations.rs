@@ -33,9 +33,16 @@ fn observation_1_attack_free_runs_invade_lanes_but_stay_safe() {
     );
     assert_eq!(results.len(), 36);
     for r in &results {
-        assert!(!r.hazardous(), "no hazards without attacks: {:?}", r.first_hazard);
+        assert!(
+            !r.hazardous(),
+            "no hazards without attacks: {:?}",
+            r.first_hazard
+        );
         assert!(r.accident.is_none(), "no accidents without attacks");
-        assert!(r.driver_engaged.is_none(), "driver never needs to take over");
+        assert!(
+            r.driver_engaged.is_none(),
+            "driver never needs to take over"
+        );
     }
     let invasions: u64 = results.iter().map(|r| r.lane_invasions).sum();
     assert!(
@@ -166,7 +173,10 @@ fn observation_6_strategic_values_evade_detection() {
     // ...strategic values never do, while still causing hazards.
     let strategic = context_campaign(AttackType::Deceleration, ValueMode::Strategic, 2);
     let hazards = strategic.iter().filter(|r| r.hazardous()).count();
-    assert!(hazards > strategic.len() / 2, "strategic attacks still work");
+    assert!(
+        hazards > strategic.len() / 2,
+        "strategic attacks still work"
+    );
     for r in &strategic {
         assert!(
             r.driver_noticed.is_none(),

@@ -18,9 +18,8 @@ fn scenario() -> Scenario {
 /// recorder attached so a failure prints the final trace ticks.
 #[test]
 fn closed_loop_following_is_stable() {
-    let mut h = Harness::new(
-        HarnessConfig::no_attack(scenario(), 21).traced(TraceConfig::enabled(64)),
-    );
+    let mut h =
+        Harness::new(HarnessConfig::no_attack(scenario(), 21).traced(TraceConfig::enabled(64)));
     while !h.finished() {
         h.step();
     }

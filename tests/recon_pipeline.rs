@@ -11,7 +11,12 @@ use openadas::{CommandEncoder, Enveloped};
 use platform::{Harness, HarnessConfig};
 use units::Distance;
 
-fn record_benign_run(seed: u64) -> (Vec<(units::Tick, canbus::CanFrame)>, Vec<msgbus::schema::CarControl>) {
+fn record_benign_run(
+    seed: u64,
+) -> (
+    Vec<(units::Tick, canbus::CanFrame)>,
+    Vec<msgbus::schema::CarControl>,
+) {
     let scenario = Scenario::new(ScenarioId::S2, Distance::meters(70.0));
     let mut harness = Harness::new(HarnessConfig::no_attack(scenario, seed));
     let mut tap = harness.bus().subscribe(&[Topic::CarControl]);
@@ -60,7 +65,10 @@ fn recon_recovers_the_attack_surface() {
     // Envelope recovery brackets the true software clamps from below.
     let est = SafetyEnvelopeEstimate::from_controls(&controls);
     assert!(est.samples >= 4_000);
-    assert!(est.accel_max.mps2() <= 2.0 + 1e-9, "never exceeds the clamp");
+    assert!(
+        est.accel_max.mps2() <= 2.0 + 1e-9,
+        "never exceeds the clamp"
+    );
     assert!(est.brake_min.mps2() >= -3.5 - 1e-9);
     assert!(est.steer_max.degrees() <= 0.5 + 1e-9);
     // A 50 s mixed run (cruise + approach + following) exercises the limits.

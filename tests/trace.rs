@@ -43,9 +43,8 @@ fn recorder_does_not_perturb_the_run() {
 /// `bus_carries_all_topics_every_cycle` in tests/pipeline.rs).
 #[test]
 fn recorder_per_topic_counts_match_the_bus() {
-    let mut h = Harness::new(
-        HarnessConfig::no_attack(scenario(), 4).traced(TraceConfig::enabled(128)),
-    );
+    let mut h =
+        Harness::new(HarnessConfig::no_attack(scenario(), 4).traced(TraceConfig::enabled(128)));
     let mut sub = h.bus().subscribe(&Topic::ALL);
     for _ in 0..100 {
         h.step();
@@ -125,7 +124,10 @@ fn traced_campaign_aggregates_and_matches_untraced() {
         campaign.absorb_run(rec.metrics(), &result);
         traced.push(result);
     }
-    assert_eq!(untraced, traced, "recorder is invisible to campaign results");
+    assert_eq!(
+        untraced, traced,
+        "recorder is invisible to campaign results"
+    );
     assert_eq!(campaign.runs, 4);
     assert_eq!(campaign.totals.ticks, 4 * units::STEPS_PER_SIM);
     assert_eq!(
@@ -143,9 +145,8 @@ fn traced_campaign_aggregates_and_matches_untraced() {
 #[test]
 fn failing_trace_assert_attaches_trace_tail() {
     let result = std::panic::catch_unwind(|| {
-        let mut h = Harness::new(
-            HarnessConfig::no_attack(scenario(), 7).traced(TraceConfig::enabled(16)),
-        );
+        let mut h =
+            Harness::new(HarnessConfig::no_attack(scenario(), 7).traced(TraceConfig::enabled(16)));
         for _ in 0..50 {
             h.step();
         }
@@ -175,16 +176,18 @@ fn failing_trace_assert_attaches_trace_tail() {
 /// `REGEN_TRACE_GOLDEN=1 cargo test --test trace golden_csv`.
 #[test]
 fn golden_csv_for_a_short_s2_run() {
-    let mut h = Harness::new(
-        HarnessConfig::no_attack(scenario(), 4).traced(TraceConfig::enabled(16)),
-    );
+    let mut h =
+        Harness::new(HarnessConfig::no_attack(scenario(), 4).traced(TraceConfig::enabled(16)));
     for _ in 0..10 {
         h.step();
     }
     let csv = to_csv(h.recorder().expect("tracing enabled").ring().iter());
     if std::env::var_os("REGEN_TRACE_GOLDEN").is_some() {
         std::fs::write(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/s2_seed4_first10.csv"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/s2_seed4_first10.csv"
+            ),
             &csv,
         )
         .expect("write golden");
