@@ -66,9 +66,7 @@
 mod ids;
 mod invariant;
 mod monitor;
-mod report;
 
 pub use ids::{CanIds, DefensePolicy, IdsConfig, IdsVerdict};
 pub use invariant::{ControlInvariantDetector, InvariantConfig};
 pub use monitor::{ContextMonitor, ContextObservation, MonitorConfig, MonitorVerdict};
-pub use report::DetectionReport;

@@ -2,19 +2,22 @@
 //!
 //! # Fan-out design
 //!
-//! Delivery is a cursor-based broadcast ring, not a queue-per-subscriber:
-//! every published [`Envelope`] is appended **once** to a shared ring and
-//! each [`Subscriber`] holds a read cursor into it. `publish` therefore
-//! performs zero payload clones regardless of how many subscribers match —
-//! the clone happens lazily, per message actually read, inside
-//! [`Subscriber::drain_into`]. Slots are reclaimed as soon as every live
-//! subscriber's cursor has moved past them, so in lock-step operation (all
-//! subscribers drained every tick) the ring stays a handful of messages
-//! long and steady-state publishing allocates nothing.
+//! Each [`Subscriber`] owns one queue. [`Bus::publish`] clones the
+//! [`Envelope`] into every queue whose topic filter matches, and
+//! [`Subscriber::drain_into`] moves a queue's messages into the caller's
+//! buffer. A queue keeps its capacity across drains, so a subscriber that
+//! is drained every tick stops allocating once its queue and the caller's
+//! buffer have grown to one tick's traffic.
+//!
+//! Why not a shared broadcast ring with a read cursor per subscriber: it
+//! defers the clone to drain time, but every subscriber here drains every
+//! tick, so it clones as often as the queues do and adds cursors and
+//! eviction. An unobserved tick never publishes, so only traced runs,
+//! tests and examples pay for either.
 //!
 //! Every lock acquisition recovers from poisoning with
 //! [`PoisonError::into_inner`]: no guard is held across code that can
-//! panic, so a poisoned ring is still structurally consistent, and one
+//! panic, so a poisoned bus is still structurally consistent, and one
 //! campaign worker dying mid-publish must not take the bus down for every
 //! later user of it.
 
@@ -24,13 +27,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use units::Tick;
 
-use crate::{Envelope, MessageLog, Payload, Topic};
+use crate::{Envelope, Payload, Topic};
 
-/// Maximum number of undrained *matching* messages a subscriber may lag
-/// behind the head before the oldest are discarded for it. Mirrors
-/// Cereal/ZMQ's conflate-or-drop behaviour and bounds per-subscriber backlog
-/// in long campaigns; the bookkeeping (drop-oldest, per-subscriber dropped
-/// counter) is identical to the historical queue-per-subscriber design.
+/// Maximum number of undrained messages a subscriber's queue holds before
+/// the oldest are discarded for it. Mirrors Cereal/ZMQ's conflate-or-drop
+/// behaviour and bounds per-subscriber backlog in long campaigns.
 const SUBSCRIBER_QUEUE_CAP: usize = 4_096;
 
 // The topic-filter bitmask below holds one bit per topic.
@@ -42,78 +43,26 @@ fn topic_bit(topic: Topic) -> u64 {
     1u64 << (topic.index() as u32 % 64)
 }
 
-/// Per-subscriber read state over the shared ring.
+/// One subscriber's undrained messages.
 #[derive(Debug)]
-struct SubState {
+struct Queue {
     /// Bitmask of subscribed topics (see [`topic_bit`]).
     mask: u64,
-    /// Sequence number of the next message this subscriber will examine.
-    /// Normalised to the bus head whenever nothing matching is pending, so
-    /// ring eviction is never held up by an idle subscriber.
-    cursor: u64,
-    /// Matching, undrained messages in `[cursor, head)`.
-    pending: usize,
-    /// Matching messages discarded because the subscriber lagged past
+    /// Matching messages in publication order, at most
     /// [`SUBSCRIBER_QUEUE_CAP`].
+    messages: VecDeque<Envelope>,
+    /// Messages discarded because the queue was full.
     dropped: u64,
-    /// Set when the `Subscriber` handle is dropped; a closed entry neither
-    /// receives messages nor holds up eviction.
-    closed: bool,
-}
-
-impl SubState {
-    fn matches(&self, bit: u64) -> bool {
-        self.mask & bit != 0
-    }
 }
 
 #[derive(Debug, Default)]
 struct BusInner {
-    /// The shared broadcast ring. Invariant: element `i` carries sequence
-    /// number `front_seq + i`, and when the ring is empty
-    /// `front_seq == seq`.
-    ring: VecDeque<Envelope>,
-    /// Sequence number of `ring.front()`.
-    front_seq: u64,
-    /// Next sequence number to assign (the bus head).
+    /// Next sequence number to assign.
     seq: u64,
-    subs: Vec<SubState>,
-    log: Option<MessageLog>,
+    /// One slot per subscriber ever registered, indexed by
+    /// `Subscriber::id`; a dropped handle leaves `None`.
+    queues: Vec<Option<Queue>>,
     published_by_topic: [u64; Topic::COUNT],
-}
-
-impl BusInner {
-    /// Pops every ring slot all live subscribers have read past.
-    fn evict(&mut self) {
-        let min_cursor = self
-            .subs
-            .iter()
-            .filter(|s| !s.closed)
-            .map(|s| s.cursor)
-            .min()
-            .unwrap_or(self.seq);
-        while self.front_seq < min_cursor && self.ring.pop_front().is_some() {
-            self.front_seq += 1;
-        }
-    }
-}
-
-/// Advances `sub` past its oldest pending matching message, counting it as
-/// dropped — the conflate-or-drop step when the subscriber exceeds
-/// [`SUBSCRIBER_QUEUE_CAP`].
-fn drop_oldest(ring: &VecDeque<Envelope>, front_seq: u64, sub: &mut SubState) {
-    let start = sub.cursor.saturating_sub(front_seq) as usize;
-    for (off, env) in ring.iter().enumerate().skip(start) {
-        if sub.matches(topic_bit(env.topic())) {
-            sub.dropped += 1;
-            sub.pending = sub.pending.saturating_sub(1);
-            sub.cursor = front_seq + off as u64 + 1;
-            return;
-        }
-    }
-    // Defensive: `pending` said something matched but nothing did; resync.
-    sub.pending = 0;
-    sub.cursor = front_seq + ring.len() as u64;
 }
 
 /// The state every clone of a bus and every subscriber handle shares.
@@ -123,7 +72,7 @@ struct Shared {
     /// Live subscriber handles, kept beside the lock so a publisher can
     /// ask whether anyone listens without taking it. Updated under the
     /// lock; read `Relaxed`, since the count publishes no other data — a
-    /// subscriber's ring state is only ever read through the lock.
+    /// subscriber's queue is only ever read through the lock.
     subscribers: AtomicUsize,
 }
 
@@ -167,97 +116,51 @@ impl Bus {
     /// Registers a subscriber for the given topics.
     ///
     /// Messages published after this call are queued for the subscriber;
-    /// earlier traffic is not replayed (use [`Bus::enable_logging`] to
-    /// capture history).
+    /// earlier traffic is not replayed.
     pub fn subscribe(&self, topics: &[Topic]) -> Subscriber {
         let mut inner = self.inner.lock();
         self.inner.subscribers.fetch_add(1, Ordering::Relaxed);
         let mask = topics.iter().fold(0u64, |m, &t| m | topic_bit(t));
-        let cursor = inner.seq;
         // adas-lint: allow(R14, reason = "subscriber registration at wiring time — the lock provides exclusivity, not a parallel result merge; subscription order is single-threaded program order")
-        inner.subs.push(SubState {
+        inner.queues.push(Some(Queue {
             mask,
-            cursor,
-            pending: 0,
+            messages: VecDeque::new(),
             dropped: 0,
-            closed: false,
-        });
+        }));
         Subscriber {
             inner: Arc::clone(&self.inner),
-            id: inner.subs.len().saturating_sub(1),
+            id: inner.queues.len().saturating_sub(1),
         }
     }
 
     /// Publishes a payload, delivering it to every matching subscriber.
     ///
-    /// Cost model: one ring append and one cursor update per subscriber —
-    /// **zero** `Envelope` clones regardless of subscriber count (the only
-    /// clone happens when [`Bus::enable_logging`] is active). Subscribers
-    /// copy a message out of the ring only when they drain it.
+    /// Cost model: one `Envelope` clone per matching subscriber. A full
+    /// queue first discards its oldest message and counts it as dropped.
     ///
     /// Returns the bus-wide sequence number assigned to the message.
     pub fn publish(&self, tick: Tick, payload: Payload) -> u64 {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        let mut inner = self.inner.lock();
         let seq = inner.seq;
         inner.seq += 1;
-        let head = inner.seq;
         let env = Envelope::new(seq, tick, payload);
-        if let Some(log) = inner.log.as_mut() {
-            log.record(env.clone());
-        }
         let topic = env.topic();
         if let Some(count) = inner.published_by_topic.get_mut(topic.index()) {
             *count += 1;
         }
         let bit = topic_bit(topic);
-        let mut overflowed = false;
-        for sub in inner.subs.iter_mut().filter(|s| !s.closed) {
-            if sub.matches(bit) {
-                if sub.pending == 0 {
-                    sub.cursor = seq;
-                }
-                sub.pending += 1;
-                overflowed |= sub.pending > SUBSCRIBER_QUEUE_CAP;
-            } else if sub.pending == 0 {
-                // Nothing pending for this subscriber between its cursor and
-                // the head: advance it past the new message so it never
-                // pins the ring.
-                sub.cursor = head;
+        for queue in inner.queues.iter_mut().flatten() {
+            if queue.mask & bit == 0 {
+                continue;
             }
-        }
-        // adas-lint: allow(R13, reason = "bounded ring — push_back grows only to the high-water capacity during warm-up, then the drop-oldest policy recycles slots; witnessed by the counting-allocator gate")
-        inner.ring.push_back(env);
-        if overflowed {
-            let BusInner {
-                ring,
-                front_seq,
-                subs,
-                ..
-            } = inner;
-            for sub in subs
-                .iter_mut()
-                .filter(|s| !s.closed && s.pending > SUBSCRIBER_QUEUE_CAP)
-            {
-                drop_oldest(ring, *front_seq, sub);
+            if queue.messages.len() >= SUBSCRIBER_QUEUE_CAP {
+                queue.messages.pop_front();
+                queue.dropped += 1;
             }
+            // adas-lint: allow(R13, reason = "bounded queue — push_back grows only to the high-water capacity during warm-up, then drains and the drop-oldest cap recycle slots; witnessed by the counting-allocator gate")
+            queue.messages.push_back(env.clone());
         }
-        inner.evict();
         seq
-    }
-
-    /// Starts recording every published message into an internal
-    /// [`MessageLog`].
-    pub fn enable_logging(&self) {
-        let mut inner = self.inner.lock();
-        if inner.log.is_none() {
-            inner.log = Some(MessageLog::new());
-        }
-    }
-
-    /// Stops logging and returns the captured log, if logging was enabled.
-    pub fn take_log(&self) -> Option<MessageLog> {
-        self.inner.lock().log.take()
     }
 
     /// Number of messages published so far.
@@ -274,30 +177,17 @@ impl Bus {
         self.inner.lock().published_by_topic
     }
 
-    /// Number of live (undropped) subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.inner.lock().subs.iter().filter(|s| !s.closed).count()
-    }
-
     /// Whether any live subscriber listens, read without taking the lock —
     /// cheap enough for a publisher to ask every tick before paying for
     /// traffic no one would read.
     pub fn has_subscribers(&self) -> bool {
         self.inner.subscribers.load(Ordering::Relaxed) > 0
     }
-
-    /// Number of messages currently retained in the shared ring — the
-    /// high-water mark every undrained subscriber contributes to. Exposed
-    /// for tests and capacity diagnostics.
-    pub fn ring_len(&self) -> usize {
-        self.inner.lock().ring.len()
-    }
 }
 
 /// A receive handle returned by [`Bus::subscribe`].
 ///
-/// Dropping the handle unregisters the subscription, releasing any ring
-/// slots it was holding.
+/// Dropping the handle unregisters the subscription and frees its queue.
 #[derive(Debug)]
 pub struct Subscriber {
     inner: Arc<Shared>,
@@ -320,93 +210,39 @@ impl Subscriber {
     ///
     /// The buffer's capacity is reused across calls, so a subscriber that is
     /// drained every tick into the same buffer allocates only until the
-    /// buffer has grown to the steady-state message rate — after that the
-    /// drain path is allocation-free apart from non-`Copy` payload clones
-    /// (and every payload on the sensor/control topics is plain data).
+    /// buffer has grown to the steady-state message rate.
     pub fn drain_into(&mut self, buf: &mut Vec<Envelope>) -> usize {
         buf.clear();
-        let mut guard = self.inner.lock();
-        let BusInner {
-            ring,
-            front_seq,
-            seq,
-            subs,
-            ..
-        } = &mut *guard;
-        let head = *seq;
-        if let Some(sub) = subs.get_mut(self.id) {
-            if sub.pending > 0 {
-                let start = sub.cursor.saturating_sub(*front_seq) as usize;
-                for env in ring.iter().skip(start) {
-                    if sub.matches(topic_bit(env.topic())) {
-                        // adas-lint: allow(R14, reason = "per-subscriber FIFO drain into the caller's own buffer — order is publication order fixed by the ring, not completion order")
-                        buf.push(env.clone());
-                    }
-                }
-            }
-            sub.pending = 0;
-            sub.cursor = head;
+        let mut inner = self.inner.lock();
+        if let Some(Some(queue)) = inner.queues.get_mut(self.id) {
+            // Spelled as a path: adas-lint joins methods by name, so a
+            // `.drain(..)` here would read as a call to `Subscriber::drain`,
+            // which takes this lock again (an R12 cycle `inner → inner`).
+            // adas-lint: allow(R14, reason = "per-subscriber FIFO drain into the caller's own buffer — order is publication order fixed by the queue, not completion order")
+            buf.extend(VecDeque::drain(&mut queue.messages, ..));
         }
-        guard.evict();
         buf.len()
     }
 
-    /// Removes and returns the oldest queued message, if any.
-    pub fn try_recv(&mut self) -> Option<Envelope> {
-        let mut guard = self.inner.lock();
-        let BusInner {
-            ring,
-            front_seq,
-            seq,
-            subs,
-            ..
-        } = &mut *guard;
-        let head = *seq;
-        let mut found = None;
-        if let Some(sub) = subs.get_mut(self.id) {
-            if sub.pending > 0 {
-                let start = sub.cursor.saturating_sub(*front_seq) as usize;
-                for (off, env) in ring.iter().enumerate().skip(start) {
-                    if sub.matches(topic_bit(env.topic())) {
-                        found = Some(env.clone());
-                        sub.pending = sub.pending.saturating_sub(1);
-                        sub.cursor = *front_seq + off as u64 + 1;
-                        break;
-                    }
-                }
-            }
-            if sub.pending == 0 {
-                sub.cursor = head;
-            }
-        }
-        guard.evict();
-        found
-    }
-
-    /// Number of messages waiting to be drained.
-    pub fn pending(&self) -> usize {
-        self.inner.lock().subs.get(self.id).map_or(0, |s| s.pending)
-    }
-
-    /// Number of messages discarded because the subscriber's backlog
+    /// Number of messages discarded because the subscriber's queue
     /// overflowed [`SUBSCRIBER_QUEUE_CAP`].
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().subs.get(self.id).map_or(0, |s| s.dropped)
+        self.inner
+            .lock()
+            .queues
+            .get(self.id)
+            .and_then(Option::as_ref)
+            .map_or(0, |q| q.dropped)
     }
 }
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        let mut guard = self.inner.lock();
+        let mut inner = self.inner.lock();
         self.inner.subscribers.fetch_sub(1, Ordering::Relaxed);
-        let head = guard.seq;
-        if let Some(sub) = guard.subs.get_mut(self.id) {
-            sub.closed = true;
-            sub.mask = 0;
-            sub.pending = 0;
-            sub.cursor = head;
+        if let Some(slot) = inner.queues.get_mut(self.id) {
+            *slot = None;
         }
-        guard.evict();
     }
 }
 
@@ -475,9 +311,9 @@ mod tests {
         for i in 0..(SUBSCRIBER_QUEUE_CAP as u64 + 10) {
             bus.publish(Tick::new(i), gps());
         }
-        assert_eq!(sub.pending(), SUBSCRIBER_QUEUE_CAP);
         assert_eq!(sub.dropped(), 10);
         let msgs = sub.drain();
+        assert_eq!(msgs.len(), SUBSCRIBER_QUEUE_CAP);
         // The 10 oldest were discarded.
         assert_eq!(msgs[0].tick(), Tick::new(10));
     }
@@ -485,7 +321,7 @@ mod tests {
     #[test]
     fn overflow_bookkeeping_counts_only_matching_messages() {
         // Interleave a foreign topic: drops must count only the subscribed
-        // stream, exactly like the old queue-per-subscriber design.
+        // stream.
         let bus = Bus::new();
         let mut sub = bus.subscribe(&[Topic::GpsLocationExternal]);
         let mut all = bus.subscribe(&[Topic::GpsLocationExternal, Topic::CarState]);
@@ -493,17 +329,22 @@ mod tests {
             bus.publish(Tick::new(i), gps());
             bus.publish(Tick::new(i), Payload::CarState(CarState::default()));
         }
-        assert_eq!(sub.pending(), SUBSCRIBER_QUEUE_CAP);
         assert_eq!(sub.dropped(), 5);
         let msgs = sub.drain();
+        assert_eq!(msgs.len(), SUBSCRIBER_QUEUE_CAP);
         assert_eq!(msgs[0].tick(), Tick::new(5), "5 oldest GPS dropped");
         assert!(msgs.iter().all(|m| m.topic() == Topic::GpsLocationExternal));
-        // The two-topic subscriber saw twice the traffic, dropped twice as
-        // much, and retains an interleaved window ending at the head.
-        assert_eq!(all.pending(), SUBSCRIBER_QUEUE_CAP);
+        // The two-topic subscriber saw twice the traffic, so it dropped
+        // all but one queue's worth and retains an interleaved window
+        // ending at the latest message.
+        assert_eq!(all.dropped(), SUBSCRIBER_QUEUE_CAP as u64 + 10);
         let msgs = all.drain();
         assert_eq!(msgs.len(), SUBSCRIBER_QUEUE_CAP);
         assert!(msgs.windows(2).all(|p| p[0].seq() < p[1].seq()));
+        assert_eq!(
+            msgs.last().map(Envelope::seq),
+            Some(bus.published_count() - 1)
+        );
     }
 
     #[test]
@@ -527,84 +368,27 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_reclaimed_once_all_subscribers_drain() {
-        let bus = Bus::new();
-        let mut a = bus.subscribe(&[Topic::GpsLocationExternal]);
-        let mut b = bus.subscribe(&[Topic::GpsLocationExternal]);
-        for i in 0..10 {
-            bus.publish(Tick::new(i), gps());
-        }
-        assert_eq!(bus.ring_len(), 10, "both subscribers still pending");
-        a.drain();
-        assert_eq!(bus.ring_len(), 10, "b still pins the ring");
-        b.drain();
-        assert_eq!(bus.ring_len(), 0, "fully drained ring is empty");
-    }
-
-    #[test]
-    fn unsubscribed_topics_do_not_accumulate() {
-        // Messages nobody listens to must not grow the ring: the lock-step
-        // harness publishes carControl/controlsState every tick even when
-        // no attacker taps them.
-        let bus = Bus::new();
-        let _sub = bus.subscribe(&[Topic::GpsLocationExternal]);
-        for i in 0..100 {
-            bus.publish(Tick::new(i), Payload::CarState(CarState::default()));
-        }
-        assert_eq!(bus.ring_len(), 0);
-    }
-
-    #[test]
     fn dropping_a_subscriber_releases_its_backlog() {
         let bus = Bus::new();
         let lazy = bus.subscribe(&[Topic::GpsLocationExternal]);
         for i in 0..50 {
             bus.publish(Tick::new(i), gps());
         }
-        assert_eq!(bus.ring_len(), 50);
-        assert_eq!(bus.subscriber_count(), 1);
         assert!(bus.has_subscribers());
         drop(lazy);
-        assert_eq!(bus.subscriber_count(), 0);
         assert!(!bus.has_subscribers());
-        assert_eq!(bus.ring_len(), 0, "dropped handle no longer pins slots");
-    }
-
-    #[test]
-    fn try_recv_pops_in_order_and_skips_foreign_topics() {
-        let bus = Bus::new();
-        let mut sub = bus.subscribe(&[Topic::GpsLocationExternal]);
-        bus.publish(Tick::ZERO, gps());
-        bus.publish(Tick::ZERO, Payload::CarState(CarState::default()));
-        bus.publish(Tick::new(1), gps());
-        let first = sub.try_recv().expect("first gps");
-        assert_eq!(first.tick(), Tick::ZERO);
-        assert_eq!(sub.pending(), 1);
-        let second = sub.try_recv().expect("second gps");
-        assert_eq!(second.tick(), Tick::new(1));
-        assert!(sub.try_recv().is_none());
-    }
-
-    #[test]
-    fn logging_captures_everything() {
-        let bus = Bus::new();
-        bus.enable_logging();
-        bus.publish(Tick::ZERO, gps());
-        bus.publish(Tick::new(1), Payload::CarState(CarState::default()));
-        let log = bus.take_log().expect("logging enabled");
-        assert_eq!(log.len(), 2);
-        assert!(bus.take_log().is_none(), "log can only be taken once");
+        let mut later = bus.subscribe(&[Topic::GpsLocationExternal]);
+        assert_eq!(later.drain().len(), 0, "the dropped backlog is gone");
+        assert_eq!(later.dropped(), 0);
     }
 
     #[test]
     fn counters() {
         let bus = Bus::new();
         assert_eq!(bus.published_count(), 0);
-        assert_eq!(bus.subscriber_count(), 0);
         let _sub = bus.subscribe(&[Topic::ModelV2]);
         bus.publish(Tick::ZERO, gps());
         assert_eq!(bus.published_count(), 1);
-        assert_eq!(bus.subscriber_count(), 1);
     }
 
     #[test]
@@ -668,8 +452,7 @@ mod tests {
     #[test]
     fn concurrent_drain_while_publishing_loses_nothing() {
         // A reader draining mid-stream must see every message exactly once
-        // across its drains, in order — the multi-threaded safety property
-        // of the old design, preserved by the ring.
+        // across its drains, in order.
         let bus = Bus::new();
         let mut sub = bus.subscribe(&[Topic::GpsLocationExternal]);
         let mut seen = Vec::new();

@@ -12,9 +12,7 @@
 //! * [`Topic`] names the event streams,
 //! * [`Bus`] delivers every published [`Envelope`] to all matching
 //!   [`Subscriber`]s, with no access control — which is precisely the
-//!   vulnerability the attack's eavesdropping step exploits,
-//! * [`MessageLog`] records traffic for offline analysis (the attacker's
-//!   reverse-engineering step).
+//!   vulnerability the attack's eavesdropping step exploits.
 //!
 //! # Examples
 //!
@@ -53,12 +51,10 @@
 
 mod bus;
 mod envelope;
-mod log;
 pub mod schema;
 mod topic;
 
 pub use bus::{Bus, Subscriber};
 pub use envelope::Envelope;
-pub use log::MessageLog;
 pub use schema::Payload;
 pub use topic::Topic;

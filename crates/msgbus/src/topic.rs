@@ -77,19 +77,6 @@ impl Topic {
             Topic::ControlsState => "controlsState",
         }
     }
-
-    /// Parses a Cereal service name back into a topic.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use msgbus::Topic;
-    /// assert_eq!(Topic::from_service_name("radarState"), Some(Topic::RadarState));
-    /// assert_eq!(Topic::from_service_name("bogus"), None);
-    /// ```
-    pub fn from_service_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|t| t.service_name() == name)
-    }
 }
 
 impl fmt::Display for Topic {
@@ -103,23 +90,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn service_names_round_trip() {
-        for t in Topic::ALL {
-            assert_eq!(Topic::from_service_name(t.service_name()), Some(t));
-        }
-    }
-
-    #[test]
-    fn unknown_service_name_is_none() {
-        assert_eq!(Topic::from_service_name("modelV3"), None);
-        assert_eq!(Topic::from_service_name(""), None);
-    }
-
-    #[test]
     fn all_topics_unique() {
+        // Distinct service names too: the trace JSON export keys its `bus`
+        // object by them.
         for (i, a) in Topic::ALL.iter().enumerate() {
             for b in &Topic::ALL[i + 1..] {
                 assert_ne!(a, b);
+                assert_ne!(a.service_name(), b.service_name());
             }
         }
     }

@@ -1,7 +1,5 @@
-//! Result export: CSV for per-run records, a compact text summary for
-//! campaign aggregates.
+//! Result export: CSV for per-run records.
 
-use crate::metrics::StrategyAggregate;
 use crate::SimResult;
 
 /// CSV header matching [`sim_results_csv`].
@@ -49,30 +47,6 @@ pub fn sim_results_csv(results: &[SimResult]) -> String {
         ));
     }
     out
-}
-
-/// One-paragraph textual summary of a campaign aggregate.
-pub fn summarize(agg: &StrategyAggregate) -> String {
-    format!(
-        "{}: {} sims — hazards {} ({:.1}%), accidents {} ({:.1}%), alerts {} ({:.1}%), \
-         hazards-without-alert {} ({:.1}%), TTH {:.2}±{:.2} s (n={}), \
-         lane invasions {:.3}/s, FCW events {}",
-        agg.label,
-        agg.sims,
-        agg.hazards,
-        agg.pct(agg.hazards),
-        agg.accidents,
-        agg.pct(agg.accidents),
-        agg.alerted,
-        agg.pct(agg.alerted),
-        agg.hazards_no_alert,
-        agg.pct(agg.hazards_no_alert),
-        agg.tth.mean,
-        agg.tth.std,
-        agg.tth.n,
-        agg.invasions_per_sec,
-        agg.fcw_events,
-    )
 }
 
 #[cfg(test)]
@@ -131,14 +105,5 @@ mod tests {
         let csv = sim_results_csv(&[r]);
         let row = csv.lines().nth(1).unwrap();
         assert!(row.starts_with("42,0,,,,,"));
-    }
-
-    #[test]
-    fn summary_mentions_the_headline_numbers() {
-        let agg = StrategyAggregate::from_results("Context-Aware", &[result()]);
-        let s = summarize(&agg);
-        assert!(s.contains("Context-Aware"));
-        assert!(s.contains("hazards 1 (100.0%)"));
-        assert!(s.contains("TTH 5.50"));
     }
 }

@@ -184,7 +184,8 @@ impl RunMetrics {
 }
 
 /// Campaign-level aggregate: [`RunMetrics`] summed over every run plus
-/// outcome counts from the [`SimResult`]s, merged by the parallel runner.
+/// outcome counts from the [`SimResult`]s, folded in one run at a time by
+/// [`CampaignMetrics::absorb_run`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignMetrics {
     /// Runs aggregated.
@@ -226,34 +227,6 @@ impl CampaignMetrics {
         self.totals.headway.merge(&metrics.headway);
         self.totals.applied_accel.merge(&metrics.applied_accel);
         self.totals.lane_offset.merge(&metrics.lane_offset);
-    }
-
-    /// Merges another campaign aggregate (e.g. a worker's partial).
-    pub fn merge(&mut self, other: &CampaignMetrics) {
-        self.runs += other.runs;
-        self.hazardous_runs += other.hazardous_runs;
-        self.accident_runs += other.accident_runs;
-        self.activated_runs += other.activated_runs;
-        self.totals.ticks += other.totals.ticks;
-        for (a, b) in self
-            .totals
-            .bus_published
-            .iter_mut()
-            .zip(&other.totals.bus_published)
-        {
-            *a += b;
-        }
-        self.totals.frames_rewritten += other.totals.frames_rewritten;
-        self.totals.panda_blocked += other.totals.panda_blocked;
-        self.totals.alert_events += other.totals.alert_events;
-        self.totals.attack_active_ticks += other.totals.attack_active_ticks;
-        self.totals.driver_engaged_ticks += other.totals.driver_engaged_ticks;
-        self.totals.degraded_ticks += other.totals.degraded_ticks;
-        self.totals.failsafe_ticks += other.totals.failsafe_ticks;
-        self.totals.faults_injected += other.totals.faults_injected;
-        self.totals.headway.merge(&other.totals.headway);
-        self.totals.applied_accel.merge(&other.totals.applied_accel);
-        self.totals.lane_offset.merge(&other.totals.lane_offset);
     }
 }
 

@@ -4,9 +4,11 @@
 //! is excluded:
 //!
 //! * after warm-up, `Harness::step` performs **zero heap allocations** on
-//!   a steady-state (no-trace, no-collision) tick — warm-up growth (msgbus
-//!   ring, encoder counter map, reused frame/alert buffers reaching their
-//!   high-water capacity) is the once-per-run cost the hot path amortizes;
+//!   a steady-state (no-trace, no-collision) tick, and so does publishing
+//!   its traffic to a subscriber drained every tick — warm-up growth
+//!   (reused frame/alert buffers, a subscriber's queue and its drain
+//!   buffer reaching their high-water capacity) is the once-per-run cost
+//!   the hot path amortizes;
 //! * `Harness::new` allocates only what its kind of run needs: the CAN
 //!   database and the actuator layouts are compile-time data, so wiring a
 //!   cell builds no DBC and resolves no signal by name.
@@ -17,6 +19,7 @@ use std::cell::Cell;
 use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
 use driving_sim::{Scenario, ScenarioId};
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
+use msgbus::{Envelope, Topic};
 use platform::{DefensePolicy, Harness, HarnessConfig, TraceConfig};
 use units::{Distance, Seconds};
 
@@ -68,9 +71,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// One measured window over four harnesses stepped back to back (plain,
-/// fault-injected, attacked + faulted + defended, and attacked past the
-/// driver's takeover).
+/// One measured window over five harnesses stepped back to back (plain,
+/// fault-injected, attacked + faulted + defended, attacked past the
+/// driver's takeover, and attacked with every topic tapped).
 #[test]
 fn steady_state_tick_does_not_touch_the_heap() {
     let scenario = Scenario::new(ScenarioId::S1, Distance::meters(70.0));
@@ -109,39 +112,69 @@ fn steady_state_tick_does_not_touch_the_heap() {
     };
     let mut taken_over = Harness::new(HarnessConfig::with_attack(scenario, 3, takeover_attack));
 
-    // Warm-up: let every reused buffer reach its high-water mark (the
-    // encoder's counter map fills on the first engaged tick; the msgbus
-    // ring and the drain scratch buffers stabilize within a few ticks).
+    // A fifth, attacked, with a tap on every topic drained into one reused
+    // buffer every tick. The four above have no subscriber, so they never
+    // publish; this one publishes the whole tick's traffic, which is the
+    // path `Bus::publish`'s allocation claim rests on.
+    let mut observed = Harness::new(HarnessConfig::with_attack(
+        scenario,
+        3,
+        AttackConfig::default(),
+    ));
+    let mut tap = observed.bus().subscribe(&Topic::ALL);
+    let mut seen = Vec::<Envelope>::new();
+
+    // Warm-up: let every reused buffer reach its high-water mark. The
+    // ADAS output's frame and alert buffers fill on the first engaged
+    // ticks, and the tap's queue and drain buffer within the first tick
+    // that publishes all six topics.
     for _ in 0..500 {
         harness.step();
         faulted.step();
         defended.step();
         taken_over.step();
+        observed.step();
+        tap.drain_into(&mut seen);
     }
     assert!(
         taken_over.result_so_far().driver_engaged.is_some(),
         "the driver took over during the warm-up"
     );
 
-    let ((), (allocs, reallocs)) = counted(|| {
+    let published_before = observed.bus().published_count();
+    let (delivered, (allocs, reallocs)) = counted(|| {
+        let mut delivered = 0;
         for _ in 0..1_000 {
             harness.step();
             faulted.step();
             defended.step();
             taken_over.step();
+            observed.step();
+            delivered += tap.drain_into(&mut seen);
         }
+        delivered
     });
     assert!(
         taken_over.world().collision().is_none(),
         "the post-takeover window ran the disengaged tick, not frozen ones"
+    );
+    assert_eq!(
+        delivered as u64,
+        observed.bus().published_count() - published_before,
+        "the tap drained every message the window published"
+    );
+    assert!(
+        delivered >= 5_000,
+        "the observed harness published through most of the window \
+         ({delivered} messages)"
     );
 
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
         "steady-state Harness::step must not allocate, with or without \
-         faults, attack, defenses or a driver takeover ({allocs} allocs, \
-         {reallocs} reallocs over 1000 ticks)"
+         faults, attack, defenses, a driver takeover or a subscriber \
+         ({allocs} allocs, {reallocs} reallocs over 1000 ticks)"
     );
 }
 
