@@ -670,62 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn event_lines_are_byte_stable() {
-        // Each expected line is what the stream carried before the journal
-        // was typed; a quote, a backslash and a newline exercise escaping.
-        let nasty = "boom \"quoted\" back\\slash\nnext line";
-        let cases = [
-            (
-                Event::Running {
-                    cells_total: 24,
-                    checkpointed: 3,
-                },
-                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "running", "cells_total": 24, "checkpointed": 3}"#,
-            ),
-            (
-                Event::CellOk { idx: 5, attempt: 1 },
-                r#"{"event": "cell", "idx": 5, "status": "ok", "attempt": 1}"#,
-            ),
-            (
-                Event::CellRetryOk { idx: 9, attempt: 2 },
-                r#"{"event": "cell", "idx": 9, "status": "retry_ok", "attempt": 2}"#,
-            ),
-            (
-                Event::CellPanic {
-                    idx: 2,
-                    attempt: 1,
-                    message: nasty.to_string(),
-                },
-                r#"{"event": "cell", "idx": 2, "status": "panic", "attempt": 1, "message": "boom \"quoted\" back\\slash\nnext line"}"#,
-            ),
-            (
-                Event::CellQuarantined {
-                    idx: 17,
-                    attempts: 3,
-                },
-                r#"{"event": "cell", "idx": 17, "status": "quarantined", "attempts": 3}"#,
-            ),
-            (
-                Event::Completed { cells_total: 24 },
-                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "completed", "cells_total": 24}"#,
-            ),
-            (
-                Event::Failed {
-                    reason: nasty.to_string(),
-                },
-                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "failed", "reason": "boom \"quoted\" back\\slash\nnext line"}"#,
-            ),
-            (
-                Event::Interrupted,
-                r#"{"event": "job", "id": "job-0007-0badf00d", "status": "interrupted"}"#,
-            ),
-        ];
-        for (event, line) in cases {
-            assert_eq!(event.render("job-0007-0badf00d"), line, "{event:?}");
-        }
-    }
-
-    #[test]
     fn chaos_panics_are_retried_to_a_byte_identical_report() {
         let dir = temp_state("retry");
         let clean = tiny_job(ChaosKnobs::default());
