@@ -3,8 +3,8 @@
 //!
 //! Threading model — deliberately boring:
 //!
-//! * one accept loop ([`accept_loop`]) blocked in `accept`, so a client is
-//!   served the moment it connects; [`ServerState::drain`] wakes it with
+//! * one accept loop (`accept_loop`) blocked in `accept`, so a client is
+//!   served the moment it connects; `ServerState::drain` wakes it with
 //!   one loopback connection of its own;
 //! * one connection thread per client, capped at
 //!   [`DaemonConfig::max_connections`] (over the cap → immediate 503),
@@ -13,7 +13,7 @@
 //!   request that says `Connection: close`, or an HTTP/1.0 one without
 //!   `Connection: keep-alive`, gets its reply and then EOF; during a drain
 //!   an idle connection ends at its next read timeout;
-//! * one supervisor loop ([`supervisor_loop`]) running queued jobs
+//! * one supervisor loop (`supervisor_loop`) running queued jobs
 //!   sequentially — the *cells* of a job are the parallelism, fanned out
 //!   by `platform::experiment::run_campaign_cells`, so a second concurrent
 //!   job would only fight the first for the same cores. It sleeps on the
@@ -26,7 +26,7 @@
 //! EOF finds the report served.
 //!
 //! Memory holds only live jobs. The job table keeps every unfinished job
-//! and the [`FINISHED_WINDOW`] most recently finished ones in full: spec,
+//! and the `FINISHED_WINDOW` (16) most recently finished ones in full: spec,
 //! event journal and report. An older finished job, and every finished
 //! job `--resume` replays, is a compact record of its spec, status and
 //! counters, and is served from its checkpoint: its report is rebuilt
@@ -48,11 +48,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use platform::json::{self, Fixed, Layout};
+
 use crate::checkpoint::{fnv64, load_manifest, load_wal, wal_path, Manifest};
 use crate::http::{parse_request, response, stream_head, Parse, Request};
 use crate::spec::JobSpec;
 use crate::supervisor::{run_job, DaemonStats, Event, JobOutcome, JobProgress, SupervisorConfig};
-use crate::wire::{escape, parse_object};
+use crate::wire::parse_object;
 
 /// Finished jobs the daemon keeps in full, journal and report included,
 /// besides every unfinished one. When one more finishes, the oldest of
@@ -194,23 +196,21 @@ struct JobRecord {
 impl JobRecord {
     /// The `/jobs/<id>` body.
     fn status_body(&self, id: &str) -> String {
-        let reason = match &self.status {
-            JobStatus::Failed(reason) => format!(", \"reason\": \"{}\"", escape(reason)),
-            JobStatus::Queued
-            | JobStatus::Running
-            | JobStatus::Completed
-            | JobStatus::Interrupted => String::new(),
-        };
-        let quarantined: Vec<String> = self.quarantined.iter().map(usize::to_string).collect();
-        format!(
-            "{{\"id\": \"{id}\", \"status\": \"{}\", \"cells_total\": {}, \
-\"cells_done\": {}, \"retries\": {}, \"quarantined\": [{}]{reason}}}",
-            self.status.label(),
-            self.cells_total,
-            self.cells_done,
-            self.retries,
-            quarantined.join(", "),
-        )
+        json::object(Layout::Line, |o| {
+            o.field("id", id)
+                .field("status", self.status.label())
+                .field("cells_total", self.cells_total)
+                .field("cells_done", self.cells_done)
+                .field("retries", self.retries);
+            o.key("quarantined").array(Layout::Line, |a| {
+                for idx in &self.quarantined {
+                    a.value(idx);
+                }
+            });
+            if let JobStatus::Failed(reason) = &self.status {
+                o.field("reason", reason);
+            }
+        })
     }
 
     /// Rebuilds a completed job's report from its WAL, as `--resume`
@@ -638,7 +638,9 @@ impl Reply {
 
     /// `{"error": message}`.
     fn error(status: u16, reason: &'static str, message: &str) -> Self {
-        let body = format!("{{\"error\": \"{}\"}}", escape(message));
+        let body = json::object(Layout::Line, |o| {
+            o.field("error", message);
+        });
         Self::json(status, reason, body)
     }
 
@@ -673,19 +675,12 @@ impl Reply {
 fn route(req: &Request, stream: &TcpStream, state: &Arc<ServerState>) -> bool {
     let path = req.target.split('?').next().unwrap_or("");
     let reply = match (req.method.as_str(), path) {
-        ("GET", "/healthz") => Reply::json(
-            200,
-            "OK",
-            format!(
-                "{{\"ok\": true, \"draining\": {}}}",
-                state.draining.load(Ordering::SeqCst)
-            ),
-        ),
+        ("GET", "/healthz") => Reply::json(200, "OK", health_body(state)),
         ("GET", "/stats") => Reply::json(200, "OK", stats_body(state)),
         ("POST", "/jobs") => submit_job(req, state),
         ("POST", "/shutdown") => {
             state.drain();
-            let reply = Reply::json(202, "Accepted", "{\"ok\": true, \"draining\": true}".into());
+            let reply = Reply::json(202, "Accepted", health_body(state));
             let _ = write_all(stream, &reply.to_bytes(false));
             return false;
         }
@@ -714,37 +709,47 @@ fn not_found() -> Reply {
     Reply::error(404, "Not Found", "not found")
 }
 
+/// The `/healthz` body, also the reply to `/shutdown` once the drain has
+/// begun.
+fn health_body(state: &Arc<ServerState>) -> String {
+    json::object(Layout::Line, |o| {
+        o.field("ok", true)
+            .field("draining", state.draining.load(Ordering::SeqCst));
+    })
+}
+
 fn stats_body(state: &Arc<ServerState>) -> String {
     let queue_depth = {
         let queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
         queue.waiting.len()
     };
     let count = |n: &AtomicU64| n.load(Ordering::SeqCst);
-    let jobs = &state.counts;
     let (cell_count, cell_mean, spark) = state.stats.cell_seconds_summary();
-    format!(
-        "{{\"queue_depth\": {queue_depth}, \"queue_cap\": {}, \"accepted\": {}, \
-\"shed\": {}, \"in_flight_cells\": {}, \"cells_done\": {}, \"retries\": {}, \
-\"quarantined\": {}, \"io_errors\": {}, \"jobs\": {{\"queued\": {}, \"running\": {}, \
-\"completed\": {}, \"failed\": {}, \"interrupted\": {}}}, \
-\"cell_seconds\": {{\"count\": {cell_count}, \"mean\": {cell_mean:.6}, \
-\"sparkline\": \"{}\"}}, \"draining\": {}}}",
-        state.cfg.queue_cap,
-        state.accepted.load(Ordering::SeqCst),
-        state.shed.load(Ordering::SeqCst),
-        state.stats.in_flight.load(Ordering::SeqCst),
-        state.stats.cells_done.load(Ordering::SeqCst),
-        state.stats.retries.load(Ordering::SeqCst),
-        state.stats.quarantined.load(Ordering::SeqCst),
-        state.stats.io_errors.load(Ordering::SeqCst),
-        count(&jobs.queued),
-        count(&jobs.running),
-        count(&jobs.completed),
-        count(&jobs.failed),
-        count(&jobs.interrupted),
-        escape(&spark),
-        state.draining.load(Ordering::SeqCst),
-    )
+    json::object(Layout::Line, |o| {
+        o.field("queue_depth", queue_depth)
+            .field("queue_cap", state.cfg.queue_cap)
+            .field("accepted", count(&state.accepted))
+            .field("shed", count(&state.shed))
+            .field("in_flight_cells", count(&state.stats.in_flight))
+            .field("cells_done", count(&state.stats.cells_done))
+            .field("retries", count(&state.stats.retries))
+            .field("quarantined", count(&state.stats.quarantined))
+            .field("io_errors", count(&state.stats.io_errors));
+        let jobs = &state.counts;
+        o.key("jobs").object(Layout::Line, |j| {
+            j.field("queued", count(&jobs.queued))
+                .field("running", count(&jobs.running))
+                .field("completed", count(&jobs.completed))
+                .field("failed", count(&jobs.failed))
+                .field("interrupted", count(&jobs.interrupted));
+        });
+        o.key("cell_seconds").object(Layout::Line, |c| {
+            c.field("count", cell_count)
+                .field("mean", Fixed(cell_mean, 6))
+                .field("sparkline", &spark);
+        });
+        o.field("draining", state.draining.load(Ordering::SeqCst));
+    })
 }
 
 fn submit_job(req: &Request, state: &Arc<ServerState>) -> Reply {
@@ -812,11 +817,12 @@ fn submit_job(req: &Request, state: &Arc<ServerState>) -> Reply {
         // Recorded but never run: `--resume` queues it again.
         publish_outcome(state, &job, Ok(JobOutcome::Interrupted));
     }
-    Reply::json(
-        202,
-        "Accepted",
-        format!("{{\"id\": \"{id}\", \"cells_total\": {total}, \"queue_depth\": {queue_depth}}}"),
-    )
+    let body = json::object(Layout::Line, |o| {
+        o.field("id", &id)
+            .field("cells_total", total)
+            .field("queue_depth", queue_depth);
+    });
+    Reply::json(202, "Accepted", body)
 }
 
 fn job_status_body(state: &Arc<ServerState>, id: &str) -> Reply {

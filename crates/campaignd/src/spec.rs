@@ -12,6 +12,7 @@
 use attack_core::{AttackType, StrategyKind};
 use defense::DefensePolicy;
 use platform::experiment::{detected_cores, plan_attack_campaign, CampaignConfig, RunSpec};
+use platform::json::{self, Fixed, Layout, Scalar, Writer};
 use platform::resilience::{
     aggregate_resilience_results, plan_resilience_campaign, ResilienceConfig, ResilienceSpec,
 };
@@ -24,6 +25,13 @@ use crate::wire::{Object, Value};
 /// so an oversized submission is a 400 rather than an allocation that
 /// takes the daemon down (and, recorded, takes it down again on resume).
 pub const MAX_JOB_CELLS: u64 = 100_000;
+
+/// The most milliseconds one job's chaos delays may add up to: 60 s, 20×
+/// what any test asks for. A cell sleeps its delay on every attempt and
+/// does not watch for a drain or the deadline while it sleeps, so an
+/// unbounded delay would hold up every later job and keep a drained daemon
+/// from exiting.
+pub const MAX_CHAOS_DELAY_MS: u64 = 60_000;
 
 /// Which campaign family the job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,8 +183,8 @@ fn str_field<'a>(obj: &'a Object, key: &str) -> Result<Option<&'a str>, String> 
 
 impl JobSpec {
     /// Builds a spec from a parsed submission object and rejects one over
-    /// [`MAX_JOB_CELLS`]; the error string is what the client sees in the
-    /// 400 body.
+    /// [`MAX_JOB_CELLS`] or [`MAX_CHAOS_DELAY_MS`]; the error string is what
+    /// the client sees in the 400 body.
     pub fn from_object(obj: &Object) -> Result<Self, String> {
         let spec = Self::from_recorded(obj)?;
         spec.check_size()?;
@@ -230,12 +238,21 @@ impl JobSpec {
         })
     }
 
-    /// Rejects a spec that would plan more than [`MAX_JOB_CELLS`] cells.
+    /// Rejects a spec that would plan more than [`MAX_JOB_CELLS`] cells or
+    /// whose chaos delays add up to more than [`MAX_CHAOS_DELAY_MS`].
     pub(crate) fn check_size(&self) -> Result<(), String> {
         let cells = self.cell_count();
         if cells > MAX_JOB_CELLS {
             return Err(format!(
                 "job would plan {cells} cells, over the cap of {MAX_JOB_CELLS}; lower 'reps'"
+            ));
+        }
+        let delay_ms =
+            (self.chaos.delay_cells.iter()).fold(0u64, |sum, &(_, ms)| sum.saturating_add(ms));
+        if delay_ms > MAX_CHAOS_DELAY_MS {
+            return Err(format!(
+                "chaos delays add up to {delay_ms} ms, over the cap of {MAX_CHAOS_DELAY_MS} ms; \
+lower 'delay_cells'"
             ));
         }
         Ok(())
@@ -259,34 +276,21 @@ impl JobSpec {
     /// id hashes, so resubmitting a semantically identical job reproduces
     /// the same identity.
     pub fn canonical(&self) -> String {
-        let kind_fields = match self.kind {
-            JobKind::Attack { strategy, attack } => format!(
-                "\"kind\": \"attack\", \"strategy\": \"{}\", \"attack\": \"{}\"",
-                strategy_token(strategy),
-                attack_token(attack)
-            ),
-            JobKind::Resilience { defense } => format!(
-                "\"kind\": \"resilience\", \"defense\": \"{}\"",
-                defense.label()
-            ),
-        };
-        let pairs = |cells: &[(usize, u64)]| {
-            let items: Vec<String> = cells.iter().map(|(i, v)| format!("[{i}, {v}]")).collect();
-            format!("[{}]", items.join(", "))
-        };
-        let panics: Vec<(usize, u64)> = self
-            .chaos
-            .panic_cells
-            .iter()
-            .map(|&(i, k)| (i, u64::from(k)))
-            .collect();
-        format!(
-            "{{{kind_fields}, \"base_seed\": {}, \"reps\": {}, \"panic_cells\": {}, \"delay_cells\": {}}}",
-            self.base_seed,
-            self.reps,
-            pairs(&panics),
-            pairs(&self.chaos.delay_cells),
-        )
+        json::object(Layout::Line, |o| {
+            match self.kind {
+                JobKind::Attack { strategy, attack } => o
+                    .field("kind", "attack")
+                    .field("strategy", strategy_token(strategy))
+                    .field("attack", attack_token(attack)),
+                JobKind::Resilience { defense } => o
+                    .field("kind", "resilience")
+                    .field("defense", defense.label()),
+            };
+            o.field("base_seed", self.base_seed)
+                .field("reps", self.reps);
+            write_pairs(o, "panic_cells", &self.chaos.panic_cells);
+            write_pairs(o, "delay_cells", &self.chaos.delay_cells);
+        })
     }
 
     /// Expands the job into its plan-ordered cell list.
@@ -332,31 +336,38 @@ impl JobSpec {
                     .iter()
                     .filter_map(|r| r.tth.map(|t| t.secs()))
                     .collect();
-                let mean_tth = if tth.is_empty() {
-                    "null".to_string()
-                } else {
-                    format!("{:.3}", tth.iter().sum::<f64>() / tth.len() as f64)
-                };
-                format!(
-                    "{{\n  \"bench\": \"campaign\",\n  \"kind\": \"attack\",\n  \
-\"strategy\": \"{}\",\n  \"attack\": \"{}\",\n  \"base_seed\": {},\n  \
-\"reps_per_cell\": {},\n  \"cores\": {},\n  \"total_runs\": {},\n  \
-\"hazardous_runs\": {},\n  \"accident_runs\": {},\n  \
-\"hazard_no_alert_runs\": {},\n  \"mean_tth_s\": {}\n}}\n",
-                    strategy.label(),
-                    attack.label(),
-                    self.base_seed,
-                    self.reps,
-                    detected_cores(),
-                    results.len(),
-                    hazardous,
-                    accidents,
-                    silent,
-                    mean_tth,
-                )
+                let mean_tth =
+                    (!tth.is_empty()).then(|| Fixed(tth.iter().sum::<f64>() / tth.len() as f64, 3));
+                let mut doc = json::object(Layout::Indented, |o| {
+                    o.field("bench", "campaign")
+                        .field("kind", "attack")
+                        .field("strategy", strategy.label())
+                        .field("attack", attack.label())
+                        .field("base_seed", self.base_seed)
+                        .field("reps_per_cell", self.reps)
+                        .field("cores", detected_cores())
+                        .field("total_runs", results.len())
+                        .field("hazardous_runs", hazardous)
+                        .field("accident_runs", accidents)
+                        .field("hazard_no_alert_runs", silent)
+                        .field("mean_tth_s", mean_tth);
+                });
+                doc.push('\n');
+                doc
             }
         }
     }
+}
+
+/// Writes `[[idx, value], …]` under `key`.
+fn write_pairs(o: &mut Writer<'_>, key: &str, pairs: &[(usize, impl Scalar + Copy)]) {
+    o.key(key).array(Layout::Line, |a| {
+        for &(idx, value) in pairs {
+            a.array(Layout::Line, |pair| {
+                pair.value(idx).value(value);
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -443,6 +454,31 @@ mod tests {
         let over = parse_object(br#"{"kind": "resilience", "reps": 100000}"#).unwrap();
         let err = JobSpec::from_object(&over).unwrap_err();
         assert!(err.contains(&MAX_JOB_CELLS.to_string()), "{err}");
+    }
+
+    #[test]
+    fn a_chaos_delay_past_the_cap_is_rejected_naming_the_cap() {
+        // This body once queued a job whose first cell slept for 584
+        // million years, holding up every later job and a drain.
+        let wedge = parse_object(
+            br#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration",
+                "reps": 1, "delay_cells": [[0, 18446744073709551615]]}"#,
+        )
+        .unwrap();
+        let err = JobSpec::from_object(&wedge).unwrap_err();
+        assert!(err.contains(&MAX_CHAOS_DELAY_MS.to_string()), "{err}");
+        // Resuming an unfinished job checks it the same way.
+        assert!(JobSpec::from_recorded(&wedge)
+            .unwrap()
+            .check_size()
+            .is_err());
+        // Delays are summed: two that fit alone do not fit together.
+        let half = MAX_CHAOS_DELAY_MS / 2 + 1;
+        let body =
+            format!(r#"{{"kind": "resilience", "delay_cells": [[0, {half}], [1, {half}]]}}"#);
+        assert!(JobSpec::from_object(&parse_object(body.as_bytes()).unwrap()).is_err());
+        let body = format!(r#"{{"kind": "resilience", "delay_cells": [[0, {half}]]}}"#);
+        assert!(JobSpec::from_object(&parse_object(body.as_bytes()).unwrap()).is_ok());
     }
 
     #[test]

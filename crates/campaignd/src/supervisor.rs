@@ -28,13 +28,13 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use platform::experiment::{run_campaign_cells, RunnerConfig};
+use platform::json::{self, Layout};
 use platform::pool::{catch_cell, CellPanic};
 use platform::trace::Histogram;
 use platform::SimResult;
 
 use crate::checkpoint::{load_wal, wal_path, WalWriter};
 use crate::spec::{CellSpec, JobSpec};
-use crate::wire::escape;
 
 /// Supervision policy for every job the daemon runs.
 #[derive(Debug, Clone, Copy)]
@@ -173,48 +173,41 @@ pub enum Event {
 impl Event {
     /// The event's NDJSON line, without its newline, for job `job_id`.
     pub fn render(&self, job_id: &str) -> String {
-        match self {
-            Event::Running {
-                cells_total,
-                checkpointed,
-            } => format!(
-                "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"running\", \
-\"cells_total\": {cells_total}, \"checkpointed\": {checkpointed}}}"
-            ),
-            Event::CellOk { idx, attempt } => format!(
-                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"ok\", \
-\"attempt\": {attempt}}}"
-            ),
-            Event::CellRetryOk { idx, attempt } => format!(
-                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"retry_ok\", \
-\"attempt\": {attempt}}}"
-            ),
-            Event::CellPanic {
-                idx,
-                attempt,
-                message,
-            } => format!(
-                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"panic\", \
-\"attempt\": {attempt}, \"message\": \"{}\"}}",
-                escape(message)
-            ),
-            Event::CellQuarantined { idx, attempts } => format!(
-                "{{\"event\": \"cell\", \"idx\": {idx}, \"status\": \"quarantined\", \
-\"attempts\": {attempts}}}"
-            ),
-            Event::Completed { cells_total } => format!(
-                "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"completed\", \
-\"cells_total\": {cells_total}}}"
-            ),
-            Event::Failed { reason } => format!(
-                "{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"failed\", \
-\"reason\": \"{}\"}}",
-                escape(reason)
-            ),
-            Event::Interrupted => {
-                format!("{{\"event\": \"job\", \"id\": \"{job_id}\", \"status\": \"interrupted\"}}")
+        let (status, idx) = match self {
+            Event::Running { .. } => ("running", None),
+            Event::CellOk { idx, .. } => ("ok", Some(idx)),
+            Event::CellRetryOk { idx, .. } => ("retry_ok", Some(idx)),
+            Event::CellPanic { idx, .. } => ("panic", Some(idx)),
+            Event::CellQuarantined { idx, .. } => ("quarantined", Some(idx)),
+            Event::Completed { .. } => ("completed", None),
+            Event::Failed { .. } => ("failed", None),
+            Event::Interrupted => ("interrupted", None),
+        };
+        json::object(Layout::Line, |o| {
+            match idx {
+                Some(idx) => o.field("event", "cell").field("idx", idx),
+                None => o.field("event", "job").field("id", job_id),
             }
-        }
+            .field("status", status);
+            match self {
+                Event::Running {
+                    cells_total,
+                    checkpointed,
+                } => o
+                    .field("cells_total", cells_total)
+                    .field("checkpointed", checkpointed),
+                Event::CellOk { attempt, .. } | Event::CellRetryOk { attempt, .. } => {
+                    o.field("attempt", attempt)
+                }
+                Event::CellPanic {
+                    attempt, message, ..
+                } => o.field("attempt", attempt).field("message", message),
+                Event::CellQuarantined { attempts, .. } => o.field("attempts", attempts),
+                Event::Completed { cells_total } => o.field("cells_total", cells_total),
+                Event::Failed { reason } => o.field("reason", reason),
+                Event::Interrupted => o,
+            };
+        })
     }
 }
 

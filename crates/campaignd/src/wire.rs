@@ -1,12 +1,15 @@
-//! Minimal flat-JSON wire codec for the job API.
+//! The job API's body shape: one flat JSON object.
 //!
-//! The workspace has no serialization dependency, so — like every report
-//! writer in it — campaignd hand-rolls its JSON. Parsing is scoped to
-//! exactly what job submissions need: one flat object whose values are
-//! strings, unsigned integers, booleans, or arrays of `[int, int]` pairs
-//! (the chaos knobs). Anything else is a parse error, not a guess.
+//! A body is read by [`platform::json::parse`], the workspace's one JSON
+//! reader, and then checked to be exactly what a job submission needs: one
+//! object whose values are strings, unsigned integers, booleans, or arrays
+//! of `[int, int]` pairs (the chaos knobs). Anything else — nesting, a
+//! negative or fractional number, `null`, trailing bytes — is an error,
+//! not a guess, because the body comes from outside the program.
 
 use std::collections::BTreeMap;
+
+use platform::json::{self, Json};
 
 /// A value in a flat job-submission object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,188 +24,41 @@ pub enum Value {
     Pairs(Vec<(u64, u64)>),
 }
 
-/// Parsed key → value map (keys are unescaped JSON strings).
+/// Parsed key → value map (a repeated key keeps its last value).
 pub type Object = BTreeMap<String, Value>;
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escaped = self.bytes.get(self.pos + 1);
-                    match escaped {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        _ => return Err(format!("unsupported escape at byte {}", self.pos)),
-                    }
-                    self.pos += 2;
-                }
-                Some(&b) if b >= 0x20 => {
-                    // Raw UTF-8 passes through byte-wise; keys and enum
-                    // tokens the daemon actually interprets are ASCII.
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                _ => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn uint(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected digit at byte {start}"));
-        }
-        self.bytes
-            .get(start..self.pos)
-            .and_then(|digits| std::str::from_utf8(digits).ok())
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("integer overflow at byte {start}"))
-    }
-
-    fn pairs(&mut self) -> Result<Vec<(u64, u64)>, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.eat(b'[')?;
-            let a = self.uint()?;
-            self.eat(b',')?;
-            let b = self.uint()?;
-            self.eat(b']')?;
-            out.push((a, b));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => Ok(Value::Pairs(self.pairs()?)),
-            Some(b't')
-                if self
-                    .bytes
-                    .get(self.pos..)
-                    .is_some_and(|r| r.starts_with(b"true")) =>
-            {
-                self.pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f')
-                if self
-                    .bytes
-                    .get(self.pos..)
-                    .is_some_and(|r| r.starts_with(b"false")) =>
-            {
-                self.pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b) if b.is_ascii_digit() => Ok(Value::UInt(self.uint()?)),
-            _ => Err(format!("unsupported value at byte {}", self.pos)),
-        }
-    }
-}
-
-/// Parses one flat JSON object. Trailing bytes after the closing brace
-/// (other than whitespace) are an error.
+/// Parses one flat JSON object.
 pub fn parse_object(bytes: &[u8]) -> Result<Object, String> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    cur.eat(b'{')?;
-    let mut out = Object::new();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            let key = cur.string()?;
-            cur.eat(b':')?;
-            let value = cur.value()?;
-            out.insert(key, value);
-            match cur.peek() {
-                Some(b',') => cur.pos += 1,
-                Some(b'}') => {
-                    cur.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", cur.pos)),
-            }
-        }
-    }
-    cur.skip_ws();
-    if cur.pos != bytes.len() {
-        return Err(format!("trailing bytes at {}", cur.pos));
-    }
-    Ok(out)
+    let Json::Obj(members) = json::parse(bytes)? else {
+        return Err("expected a JSON object".to_string());
+    };
+    members
+        .into_iter()
+        .map(|(key, value)| match flat(value) {
+            Some(value) => Ok((key, value)),
+            None => Err(format!(
+                "'{key}' must be a string, a non-negative integer, a boolean \
+or an array of [int, int] pairs"
+            )),
+        })
+        .collect()
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn flat(value: Json) -> Option<Value> {
+    match value {
+        Json::Str(s) => Some(Value::Str(s)),
+        Json::UInt(n) => Some(Value::UInt(n)),
+        Json::Bool(b) => Some(Value::Bool(b)),
+        Json::Arr(items) => items
+            .iter()
+            .map(|item| match item.as_array()? {
+                [Json::UInt(a), Json::UInt(b)] => Some((*a, *b)),
+                _ => None,
+            })
+            .collect::<Option<_>>()
+            .map(Value::Pairs),
+        Json::Null | Json::Num(_) | Json::Obj(_) => None,
     }
-    out
 }
 
 #[cfg(test)]
@@ -234,12 +90,46 @@ mod tests {
         assert!(parse_object(br#"{"a": [[1]]}"#).is_err());
     }
 
+    /// Everything the byte-level parser this shape check replaced refused,
+    /// it still refuses.
     #[test]
-    fn escape_round_trips_through_parse() {
-        let nasty = "a\"b\\c\nd";
-        let doc = format!(r#"{{"k": "{}"}}"#, escape(nasty));
-        let obj = parse_object(doc.as_bytes()).unwrap();
-        assert_eq!(obj["k"], Value::Str(nasty.to_string()));
+    fn rejects_every_shape_a_job_body_never_has() {
+        for bad in [
+            &br#"[]"#[..],
+            br#""kind""#,
+            br#"7"#,
+            br#"{"a": null}"#,
+            br#"{"a": 1.5}"#,
+            br#"{"a": 1e3}"#,
+            br#"{"a": -0}"#,
+            br#"{"a": 18446744073709551616}"#,
+            br#"{"a": [[1, 2, 3]]}"#,
+            br#"{"a": [[1, -2]]}"#,
+            br#"{"a": [[1, "2"]]}"#,
+            br#"{"a": [1, 2]}"#,
+            br#"{"a": [[[1, 2]]]}"#,
+            br#"{"a": [[1, 2]], }"#,
+            br#"{"a": 1} {"b": 2}"#,
+        ] {
+            assert!(
+                parse_object(bad).is_err(),
+                "{}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    #[test]
+    fn strings_are_utf8_with_every_json_escape() {
+        let obj = parse_object("{\"k\": \"é\\u00e9\\\"\\\\\\n\"}".as_bytes()).unwrap();
+        assert_eq!(obj["k"], Value::Str("éé\"\\\n".to_string()));
+        assert!(parse_object(b"{\"k\": \"\xff\"}").is_err(), "not UTF-8");
+    }
+
+    #[test]
+    fn a_repeated_key_keeps_its_last_value() {
+        let obj = parse_object(br#"{"reps": 1, "reps": 2}"#).unwrap();
+        assert_eq!(obj["reps"], Value::UInt(2));
     }
 
     #[test]

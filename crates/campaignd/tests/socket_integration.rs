@@ -65,6 +65,29 @@ fn health_errors_and_pipelining() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// Bodies the job parser must refuse without harm: nesting as deep as the
+/// body cap allows, which the JSON reader stops at its depth bound, and a
+/// chaos delay that would sleep a cell for good, which the delay cap stops.
+#[test]
+fn a_deep_body_and_an_endless_delay_are_rejected() {
+    let state = temp_state("hostile-bodies");
+    let mut daemon = Daemon::launch(&state, &[]);
+    let deep = "[".repeat(campaignd::http::MAX_BODY_BYTES);
+    let (status, body) = http(&daemon.addr, "POST", "/jobs", Some(&deep));
+    assert_eq!(status, 400, "{body}");
+    let wedge = "{\"kind\": \"attack\", \"strategy\": \"context_aware\", \
+\"attack\": \"acceleration\", \"reps\": 1, \"delay_cells\": [[0, 18446744073709551615]]}";
+    let (status, body) = http(&daemon.addr, "POST", "/jobs", Some(wedge));
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains(&campaignd::spec::MAX_CHAOS_DELAY_MS.to_string()),
+        "{body}"
+    );
+    assert_eq!(http(&daemon.addr, "GET", "/healthz", None).0, 200);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 #[test]
 fn a_request_that_asks_for_close_reaches_eof_at_once() {
     let state = temp_state("close");

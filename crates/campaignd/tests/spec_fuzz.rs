@@ -11,10 +11,12 @@
 //! * random and mutated byte strings never panic either parser, and any
 //!   spec they yield stays under the cell cap and round-trips;
 //! * `reps` past the cell cap, `u32::MAX` and beyond included, is rejected
-//!   with an error that names the cap.
+//!   with an error that names the cap;
+//! * chaos delays adding up to more than the delay cap, `u64::MAX` and
+//!   sums past it included, are rejected with an error that names the cap.
 
 use attack_core::{AttackType, StrategyKind};
-use campaignd::spec::{ChaosKnobs, JobKind, JobSpec, MAX_JOB_CELLS};
+use campaignd::spec::{ChaosKnobs, JobKind, JobSpec, MAX_CHAOS_DELAY_MS, MAX_JOB_CELLS};
 use campaignd::wire::parse_object;
 use defense::DefensePolicy;
 use units::mix::splitmix64;
@@ -67,8 +69,9 @@ fn max_reps(kind: JobKind) -> u64 {
     MAX_JOB_CELLS / one.cell_count()
 }
 
-/// A random spec the parser must accept: any kind, seed and chaos knobs,
-/// and `reps` up to the cap (small values most of the time).
+/// A random spec the parser must accept: any kind and seed, chaos knobs
+/// whose delays stay within their cap, and `reps` up to the cap (small
+/// values most of the time).
 fn spec(rng: &mut Rng) -> JobSpec {
     let kind = kind(rng);
     let reps = if rng.below(4) == 0 {
@@ -80,7 +83,12 @@ fn spec(rng: &mut Rng) -> JobSpec {
         .map(|_| (rng.below(1 << 20) as usize, rng.next() as u32))
         .collect();
     let delay_cells = (0..rng.below(4))
-        .map(|_| (rng.below(1 << 20) as usize, rng.next()))
+        .map(|_| {
+            (
+                rng.below(1 << 20) as usize,
+                rng.below(MAX_CHAOS_DELAY_MS / 3 + 1),
+            )
+        })
         .collect();
     JobSpec {
         kind,
@@ -178,6 +186,32 @@ fn reps_past_the_cap_are_rejected_naming_the_cap() {
         let err = parse(body.as_bytes()).expect_err(&body);
         assert!(
             err.contains(&MAX_JOB_CELLS.to_string()),
+            "case {case}: {err}"
+        );
+    }
+}
+
+#[test]
+fn delays_past_the_cap_are_rejected_naming_the_cap() {
+    let mut rng = Rng(0x5EC0_0005);
+    for case in 0..CASES {
+        let mut spec = spec(&mut rng);
+        let delays: Vec<u64> = match case % 4 {
+            0 => vec![MAX_CHAOS_DELAY_MS + 1],
+            1 => vec![u64::MAX],
+            // Each delay under the cap, their sum over it.
+            2 => vec![MAX_CHAOS_DELAY_MS / 2 + 1; 2],
+            // Sums that overflow a u64.
+            _ => vec![u64::MAX - rng.below(1 << 40), 1 + rng.below(1 << 40)],
+        };
+        spec.chaos.delay_cells = delays
+            .into_iter()
+            .map(|ms| (rng.below(1 << 20) as usize, ms))
+            .collect();
+        let body = spec.canonical();
+        let err = parse(body.as_bytes()).expect_err(&body);
+        assert!(
+            err.contains(&MAX_CHAOS_DELAY_MS.to_string()),
             "case {case}: {err}"
         );
     }

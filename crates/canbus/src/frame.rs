@@ -34,8 +34,9 @@ impl CanFrame {
     ///
     /// # Errors
     ///
-    /// Returns [`CanError::InvalidId`] if `id` exceeds 11 bits and
-    /// [`CanError::InvalidDlc`] if the payload is longer than 8 bytes.
+    /// Returns [`CanError::InvalidId`](crate::CanError::InvalidId) if `id`
+    /// exceeds 11 bits and [`CanError::InvalidDlc`](crate::CanError::InvalidDlc)
+    /// if the payload is longer than 8 bytes.
     pub const fn new(id: u16, data: &[u8]) -> Result<Self, crate::CanError> {
         if id > Self::MAX_ID {
             return Err(crate::CanError::InvalidId { id: id as u32 });

@@ -8,7 +8,7 @@
 //!   replaces commands after the controller necessarily breaks this
 //!   invariant, no matter how well its values respect the safety envelopes.
 //! * [`ContextMonitor`] — context-aware command monitoring in the style of
-//!   the paper's own reference [31]: the *defensive mirror* of the attack's
+//!   the paper's own reference \[31\]: the *defensive mirror* of the attack's
 //!   Table I. It watches the executed actuator commands and flags any that
 //!   are unsafe in the current driving context — precisely the
 //!   (context, action) pairs the attack must use to cause hazards.

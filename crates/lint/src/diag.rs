@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use platform::json::Writer;
+
 /// The safety invariants adas-lint enforces. Retired IDs are never reused.
 /// R2, R4, R5, R7 and R8 (panic-freedom, float equality, wall-clock types,
 /// transitive panic-freedom and wildcard enum arms) are clippy lints
@@ -169,36 +171,16 @@ impl Diagnostic {
         )
     }
 
-    /// Renders one JSON object (no trailing newline).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"snippet\":\"{}\",\"message\":\"{}\"}}",
-            self.rule.id(),
-            self.rule.name(),
-            self.severity.label(),
-            json_escape(&self.file),
-            self.line,
-            json_escape(&self.snippet),
-            json_escape(&self.message),
-        )
+    /// Writes the finding as the members of one JSON object.
+    pub fn write_json(&self, o: &mut Writer<'_>) {
+        o.field("rule", self.rule.id())
+            .field("name", self.rule.name())
+            .field("severity", self.severity.label())
+            .field("file", &self.file)
+            .field("line", self.line)
+            .field("snippet", &self.snippet)
+            .field("message", &self.message);
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -232,11 +214,6 @@ mod tests {
         ] {
             assert_eq!(Rule::parse(retired), None, "{retired}");
         }
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

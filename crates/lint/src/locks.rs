@@ -11,13 +11,14 @@
 //! scheduling-dependent merge silently invalidates every BENCH_*.json
 //! artifact the paper reproduction rests on).
 //!
-//! The input is the per-fn [`LockEvent`] stream the parser extracts under
-//! its token-tree guard-lifetime model, stitched cross-function through
-//! the call graph: a call made under a guard contributes lock-order edges
-//! to every lock the callee may transitively acquire. Like R6 the
-//! analysis is name-based and over-approximate — a reported cycle might
-//! not be executable, but an *absent* cycle over the modeled lifetimes is
-//! a real guarantee, which is the direction a deadlock gate must err in.
+//! The input is the per-fn [`LockEvent`](crate::parser::LockEvent) stream
+//! the parser extracts under its token-tree guard-lifetime model, stitched
+//! cross-function through the call graph: a call made under a guard
+//! contributes lock-order edges to every lock the callee may transitively
+//! acquire. Like R6 the analysis is name-based and over-approximate — a
+//! reported cycle might not be executable, but an *absent* cycle over the
+//! modeled lifetimes is a real guarantee, which is the direction a
+//! deadlock gate must err in.
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Rule, Severity};

@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 
 use adas_lint::{scan_workspace, ALL_RULES};
+use platform::json::{self, Layout};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -193,20 +194,21 @@ fn main() -> ExitCode {
     match opts.format {
         Format::Sarif => {} // already printed
         Format::Json => {
-            let diags: Vec<String> = report
-                .active
-                .iter()
-                .chain(report.dead_suppressions.iter())
-                .map(|d| d.render_json())
-                .collect();
-            println!(
-                "{{\"version\":4,\"diagnostics\":[{}],\"summary\":{{\"files_scanned\":{},\"active\":{},\"dead_suppressions\":{},\"suppressed\":{}}}}}",
-                diags.join(","),
-                report.files_scanned,
-                report.active.len(),
-                report.dead_suppressions.len(),
-                report.suppressed,
-            );
+            let doc = json::object(Layout::Line, |o| {
+                o.field("version", 4u32);
+                o.key("diagnostics").array(Layout::Line, |a| {
+                    for d in report.active.iter().chain(&report.dead_suppressions) {
+                        a.object(Layout::Line, |o| d.write_json(o));
+                    }
+                });
+                o.key("summary").object(Layout::Line, |s| {
+                    s.field("files_scanned", report.files_scanned)
+                        .field("active", report.active.len())
+                        .field("dead_suppressions", report.dead_suppressions.len())
+                        .field("suppressed", report.suppressed);
+                });
+            });
+            println!("{doc}");
         }
         Format::Human => {
             for d in report.active.iter().chain(report.dead_suppressions.iter()) {

@@ -225,7 +225,7 @@ impl Subscriber {
     }
 
     /// Number of messages discarded because the subscriber's queue
-    /// overflowed [`SUBSCRIBER_QUEUE_CAP`].
+    /// overflowed `SUBSCRIBER_QUEUE_CAP` (4,096).
     pub fn dropped(&self) -> u64 {
         self.inner
             .lock()

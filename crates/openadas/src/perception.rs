@@ -106,7 +106,7 @@ impl LaneProcessor {
 
     /// Advances the estimate one tick with *no* `modelV2` sample (camera
     /// outage). The geometry holds at its last value while the confidence
-    /// decays toward zero with a [`CONFIDENCE_DECAY_TC`] time-constant —
+    /// decays toward zero with a `CONFIDENCE_DECAY_TC` time-constant —
     /// lane-keeping authority fades smoothly instead of snapping off or
     /// steering on stale lines.
     pub fn coast(&mut self) {

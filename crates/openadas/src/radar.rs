@@ -126,7 +126,7 @@ impl LeadTracker {
     ///
     /// The filters coast: the state holds while the variance inflates, so a
     /// reading after a short outage is fused with an honestly low
-    /// confidence. After the same [`MAX_DROPOUT`] window as a detection
+    /// confidence. After the same `MAX_DROPOUT` window as a detection
     /// loss, the track is invalidated — coast-then-invalidate, never
     /// coast-forever.
     pub fn coast(&mut self) {

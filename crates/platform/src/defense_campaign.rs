@@ -29,6 +29,7 @@ use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 use units::Seconds;
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
+use crate::json::{self, Fixed, Layout, Writer};
 use crate::resilience::{FAULT_DURATION, FAULT_START, INTENSITIES};
 use crate::{Harness, HarnessConfig, SimResult};
 
@@ -249,33 +250,24 @@ impl DefenseCell {
         }
     }
 
-    fn to_json(&self) -> String {
-        let detection = match self.mean_detection_s {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"policy\": \"{}\", \"threat\": \"{}\", \"runs\": {}, \
-\"hazardous_runs\": {}, \"accident_runs\": {}, \"detected_runs\": {}, \
-\"ids_detected_runs\": {}, \"invariant_detected_runs\": {}, \
-\"monitor_detected_runs\": {}, \"gate_rejection_runs\": {}, \
-\"gate_rejections\": {}, \"degraded_runs\": {}, \"false_fcw_runs\": {}, \
-\"mean_detection_s\": {}}}",
-            self.policy,
-            self.threat,
-            self.runs,
-            self.hazardous_runs,
-            self.accident_runs,
-            self.detected_runs,
-            self.ids_detected_runs,
-            self.invariant_detected_runs,
-            self.monitor_detected_runs,
-            self.gate_rejection_runs,
-            self.gate_rejections,
-            self.degraded_runs,
-            self.false_fcw_runs,
-            detection,
-        )
+    fn write_json(&self, o: &mut Writer<'_>) {
+        o.field("policy", &self.policy)
+            .field("threat", &self.threat)
+            .field("runs", self.runs)
+            .field("hazardous_runs", self.hazardous_runs)
+            .field("accident_runs", self.accident_runs)
+            .field("detected_runs", self.detected_runs)
+            .field("ids_detected_runs", self.ids_detected_runs)
+            .field("invariant_detected_runs", self.invariant_detected_runs)
+            .field("monitor_detected_runs", self.monitor_detected_runs)
+            .field("gate_rejection_runs", self.gate_rejection_runs)
+            .field("gate_rejections", self.gate_rejections)
+            .field("degraded_runs", self.degraded_runs)
+            .field("false_fcw_runs", self.false_fcw_runs)
+            .field(
+                "mean_detection_s",
+                self.mean_detection_s.map(|s| Fixed(s, 3)),
+            );
     }
 }
 
@@ -294,24 +286,23 @@ pub struct DefenseReport {
 }
 
 impl DefenseReport {
-    /// Renders the report as deterministic, fixed-precision JSON
-    /// (hand-rolled: the workspace has no serialization dependency).
+    /// Renders the report as deterministic, fixed-precision JSON (the
+    /// `BENCH_defense.json` shape): indented, one cell per line.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| format!("    {}", c.to_json()))
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"defense\",\n  \"base_seed\": {},\n  \
-\"reps_per_cell\": {},\n  \"cores\": {},\n  \"total_runs\": {},\n  \
-\"cells\": [\n{}\n  ]\n}}\n",
-            self.base_seed,
-            self.reps,
-            crate::experiment::detected_cores(),
-            self.total_runs,
-            cells.join(",\n"),
-        )
+        let mut doc = json::object(Layout::Indented, |o| {
+            o.field("bench", "defense")
+                .field("base_seed", self.base_seed)
+                .field("reps_per_cell", self.reps)
+                .field("cores", crate::experiment::detected_cores())
+                .field("total_runs", self.total_runs);
+            o.key("cells").array(Layout::Indented, |a| {
+                for cell in &self.cells {
+                    a.object(Layout::Line, |c| cell.write_json(c));
+                }
+            });
+        });
+        doc.push('\n');
+        doc
     }
 
     /// The cell for a (policy, threat) pair, if the campaign ran it.
@@ -418,6 +409,7 @@ mod tests {
     fn empty_cell_reports_null_detection() {
         let cell = DefenseCell::from_results(DefensePolicy::Off, Threat::Clean, &[]);
         assert_eq!(cell.mean_detection_s, None);
-        assert!(cell.to_json().contains("\"mean_detection_s\": null"));
+        let doc = json::object(Layout::Line, |o| cell.write_json(o));
+        assert!(doc.contains("\"mean_detection_s\": null"));
     }
 }

@@ -45,6 +45,7 @@ pub mod experiment;
 pub mod figures;
 mod harness;
 mod hazard;
+pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod report;

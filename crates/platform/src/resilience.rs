@@ -19,6 +19,7 @@ use driving_sim::Scenario;
 use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
+use crate::json::{self, Fixed, Layout, Writer};
 use crate::{Harness, HarnessConfig, SimResult};
 
 /// Tick at which every campaign fault window opens (5 s into the run,
@@ -179,37 +180,25 @@ impl ResilienceCell {
         }
     }
 
-    fn to_json(&self) -> String {
+    fn write_json(&self, o: &mut Writer<'_>) {
+        o.field("fault", &self.fault)
+            .field("intensity", Fixed(self.intensity, 2))
+            .field("runs", self.runs)
+            .field("hazardous_runs", self.hazardous_runs)
+            .field("accident_runs", self.accident_runs)
+            .field("failsafe_runs", self.failsafe_runs)
+            .field("false_fcw_runs", self.false_fcw_runs)
+            .field("degraded_runs", self.degraded_runs)
+            .field("mean_degraded_s", Fixed(self.mean_degraded_s, 3))
+            .field("mean_failsafe_s", Fixed(self.mean_failsafe_s, 3))
+            .field("recovered_runs", self.recovered_runs);
         // A cell where nothing ever degraded has no recovery story at all:
         // the field is omitted. A cell that degraded but never recovered
         // reports `null` — a finding, not a zero.
-        let recovery_field = if self.degraded_runs == 0 {
-            String::new()
-        } else {
-            match self.mean_recovery_s {
-                Some(s) => format!(" \"mean_recovery_s\": {s:.3},"),
-                None => " \"mean_recovery_s\": null,".to_string(),
-            }
-        };
-        format!(
-            "{{\"fault\": \"{}\", \"intensity\": {:.2}, \"runs\": {}, \
-\"hazardous_runs\": {}, \"accident_runs\": {}, \"failsafe_runs\": {}, \
-\"false_fcw_runs\": {}, \"degraded_runs\": {}, \"mean_degraded_s\": {:.3}, \
-\"mean_failsafe_s\": {:.3}, \"recovered_runs\": {},{} \"faults_injected\": {}}}",
-            self.fault,
-            self.intensity,
-            self.runs,
-            self.hazardous_runs,
-            self.accident_runs,
-            self.failsafe_runs,
-            self.false_fcw_runs,
-            self.degraded_runs,
-            self.mean_degraded_s,
-            self.mean_failsafe_s,
-            self.recovered_runs,
-            recovery_field,
-            self.faults_injected,
-        )
+        if self.degraded_runs > 0 {
+            o.field("mean_recovery_s", self.mean_recovery_s.map(|s| Fixed(s, 3)));
+        }
+        o.field("faults_injected", self.faults_injected);
     }
 }
 
@@ -230,28 +219,26 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
-    /// Renders the report as deterministic, fixed-precision JSON
-    /// (hand-rolled: the workspace has no serialization dependency).
+    /// Renders the report as deterministic, fixed-precision JSON (the
+    /// `BENCH_resilience.json` shape): indented, one cell per line.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| format!("    {}", c.to_json()))
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"resilience\",\n  \"base_seed\": {},\n  \
-\"reps_per_cell\": {},\n  \"cores\": {},\n  \"defense_policy\": \"{}\",\n  \
-\"fault_start_tick\": {},\n  \"fault_duration_ticks\": {},\n  \
-\"total_runs\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-            self.base_seed,
-            self.reps,
-            crate::experiment::detected_cores(),
-            self.defense.label(),
-            FAULT_START,
-            FAULT_DURATION,
-            self.total_runs,
-            cells.join(",\n"),
-        )
+        let mut doc = json::object(Layout::Indented, |o| {
+            o.field("bench", "resilience")
+                .field("base_seed", self.base_seed)
+                .field("reps_per_cell", self.reps)
+                .field("cores", crate::experiment::detected_cores())
+                .field("defense_policy", self.defense.label())
+                .field("fault_start_tick", FAULT_START)
+                .field("fault_duration_ticks", FAULT_DURATION)
+                .field("total_runs", self.total_runs);
+            o.key("cells").array(Layout::Indented, |a| {
+                for cell in &self.cells {
+                    a.object(Layout::Line, |c| cell.write_json(c));
+                }
+            });
+        });
+        doc.push('\n');
+        doc
     }
 }
 
@@ -348,6 +335,10 @@ mod tests {
         assert!(json.ends_with("}\n"));
     }
 
+    fn cell_json(cell: &ResilienceCell) -> String {
+        json::object(Layout::Line, |o| cell.write_json(o))
+    }
+
     #[test]
     fn recovery_field_reflects_what_actually_happened() {
         // No run degraded: the cell has no recovery story, the field is
@@ -355,7 +346,7 @@ mod tests {
         let cell = ResilienceCell::from_results(FaultKind::SensorDropout, 0.3, &[]);
         assert_eq!(cell.degraded_runs, 0);
         assert_eq!(cell.mean_recovery_s, None);
-        assert!(!cell.to_json().contains("mean_recovery_s"));
+        assert!(!cell_json(&cell).contains("mean_recovery_s"));
 
         // A run degraded but never recovered: `null`, not a fake 0.000.
         let cfg = crate::HarnessConfig::no_attack(Scenario::matrix()[0], 1);
@@ -365,12 +356,12 @@ mod tests {
         let cell = ResilienceCell::from_results(FaultKind::SensorDropout, 1.0, &[result.clone()]);
         assert_eq!(cell.degraded_runs, 1);
         assert_eq!(cell.mean_recovery_s, None);
-        assert!(cell.to_json().contains("\"mean_recovery_s\": null"));
+        assert!(cell_json(&cell).contains("\"mean_recovery_s\": null"));
 
         // A recovered run reports the real mean.
         result.recovery_latency = Some(units::Seconds::new(1.5));
         let cell = ResilienceCell::from_results(FaultKind::SensorDropout, 1.0, &[result]);
         assert_eq!(cell.mean_recovery_s, Some(1.5));
-        assert!(cell.to_json().contains("\"mean_recovery_s\": 1.500"));
+        assert!(cell_json(&cell).contains("\"mean_recovery_s\": 1.500"));
     }
 }

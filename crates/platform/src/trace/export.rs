@@ -1,14 +1,17 @@
 //! Trace serialization (CSV, JSON) and trace-to-trace divergence diffs.
 //!
-//! Serialization is hand-rolled with fixed-precision formatting so golden
-//! files are byte-stable across platforms; floats are written with `{:.4}`
-//! and `NaN` becomes an empty CSV cell / JSON `null`.
+//! Both formats write floats with four fixed decimals so golden files are
+//! byte-stable across platforms. The CSV is hand-rolled and writes `NaN`
+//! as an empty cell; the JSON goes through [`crate::json`], which writes a
+//! non-finite number as `null`.
 
 use msgbus::Topic;
 
+use crate::json::{self, Fixed, Layout};
+
 use super::record::TickRecord;
 
-/// CSV header matching [`csv_row`] column for column.
+/// CSV header matching the rows of [`to_csv`] column for column.
 pub const CSV_HEADER: &str = "tick,time_s,ego_s,ego_d,ego_v,ego_a,ego_steer_deg,\
 lead_s,lead_v,gap,hwt,engaged,acc_desired,acc_cmd,alc_desired_deg,alc_cmd_deg,\
 alc_saturated,cmd_accel,cmd_steer_deg,applied_accel,applied_steer_deg,\
@@ -76,77 +79,67 @@ pub fn to_csv<'a>(records: impl IntoIterator<Item = &'a TickRecord>) -> String {
     out
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_nan() {
-        "null".to_string()
-    } else {
-        format!("{x:.4}")
-    }
-}
-
-/// Renders records as a JSON array of objects (hand-rolled: the workspace
-/// has no serialization dependency).
+/// Renders records as a JSON array, one tick object per line.
 pub fn to_json<'a>(records: impl IntoIterator<Item = &'a TickRecord>) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
-    for r in records {
-        if !first {
-            out.push_str(",\n");
+    let num = |x: f64| Fixed(x, 4);
+    let mut doc = json::array(Layout::Indented, |a| {
+        for r in records {
+            a.object(Layout::Line, |o| {
+                o.field("tick", r.tick)
+                    .field("time_s", Fixed(r.time_secs(), 2));
+                o.key("ego").object(Layout::Line, |e| {
+                    e.field("s", num(r.ego_s))
+                        .field("d", num(r.ego_d))
+                        .field("v", num(r.ego_v))
+                        .field("a", num(r.ego_a))
+                        .field("steer_deg", num(r.ego_steer_deg));
+                });
+                o.key("lead").object(Layout::Line, |l| {
+                    l.field("s", num(r.lead_s)).field("v", num(r.lead_v));
+                });
+                o.field("gap", num(r.gap))
+                    .field("hwt", num(r.hwt))
+                    .field("engaged", r.engaged);
+                o.key("acc").object(Layout::Line, |c| {
+                    c.field("desired", num(r.acc_desired))
+                        .field("cmd", num(r.acc_cmd));
+                });
+                o.key("alc").object(Layout::Line, |c| {
+                    c.field("desired_deg", num(r.alc_desired_deg))
+                        .field("cmd_deg", num(r.alc_cmd_deg))
+                        .field("saturated", r.alc_saturated);
+                });
+                o.key("cmd").object(Layout::Line, |c| {
+                    c.field("accel", num(r.cmd_accel))
+                        .field("steer_deg", num(r.cmd_steer_deg));
+                });
+                o.key("applied").object(Layout::Line, |c| {
+                    c.field("accel", num(r.applied_accel))
+                        .field("steer_deg", num(r.applied_steer_deg));
+                });
+                o.key("bus").object(Layout::Line, |b| {
+                    for (topic, n) in Topic::ALL.iter().zip(&r.bus_published) {
+                        b.field(topic.service_name(), n);
+                    }
+                });
+                o.field("attack_active", r.attack_active)
+                    .field("frames_rewritten", r.frames_rewritten)
+                    .field("panda_blocked", r.panda_blocked)
+                    .field("alert_events", r.alert_events)
+                    .field("driver_phase", r.driver_phase.as_char().to_string())
+                    .field("hazard_mask", r.hazard_mask)
+                    .field("h3_streak", r.h3_streak)
+                    .field("collided", r.collided)
+                    .field("fault_mask", r.fault_mask)
+                    .field("faults_injected", r.faults_injected)
+                    .field("degradation", r.degradation.as_char().to_string())
+                    .field("gate_rejections", r.gate_rejections)
+                    .field("ids", r.ids.as_char().to_string());
+            });
         }
-        first = false;
-        let topics: Vec<String> = Topic::ALL
-            .iter()
-            .zip(&r.bus_published)
-            .map(|(t, n)| format!("\"{}\":{n}", t.service_name()))
-            .collect();
-        out.push_str(&format!(
-            "  {{\"tick\":{},\"time_s\":{:.2},\"ego\":{{\"s\":{},\"d\":{},\"v\":{},\"a\":{},\"steer_deg\":{}}},\
-\"lead\":{{\"s\":{},\"v\":{}}},\"gap\":{},\"hwt\":{},\"engaged\":{},\
-\"acc\":{{\"desired\":{},\"cmd\":{}}},\"alc\":{{\"desired_deg\":{},\"cmd_deg\":{},\"saturated\":{}}},\
-\"cmd\":{{\"accel\":{},\"steer_deg\":{}}},\"applied\":{{\"accel\":{},\"steer_deg\":{}}},\
-\"bus\":{{{}}},\"attack_active\":{},\"frames_rewritten\":{},\"panda_blocked\":{},\
-\"alert_events\":{},\"driver_phase\":\"{}\",\"hazard_mask\":{},\"h3_streak\":{},\"collided\":{},\
-\"fault_mask\":{},\"faults_injected\":{},\"degradation\":\"{}\",\
-\"gate_rejections\":{},\"ids\":\"{}\"}}",
-            r.tick,
-            r.time_secs(),
-            json_num(r.ego_s),
-            json_num(r.ego_d),
-            json_num(r.ego_v),
-            json_num(r.ego_a),
-            json_num(r.ego_steer_deg),
-            json_num(r.lead_s),
-            json_num(r.lead_v),
-            json_num(r.gap),
-            json_num(r.hwt),
-            r.engaged,
-            json_num(r.acc_desired),
-            json_num(r.acc_cmd),
-            json_num(r.alc_desired_deg),
-            json_num(r.alc_cmd_deg),
-            r.alc_saturated,
-            json_num(r.cmd_accel),
-            json_num(r.cmd_steer_deg),
-            json_num(r.applied_accel),
-            json_num(r.applied_steer_deg),
-            topics.join(","),
-            r.attack_active,
-            r.frames_rewritten,
-            r.panda_blocked,
-            r.alert_events,
-            r.driver_phase.as_char(),
-            r.hazard_mask,
-            r.h3_streak,
-            r.collided,
-            r.fault_mask,
-            r.faults_injected,
-            r.degradation.as_char(),
-            r.gate_rejections,
-            r.ids.as_char(),
-        ));
-    }
-    out.push_str("\n]\n");
-    out
+    });
+    doc.push('\n');
+    doc
 }
 
 /// Where and how two traces diverge, field by field.
@@ -360,9 +353,9 @@ mod tests {
     fn json_renders_nan_as_null() {
         let records = [record(3, 29.0)];
         let json = to_json(records.iter());
-        assert!(json.contains("\"gap\":null"));
-        assert!(json.contains("\"tick\":3"));
-        assert!(json.contains("\"radarState\":4"));
+        assert!(json.contains("\"gap\": null"));
+        assert!(json.contains("\"tick\": 3"));
+        assert!(json.contains("\"radarState\": 4"));
     }
 
     #[test]
