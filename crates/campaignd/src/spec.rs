@@ -458,8 +458,8 @@ mod tests {
 
     #[test]
     fn a_chaos_delay_past_the_cap_is_rejected_naming_the_cap() {
-        // This body once queued a job whose first cell slept for 584
-        // million years, holding up every later job and a drain.
+        // Without the cap this body queues a job whose first cell sleeps
+        // for 584 million years, holding up every later job and a drain.
         let wedge = parse_object(
             br#"{"kind": "attack", "strategy": "context_aware", "attack": "acceleration",
                 "reps": 1, "delay_cells": [[0, 18446744073709551615]]}"#,

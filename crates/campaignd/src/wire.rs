@@ -82,40 +82,31 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage_and_nesting() {
-        assert!(parse_object(b"{} x").is_err());
-        assert!(parse_object(br#"{"a": {"b": 1}}"#).is_err());
-        assert!(parse_object(br#"{"a": -1}"#).is_err());
-        assert!(parse_object(br#"{"a": 1"#).is_err());
-        assert!(parse_object(b"").is_err());
-        assert!(parse_object(br#"{"a": [[1]]}"#).is_err());
-    }
-
-    /// Everything the byte-level parser this shape check replaced refused,
-    /// it still refuses.
-    #[test]
-    fn rejects_every_shape_a_job_body_never_has() {
         for bad in [
-            &br#"[]"#[..],
+            &b""[..],
+            b"{} x",
+            br#"{"a": 1} {"b": 2}"#,
+            br#"{"a": 1"#,
+            br#"{"a": [[1, 2]], }"#,
+            br#"[]"#,
             br#""kind""#,
             br#"7"#,
+            br#"{"a": {"b": 1}}"#,
             br#"{"a": null}"#,
+            br#"{"a": -1}"#,
+            br#"{"a": -0}"#,
             br#"{"a": 1.5}"#,
             br#"{"a": 1e3}"#,
-            br#"{"a": -0}"#,
             br#"{"a": 18446744073709551616}"#,
+            br#"{"a": [[1]]}"#,
             br#"{"a": [[1, 2, 3]]}"#,
             br#"{"a": [[1, -2]]}"#,
             br#"{"a": [[1, "2"]]}"#,
             br#"{"a": [1, 2]}"#,
             br#"{"a": [[[1, 2]]]}"#,
-            br#"{"a": [[1, 2]], }"#,
-            br#"{"a": 1} {"b": 2}"#,
         ] {
-            assert!(
-                parse_object(bad).is_err(),
-                "{}",
-                String::from_utf8_lossy(bad)
-            );
+            let shown = String::from_utf8_lossy(bad);
+            assert!(parse_object(bad).is_err(), "{shown}");
         }
     }
 

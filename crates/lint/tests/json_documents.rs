@@ -40,7 +40,7 @@ fn diagnostics() -> Vec<Diagnostic> {
 fn sarif_bytes() {
     assert_eq!(sarif::emit(&diagnostics()), SARIF);
     assert_eq!(
-        json::parse(PARENT_SARIF.as_bytes()),
+        json::parse(EARLIER_LAYOUT_SARIF.as_bytes()),
         json::parse(SARIF.as_bytes())
     );
     sarif::validate(SARIF).expect("the pinned document validates");
@@ -67,14 +67,14 @@ fn json_report_bytes() {
     assert_eq!(out.status.code(), Some(1), "findings fail the gate");
     assert_eq!(String::from_utf8(out.stdout).expect("UTF-8"), JSON_REPORT);
     assert_eq!(
-        json::parse(PARENT_JSON_REPORT.as_bytes()),
+        json::parse(COMPACT_JSON_REPORT.as_bytes()),
         json::parse(JSON_REPORT.as_bytes())
     );
 }
 
 /// The SARIF text before `platform::json` wrote it: other whitespace,
 /// the same values.
-const PARENT_SARIF: &str = r#"{
+const EARLIER_LAYOUT_SARIF: &str = r#"{
   "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
   "version": "2.1.0",
   "runs": [
@@ -154,7 +154,7 @@ const PARENT_SARIF: &str = r#"{
 
 /// The report before `platform::json` wrote it: no spaces after `:` and
 /// `,`, the same values.
-const PARENT_JSON_REPORT: &str = r#"{"version":4,"diagnostics":[{"rule":"R1","name":"unit-safety","severity":"error","file":"crates/openadas/src/lib.rs","line":1,"snippet":"pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }","message":"public API passes a raw float; use a `units::` newtype (Speed, Distance, Angle, Accel, Seconds) or allow with a reason if genuinely dimensionless"},{"rule":"R3","name":"actuator-containment","severity":"warning","file":"crates/openadas/src/lib.rs","line":3,"snippet":"adas-lint: allow(R3)","message":"dead suppression: the inline allow for R3 absorbs no finding — the code it excused is gone; remove the comment"}],"summary":{"files_scanned":1,"active":1,"dead_suppressions":1,"suppressed":0}}
+const COMPACT_JSON_REPORT: &str = r#"{"version":4,"diagnostics":[{"rule":"R1","name":"unit-safety","severity":"error","file":"crates/openadas/src/lib.rs","line":1,"snippet":"pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }","message":"public API passes a raw float; use a `units::` newtype (Speed, Distance, Angle, Accel, Seconds) or allow with a reason if genuinely dimensionless"},{"rule":"R3","name":"actuator-containment","severity":"warning","file":"crates/openadas/src/lib.rs","line":3,"snippet":"adas-lint: allow(R3)","message":"dead suppression: the inline allow for R3 absorbs no finding — the code it excused is gone; remove the comment"}],"summary":{"files_scanned":1,"active":1,"dead_suppressions":1,"suppressed":0}}
 "#;
 
 const SARIF: &str = r#"{

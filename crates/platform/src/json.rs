@@ -1,12 +1,13 @@
 //! The workspace's one JSON module: every document the workspace writes or
 //! reads goes through it.
 //!
-//! * [`escape_into`] is the one string escaper.
+//! * `escape_into` is the one string escaper.
 //! * The writer ([`object()`], [`array()`], [`Writer`]) writes numbers with
 //!   fixed decimals ([`Fixed`]), `null` for `None` and for a non-finite
-//!   number, keys in the order they are written, and `", "` and `": "`
-//!   between members. The code that writes a container lays it out on one
-//!   line or indented, one member per line ([`Layout`]).
+//!   number, keys in the order they are written, `": "` after each key and
+//!   `", "` between the members of a one-line container. The code that
+//!   writes a container lays it out on one line or indented, one member
+//!   per line ([`Layout`]).
 //! * The reader ([`parse`]) refuses nesting deeper than [`MAX_DEPTH`], so no
 //!   input can exhaust its stack, and keeps integers exact up to
 //!   `u64::MAX`.
@@ -18,7 +19,7 @@ use std::fmt::Write as _;
 pub const MAX_DEPTH: usize = 64;
 
 /// Appends `s` to `out` as a JSON string literal, quotes included.
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -91,7 +92,7 @@ impl Scalar for Fixed {
 }
 
 /// How a container lays out its members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Layout {
     /// All on one line, `{"a": 1, "b": [2, 3]}`, and so is everything
     /// inside it.
@@ -257,10 +258,10 @@ impl Json {
 }
 
 /// Reads one JSON document: UTF-8 text holding one value and nothing after
-/// it but whitespace, nested at most [`MAX_DEPTH`] deep. A number is the
-/// longest run of digits, signs, dots and exponent marks after its first
-/// digit or `-`, read exactly when it is a `u64` and as an `f64` otherwise;
-/// like the job parser this reader replaced, it takes leading zeros.
+/// it but whitespace, nested at most [`MAX_DEPTH`] deep. A number is read
+/// leniently, as the run of digits, signs, dots and exponent marks that
+/// starts with its `-` or first digit: exactly when it is a `u64`, as an
+/// `f64` otherwise, so `007` is 7 and `1.` is 1.0.
 pub fn parse(bytes: &[u8]) -> Result<Json, String> {
     let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
     let mut reader = Reader { text, pos: 0 };
@@ -520,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn numbers_are_read_like_the_job_parser_read_them() {
+    fn numbers_are_read_leniently() {
         assert_eq!(parse(b"007"), Ok(Json::UInt(7)));
         assert_eq!(parse(b"1."), Ok(Json::Num(1.0)));
         assert!(matches!(parse(b"-12"), Ok(Json::Num(_))));

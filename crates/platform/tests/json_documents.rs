@@ -148,14 +148,14 @@ fn trace_json_bytes() {
     records.push(unknown);
     assert_eq!(to_json(records.iter()), TRACE_JSON);
     assert_eq!(
-        json::parse(PARENT_TRACE_JSON.as_bytes()),
+        json::parse(COMPACT_TRACE_JSON.as_bytes()),
         json::parse(TRACE_JSON.as_bytes())
     );
 }
 
 /// The export's text before it went through `platform::json`: the same
 /// values, without the spaces after `:` and `,`.
-const PARENT_TRACE_JSON: &str = r#"[
+const COMPACT_TRACE_JSON: &str = r#"[
   {"tick":0,"time_s":0.00,"ego":{"s":0.2682,"d":-0.2498,"v":26.8224,"a":0.0011,"steer_deg":0.0500},"lead":{"s":70.2228,"v":22.2797},"gap":69.9546,"hwt":2.6081,"engaged":true,"acc":{"desired":0.0292,"cmd":0.0292},"alc":{"desired_deg":0.1267,"cmd_deg":0.1267,"saturated":false},"cmd":{"accel":0.0290,"steer_deg":0.1300},"applied":{"accel":0.0290,"steer_deg":0.1300},"bus":{"gpsLocationExternal":1,"modelV2":1,"radarState":1,"carState":1,"carControl":1,"controlsState":1},"attack_active":false,"frames_rewritten":0,"panda_blocked":0,"alert_events":0,"driver_phase":"-","hazard_mask":0,"h3_streak":0,"collided":false,"fault_mask":0,"faults_injected":0,"degradation":"-","gate_rejections":0,"ids":"-"},
   {"tick":1,"time_s":0.01,"ego":{"s":0.5364,"d":-0.2496,"v":26.8224,"a":0.0021,"steer_deg":0.1000},"lead":{"s":70.4455,"v":22.2656},"gap":69.9090,"hwt":2.6064,"engaged":true,"acc":{"desired":0.0284,"cmd":0.0284},"alc":{"desired_deg":0.1378,"cmd_deg":0.1378,"saturated":false},"cmd":{"accel":0.0280,"steer_deg":0.1400},"applied":{"accel":0.0280,"steer_deg":0.1400},"bus":{"gpsLocationExternal":2,"modelV2":2,"radarState":2,"carState":2,"carControl":2,"controlsState":2},"attack_active":false,"frames_rewritten":0,"panda_blocked":0,"alert_events":0,"driver_phase":"-","hazard_mask":0,"h3_streak":0,"collided":false,"fault_mask":0,"faults_injected":0,"degradation":"-","gate_rejections":0,"ids":"-"},
   {"tick":1,"time_s":0.01,"ego":{"s":0.5364,"d":-0.2496,"v":26.8224,"a":0.0021,"steer_deg":0.1000},"lead":{"s":70.4455,"v":22.2656},"gap":null,"hwt":null,"engaged":true,"acc":{"desired":0.0284,"cmd":0.0284},"alc":{"desired_deg":0.1378,"cmd_deg":0.1378,"saturated":false},"cmd":{"accel":0.0280,"steer_deg":0.1400},"applied":{"accel":0.0280,"steer_deg":0.1400},"bus":{"gpsLocationExternal":2,"modelV2":2,"radarState":2,"carState":2,"carControl":2,"controlsState":2},"attack_active":false,"frames_rewritten":0,"panda_blocked":0,"alert_events":0,"driver_phase":"-","hazard_mask":0,"h3_streak":0,"collided":false,"fault_mask":0,"faults_injected":0,"degradation":"-","gate_rejections":0,"ids":"-"}
