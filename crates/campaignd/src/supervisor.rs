@@ -15,7 +15,9 @@
 //! A job's missing cells go through one
 //! [`platform::experiment::run_campaign_cells`] fan-out. Before each cell
 //! a worker checks for a drain, the deadline and a failed WAL write, and
-//! skips the cell if it finds one. After each cell it appends the result
+//! skips the cell if it finds one; a cell's chaos delay repeats the check
+//! every 10 ms and skips the cell as soon as one turns up, so a drain or
+//! a deadline never waits a delay out. After each cell it appends the result
 //! to the WAL in completion order and fsyncs the file once per
 //! [`SupervisorConfig::sync_cells`] appends. The WAL is keyed by cell
 //! index, first write wins, so completion order never reaches a report. A
@@ -305,14 +307,34 @@ pub enum JobOutcome {
 
 type Attempted = (u32, f64, Result<SimResult, CellPanic>);
 
-fn attempt_cell(gi: usize, cell: &CellSpec, spec: &JobSpec, attempt: u32) -> Attempted {
+/// How long a chaos delay sleeps between two checks of whether its job
+/// must stop.
+const DELAY_SLICE: Duration = Duration::from_millis(10);
+
+/// Runs one attempt at cell `gi`. The cell's chaos delay sleeps in
+/// [`DELAY_SLICE`]s and checks `halted` before each; `None` means it found
+/// the job stopping and cut the attempt short before the cell ran.
+fn attempt_cell(
+    gi: usize,
+    cell: &CellSpec,
+    spec: &JobSpec,
+    attempt: u32,
+    halted: &dyn Fn() -> bool,
+) -> Option<Attempted> {
     let started = Instant::now();
-    let delay_ms = spec.chaos.delay_for(gi);
+    let delay = Duration::from_millis(spec.chaos.delay_for(gi));
+    loop {
+        let left = delay.saturating_sub(started.elapsed());
+        if left.is_zero() {
+            break;
+        }
+        if halted() {
+            return None;
+        }
+        std::thread::sleep(left.min(DELAY_SLICE));
+    }
     let panic_budget = spec.chaos.panics_for(gi);
     let result = catch_cell(move || {
-        if delay_ms > 0 {
-            std::thread::sleep(Duration::from_millis(delay_ms));
-        }
         // The chaos tests' injected fault: a deliberate panic on the cell's
         // first `panic_budget` attempts, caught one line up by `catch_cell`
         // and healed by the retry ladder.
@@ -325,7 +347,7 @@ fn attempt_cell(gi: usize, cell: &CellSpec, spec: &JobSpec, attempt: u32) -> Att
         }
         cell.run()
     });
-    (attempt, started.elapsed().as_secs_f64(), result)
+    Some((attempt, started.elapsed().as_secs_f64(), result))
 }
 
 /// A job's WAL as the fan-out's workers share it: appends in completion
@@ -441,18 +463,19 @@ pub fn run_job(
         )
     };
 
-    // Parallel first pass: each worker checks before a cell whether the job
-    // must stop, then checkpoints and streams the cell as it lands. A
-    // skipped cell comes back as `None`.
+    // Parallel first pass: each worker checks before a cell (and during its
+    // chaos delay) whether the job must stop, then checkpoints and streams
+    // the cell as it lands. A skipped cell comes back as `None`.
+    let halted =
+        || drain.load(Ordering::SeqCst) || past_deadline(cfg, started) || JobWal::failed(&wal);
     let outcomes = run_campaign_cells(workers, missing.clone(), |&(gi, cell)| {
-        let halted =
-            drain.load(Ordering::SeqCst) || past_deadline(cfg, started) || JobWal::failed(&wal);
-        if halted {
+        if halted() {
             return None;
         }
         stats.in_flight.fetch_add(1, Ordering::SeqCst);
-        let attempted = attempt_cell(gi, cell, spec, 1);
+        let attempted = attempt_cell(gi, cell, spec, 1, &halted);
         stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let attempted = attempted?;
         let (attempt, secs, outcome) = &attempted;
         match outcome {
             Ok(result) => {
@@ -562,7 +585,8 @@ enum Retry {
 }
 
 /// Retries cell `gi` after its `tried` failed attempts, until it succeeds,
-/// exhausts `cfg.max_attempts`, or the job must stop.
+/// exhausts `cfg.max_attempts`, or the job must stop (checked before each
+/// attempt and during its chaos delay).
 #[allow(clippy::too_many_arguments)]
 fn retry_cell(
     cfg: &SupervisorConfig,
@@ -575,6 +599,7 @@ fn retry_cell(
     drain: &AtomicBool,
     job_started: Instant,
 ) -> Retry {
+    let halted = || drain.load(Ordering::SeqCst) || past_deadline(cfg, job_started);
     loop {
         if tried >= cfg.max_attempts {
             progress.push_event(Event::CellQuarantined {
@@ -598,7 +623,13 @@ fn retry_cell(
         stats.retries.fetch_add(1, Ordering::SeqCst);
         progress.retries.fetch_add(1, Ordering::SeqCst);
         tried += 1;
-        let (attempt, secs, outcome) = attempt_cell(gi, cell, spec, tried);
+        let Some((attempt, secs, outcome)) = attempt_cell(gi, cell, spec, tried, &halted) else {
+            return if drain.load(Ordering::SeqCst) {
+                Retry::Drained
+            } else {
+                Retry::DeadlineHit
+            };
+        };
         match outcome {
             Ok(result) => {
                 stats.record_cell_seconds(secs);
@@ -738,6 +769,31 @@ mod tests {
                 panic!("{other:?}")
             }
         }
+
+        // A deadline that falls inside an 8 s chaos delay cuts the delay
+        // short: the cell is skipped and the job fails within a second.
+        let spec = tiny_job(ChaosKnobs {
+            panic_cells: Vec::new(),
+            delay_cells: vec![(0, 8_000)],
+        });
+        let cfg = SupervisorConfig {
+            workers: 1,
+            deadline_ms: 100,
+            ..SupervisorConfig::default()
+        };
+        let started = Instant::now();
+        let (outcome, progress) = run(&cfg, "job-dl-delay", &spec, &dir);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "the job took {took:?}");
+        match outcome {
+            JobOutcome::Failed { reason } => {
+                assert_eq!(reason, "deadline exceeded after 0 of 216 cells");
+            }
+            other @ (JobOutcome::Completed { .. } | JobOutcome::Interrupted) => {
+                panic!("{other:?}")
+            }
+        }
+        assert_eq!(progress.cells_done.load(Ordering::SeqCst), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -794,6 +850,44 @@ mod tests {
             "{}",
             streamed.len()
         );
+
+        // A drain that lands during an 8 s chaos delay cuts the delay short:
+        // the cell is skipped and the job ends within a second of the drain.
+        let spec = tiny_job(ChaosKnobs {
+            panic_cells: Vec::new(),
+            delay_cells: vec![(0, 8_000)],
+        });
+        let cfg = SupervisorConfig {
+            workers: 1,
+            ..SupervisorConfig::default()
+        };
+        let progress = Arc::new(JobProgress::new(spec.plan().len() as u64));
+        let drain = Arc::new(AtomicBool::new(false));
+        let watcher_drain = Arc::clone(&drain);
+        let watcher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            watcher_drain.store(true, Ordering::SeqCst);
+            Instant::now()
+        });
+        let outcome = run_job(
+            &cfg,
+            "job-drain-delay",
+            &spec,
+            &dir,
+            &progress,
+            &stats,
+            &drain,
+        )
+        .unwrap();
+        let ended = Instant::now();
+        let drained = watcher.join().unwrap();
+        assert_eq!(outcome, JobOutcome::Interrupted);
+        let took = ended.duration_since(drained);
+        assert!(
+            took < Duration::from_secs(1),
+            "the job ended {took:?} after the drain"
+        );
+        assert_eq!(progress.cells_done.load(Ordering::SeqCst), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

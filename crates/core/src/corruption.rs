@@ -19,19 +19,7 @@
 
 use units::{limits, Accel, Angle, Speed, DT};
 
-use crate::{AttackAction, SteerDirection, ValueMode};
-
-/// The actuator values to inject this cycle. `None` leaves that actuator's
-/// frames untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AttackValues {
-    /// Value for the gas message (`ACCEL_CMD`).
-    pub accel: Option<Accel>,
-    /// Value for the brake message (`BRAKE_CMD`, negative).
-    pub brake: Option<Accel>,
-    /// Value for the steering message (`STEER_ANGLE_CMD`).
-    pub steer: Option<Angle>,
-}
+use crate::{AttackAction, AttackValues, SteerDirection, ValueMode};
 
 /// The Kalman-style one-step speed predictor of Eq. 2–3.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,11 +112,6 @@ impl CorruptionPolicy {
         self.predictor.correct(v);
     }
 
-    /// Current speed estimate (exposed for analysis).
-    pub fn speed_estimate(&self) -> Speed {
-        self.predictor.estimate()
-    }
-
     /// Computes this cycle's injected values for the active actions and
     /// propagates the speed predictor through them (Eq. 2).
     pub fn values(
@@ -137,9 +120,7 @@ impl CorruptionPolicy {
         steer: Option<SteerDirection>,
         v_cruise: Speed,
     ) -> AttackValues {
-        let mut out = AttackValues::default();
-
-        match longitudinal {
+        let (accel, brake) = match longitudinal {
             Some(AttackAction::Accelerate) => {
                 let accel = match self.mode {
                     ValueMode::Fixed => FIXED_ACCEL,
@@ -150,32 +131,28 @@ impl CorruptionPolicy {
                         Accel::from_mps2(headroom.clamp(0.0, STRATEGIC_ACCEL.mps2()))
                     }
                 };
-                out.accel = Some(accel);
-                out.brake = Some(Accel::ZERO);
                 self.predictor.predict(accel);
+                (Some(accel), Some(Accel::ZERO))
             }
             Some(AttackAction::Decelerate) => {
                 let brake = match self.mode {
                     ValueMode::Fixed => FIXED_BRAKE,
                     ValueMode::Strategic => STRATEGIC_BRAKE,
                 };
-                out.accel = Some(Accel::ZERO);
-                out.brake = Some(brake);
                 self.predictor.predict(brake);
+                (Some(Accel::ZERO), Some(brake))
             }
-            // Steering corruption carries no longitudinal component; the
-            // steer half is applied below.
-            None | Some(AttackAction::Steer(_)) => {}
-        }
-
-        if let Some(direction) = steer {
+            // Steering corruption carries no longitudinal component.
+            None | Some(AttackAction::Steer(_)) => (None, None),
+        };
+        let steer = steer.map(|direction| {
             let magnitude = match self.mode {
                 ValueMode::Fixed => FIXED_STEER_DEG,
                 ValueMode::Strategic => STRATEGIC_STEER_DEG,
             };
-            out.steer = Some(Angle::from_degrees(direction.sign() * magnitude));
-        }
-        out
+            Angle::from_degrees(direction.sign() * magnitude)
+        });
+        AttackValues::new(accel, brake, steer)
     }
 }
 
@@ -191,14 +168,20 @@ mod tests {
             Some(SteerDirection::Right),
             Speed::from_mph(60.0),
         );
-        assert_eq!(v.accel, Some(Accel::from_mps2(2.4)));
-        assert_eq!(v.brake, Some(Accel::ZERO));
-        assert_eq!(v.steer, Some(Angle::from_degrees(-0.5)));
+        assert_eq!(
+            v,
+            AttackValues::new(
+                Some(Accel::from_mps2(2.4)),
+                Some(Accel::ZERO),
+                Some(Angle::from_degrees(-0.5))
+            )
+        );
 
         let v = p.values(Some(AttackAction::Decelerate), None, Speed::from_mph(60.0));
-        assert_eq!(v.brake, Some(Accel::from_mps2(-4.0)));
-        assert_eq!(v.accel, Some(Accel::ZERO));
-        assert_eq!(v.steer, None);
+        assert_eq!(
+            v,
+            AttackValues::new(Some(Accel::ZERO), Some(Accel::from_mps2(-4.0)), None)
+        );
     }
 
     #[test]
@@ -210,8 +193,14 @@ mod tests {
             Some(SteerDirection::Left),
             Speed::from_mph(60.0),
         );
-        assert_eq!(v.brake, Some(Accel::from_mps2(-3.5)));
-        assert_eq!(v.steer, Some(Angle::from_degrees(0.25)));
+        assert_eq!(
+            v,
+            AttackValues::new(
+                Some(Accel::ZERO),
+                Some(Accel::from_mps2(-3.5)),
+                Some(Angle::from_degrees(0.25))
+            )
+        );
     }
 
     #[test]
@@ -221,14 +210,17 @@ mod tests {
         p.observe_speed(cruise);
         // Far from the ceiling: full strategic acceleration.
         let v = p.values(Some(AttackAction::Accelerate), None, cruise);
-        assert_eq!(v.accel, Some(Accel::from_mps2(2.0)));
+        assert_eq!(
+            v,
+            AttackValues::new(Some(Accel::from_mps2(2.0)), Some(Accel::ZERO), None)
+        );
         // At the ceiling (give the Eq. 3 gain time to converge): essentially
         // no further acceleration.
         for _ in 0..200 {
             p.observe_speed(Speed::from_mps(cruise.mps() * 1.1));
         }
         let v = p.values(Some(AttackAction::Accelerate), None, cruise);
-        assert!(v.accel.unwrap().mps2() < 0.05, "got {:?}", v.accel);
+        assert!(v.accel().unwrap().mps2() < 0.05, "got {v:?}");
     }
 
     #[test]
@@ -240,7 +232,7 @@ mod tests {
         p.observe_speed(Speed::from_mps(v));
         for _ in 0..5000 {
             let vals = p.values(Some(AttackAction::Accelerate), None, cruise);
-            let a = vals.accel.unwrap().mps2();
+            let a = vals.accel().unwrap().mps2();
             assert!((0.0..=2.0).contains(&a));
             v += a * DT.secs();
             p.observe_speed(Speed::from_mps(v));

@@ -306,10 +306,11 @@ mod tests {
         eng.observe(Tick::new(1));
         assert!(eng.is_active());
         assert_eq!(eng.timeline().activated_at(), Some(Tick::new(1)));
-        let v = eng.values();
-        assert_eq!(v.accel, Some(Accel::from_mps2(2.0)), "strategic limit");
-        assert_eq!(v.brake, Some(Accel::ZERO));
-        assert_eq!(v.steer, None);
+        assert_eq!(
+            eng.values(),
+            AttackValues::new(Some(Accel::from_mps2(2.0)), Some(Accel::ZERO), None),
+            "strategic limit"
+        );
     }
 
     #[test]
@@ -361,7 +362,10 @@ mod tests {
         publish(&bus, Tick::new(1), 60.0, 100.0, 35.0, -0.9);
         eng.observe(Tick::new(1));
         assert!(eng.is_active());
-        assert_eq!(eng.values().steer, Some(Angle::from_degrees(-0.25)));
+        assert_eq!(
+            eng.values(),
+            AttackValues::new(None, None, Some(Angle::from_degrees(-0.25)))
+        );
     }
 
     #[test]
@@ -379,13 +383,16 @@ mod tests {
         publish(&bus, Tick::ZERO, 60.0, 50.0, 35.0, -0.25);
         eng.observe(Tick::ZERO);
         assert!(eng.is_active());
-        let v = eng.values();
-        assert_eq!(v.accel, Some(Accel::from_mps2(2.4)));
-        assert_eq!(v.steer, Some(Angle::from_degrees(-0.5)), "nearest edge");
+        let fixed_right = AttackValues::new(
+            Some(Accel::from_mps2(2.4)),
+            Some(Accel::ZERO),
+            Some(Angle::from_degrees(-0.5)),
+        );
+        assert_eq!(eng.values(), fixed_right, "nearest edge");
         // The direction stays sticky even if the car is later pushed left.
         publish(&bus, Tick::new(1), 60.0, 45.0, 35.0, 0.4);
         eng.observe(Tick::new(1));
-        assert_eq!(eng.values().steer, Some(Angle::from_degrees(-0.5)));
+        assert_eq!(eng.values(), fixed_right);
     }
 
     #[test]
@@ -410,9 +417,14 @@ mod tests {
         publish(&bus, Tick::new(1), 60.0, 120.0, 65.0, -0.9);
         eng.observe(Tick::new(1));
         assert!(eng.is_active());
-        let v = eng.values();
-        assert_eq!(v.brake, Some(Accel::from_mps2(-3.5)));
-        assert_eq!(v.steer, Some(Angle::from_degrees(-0.25)));
+        assert_eq!(
+            eng.values(),
+            AttackValues::new(
+                Some(Accel::ZERO),
+                Some(Accel::from_mps2(-3.5)),
+                Some(Angle::from_degrees(-0.25))
+            )
+        );
     }
 
     #[test]
@@ -431,11 +443,13 @@ mod tests {
             publish(&bus, Tick::new(i), 60.0, 200.0, 60.0, -0.25);
             eng.observe(Tick::new(i));
             if eng.is_active() {
-                let v = eng.values();
-                assert_eq!(v.accel, Some(Accel::from_mps2(2.4)));
                 assert_eq!(
-                    v.steer,
-                    Some(Angle::from_degrees(-0.5)),
+                    eng.values(),
+                    AttackValues::new(
+                        Some(Accel::from_mps2(2.4)),
+                        Some(Accel::ZERO),
+                        Some(Angle::from_degrees(-0.5))
+                    ),
                     "nearest edge is the right one"
                 );
                 saw_both = true;
@@ -487,7 +501,10 @@ mod tests {
             eng.observe(Tick::new(i));
             if eng.is_active() {
                 fired += 1;
-                assert_eq!(eng.values().brake, Some(Accel::from_mps2(-4.0)));
+                assert_eq!(
+                    eng.values(),
+                    AttackValues::new(Some(Accel::ZERO), Some(Accel::from_mps2(-4.0)), None)
+                );
             }
         }
         assert_eq!(fired, 250, "2.5 s window");

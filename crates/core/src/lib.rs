@@ -71,10 +71,10 @@ mod timeline;
 pub use attack_type::{AttackAction, AttackType, SteerDirection};
 pub use config::{AttackConfig, ValueMode};
 pub use context::{ContextInference, ContextState};
-pub use corruption::{AttackValues, CorruptionPolicy, SpeedPredictor};
+pub use corruption::{CorruptionPolicy, SpeedPredictor};
 pub use eavesdrop::{Eavesdropper, Observations};
 pub use engine::AttackEngine;
-pub use injector::Injector;
+pub use injector::{AttackValues, Injector};
 pub use rules::{ContextRule, ContextTable, PotentialHazard, RuleParams};
 pub use scheduler::{AttackScheduler, StrategyKind};
 pub use timeline::AttackTimeline;

@@ -38,11 +38,6 @@ impl StrategyKind {
             StrategyKind::ContextAware => "Context-Aware",
         }
     }
-
-    /// Whether the strategy's start time is context-inferred.
-    pub fn context_started(self) -> bool {
-        matches!(self, StrategyKind::RandomDur | StrategyKind::ContextAware)
-    }
 }
 
 /// Decides, each tick, whether the attack should be firing.

@@ -56,11 +56,6 @@ impl AttackTimeline {
         self.last_active
     }
 
-    /// Total active injection time.
-    pub fn active_duration(&self) -> Seconds {
-        Seconds::new(self.active_ticks as f64 * units::DT.secs())
-    }
-
     /// Time-to-hazard for a hazard at `t_h`: `t_h − t_a`. `None` if the
     /// attack never activated or the hazard predates it.
     pub fn tth(&self, hazard_at: Tick) -> Option<Seconds> {
@@ -82,7 +77,6 @@ mod tests {
         assert_eq!(t.activated_at(), Some(Tick::new(100)));
         assert_eq!(t.active_ticks(), 3);
         assert_eq!(t.last_active(), Some(Tick::new(500)));
-        assert!((t.active_duration().secs() - 0.03).abs() < 1e-12);
     }
 
     #[test]

@@ -131,16 +131,6 @@ impl Driver {
         }
     }
 
-    /// Whether the driver is controlling the car.
-    pub fn is_engaged(&self) -> bool {
-        matches!(self.phase, DriverPhase::Engaged { .. })
-    }
-
-    /// Whether an observation violates the driver's anomaly thresholds.
-    pub fn is_anomalous(&self, obs: &Observation) -> bool {
-        self.classify(obs).is_some()
-    }
-
     /// Classifies the first anomaly in an observation, if any.
     pub fn classify(&self, obs: &Observation) -> Option<AnomalyKind> {
         if obs.adas_alert {
@@ -290,17 +280,17 @@ mod tests {
         // Exactly at the limits (the strategic attack values): not anomalous.
         let mut obs = nominal();
         obs.accel_cmd = Accel::from_mps2(2.0);
-        assert!(!d.is_anomalous(&obs));
+        assert_eq!(d.classify(&obs), None);
         obs.accel_cmd = Accel::from_mps2(-3.5);
-        assert!(!d.is_anomalous(&obs));
+        assert_eq!(d.classify(&obs), None);
         obs.speed = Speed::from_mps(Speed::from_mph(60.0).mps() * 1.1);
-        assert!(!d.is_anomalous(&obs));
+        assert_eq!(d.classify(&obs), None);
         // Just beyond (the fixed attack values): anomalous.
         obs = nominal();
         obs.accel_cmd = Accel::from_mps2(2.4);
-        assert!(d.is_anomalous(&obs));
+        assert_eq!(d.classify(&obs), Some(AnomalyKind::UnexpectedAccel));
         obs.accel_cmd = Accel::from_mps2(-4.0);
-        assert!(d.is_anomalous(&obs));
+        assert_eq!(d.classify(&obs), Some(AnomalyKind::UnexpectedBrake));
     }
 
     #[test]

@@ -155,12 +155,10 @@ impl Vehicle {
             .accel
             .clamp(self.params.max_brake, self.params.max_accel);
         let alpha = dt / (self.params.accel_tau.secs() + dt);
-        // adas-lint: allow(R3, reason = "plant model integrating its own actuator state, not a command path")
         self.accel = self.accel + (target - self.accel) * alpha;
         let mut v = self.speed.mps() + self.accel.mps2() * dt;
         if v < 0.0 {
             v = 0.0;
-            // adas-lint: allow(R3, reason = "plant model integrating its own actuator state, not a command path")
             self.accel = Accel::ZERO;
         }
 
@@ -168,7 +166,6 @@ impl Vehicle {
         let max_delta = self.params.steer_rate_limit * dt;
         let err = cmd.steer - self.steer;
         let delta = err.clamp(-max_delta, max_delta);
-        // adas-lint: allow(R3, reason = "plant model integrating its own actuator state, not a command path")
         self.steer += delta;
 
         // Bicycle-model kinematics in Frenet coordinates. The commanded

@@ -1,5 +1,5 @@
-//! The cross-file call graph the reachability rules walk: R6 (taint flow),
-//! R12 (lock discipline) and R13 (allocation freedom).
+//! The cross-file call graph the reachability rules walk: R12 (lock
+//! discipline) and R13 (allocation freedom).
 //!
 //! The graph is name-based and crate-closure-filtered (see
 //! [`crate::symbols`]), which over-approximates reachability: a reported
@@ -18,10 +18,6 @@ use std::collections::HashMap;
 pub struct CallGraph {
     /// Adjacency: caller id → callee ids (deduplicated).
     pub edges: Vec<Vec<usize>>,
-    /// Bare callee names per symbol, resolved or not — the taint rules
-    /// need to see calls into types the table cannot resolve (e.g.
-    /// `f64::clamp`).
-    pub raw_calls: Vec<Vec<String>>,
 }
 
 impl CallGraph {
@@ -32,17 +28,11 @@ impl CallGraph {
         let n = table.symbols.len();
         let mut g = CallGraph {
             edges: vec![Vec::new(); n],
-            raw_calls: vec![Vec::new(); n],
         };
         let mut id = 0usize;
         for (info, facts) in files {
             for f in &facts.fns {
                 debug_assert_eq!(table.symbols[id].name, f.name);
-                g.raw_calls[id] = f
-                    .calls
-                    .iter()
-                    .map(|c| c.callee.name().to_string())
-                    .collect();
                 let mut targets: Vec<usize> = Vec::new();
                 for call in &f.calls {
                     match &call.callee {

@@ -8,24 +8,18 @@ use platform::json::Writer;
 /// R2, R4, R5, R7 and R8 (panic-freedom, float equality, wall-clock types,
 /// transitive panic-freedom and wildcard enum arms) are clippy lints
 /// configured in the workspace `Cargo.toml`, `clippy.toml` and the `lib.rs`
-/// of every crate the tick and the daemon reach. R9–R11 (the actuator
-/// envelope and the limit orderings) are proved by the compiler:
-/// `openadas::Enveloped` gates the encoder and `const` assertions sit in
-/// `units::limits`.
+/// of every crate the tick and the daemon reach. R3, R6 and R9–R11 (the
+/// actuator envelope on both sides of the bus and the limit orderings) are
+/// proved by the compiler: `openadas::Enveloped` gates the encoder,
+/// `attack_core::AttackValues` is clamped at construction and read only by
+/// `Injector::apply`, `openadas` and `attack-core` list no dependency on
+/// each other, and `const` assertions sit in `units::limits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// R1 — public APIs of the safety-path crates must pass speeds,
     /// distances, angles, and accelerations as `units::` newtypes, not raw
     /// `f64`/`f32`.
     UnitSafety,
-    /// R3 — direct writes to gas/brake/steer command fields only inside
-    /// `openadas::safety`, `openadas::controls`, and the attack engine's
-    /// designated mutation points.
-    ActuatorContainment,
-    /// R6 — cross-file taint flow: attack values are clamped at birth,
-    /// reach CAN bytes only through the audited `Injector` choke point,
-    /// and the ADAS side never calls back into the attack crate.
-    TaintFlow,
     /// R12 — lock discipline: the lock-order graph built from every
     /// `Mutex`/`Condvar` acquisition site reached via the call graph must
     /// be acyclic; no lock may be held across the campaign fan-out;
@@ -44,10 +38,8 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 4] = [
     Rule::UnitSafety,
-    Rule::ActuatorContainment,
-    Rule::TaintFlow,
     Rule::LockDiscipline,
     Rule::AllocFreedom,
     Rule::SharedStateDeterminism,
@@ -58,8 +50,6 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::UnitSafety => "R1",
-            Rule::ActuatorContainment => "R3",
-            Rule::TaintFlow => "R6",
             Rule::LockDiscipline => "R12",
             Rule::AllocFreedom => "R13",
             Rule::SharedStateDeterminism => "R14",
@@ -70,8 +60,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnitSafety => "unit-safety",
-            Rule::ActuatorContainment => "actuator-containment",
-            Rule::TaintFlow => "taint-flow",
             Rule::LockDiscipline => "lock-discipline",
             Rule::AllocFreedom => "alloc-freedom",
             Rule::SharedStateDeterminism => "shared-state-determinism",
@@ -83,12 +71,6 @@ impl Rule {
         match self {
             Rule::UnitSafety => {
                 "public APIs of safety-path crates take units:: newtypes, not raw f64"
-            }
-            Rule::ActuatorContainment => {
-                "gas/brake/steer command fields written only in designated modules"
-            }
-            Rule::TaintFlow => {
-                "attack values clamped at birth and routed to CAN bytes only via the Injector choke point"
             }
             Rule::LockDiscipline => {
                 "acyclic lock order, no locks across run_campaign_cells, Condvar::wait in predicate loops, documented poisoning policy"
@@ -102,7 +84,7 @@ impl Rule {
         }
     }
 
-    /// Parses `R3` / `r3` / `actuator-containment` style names.
+    /// Parses `R12` / `r12` / `lock-discipline` style names.
     pub fn parse(s: &str) -> Option<Rule> {
         let s = s.trim();
         ALL_RULES
@@ -194,12 +176,14 @@ mod tests {
             assert_eq!(Rule::parse(r.name()), Some(r));
             assert_eq!(Rule::parse(&r.id().to_lowercase()), Some(r));
         }
-        // R2, R4, R5, R7 and R8 moved to clippy and R9–R11 to the
-        // compiler; their IDs and names are not reused.
+        // R2, R4, R5, R7 and R8 moved to clippy and R3, R6 and R9–R11 to
+        // the compiler; their IDs and names are not reused.
         for retired in [
             "R2",
+            "R3",
             "R4",
             "R5",
+            "R6",
             "R7",
             "R8",
             "R9",
@@ -207,6 +191,8 @@ mod tests {
             "R11",
             "R15",
             "panic-freedom",
+            "actuator-containment",
+            "taint-flow",
             "transitive-panic",
             "envelope-soundness",
             "threshold-consistency",
@@ -219,15 +205,15 @@ mod tests {
     #[test]
     fn human_render_contains_location() {
         let d = Diagnostic {
-            rule: Rule::ActuatorContainment,
+            rule: Rule::UnitSafety,
             severity: Severity::Error,
             file: "crates/openadas/src/adas.rs".into(),
             line: 42,
-            snippet: "self.cmd.steer_cmd = 400.0;".into(),
-            message: "write to actuator command field `.steer_cmd`".into(),
+            snippet: "pub fn set(&mut self, speed: f64)".into(),
+            message: "public API passes a raw float".into(),
         };
         let h = d.render_human();
-        assert!(h.contains("error[R3/actuator-containment]"));
+        assert!(h.contains("error[R1/unit-safety]"));
         assert!(h.contains("crates/openadas/src/adas.rs:42"));
     }
 }

@@ -4,14 +4,11 @@
 //! ADAS attacks succeed precisely by keeping corrupted values *inside* the
 //! safety-check envelope, so the reproduction's own safety layer, unit
 //! handling, and determinism guarantees are machine-checked rather than
-//! convention-checked. Six rules run over every workspace `.rs` file:
+//! convention-checked. Four rules run over every workspace `.rs` file:
 //!
 //! | Rule | Name                  | Invariant                                            |
 //! |------|-----------------------|------------------------------------------------------|
 //! | R1   | `unit-safety`         | public APIs use `units::` newtypes, not raw `f64`    |
-//! | R3   | `actuator-containment`| actuator command writes only in designated modules   |
-//! | R6   | `taint-flow`          | attack values clamped at birth, sinks only via the   |
-//! |      |                       | `Injector` choke point, no ADAS→attack back-flow     |
 //! | R12  | `lock-discipline`     | acyclic lock order, no guards across the fan-out,    |
 //! |      |                       | condvar waits in predicate loops, poisoning policy   |
 //! | R13  | `alloc-freedom`       | steady-state tick roots reach no allocating std API  |
@@ -23,20 +20,23 @@
 //! enum arms) from the lint configuration in the workspace `Cargo.toml`,
 //! `clippy.toml` and a `#![deny(…)]` block in the `lib.rs` of every crate
 //! the tick and the daemon reach, which is what R7's transitive
-//! panic-freedom asked for. R9–R11 are retired too: the compiler proves the
-//! actuator envelope (the encoder takes only an `openadas::Enveloped`
-//! command, whose constructor rejects NaN and anything outside the
-//! physical limits) and the orderings between limits (`const` assertions
-//! in `units::limits`).
+//! panic-freedom asked for. R3, R6 and R9–R11 are retired too: the
+//! compiler proves the actuator envelope on both sides of the bus. The
+//! encoder takes only an `openadas::Enveloped` command, whose constructor
+//! rejects NaN and anything outside the physical limits; an
+//! `attack_core::AttackValues` is clamped into the software envelope by
+//! its constructor and read only by `Injector::apply`, its fields being
+//! private; and neither `openadas` nor `attack-core` lists the other in
+//! its manifest. The orderings between limits are `const` assertions in
+//! `units::limits`.
 //!
-//! The analysis is layered: the **lexical** layer (R1, R3) runs over
-//! masked lines; the **taint/callgraph** layer (R6) over a parsed symbol
-//! table and cross-file call graph ([`parser`], [`symbols`],
-//! [`callgraph`], [`taint`]); and the **concurrency/alloc** layer
-//! (R12–R14) builds a lock-order graph and a may-allocate closure over the
-//! same call graph ([`locks`], [`allocpath`]). Every scan runs the whole
-//! pipeline, uncached: per-file work fans out across cores, then the
-//! cross-file layers run over the merged facts. [`scan_workspace`] and
+//! The analysis is layered: the **lexical** layer (R1) runs over masked
+//! lines; the **concurrency/alloc** layer (R12–R14) builds a lock-order
+//! graph and a may-allocate closure over a parsed symbol table and
+//! cross-file call graph ([`parser`], [`symbols`], [`callgraph`],
+//! [`locks`], [`allocpath`]). Every scan runs the whole pipeline,
+//! uncached: per-file work fans out across cores, then the cross-file
+//! layer runs over the merged facts. [`scan_workspace`] and
 //! [`scan_sources`] share it.
 //!
 //! A finding is acknowledged one way: an inline
@@ -57,7 +57,6 @@ pub mod rules;
 pub mod sarif;
 pub mod scope;
 pub mod symbols;
-pub mod taint;
 pub mod tokenizer;
 
 pub use diag::{Diagnostic, Rule, Severity, ALL_RULES};
@@ -100,7 +99,7 @@ impl ScanReport {
 struct FileScan {
     info: FileInfo,
     facts: parser::FileFacts,
-    /// Per-file findings (R1, R3 and the local halves of R12/R14), before
+    /// Per-file findings (R1 and the local halves of R12/R14), before
     /// suppressions are applied.
     local: Vec<Diagnostic>,
     sites: Vec<rules::SuppressionSite>,
@@ -123,7 +122,7 @@ fn scan_file(rel: &str, text: &str) -> FileScan {
 }
 
 /// Scans one source text as if it lived at `rel_path`. Per-file rules only
-/// (R1, R3, and the local halves of R12/R14); inline suppressions are
+/// (R1 and the local halves of R12/R14); inline suppressions are
 /// honored. This is the entry point single-file tests use to prove rules
 /// fire.
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
@@ -164,9 +163,11 @@ fn unknown_rule_findings(file: &str, sites: &[rules::SuppressionSite]) -> Vec<Di
                     "suppression names `{id}`, which is no adas-lint rule, so it \
                      suppresses nothing; name a rule from --list-rules or remove it \
                      (R2, R4, R5, R7 and R8 are clippy lints now: use `#[allow(clippy::…)]`; \
-                     R9–R11 are compiler checks now: the encoder takes only an \
-                     `openadas::Enveloped` command, and the limit orderings are \
-                     `const` assertions in `units::limits`)"
+                     R3, R6 and R9–R11 are compiler checks now: the encoder takes only an \
+                     `openadas::Enveloped` command, `attack_core::AttackValues` keeps its \
+                     clamped fields private to the injector, `openadas` and `attack-core` \
+                     cannot call each other, and the limit orderings are `const` \
+                     assertions in `units::limits`)"
                 ),
             })
         })
@@ -226,7 +227,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanReport> {
 }
 
 /// The scan pipeline: the per-file step fanned out across cores, then the
-/// cross-file rules (R6, R12–R14) over the merged facts, then suppression
+/// cross-file rules (R12–R14) over the merged facts, then suppression
 /// resolution with dead-suppression detection. `deps` is the crate closure
 /// for [`symbols::SymbolTable::build`].
 fn scan(sources: &[(&str, &str)], deps: Option<&HashMap<String, Vec<String>>>) -> ScanReport {
@@ -264,7 +265,6 @@ fn scan(sources: &[(&str, &str)], deps: Option<&HashMap<String, Vec<String>>>) -
     // Phase 2: workspace rules over the merged facts.
     let table = symbols::SymbolTable::build(&parsed, deps);
     let graph = callgraph::CallGraph::build(&parsed, &table);
-    candidates.extend(taint::r6_taint_flow(&table, &graph));
     let (conc, lock_graph) = locks::concurrency_rules(&parsed, &table, &graph);
     candidates.extend(conc);
     candidates.extend(allocpath::r13_alloc_freedom(&parsed, &table, &graph));
@@ -347,8 +347,8 @@ mod tests {
             "crates/openadas/src/injected.rs",
             "pub fn set(&mut self, speed: f64) { self.cmd.steer = speed; }\n",
         );
-        assert!(d.iter().any(|d| d.rule == Rule::UnitSafety));
-        assert!(d.iter().any(|d| d.rule == Rule::ActuatorContainment));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, Rule::UnitSafety);
     }
 
     #[test]

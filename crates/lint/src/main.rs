@@ -1,10 +1,10 @@
 //! The `adas-lint` command-line gate.
 //!
 //! ```text
-//! cargo run -p adas-lint                      # human output, exit 1 on findings
-//! cargo run -p adas-lint -- --format json     # machine-readable report
-//! cargo run -p adas-lint -- --format sarif    # SARIF 2.1.0 (code scanning)
-//! cargo run -p adas-lint -- --list-rules      # rule reference
+//! cargo run -p adas-lint                          # human output, exit 1 on findings
+//! cargo run -p adas-lint -- --format json         # machine-readable report
+//! cargo run -p adas-lint -- --sarif-out lint.sarif # also SARIF 2.1.0 (code scanning)
+//! cargo run -p adas-lint -- --list-rules          # rule reference
 //! ```
 //!
 //! Exit codes: `0` clean, `1` active findings or dead suppressions, `2`
@@ -14,7 +14,7 @@
 
 use adas_lint::{scan_workspace, ALL_RULES};
 use platform::json::{self, Layout};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Options {
@@ -27,23 +27,21 @@ struct Options {
     timings: bool,
 }
 
-#[derive(PartialEq)]
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 const USAGE: &str = "adas-lint — safety-invariant static analysis for this workspace
 
 USAGE:
-    adas-lint [--root DIR] [--format human|json|sarif] [--list-rules]
+    adas-lint [--root DIR] [--format human|json] [--list-rules]
               [--list-files] [--sarif-out FILE] [--lock-graph-dot FILE]
               [--timings]
 
 OPTIONS:
     --root DIR         Workspace root to scan (default: auto-detected)
-    --format FMT       Output format: human (default), json, or sarif
+    --format FMT       Output format: human (default) or json
     --list-rules       Print the rule table and exit
     --list-files       Print every file the scan covers and exit
     --sarif-out FILE   Additionally write a SARIF 2.1.0 report to FILE
@@ -71,12 +69,7 @@ fn parse_args() -> Result<Options, String> {
             "--format" => match args.next().as_deref() {
                 Some("human") => opts.format = Format::Human,
                 Some("json") => opts.format = Format::Json,
-                Some("sarif") => opts.format = Format::Sarif,
-                other => {
-                    return Err(format!(
-                        "--format must be human, json, or sarif, got {other:?}"
-                    ))
-                }
+                other => return Err(format!("--format must be human or json, got {other:?}")),
             },
             "--list-rules" => opts.list_rules = true,
             "--list-files" => opts.list_files = true,
@@ -101,24 +94,14 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Emits, self-validates, and writes/prints the SARIF document.
-fn sarif_report(
-    report: &adas_lint::ScanReport,
-    out_path: Option<&PathBuf>,
-    print: bool,
-) -> Result<(), String> {
+/// Emits, self-validates, and writes the SARIF document to `path`.
+fn write_sarif(report: &adas_lint::ScanReport, path: &Path) -> Result<(), String> {
     let mut all = report.active.clone();
     all.extend(report.dead_suppressions.iter().cloned());
     let doc = adas_lint::sarif::emit(&all);
     adas_lint::sarif::validate(&doc)
         .map_err(|e| format!("internal error: emitted SARIF failed self-validation: {e}"))?;
-    if let Some(path) = out_path {
-        std::fs::write(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    if print {
-        print!("{doc}");
-    }
-    Ok(())
+    std::fs::write(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {
@@ -180,19 +163,14 @@ fn main() -> ExitCode {
         }
     }
 
-    if opts.sarif_out.is_some() || opts.format == Format::Sarif {
-        if let Err(e) = sarif_report(
-            &report,
-            opts.sarif_out.as_ref(),
-            opts.format == Format::Sarif,
-        ) {
+    if let Some(path) = &opts.sarif_out {
+        if let Err(e) = write_sarif(&report, path) {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     }
 
     match opts.format {
-        Format::Sarif => {} // already printed
         Format::Json => {
             let doc = json::object(Layout::Line, |o| {
                 o.field("version", 4u32);

@@ -1,11 +1,10 @@
 //! A token-tree/item parser on top of the masking tokenizer.
 //!
 //! This is deliberately **not** a Rust grammar. The cross-file rules
-//! (R6 taint flow, R12–R14 locks and allocation) only need to know, per
-//! file:
+//! (R12–R14, locks and allocation) only need to know, per file:
 //!
-//! * which functions are defined (free functions and `impl` methods, with
-//!   their return-type text and whether they live in test code),
+//! * which functions are defined (free functions and `impl` methods, and
+//!   whether they live in test code),
 //! * which calls, macro invocations and lock events each function body
 //!   contains.
 //!
@@ -115,8 +114,6 @@ pub struct FnDef {
     pub is_test: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Return-type text after `->` (empty for `()` returns).
-    pub ret: String,
     /// Call sites in the body, in order.
     pub calls: Vec<Call>,
     /// Macro invocations in the body (name without `!`).
@@ -418,22 +415,9 @@ fn parse_fn(
     if toks.get(i).is_none_or(|t| t.text != "(") {
         return (None, i);
     }
-    i = matching(toks, i); // past the parameter list
-    let mut ret = String::new();
-    if toks.get(i).is_some_and(|t| t.text == "->") {
-        i += 1;
-        while i < toks.len()
-            && toks[i].text != "{"
-            && toks[i].text != ";"
-            && toks[i].text != "where"
-        {
-            if !ret.is_empty() {
-                ret.push(' ');
-            }
-            ret.push_str(&toks[i].text);
-            i += 1;
-        }
-    }
+    // Past the parameter list, the return type and any where clause, to
+    // the body or the `;`.
+    i = matching(toks, i);
     while i < toks.len() && toks[i].text != "{" && toks[i].text != ";" {
         i += 1;
     }
@@ -447,7 +431,6 @@ fn parse_fn(
                 is_pub,
                 is_test: in_test(toks[fn_idx].line),
                 line: toks[fn_idx].line,
-                ret,
                 calls: Vec::new(),
                 macros: Vec::new(),
                 locks: Vec::new(),
@@ -464,7 +447,6 @@ fn parse_fn(
         is_pub,
         is_test: in_test(toks[fn_idx].line),
         line: toks[fn_idx].line,
-        ret,
         calls: Vec::new(),
         macros: Vec::new(),
         locks: Vec::new(),
@@ -814,7 +796,6 @@ mod tests {
         assert_eq!(f.fns.len(), 2);
         assert_eq!(f.fns[0].qual, "free");
         assert!(f.fns[0].is_pub);
-        assert_eq!(f.fns[0].ret, "Vec < Vec < f64 > >");
         assert_eq!(f.fns[1].qual, "Harness::step");
         assert!(!f.fns[1].is_pub);
         let callees: Vec<&str> = f.fns[1].calls.iter().map(|c| c.callee.name()).collect();

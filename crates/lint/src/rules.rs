@@ -1,5 +1,5 @@
-//! The per-file rules: R1 and R3 as lexical checks over masked lines, plus
-//! the local halves of R12 and R14.
+//! The per-file rules: R1 as a lexical check over masked lines, plus the
+//! local halves of R12 and R14.
 //!
 //! Every lexical rule receives lines that have already had comments and
 //! string literals blanked out by the tokenizer, so the matching here can
@@ -23,9 +23,6 @@ pub fn local_rules(info: &FileInfo, src: &SourceFile, facts: &FileFacts) -> Vec<
     let mut out = Vec::new();
     if crate::scope::r1_applies(info) {
         r1_unit_safety(info, src, &mut out);
-    }
-    if crate::scope::r3_applies(info) {
-        r3_actuator_containment(info, src, &mut out);
     }
     if crate::scope::concurrency_applies(info) {
         r12_expect_policy(info, src, facts, &mut out);
@@ -182,72 +179,6 @@ fn is_pub_fn(code: &str) -> bool {
     rest.starts_with("fn ") || rest == "fn"
 }
 
-// ---------------------------------------------------------------- R3 ----
-
-/// Actuator command fields whose mutation is contained by R3.
-const ACTUATOR_FIELDS: [&str; 8] = [
-    "accel",
-    "steer",
-    "gas",
-    "brake",
-    "accel_cmd",
-    "brake_cmd",
-    "steer_cmd",
-    "gas_cmd",
-];
-
-/// R3: writes to actuator command fields outside the designated modules.
-fn r3_actuator_containment(info: &FileInfo, src: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (i, line) in src.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if let Some(field) = actuator_write(&line.code) {
-            out.push(diag(
-                Rule::ActuatorContainment,
-                info,
-                i,
-                &line.raw,
-                format!(
-                    "write to actuator command field `.{field}` outside \
-                     openadas::safety/openadas::controls/attack mutation points"
-                ),
-            ));
-        }
-    }
-}
-
-/// Detects `.field =` / `.field +=` style assignments to an actuator field.
-fn actuator_write(code: &str) -> Option<&'static str> {
-    for field in ACTUATOR_FIELDS {
-        let pat = format!(".{field}");
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(&pat) {
-            let at = from + pos;
-            let after = at + pat.len();
-            let rest = &code[after..];
-            // Word boundary: `.steering` must not match field `steer`.
-            if rest.chars().next().is_some_and(is_ident_char) {
-                from = at + 1;
-                continue;
-            }
-            let t = rest.trim_start();
-            let mut cs = t.chars();
-            match (cs.next(), cs.next()) {
-                (Some('='), second) if second != Some('=') && second != Some('>') => {
-                    return Some(field);
-                }
-                (Some('+' | '-' | '*' | '/'), Some('=')) => {
-                    return Some(field);
-                }
-                _ => {}
-            }
-            from = at + 1;
-        }
-    }
-    None
-}
-
 // --------------------------------------------------- R12/R14 (local) ----
 
 /// The marker a file's docs must carry for `.lock().expect(…)` to be
@@ -352,42 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_actuator_write_outside_designated_modules() {
-        let d = scan_source(
-            "crates/platform/src/x.rs",
-            "fn f(c: &mut CarControl) { c.accel = a; }\n",
-        );
-        assert!(
-            d.iter().any(|d| d.rule == Rule::ActuatorContainment),
-            "{d:?}"
-        );
-        let d = scan_source(
-            "crates/core/src/corruption.rs",
-            "fn f(c: &mut CarControl) { c.accel = a; }\n",
-        );
-        assert!(
-            d.iter().all(|d| d.rule != Rule::ActuatorContainment),
-            "{d:?}"
-        );
-    }
-
-    #[test]
-    fn r3_ignores_reads_comparisons_and_longer_fields() {
-        let d = scan_source(
-            "crates/platform/src/x.rs",
-            "fn f(c: &C) { if c.accel == x {} let v = c.steer; s.steering_angle = q; }\n",
-        );
-        assert!(
-            d.iter().all(|d| d.rule != Rule::ActuatorContainment),
-            "{d:?}"
-        );
-    }
-
-    #[test]
     fn suppression_silences_a_finding() {
         let d = scan_source(
-            "crates/platform/src/x.rs",
-            "fn f(c: &mut CarControl) { c.accel = a; } // adas-lint: allow(R3, reason = \"demo\")\n",
+            "crates/openadas/src/x.rs",
+            "pub fn f(gain: f64) {} // adas-lint: allow(R1, reason = \"demo\")\n",
         );
         assert!(d.is_empty(), "{d:?}");
     }

@@ -10,8 +10,8 @@
 //! [`validate`] is a self-check: the workspace's one JSON reader plus
 //! assertions over the subset of the 2.1.0 schema the emitter uses
 //! (required properties, level vocabulary, rule-id cross-references,
-//! 1-based line numbers). It runs in tests and behind `--format sarif` so
-//! an emitter regression fails the lint itself rather than surfacing as a
+//! 1-based line numbers). It runs in tests and behind `--sarif-out` so an
+//! emitter regression fails the lint itself rather than surfacing as a
 //! cryptic upload error in CI.
 
 use crate::diag::{Diagnostic, Severity, ALL_RULES};
@@ -147,7 +147,7 @@ mod tests {
     fn sample_diags() -> Vec<Diagnostic> {
         vec![
             Diagnostic {
-                rule: Rule::TaintFlow,
+                rule: Rule::LockDiscipline,
                 severity: Severity::Error,
                 file: "crates/core/src/engine.rs".into(),
                 line: 42,
@@ -181,7 +181,7 @@ mod tests {
         let doc = emit(&sample_diags());
         assert!(validate(&doc.replace("\"2.1.0\"", "\"9.9\"")).is_err());
         assert!(validate(&doc.replace("startLine", "startLjne")).is_err());
-        assert!(validate(&doc.replace("\"ruleId\": \"R6\"", "\"ruleId\": \"nope\"")).is_err());
+        assert!(validate(&doc.replace("\"ruleId\": \"R12\"", "\"ruleId\": \"nope\"")).is_err());
     }
 
     #[test]

@@ -32,16 +32,6 @@ pub const ROOT_CRATE: &str = "adas-attack-repro";
 /// Crates whose public APIs R1 holds to `units::` newtypes.
 pub const R1_CRATES: [&str; 4] = ["openadas", "driving-sim", "canbus", "driver-model"];
 
-/// Modules allowed to write actuator command fields (R3): the safety
-/// clamp, the command encoder, and the attack engine's designated
-/// mutation points.
-pub const R3_ALLOWED_PATHS: [&str; 4] = [
-    "crates/openadas/src/safety.rs",
-    "crates/openadas/src/controls.rs",
-    "crates/core/src/corruption.rs",
-    "crates/core/src/injector.rs",
-];
-
 /// Crates the concurrency/allocation layer (R12–R14) analyzes: the
 /// platform crate owns the campaign fan-out and the campaign runners, the
 /// daemon's locks live in `campaignd`, and the hot-path reachability
@@ -90,12 +80,6 @@ pub fn r1_applies(info: &FileInfo) -> bool {
     info.kind == FileKind::Lib && R1_CRATES.contains(&info.crate_name.as_str())
 }
 
-/// R3 covers all non-test code except the designated mutation points.
-pub fn r3_applies(info: &FileInfo) -> bool {
-    matches!(info.kind, FileKind::Lib | FileKind::Bin | FileKind::Example)
-        && !R3_ALLOWED_PATHS.contains(&info.rel.as_str())
-}
-
 /// Whether the concurrency/allocation layer (R12–R14) analyzes this file.
 /// Library code only: tests and benches lock and allocate by design.
 pub fn concurrency_applies(info: &FileInfo) -> bool {
@@ -133,10 +117,7 @@ mod tests {
         assert!(!r1_applies(&classify(
             "crates/openadas/tests/properties.rs"
         )));
-        assert!(!r3_applies(&classify("crates/core/src/corruption.rs")));
-        assert!(r3_applies(&classify("crates/core/src/engine.rs")));
-        assert!(!r3_applies(&classify("crates/bench/benches/micro.rs")));
-        assert!(r3_applies(&classify("examples/quickstart.rs")));
+        assert!(!r1_applies(&classify("examples/quickstart.rs")));
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub struct Symbol {
     pub line: usize,
     /// Whether the definition is test-only.
     pub is_test: bool,
-    /// Return-type text.
-    pub ret: String,
 }
 
 /// The workspace-wide symbol table.
@@ -88,7 +86,6 @@ impl SymbolTable {
                     file: info.rel.clone(),
                     line: f.line,
                     is_test: f.is_test,
-                    ret: f.ret.clone(),
                 });
             }
         }

@@ -359,7 +359,7 @@ fn mark_test_regions(lines: &mut [Line]) {
     }
 }
 
-/// Parses `adas-lint: allow(R3, reason = "…")` out of a comment's text.
+/// Parses `adas-lint: allow(R1, reason = "…")` out of a comment's text.
 ///
 /// Doc comments (`///`, `//!`) never suppress: they *document* the syntax
 /// (this very file does), and a doc-comment "suppression" would otherwise
@@ -483,9 +483,9 @@ mod tests {
 
     #[test]
     fn suppression_on_same_line_and_next_line() {
-        let src = "c.accel = a; // adas-lint: allow(R3, reason = \"checked above\")\n// adas-lint: allow(R1)\npub fn f(x: f64) {}";
+        let src = "let g = m.lock(); // adas-lint: allow(R12, reason = \"checked above\")\n// adas-lint: allow(R1)\npub fn f(x: f64) {}";
         let f = tokenize(src);
-        assert!(suppressed(&f, 1, Rule::ActuatorContainment));
+        assert!(suppressed(&f, 1, Rule::LockDiscipline));
         assert!(!suppressed(&f, 1, Rule::UnitSafety));
         assert!(suppressed(&f, 3, Rule::UnitSafety));
     }
@@ -495,13 +495,13 @@ mod tests {
         // A retired id must not turn the allow into a blanket one.
         let f = tokenize("// adas-lint: allow(R4, reason = \"retired\")\npub fn f(x: f64) {}\n");
         assert!(!suppressed(&f, 2, Rule::UnitSafety));
-        assert!(!suppressed(&f, 2, Rule::ActuatorContainment));
+        assert!(!suppressed(&f, 2, Rule::LockDiscipline));
         let sups = &f.suppressions[&2];
         assert_eq!(sups[0].unknown, vec!["R4".to_string()]);
         // Known ids next to an unknown one still cover their rules.
         let f = tokenize("pub fn f(x: f64) {} // adas-lint: allow(R1, R8)\n");
         assert!(suppressed(&f, 1, Rule::UnitSafety));
-        assert!(!suppressed(&f, 1, Rule::ActuatorContainment));
+        assert!(!suppressed(&f, 1, Rule::LockDiscipline));
         // A comment naming no id at all stays a blanket allow.
         let f = tokenize("pub fn f(x: f64) {} // adas-lint: allow(reason = \"demo\")\n");
         assert!(suppressed(&f, 1, Rule::UnitSafety));

@@ -7,7 +7,8 @@ use std::path::Path;
 use adas_lint::scan_source;
 
 /// The fixture files are scanned as if they lived inside openadas — the
-/// strictest scope (both per-file rules, R1 and R3, apply).
+/// strictest scope (every per-file rule, R1 and the local halves of R12
+/// and R14, applies).
 const FIXTURE_SCAN_PATH: &str = "crates/openadas/src/fixture.rs";
 
 fn read_fixture(name: &str) -> String {

@@ -4,10 +4,10 @@
 //! Like its sibling, this file is scanned as `crates/openadas/src/fixture.rs`
 //! and never compiled.
 
-// A comment mentioning self.brake_cmd = 1.0 must not fire R3.
+// A comment mentioning pub fn brake(v: f64) must not fire R1.
 
-/// Returns the label. Writing `self.steer_cmd = 1.0` here is prose, not
-/// code (R3 trap); so is `pub fn speed(v: f64)` (R1 trap).
+/// Returns the label. Writing `static mut X: u8 = 0;` here is prose, not
+/// code (R14 trap); so is `pub fn speed(v: f64)` (R1 trap).
 fn label() -> &'static str {
     "call .unwrap() or panic!(\"boom\") — it's fine inside a string"
 }
@@ -19,7 +19,7 @@ fn raw_multiline() -> &'static str {
 }
 
 fn raw_with_hashes() -> &'static str {
-    r##"contains "# inside, plus self.accel_cmd = 9.0 and SystemTime"##
+    r##"contains "# inside, plus pub fn accel(a: f64) and SystemTime"##
 }
 
 fn byte_string() -> &'static [u8] {

@@ -9,21 +9,19 @@ pub fn set_target_speed(&mut self, speed: f64) {
     self.target = speed;
 }
 
-// R3: actuator command write outside the safety/controls modules.
-fn hijack(&mut self) {
-    self.cmd.steer_cmd = 400.0;
-}
+// R14: unsynchronized shared mutable state.
+static mut LAST_TARGET: u64 = 0;
 
-// Suppressed: the allow comment acknowledges the write with a reason.
-fn acknowledged(&mut self) {
-    // adas-lint: allow(R3, reason = "fixture demonstrates suppression")
-    self.cmd.accel_cmd = 0.0;
+// Suppressed: the allow comment acknowledges the raw float with a reason.
+// adas-lint: allow(R1, reason = "fixture demonstrates suppression")
+pub fn set_gain(&mut self, gain: f64) {
+    self.gain = gain;
 }
 
 #[cfg(test)]
 mod tests {
-    // Exempt: test code may write actuator fields freely.
-    fn in_tests(&mut self) {
-        self.cmd.brake_cmd = 1.0;
+    // Exempt: test code may pass raw floats freely.
+    pub fn in_tests(speed: f64) {
+        let _ = speed;
     }
 }

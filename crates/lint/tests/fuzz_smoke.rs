@@ -39,7 +39,7 @@ const CORPUS: [&str; 8] = [
     "const MAX: f64 = 5.0;\nconst MIN: f64 = -9.8;\npub fn env(x: f64) -> f64 {\n    x.max(MIN).min(MAX)\n}\n",
     "fn walk(xs: &[f64]) -> f64 {\n    let mut s = 0.0;\n    while let Some(x) = it.next() {\n        s += x;\n    }\n    s\n}\n",
     "fn pick(k: Kind) -> u8 {\n    match k {\n        Kind::A => 1,\n        Kind::B | Kind::C => 2,\n        _ => 0,\n    }\n}\n",
-    "// adas-lint: allow(R3, reason = \"clamped by construction\")\nfn f(c: &mut Cmd) { c.accel = 1.0; }\n",
+    "// adas-lint: allow(R1, reason = \"dimensionless gain\")\npub fn f(gain: f64) { c.accel = gain; }\n",
     "fn s() -> &'static str {\n    let _c = 'x';\n    r#\"raw \"quoted\" text with } and {\"#\n}\n",
     "#[derive(Debug)]\nstruct P { x: f64 }\nfn g(p: P) -> f64 { if p.x > 0.0 { p.x.sqrt() } else { 0.0 } }\n",
 ];

@@ -19,7 +19,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
     let ws = temp_ws("dead_suppression");
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
-        "// adas-lint: allow(R3, reason = \"the write this excused was removed\")\npub fn fine() {}\n",
+        "// adas-lint: allow(R1, reason = \"the raw float this excused was removed\")\npub fn fine() {}\n",
     )
     .expect("write");
 
@@ -43,7 +43,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
     // A suppression that absorbs its finding is counted, not reported.
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
-        "// adas-lint: allow(R3, reason = \"clamped by construction\")\nfn f(c: &mut Cmd) { c.accel = 1; }\n",
+        "// adas-lint: allow(R1, reason = \"dimensionless gain\")\npub fn f(gain: f64) {}\n",
     )
     .expect("write");
     let report = scan_workspace(&ws).expect("scan");
@@ -59,7 +59,7 @@ fn dead_suppression_fails_the_gate_as_a_warning() {
 #[test]
 fn allow_naming_a_retired_rule_fails_the_gate() {
     let ws = temp_ws("retired_rule_allow");
-    for id in ["R4", "R7", "R9", "R10", "R11"] {
+    for id in ["R3", "R4", "R6", "R7", "R9", "R10", "R11"] {
         fs::write(
             ws.join("crates/openadas/src/lib.rs"),
             format!("// adas-lint: allow({id}, reason = \"retired\")\npub fn f(speed: f64) {{}}\n"),
@@ -87,7 +87,10 @@ fn allow_naming_a_retired_rule_fails_the_gate() {
             "{id}: {message}"
         );
         assert!(
-            message.contains("openadas::Enveloped") && message.contains("units::limits"),
+            message.contains("R3, R6 and R9–R11 are compiler checks")
+                && message.contains("openadas::Enveloped")
+                && message.contains("attack_core::AttackValues")
+                && message.contains("units::limits"),
             "{id}: {message}"
         );
         assert_eq!(report.active.len(), 2, "{id}: {:?}", report.active);

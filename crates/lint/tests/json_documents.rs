@@ -18,7 +18,7 @@ use std::process::Command;
 fn diagnostics() -> Vec<Diagnostic> {
     vec![
         Diagnostic {
-            rule: Rule::TaintFlow,
+            rule: Rule::LockDiscipline,
             severity: Severity::Error,
             file: "crates/core/src/engine.rs".into(),
             line: 42,
@@ -54,7 +54,7 @@ fn json_report_bytes() {
     fs::write(
         ws.join("crates/openadas/src/lib.rs"),
         "pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }\n\
-         // adas-lint: allow(R3, reason = \"the write this excused was removed\")\n\
+         // adas-lint: allow(R12, reason = \"the lock this excused was removed\")\n\
          pub fn fine() {}\n",
     )
     .expect("write");
@@ -90,16 +90,6 @@ const EARLIER_LAYOUT_SARIF: &str = r#"{
               "shortDescription": { "text": "public APIs of safety-path crates take units:: newtypes, not raw f64" }
             },
             {
-              "id": "R3",
-              "name": "actuator-containment",
-              "shortDescription": { "text": "gas/brake/steer command fields written only in designated modules" }
-            },
-            {
-              "id": "R6",
-              "name": "taint-flow",
-              "shortDescription": { "text": "attack values clamped at birth and routed to CAN bytes only via the Injector choke point" }
-            },
-            {
               "id": "R12",
               "name": "lock-discipline",
               "shortDescription": { "text": "acyclic lock order, no locks across run_campaign_cells, Condvar::wait in predicate loops, documented poisoning policy" }
@@ -119,8 +109,8 @@ const EARLIER_LAYOUT_SARIF: &str = r#"{
       },
       "results": [
         {
-          "ruleId": "R6",
-          "ruleIndex": 2,
+          "ruleId": "R12",
+          "ruleIndex": 1,
           "level": "error",
           "message": { "text": "flow chain: a → b \"quoted\" back\\slash\nsecond line" },
           "locations": [
@@ -154,7 +144,7 @@ const EARLIER_LAYOUT_SARIF: &str = r#"{
 
 /// The report before `platform::json` wrote it: no spaces after `:` and
 /// `,`, the same values.
-const COMPACT_JSON_REPORT: &str = r#"{"version":4,"diagnostics":[{"rule":"R1","name":"unit-safety","severity":"error","file":"crates/openadas/src/lib.rs","line":1,"snippet":"pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }","message":"public API passes a raw float; use a `units::` newtype (Speed, Distance, Angle, Accel, Seconds) or allow with a reason if genuinely dimensionless"},{"rule":"R3","name":"actuator-containment","severity":"warning","file":"crates/openadas/src/lib.rs","line":3,"snippet":"adas-lint: allow(R3)","message":"dead suppression: the inline allow for R3 absorbs no finding — the code it excused is gone; remove the comment"}],"summary":{"files_scanned":1,"active":1,"dead_suppressions":1,"suppressed":0}}
+const COMPACT_JSON_REPORT: &str = r#"{"version":4,"diagnostics":[{"rule":"R1","name":"unit-safety","severity":"error","file":"crates/openadas/src/lib.rs","line":1,"snippet":"pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }","message":"public API passes a raw float; use a `units::` newtype (Speed, Distance, Angle, Accel, Seconds) or allow with a reason if genuinely dimensionless"},{"rule":"R12","name":"lock-discipline","severity":"warning","file":"crates/openadas/src/lib.rs","line":3,"snippet":"adas-lint: allow(R12)","message":"dead suppression: the inline allow for R12 absorbs no finding — the code it excused is gone; remove the comment"}],"summary":{"files_scanned":1,"active":1,"dead_suppressions":1,"suppressed":0}}
 "#;
 
 const SARIF: &str = r#"{
@@ -168,8 +158,6 @@ const SARIF: &str = r#"{
           "informationUri": "https://github.com/adas-attack-repro",
           "rules": [
             {"id": "R1", "name": "unit-safety", "shortDescription": {"text": "public APIs of safety-path crates take units:: newtypes, not raw f64"}},
-            {"id": "R3", "name": "actuator-containment", "shortDescription": {"text": "gas/brake/steer command fields written only in designated modules"}},
-            {"id": "R6", "name": "taint-flow", "shortDescription": {"text": "attack values clamped at birth and routed to CAN bytes only via the Injector choke point"}},
             {"id": "R12", "name": "lock-discipline", "shortDescription": {"text": "acyclic lock order, no locks across run_campaign_cells, Condvar::wait in predicate loops, documented poisoning policy"}},
             {"id": "R13", "name": "alloc-freedom", "shortDescription": {"text": "no call path from the steady-state tick roots reaches an allocating std API"}},
             {"id": "R14", "name": "shared-state-determinism", "shortDescription": {"text": "no mutable statics, env-reading OnceLock initializers, or completion-order campaign merges"}}
@@ -177,7 +165,7 @@ const SARIF: &str = r#"{
         }
       },
       "results": [
-        {"ruleId": "R6", "ruleIndex": 2, "level": "error", "message": {"text": "flow chain: a → b \"quoted\" back\\slash\nsecond line"}, "locations": [{"physicalLocation": {"artifactLocation": {"uri": "crates/core/src/engine.rs"}, "region": {"startLine": 42}}}]},
+        {"ruleId": "R12", "ruleIndex": 1, "level": "error", "message": {"text": "flow chain: a → b \"quoted\" back\\slash\nsecond line"}, "locations": [{"physicalLocation": {"artifactLocation": {"uri": "crates/core/src/engine.rs"}, "region": {"startLine": 42}}}]},
         {"ruleId": "R1", "ruleIndex": 0, "level": "warning", "message": {"text": "bare f64"}, "locations": [{"physicalLocation": {"artifactLocation": {"uri": "crates/openadas/src/adas.rs"}, "region": {"startLine": 1}}}]}
       ]
     }
@@ -185,5 +173,5 @@ const SARIF: &str = r#"{
 }
 "#;
 
-const JSON_REPORT: &str = r#"{"version": 4, "diagnostics": [{"rule": "R1", "name": "unit-safety", "severity": "error", "file": "crates/openadas/src/lib.rs", "line": 1, "snippet": "pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }", "message": "public API passes a raw float; use a `units::` newtype (Speed, Distance, Angle, Accel, Seconds) or allow with a reason if genuinely dimensionless"}, {"rule": "R3", "name": "actuator-containment", "severity": "warning", "file": "crates/openadas/src/lib.rs", "line": 3, "snippet": "adas-lint: allow(R3)", "message": "dead suppression: the inline allow for R3 absorbs no finding — the code it excused is gone; remove the comment"}], "summary": {"files_scanned": 1, "active": 1, "dead_suppressions": 1, "suppressed": 0}}
+const JSON_REPORT: &str = r#"{"version": 4, "diagnostics": [{"rule": "R1", "name": "unit-safety", "severity": "error", "file": "crates/openadas/src/lib.rs", "line": 1, "snippet": "pub fn f(speed: f64) -> &'static str { \"a\\\"b\\\\c\t\" }", "message": "public API passes a raw float; use a `units::` newtype (Speed, Distance, Angle, Accel, Seconds) or allow with a reason if genuinely dimensionless"}, {"rule": "R12", "name": "lock-discipline", "severity": "warning", "file": "crates/openadas/src/lib.rs", "line": 3, "snippet": "adas-lint: allow(R12)", "message": "dead suppression: the inline allow for R12 absorbs no finding — the code it excused is gone; remove the comment"}], "summary": {"files_scanned": 1, "active": 1, "dead_suppressions": 1, "suppressed": 0}}
 "#;

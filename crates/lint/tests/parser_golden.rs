@@ -9,11 +9,6 @@ fn facts(src: &str) -> FileFacts {
     parser::parse(&tokenizer::tokenize(src))
 }
 
-/// Squeezes the space-joined token text back together for comparison.
-fn squeeze(s: &str) -> String {
-    s.replace(' ', "")
-}
-
 #[test]
 fn nested_generics_are_not_shift_operators() {
     let f = facts(
@@ -25,8 +20,6 @@ fn nested_generics_are_not_shift_operators() {
         ["deep", "shifted", "after"],
         "a `>>` that closes two generics (or shifts) must not swallow the rest of the file"
     );
-    assert_eq!(squeeze(&f.fns[0].ret), "Vec<Vec<f64>>");
-    assert_eq!(f.fns[1].ret, "u64", "`a >> 2` is a shift, not a generic");
     assert!(f.fns[0].is_pub);
     assert!(!f.fns[1].is_pub);
 }
@@ -57,15 +50,16 @@ fn macro_invocations_are_recorded_with_their_lines() {
 
 #[test]
 fn lifetimes_are_not_char_literals() {
-    let f = facts("pub fn first<'a>(xs: &'a [f64]) -> &'a f64 {\n    &xs[0]\n}\n");
-    assert_eq!(f.fns.len(), 1, "{:?}", f.fns);
+    let f =
+        facts("pub fn first<'a>(xs: &'a [f64]) -> &'a f64 {\n    xs.first()\n}\nfn after() {}\n");
+    let names: Vec<&str> = f.fns.iter().map(|d| d.name.as_str()).collect();
+    assert_eq!(names, ["first", "after"], "{:?}", f.fns);
     let fd = &f.fns[0];
-    assert_eq!(fd.name, "first");
     assert!(fd.is_pub);
     assert!(
-        squeeze(&fd.ret).contains("f64"),
-        "return type survives the lifetime: {:?}",
-        fd.ret
+        fd.calls.iter().any(|c| c.callee.name() == "first"),
+        "the body survives the lifetimes: {:?}",
+        fd.calls
     );
 }
 
@@ -76,7 +70,6 @@ fn where_clauses_do_not_leak_into_the_body() {
     );
     assert_eq!(f.fns.len(), 1, "{:?}", f.fns);
     let fd = &f.fns[0];
-    assert_eq!(squeeze(&fd.ret), "Vec<T>", "ret stops at the where clause");
     assert!(
         fd.calls
             .iter()

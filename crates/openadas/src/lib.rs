@@ -38,7 +38,6 @@
 
 mod acc;
 mod adas;
-mod aeb;
 mod alc;
 mod alerts;
 mod controls;
@@ -53,7 +52,6 @@ mod state;
 
 pub use acc::{AccController, AccOutput};
 pub use adas::{Adas, AdasOutput};
-pub use aeb::{Aeb, AebConfig, AebState};
 pub use alc::{AlcController, AlcOutput};
 pub use alerts::AlertManager;
 pub use controls::{CommandEncoder, QuantizedCycle};

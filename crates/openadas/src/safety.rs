@@ -12,7 +12,7 @@
 //!   `speed ≤ 1.1 × v_cruise`.
 
 use msgbus::schema::CarControl;
-use units::{limits, Accel, Angle, Speed};
+use units::{limits, Accel, Angle};
 
 /// A set of actuator-output limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,17 +66,6 @@ impl SafetyLimits {
     /// checks).
     pub fn accel_ok(&self, a: Accel) -> bool {
         a <= self.accel_max && a >= self.brake_min
-    }
-
-    /// Whether a steering command is within the envelope.
-    pub fn steer_ok(&self, s: Angle) -> bool {
-        s.abs() <= self.steer_max
-    }
-
-    /// Whether a speed is within the overspeed ceiling for a given cruise
-    /// set-speed.
-    pub fn speed_ok(&self, v: Speed, v_cruise: Speed) -> bool {
-        v.mps() <= v_cruise.mps() * self.overspeed_factor
     }
 }
 
@@ -188,10 +177,10 @@ mod tests {
         let st = SafetyLimits::strict();
         assert!(sw.accel_ok(Accel::from_mps2(2.4)));
         assert!(sw.accel_ok(Accel::from_mps2(-4.0)));
-        assert!(sw.steer_ok(Angle::from_degrees(0.5)));
+        assert!(Angle::from_degrees(0.5) <= sw.steer_max);
         assert!(!st.accel_ok(Accel::from_mps2(2.4)));
         assert!(!st.accel_ok(Accel::from_mps2(-4.0)));
-        assert!(!st.steer_ok(Angle::from_degrees(0.5)));
+        assert!(Angle::from_degrees(0.5) > st.steer_max);
     }
 
     #[test]
@@ -199,8 +188,8 @@ mod tests {
         for limits in [SafetyLimits::software(), SafetyLimits::strict()] {
             assert!(limits.accel_ok(Accel::from_mps2(2.0)));
             assert!(limits.accel_ok(Accel::from_mps2(-3.5)));
-            assert!(limits.steer_ok(Angle::from_degrees(0.25)));
-            assert!(limits.steer_ok(Angle::from_degrees(-0.25)));
+            assert!(Angle::from_degrees(0.25) <= limits.steer_max);
+            assert!(Angle::from_degrees(-0.25).abs() <= limits.steer_max);
         }
     }
 
@@ -216,13 +205,5 @@ mod tests {
             st.clamp_steer(Angle::from_degrees(1.0)),
             Angle::from_degrees(0.25)
         );
-    }
-
-    #[test]
-    fn overspeed_check() {
-        let st = SafetyLimits::strict();
-        let cruise = Speed::from_mph(60.0);
-        assert!(st.speed_ok(Speed::from_mph(65.9), cruise));
-        assert!(!st.speed_ok(Speed::from_mph(66.1), cruise));
     }
 }

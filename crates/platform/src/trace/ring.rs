@@ -13,8 +13,6 @@ pub struct TraceRing {
     capacity: usize,
     /// Index of the next slot to overwrite once the ring is full.
     head: usize,
-    /// Total records ever pushed (may exceed `capacity`).
-    pushed: u64,
 }
 
 impl TraceRing {
@@ -27,7 +25,6 @@ impl TraceRing {
             slots: Vec::with_capacity(capacity),
             capacity,
             head: 0,
-            pushed: 0,
         }
     }
 
@@ -40,7 +37,6 @@ impl TraceRing {
             *slot = record;
             self.head = (self.head + 1) % self.capacity;
         }
-        self.pushed += 1;
     }
 
     /// Number of records currently retained.
@@ -51,11 +47,6 @@ impl TraceRing {
     /// Whether no records have been retained.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Total records ever pushed, including overwritten ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// The most recent record, if any.
@@ -134,7 +125,6 @@ mod tests {
             ring.record(record(t));
         }
         assert_eq!(ring.len(), 8);
-        assert_eq!(ring.total_pushed(), 20);
         let ticks: Vec<u64> = ring.iter().map(|r| r.tick).collect();
         assert_eq!(ticks, (12..20).collect::<Vec<_>>(), "oldest overwritten");
         assert_eq!(ring.last().unwrap().tick, 19);

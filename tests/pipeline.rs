@@ -1,12 +1,12 @@
 //! End-to-end pipeline integration tests: sensors → bus → ADAS → CAN →
 //! attack MITM → actuators → physics, across all the crates at once.
 
-use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
+use attack_core::{AttackConfig, AttackType, AttackValues, StrategyKind, ValueMode};
 use canbus::{decode, VirtualCarDbc};
 use driving_sim::{Scenario, ScenarioId};
 use msgbus::{Payload, Topic};
 use platform::{trace_assert, Harness, HarnessConfig, TraceConfig};
-use units::Distance;
+use units::{Accel, Angle, Distance};
 
 fn scenario() -> Scenario {
     Scenario::new(ScenarioId::S2, Distance::meters(70.0))
@@ -94,10 +94,16 @@ fn attacked_frames_always_verify() {
             if att.is_active() {
                 was_attacked = true;
                 let v = att.values();
-                // Values are the fixed limits from Table III.
-                assert_eq!(v.accel.map(|a| a.mps2()), Some(2.4));
-                assert_eq!(v.brake.map(|b| b.mps2()), Some(0.0));
-                assert_eq!(v.steer.map(|s| s.degrees().abs()), Some(0.5));
+                // Values are the fixed limits from Table III, steering
+                // toward either edge.
+                let fixed = |steer_deg| {
+                    AttackValues::new(
+                        Some(Accel::from_mps2(2.4)),
+                        Some(Accel::ZERO),
+                        Some(Angle::from_degrees(steer_deg)),
+                    )
+                };
+                assert!(v == fixed(0.5) || v == fixed(-0.5), "{v:?}");
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Workspace-level property tests: whatever the configuration, the system
 //! upholds its core invariants.
 
-use attack_core::{AttackConfig, AttackType, StrategyKind, ValueMode};
+use attack_core::{AttackConfig, AttackType, AttackValues, Injector, StrategyKind, ValueMode};
+use canbus::{decode_signal, Encoder, VirtualCarDbc, ACCEL_CMD, BRAKE_CMD, STEER_ANGLE_CMD};
 use driving_sim::{Scenario, ScenarioId, INITIAL_GAPS};
 use platform::{Harness, HarnessConfig};
 use proptest::prelude::*;
@@ -21,6 +22,27 @@ fn any_scenario() -> impl Strategy<Value = Scenario> {
         prop::sample::select(INITIAL_GAPS.to_vec()),
     )
         .prop_map(|(id, gap)| Scenario::new(id, Distance::meters(gap)))
+}
+
+/// The gas, brake and steering commands `values` put on the bus: what the
+/// injector writes into zero-valued command frames, decoded.
+fn injected(values: &AttackValues) -> (f64, f64, f64) {
+    let dbc = VirtualCarDbc::new();
+    let mut enc = Encoder::new();
+    let mut frame = |spec, name| enc.encode(spec, &[(name, 0.0)]).expect("zero encodes");
+    let frames = [
+        frame(dbc.gas_command(), "ACCEL_CMD"),
+        frame(dbc.brake_command(), "BRAKE_CMD"),
+        frame(dbc.steering_control(), "STEER_ANGLE_CMD"),
+    ];
+    let mut injector = Injector::new();
+    let [gas, brake, steer] = frames.map(|f| injector.apply(f, values));
+    let read = |spec, frame, signal| decode_signal(spec, frame, signal).expect("frame verifies");
+    (
+        read(dbc.gas_command(), &gas, &ACCEL_CMD),
+        read(dbc.brake_command(), &brake, &BRAKE_CMD),
+        read(dbc.steering_control(), &steer, &STEER_ANGLE_CMD),
+    )
 }
 
 proptest! {
@@ -60,7 +82,8 @@ proptest! {
     }
 
     /// Strategic values never leave the strict envelope, whatever the
-    /// context that produced them.
+    /// context that produced them. `AttackValues` keeps its numbers to the
+    /// injector, so the check reads what the injector writes.
     #[test]
     fn strategic_values_always_inside_the_envelope(
         attack_type in any_attack_type(),
@@ -78,16 +101,10 @@ proptest! {
         for _ in 0..2_000 {
             h.step();
             if let Some(att) = h.attacker() {
-                let v = att.values();
-                if let Some(a) = v.accel {
-                    prop_assert!((0.0..=2.0).contains(&a.mps2()), "accel {a}");
-                }
-                if let Some(b) = v.brake {
-                    prop_assert!((-3.5..=0.0).contains(&b.mps2()), "brake {b}");
-                }
-                if let Some(s) = v.steer {
-                    prop_assert!(s.degrees().abs() <= 0.25 + 1e-12, "steer {s}");
-                }
+                let (accel, brake, steer) = injected(&att.values());
+                prop_assert!((0.0..=2.0 + 1e-9).contains(&accel), "accel {accel}");
+                prop_assert!((-3.5 - 1e-9..=0.0).contains(&brake), "brake {brake}");
+                prop_assert!(steer.abs() <= 0.25 + 1e-9, "steer {steer}");
             }
         }
     }
