@@ -24,7 +24,10 @@ use campaignd::spec::{ChaosKnobs, JobKind, JobSpec};
 use campaignd::supervisor::Event;
 use common::{http, job_id, temp_state, wait_for_status, Daemon};
 use defense::DefensePolicy;
+use driving_sim::Scenario;
 use platform::experiment::detected_cores;
+use platform::{AccidentKind, Harness, HarnessConfig, HazardKind, SimResult};
+use units::Seconds;
 
 /// A quote, a backslash and a newline, which every writer must escape.
 const NASTY: &str = "boom \"quoted\" back\\slash\nnext line";
@@ -281,4 +284,49 @@ fn daemon_bodies_bytes() {
     );
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A finished run with the given outcome: a fresh harness's result with
+/// its outcome fields set.
+fn run(seed: u64, hazard: bool, accident: bool, alerts: u64, tth: Option<f64>) -> SimResult {
+    let scenario = Scenario::matrix()[0];
+    let mut r = Harness::new(HarnessConfig::no_attack(scenario, seed)).result_so_far();
+    r.first_hazard = hazard.then_some((Seconds::new(20.0), HazardKind::H1));
+    r.hazard_kinds = if hazard { vec![HazardKind::H1] } else { vec![] };
+    r.accident = accident.then_some((Seconds::new(25.0), AccidentKind::A1));
+    r.alert_events = alerts;
+    r.tth = tth.map(Seconds::new);
+    r
+}
+
+#[test]
+fn attack_report_with_runs_bytes() {
+    let runs = [
+        run(1, true, true, 0, Some(2.5)),
+        run(2, true, false, 3, Some(1.25)),
+        // A hazard before the attack activated: counted, no TTH.
+        run(3, true, false, 0, None),
+        run(4, false, false, 1, None),
+    ];
+    let cores = detected_cores();
+    assert_eq!(
+        attack_spec().report(&runs),
+        format!(
+            r#"{{
+  "bench": "campaign",
+  "kind": "attack",
+  "strategy": "Context-Aware",
+  "attack": "Acceleration",
+  "base_seed": 18446744073709551615,
+  "reps_per_cell": 1,
+  "cores": {cores},
+  "total_runs": 4,
+  "hazardous_runs": 3,
+  "accident_runs": 1,
+  "hazard_no_alert_runs": 2,
+  "mean_tth_s": 1.875
+}}
+"#
+        )
+    );
 }

@@ -186,12 +186,12 @@ impl PairedAggregate {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::AccidentKind;
     use units::Seconds;
 
-    fn result(
+    pub(crate) fn result(
         seed: u64,
         hazards: Vec<HazardKind>,
         accident: bool,

@@ -114,32 +114,96 @@ pub fn table_v_total(rows: &[PairedAggregate]) -> PairedAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::result;
     use crate::metrics::MeanStd;
+    use crate::HazardKind::{H1, H2, H3};
+    use crate::SimResult;
 
-    fn agg(label: &str) -> StrategyAggregate {
-        StrategyAggregate {
-            label: label.to_owned(),
-            sims: 1440,
-            alerted: 4,
-            hazards: 1201,
-            accidents: 641,
-            hazards_no_alert: 1197,
-            invasions_per_sec: 0.66,
-            tth: MeanStd {
-                mean: 2.43,
-                std: 1.29,
-                n: 1201,
+    #[test]
+    fn table_iv_bytes() {
+        let no_attacks = [
+            result(0, vec![], false, 1, None),
+            result(1, vec![], false, 0, None),
+        ];
+        let context_aware = [
+            result(0, vec![H1], true, 0, Some(1.0)),
+            SimResult {
+                fcw_events: 2,
+                ..result(1, vec![H3], false, 2, Some(2.0))
             },
-            fcw_events: 0,
-        }
+            result(2, vec![H2, H1], false, 0, Some(4.0)),
+            result(3, vec![], false, 0, None),
+        ];
+        let rows = [
+            StrategyAggregate::from_results("No Attacks", &no_attacks),
+            StrategyAggregate::from_results("Context-Aware", &context_aware),
+        ];
+        assert_eq!(
+            render_table_iv(&rows),
+            "TABLE IV: Attack strategy comparisons with an alert driver\n\
+             | Attack Strategy | Sims | Alerts | Hazards | Accidents | Hazards&noAlerts | Inv./s | TTH (s)      | FCW |\n\
+             |-----------------|------|--------|---------|-----------|------------------|--------|--------------|-----|\n\
+             | No Attacks      |    2 |    1 ( 50.0%) |    0 (  0.0%) |    0 (  0.0%) |    0 (  0.0%) |   0.20 |  0.00±0.00  |   0 |\n\
+             | Context-Aware   |    4 |    1 ( 25.0%) |    3 ( 75.0%) |    1 ( 25.0%) |    2 ( 50.0%) |   0.20 |  2.33±1.25  |   2 |\n"
+        );
     }
 
     #[test]
-    fn table_iv_renders_percentages() {
-        let text = render_table_iv(&[agg("Context-Aware")]);
-        assert!(text.contains("Context-Aware"), "{text}");
-        assert!(text.contains("83.4%"), "hazard percentage rendered: {text}");
-        assert!(text.contains("2.43±1.29"), "{text}");
+    fn table_v_bytes() {
+        let accel = (
+            [
+                result(0, vec![H1], true, 0, Some(1.5)),
+                result(1, vec![], false, 0, None),
+                result(2, vec![H3], false, 1, Some(2.3)),
+                result(3, vec![], false, 0, None),
+            ],
+            [
+                result(0, vec![H1], true, 0, Some(1.5)),
+                result(1, vec![H2], false, 0, Some(3.0)),
+                result(2, vec![], false, 0, None),
+                result(3, vec![H1], true, 0, Some(0.75)),
+            ],
+        );
+        let decel = (
+            [
+                result(4, vec![H2], false, 0, Some(3.1)),
+                result(5, vec![H1], true, 0, Some(4.6)),
+                result(6, vec![H2], false, 3, Some(2.2)),
+            ],
+            [
+                result(4, vec![H2], false, 0, Some(3.1)),
+                result(5, vec![H1], true, 0, Some(4.6)),
+                result(6, vec![H1], false, 0, Some(2.9)),
+            ],
+        );
+        // No with-driver run has a TTH: one is safe, the other's hazard
+        // came without an activation.
+        let left = (
+            [
+                result(7, vec![], false, 0, None),
+                result(8, vec![H3], true, 0, None),
+            ],
+            [
+                result(7, vec![H3], false, 0, Some(1.2)),
+                result(8, vec![H3], true, 0, Some(0.9)),
+            ],
+        );
+        let mut rows = vec![
+            PairedAggregate::from_pairs("Acceleration", &accel.0, &accel.1),
+            PairedAggregate::from_pairs("Deceleration", &decel.0, &decel.1),
+            PairedAggregate::from_pairs("Steering-Left", &left.0, &left.1),
+        ];
+        rows.push(table_v_total(&rows));
+        assert_eq!(
+            render_table_v("with strategic value corruption", &rows),
+            "TABLE V (with strategic value corruption)\n\
+             | Attack Type           | Alerts | Hazards | Accidents | TTH (s)      | Prevented Haz. | New Haz. | Prevented Acc. |\n\
+             |-----------------------|--------|---------|-----------|--------------|----------------|----------|----------------|\n\
+             | Acceleration          |   1 ( 25.0%) |   2 ( 50.0%) |   1 ( 25.0%) |  1.90±0.40  |    2 ( 50.0%) |   1 ( 25.0%) |    1 ( 25.0%) |\n\
+             | Deceleration          |   1 ( 33.3%) |   3 (100.0%) |   1 ( 33.3%) |  3.30±0.99  |    1 ( 33.3%) |   1 ( 33.3%) |    0 (  0.0%) |\n\
+             | Steering-Left         |   0 (  0.0%) |   1 ( 50.0%) |   1 ( 50.0%) |  0.00±0.00  |    1 ( 50.0%) |   0 (  0.0%) |    0 (  0.0%) |\n\
+             | Total                 |   2 ( 22.2%) |   6 ( 66.7%) |   3 ( 33.3%) |  2.74±1.06  |    4 ( 44.4%) |   2 ( 22.2%) |    1 ( 11.1%) |\n"
+        );
     }
 
     fn paired(label: &str, sims: usize) -> PairedAggregate {
@@ -160,19 +224,6 @@ mod tests {
             new_hazards: 3,
             prevented_accidents: 2,
         }
-    }
-
-    #[test]
-    fn table_v_renders_and_totals() {
-        let rows = vec![paired("Acceleration", 240), paired("Deceleration", 240)];
-        let text = render_table_v("with strategic value corruption", &rows);
-        assert!(text.contains("Acceleration"));
-        assert!(text.contains("50.0%"));
-        let total = table_v_total(&rows);
-        assert_eq!(total.sims, 480);
-        assert_eq!(total.hazards, 240);
-        assert_eq!(total.prevented_hazards, 240);
-        assert!((total.tth.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]
