@@ -19,6 +19,7 @@ use driving_sim::{Scenario, ScenarioId};
 use platform::experiment::{
     plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
 };
+use platform::metrics::Tally;
 use platform::{Harness, HarnessConfig};
 use units::Distance;
 
@@ -76,13 +77,17 @@ fn panda_ablation(reps: u32) -> String {
             for s in &mut specs {
                 s.panda_enabled = panda;
             }
-            let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
-            let hazards = results.iter().filter(|r| r.hazardous()).count();
-            let blocked: u64 = results.iter().map(|r| r.panda_blocked).sum();
+            let t = Tally::of(&run_campaign_cells(
+                RunnerConfig::default(),
+                specs,
+                RunSpec::run,
+            ));
             out.push_str(&format!(
-                "  {label:>9} values, panda {}: hazards {hazards}/{} (frames blocked: {blocked})\n",
+                "  {label:>9} values, panda {}: hazards {}/{} (frames blocked: {})\n",
                 if panda { "ON " } else { "off" },
-                results.len(),
+                t.hazards,
+                t.runs,
+                t.panda_blocked,
             ));
         }
     }
@@ -101,19 +106,27 @@ fn driver_ablation(reps: u32) -> String {
         cfg.value_mode = ValueMode::Fixed;
         cfg.reps = reps;
         let specs = plan_attack_campaign(&cfg, attack_type);
-        let alert = run_campaign_cells(RunnerConfig::default(), specs.clone(), RunSpec::run);
+        let alert = Tally::of(&run_campaign_cells(
+            RunnerConfig::default(),
+            specs.clone(),
+            RunSpec::run,
+        ));
         let mut inattentive = specs;
         for s in &mut inattentive {
             s.driver = DriverConfig::inattentive();
         }
-        let absent = run_campaign_cells(RunnerConfig::default(), inattentive, RunSpec::run);
-        let h_alert = alert.iter().filter(|r| r.hazardous()).count();
-        let h_absent = absent.iter().filter(|r| r.hazardous()).count();
+        let absent = Tally::of(&run_campaign_cells(
+            RunnerConfig::default(),
+            inattentive,
+            RunSpec::run,
+        ));
         out.push_str(&format!(
-            "  {:<22} hazards with alert driver {h_alert}/{} vs inattentive {h_absent}/{}\n",
+            "  {:<22} hazards with alert driver {}/{} vs inattentive {}/{}\n",
             attack_type.label(),
-            alert.len(),
-            absent.len(),
+            alert.hazards,
+            alert.runs,
+            absent.hazards,
+            absent.runs,
         ));
     }
     out

@@ -22,7 +22,7 @@
 )]
 
 use attack_core::{AttackType, StrategyKind};
-use bench::{fmt_tth, scale_divisor, scaled_reps, write_artifact};
+use bench::{scale_divisor, scaled_reps, write_artifact};
 use driver_model::DriverConfig;
 use platform::experiment::{
     plan_attack_campaign, plan_no_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec,
@@ -77,13 +77,5 @@ fn main() {
 
     let table = render_table_iv(&rows);
     println!("\n{table}");
-    for r in &rows {
-        println!(
-            "  {}: TTH {}   FCW events: {}",
-            r.label,
-            fmt_tth(&r.tth),
-            r.fcw_events
-        );
-    }
     write_artifact("table_iv.txt", &table);
 }

@@ -21,7 +21,7 @@
 )]
 
 use attack_core::{AttackType, StrategyKind, ValueMode};
-use bench::{fmt_tth, scaled_reps, write_artifact};
+use bench::{scaled_reps, write_artifact};
 use driver_model::DriverConfig;
 use platform::experiment::{
     plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
@@ -74,14 +74,13 @@ fn main() {
     for rows in [&fixed, &strategic] {
         let total = rows.last().expect("total row");
         println!(
-            "  {}: hazards {}/{} with driver vs {} without; prevented {}, new {}, TTH {}",
+            "  {}: hazards {}/{} with driver vs {} without; prevented {}, new {}",
             total.label,
-            total.hazards,
-            total.sims,
-            total.hazards_no_driver,
+            total.with_driver.hazards,
+            total.with_driver.runs,
+            total.no_driver.hazards,
             total.prevented_hazards,
             total.new_hazards,
-            fmt_tth(&total.tth),
         );
     }
     println!("\ntotal wall-clock {:.1?}", t0.elapsed());

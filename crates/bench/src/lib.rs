@@ -19,8 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-use platform::metrics::MeanStd;
-
 /// Reads the campaign scale divisor from `REPRO_SCALE` (default 1 = full
 /// paper size).
 ///
@@ -56,15 +54,6 @@ pub fn canonical_resilience_config() -> platform::resilience::ResilienceConfig {
     platform::resilience::ResilienceConfig::new(7, scaled_reps())
 }
 
-/// Formats a mean ± std pair the way the paper's tables print TTH.
-pub fn fmt_tth(ms: &MeanStd) -> String {
-    if ms.n == 0 {
-        "-".to_owned()
-    } else {
-        format!("{:.2}±{:.2}", ms.mean, ms.std)
-    }
-}
-
 /// Writes an artifact file under `target/paper-artifacts/` and prints where.
 pub fn write_artifact(name: &str, contents: &str) {
     let dir = std::path::Path::new("target/paper-artifacts");
@@ -79,17 +68,6 @@ pub fn write_artifact(name: &str, contents: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fmt_tth_handles_empty() {
-        assert_eq!(fmt_tth(&MeanStd::default()), "-");
-        let ms = MeanStd {
-            mean: 2.43,
-            std: 1.29,
-            n: 100,
-        };
-        assert_eq!(fmt_tth(&ms), "2.43±1.29");
-    }
 
     #[test]
     fn scaled_reps_is_at_least_one() {

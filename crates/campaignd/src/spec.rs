@@ -13,6 +13,7 @@ use attack_core::{AttackType, StrategyKind};
 use defense::DefensePolicy;
 use platform::experiment::{detected_cores, plan_attack_campaign, CampaignConfig, RunSpec};
 use platform::json::{self, Fixed, Layout, Scalar, Writer};
+use platform::metrics::Tally;
 use platform::resilience::{
     aggregate_resilience_results, plan_resilience_campaign, ResilienceConfig, ResilienceSpec,
 };
@@ -329,15 +330,7 @@ lower 'delay_cells'"
                 aggregate_resilience_results(&cfg, results).to_json()
             }
             JobKind::Attack { strategy, attack } => {
-                let hazardous = results.iter().filter(|r| r.hazardous()).count();
-                let accidents = results.iter().filter(|r| r.accident.is_some()).count();
-                let silent = results.iter().filter(|r| r.hazard_without_alert()).count();
-                let tth: Vec<f64> = results
-                    .iter()
-                    .filter_map(|r| r.tth.map(|t| t.secs()))
-                    .collect();
-                let mean_tth =
-                    (!tth.is_empty()).then(|| Fixed(tth.iter().sum::<f64>() / tth.len() as f64, 3));
+                let t = Tally::of(results);
                 let mut doc = json::object(Layout::Indented, |o| {
                     o.field("bench", "campaign")
                         .field("kind", "attack")
@@ -346,11 +339,11 @@ lower 'delay_cells'"
                         .field("base_seed", self.base_seed)
                         .field("reps_per_cell", self.reps)
                         .field("cores", detected_cores())
-                        .field("total_runs", results.len())
-                        .field("hazardous_runs", hazardous)
-                        .field("accident_runs", accidents)
-                        .field("hazard_no_alert_runs", silent)
-                        .field("mean_tth_s", mean_tth);
+                        .field("total_runs", t.runs)
+                        .field("hazardous_runs", t.hazards)
+                        .field("accident_runs", t.accidents)
+                        .field("hazard_no_alert_runs", t.hazards_without_alert)
+                        .field("mean_tth_s", t.tth.mean().map(|s| Fixed(s, 3)));
                 });
                 doc.push('\n');
                 doc

@@ -155,16 +155,6 @@ impl VirtualCarDbc {
     pub const fn brake_command(&self) -> &'static MessageSpec {
         &BRAKE_COMMAND
     }
-
-    /// The wheel-speed feedback message.
-    pub const fn wheel_speeds(&self) -> &'static MessageSpec {
-        &WHEEL_SPEEDS
-    }
-
-    /// The steering-angle feedback message.
-    pub const fn steer_status(&self) -> &'static MessageSpec {
-        &STEER_STATUS
-    }
 }
 
 #[cfg(test)]

@@ -12,48 +12,29 @@
 
 use units::{Accel, Angle, Seconds, Speed, Tick, DT};
 
-/// Detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvariantConfig {
-    /// First-order lag of the modelled longitudinal actuator.
-    pub accel_tau: Seconds,
-    /// Time constant of the low-pass that turns noisy speed samples into a
-    /// measured-acceleration estimate.
-    pub meas_tau: Seconds,
-    /// Acceleration mismatch absorbed without accumulating (m/s²): covers
-    /// modelling error plus filtered sensor noise.
-    pub long_slack: f64,
-    /// CUSUM alarm threshold for the longitudinal statistic (m/s-equivalent:
-    /// mismatch × time in excess of the slack).
-    pub long_threshold: f64,
-    /// Lateral-rate residual deadband (m/s): normal wander lives below it.
-    pub lat_deadband: f64,
-    /// Lateral drift allowance per second above the deadband.
-    pub lat_slack: f64,
-    /// CUSUM alarm threshold for the lateral statistic.
-    pub lat_threshold: f64,
-}
-
-impl Default for InvariantConfig {
-    fn default() -> Self {
-        Self {
-            accel_tau: Seconds::new(0.25),
-            meas_tau: Seconds::new(0.8),
-            long_slack: 0.6,
-            long_threshold: 0.35,
-            lat_deadband: 0.8,
-            lat_slack: 0.2,
-            lat_threshold: 0.6,
-        }
-    }
-}
+/// First-order lag of the modelled longitudinal actuator.
+const ACCEL_TAU: Seconds = Seconds::new(0.25);
+/// Time constant of the low-pass that turns noisy speed samples into a
+/// measured-acceleration estimate.
+const MEAS_TAU: Seconds = Seconds::new(0.8);
+/// Acceleration mismatch absorbed without accumulating (m/s²): covers
+/// modelling error plus filtered sensor noise.
+const LONG_SLACK: f64 = 0.6;
+/// CUSUM alarm threshold for the longitudinal statistic (m/s-equivalent:
+/// mismatch × time in excess of the slack).
+const LONG_THRESHOLD: f64 = 0.35;
+/// Lateral-rate residual deadband (m/s): normal wander lives below it.
+const LAT_DEADBAND: f64 = 0.8;
+/// Lateral drift allowance per second above the deadband.
+const LAT_SLACK: f64 = 0.2;
+/// CUSUM alarm threshold for the lateral statistic.
+const LAT_THRESHOLD: f64 = 0.6;
 
 /// The detector. Feed it, per control cycle, the command the ADAS issued
 /// (from `carControl`) and the measurements (speed from GPS, lateral offset
 /// from the lane model); it predicts the response and integrates residuals.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControlInvariantDetector {
-    config: InvariantConfig,
     /// Modelled realised acceleration (first-order lag of the command).
     a_model: f64,
     /// The model passed through the same low-pass as the measurement, so
@@ -72,29 +53,7 @@ pub struct ControlInvariantDetector {
     detected_at: Option<Tick>,
 }
 
-impl Default for ControlInvariantDetector {
-    fn default() -> Self {
-        Self::new(InvariantConfig::default())
-    }
-}
-
 impl ControlInvariantDetector {
-    /// Creates a detector.
-    pub fn new(config: InvariantConfig) -> Self {
-        Self {
-            config,
-            a_model: 0.0,
-            a_model_lp: 0.0,
-            a_meas: 0.0,
-            prev_speed: None,
-            prev_offset: None,
-            lat_model: 0.0,
-            cusum_long: 0.0,
-            cusum_lat: 0.0,
-            detected_at: None,
-        }
-    }
-
     /// First tick at which either invariant alarmed, if any.
     pub fn detected_at(&self) -> Option<Tick> {
         self.detected_at
@@ -119,7 +78,7 @@ impl ControlInvariantDetector {
         let dt = DT.secs();
 
         // --- Longitudinal invariant: measured accel follows the command. ---
-        let alpha = dt / (self.config.accel_tau.secs() + dt);
+        let alpha = dt / (ACCEL_TAU.secs() + dt);
         self.a_model += (commanded_accel.mps2() - self.a_model) * alpha;
         let v_meas = measured_speed.mps();
         let raw_a = match self.prev_speed {
@@ -127,7 +86,7 @@ impl ControlInvariantDetector {
             None => self.a_model,
         };
         self.prev_speed = Some(v_meas);
-        let beta = dt / (self.config.meas_tau.secs() + dt);
+        let beta = dt / (MEAS_TAU.secs() + dt);
         self.a_meas += (raw_a - self.a_meas) * beta;
         // A standing car cannot decelerate: at standstill a braking command
         // legitimately produces zero response.
@@ -138,8 +97,7 @@ impl ControlInvariantDetector {
         };
         self.a_model_lp += (model_effective - self.a_model_lp) * beta;
         let residual_long = (self.a_meas - self.a_model_lp).abs();
-        self.cusum_long =
-            (self.cusum_long + (residual_long - self.config.long_slack) * dt).max(0.0);
+        self.cusum_long = (self.cusum_long + (residual_long - LONG_SLACK) * dt).max(0.0);
 
         // --- Lateral invariant: lateral rate follows the commanded steer. --
         // Model: commanded steer (wheel degrees) maps to an expected lateral
@@ -154,12 +112,10 @@ impl ControlInvariantDetector {
         };
         self.prev_offset = Some(measured_offset);
         let residual_lat = (measured_rate - self.lat_model).abs();
-        self.cusum_lat = (self.cusum_lat
-            + ((residual_lat - self.config.lat_deadband).max(0.0) - self.config.lat_slack) * dt)
-            .max(0.0);
+        self.cusum_lat =
+            (self.cusum_lat + ((residual_lat - LAT_DEADBAND).max(0.0) - LAT_SLACK) * dt).max(0.0);
 
-        let alarm = self.cusum_long > self.config.long_threshold
-            || self.cusum_lat > self.config.lat_threshold;
+        let alarm = self.cusum_long > LONG_THRESHOLD || self.cusum_lat > LAT_THRESHOLD;
         if alarm && self.detected_at.is_none() {
             self.detected_at = Some(tick);
         }

@@ -68,5 +68,5 @@ mod invariant;
 mod monitor;
 
 pub use ids::{CanIds, DefensePolicy, IdsConfig, IdsVerdict};
-pub use invariant::{ControlInvariantDetector, InvariantConfig};
-pub use monitor::{ContextMonitor, ContextObservation, MonitorConfig, MonitorVerdict};
+pub use invariant::ControlInvariantDetector;
+pub use monitor::{ContextMonitor, ContextObservation, MonitorVerdict};

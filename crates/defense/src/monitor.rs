@@ -32,64 +32,30 @@ pub enum MonitorVerdict {
     Alarm,
 }
 
-/// Monitor tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Headway threshold below which acceleration is unsafe.
-    pub t_safe: Seconds,
-    /// Acceleration considered an "accelerate" action.
-    pub accel_on: Accel,
-    /// Deceleration considered a "brake hard" action.
-    pub brake_on: Accel,
-    /// Speed below which hard braking is no longer suspicious.
-    pub beta: Speed,
-    /// Edge distance below which steering further outward is unsafe.
-    pub edge: Distance,
-    /// Steering magnitude considered an outward "steer" action.
-    pub steer_on: Angle,
-    /// Consecutive suspicious cycles before the alarm latches.
-    pub confirm: Seconds,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            t_safe: Seconds::new(2.0),
-            accel_on: Accel::from_mps2(0.8),
-            brake_on: Accel::from_mps2(-2.0),
-            beta: Speed::from_mph(25.0),
-            edge: Distance::meters(0.25),
-            steer_on: Angle::from_degrees(0.12),
-            confirm: Seconds::new(0.4),
-        }
-    }
-}
+/// Headway below which acceleration is unsafe.
+const T_SAFE: Seconds = Seconds::new(2.0);
+/// Acceleration considered an "accelerate" action.
+const ACCEL_ON: Accel = Accel::from_mps2(0.8);
+/// Deceleration considered a "brake hard" action.
+const BRAKE_ON: Accel = Accel::from_mps2(-2.0);
+/// Speed below which hard braking is no longer suspicious.
+const BETA: Speed = Speed::from_mph(25.0);
+/// Edge distance below which steering further outward is unsafe.
+const EDGE: Distance = Distance::meters(0.25);
+/// Steering magnitude considered an outward "steer" action.
+const STEER_ON: Angle = Angle::from_degrees(0.12);
+/// How long a command must stay suspicious before the alarm latches.
+const CONFIRM: Seconds = Seconds::new(0.4);
 
 /// The monitor: stateless per-cycle rule evaluation plus a confirmation
 /// window so transient controller behaviour never alarms.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ContextMonitor {
-    config: MonitorConfig,
     streak: u32,
     detected_at: Option<Tick>,
 }
 
-impl Default for ContextMonitor {
-    fn default() -> Self {
-        Self::new(MonitorConfig::default())
-    }
-}
-
 impl ContextMonitor {
-    /// Creates a monitor.
-    pub fn new(config: MonitorConfig) -> Self {
-        Self {
-            config,
-            streak: 0,
-            detected_at: None,
-        }
-    }
-
     /// First alarm tick, if any.
     pub fn detected_at(&self) -> Option<Tick> {
         self.detected_at
@@ -98,19 +64,18 @@ impl ContextMonitor {
     /// Whether a single cycle's command is unsafe in context (rule match,
     /// before confirmation).
     pub fn unsafe_in_context(&self, obs: &ContextObservation, accel: Accel, steer: Angle) -> bool {
-        let c = &self.config;
         // Rule 1 mirror: accelerating while close and closing.
         let r1 = matches!((obs.hwt, obs.rs), (Some(hwt), Some(rs))
-            if hwt <= c.t_safe && rs > Speed::ZERO && accel > c.accel_on);
+            if hwt <= T_SAFE && rs > Speed::ZERO && accel > ACCEL_ON);
         // Rule 2 mirror: braking hard at speed with nothing ahead.
         let clear = match (obs.hwt, obs.rs) {
-            (Some(hwt), _) => hwt > c.t_safe * 1.4,
+            (Some(hwt), _) => hwt > T_SAFE * 1.4,
             (None, _) => true,
         };
-        let r2 = clear && obs.v_ego > c.beta && accel < c.brake_on;
+        let r2 = clear && obs.v_ego > BETA && accel < BRAKE_ON;
         // Rules 3/4 mirror: steering outward while already at that edge.
-        let r3 = obs.d_left <= c.edge && steer > c.steer_on && obs.v_ego > c.beta;
-        let r4 = obs.d_right <= c.edge && steer < -c.steer_on && obs.v_ego > c.beta;
+        let r3 = obs.d_left <= EDGE && steer > STEER_ON && obs.v_ego > BETA;
+        let r4 = obs.d_right <= EDGE && steer < -STEER_ON && obs.v_ego > BETA;
         r1 || r2 || r3 || r4
     }
 
@@ -125,7 +90,7 @@ impl ContextMonitor {
     ) -> MonitorVerdict {
         if self.unsafe_in_context(obs, accel, steer) {
             self.streak += 1;
-            let needed = (self.config.confirm.secs() / units::DT.secs()).round() as u32;
+            let needed = (CONFIRM.secs() / units::DT.secs()).round() as u32;
             if self.streak >= needed {
                 if self.detected_at.is_none() {
                     self.detected_at = Some(tick);

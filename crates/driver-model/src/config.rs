@@ -1,6 +1,6 @@
 //! Driver parameterisation.
 
-use units::{Accel, Angle, Seconds};
+use units::{limits, Accel, Angle, Seconds};
 
 /// Parameters of the simulated driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,10 +29,10 @@ impl DriverConfig {
         Self {
             attentive: true,
             reaction_time: Seconds::new(2.5),
-            accel_threshold: Accel::from_mps2(2.0),
-            brake_threshold: Accel::from_mps2(-3.5),
+            accel_threshold: Accel::from_mps2(limits::STRICT_ACCEL_MAX_MPS2),
+            brake_threshold: Accel::from_mps2(limits::STRICT_BRAKE_MIN_MPS2),
             steer_threshold: Angle::from_degrees(0.6),
-            overspeed_factor: 1.1,
+            overspeed_factor: limits::STRICT_OVERSPEED_FACTOR,
             max_brake: Accel::from_mps2(-8.0),
         }
     }

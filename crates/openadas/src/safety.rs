@@ -9,7 +9,8 @@
 //! * the **strict limits** used by the Panda firmware checks, the driver's
 //!   anomaly perception, and the strategic value corruption —
 //!   `accel ≤ 2.0 m/s²`, `brake ≥ −3.5 m/s²`, `|steer| ≤ 0.25°`, plus
-//!   `speed ≤ 1.1 × v_cruise`.
+//!   `speed ≤ 1.1 × v_cruise`, which only the driver model reads
+//!   (`units::limits::STRICT_OVERSPEED_FACTOR`).
 
 use msgbus::schema::CarControl;
 use units::{limits, Accel, Angle};
@@ -23,8 +24,6 @@ pub struct SafetyLimits {
     pub brake_min: Accel,
     /// Maximum commanded road-wheel steering magnitude.
     pub steer_max: Angle,
-    /// Speed ceiling as a multiple of the cruise set-speed.
-    pub overspeed_factor: f64,
 }
 
 impl SafetyLimits {
@@ -35,7 +34,6 @@ impl SafetyLimits {
             accel_max: Accel::from_mps2(limits::SW_ACCEL_MAX_MPS2),
             brake_min: Accel::from_mps2(limits::SW_BRAKE_MIN_MPS2),
             steer_max: Angle::from_degrees(limits::SW_STEER_MAX_DEG),
-            overspeed_factor: limits::SW_OVERSPEED_FACTOR,
         }
     }
 
@@ -47,7 +45,6 @@ impl SafetyLimits {
             accel_max: Accel::from_mps2(limits::STRICT_ACCEL_MAX_MPS2),
             brake_min: Accel::from_mps2(limits::STRICT_BRAKE_MIN_MPS2),
             steer_max: Angle::from_degrees(limits::STRICT_STEER_MAX_DEG),
-            overspeed_factor: limits::STRICT_OVERSPEED_FACTOR,
         }
     }
 

@@ -9,7 +9,8 @@ use driving_sim::Scenario;
 use platform::experiment::{
     mix_seed, plan_no_attack_campaign, run_campaign_cells, RunSpec, RunnerConfig,
 };
-use platform::{Harness, HarnessConfig};
+use platform::metrics::{Moments, Tally};
+use platform::{Harness, HarnessConfig, HazardKind};
 
 fn main() {
     let reps: u32 = std::env::args()
@@ -20,43 +21,35 @@ fn main() {
     // --- Attack-free campaign -------------------------------------------
     let specs = plan_no_attack_campaign(reps, 0xCA11B, DriverConfig::alert());
     let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
-    let sims = results.len();
-    let hazards = results.iter().filter(|r| r.hazardous()).count();
-    let alerts: u64 = results.iter().map(|r| r.alert_events).sum();
-    let invasions: u64 = results.iter().map(|r| r.lane_invasions).sum();
-    let secs: f64 = results.iter().map(|r| r.duration.secs()).sum();
-    let driver_engaged = results
-        .iter()
-        .filter(|r| r.driver_engaged.is_some())
-        .count();
-    println!("== attack-free ({sims} sims) ==");
-    println!("hazards: {hazards}  (must be 0)");
-    println!("alert events: {alerts}  (paper: ~2 per 1440)");
-    println!("driver engagements: {driver_engaged}  (must be 0)");
-    println!("invasions/s: {:.3}  (paper: 0.46)", invasions as f64 / secs);
-    use platform::HazardKind;
-    for kind in [HazardKind::H1, HazardKind::H2, HazardKind::H3] {
-        let c = results.iter().filter(|r| r.has_hazard(kind)).count();
+    let t = Tally::of(&results);
+    println!("== attack-free ({} sims) ==", t.runs);
+    println!("hazards: {}  (must be 0)", t.hazards);
+    println!("alert events: {}  (paper: ~2 per 1440)", t.alert_events);
+    println!("driver engagements: {}  (must be 0)", t.driver_engaged);
+    println!("invasions/s: {:.3}  (paper: 0.46)", t.invasions_per_s());
+    for (kind, c) in HazardKind::ALL.into_iter().zip(t.hazard_kinds) {
         if c > 0 {
             println!("  {kind:?}: {c}");
         }
     }
-    let accidents = results.iter().filter(|r| r.accident.is_some()).count();
-    println!("  accidents: {accidents}");
+    println!("  accidents: {}", t.accidents);
 
     // Offset distribution of one run.
     let scenario = Scenario::matrix()[4]; // S2 @ 70 m
     let mut h = Harness::new(HarnessConfig::no_attack(scenario, 42));
-    let mut ds = Vec::new();
+    let mut offsets = Moments::default();
+    let (mut min, mut max) = (f64::MAX, f64::MIN);
     while !h.finished() {
         h.step();
-        ds.push(h.world().ego().d().raw());
+        let d = h.world().ego().d().raw();
+        offsets.record(d);
+        (min, max) = (min.min(d), max.max(d));
     }
-    let mean = ds.iter().sum::<f64>() / ds.len() as f64;
-    let std = (ds.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / ds.len() as f64).sqrt();
-    let max = ds.iter().cloned().fold(f64::MIN, f64::max);
-    let min = ds.iter().cloned().fold(f64::MAX, f64::min);
-    println!("offset: mean {mean:.3} std {std:.3} range [{min:.3}, {max:.3}]");
+    println!(
+        "offset: mean {:.3} std {:.3} range [{min:.3}, {max:.3}]",
+        offsets.mean().unwrap_or(f64::NAN),
+        offsets.spread()
+    );
 
     // --- Context trigger rates per attack type ---------------------------
     println!(
@@ -85,37 +78,17 @@ fn main() {
             }
         }
         let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
-        let n = results.len();
-        let triggered = results
-            .iter()
-            .filter(|r| r.attack_activated.is_some())
-            .count();
-        let hazards = results.iter().filter(|r| r.hazardous()).count();
-        let accidents = results.iter().filter(|r| r.accident.is_some()).count();
-        let alerted = results.iter().filter(|r| r.alerted()).count();
-        let tths: Vec<f64> = results
-            .iter()
-            .filter_map(|r| r.tth.map(|t| t.secs()))
-            .collect();
-        let tth_mean = if tths.is_empty() {
-            f64::NAN
-        } else {
-            tths.iter().sum::<f64>() / tths.len() as f64
-        };
-        let mean_start: f64 = results
-            .iter()
-            .filter_map(|r| r.attack_activated.map(|t| t.secs()))
-            .sum::<f64>()
-            / triggered.max(1) as f64;
+        let t = Tally::of(&results);
         println!(
-            "{:<22} trig {:>3}/{n}  haz {:>3}  acc {:>3}  alert {:>2}  TTH {:>5.2}  t_a {:>5.1}",
+            "{:<22} trig {:>3}/{}  haz {:>3}  acc {:>3}  alert {:>2}  TTH {:>5.2}  t_a {:>5.1}",
             attack_type.label(),
-            triggered,
-            hazards,
-            accidents,
-            alerted,
-            tth_mean,
-            mean_start,
+            t.activation.n(),
+            t.runs,
+            t.hazards,
+            t.accidents,
+            t.alerted,
+            t.tth.mean().unwrap_or(f64::NAN),
+            t.activation.mean().unwrap_or(0.0),
         );
     }
 }

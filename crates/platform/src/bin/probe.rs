@@ -5,36 +5,27 @@ use attack_core::{AttackType, StrategyKind, ValueMode};
 use platform::experiment::{
     plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
 };
+use platform::metrics::Tally;
+
 fn main() {
     for strategy in [StrategyKind::RandomSt, StrategyKind::RandomStDur] {
         println!("== {} ==", strategy.label());
-        for t in AttackType::ALL {
+        for attack_type in AttackType::ALL {
             let mut cfg = CampaignConfig::smoke(strategy, 5);
             cfg.value_mode = ValueMode::Fixed;
-            let r = run_campaign_cells(
+            let results = run_campaign_cells(
                 RunnerConfig::default(),
-                plan_attack_campaign(&cfg, t),
+                plan_attack_campaign(&cfg, attack_type),
                 RunSpec::run,
             );
-            let haz = r.iter().filter(|x| x.hazardous()).count();
-            let acc = r.iter().filter(|x| x.accident.is_some()).count();
-            let h1 = r
-                .iter()
-                .filter(|x| x.has_hazard(platform::HazardKind::H1))
-                .count();
-            let h2 = r
-                .iter()
-                .filter(|x| x.has_hazard(platform::HazardKind::H2))
-                .count();
-            let h3 = r
-                .iter()
-                .filter(|x| x.has_hazard(platform::HazardKind::H3))
-                .count();
+            let t = Tally::of(&results);
+            let [h1, h2, h3] = t.hazard_kinds;
             println!(
-                "{:<22} haz {:>2}/60 acc {:>2} (H1 {h1} H2 {h2} H3 {h3})",
-                t.label(),
-                haz,
-                acc
+                "{:<22} haz {:>2}/{} acc {:>2} (H1 {h1} H2 {h2} H3 {h3})",
+                attack_type.label(),
+                t.hazards,
+                t.runs,
+                t.accidents
             );
         }
     }

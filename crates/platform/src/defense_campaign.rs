@@ -30,6 +30,7 @@ use units::Seconds;
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
 use crate::json::{self, Fixed, Layout, Writer};
+use crate::metrics::{Moments, Tally};
 use crate::resilience::{FAULT_DURATION, FAULT_START, INTENSITIES};
 use crate::{Harness, HarnessConfig, SimResult};
 
@@ -211,42 +212,31 @@ pub struct DefenseCell {
 
 impl DefenseCell {
     fn from_results(policy: DefensePolicy, threat: Threat, results: &[SimResult]) -> Self {
-        let earliest = |r: &SimResult| -> Option<Seconds> {
-            [r.ids_detected, r.invariant_detected, r.monitor_detected]
-                .into_iter()
-                .flatten()
-                .reduce(Seconds::min)
-        };
-        let latencies: Vec<f64> = results
-            .iter()
-            .filter_map(|r| {
-                let d = earliest(r)?;
-                let onset = threat.scheduled_onset().or(r.attack_activated)?;
-                (d >= onset).then(|| (d - onset).secs())
-            })
-            .collect();
+        let t = Tally::of(results);
+        let mut detection = Moments::default();
+        for r in results {
+            let onset = threat.scheduled_onset().or(r.attack_activated);
+            if let (Some(d), Some(onset)) = (r.first_detection(), onset) {
+                if d >= onset {
+                    detection.record((d - onset).secs());
+                }
+            }
+        }
         Self {
             policy: policy.label().to_string(),
             threat: threat.label(),
-            runs: results.len() as u64,
-            hazardous_runs: results.iter().filter(|r| r.hazardous()).count() as u64,
-            accident_runs: results.iter().filter(|r| r.accident.is_some()).count() as u64,
-            detected_runs: results.iter().filter(|r| earliest(r).is_some()).count() as u64,
-            ids_detected_runs: results.iter().filter(|r| r.ids_detected.is_some()).count() as u64,
-            invariant_detected_runs: results
-                .iter()
-                .filter(|r| r.invariant_detected.is_some())
-                .count() as u64,
-            monitor_detected_runs: results
-                .iter()
-                .filter(|r| r.monitor_detected.is_some())
-                .count() as u64,
-            gate_rejection_runs: results.iter().filter(|r| r.gate_rejections > 0).count() as u64,
-            gate_rejections: results.iter().map(|r| r.gate_rejections).sum(),
-            degraded_runs: results.iter().filter(|r| r.degraded_ticks > 0).count() as u64,
-            false_fcw_runs: results.iter().filter(|r| r.fcw_events > 0).count() as u64,
-            mean_detection_s: (!latencies.is_empty())
-                .then(|| latencies.iter().sum::<f64>() / latencies.len() as f64),
+            runs: t.runs,
+            hazardous_runs: t.hazards,
+            accident_runs: t.accidents,
+            detected_runs: t.detected,
+            ids_detected_runs: t.ids_detected,
+            invariant_detected_runs: t.invariant_detected,
+            monitor_detected_runs: t.monitor_detected,
+            gate_rejection_runs: t.gate_rejection_runs,
+            gate_rejections: t.gate_rejections,
+            degraded_runs: t.degraded_runs,
+            false_fcw_runs: t.fcw_runs,
+            mean_detection_s: detection.mean(),
         }
     }
 

@@ -211,6 +211,19 @@ impl SimResult {
     pub fn has_hazard(&self, kind: HazardKind) -> bool {
         self.hazard_kinds.contains(&kind)
     }
+
+    /// When the first detector (CAN IDS, control invariant or context
+    /// monitor) alarmed, if any did.
+    pub(crate) fn first_detection(&self) -> Option<Seconds> {
+        [
+            self.ids_detected,
+            self.invariant_detected,
+            self.monitor_detected,
+        ]
+        .into_iter()
+        .flatten()
+        .reduce(Seconds::min)
+    }
 }
 
 /// A single assembled simulation.

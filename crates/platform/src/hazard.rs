@@ -23,6 +23,11 @@ pub enum HazardKind {
     H3,
 }
 
+impl HazardKind {
+    /// Every kind, in order.
+    pub const ALL: [HazardKind; 3] = [HazardKind::H1, HazardKind::H2, HazardKind::H3];
+}
+
 /// Accidents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccidentKind {

@@ -20,6 +20,7 @@ use faultinj::{FaultKind, FaultSchedule, FaultSpec, FaultTarget};
 
 use crate::experiment::{mix_seed, run_campaign_cells, RunnerConfig};
 use crate::json::{self, Fixed, Layout, Writer};
+use crate::metrics::Tally;
 use crate::{Harness, HarnessConfig, SimResult};
 
 /// Tick at which every campaign fault window opens (5 s into the run,
@@ -155,28 +156,23 @@ pub struct ResilienceCell {
 
 impl ResilienceCell {
     fn from_results(kind: FaultKind, intensity: f64, results: &[SimResult]) -> Self {
-        let runs = results.len() as u64;
-        let dt = units::DT.secs();
-        let mean = |total: f64| if runs == 0 { 0.0 } else { total / runs as f64 };
-        let recovery: Vec<f64> = results
-            .iter()
-            .filter_map(|r| r.recovery_latency.map(|t| t.secs()))
-            .collect();
+        let t = Tally::of(results);
+        // Without runs both totals are 0, and so are their means.
+        let runs = t.runs.max(1) as f64;
         Self {
             fault: kind.label().to_string(),
             intensity,
-            runs,
-            hazardous_runs: results.iter().filter(|r| r.hazardous()).count() as u64,
-            accident_runs: results.iter().filter(|r| r.accident.is_some()).count() as u64,
-            failsafe_runs: results.iter().filter(|r| r.failsafe_ticks > 0).count() as u64,
-            false_fcw_runs: results.iter().filter(|r| r.fcw_events > 0).count() as u64,
-            degraded_runs: results.iter().filter(|r| r.degraded_ticks > 0).count() as u64,
-            mean_degraded_s: mean(results.iter().map(|r| r.degraded_ticks as f64 * dt).sum()),
-            mean_failsafe_s: mean(results.iter().map(|r| r.failsafe_ticks as f64 * dt).sum()),
-            recovered_runs: recovery.len() as u64,
-            mean_recovery_s: (!recovery.is_empty())
-                .then(|| recovery.iter().sum::<f64>() / recovery.len() as f64),
-            faults_injected: results.iter().map(|r| r.faults_injected).sum(),
+            runs: t.runs,
+            hazardous_runs: t.hazards,
+            accident_runs: t.accidents,
+            failsafe_runs: t.failsafe_runs,
+            false_fcw_runs: t.fcw_runs,
+            degraded_runs: t.degraded_runs,
+            mean_degraded_s: t.degraded_s / runs,
+            mean_failsafe_s: t.failsafe_s / runs,
+            recovered_runs: t.recovery.n(),
+            mean_recovery_s: t.recovery.mean(),
+            faults_injected: t.faults_injected,
         }
     }
 

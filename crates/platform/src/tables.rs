@@ -1,6 +1,15 @@
 //! Text rendering of the paper's tables.
 
-use crate::metrics::{PairedAggregate, StrategyAggregate};
+use crate::metrics::{Moments, PairedAggregate, StrategyAggregate};
+
+/// A TTH cell, `mean±spread`, or "-" when no run has a TTH (a row of
+/// attack-free runs, say), so that no row reads as instant hazards.
+fn tth_cell(tth: &Moments) -> String {
+    match tth.mean() {
+        Some(mean) => format!("{mean:>5.2}±{:<5.2}", tth.spread()),
+        None => format!("{:>5}{:6}", "-", ""),
+    }
+}
 
 /// Renders Table IV ("Attack strategy comparisons with an alert driver"):
 /// one row per strategy.
@@ -12,22 +21,22 @@ pub fn render_table_iv(rows: &[StrategyAggregate]) -> String {
          |-----------------|------|--------|---------|-----------|------------------|--------|--------------|-----|\n",
     );
     for r in rows {
+        let t = &r.tally;
         out.push_str(&format!(
-            "| {:<15} | {:>4} | {:>4} ({:>5.1}%) | {:>4} ({:>5.1}%) | {:>4} ({:>5.1}%) | {:>4} ({:>5.1}%) | {:>6.2} | {:>5.2}±{:<5.2} | {:>3} |\n",
+            "| {:<15} | {:>4} | {:>4} ({:>5.1}%) | {:>4} ({:>5.1}%) | {:>4} ({:>5.1}%) | {:>4} ({:>5.1}%) | {:>6.2} | {} | {:>3} |\n",
             r.label,
-            r.sims,
-            r.alerted,
-            r.pct(r.alerted),
-            r.hazards,
-            r.pct(r.hazards),
-            r.accidents,
-            r.pct(r.accidents),
-            r.hazards_no_alert,
-            r.pct(r.hazards_no_alert),
-            r.invasions_per_sec,
-            r.tth.mean,
-            r.tth.std,
-            r.fcw_events,
+            t.runs,
+            t.alerted,
+            t.pct(t.alerted),
+            t.hazards,
+            t.pct(t.hazards),
+            t.accidents,
+            t.pct(t.accidents),
+            t.hazards_without_alert,
+            t.pct(t.hazards_without_alert),
+            t.invasions_per_s(),
+            tth_cell(&t.tth),
+            t.fcw_events,
         ));
     }
     out
@@ -43,79 +52,41 @@ pub fn render_table_v(title: &str, rows: &[PairedAggregate]) -> String {
          |-----------------------|--------|---------|-----------|--------------|----------------|----------|----------------|\n"
     ));
     for r in rows {
+        let t = &r.with_driver;
         out.push_str(&format!(
-            "| {:<21} | {:>3} ({:>5.1}%) | {:>3} ({:>5.1}%) | {:>3} ({:>5.1}%) | {:>5.2}±{:<5.2} | {:>4} ({:>5.1}%) | {:>3} ({:>5.1}%) | {:>4} ({:>5.1}%) |\n",
+            "| {:<21} | {:>3} ({:>5.1}%) | {:>3} ({:>5.1}%) | {:>3} ({:>5.1}%) | {} | {:>4} ({:>5.1}%) | {:>3} ({:>5.1}%) | {:>4} ({:>5.1}%) |\n",
             r.label,
-            r.alerted,
-            r.pct(r.alerted),
-            r.hazards,
-            r.pct(r.hazards),
-            r.accidents,
-            r.pct(r.accidents),
-            r.tth.mean,
-            r.tth.std,
+            t.alerted,
+            t.pct(t.alerted),
+            t.hazards,
+            t.pct(t.hazards),
+            t.accidents,
+            t.pct(t.accidents),
+            tth_cell(&t.tth),
             r.prevented_hazards,
-            r.pct(r.prevented_hazards),
+            t.pct(r.prevented_hazards),
             r.new_hazards,
-            r.pct(r.new_hazards),
+            t.pct(r.new_hazards),
             r.prevented_accidents,
-            r.pct(r.prevented_accidents),
+            t.pct(r.prevented_accidents),
         ));
     }
     out
 }
 
-/// Sums a column across Table V rows into a "Total" row.
+/// Table V's "Total" row: every row merged.
 pub fn table_v_total(rows: &[PairedAggregate]) -> PairedAggregate {
-    let mut total = PairedAggregate {
+    let total = PairedAggregate {
         label: "Total".to_owned(),
-        sims: 0,
-        alerted: 0,
-        hazards: 0,
-        accidents: 0,
-        tth: crate::metrics::MeanStd::default(),
-        hazards_no_driver: 0,
-        accidents_no_driver: 0,
-        prevented_hazards: 0,
-        new_hazards: 0,
-        prevented_accidents: 0,
+        ..PairedAggregate::default()
     };
-    let mut tth_weighted = 0.0;
-    let mut tth_n = 0usize;
-    for r in rows {
-        total.sims += r.sims;
-        total.alerted += r.alerted;
-        total.hazards += r.hazards;
-        total.accidents += r.accidents;
-        total.hazards_no_driver += r.hazards_no_driver;
-        total.accidents_no_driver += r.accidents_no_driver;
-        total.prevented_hazards += r.prevented_hazards;
-        total.new_hazards += r.new_hazards;
-        total.prevented_accidents += r.prevented_accidents;
-        tth_weighted += r.tth.mean * r.tth.n as f64;
-        tth_n += r.tth.n;
-    }
-    if tth_n > 0 {
-        let mean = tth_weighted / tth_n as f64;
-        // The pooled population variance, exact from each row's (n, mean,
-        // std): Σ nᵢ(σᵢ² + (μᵢ − μ)²) / N, what `mean_std` gives over the
-        // rows' samples together.
-        let spread: f64 = rows
-            .iter()
-            .map(|r| r.tth.n as f64 * (r.tth.std.powi(2) + (r.tth.mean - mean).powi(2)))
-            .sum();
-        total.tth.mean = mean;
-        total.tth.std = (spread / tth_n as f64).sqrt();
-        total.tth.n = tth_n;
-    }
-    total
+    rows.iter().fold(total, PairedAggregate::merge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::tests::result;
-    use crate::metrics::MeanStd;
     use crate::HazardKind::{H1, H2, H3};
     use crate::SimResult;
 
@@ -143,21 +114,22 @@ mod tests {
             "TABLE IV: Attack strategy comparisons with an alert driver\n\
              | Attack Strategy | Sims | Alerts | Hazards | Accidents | Hazards&noAlerts | Inv./s | TTH (s)      | FCW |\n\
              |-----------------|------|--------|---------|-----------|------------------|--------|--------------|-----|\n\
-             | No Attacks      |    2 |    1 ( 50.0%) |    0 (  0.0%) |    0 (  0.0%) |    0 (  0.0%) |   0.20 |  0.00±0.00  |   0 |\n\
+             | No Attacks      |    2 |    1 ( 50.0%) |    0 (  0.0%) |    0 (  0.0%) |    0 (  0.0%) |   0.20 |     -       |   0 |\n\
              | Context-Aware   |    4 |    1 ( 25.0%) |    3 ( 75.0%) |    1 ( 25.0%) |    2 ( 50.0%) |   0.20 |  2.33±1.25  |   2 |\n"
         );
     }
 
-    #[test]
-    fn table_v_bytes() {
+    /// Table V's paired inputs, one (label, with driver, no driver) per
+    /// row.
+    fn table_v_pairs() -> Vec<(&'static str, Vec<SimResult>, Vec<SimResult>)> {
         let accel = (
-            [
+            vec![
                 result(0, vec![H1], true, 0, Some(1.5)),
                 result(1, vec![], false, 0, None),
                 result(2, vec![H3], false, 1, Some(2.3)),
                 result(3, vec![], false, 0, None),
             ],
-            [
+            vec![
                 result(0, vec![H1], true, 0, Some(1.5)),
                 result(1, vec![H2], false, 0, Some(3.0)),
                 result(2, vec![], false, 0, None),
@@ -165,12 +137,12 @@ mod tests {
             ],
         );
         let decel = (
-            [
+            vec![
                 result(4, vec![H2], false, 0, Some(3.1)),
                 result(5, vec![H1], true, 0, Some(4.6)),
                 result(6, vec![H2], false, 3, Some(2.2)),
             ],
-            [
+            vec![
                 result(4, vec![H2], false, 0, Some(3.1)),
                 result(5, vec![H1], true, 0, Some(4.6)),
                 result(6, vec![H1], false, 0, Some(2.9)),
@@ -179,20 +151,32 @@ mod tests {
         // No with-driver run has a TTH: one is safe, the other's hazard
         // came without an activation.
         let left = (
-            [
+            vec![
                 result(7, vec![], false, 0, None),
                 result(8, vec![H3], true, 0, None),
             ],
-            [
+            vec![
                 result(7, vec![H3], false, 0, Some(1.2)),
                 result(8, vec![H3], true, 0, Some(0.9)),
             ],
         );
-        let mut rows = vec![
-            PairedAggregate::from_pairs("Acceleration", &accel.0, &accel.1),
-            PairedAggregate::from_pairs("Deceleration", &decel.0, &decel.1),
-            PairedAggregate::from_pairs("Steering-Left", &left.0, &left.1),
-        ];
+        vec![
+            ("Acceleration", accel.0, accel.1),
+            ("Deceleration", decel.0, decel.1),
+            ("Steering-Left", left.0, left.1),
+        ]
+    }
+
+    fn table_v_rows() -> Vec<PairedAggregate> {
+        table_v_pairs()
+            .iter()
+            .map(|(label, with, without)| PairedAggregate::from_pairs(*label, with, without))
+            .collect()
+    }
+
+    #[test]
+    fn table_v_bytes() {
+        let mut rows = table_v_rows();
         rows.push(table_v_total(&rows));
         assert_eq!(
             render_table_v("with strategic value corruption", &rows),
@@ -201,53 +185,33 @@ mod tests {
              |-----------------------|--------|---------|-----------|--------------|----------------|----------|----------------|\n\
              | Acceleration          |   1 ( 25.0%) |   2 ( 50.0%) |   1 ( 25.0%) |  1.90±0.40  |    2 ( 50.0%) |   1 ( 25.0%) |    1 ( 25.0%) |\n\
              | Deceleration          |   1 ( 33.3%) |   3 (100.0%) |   1 ( 33.3%) |  3.30±0.99  |    1 ( 33.3%) |   1 ( 33.3%) |    0 (  0.0%) |\n\
-             | Steering-Left         |   0 (  0.0%) |   1 ( 50.0%) |   1 ( 50.0%) |  0.00±0.00  |    1 ( 50.0%) |   0 (  0.0%) |    0 (  0.0%) |\n\
+             | Steering-Left         |   0 (  0.0%) |   1 ( 50.0%) |   1 ( 50.0%) |     -       |    1 ( 50.0%) |   0 (  0.0%) |    0 (  0.0%) |\n\
              | Total                 |   2 ( 22.2%) |   6 ( 66.7%) |   3 ( 33.3%) |  2.74±1.06  |    4 ( 44.4%) |   2 ( 22.2%) |    1 ( 11.1%) |\n"
         );
     }
 
-    fn paired(label: &str, sims: usize) -> PairedAggregate {
-        PairedAggregate {
-            label: label.to_owned(),
-            sims,
-            alerted: 1,
-            hazards: sims / 2,
-            accidents: 2,
-            tth: MeanStd {
-                mean: 2.0,
-                std: 0.5,
-                n: sims / 2,
-            },
-            hazards_no_driver: sims,
-            accidents_no_driver: 4,
-            prevented_hazards: sims / 2,
-            new_hazards: 3,
-            prevented_accidents: 2,
-        }
-    }
-
     #[test]
-    fn table_v_total_pools_the_spread_of_its_rows_samples() {
-        use crate::metrics::mean_std;
-        let groups: [&[f64]; 4] = [
-            &[1.2, 2.9, 3.3, 0.8, 5.1],
-            &[4.4, 4.6],
-            &[],
-            &[0.3, 7.5, 2.2, 2.2, 9.0, 1.1, 3.4],
-        ];
-        let rows: Vec<PairedAggregate> = groups
-            .iter()
-            .map(|samples| PairedAggregate {
-                tth: mean_std(samples),
-                ..paired("row", 10)
-            })
-            .collect();
-        let all: Vec<f64> = groups.concat();
-        let want = mean_std(&all);
-        let got = table_v_total(&rows).tth;
-        assert_eq!(got.n, want.n);
-        assert!((got.mean - want.mean).abs() < 1e-12, "{got:?} vs {want:?}");
-        assert!((got.std - want.std).abs() < 1e-12, "{got:?} vs {want:?}");
-        assert!(got.std > 2.0, "the spread is pooled, not left at zero");
+    fn table_v_total_is_one_tally_over_every_row() {
+        let (mut with, mut without) = (Vec::new(), Vec::new());
+        for (_, w, n) in table_v_pairs() {
+            with.extend(w);
+            without.extend(n);
+        }
+        let whole = PairedAggregate::from_pairs("Total", &with, &without);
+        let total = table_v_total(&table_v_rows());
+        // Every count is exact; the TTH sums may differ in their last bits,
+        // because the rows were summed separately.
+        let (got, want) = (total.with_driver.tth, whole.with_driver.tth);
+        assert_eq!(got.n(), want.n());
+        let (got_mean, want_mean) = (got.mean().unwrap(), want.mean().unwrap());
+        assert!((got_mean - want_mean).abs() < 1e-12, "{got:?} vs {want:?}");
+        assert!(
+            (got.spread() - want.spread()).abs() < 1e-12,
+            "{got:?} vs {want:?}"
+        );
+        assert!(got.spread() > 1.0, "the spread is pooled, not left at zero");
+        let mut total = total;
+        total.with_driver.tth = want;
+        assert_eq!(total, whole);
     }
 }

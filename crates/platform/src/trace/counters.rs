@@ -1,8 +1,6 @@
-//! Run- and campaign-level aggregation: counters and fixed-bin histograms.
+//! Run-level aggregation: counters and fixed-bin histograms.
 
 use msgbus::Topic;
-
-use crate::SimResult;
 
 /// A fixed-range linear-bin histogram with saturating under/overflow bins.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,28 +52,6 @@ impl Histogram {
                 *bin += 1;
             }
         }
-    }
-
-    /// Adds another histogram's samples; the ranges must match.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different ranges or bin counts.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts must match");
-        // Bitwise identity: merging only makes sense for histograms built
-        // with the same constructor parameters, not merely close ones.
-        assert!(
-            self.lo.to_bits() == other.lo.to_bits() && self.hi.to_bits() == other.hi.to_bits(),
-            "histogram ranges must match"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Number of recorded (non-NaN) samples.
@@ -183,53 +159,6 @@ impl RunMetrics {
     }
 }
 
-/// Campaign-level aggregate: [`RunMetrics`] summed over every run plus
-/// outcome counts from the [`SimResult`]s, folded in one run at a time by
-/// [`CampaignMetrics::absorb_run`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CampaignMetrics {
-    /// Runs aggregated.
-    pub runs: u64,
-    /// Runs with at least one hazard.
-    pub hazardous_runs: u64,
-    /// Runs ending in an accident.
-    pub accident_runs: u64,
-    /// Runs in which the attack activated.
-    pub activated_runs: u64,
-    /// Element-wise sums of the per-run counters and histograms.
-    pub totals: RunMetrics,
-}
-
-impl CampaignMetrics {
-    /// Folds one run into the aggregate.
-    pub fn absorb_run(&mut self, metrics: &RunMetrics, result: &SimResult) {
-        self.runs += 1;
-        self.hazardous_runs += u64::from(result.hazardous());
-        self.accident_runs += u64::from(result.accident.is_some());
-        self.activated_runs += u64::from(result.attack_activated.is_some());
-        self.totals.ticks += metrics.ticks;
-        for (a, b) in self
-            .totals
-            .bus_published
-            .iter_mut()
-            .zip(&metrics.bus_published)
-        {
-            *a += b;
-        }
-        self.totals.frames_rewritten += metrics.frames_rewritten;
-        self.totals.panda_blocked += metrics.panda_blocked;
-        self.totals.alert_events += metrics.alert_events;
-        self.totals.attack_active_ticks += metrics.attack_active_ticks;
-        self.totals.driver_engaged_ticks += metrics.driver_engaged_ticks;
-        self.totals.degraded_ticks += metrics.degraded_ticks;
-        self.totals.failsafe_ticks += metrics.failsafe_ticks;
-        self.totals.faults_injected += metrics.faults_injected;
-        self.totals.headway.merge(&metrics.headway);
-        self.totals.applied_accel.merge(&metrics.applied_accel);
-        self.totals.lane_offset.merge(&metrics.lane_offset);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,27 +176,5 @@ mod tests {
         assert_eq!(under, 1);
         assert_eq!(over, 1);
         assert_eq!(h.count(), 6, "NaN ignored");
-    }
-
-    #[test]
-    fn histogram_merge_adds_samples() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let mut b = Histogram::new(0.0, 1.0, 4);
-        a.record(0.1);
-        b.record(0.9);
-        b.record(0.95);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        let (bins, _, _) = a.bins();
-        assert_eq!(bins[0], 1);
-        assert_eq!(bins[3], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges must match")]
-    fn histogram_merge_rejects_mismatched_ranges() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let b = Histogram::new(0.0, 2.0, 4);
-        a.merge(&b);
     }
 }

@@ -17,7 +17,7 @@ mod export;
 mod record;
 mod ring;
 
-pub use counters::{CampaignMetrics, Histogram, RunMetrics};
+pub use counters::{Histogram, RunMetrics};
 pub use export::{diff, to_csv, to_json, TraceDiff, CSV_HEADER};
 pub use record::{
     DegradationCode, DriverPhaseCode, IdsCode, TickRecord, TraceEvent, TraceEventKind,

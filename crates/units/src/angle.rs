@@ -33,7 +33,7 @@ impl Angle {
 
     /// Creates an angle from degrees.
     #[inline]
-    pub fn from_degrees(deg: f64) -> Self {
+    pub const fn from_degrees(deg: f64) -> Self {
         Self(deg.to_radians())
     }
 

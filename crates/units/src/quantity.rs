@@ -196,7 +196,7 @@ impl Speed {
     /// Creates a speed from miles per hour (the unit the paper's scenarios
     /// and thresholds use).
     #[inline]
-    pub fn from_mph(mph: f64) -> Self {
+    pub const fn from_mph(mph: f64) -> Self {
         Self(mph * MPS_PER_MPH)
     }
 

@@ -14,7 +14,7 @@ use attack_core::{AttackType, StrategyKind};
 use platform::experiment::{
     plan_attack_campaign, run_campaign_cells, CampaignConfig, RunSpec, RunnerConfig,
 };
-use platform::metrics::StrategyAggregate;
+use platform::metrics::Tally;
 
 fn main() {
     let reps: u32 = std::env::args()
@@ -37,16 +37,16 @@ fn main() {
             plan_attack_campaign(&cfg, attack_type),
             RunSpec::run,
         );
-        let agg = StrategyAggregate::from_results(attack_type.label(), &results);
-        let frames: u64 = results.iter().map(|r| r.frames_rewritten).sum();
+        let t = Tally::of(&results);
+        let tth = t.tth.mean().map_or("-".to_owned(), |s| format!("{s:.2}s"));
         println!(
-            "{:<22} {:>7.1}% {:>9.1}% {:>9.1}% {:>7.2}s {:>10}",
-            agg.label,
-            agg.pct(agg.hazards),
-            agg.pct(agg.accidents),
-            agg.pct(agg.hazards_no_alert),
-            agg.tth.mean,
-            frames,
+            "{:<22} {:>7.1}% {:>9.1}% {:>9.1}% {:>8} {:>10}",
+            attack_type.label(),
+            t.pct(t.hazards),
+            t.pct(t.accidents),
+            t.pct(t.hazards_without_alert),
+            tth,
+            t.frames_rewritten,
         );
     }
 

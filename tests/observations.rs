@@ -118,13 +118,13 @@ fn observation_4_alert_driver_prevents_noticeable_attacks() {
         agg.prevented_hazards > 0,
         "the driver prevents some hazards ({} of {} no-driver hazards)",
         agg.prevented_hazards,
-        agg.hazards_no_driver
+        agg.no_driver.hazards
     );
     assert!(
-        agg.hazards < agg.hazards_no_driver,
+        agg.with_driver.hazards < agg.no_driver.hazards,
         "hazards drop when the driver watches: {} vs {}",
-        agg.hazards,
-        agg.hazards_no_driver
+        agg.with_driver.hazards,
+        agg.no_driver.hazards
     );
     // The driver only reacts because the fixed value (-4 m/s²) is an anomaly.
     assert!(with_driver.iter().any(|r| r.driver_engaged.is_some()));
