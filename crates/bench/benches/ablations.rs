@@ -77,11 +77,8 @@ fn panda_ablation(reps: u32) -> String {
             for s in &mut specs {
                 s.panda_enabled = panda;
             }
-            let t = Tally::of(&run_campaign_cells(
-                RunnerConfig::default(),
-                specs,
-                RunSpec::run,
-            ));
+            let results = run_campaign_cells(RunnerConfig::default(), specs, RunSpec::run);
+            let t = Tally::of(&results);
             out.push_str(&format!(
                 "  {label:>9} values, panda {}: hazards {}/{} (frames blocked: {})\n",
                 if panda { "ON " } else { "off" },
@@ -106,20 +103,13 @@ fn driver_ablation(reps: u32) -> String {
         cfg.value_mode = ValueMode::Fixed;
         cfg.reps = reps;
         let specs = plan_attack_campaign(&cfg, attack_type);
-        let alert = Tally::of(&run_campaign_cells(
-            RunnerConfig::default(),
-            specs.clone(),
-            RunSpec::run,
-        ));
+        let alert = run_campaign_cells(RunnerConfig::default(), specs.clone(), RunSpec::run);
         let mut inattentive = specs;
         for s in &mut inattentive {
             s.driver = DriverConfig::inattentive();
         }
-        let absent = Tally::of(&run_campaign_cells(
-            RunnerConfig::default(),
-            inattentive,
-            RunSpec::run,
-        ));
+        let absent = run_campaign_cells(RunnerConfig::default(), inattentive, RunSpec::run);
+        let (alert, absent) = (Tally::of(&alert), Tally::of(&absent));
         out.push_str(&format!(
             "  {:<22} hazards with alert driver {}/{} vs inattentive {}/{}\n",
             attack_type.label(),
